@@ -23,6 +23,12 @@ let progress label ~done_ ~total ~tally =
     flush stderr
   end
 
+(* One cell through the engine's single entry point. *)
+let run_cell ?backend ?jobs ?observe spec =
+  match Engine.run_matrix_results ?backend ?jobs ?observe [ spec ] with
+  | [ r ] -> r
+  | _ -> assert false
+
 let section title =
   Printf.printf "\n%s\n%s\n" (String.make 72 '=') title;
   Printf.printf "%s\n" (String.make 72 '=')
@@ -33,7 +39,7 @@ let section title =
 
 (* The Figure-2 pairs as one campaign matrix: cached cells load from
    their CSV, every missing cell runs through a single shared
-   Engine.run_matrix (catalogue-journaled under _artifacts/, so an
+   Engine.run_matrix_results (catalogue-journaled under _artifacts/, so an
    interrupted regeneration resumes shard-exact). *)
 let paper_scans =
   lazy
@@ -69,9 +75,10 @@ let paper_scans =
      let fresh =
        if missing = [] then []
        else
-         Engine.run_matrix ~jobs:(Pool.default_jobs ())
-           ~progress:(fun spec -> progress (Spec.label spec))
-           missing
+         List.map Engine.scan_exn
+           (Engine.run_matrix_results ~jobs:(Pool.default_jobs ())
+              ~progress:(fun spec -> progress (Spec.label spec))
+              missing)
      in
      let fresh = ref fresh in
      let scans =
@@ -324,7 +331,9 @@ let run_engine_parallel () =
         List.map
           (fun jobs ->
             let scan, t =
-              time (fun () -> Engine.run ~backend ~jobs golden)
+              time (fun () ->
+                  Engine.scan_exn
+                    (run_cell ~backend ~jobs (Spec.of_golden golden)))
             in
             (backend, jobs, t, scan = serial))
           [ 1; 2; 4 ])
@@ -650,7 +659,7 @@ let run_engine_supervision () =
     let snap = ref None in
     let go () =
       time (fun () ->
-          Engine.run_spec_result ~backend:Pool.Processes ~jobs
+          run_cell ~backend:Pool.Processes ~jobs
             ~observe:(fun s -> snap := Some s)
             (Spec.of_golden ~policy golden))
     in
@@ -760,7 +769,9 @@ let run_engine_net () =
   let serial, t_serial = time (fun () -> Scan.pruned golden) in
   let jobs = 2 in
   let procs, t_procs =
-    time (fun () -> Engine.run ~backend:Pool.Processes ~jobs golden)
+    time (fun () ->
+        Engine.scan_exn
+          (run_cell ~backend:Pool.Processes ~jobs (Spec.of_golden golden)))
   in
   match Remote.spawn_daemon ~workers:jobs () with
   | Error e -> Printf.printf "engine-net skipped: no daemon (%s)\n" e
@@ -770,9 +781,10 @@ let run_engine_net () =
         (fun () ->
           let net, t_net =
             time (fun () ->
-                Engine.run
-                  ~backend:(Pool.Sockets [ Addr.to_string addr ])
-                  ~jobs golden)
+                Engine.scan_exn
+                  (run_cell
+                     ~backend:(Pool.Sockets [ Addr.to_string addr ])
+                     ~jobs (Spec.of_golden golden)))
           in
           let identical = net = serial && procs = serial in
           let overhead_pct = (t_net -. t_procs) /. t_procs *. 100. in
@@ -866,8 +878,7 @@ let run_engine_cache () =
       let policy = Spec.make_policy ~catalogue:dir ~cache:dir () in
       let jobs = 2 in
       let run () =
-        Engine.run_spec_result ~backend:Pool.Domains ~jobs
-          (Spec.of_golden ~policy golden)
+        run_cell ~backend:Pool.Domains ~jobs (Spec.of_golden ~policy golden)
       in
       let cold, t_cold = time run in
       let warm, t_warm = time run in
@@ -997,7 +1008,9 @@ let run_engine_faultspace () =
           | Faultspace.Bitflip_reg -> Spec.of_regspace rt
           | m -> Spec.of_golden ~model:m golden
         in
-        let scan, seconds = time (fun () -> Engine.run_spec ~jobs:0 spec) in
+        let scan, seconds =
+          time (fun () -> Engine.scan_exn (run_cell ~jobs:0 spec))
+        in
         let experiments = Array.length scan.Scan.experiments in
         let rate = if seconds > 0. then float experiments /. seconds else 0. in
         Printf.printf "%-10s : %7d experiments  %6.2f s  %9.0f exp/s\n"
@@ -1086,7 +1099,9 @@ let run_matrix_parallel () =
     List.map
       (fun jobs ->
         let scans, t =
-          time (fun () -> Engine.run_matrix ~jobs (Suite.paper_specs ()))
+          time (fun () ->
+              List.map Engine.scan_exn
+                (Engine.run_matrix_results ~jobs (Suite.paper_specs ())))
         in
         (jobs, t, List.for_all2 (fun a b -> a = b) scans serial))
       [ 1; 2; 4 ]

@@ -47,49 +47,7 @@ let conduct session (c : Defuse.byte_class) ~bit_in_byte =
   Injector.session_run_flip session ~cycle:c.Defuse.t_end ~flip:(fun machine ->
       Machine.flip_reg_bit machine ~reg ~bit)
 
-let provider_for golden = function
-  | Some p ->
-      if Injector.provider_golden p != golden then
-        invalid_arg "Regspace: provider was built over a different golden run";
-      p
-  | None -> Injector.plan golden
-
-let scan ?(variant = "baseline") ?provider ?(progress = Scan.no_progress) t =
-  let classes = classes t in
-  let order = Array.init (Array.length classes) (fun i -> i) in
-  Array.sort
-    (fun a b -> compare classes.(a).Defuse.t_end classes.(b).Defuse.t_end)
-    order;
-  let session = Injector.session (provider_for t.golden provider) in
-  let total = Array.length classes in
-  let results = Array.make (8 * total) None in
-  let tally = Outcome.tally_create () in
-  Array.iteri
-    (fun rank class_index ->
-      let c = classes.(class_index) in
-      for bit_in_byte = 0 to 7 do
-        let outcome = conduct session c ~bit_in_byte in
-        Outcome.tally_add tally outcome;
-        results.((class_index * 8) + bit_in_byte) <-
-          Some
-            {
-              Scan.byte = c.Defuse.byte;
-              t_start = c.Defuse.t_start;
-              t_end = c.Defuse.t_end;
-              bit_in_byte;
-              outcome;
-            }
-      done;
-      progress ~done_:(rank + 1) ~total ~tally)
-    order;
-  let experiments =
-    Array.map (function Some e -> e | None -> assert false) results
-  in
-  {
-    Scan.name = t.golden.Golden.program.Program.name;
-    variant;
-    cycles = t.golden.Golden.cycles;
-    ram_bytes = pseudo_ram_bytes;
-    experiments;
-    benign_weight = Defuse.known_benign_weight t.reg_defuse;
-  }
+let scan ?variant ?provider ?progress t =
+  Scan.serial ?variant ?provider ?progress ~ram_bytes:pseudo_ram_bytes
+    ~benign_weight:(Defuse.known_benign_weight t.reg_defuse)
+    ~conduct t.golden (classes t)

@@ -34,13 +34,6 @@ type sample_target =
   | Benign
   | Class of Defuse.byte_class * int (* bit_in_byte *)
 
-let provider_for golden = function
-  | Some p ->
-      if Injector.provider_golden p != golden then
-        invalid_arg "Sampler: provider was built over a different golden run";
-      p
-  | None -> Injector.plan golden
-
 let resolve ?provider golden targets =
   (* Memoisation key: (byte, t_start, bit_in_byte) identifies a class-bit. *)
   let distinct = Hashtbl.create 256 in
@@ -61,7 +54,7 @@ let resolve ?provider golden targets =
       (fun (_, c1, _) (_, c2, _) -> compare c1.Defuse.t_end c2.Defuse.t_end)
       jobs
   in
-  let session = Injector.session (provider_for golden provider) in
+  let session = Injector.session (Scan.provider_for golden provider) in
   let results = Hashtbl.create (List.length jobs) in
   List.iter
     (fun (key, c, bit) ->

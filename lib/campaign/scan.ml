@@ -29,56 +29,64 @@ let conduct_class session (c : Defuse.byte_class) ~bit_in_byte =
 let provider_for golden = function
   | Some p ->
       if Injector.provider_golden p != golden then
-        invalid_arg "Scan: provider was built over a different golden run";
+        invalid_arg "provider was built over a different golden run";
       p
   | None -> Injector.plan golden
 
-let pruned ?(variant = "baseline") ?provider ?(progress = no_progress) golden =
-  let defuse = golden.Golden.defuse in
-  let classes = Defuse.experiment_classes defuse in
-  (* Sessions require non-decreasing injection cycles; classes are
-     sorted by (byte, t_start), so sort a copy by t_end. *)
+let of_outcomes ~variant ~ram_bytes ~benign_weight golden
+    (classes : Defuse.byte_class array) outcomes =
+  let experiments =
+    Array.init (8 * Array.length classes) (fun idx ->
+        let c = classes.(idx / 8) in
+        {
+          byte = c.Defuse.byte;
+          t_start = c.Defuse.t_start;
+          t_end = c.Defuse.t_end;
+          bit_in_byte = idx mod 8;
+          outcome = outcomes.(idx);
+        })
+  in
+  {
+    name = golden.Golden.program.Program.name;
+    variant;
+    cycles = golden.Golden.cycles;
+    ram_bytes;
+    experiments;
+    benign_weight;
+  }
+
+let serial ?(variant = "baseline") ?provider ?(progress = no_progress)
+    ~ram_bytes ~benign_weight ~conduct golden
+    (classes : Defuse.byte_class array) =
+  (* Sessions require non-decreasing injection cycles; classes may be
+     sorted by (byte, t_start), so visit a copy sorted by t_end. *)
   let order = Array.init (Array.length classes) (fun i -> i) in
   Array.sort
     (fun a b -> compare classes.(a).Defuse.t_end classes.(b).Defuse.t_end)
     order;
   let session = Injector.session (provider_for golden provider) in
   let total = Array.length classes in
-  let results = Array.make (8 * total) None in
+  let outcomes = Array.make (8 * total) Outcome.No_effect in
   let tally = Outcome.tally_create () in
   Array.iteri
     (fun rank class_index ->
       let c = classes.(class_index) in
       for bit_in_byte = 0 to 7 do
-        let outcome = conduct_class session c ~bit_in_byte in
+        let outcome = conduct session c ~bit_in_byte in
         Outcome.tally_add tally outcome;
-        results.((class_index * 8) + bit_in_byte) <-
-          Some
-            {
-              byte = c.Defuse.byte;
-              t_start = c.Defuse.t_start;
-              t_end = c.Defuse.t_end;
-              bit_in_byte;
-              outcome;
-            }
+        outcomes.((class_index * 8) + bit_in_byte) <- outcome
       done;
       progress ~done_:(rank + 1) ~total ~tally)
     order;
-  let experiments =
-    Array.map
-      (function
-        | Some e -> e
-        | None -> assert false (* every slot is filled above *))
-      results
-  in
-  {
-    name = golden.Golden.program.Program.name;
-    variant;
-    cycles = golden.Golden.cycles;
-    ram_bytes = golden.Golden.program.Program.ram_size;
-    experiments;
-    benign_weight = Defuse.known_benign_weight defuse;
-  }
+  of_outcomes ~variant ~ram_bytes ~benign_weight golden classes outcomes
+
+let pruned ?variant ?provider ?progress golden =
+  let defuse = golden.Golden.defuse in
+  serial ?variant ?provider ?progress
+    ~ram_bytes:golden.Golden.program.Program.ram_size
+    ~benign_weight:(Defuse.known_benign_weight defuse)
+    ~conduct:conduct_class golden
+    (Defuse.experiment_classes defuse)
 
 let brute_force ?variant:_ golden =
   let total_cycles = golden.Golden.cycles in

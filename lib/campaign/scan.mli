@@ -36,13 +36,13 @@ val fault_space_size : t -> int
 
 type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
 (** Campaign progress callback, shared by every campaign conductor
-    (serial {!pruned}, {!Regspace.scan} and the parallel
-    [Fi_engine.Engine]): [done_] classes out of [total] are complete and
-    [tally] carries the running outcome counts of all experiments
-    conducted so far.  The tally is live — read it, don't keep it (use
-    {!Outcome.tally_copy} to retain a snapshot).  Serial conductors call
-    it once per class in t_end-sorted rank order; the parallel engine
-    calls it in completion order (still monotonic in [done_]). *)
+    (the serial {!serial} loop and the parallel [Fi_engine.Engine]):
+    [done_] classes out of [total] are complete and [tally] carries the
+    running outcome counts of all experiments conducted so far.  The
+    tally is live — read it, don't keep it (use {!Outcome.tally_copy} to
+    retain a snapshot).  Serial conductors call it once per class in
+    t_end-sorted rank order; the parallel engine calls it in completion
+    order (still monotonic in [done_]). *)
 
 val no_progress : progress
 (** The silent callback (default). *)
@@ -55,6 +55,48 @@ val conduct_class :
     engine (which is what makes their results bit-identical).  Injection
     cycles must be presented in non-decreasing order per session
     ({!Injector.session_run_at}). *)
+
+val provider_for : Golden.t -> Injector.provider option -> Injector.provider
+(** [provider_for golden p] is [p] checked against [golden], or a fresh
+    checkpoint plan over [golden] when [p] is [None] — the provider
+    default of every serial conductor.
+
+    @raise Invalid_argument if [p] was built over a different golden
+    run. *)
+
+val of_outcomes :
+  variant:string ->
+  ram_bytes:int ->
+  benign_weight:int ->
+  Golden.t ->
+  Defuse.byte_class array ->
+  Outcome.t array ->
+  t
+(** Assemble a scan from per-slot outcomes indexed [8 × class + bit]:
+    experiment [i] takes class [i / 8]'s coordinates and slot [i mod 8].
+    The serial loop ({!serial}) and the parallel engine both build their
+    results here, so their scans are structurally equal. *)
+
+val serial :
+  ?variant:string ->
+  ?provider:Injector.provider ->
+  ?progress:progress ->
+  ram_bytes:int ->
+  benign_weight:int ->
+  conduct:
+    (Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t) ->
+  Golden.t ->
+  Defuse.byte_class array ->
+  t
+(** The serial conduction loop behind every fault model: visit [classes]
+    in [t_end] order on one session over [provider] (default
+    {!provider_for}[ golden None]), conduct 8 slots per class with
+    [conduct], call [progress] after each class and assemble the result
+    with {!of_outcomes}.  {!pruned}, {!Regspace.scan} and
+    [Faultspace.scan] are thin callers.
+
+    @raise Invalid_argument if [provider] was built over a different
+    golden run. *)
 
 val pruned :
   ?variant:string ->

@@ -8,13 +8,6 @@ let mismatch = Runcell.mismatch
 (* Campaign identity (public API; the definitions live in Runcell)     *)
 (* ------------------------------------------------------------------ *)
 
-let fingerprint golden ~(plan : Shard.plan) =
-  Runcell.fingerprint_of ~tag:(Faultspace.tag Faultspace.Bitflip_mem)
-    ~name:golden.Golden.program.Program.name ~cycles:golden.Golden.cycles
-    ~ram_bytes:golden.Golden.program.Program.ram_size
-    ~classes:(Defuse.experiment_classes golden.Golden.defuse)
-    ~plan
-
 let fingerprint_spec spec =
   let cell = Runcell.analyse spec in
   let plan =
@@ -61,6 +54,55 @@ let resolve_journal ~fingerprint (policy : Spec.policy) =
           else Some (Catalog.journal_path ~dir ~fingerprint))
 
 (* ------------------------------------------------------------------ *)
+(* Shard records: the one parse and the one apply                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A well-formed record for one of [plan]'s shards whose outcome
+   characters all decode — from a journal, a cache entry or a worker's
+   segment alike. *)
+let parse_record plan payload =
+  match Runcell.parse_record plan payload with
+  | Some (_, outs) as r
+    when String.for_all (fun c -> Outcome.of_char c <> None) outs ->
+      r
+  | Some _ | None -> None
+
+(* Split a replayed journal into its shard records (each shard at most
+   once) and its supervision records.  Anything else raises
+   [Journal_mismatch]. *)
+let parse_journal plan payloads =
+  let seen = Array.make (Array.length plan.Shard.shards) false in
+  List.partition_map
+    (fun payload ->
+      match Runcell.parse_supervision payload with
+      | Some sup -> Either.Right sup
+      | None -> (
+          match parse_record plan payload with
+          | Some ((shard : Shard.t), _) when seen.(shard.Shard.id) ->
+              mismatch "journal has duplicate record for shard %d"
+                shard.Shard.id
+          | Some ((shard : Shard.t), outs) ->
+              seen.(shard.Shard.id) <- true;
+              Either.Left (shard, outs)
+          | None -> mismatch "journal has malformed record %S" payload))
+    payloads
+
+(* Decode a parsed record into the cell's per-slot outcomes, adding each
+   outcome to every tally in [tallies]; [on_class] runs after each
+   class. *)
+let apply_record ~(plan : Shard.plan) ~outcomes ~tallies ?(on_class = ignore)
+    (shard : Shard.t) outs =
+  for k = 0 to Shard.classes_in shard - 1 do
+    let class_index = plan.Shard.order.(shard.Shard.lo + k) in
+    for bit = 0 to 7 do
+      let o = Option.get (Outcome.of_char outs.[(8 * k) + bit]) in
+      outcomes.((class_index * 8) + bit) <- o;
+      List.iter (fun t -> Outcome.tally_add t o) tallies
+    done;
+    on_class ()
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Per-cell runtime state                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -97,20 +139,12 @@ let setup cell ~progress =
   let shard_done = Array.make (Array.length plan.Shard.shards) false in
   let retries = Array.make (Array.length plan.Shard.shards) 0 in
   let tally = Outcome.tally_create () in
-  let apply_record (shard : Shard.t) outs =
-    for k = 0 to Shard.classes_in shard - 1 do
-      let class_index = plan.Shard.order.(shard.Shard.lo + k) in
-      for bit = 0 to 7 do
-        match Outcome.of_char outs.[(8 * k) + bit] with
-        | Some o ->
-            outcomes.((class_index * 8) + bit) <- o;
-            Outcome.tally_add tally o
-        | None ->
-            mismatch "journal record for shard %d holds invalid outcome %C"
-              shard.Shard.id
-              outs.[(8 * k) + bit]
-      done
-    done
+  let apply records =
+    List.iter
+      (fun ((shard : Shard.t), outs) ->
+        apply_record ~plan ~outcomes ~tallies:[ tally ] shard outs;
+        shard_done.(shard.Shard.id) <- true)
+      records
   in
   (* --------------------------------------------------------------- *)
   (* Result-store consult.  The cell key fingerprints everything that
@@ -120,7 +154,9 @@ let setup cell ~progress =
      to a fresh run and costs zero shard executions.  Anything short
      of a complete, header-matching, every-shard-covered journal is
      treated as a miss — in particular a quarantine-degraded journal,
-     which lacks records for its quarantined shards. *)
+     which lacks records for its quarantined shards.  The journal is
+     parsed in full before any state is touched, so a miss falls
+     through to conducting normally. *)
   (* --------------------------------------------------------------- *)
   let cache_key =
     match policy.Spec.acceleration.Spec.cache with
@@ -137,59 +173,23 @@ let setup cell ~progress =
              ~limit:cell.Runcell.spec.Spec.limit
              ~shard_size:policy.Spec.sharding.Spec.shard_size ~weighted:policy.Spec.sharding.Spec.weighted)
   in
-  let cached_records =
+  let from_cache =
     match (policy.Spec.acceleration.Spec.cache, cache_key) with
     | Some dir, Some key -> (
         match Cache.lookup ~dir key with
         | Some e when e.Cache.fingerprint = fp -> (
             match Journal.replay e.Cache.path with
-            | Some (hdr, records, Journal.Clean) when hdr = header ->
-                Some records
-            | Some _ | None | (exception Sys_error _) -> None)
-        | Some _ | None -> None)
-    | _ -> None
-  in
-  let from_cache =
-    match cached_records with
-    | None -> false
-    | Some records -> (
-        (* Validate before touching any state: every shard covered
-           exactly once by a well-formed record with sane outcome
-           characters.  Validation failure is a miss, never an error —
-           the run falls through to conducting normally. *)
-        let exception Unservable in
-        match
-          let seen = Array.make (Array.length plan.Shard.shards) false in
-          let parsed =
-            List.filter_map
-              (fun r ->
-                if Runcell.parse_supervision r <> None then None
-                else
-                  match Runcell.parse_record plan r with
-                  | Some ((shard : Shard.t), outs) ->
-                      if
-                        seen.(shard.Shard.id)
-                        || not
-                             (String.for_all
-                                (fun c -> Outcome.of_char c <> None)
-                                outs)
-                      then raise Unservable;
-                      seen.(shard.Shard.id) <- true;
-                      Some (shard, outs)
-                  | None -> raise Unservable)
-              records
-          in
-          if not (Array.for_all Fun.id seen) then raise Unservable;
-          parsed
-        with
-        | parsed ->
-            List.iter
-              (fun ((shard : Shard.t), outs) ->
-                apply_record shard outs;
-                shard_done.(shard.Shard.id) <- true)
-              parsed;
-            true
-        | exception Unservable -> false)
+            | Some (hdr, payloads, Journal.Clean) when hdr = header -> (
+                match parse_journal plan payloads with
+                | records, _
+                  when List.length records = Array.length plan.Shard.shards ->
+                    apply records;
+                    true
+                | _ -> false
+                | exception Journal_mismatch _ -> false)
+            | Some _ | None | (exception Sys_error _) -> false)
+        | Some _ | None -> false)
+    | _ -> false
   in
   let journal_path =
     if from_cache then None else resolve_journal ~fingerprint:fp policy
@@ -211,7 +211,7 @@ let setup cell ~progress =
           | Some _ | None -> (
               match Journal.open_resume path with
               | None -> fresh ()
-              | Some (w, hdr, records) ->
+              | Some (w, hdr, payloads) ->
                   if hdr <> header then begin
                     Journal.close w;
                     mismatch
@@ -220,32 +220,22 @@ let setup cell ~progress =
                       \  current: %s"
                       path hdr header
                   end;
+                  let records, sups = parse_journal plan payloads in
                   List.iter
-                    (fun r ->
-                      match Runcell.parse_supervision r with
-                      | Some (Runcell.Retry { shard; attempt; _ }) ->
+                    (function
+                      | Runcell.Retry { shard; attempt; _ } ->
                           (* Resume composes with retry accounting: the
                              budget a shard burned before the crash stays
                              burned. *)
                           if shard >= 0 && shard < Array.length retries then
                             retries.(shard) <- max retries.(shard) attempt
-                      | Some (Runcell.Quarantine _) ->
+                      | Runcell.Quarantine _ ->
                           (* Informational: a resumed campaign gives the
                              shard a fresh dispatch (its burned retries
                              above still count). *)
-                          ()
-                      | None -> (
-                          match Runcell.parse_record plan r with
-                          | Some (shard, outs)
-                            when not shard_done.(shard.Shard.id) ->
-                              apply_record shard outs;
-                              shard_done.(shard.Shard.id) <- true
-                          | Some (shard, _) ->
-                              mismatch
-                                "journal has duplicate record for shard %d"
-                                shard.Shard.id
-                          | None -> mismatch "journal has malformed record %S" r))
-                    records;
+                          ())
+                    sups;
+                  apply records;
                   Some w))
   in
   let resumed_classes =
@@ -361,15 +351,21 @@ let note_door_line t line now =
   end
   else if line = "h" then t.last_beat <- now
 
-let note_status_data t data now =
+(* Feed every complete line of [pending ^ data] to [f] and return the
+   trailing partial line, which stays pending (a torn tail). *)
+let split_lines pending data f =
   let rec go = function
-    | [] -> ()
-    | [ tail ] -> t.st_pending <- tail
+    | [] -> ""
+    | [ tail ] -> tail
     | line :: rest ->
-        note_door_line t line now;
+        f line;
         go rest
   in
-  go (String.split_on_char '\n' (t.st_pending ^ data))
+  go (String.split_on_char '\n' (pending ^ data))
+
+let note_status_data t data now =
+  t.st_pending <-
+    split_lines t.st_pending data (fun line -> note_door_line t line now)
 
 (* When supervision is on but no [--shard-timeout] was given and no
    shard has completed yet, this ceiling bounds the wait for the very
@@ -388,8 +384,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
     match backend with
     | Pool.Sockets [] ->
         invalid_arg
-          "Engine.run: the sockets backend needs at least one HOST:PORT \
-           worker address (--workers)"
+          "Engine.run_matrix_results: the sockets backend needs at least \
+           one HOST:PORT worker address (--workers)"
     | Pool.Sockets hosts -> List.map Addr.parse_exn hosts
     | Pool.Domains | Pool.Processes -> []
   in
@@ -400,7 +396,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
     (fun (s : Spec.t) ->
       let p = s.Spec.policy in
       if p.Spec.durability.Spec.resume && p.Spec.durability.Spec.journal = None && p.Spec.durability.Spec.catalogue = None then
-        invalid_arg "Engine.run: ~resume requires ~journal")
+        invalid_arg "Engine.run_matrix_results: ~resume requires ~journal")
     specs;
   let cells = List.map Runcell.analyse specs in
   let rts = ref [] in
@@ -471,6 +467,28 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
         rts_in_order;
       emit_observe ();
 
+      (* The one completion path of every backend: apply a conducted
+         shard's record, journal it, and report progress. *)
+      let complete_shard rt (shard : Shard.t) outs =
+        apply_record ~plan:rt.plan ~outcomes:rt.outcomes
+          ~tallies:[ rt.tally; agg_tally ]
+          ~on_class:(fun () ->
+            rt.classes_done <- rt.classes_done + 1;
+            incr agg_classes_done;
+            rt.progress ~done_:rt.classes_done
+              ~total:rt.plan.Shard.classes_total ~tally:rt.tally)
+          shard outs;
+        Option.iter
+          (fun w ->
+            Journal.append w
+              (Runcell.record_payload shard (Bytes.of_string outs)))
+          rt.writer;
+        rt.shard_done.(shard.Shard.id) <- true;
+        rt.shards_done <- rt.shards_done + 1;
+        incr agg_shards_done;
+        emit_observe ()
+      in
+
       (* -------------------------------------------------------------- *)
       (* Domains backend: one shared pool over every pending shard of
          every cell; tasks are claimed in cell order, so workers drain
@@ -494,35 +512,10 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
         let conduct_shard (rt, (shard : Shard.t)) =
           let buf =
             Runcell.conduct_shard rt.cell ~classes:rt.classes ~plan:rt.plan
-              shard ~on_class:(fun ~class_index chars ->
-                for bit = 0 to 7 do
-                  match Outcome.of_char chars.[bit] with
-                  | Some o -> rt.outcomes.((class_index * 8) + bit) <- o
-                  | None -> assert false
-                done;
-                Mutex.protect mu (fun () ->
-                    String.iter
-                      (fun ch ->
-                        match Outcome.of_char ch with
-                        | Some o ->
-                            Outcome.tally_add rt.tally o;
-                            Outcome.tally_add agg_tally o
-                        | None -> assert false)
-                      chars;
-                    rt.classes_done <- rt.classes_done + 1;
-                    incr agg_classes_done;
-                    rt.progress ~done_:rt.classes_done
-                      ~total:rt.plan.Shard.classes_total ~tally:rt.tally;
-                    emit_observe ()))
+              shard
           in
           Mutex.protect mu (fun () ->
-              (match rt.writer with
-              | Some w -> Journal.append w (Runcell.record_payload shard buf)
-              | None -> ());
-              rt.shard_done.(shard.Shard.id) <- true;
-              rt.shards_done <- rt.shards_done + 1;
-              incr agg_shards_done;
-              emit_observe ())
+              complete_shard rt shard (Bytes.to_string buf))
         in
         let deadline =
           List.fold_left
@@ -555,36 +548,6 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
          are re-dispatched (bounded, with backoff), and a shard that
          exhausts its budget is quarantined or failed per policy. *)
       (* -------------------------------------------------------------- *)
-      let apply_shard_live rt (shard : Shard.t) outs =
-        let n = Shard.classes_in shard in
-        for k = 0 to n - 1 do
-          let class_index = rt.plan.Shard.order.(shard.Shard.lo + k) in
-          for bit = 0 to 7 do
-            match Outcome.of_char outs.[(8 * k) + bit] with
-            | Some o ->
-                rt.outcomes.((class_index * 8) + bit) <- o;
-                Outcome.tally_add rt.tally o;
-                Outcome.tally_add agg_tally o
-            | None ->
-                mismatch "segment record for shard %d holds invalid outcome %C"
-                  shard.Shard.id
-                  outs.[(8 * k) + bit]
-          done;
-          rt.classes_done <- rt.classes_done + 1;
-          incr agg_classes_done;
-          rt.progress ~done_:rt.classes_done ~total:rt.plan.Shard.classes_total
-            ~tally:rt.tally
-        done;
-        (match rt.writer with
-        | Some w ->
-            Journal.append w
-              (Runcell.record_payload shard (Bytes.of_string outs))
-        | None -> ());
-        rt.shard_done.(shard.Shard.id) <- true;
-        rt.shards_done <- rt.shards_done + 1;
-        incr agg_shards_done;
-        emit_observe ()
-      in
       (* One merge path for both worker backends: a local worker's
          journal segment and a remote worker's [Seg] frame stream carry
          the same CRC-guarded lines (header first, then one record per
@@ -610,11 +573,11 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                       Some "wrote a segment for a different campaign"
                 | None -> t.corrupt <- Some "wrote a malformed segment header")
               else
-                match Runcell.parse_record t.t_rt.plan payload with
+                match parse_record t.t_rt.plan payload with
                 | None -> t.corrupt <- Some "wrote a malformed segment record"
                 | Some (shard, outs) ->
                     if not t.t_rt.shard_done.(shard.Shard.id) then
-                      apply_shard_live t.t_rt shard outs
+                      complete_shard t.t_rt shard outs
       in
       (* Tail a local worker's segment from the last read position;
          complete lines are merged, a trailing partial line (torn tail)
@@ -625,39 +588,26 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
         match t.link with
         | Netted _ | Stillborn _ -> ()
         | Piped child -> (
-            (match t.seg_fd with
-            | None -> (
-                try
-                  t.seg_fd <-
-                    Some
-                      (Unix.openfile (Worker.segment child) [ Unix.O_RDONLY ] 0)
-                with Unix.Unix_error _ -> ())
-            | Some _ -> ());
+            if t.seg_fd = None then (
+              try
+                t.seg_fd <-
+                  Some
+                    (Unix.openfile (Worker.segment child) [ Unix.O_RDONLY ] 0)
+              with Unix.Unix_error _ -> ());
             match t.seg_fd with
             | None -> ()
             | Some fd ->
                 let chunk = Bytes.create 65536 in
                 let data = Buffer.create 256 in
-                Buffer.add_string data t.seg_pending;
                 let continue = ref true in
                 while !continue do
                   match Sysio.read_once fd chunk 0 (Bytes.length chunk) with
                   | 0 -> continue := false
                   | n -> Buffer.add_subbytes data chunk 0 n
                 done;
-                let text = Buffer.contents data in
-                let len = String.length text in
-                let start = ref 0 in
-                let stop = ref false in
-                while not !stop do
-                  match String.index_from_opt text !start '\n' with
-                  | None ->
-                      t.seg_pending <- String.sub text !start (len - !start);
-                      stop := true
-                  | Some nl ->
-                      merge_line t (String.sub text !start (nl - !start));
-                      start := nl + 1
-                done)
+                t.seg_pending <-
+                  split_lines t.seg_pending (Buffer.contents data)
+                    (merge_line t))
       in
       let status_cause t =
         match (t.killed, t.corrupt, t.link) with
@@ -1218,31 +1168,15 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
               (Array.mapi
                  (fun i d -> d || rt.quarantined.(i))
                  rt.shard_done));
-          let total = rt.plan.Shard.classes_total in
-          (* Deterministic merge: identical construction to the serial
-             conductors.  Quarantined classes keep the No_effect
-             placeholder — callers must consult [quarantined] before
-             treating the scan as complete. *)
-          let experiments =
-            Array.init (8 * total) (fun idx ->
-                let c = rt.classes.(idx / 8) in
-                {
-                  Scan.byte = c.Defuse.byte;
-                  t_start = c.Defuse.t_start;
-                  t_end = c.Defuse.t_end;
-                  bit_in_byte = idx mod 8;
-                  outcome = rt.outcomes.(idx);
-                })
-          in
+          (* Deterministic merge: the serial loop's own construction.
+             Quarantined classes keep the No_effect placeholder —
+             callers must consult [quarantined] before treating the
+             scan as complete. *)
           let scan =
-            {
-              Scan.name = rt.cell.Runcell.golden.Golden.program.Program.name;
-              variant = rt.cell.Runcell.spec.Spec.variant;
-              cycles = rt.cell.Runcell.golden.Golden.cycles;
-              ram_bytes = rt.cell.Runcell.ram_bytes;
-              experiments;
-              benign_weight = rt.cell.Runcell.benign_weight;
-            }
+            Scan.of_outcomes ~variant:rt.cell.Runcell.spec.Spec.variant
+              ~ram_bytes:rt.cell.Runcell.ram_bytes
+              ~benign_weight:rt.cell.Runcell.benign_weight
+              rt.cell.Runcell.golden rt.classes rt.outcomes
           in
           let quarantined =
             List.rev_map
@@ -1280,63 +1214,17 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           { scan; quarantined; cached = rt.from_cache })
         rts_in_order)
 
-let run_spec_result ?backend ?jobs ?progress ?observe ?on_event ?secret spec =
-  match
-    run_matrix_results ?backend ?jobs
-      ?progress:(Option.map (fun p _ -> p) progress)
-      ?observe ?on_event ?secret [ spec ]
-  with
-  | [ r ] -> r
-  | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Scan-only wrappers: quarantine degrades to Worker_failed            *)
-(* ------------------------------------------------------------------ *)
-
-let quarantine_failure qs =
-  Worker_failed
-    (String.concat "\n"
-       (List.map
-          (fun q ->
-            Printf.sprintf
-              "%s: shard %d (%d classes) quarantined after %d attempts (%s)"
-              q.q_cell q.q_shard q.q_classes q.q_attempts q.q_cause)
-          qs))
-
-let run_matrix ?backend ?jobs ?progress ?observe specs =
-  let results = run_matrix_results ?backend ?jobs ?progress ?observe specs in
-  (match List.concat_map (fun (r : result) -> r.quarantined) results with
-  | [] -> ()
-  | qs -> raise (quarantine_failure qs));
-  List.map (fun r -> r.scan) results
-
-let run_spec ?backend ?jobs ?progress ?observe spec =
-  match
-    run_matrix ?backend ?jobs
-      ?progress:(Option.map (fun p _ -> p) progress)
-      ?observe [ spec ]
-  with
-  | [ scan ] -> scan
-  | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Sampled-campaign helper: full scan + oracle estimate                *)
-(* ------------------------------------------------------------------ *)
-
-let run_sampled ?backend ?jobs ?progress ~seed ~samples spec =
-  if samples <= 0 then invalid_arg "Engine.run_sampled: samples must be > 0";
-  let scan = run_spec ?backend ?jobs ?progress spec in
-  let rng = Prng.create ~seed in
-  (scan, Sampler.uniform_raw_oracle rng ~samples scan)
-
-(* ------------------------------------------------------------------ *)
-(* Compatibility wrapper: the PR-1 single-campaign entry point         *)
-(* ------------------------------------------------------------------ *)
-
-let run ?(variant = "baseline") ?backend ?jobs ?shard_size ?journal
-    ?(resume = false) ?progress ?observe golden =
-  if resume && journal = None then
-    invalid_arg "Engine.run: ~resume requires ~journal";
-  let policy = Spec.make_policy ?shard_size ?journal ~resume () in
-  run_spec ?backend ?jobs ?progress ?observe
-    (Spec.of_golden ~variant ~policy golden)
+let scan_exn (r : result) =
+  match r.quarantined with
+  | [] -> r.scan
+  | qs ->
+      raise
+        (Worker_failed
+           (String.concat "\n"
+              (List.map
+                 (fun q ->
+                   Printf.sprintf
+                     "%s: shard %d (%d classes) quarantined after %d attempts \
+                      (%s)"
+                     q.q_cell q.q_shard q.q_classes q.q_attempts q.q_cause)
+                 qs)))

@@ -8,8 +8,9 @@
     each shard on its own {!Injector.Checkpoint} session, which is valid
     because injection cycles are non-decreasing within a shard — and
     merges results by class index, so every returned {!Scan.t} is
-    bit-identical to its serial counterpart ({!Scan.pruned} /
-    {!Regspace.scan}) for {e any} worker count and {e any} backend.
+    bit-identical to its serial counterpart ({!Scan.pruned},
+    {!Regspace.scan}, [Faultspace.scan]) for {e any} worker count and
+    {e any} backend.
 
     Three {!Pool.backend}s conduct the shards:
 
@@ -69,14 +70,13 @@
       scan as complete).  With [quarantine] unset, exhaustion raises
       {!Worker_failed} as before.
 
-    The scan-only entry points ({!run_matrix}, {!run_spec}, {!run})
-    never return a silently degraded scan: if anything was quarantined
-    they raise {!Worker_failed}.  Use {!run_matrix_results} /
-    {!run_spec_result} to receive the quarantine report instead.
-
-    {!run_matrix} drives a whole experiment matrix (a list of specs)
+    {!run_matrix_results} is the one entry point: it drives a whole
+    experiment matrix (a list of specs; one cell is a one-element list)
     with a per-cell journal each and one aggregate {!Progress.hook}
-    across the matrix.
+    across the matrix, and returns each cell's quarantine report next
+    to its scan.  {!scan_exn} turns a result into a plain scan and
+    never returns a silently degraded one: if anything was quarantined
+    it raises {!Worker_failed}.
 
     Journals are keyed by a campaign fingerprint (space tag, program
     name, golden runtime, memory size, sizing policy, full class list
@@ -147,11 +147,6 @@ type result = {
     otherwise the listed shards' classes hold [No_effect] placeholders
     and every other class is still exact. *)
 
-val fingerprint : Golden.t -> plan:Shard.plan -> int
-(** CRC-32 identity of the memory-space campaign over [golden] under
-    [plan]; two campaigns merge-compatibly iff their fingerprints
-    agree. *)
-
 val fingerprint_spec : Spec.t -> int
 (** The fingerprint of the campaign a spec describes (analysing the cell
     if its source is a build thunk).  Covers the space tag and the
@@ -168,41 +163,12 @@ val run_matrix_results :
   ?secret:string ->
   Spec.t list ->
   result list
-(** The supervision-aware matrix entry point: like {!run_matrix} but
+(** [run_matrix_results specs] conducts every cell of the matrix and
     returns each cell's {!result} — scan plus quarantine report plus
-    cache provenance — instead of raising on quarantined shards.
-    Cells whose policy names a {!Cache} directory are consulted in the
-    result store first (see the module preamble); hits skip scheduling
-    entirely and return with [cached = true].  [on_event] receives one
-    human-readable line per supervision event (worker killed on
-    deadline, shard retry dispatched, shard quarantined, domain-pool
-    stall), as they happen; it defaults to silence.  [secret] arms
-    shared-secret handshake authentication towards every
-    {!Pool.Sockets} worker daemon (which must have been started with
-    the same secret). *)
-
-val run_spec_result :
-  ?backend:Pool.backend ->
-  ?jobs:int ->
-  ?progress:Scan.progress ->
-  ?observe:Progress.hook ->
-  ?on_event:(string -> unit) ->
-  ?secret:string ->
-  Spec.t ->
-  result
-(** The single-cell {!run_matrix_results}. *)
-
-val run_matrix :
-  ?backend:Pool.backend ->
-  ?jobs:int ->
-  ?progress:(Spec.t -> Scan.progress) ->
-  ?observe:Progress.hook ->
-  Spec.t list ->
-  Scan.t list
-(** [run_matrix specs] conducts every cell of the matrix and returns the
-    scans in spec order.  Raises {!Worker_failed} if supervision
-    quarantined anything — this entry point never returns a silently
-    degraded scan.
+    cache provenance — in spec order.  Cells whose policy names a
+    {!Cache} directory are consulted in the result store first (see the
+    module preamble); hits skip scheduling entirely and return with
+    [cached = true].
 
     - [backend] — {!Pool.Domains} (default): one shared domain pool over
       the whole matrix, workers drain the first cell's shards and spill
@@ -210,17 +176,27 @@ val run_matrix :
       sequence, each fanned out over up to [jobs] fork/exec'd worker
       processes ({!Worker}).  {!Pool.Sockets}: like [Processes], but
       the workers are {!Remote} daemons on the named [HOST:PORT]s and
-      [jobs] bounds per-host concurrency.
+      [jobs] bounds per-host concurrency.  Both worker backends run the
+      same shard loop ({!Worker.conduct_job}) and every backend applies
+      a finished shard through the same record path as [resume] and a
+      cache hit.
     - [jobs] — worker count, resolved by {!Pool.resolve_jobs}: [0] (or
-      omitted) means {!Pool.default_jobs}[ ()].
+      omitted) means {!Pool.default_jobs}[ ()]; [1] runs inline, still
+      sharded and journal-compatible with any other worker count.
     - [progress] — per-cell campaign callback factory: called once per
       spec at setup, and the resulting {!Scan.progress} observes that
-      cell exactly as {!Scan.pruned}'s would (once per conducted class,
-      plus once up-front with the resumed count if journal shards were
-      recovered).
+      cell like {!Scan.serial}'s would (once per conducted class, in
+      completion order, plus once up-front with the resumed count if
+      journal shards were recovered).
     - [observe] — one aggregate {!Progress.hook} whose counters span the
       whole matrix (total classes, shards, resumed classes and outcome
       tally across all cells).
+    - [on_event] — one human-readable line per supervision event (worker
+      killed on deadline, shard retry dispatched, shard quarantined,
+      domain-pool stall), as they happen; it defaults to silence.
+    - [secret] — arms shared-secret handshake authentication towards
+      every {!Pool.Sockets} worker daemon (which must have been started
+      with the same secret).
 
     Journalling is governed by each spec's {!Spec.policy}: per-cell
     journals (explicit paths or catalogue-derived), per-cell resume.  On
@@ -228,83 +204,21 @@ val run_matrix :
     catalogued, so a matrix interrupted mid-cell resumes with all
     completed shards of {e every} cell recovered.
 
-    Each returned scan is structurally equal to its serial counterpart
-    ([Scan.pruned] for memory cells, [Regspace.scan] for register cells)
-    for any [jobs] and any backend — property-tested.
+    Each complete scan is structurally equal to its serial counterpart
+    ({!Scan.pruned} for memory cells, {!Regspace.scan} for register
+    cells, [Faultspace.scan] for any model) for any [jobs] and any
+    backend — property-tested.
 
     @raise Journal_mismatch when resuming against a foreign or corrupt
     journal.
     @raise Worker_failed when a process-backend worker or a remote
-    worker dies (or a sockets fleet is unreachable or mismatched).
-    @raise Invalid_argument if [jobs < 0], or some policy sets [resume]
-    with neither [journal] nor [catalogue]. *)
+    worker dies without supervision to heal it (or a sockets fleet is
+    unreachable or mismatched).
+    @raise Invalid_argument if [jobs < 0], a [Sockets] backend names no
+    host, or some policy sets [resume] with neither [journal] nor
+    [catalogue]. *)
 
-val run_spec :
-  ?backend:Pool.backend ->
-  ?jobs:int ->
-  ?progress:Scan.progress ->
-  ?observe:Progress.hook ->
-  Spec.t ->
-  Scan.t
-(** The single-cell matrix: [run_spec spec = List.hd (run_matrix [spec])]
-    with a plain {!Scan.progress} callback. *)
-
-val run_sampled :
-  ?backend:Pool.backend ->
-  ?jobs:int ->
-  ?progress:Scan.progress ->
-  seed:int64 ->
-  samples:int ->
-  Spec.t ->
-  Scan.t * Sampler.estimate
-(** [run_sampled ~seed ~samples spec] conducts the cell's full campaign
-    through {!run_spec} (any backend, bit-identical as always) and then
-    draws a {!Sampler.uniform_raw_oracle} estimate of [samples]
-    coordinates against the completed scan, from a fresh
-    [Prng.create ~seed].  Because the oracle sampler is property-tested
-    identical to its conducting counterpart, the estimate is exactly what
-    a sampled campaign with that PRNG state would have produced — while
-    the full scan stays available for exact metrics.  This is the
-    fuzzer's sampled-campaign path: the differential driver decides the
-    dilution predicate on the exact scans and reports the sampled
-    extrapolations alongside.
-
-    @raise Invalid_argument if [samples <= 0]. *)
-
-val run :
-  ?variant:string ->
-  ?backend:Pool.backend ->
-  ?jobs:int ->
-  ?shard_size:int ->
-  ?journal:string ->
-  ?resume:bool ->
-  ?progress:Scan.progress ->
-  ?observe:Progress.hook ->
-  Golden.t ->
-  Scan.t
-(** [run golden] conducts the complete pruned memory campaign — a thin
-    compatibility wrapper over {!run_spec} with
-    [Spec.of_golden ~policy golden].  Prefer {!run_spec}: it reaches the
-    register space, weighted shard sizing and the journal catalogue,
-    which this signature predates.
-
-    - [backend] — as in {!run_matrix}.
-    - [jobs] — worker count ([0]/omitted = {!Pool.default_jobs}[ ()]);
-      [-j 1] runs inline, still sharded and journal-compatible with any
-      other worker count.
-    - [shard_size] — classes per shard (default
-      {!Shard.default_shard_size}); must match between a journal's
-      writer and its resumer (it is part of the fingerprint).
-    - [journal] — write the append-only journal to this path.
-    - [resume] — with [journal], recover completed shards from an
-      existing journal first (a missing or empty journal file simply
-      starts fresh).
-    - [progress] / [observe] — as in {!run_matrix}, for the one cell.
-
-    The returned scan satisfies [run golden = Scan.pruned golden]
-    (structural equality) — property-tested for [-j] ∈ {1, 2, 4}.
-
-    @raise Journal_mismatch when resuming against a foreign journal.
-    @raise Worker_failed when a process-backend worker dies.
-    @raise Invalid_argument if [jobs < 0] or [resume] without
-    [journal]. *)
+val scan_exn : result -> Scan.t
+(** The result's scan, or {!Worker_failed} naming every quarantined
+    shard — the plain-scan view for callers that cannot use a degraded
+    scan. *)

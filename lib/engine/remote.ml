@@ -162,88 +162,23 @@ let dispatch ?patience ?secret ~addr ~fingerprint ~program ~spec ~shard_ids
 (* Worker side: conducting one connection                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The net flavours of the crash-injection vocabulary (see
-   {!Worker.torture_var}): same modes, but [Torn] streams a CRC-invalid
-   record line instead of tearing a local segment file — the wire
+(* The wire sink of the shared worker loop ({!Worker.conduct_job}):
+   segment lines travel as [Seg] frames and doorbell lines as [Door]
+   frames, and a torn record is a CRC-invalid [Seg] line — the wire
    equivalent of a mid-append crash. *)
-let net_die (torture : Worker.torture option) conn ~index ~completed =
-  match torture with
-  | Some t
-    when t.Worker.mode <> Worker.Poison
-         && (t.Worker.only = None || t.Worker.only = Some index)
-         && completed = t.Worker.after -> (
-      match t.Worker.mode with
-      | Worker.Poison -> ()
-      | Worker.Exit -> exit 7
-      | Worker.Raise -> failwith "torture: injected remote-worker fault"
-      | Worker.Sigkill -> Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Worker.Torn ->
-          Transport.send conn Frame.Seg "deadbeef torn-rec";
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      | Worker.Hang ->
-          while true do
-            Unix.sleep 3600
-          done
-      | Worker.Stall ->
-          while true do
-            Transport.send conn Frame.Door "h";
-            Unix.sleepf 0.02
-          done)
-  | Some _ | None -> ()
-
-let net_poison (torture : Worker.torture option) ~index ~shard_id =
-  match torture with
-  | Some { Worker.mode = Worker.Poison; after; only }
-    when (only = None || only = Some index) && shard_id = after ->
-      Unix.kill (Unix.getpid ()) Sys.sigkill
-  | Some _ | None -> ()
-
 let conduct conn (job : wire_job) =
-  let spec = spec_of_wire job in
-  let cell = Runcell.analyse spec in
-  let classes = cell.Runcell.classes in
-  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
-  let fp = Runcell.fingerprint_cell cell ~plan in
-  if fp <> job.fingerprint then
-    failwith
-      (Printf.sprintf
-         "re-analysed cell fingerprint %s disagrees with the conductor's %s \
-          (mismatched build or nondeterministic analysis?)"
-         (Crc32.to_hex fp)
-         (Crc32.to_hex job.fingerprint));
-  let shards_total = Array.length plan.Shard.shards in
-  Array.iter
-    (fun id ->
-      if id < 0 || id >= shards_total then
-        failwith (Printf.sprintf "shard id %d out of range" id))
-    job.shard_ids;
-  let torture = Worker.parse_torture (Sys.getenv_opt Worker.torture_var) in
-  Transport.send conn Frame.Seg
-    (Journal.encode_line
-       (Worker.segment_header ~fingerprint:fp ~pid:(Unix.getpid ())));
-  let last_beat = ref 0. in
-  let heartbeat ~class_index:_ _ =
-    let now = Unix.gettimeofday () in
-    if now -. !last_beat >= 0.01 then begin
-      last_beat := now;
-      Transport.send conn Frame.Door "h"
-    end
+  let seg line = Transport.send conn Frame.Seg line in
+  let open_sink header =
+    seg (Journal.encode_line header);
+    {
+      Worker.append = (fun payload -> seg (Journal.encode_line payload));
+      door = Transport.send conn Frame.Door;
+      tear = (fun () -> seg "deadbeef torn-rec");
+      close = ignore;
+    }
   in
-  Array.iteri
-    (fun completed id ->
-      net_die torture conn ~index:job.index ~completed;
-      net_poison torture ~index:job.index ~shard_id:id;
-      let shard = plan.Shard.shards.(id) in
-      let buf =
-        Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
-      in
-      Transport.send conn Frame.Seg
-        (Journal.encode_line (Runcell.record_payload shard buf));
-      Transport.send conn Frame.Door (Printf.sprintf "s %d" id))
-    job.shard_ids;
-  net_die torture conn ~index:job.index
-    ~completed:(Array.length job.shard_ids);
-  Transport.send conn Frame.Door "end"
+  Worker.conduct_job open_sink ~spec:(spec_of_wire job)
+    ~fingerprint:job.fingerprint ~shard_ids:job.shard_ids ~index:job.index
 
 let serve_connection ~capacity ?secret conn =
   match Transport.recv ~timeout:!handshake_timeout conn with

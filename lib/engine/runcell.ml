@@ -73,32 +73,25 @@ let analyse (spec : Spec.t) =
 (* Campaign identity and journal payloads                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [tag] is the fault model's [Faultspace.tag].  The legacy models keep
-   their pre-subsystem tags ("mem"/"reg"), so every fingerprint — and
-   therefore every journal and cache key — they ever produced stays
-   byte-identical. *)
-let fingerprint_of ~tag ~name ~cycles ~ram_bytes
-    ~(classes : Defuse.byte_class array) ~(plan : Shard.plan) =
-  let buf = Buffer.create (64 + (Array.length classes * 12)) in
-  Buffer.add_string buf tag;
+(* The legacy models keep their pre-subsystem tags ("mem"/"reg"), so
+   every fingerprint — and therefore every journal and cache key — they
+   ever produced stays byte-identical. *)
+let fingerprint_cell cell ~(plan : Shard.plan) =
+  let buf = Buffer.create (64 + (Array.length cell.classes * 12)) in
+  Buffer.add_string buf (Faultspace.tag cell.spec.Spec.model);
   Buffer.add_char buf '|';
-  Buffer.add_string buf name;
+  Buffer.add_string buf cell.golden.Golden.program.Program.name;
   Buffer.add_string buf
-    (Printf.sprintf "|%d|%d|%d|%s|" cycles ram_bytes plan.Shard.shard_size
+    (Printf.sprintf "|%d|%d|%d|%s|" cell.golden.Golden.cycles cell.ram_bytes
+       plan.Shard.shard_size
        (Shard.sizing_tag plan.Shard.sizing));
   Array.iter
     (fun (c : Defuse.byte_class) ->
       Buffer.add_string buf
         (Printf.sprintf "%d,%d,%d;" c.Defuse.byte c.Defuse.t_start
            c.Defuse.t_end))
-    classes;
+    cell.classes;
   Crc32.string (Buffer.contents buf)
-
-let fingerprint_cell cell ~plan =
-  fingerprint_of
-    ~tag:(Faultspace.tag cell.spec.Spec.model)
-    ~name:cell.golden.Golden.program.Program.name ~cycles:cell.golden.Golden.cycles
-    ~ram_bytes:cell.ram_bytes ~classes:cell.classes ~plan
 
 let plan_of_policy (policy : Spec.policy) classes =
   Shard.plan
@@ -155,20 +148,25 @@ let record_payload (shard : Shard.t) outcomes_buf =
   Printf.sprintf "shard=%d outcomes=%s" shard.Shard.id
     (Bytes.to_string outcomes_buf)
 
-let parse_record (plan : Shard.plan) payload =
+(* [shard=<id> outcomes=<chars>] split into its id and characters. *)
+let split_record payload =
   match String.index_opt payload ' ' with
-  | Some sp when String.length payload > 15 && String.sub payload 0 6 = "shard=" -> (
-      let id = int_of_string_opt (String.sub payload 6 (sp - 6)) in
+  | Some sp
+    when String.length payload > 15 && String.sub payload 0 6 = "shard=" ->
       let rest = String.sub payload (sp + 1) (String.length payload - sp - 1) in
       if String.length rest < 9 || String.sub rest 0 9 <> "outcomes=" then None
       else
-        let outs = String.sub rest 9 (String.length rest - 9) in
-        match id with
-        | Some id when id >= 0 && id < Array.length plan.Shard.shards ->
-            let shard = plan.Shard.shards.(id) in
-            if String.length outs <> 8 * Shard.classes_in shard then None
-            else Some (shard, outs)
-        | Some _ | None -> None)
+        Option.map
+          (fun id -> (id, String.sub rest 9 (String.length rest - 9)))
+          (int_of_string_opt (String.sub payload 6 (sp - 6)))
+  | Some _ | None -> None
+
+let parse_record (plan : Shard.plan) payload =
+  match split_record payload with
+  | Some (id, outs) when id >= 0 && id < Array.length plan.Shard.shards ->
+      let shard = plan.Shard.shards.(id) in
+      if String.length outs <> 8 * Shard.classes_in shard then None
+      else Some (shard, outs)
   | Some _ | None -> None
 
 (* ------------------------------------------------------------------ *)
@@ -234,14 +232,9 @@ let journal_finished path =
           let seen = Array.make (max 1 total) false in
           List.iter
             (fun payload ->
-              if String.length payload > 6 && String.sub payload 0 6 = "shard="
-              then
-                match String.index_opt payload ' ' with
-                | Some sp -> (
-                    match int_of_string_opt (String.sub payload 6 (sp - 6)) with
-                    | Some id when id >= 0 && id < total -> seen.(id) <- true
-                    | Some _ | None -> ())
-                | None -> ())
+              match split_record payload with
+              | Some (id, _) when id >= 0 && id < total -> seen.(id) <- true
+              | Some _ | None -> ())
             records;
           total = 0 || Array.for_all Fun.id seen)
   | Some (_, _, (Journal.Torn_tail _ | Journal.Corrupt_record _)) | None ->

@@ -42,21 +42,12 @@ val analyse : Spec.t -> cell
     @raise Invalid_argument if the spec's model contradicts its analysed
     source. *)
 
-val fingerprint_of :
-  tag:string ->
-  name:string ->
-  cycles:int ->
-  ram_bytes:int ->
-  classes:Defuse.byte_class array ->
-  plan:Shard.plan ->
-  int
+val fingerprint_cell : cell -> plan:Shard.plan -> int
 (** CRC-32 campaign identity over the fault-model tag
     ({!Faultspace.tag}), program name, golden runtime, row footprint,
     shard geometry/sizing and full class list.  The legacy models keep
     their pre-subsystem tags, so their fingerprints are byte-identical
     to before. *)
-
-val fingerprint_cell : cell -> plan:Shard.plan -> int
 
 val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
 (** The shard plan a policy prescribes for a class list — the single

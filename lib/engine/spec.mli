@@ -20,8 +20,9 @@
 
     Specs are plain values: build one per matrix cell (see
     [Suite.spec_matrix] / [Suite.paper_specs]) and hand the whole list to
-    [Engine.run_matrix], which schedules every cell's shards over one
-    shared worker pool. *)
+    [Engine.run_matrix_results], the engine's one entry point, which
+    schedules every cell's shards over one shared worker pool (a single
+    cell is a one-element list; [Engine.scan_exn] takes its scan). *)
 
 type source =
   | Build of (unit -> Program.t)

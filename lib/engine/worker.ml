@@ -59,23 +59,36 @@ let parse_torture = function
           | _ -> None)
       | _ -> None)
 
-let maybe_die torture ~index ~completed ~segment ~output =
+(* Where one worker's results go once its segment is open: a segment
+   file plus the doorbell pipe (fork/exec workers) or [Seg]/[Door]
+   frames (remote workers). *)
+type sink = {
+  append : string -> unit;  (** One durable record payload. *)
+  door : string -> unit;  (** One doorbell line, no newline. *)
+  tear : unit -> unit;  (** Emit a raw partial record (torture). *)
+  close : unit -> unit;
+}
+
+(* The torture hook, checked before each shard ([shard_id] set) and
+   once after the last.  Poison is keyed by {e plan shard id}, not
+   completed-shard count, so the fault deterministically follows one
+   coordinate range through any re-dispatch — the shard kills every
+   worker it is ever assigned to, which is exactly what quarantine
+   exists for. *)
+let torture_point torture sink ~index ~completed ~shard_id =
   match torture with
-  | Some t
-    when t.mode <> Poison
-         && (t.only = None || t.only = Some index)
-         && completed = t.after -> (
+  | Some t when t.only = None || t.only = Some index -> (
       match t.mode with
-      | Poison -> ()
+      | Poison ->
+          if shard_id = Some t.after then Unix.kill (Unix.getpid ()) Sys.sigkill
+      | _ when completed <> t.after -> ()
       | Exit -> exit 7
       | Raise -> failwith "torture: injected worker fault"
       | Sigkill -> Unix.kill (Unix.getpid ()) Sys.sigkill
       | Torn ->
           (* A crash mid-append: raw partial record, no newline, then
              die without cleanup. *)
-          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 segment in
-          output_string oc "deadbeef torn-rec";
-          flush oc;
+          sink.tear ();
           Unix.kill (Unix.getpid ()) Sys.sigkill
       | Hang ->
           (* Silent wedge: no heartbeat, no progress, never exits.  Only
@@ -87,84 +100,87 @@ let maybe_die torture ~index ~completed ~segment ~output =
           (* Livelock: the worker stays chatty — heartbeats keep
              flowing — but shard progress stops forever. *)
           while true do
-            output_string output "h\n";
-            flush output;
+            sink.door "h";
             Unix.sleepf 0.02
           done)
-  | Some _ | None -> ()
-
-(* Poison is keyed by {e plan shard id}, not completed-shard count, so
-   the fault deterministically follows one coordinate range through any
-   re-dispatch — the shard kills every worker it is ever assigned to,
-   which is exactly what quarantine exists for. *)
-let maybe_poison torture ~index ~shard_id =
-  match torture with
-  | Some { mode = Poison; after; only }
-    when (only = None || only = Some index) && shard_id = after ->
-      Unix.kill (Unix.getpid ()) Sys.sigkill
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The worker side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let serve ~input ~output =
-  set_binary_mode_in input true;
-  let seen = really_input_string input (String.length magic) in
-  if seen <> magic then failwith "worker: bad job magic on stdin";
-  let job : job = Marshal.from_channel input in
-  let cell = Runcell.analyse job.spec in
+let conduct_job open_sink ~spec ~fingerprint ~shard_ids ~index =
+  let cell = Runcell.analyse spec in
   let classes = cell.Runcell.classes in
-  let plan = Runcell.plan_of_policy job.spec.Spec.policy classes in
+  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
-  if fp <> job.fingerprint then
+  if fp <> fingerprint then
     failwith
       (Printf.sprintf
-         "worker: cell fingerprint %s disagrees with the parent's %s \
-          (nondeterministic build?)"
-         (Crc32.to_hex fp)
-         (Crc32.to_hex job.fingerprint));
+         "re-analysed cell fingerprint %s disagrees with the conductor's %s \
+          (mismatched build or nondeterministic analysis?)"
+         (Crc32.to_hex fp) (Crc32.to_hex fingerprint));
   let shards_total = Array.length plan.Shard.shards in
   Array.iter
     (fun id ->
       if id < 0 || id >= shards_total then
-        failwith (Printf.sprintf "worker: shard id %d out of range" id))
-    job.shard_ids;
+        failwith (Printf.sprintf "shard id %d out of range" id))
+    shard_ids;
   let torture = parse_torture (Sys.getenv_opt torture_var) in
-  let w =
-    Journal.create job.segment
-      ~header:(segment_header ~fingerprint:fp ~pid:(Unix.getpid ()))
-  in
+  let sink = open_sink (segment_header ~fingerprint:fp ~pid:(Unix.getpid ())) in
   (* Heartbeats: one [h] line per conducted class, throttled, so the
      parent can tell a slow shard from a hung worker.  Lost beats are
      harmless — the deadline just bites a little earlier. *)
   let last_beat = ref 0. in
   let heartbeat ~class_index:_ _ =
     let now = Unix.gettimeofday () in
-    if now -. !last_beat >= 0.01 then (
+    if now -. !last_beat >= 0.01 then begin
       last_beat := now;
-      output_string output "h\n";
-      flush output)
+      sink.door "h"
+    end
   in
   Array.iteri
     (fun completed id ->
-      maybe_die torture ~index:job.index ~completed ~segment:job.segment
-        ~output;
-      maybe_poison torture ~index:job.index ~shard_id:id;
+      torture_point torture sink ~index ~completed ~shard_id:(Some id);
       let shard = plan.Shard.shards.(id) in
       let buf =
         Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
       in
-      Journal.append w (Runcell.record_payload shard buf);
-      (* Doorbell: the record is fsync'd, the parent may merge it. *)
-      Printf.fprintf output "s %d\n" id;
-      flush output)
-    job.shard_ids;
-  maybe_die torture ~index:job.index ~completed:(Array.length job.shard_ids)
-    ~segment:job.segment ~output;
-  Journal.close w;
-  output_string output "end\n";
-  flush output
+      sink.append (Runcell.record_payload shard buf);
+      (* Doorbell: the record is durable, the parent may merge it. *)
+      sink.door (Printf.sprintf "s %d" id))
+    shard_ids;
+  torture_point torture sink ~index ~completed:(Array.length shard_ids)
+    ~shard_id:None;
+  sink.close ();
+  sink.door "end"
+
+let serve ~input ~output =
+  set_binary_mode_in input true;
+  let seen = really_input_string input (String.length magic) in
+  if seen <> magic then failwith "worker: bad job magic on stdin";
+  let job : job = Marshal.from_channel input in
+  let open_sink header =
+    let w = Journal.create job.segment ~header in
+    {
+      append = Journal.append w;
+      door =
+        (fun line ->
+          output_string output line;
+          output_char output '\n';
+          flush output);
+      tear =
+        (fun () ->
+          let oc =
+            open_out_gen [ Open_append; Open_binary ] 0o644 job.segment
+          in
+          output_string oc "deadbeef torn-rec";
+          flush oc);
+      close = (fun () -> Journal.close w);
+    }
+  in
+  conduct_job open_sink ~spec:job.spec ~fingerprint:job.fingerprint
+    ~shard_ids:job.shard_ids ~index:job.index
 
 let guard () =
   match Sys.getenv_opt env_var with

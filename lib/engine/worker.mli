@@ -37,18 +37,8 @@ val torture_var : string
     itself immediately before conducting that shard — the deterministic
     poison coordinate that exercises shard quarantine, since it follows
     the shard through every retry.  Unset, empty or unparseable values
-    inject nothing. *)
-
-type torture_mode = Exit | Raise | Sigkill | Torn | Hang | Stall | Poison
-
-type torture = { mode : torture_mode; after : int; only : int option }
-(** A parsed {!torture_var} value.  Exposed (with {!parse_torture}) so
-    the socket transport's remote workers ({!Remote}) honour the same
-    crash-injection vocabulary as the fork/exec workers — the torture
-    matrix then drives both backends from one environment variable. *)
-
-val parse_torture : string option -> torture option
-(** Parse a {!torture_var} value; [None] on unset/empty/unparseable. *)
+    inject nothing.  Both worker backends honour it through
+    {!conduct_job}; a remote daemon reads its own environment. *)
 
 type job = {
   spec : Spec.t;
@@ -60,10 +50,44 @@ type job = {
           indices), for diagnostics and [torture] targeting. *)
 }
 
-val segment_header : fingerprint:int -> pid:int -> string
 val segment_fingerprint : string -> int option
-(** Parse a segment header back to its fingerprint ([None] if the
-    payload is not a segment header). *)
+(** Parse a segment header ([fi-segment v1 fingerprint=<crc32> pid=<n>])
+    back to its fingerprint ([None] if the payload is not a segment
+    header). *)
+
+(** {1 The shard loop}
+
+    One loop conducts every worker's job, local or remote; only where
+    its output goes differs. *)
+
+type sink = {
+  append : string -> unit;  (** Durably emit one shard-record payload. *)
+  door : string -> unit;
+      (** Emit one doorbell line ([h], [s <id>], [end]; no newline). *)
+  tear : unit -> unit;
+      (** Emit a raw partial record — the [torn] torture mode's crash
+          artifact. *)
+  close : unit -> unit;  (** Finish the segment (before [end]). *)
+}
+(** Where a worker's two streams go: a segment file plus the doorbell
+    pipe ({!serve}), or [Seg]/[Door] frames on a connection
+    ({!Remote}). *)
+
+val conduct_job :
+  (string -> sink) ->
+  spec:Spec.t ->
+  fingerprint:int ->
+  shard_ids:int array ->
+  index:int ->
+  unit
+(** [conduct_job open_sink …] is the worker-side loop shared by both
+    worker backends: re-analyse the cell and verify the parent's
+    [fingerprint], range-check [shard_ids], start the segment with
+    [open_sink header], then conduct each shard in order — throttled
+    [h] heartbeats while conducting, one record plus an [s <id>]
+    doorbell per shard — and finish with [end].  Honours {!torture_var}
+    (the [index]-th worker is the [WORKER] target).  Raises on
+    fingerprint disagreement or a bad shard id. *)
 
 val serve : input:in_channel -> output:out_channel -> unit
 (** The worker main loop: read one job from [input], conduct it, journal

@@ -199,3 +199,8 @@ let analyse ?limit model program =
   match model with
   | Bitflip_reg -> of_regspace (Regspace.analyze ?limit program)
   | _ -> of_golden model (Golden.run ?limit program)
+
+let scan ?variant ?provider ?progress cell =
+  Scan.serial ?variant ?provider ?progress ~ram_bytes:cell.ram_bytes
+    ~benign_weight:cell.benign_weight ~conduct:cell.conduct cell.golden
+    cell.classes

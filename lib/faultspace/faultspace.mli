@@ -123,3 +123,18 @@ val analyse : ?limit:int -> model -> Program.t -> cell
 
 val experiments : cell -> int
 (** [8 × Array.length classes] — the campaign's experiment count. *)
+
+val scan :
+  ?variant:string ->
+  ?provider:Injector.provider ->
+  ?progress:Scan.progress ->
+  cell ->
+  Scan.t
+(** The serial reference campaign of any model: {!Scan.serial} over the
+    cell's classes and conductor.  For {!Bitflip_mem} and {!Bitflip_reg}
+    cells it equals {!Scan.pruned} and {!Regspace.scan}; pass
+    [~provider:(Injector.replay cell.golden)] for the restart-from-reset
+    reference the plan provider is checked against.
+
+    @raise Invalid_argument if [provider] was built over a different
+    golden run. *)

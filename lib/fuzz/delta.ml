@@ -87,7 +87,10 @@ let specs_for ?variants:(vs = default_variants) prog =
 
 let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
     prog =
-  let scans = Engine.run_matrix ?backend ?jobs (specs_for ~variants prog) in
+  let scans =
+    List.map Engine.scan_exn
+      (Engine.run_matrix_results ?backend ?jobs (specs_for ~variants prog))
+  in
   match scans with
   | [] -> assert false
   | base_scan :: variant_scans ->
@@ -179,7 +182,10 @@ let verify ?backend ?jobs finding =
            errs)
   | Ok () -> (
       let specs = specs_for ~variants:[ finding.variant ] finding.program in
-      match List.map (Engine.run_spec ?backend ?jobs) specs with
+      match
+        List.map Engine.scan_exn
+          (Engine.run_matrix_results ?backend ?jobs specs)
+      with
       | exception Golden.Golden_failed _ -> Error "golden run failed"
       | [ sb; sh ] ->
           let b = tally_of_scan sb and h = tally_of_scan sh in

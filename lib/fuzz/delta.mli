@@ -51,8 +51,9 @@ type finding = {
   hardened : tally;
   sampled_failure_ratio : float option;
       (** When the hunt sampled: extrapolated-F ratio hardened/baseline
-          from {!Engine.run_sampled} estimates (diagnostic only — the
-          predicate always uses the exact tallies). *)
+          from {!Sampler.uniform_raw_oracle} estimates over the
+          conducted scans (diagnostic only — the predicate always uses
+          the exact tallies). *)
 }
 
 val evaluate :
@@ -72,10 +73,11 @@ val hunt_program :
   Mir.prog ->
   finding list
 (** Conduct baseline plus every variant cell through one
-    {!Engine.run_matrix} call on the chosen backend and return the cells
-    that exhibit the dilution delusion.  With [samples] set, each cell
-    additionally runs through {!Engine.run_sampled} (seeded from [seed])
-    and findings carry the sampled extrapolation ratio. *)
+    {!Engine.run_matrix_results} call on the chosen backend and return
+    the cells that exhibit the dilution delusion.  With [samples] set,
+    each conducted scan is additionally sampled by
+    {!Sampler.uniform_raw_oracle} (from [Prng.create ~seed]) and
+    findings carry the sampled extrapolation ratio. *)
 
 val shrink : ?budget:int -> finding -> finding
 (** Greedy QCheck-style minimisation: repeatedly take the first
@@ -88,7 +90,8 @@ val shrink : ?budget:int -> finding -> finding
 val verify :
   ?backend:Pool.backend -> ?jobs:int -> finding -> (unit, string) result
 (** Re-establish a finding end to end on a fresh engine: recompile both
-    cells, conduct them through {!Engine.run_spec} on [backend], and
+    cells, conduct them through one {!Engine.run_matrix_results} call on
+    [backend], and
     require the resulting tallies to equal the finding's {e exactly}
     (histograms included) with the predicate holding.  This is the
     bit-identical replay check the corpus and CI lean on. *)

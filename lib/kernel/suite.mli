@@ -32,7 +32,7 @@ val spec_of :
 
 val spec_matrix :
   ?model:Faultspace.model -> ?policy:Spec.policy -> unit -> Spec.t list
-(** One spec per {!all} cell, ready for [Engine.run_matrix]. *)
+(** One spec per {!all} cell, ready for [Engine.run_matrix_results]. *)
 
 val paper_specs :
   ?model:Faultspace.model -> ?policy:Spec.policy -> unit -> Spec.t list

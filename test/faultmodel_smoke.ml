@@ -75,7 +75,7 @@ let smoke_journal_resume model =
   let tag = Faultspace.tag model in
   with_temp_file (fun path ->
       let policy = Spec.make_policy ~journal:path ~shard_size:3 () in
-      let cold = Engine.run_spec ~jobs:2 (spec_of model policy) in
+      let cold = Drive.scan ~jobs:2 (spec_of model policy) in
       check tag "cold run journals to completion"
         (Runcell.journal_finished path);
       check tag "journal records the model tag"
@@ -92,7 +92,7 @@ let smoke_journal_resume model =
           Spec.durability = { policy.Spec.durability with Spec.resume = true }
         }
       in
-      let resumed = Engine.run_spec ~jobs:2 (spec_of model resume_policy) in
+      let resumed = Drive.scan ~jobs:2 (spec_of model resume_policy) in
       check tag "torn-tail resume is bit-identical" (cold = resumed);
       check tag "resumed journal finished again" (Runcell.journal_finished path);
       cold)
@@ -101,11 +101,11 @@ let smoke_cache_roundtrip model reference =
   let tag = Faultspace.tag model in
   with_temp_dir (fun dir ->
       let policy = Spec.make_policy ~catalogue:dir ~cache:dir () in
-      let cold = Engine.run_spec_result ~jobs:2 (spec_of model policy) in
+      let cold = Drive.cell ~jobs:2 (spec_of model policy) in
       check tag "cold cache run is a miss" (not cold.Engine.cached);
       check tag "cold cache run matches the journaled run"
         (cold.Engine.scan = reference);
-      let warm = Engine.run_spec_result ~jobs:2 (spec_of model policy) in
+      let warm = Drive.cell ~jobs:2 (spec_of model policy) in
       check tag "warm cache run is a hit" warm.Engine.cached;
       check tag "cache hit is bit-identical" (warm.Engine.scan = cold.Engine.scan))
 

@@ -197,7 +197,7 @@ let test_publish_lookup_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let run_cached ?backend ?jobs ~dir golden =
-  Engine.run_spec_result ?backend ?jobs
+  Drive.cell ?backend ?jobs
     (Spec.of_golden ~policy:(cache_policy dir) golden)
 
 let test_memory_hit_bit_identical () =
@@ -219,11 +219,11 @@ let test_register_hit_bit_identical () =
           (fun () -> Hi.program ())
       in
       let serial = Regspace.scan (Regspace.analyze (Hi.program ())) in
-      let cold = Engine.run_spec_result (spec dir) in
+      let cold = Drive.cell (spec dir) in
       Alcotest.(check bool) "cold register run not a hit" false
         cold.Engine.cached;
       check_scans_identical "cold registers = serial" serial cold.Engine.scan;
-      let warm = Engine.run_spec_result (spec dir) in
+      let warm = Drive.cell (spec dir) in
       Alcotest.(check bool) "warm register run is a hit" true
         warm.Engine.cached;
       check_scans_identical "warm registers = cold" cold.Engine.scan
@@ -242,7 +242,7 @@ let test_warm_run_executes_no_shards () =
       let events = ref [] in
       let warm =
         with_torture "exit:0" (fun () ->
-            Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+            Drive.cell ~backend:Pool.Processes ~jobs:2
               ~on_event:(fun msg -> events := msg :: !events)
               (Spec.of_golden ~policy:(cache_policy dir) golden))
       in
@@ -270,7 +270,7 @@ let test_quarantined_never_published () =
       in
       let degraded =
         with_torture "exit:0" (fun () ->
-            Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+            Drive.cell ~backend:Pool.Processes ~jobs:2
               (Spec.of_golden ~policy golden))
       in
       Alcotest.(check bool) "campaign was degraded" true
@@ -286,7 +286,7 @@ let test_policy_keys_do_not_collide () =
   with_temp_dir (fun dir ->
       let golden = Lazy.force hi_golden in
       let run policy =
-        Engine.run_spec_result (Spec.of_golden ~policy golden)
+        Drive.cell (Spec.of_golden ~policy golden)
       in
       let cold = run (cache_policy dir) in
       Alcotest.(check bool) "cold miss" false cold.Engine.cached;

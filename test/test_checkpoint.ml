@@ -216,7 +216,7 @@ let test_resume_stride_churn () =
           golden
       in
       (match
-         Engine.run_spec ~jobs:1
+         Drive.scan ~jobs:1
            ~progress:(fun ~done_ ~total ~tally:_ ->
              if done_ > total / 3 then raise Killed)
            (spec ~resume:false ~stride:8)
@@ -225,7 +225,7 @@ let test_resume_stride_churn () =
       | exception Killed -> ());
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:1
+        Drive.scan ~jobs:1
           ~observe:(fun s -> snap := Some s)
           (spec ~resume:true ~stride:512)
       in
@@ -238,7 +238,7 @@ let test_resume_stride_churn () =
       (* Once complete, a replay-semantics resume conducts nothing. *)
       let snap = ref None in
       let again =
-        Engine.run_spec ~jobs:1
+        Drive.scan ~jobs:1
           ~observe:(fun s -> snap := Some s)
           (spec ~resume:true ~stride:0)
       in

@@ -23,6 +23,11 @@ let check_scans_identical msg serial parallel =
     (Csv_io.to_string serial)
     (Csv_io.to_string parallel)
 
+(* A memory-campaign spec over [golden] with the given policy knobs. *)
+let spec ?shard_size ?journal ?resume golden =
+  Spec.of_golden ~policy:(Spec.make_policy ?shard_size ?journal ?resume ())
+    golden
+
 let with_temp_file f =
   let path = Filename.temp_file "fiengine" ".journal" in
   Fun.protect
@@ -228,7 +233,7 @@ let test_parallel_equals_serial_hi () =
       check_scans_identical
         (Printf.sprintf "hi -j %d" jobs)
         serial
-        (Engine.run ~jobs golden))
+        (Drive.scan ~jobs (Spec.of_golden golden)))
     [ 1; 2; 4 ]
 
 let test_parallel_equals_serial_flag1 () =
@@ -239,7 +244,7 @@ let test_parallel_equals_serial_flag1 () =
       check_scans_identical
         (Printf.sprintf "flag1 -j %d" jobs)
         serial
-        (Engine.run ~jobs golden))
+        (Drive.scan ~jobs (Spec.of_golden golden)))
     [ 1; 2; 4 ]
 
 let test_shard_size_irrelevant () =
@@ -250,7 +255,7 @@ let test_shard_size_irrelevant () =
       check_scans_identical
         (Printf.sprintf "hi shard_size %d" shard_size)
         serial
-        (Engine.run ~jobs:2 ~shard_size golden))
+        (Drive.scan ~jobs:2 (spec ~shard_size golden)))
     [ 1; 3; 1000 ]
 
 (* Engine == serial on random compiled MIR programs with random shard
@@ -277,7 +282,7 @@ let qcheck_engine_equals_serial =
           ]
       in
       let golden = Golden.run (Codegen.compile source) in
-      Scan.pruned golden = Engine.run ~jobs ~shard_size golden)
+      Scan.pruned golden = Drive.scan ~jobs (spec ~shard_size golden))
 
 let test_engine_progress_interface () =
   let golden = Lazy.force hi_golden in
@@ -285,7 +290,7 @@ let test_engine_progress_interface () =
   let last_done = ref 0 in
   let snapshots = ref [] in
   ignore
-    (Engine.run ~jobs:1
+    (Drive.scan ~jobs:1
        ~progress:(fun ~done_ ~total ~tally ->
          incr calls;
          Alcotest.(check bool) "done_ monotonic" true (done_ > !last_done);
@@ -294,7 +299,7 @@ let test_engine_progress_interface () =
          Alcotest.(check int) "tally tracks done_" (8 * done_)
            (Outcome.tally_total tally))
        ~observe:(fun snap -> snapshots := snap :: !snapshots)
-       golden);
+       (Spec.of_golden golden));
   Alcotest.(check int) "one progress call per class" 2 !calls;
   Alcotest.(check int) "final done_" 2 !last_done;
   match !snapshots with
@@ -315,14 +320,14 @@ let test_engine_bad_args () =
      authority for both the engine and the CLI, so only negative counts
      are rejected, with Pool's own message. *)
   check_scans_identical "jobs 0 = all cores" (Lazy.force hi_serial)
-    (Engine.run ~jobs:0 golden);
+    (Drive.scan ~jobs:0 (Spec.of_golden golden));
   Alcotest.check_raises "jobs -1"
     (Invalid_argument
        "Pool.resolve_jobs: negative job count -1 (use 0 for all cores)")
-    (fun () -> ignore (Engine.run ~jobs:(-1) golden));
+    (fun () -> ignore (Drive.scan ~jobs:(-1) (Spec.of_golden golden)));
   Alcotest.check_raises "resume without journal"
-    (Invalid_argument "Engine.run: ~resume requires ~journal") (fun () ->
-      ignore (Engine.run ~resume:true golden))
+    (Invalid_argument "Engine.run_matrix_results: ~resume requires ~journal")
+    (fun () -> ignore (Drive.scan (spec ~resume:true golden)))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: journaled resume                                           *)
@@ -345,7 +350,7 @@ let test_resume_truncated_journal () =
   let serial = Lazy.force flag1_serial in
   with_temp_file (fun path ->
       (* Full journaled run, then cut the journal back mid-campaign. *)
-      let full = Engine.run ~jobs:2 ~journal:path golden in
+      let full = Drive.scan ~jobs:2 (spec ~journal:path golden) in
       check_scans_identical "journaled run" serial full;
       let total_shards =
         match Journal.load path with
@@ -359,9 +364,9 @@ let test_resume_truncated_journal () =
          the rest. *)
       let final_snapshot = ref None in
       let resumed =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        Drive.scan ~jobs:2
           ~observe:(fun s -> final_snapshot := Some s)
-          golden
+          (spec ~journal:path ~resume:true golden)
       in
       check_scans_identical "resumed = uninterrupted" serial resumed;
       (match !final_snapshot with
@@ -375,9 +380,9 @@ let test_resume_truncated_journal () =
          once more conducts nothing. *)
       let snap = ref None in
       let again =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        Drive.scan ~jobs:2
           ~observe:(fun s -> snap := Some s)
-          golden
+          (spec ~journal:path ~resume:true golden)
       in
       check_scans_identical "fully-journaled rerun" serial again;
       match !snap with
@@ -397,13 +402,13 @@ let test_resume_after_crash () =
   with_temp_file (fun path ->
       let classes_at_kill = ref 0 in
       (match
-         Engine.run ~jobs:2 ~journal:path
+         Drive.scan ~jobs:2
            ~progress:(fun ~done_ ~total ~tally:_ ->
              if done_ > total / 3 then begin
                classes_at_kill := done_;
                raise Killed
              end)
-           golden
+           (spec ~journal:path golden)
        with
       | _ -> Alcotest.fail "expected the campaign to be killed"
       | exception Killed -> ());
@@ -416,9 +421,9 @@ let test_resume_after_crash () =
       in
       let snap = ref None in
       let resumed =
-        Engine.run ~jobs:2 ~journal:path ~resume:true
+        Drive.scan ~jobs:2
           ~observe:(fun s -> snap := Some s)
-          golden
+          (spec ~journal:path ~resume:true golden)
       in
       check_scans_identical "crash + resume = uninterrupted" serial resumed;
       match !snap with
@@ -431,14 +436,16 @@ let test_resume_wrong_campaign () =
   let golden_hi = Lazy.force hi_golden in
   let golden_flag1 = Lazy.force flag1_golden in
   with_temp_file (fun path ->
-      ignore (Engine.run ~jobs:1 ~journal:path golden_hi);
-      (match Engine.run ~jobs:1 ~journal:path ~resume:true golden_flag1 with
+      ignore (Drive.scan ~jobs:1 (spec ~journal:path golden_hi));
+      (match
+         Drive.scan ~jobs:1 (spec ~journal:path ~resume:true golden_flag1)
+       with
       | _ -> Alcotest.fail "expected Journal_mismatch"
       | exception Engine.Journal_mismatch _ -> ());
       (* A different shard geometry is a different campaign, too. *)
       match
-        Engine.run ~jobs:1 ~shard_size:1000 ~journal:path ~resume:true
-          golden_hi
+        Drive.scan ~jobs:1
+          (spec ~shard_size:1000 ~journal:path ~resume:true golden_hi)
       with
       | _ -> Alcotest.fail "expected Journal_mismatch (shard_size)"
       | exception Engine.Journal_mismatch _ -> ())
@@ -447,7 +454,9 @@ let test_resume_missing_journal_starts_fresh () =
   let golden = Lazy.force hi_golden in
   with_temp_file (fun path ->
       Sys.remove path;
-      let scan = Engine.run ~jobs:1 ~journal:path ~resume:true golden in
+      let scan =
+        Drive.scan ~jobs:1 (spec ~journal:path ~resume:true golden)
+      in
       check_scans_identical "fresh despite --resume" (Lazy.force hi_serial) scan;
       Alcotest.(check bool) "journal created" true (Sys.file_exists path))
 

@@ -1,8 +1,9 @@
 (* Tests for the pluggable fault-model subsystem (lib/faultspace): tag
    codec stability, the legacy models re-homed behind the Faultspace API
    (differential against Scan.pruned / Regspace.scan on fixed and random
-   programs, across backends and worker counts), burst/skip determinism,
-   and fingerprint separation between models. *)
+   programs, across backends and worker counts), burst/skip determinism
+   and agreement with the replay reference, and fingerprint separation
+   between models. *)
 
 let hi_image = lazy (Hi.program ())
 let hi_golden = lazy (Golden.run (Lazy.force hi_image))
@@ -84,6 +85,25 @@ let test_burst_shares_mem_partition () =
   Alcotest.(check int) "same ram bytes" mem.Faultspace.ram_bytes
     b.Faultspace.ram_bytes
 
+(* A small compiled MIR kernel: a counted loop over a 3-element array,
+   its trip count and constants derived from [seed]. *)
+let loop_image seed =
+  let open Builder in
+  let k = 1 + (seed mod 5) in
+  Codegen.compile
+    (prog
+       ~name:(Printf.sprintf "fsrand%d" seed)
+       [ global "acc" ~init:[ seed mod 7 ]; array "buf" 3 ~init:[ 1; 2; 3 ] ]
+       [
+         func "main" ~locals:[ "i" ]
+           (for_ "i" ~from:(i 0) ~below:(i k)
+              [
+                setg "acc" (g "acc" +: elem "buf" (l "i" %: i 3));
+                set_elem "buf" (l "i" %: i 3) (g "acc" ^: i seed);
+              ]
+           @ [ out (g "acc" &: i 255); ret_unit ]);
+       ])
+
 (* Legacy spaces through the Faultspace-powered engine == the serial
    legacy conductors, on random compiled MIR programs, across worker
    counts and the in-process/fork-exec backends. *)
@@ -93,23 +113,7 @@ let qcheck_legacy_models_differential =
     ~count:3
     QCheck.(triple (int_bound 1000) (int_range 1 4) (int_range 1 9))
     (fun (seed, jobs, shard_size) ->
-      let open Builder in
-      let k = 1 + (seed mod 5) in
-      let source =
-        prog
-          ~name:(Printf.sprintf "fsrand%d" seed)
-          [ global "acc" ~init:[ seed mod 7 ]; array "buf" 3 ~init:[ 1; 2; 3 ] ]
-          [
-            func "main" ~locals:[ "i" ]
-              (for_ "i" ~from:(i 0) ~below:(i k)
-                 [
-                   setg "acc" (g "acc" +: elem "buf" (l "i" %: i 3));
-                   set_elem "buf" (l "i" %: i 3) (g "acc" ^: i seed);
-                 ]
-              @ [ out (g "acc" &: i 255); ret_unit ]);
-          ]
-      in
-      let image = Codegen.compile source in
+      let image = loop_image seed in
       let golden = Golden.run image in
       let r = Regspace.analyze image in
       let policy = Spec.make_policy ~shard_size () in
@@ -118,10 +122,10 @@ let qcheck_legacy_models_differential =
       List.for_all
         (fun backend ->
           mem_serial
-          = Engine.run_spec ~backend ~jobs
+          = Drive.scan ~backend ~jobs
               (Spec.of_golden ~policy ~model:Faultspace.Bitflip_mem golden)
           && reg_serial
-             = Engine.run_spec ~backend ~jobs (Spec.of_regspace ~policy r))
+             = Drive.scan ~backend ~jobs (Spec.of_regspace ~policy r))
         [ Pool.Domains; Pool.Processes ])
 
 (* ------------------------------------------------------------------ *)
@@ -174,7 +178,8 @@ let test_skip_cell_geometry () =
     cell.Faultspace.classes
 
 let skip_scan_serial = lazy
-  (Engine.run_spec ~jobs:1 (Spec.of_golden ~model:Faultspace.Skip (Lazy.force hi_golden)))
+  (Drive.scan ~jobs:1
+     (Spec.of_golden ~model:Faultspace.Skip (Lazy.force hi_golden)))
 
 let test_skip_campaign () =
   let golden = Lazy.force hi_golden in
@@ -211,18 +216,18 @@ let test_new_models_deterministic () =
           golden
       in
       let tag = Faultspace.tag model in
-      let serial = Engine.run_spec ~jobs:1 (spec ()) in
+      let serial = Drive.scan ~jobs:1 (spec ()) in
       List.iter
         (fun jobs ->
           check_scans_identical
             (Printf.sprintf "%s domains -j %d" tag jobs)
             serial
-            (Engine.run_spec ~jobs (spec ())))
+            (Drive.scan ~jobs (spec ())))
         [ 2; 4 ];
       check_scans_identical
         (Printf.sprintf "%s processes -j 2" tag)
         serial
-        (Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec ())))
+        (Drive.scan ~backend:Pool.Processes ~jobs:2 (spec ())))
     [ Faultspace.burst 2; Faultspace.burst ~row:2 3; Faultspace.Skip ]
 
 let test_new_models_over_sockets () =
@@ -243,11 +248,42 @@ let test_new_models_over_sockets () =
               in
               check_scans_identical
                 (Printf.sprintf "%s sockets" (Faultspace.tag model))
-                (Engine.run_spec ~jobs:1 (spec ()))
-                (Engine.run_spec
+                (Drive.scan ~jobs:1 (spec ()))
+                (Drive.scan
                    ~backend:(Pool.Sockets [ Addr.to_string addr ])
                    ~jobs:2 (spec ())))
             [ Faultspace.burst 2; Faultspace.Skip ])
+
+(* Burst and skip against the replay reference.  Every backend conducts
+   through the checkpoint plan, so backend agreement alone cannot catch a
+   plan shortcut that misclassifies these models; the serial reference
+   over [Injector.replay] restarts every experiment from reset.  A small
+   checkpoint stride makes the plan's shortcuts fire on small kernels. *)
+let test_new_models_plan_vs_replay () =
+  List.iter
+    (fun (name, image) ->
+      let golden = Golden.run image in
+      List.iter
+        (fun model ->
+          let reference =
+            Faultspace.scan ~provider:(Injector.replay golden)
+              (Faultspace.of_golden model golden)
+          in
+          let spec =
+            Spec.of_golden
+              ~policy:(Spec.make_policy ~shard_size:4 ~checkpoint_stride:8 ())
+              ~model golden
+          in
+          List.iter
+            (fun backend ->
+              check_scans_identical
+                (Printf.sprintf "%s %s %s plan = replay" name
+                   (Faultspace.tag model) (Pool.backend_tag backend))
+                reference
+                (Drive.scan ~backend ~jobs:2 spec))
+            [ Pool.Domains; Pool.Processes ])
+        [ Faultspace.burst 3; Faultspace.burst ~row:2 3; Faultspace.Skip ])
+    [ ("hi", Lazy.force hi_image); ("loop", loop_image 17) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: the model is part of the campaign identity           *)
@@ -283,6 +319,8 @@ let suite =
         test_new_models_deterministic;
       Alcotest.test_case "burst/skip over the sockets backend" `Slow
         test_new_models_over_sockets;
+      Alcotest.test_case "burst/skip plan = replay reference" `Quick
+        test_new_models_plan_vs_replay;
       Alcotest.test_case "model fingerprints distinct" `Quick
         test_model_fingerprints_distinct;
     ] )

@@ -98,7 +98,7 @@ let test_weighted_engine_equals_serial () =
   let policy = Spec.make_policy ~weighted:true () in
   check_scans_identical "hi weighted shards"
     (Lazy.force hi_serial)
-    (Engine.run_spec ~jobs:2 (Spec.of_golden ~policy golden))
+    (Drive.scan ~jobs:2 (Spec.of_golden ~policy golden))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: space and sizing are part of the identity            *)
@@ -130,7 +130,7 @@ let test_register_engine_equals_scan () =
       check_scans_identical
         (Printf.sprintf "hi registers -j %d" jobs)
         serial
-        (Engine.run_spec ~jobs (Spec.of_regspace r)))
+        (Drive.scan ~jobs (Spec.of_regspace r)))
     [ 1; 2; 4 ]
 
 (* Register engine == Regspace.scan on random compiled MIR programs with
@@ -158,14 +158,14 @@ let qcheck_register_engine_equals_scan =
       in
       let r = Regspace.analyze (Codegen.compile source) in
       let policy = Spec.make_policy ~shard_size () in
-      Regspace.scan r = Engine.run_spec ~jobs (Spec.of_regspace ~policy r))
+      Regspace.scan r = Drive.scan ~jobs (Spec.of_regspace ~policy r))
 
 let test_register_journal_resume () =
   let r = Lazy.force hi_regspace in
   let serial = Lazy.force hi_reg_serial in
   with_temp_file (fun path ->
       let policy = Spec.make_policy ~shard_size:4 ~journal:path () in
-      let full = Engine.run_spec ~jobs:2 (Spec.of_regspace ~policy r) in
+      let full = Drive.scan ~jobs:2 (Spec.of_regspace ~policy r) in
       check_scans_identical "journaled register run" serial full;
       let total_shards =
         match Journal.load path with
@@ -176,7 +176,7 @@ let test_register_journal_resume () =
       truncate_journal_to path ~records:(total_shards / 2);
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:2
+        Drive.scan ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_regspace
              ~policy:
@@ -200,18 +200,20 @@ let test_cross_space_resume_rejected () =
   let r = Lazy.force hi_regspace in
   with_temp_file (fun path ->
       (* Memory journal, register resume. *)
-      ignore (Engine.run ~jobs:1 ~journal:path golden);
+      ignore
+        (Drive.scan ~jobs:1
+           (Spec.of_golden ~policy:(Spec.make_policy ~journal:path ()) golden));
       let reg_resume =
         Spec.of_regspace
           ~policy:(Spec.make_policy ~journal:path ~resume:true ())
           r
       in
-      (match Engine.run_spec ~jobs:1 reg_resume with
+      (match Drive.scan ~jobs:1 reg_resume with
       | _ -> Alcotest.fail "register resume accepted a memory journal"
       | exception Engine.Journal_mismatch _ -> ());
       (* Register journal, memory resume. *)
       ignore
-        (Engine.run_spec ~jobs:1
+        (Drive.scan ~jobs:1
            (Spec.of_regspace
               ~policy:(Spec.make_policy ~journal:path ())
               r));
@@ -220,7 +222,7 @@ let test_cross_space_resume_rejected () =
           ~policy:(Spec.make_policy ~journal:path ~resume:true ())
           golden
       in
-      match Engine.run_spec ~jobs:1 mem_resume with
+      match Drive.scan ~jobs:1 mem_resume with
       | _ -> Alcotest.fail "memory resume accepted a register journal"
       | exception Engine.Journal_mismatch _ -> ())
 
@@ -239,7 +241,7 @@ let test_matrix_small_cells () =
   in
   List.iter
     (fun jobs ->
-      match Engine.run_matrix ~jobs (specs ()) with
+      match Drive.scans ~jobs (specs ()) with
       | [ flag1; hi_reg; hi_mem ] ->
           check_scans_identical
             (Printf.sprintf "flag1 cell -j %d" jobs)
@@ -261,7 +263,7 @@ let test_matrix_aggregate_progress () =
   let seen = ref [] in
   let final = ref None in
   let scans =
-    Engine.run_matrix ~jobs:2
+    Drive.scans ~jobs:2
       ~progress:(fun spec ->
         seen := Spec.label spec :: !seen;
         Scan.no_progress)
@@ -292,7 +294,7 @@ let test_matrix_partial_journals () =
           (Lazy.force flag1_golden)
       in
       let bare = Spec.of_golden (Lazy.force hi_golden) in
-      (match Engine.run_matrix ~jobs:2 [ journaled false; bare ] with
+      (match Drive.scans ~jobs:2 [ journaled false; bare ] with
       | [ flag1; hi ] ->
           check_scans_identical "journaled cell" (Lazy.force flag1_serial) flag1;
           check_scans_identical "bare cell" (Lazy.force hi_serial) hi
@@ -305,7 +307,7 @@ let test_matrix_partial_journals () =
       truncate_journal_to path ~records:(total_shards / 2);
       let final = ref None in
       match
-        Engine.run_matrix ~jobs:2
+        Drive.scans ~jobs:2
           ~observe:(fun s -> final := Some s)
           [ journaled true; bare ]
       with
@@ -359,7 +361,7 @@ let test_catalogue_resume_by_fingerprint () =
           ~policy:(Spec.make_policy ~catalogue:dir ~resume ())
           (Lazy.force hi_golden)
       in
-      let first = Engine.run_spec ~jobs:2 (spec false) in
+      let first = Drive.scan ~jobs:2 (spec false) in
       check_scans_identical "catalogued run" (Lazy.force hi_serial) first;
       let fp = Engine.fingerprint_spec (spec false) in
       (match Catalog.lookup ~dir ~fingerprint:fp with
@@ -371,7 +373,7 @@ let test_catalogue_resume_by_fingerprint () =
          re-conducted. *)
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~jobs:2 ~observe:(fun s -> snap := Some s) (spec true)
+        Drive.scan ~jobs:2 ~observe:(fun s -> snap := Some s) (spec true)
       in
       check_scans_identical "resumed from catalogue" (Lazy.force hi_serial)
         resumed;
@@ -388,8 +390,9 @@ let test_resume_needs_journal_or_catalogue () =
       (Lazy.force hi_golden)
   in
   Alcotest.check_raises "resume without journal or catalogue"
-    (Invalid_argument "Engine.run: ~resume requires ~journal") (fun () ->
-      ignore (Engine.run_spec spec))
+    (Invalid_argument "Engine.run_matrix_results: ~resume requires ~journal")
+    (fun () ->
+      ignore (Drive.scan spec))
 
 (* ------------------------------------------------------------------ *)
 (* The paper matrix                                                   *)
@@ -405,7 +408,7 @@ let test_paper_matrix_equals_serial () =
           Scan.pruned ~variant:"sum+dmr" (Golden.run (hardened ())) ])
       Suite.paper_pairs
   in
-  let scans = Engine.run_matrix ~jobs:2 (Suite.paper_specs ()) in
+  let scans = Drive.scans ~jobs:2 (Suite.paper_specs ()) in
   List.iteri
     (fun i (expected, got) ->
       check_scans_identical

@@ -3,8 +3,9 @@
    rejection, endpoint parsing, the -j semantics for remote hosts, and
    loopback differential equivalence — a campaign conducted by remote
    worker daemons must be bit-identical to the Processes, Domains and
-   serial conductors, including after a daemon vanishes mid-campaign
-   and the journal is healed with --resume.  The slow/adversarial
+   serial conductors (at -j 1 down to the journal bytes), including
+   after a daemon vanishes mid-campaign and the journal is healed with
+   --resume.  The slow/adversarial
    network crash matrix lives in torture.ml behind @torture. *)
 
 let contains = Astring_contains.contains
@@ -364,7 +365,7 @@ let test_worker_daemon_auth () =
               | Ok _ -> ()
               | Error msg -> Alcotest.failf "armed probe refused: %s" msg);
               let result =
-                Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+                Drive.cell ~backend:(sockets_of addr) ~jobs:2
                   ~secret
                   (Spec.of_golden (Lazy.force hi_golden))
               in
@@ -416,7 +417,7 @@ let test_resolve_jobs_sockets () =
   Alcotest.(check bool) "tag roundtrip" true
     (Pool.backend_of_string (Pool.backend_tag sockets) = Some (Pool.Sockets []));
   match
-    Engine.run_spec ~backend:(Pool.Sockets [])
+    Drive.scan ~backend:(Pool.Sockets [])
       (Spec.of_golden (Lazy.force hi_golden))
   with
   | _ -> Alcotest.fail "Sockets [] must be rejected"
@@ -537,27 +538,72 @@ let test_sockets_equal_serial_memory () =
       List.iter
         (fun jobs ->
           let sock =
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs spec
+            Drive.scan ~backend:(sockets_of addr) ~jobs spec
           in
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = serial" jobs)
             serial sock;
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = processes" jobs)
-            (Engine.run_spec ~backend:Pool.Processes ~jobs:2 spec)
+            (Drive.scan ~backend:Pool.Processes ~jobs:2 spec)
             sock;
           check_scans_identical
             (Printf.sprintf "hi sockets -j %d = domains" jobs)
-            (Engine.run_spec ~backend:Pool.Domains ~jobs:2 spec)
+            (Drive.scan ~backend:Pool.Domains ~jobs:2 spec)
             sock)
-        [ 1; 2; 0 ])
+        [ 1; 2; 0 ];
+      (* At -j 1 records land in shard order on every backend, so the
+         three journals must be byte-identical — one worker loop, one
+         record-apply path.  A cache-dir re-run of the cell is then
+         served from the published journal. *)
+      let policy ?journal ?cache () =
+        Spec.make_policy ~shard_size:1 ?journal ?cache ()
+      in
+      let run ?journal ?cache backend =
+        Drive.cell ~backend ~jobs:1
+          (Spec.of_golden ~policy:(policy ?journal ?cache ())
+             (Lazy.force hi_golden))
+      in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let journal_of backend =
+        with_temp_file (fun path ->
+            check_scans_identical
+              (Pool.backend_tag backend ^ " journaled -j 1 = serial")
+              serial (run ~journal:path backend).Engine.scan;
+            read path)
+      in
+      let domains = journal_of Pool.Domains in
+      Alcotest.(check string) "processes journal = domains journal" domains
+        (journal_of Pool.Processes);
+      Alcotest.(check string) "sockets journal = domains journal" domains
+        (journal_of (sockets_of addr));
+      let dir = Filename.temp_file "finet" ".store" in
+      Sys.remove dir;
+      with_temp_file (fun path ->
+          Fun.protect
+            ~finally:(fun () ->
+              Array.iter
+                (fun f -> Sys.remove (Filename.concat dir f))
+                (Sys.readdir dir);
+              Sys.rmdir dir)
+            (fun () ->
+              let cold = run ~journal:path ~cache:dir (sockets_of addr) in
+              Alcotest.(check bool) "cold cache run is a miss" false
+                cold.Engine.cached;
+              Alcotest.(check string) "cold cache journal = domains journal"
+                domains (read path);
+              let warm = run ~cache:dir Pool.Processes in
+              Alcotest.(check bool) "re-run served from the cache" true
+                warm.Engine.cached;
+              check_scans_identical "cache hit = journaled run" serial
+                warm.Engine.scan)))
 
 let test_sockets_equal_serial_registers () =
   let rs = Lazy.force hi_regs in
   let serial = Regspace.scan rs in
   with_daemon (fun addr ->
       check_scans_identical "hi registers sockets = serial" serial
-        (Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
+        (Drive.scan ~backend:(sockets_of addr) ~jobs:2
            (Spec.of_regspace rs)))
 
 let test_sockets_matrix () =
@@ -578,7 +624,7 @@ let test_sockets_matrix () =
   with_daemon (fun addr ->
       let snap = ref None in
       let scans =
-        Engine.run_matrix ~backend:(sockets_of addr) ~jobs:2
+        Drive.scans ~backend:(sockets_of addr) ~jobs:2
           ~observe:(fun s -> snap := Some s)
           specs
       in
@@ -619,7 +665,7 @@ let test_remote_crash_and_resume () =
       with_torture "exit:0:0" (fun () ->
           with_daemon (fun addr ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec false)
+                Drive.scan ~backend:(sockets_of addr) ~jobs:2 (spec false)
               with
               | _ -> Alcotest.fail "expected Worker_failed"
               | exception Engine.Worker_failed msg ->
@@ -631,7 +677,7 @@ let test_remote_crash_and_resume () =
       (* The crashed daemon is gone; a fresh fleet heals the campaign. *)
       with_daemon (fun addr ->
           let resumed =
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec true)
+            Drive.scan ~backend:(sockets_of addr) ~jobs:2 (spec true)
           in
           check_scans_identical "remote crash + resume = serial" serial
             resumed))

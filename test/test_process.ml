@@ -71,13 +71,13 @@ let test_processes_equal_serial_memory () =
   let spec = Spec.of_golden (Lazy.force hi_golden) in
   List.iter
     (fun jobs ->
-      let proc = Engine.run_spec ~backend:Pool.Processes ~jobs spec in
+      let proc = Drive.scan ~backend:Pool.Processes ~jobs spec in
       check_scans_identical
         (Printf.sprintf "hi processes -j %d = serial" jobs)
         serial proc;
       check_scans_identical
         (Printf.sprintf "hi processes -j %d = domains" jobs)
-        (Engine.run_spec ~backend:Pool.Domains ~jobs spec)
+        (Drive.scan ~backend:Pool.Domains ~jobs spec)
         proc)
     [ 1; 2; 4 ]
 
@@ -89,7 +89,7 @@ let test_processes_equal_serial_registers () =
       check_scans_identical
         (Printf.sprintf "hi registers processes -j %d" jobs)
         serial
-        (Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_regspace rs)))
+        (Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_regspace rs)))
     [ 1; 2 ]
 
 let test_processes_matrix () =
@@ -109,7 +109,7 @@ let test_processes_matrix () =
   in
   let snap = ref None in
   let scans =
-    Engine.run_matrix ~backend:Pool.Processes ~jobs:2
+    Drive.scans ~backend:Pool.Processes ~jobs:2
       ~observe:(fun s -> snap := Some s)
       specs
   in
@@ -150,7 +150,7 @@ let qcheck_processes_equal_serial =
       in
       let golden = Golden.run (Codegen.compile source) in
       Scan.pruned golden
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
+      = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
 
 (* ------------------------------------------------------------------ *)
 (* Journaled resume under the process backend                         *)
@@ -164,7 +164,7 @@ let test_processes_resume () =
   let golden = Lazy.force flag1_golden in
   with_temp_file (fun path ->
       let full =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           (Spec.of_golden ~policy:(policy ~journal:path ()) golden)
       in
       check_scans_identical "journaled process run" serial full;
@@ -177,7 +177,7 @@ let test_processes_resume () =
         ^ "\nf00dfeed torn-shard-rec");
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_golden ~policy:(policy ~journal:path ~resume:true ()) golden)
       in
@@ -197,7 +197,7 @@ let test_processes_resume () =
 let journaled_run ?(shard_size = 1) () =
   with_temp_file (fun path ->
       ignore
-        (Engine.run_spec ~jobs:1
+        (Drive.scan ~jobs:1
            (Spec.of_golden
               ~policy:(policy ~journal:path ~shard_size ())
               (Lazy.force hi_golden)));
@@ -235,7 +235,7 @@ let test_resume_rejects_corrupt_journal () =
         (String.mapi (fun i c -> if i = target then 'X' else c) text);
       let resume () =
         ignore
-          (Engine.run_spec ~jobs:1
+          (Drive.scan ~jobs:1
              (Spec.of_golden
                 ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
                 golden))
@@ -264,7 +264,7 @@ let test_resume_rejects_duplicate_record () =
       in
       write_file path (text ^ first_record ^ "\n");
       match
-        Engine.run_spec ~jobs:1
+        Drive.scan ~jobs:1
           (Spec.of_golden
              ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
              golden)
@@ -296,7 +296,7 @@ let test_worker_crash_and_resume () =
          journal valid, and resume to the bit-identical result. *)
       (match
          with_torture "exit:0:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+             Drive.scan ~backend:Pool.Processes ~jobs:2 (spec false))
        with
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed msg ->
@@ -306,7 +306,7 @@ let test_worker_crash_and_resume () =
       | Some (_, _, Journal.Clean) -> ()
       | _ -> Alcotest.fail "journal not CRC-valid after worker death");
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec true)
+        Drive.scan ~backend:Pool.Processes ~jobs:2 (spec true)
       in
       check_scans_identical "crash + resume = serial" serial resumed)
 

@@ -96,7 +96,7 @@ let heal_round_trip ~torture ~expect_reason () =
   let snap = ref None in
   let result =
     with_torture torture (fun () ->
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+        Drive.cell ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           ~on_event:(fun msg -> events := msg :: !events)
           (Spec.of_golden
@@ -130,7 +130,7 @@ let test_transient_crash_heals () =
   let snap = ref None in
   let result =
     with_torture "exit:0:0" (fun () ->
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+        Drive.cell ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_golden ~policy:(sup_policy ()) golden))
   in
@@ -159,7 +159,7 @@ let test_poison_quarantine_and_resume () =
   with_temp_file (fun path ->
       let degraded =
         with_torture "poison:1" (fun () ->
-            Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+            Drive.cell ~backend:Pool.Processes ~jobs:2
               (Spec.of_golden
                  ~policy:
                    (sup_policy ~journal:path ~max_retries:1 ~quarantine:true
@@ -202,7 +202,7 @@ let test_poison_quarantine_and_resume () =
         (Runcell.journal_finished path);
       (* Resume without the poison: bit-identical, nothing isolated. *)
       let healed =
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+        Drive.cell ~backend:Pool.Processes ~jobs:2
           (Spec.of_golden
              ~policy:
                (sup_policy ~journal:path ~resume:true ~max_retries:1
@@ -222,7 +222,7 @@ let test_scan_only_raises_on_quarantine () =
   let golden = Lazy.force hi_golden in
   match
     with_torture "poison:1" (fun () ->
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           (Spec.of_golden
              ~policy:(sup_policy ~max_retries:0 ~quarantine:true ())
              golden))
@@ -240,7 +240,7 @@ let test_journal_finished () =
   let golden = Lazy.force hi_golden in
   with_temp_file (fun path ->
       ignore
-        (Engine.run_spec ~jobs:1
+        (Drive.scan ~jobs:1
            (Spec.of_golden
               ~policy:(Spec.make_policy ~journal:path ~shard_size:1 ())
               golden));

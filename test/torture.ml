@@ -62,7 +62,7 @@ let test_differential_fixtures () =
           check_scans_identical
             (Printf.sprintf "%s processes -j %d" name jobs)
             (Lazy.force serial)
-            (Engine.run_spec ~backend:Pool.Processes ~jobs
+            (Drive.scan ~backend:Pool.Processes ~jobs
                (Spec.of_golden (Lazy.force golden))))
         [ 1; 2; 3 ])
     [ ("hi", hi_serial, hi_golden); ("flag1", flag1_serial, flag1_golden) ]
@@ -87,7 +87,7 @@ let crash_round_trip mode =
          with_torture
            (Printf.sprintf "%s:1" mode)
            (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+             Drive.scan ~backend:Pool.Processes ~jobs:2 (spec false))
        with
       | _ -> Alcotest.failf "%s: expected Worker_failed" mode
       | exception Engine.Worker_failed msg ->
@@ -108,7 +108,7 @@ let crash_round_trip mode =
       | None -> Alcotest.failf "%s: campaign journal unreadable" mode);
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (spec true)
       in
@@ -132,7 +132,7 @@ let test_crash_immediately () =
   with_temp_file (fun path ->
       (match
          with_torture "sigkill:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
+             Drive.scan ~backend:Pool.Processes ~jobs:2
                (Spec.of_golden
                   ~policy:(policy ~journal:path ~shard_size:1 ())
                   golden))
@@ -140,7 +140,7 @@ let test_crash_immediately () =
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed _ -> ());
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           (Spec.of_golden
              ~policy:(policy ~journal:path ~resume:true ~shard_size:1 ())
              golden)
@@ -165,14 +165,14 @@ let test_crash_stride_churn () =
       in
       (match
          with_torture "sigkill:1" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
+             Drive.scan ~backend:Pool.Processes ~jobs:2
                (spec ~resume:false ~stride:8))
        with
       | _ -> Alcotest.fail "expected Worker_failed"
       | exception Engine.Worker_failed _ -> ());
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (spec ~resume:true ~stride:0)
       in
@@ -214,7 +214,7 @@ let qcheck_differential_memory =
     (fun (seed, jobs) ->
       let golden = random_golden seed in
       Scan.pruned golden
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
+      = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
 
 let qcheck_differential_registers =
   QCheck.Test.make
@@ -235,7 +235,7 @@ let qcheck_differential_registers =
       in
       let rs = Regspace.analyze (Codegen.compile source) in
       Regspace.scan rs
-      = Engine.run_spec ~backend:Pool.Processes ~jobs (Spec.of_regspace rs))
+      = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_regspace rs))
 
 (* ------------------------------------------------------------------ *)
 (* Supervision: heal, exhaust, quarantine — and compose with resume   *)
@@ -258,7 +258,7 @@ let supervised_heal torture =
   let snap = ref None in
   let result =
     with_torture torture (fun () ->
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+        Drive.cell ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_golden
              ~policy:(sup_policy ~shard_size:1 ~shard_timeout:0.4 ())
@@ -288,7 +288,7 @@ let test_retry_exhaustion_then_resume () =
   with_temp_file (fun path ->
       (match
          with_torture "poison:0" (fun () ->
-             Engine.run_spec ~backend:Pool.Processes ~jobs:2
+             Drive.scan ~backend:Pool.Processes ~jobs:2
                (Spec.of_golden
                   ~policy:
                     (sup_policy ~journal:path ~shard_size:1 ~max_retries:1 ())
@@ -316,7 +316,7 @@ let test_retry_exhaustion_then_resume () =
       | _ -> Alcotest.fail "campaign journal not clean after exhaustion");
       let snap = ref None in
       let resumed =
-        Engine.run_spec ~backend:Pool.Processes ~jobs:2
+        Drive.scan ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_golden
              ~policy:
@@ -340,7 +340,7 @@ let test_quarantine_then_resume () =
   with_temp_file (fun path ->
       let degraded =
         with_torture "poison:1" (fun () ->
-            Engine.run_spec_result ~backend:Pool.Processes ~jobs:3
+            Drive.cell ~backend:Pool.Processes ~jobs:3
               (Spec.of_golden
                  ~policy:
                    (sup_policy ~journal:path ~shard_size:1 ~max_retries:1
@@ -365,7 +365,7 @@ let test_quarantine_then_resume () =
           Alcotest.failf "expected exactly one quarantined shard, got %d"
             (List.length qs));
       let healed =
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:3
+        Drive.cell ~backend:Pool.Processes ~jobs:3
           (Spec.of_golden
              ~policy:
                (sup_policy ~journal:path ~resume:true ~shard_size:1
@@ -390,7 +390,7 @@ let test_sustained_churn_heals () =
   let snap = ref None in
   let result =
     with_torture "sigkill:1" (fun () ->
-        Engine.run_spec_result ~backend:Pool.Processes ~jobs:2
+        Drive.cell ~backend:Pool.Processes ~jobs:2
           ~observe:(fun s -> snap := Some s)
           (Spec.of_golden
              ~policy:(sup_policy ~shard_size ~quarantine:true ())
@@ -412,7 +412,7 @@ let test_supervision_invisible_when_healthy () =
   let serial = Lazy.force flag1_serial in
   let snap = ref None in
   let result =
-    Engine.run_spec_result ~backend:Pool.Processes ~jobs:3
+    Drive.cell ~backend:Pool.Processes ~jobs:3
       ~observe:(fun s -> snap := Some s)
       (Spec.of_golden
          ~policy:(sup_policy ~shard_timeout:30. ~quarantine:true ())
@@ -437,7 +437,7 @@ let qcheck_supervised_crash_heals =
       let golden = random_golden seed in
       let result =
         with_torture "exit:0:0" (fun () ->
-            Engine.run_spec_result ~backend:Pool.Processes ~jobs
+            Drive.cell ~backend:Pool.Processes ~jobs
               (Spec.of_golden ~policy:(sup_policy ()) golden))
       in
       result.Engine.quarantined = []
@@ -459,13 +459,13 @@ let qcheck_sigkill_resume =
           let died =
             match
               with_torture "sigkill:1" (fun () ->
-                  Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec false))
+                  Drive.scan ~backend:Pool.Processes ~jobs:2 (spec false))
             with
             | _ -> false
             | exception Engine.Worker_failed _ -> true
           in
           let resumed =
-            Engine.run_spec ~backend:Pool.Processes ~jobs:2 (spec true)
+            Drive.scan ~backend:Pool.Processes ~jobs:2 (spec true)
           in
           died && Scan.pruned golden = resumed))
 
@@ -507,7 +507,7 @@ let net_round_trip mode =
         (fun () ->
           with_daemon (fun addr ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec false)
+                Drive.scan ~backend:(sockets_of addr) ~jobs:2 (spec false)
               with
               | _ -> Alcotest.failf "net %s: expected Worker_failed" mode
               | exception Engine.Worker_failed msg ->
@@ -527,7 +527,7 @@ let net_round_trip mode =
       let snap = ref None in
       let resumed =
         with_daemon (fun addr ->
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
+            Drive.scan ~backend:(sockets_of addr) ~jobs:2
               ~observe:(fun s -> snap := Some s)
               (spec true))
       in
@@ -557,7 +557,7 @@ let net_heal torture =
   let result =
     with_torture torture (fun () ->
         with_daemon (fun addr ->
-            Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:2
+            Drive.cell ~backend:(sockets_of addr) ~jobs:2
               ~observe:(fun s -> snap := Some s)
               (Spec.of_golden
                  ~policy:(sup_policy ~shard_size:1 ~shard_timeout:0.4 ())
@@ -586,7 +586,7 @@ let test_net_quarantine_then_resume () =
       let degraded =
         with_torture "poison:1" (fun () ->
             with_daemon ~workers:3 (fun addr ->
-                Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:3
+                Drive.cell ~backend:(sockets_of addr) ~jobs:3
                   (Spec.of_golden
                      ~policy:
                        (sup_policy ~journal:path ~shard_size:1 ~max_retries:1
@@ -600,7 +600,7 @@ let test_net_quarantine_then_resume () =
             (List.length qs));
       let healed =
         with_daemon ~workers:3 (fun addr ->
-            Engine.run_spec_result ~backend:(sockets_of addr) ~jobs:3
+            Drive.cell ~backend:(sockets_of addr) ~jobs:3
               (Spec.of_golden
                  ~policy:
                    (sup_policy ~journal:path ~resume:true ~shard_size:1
@@ -655,7 +655,7 @@ let test_net_half_open () =
               | Ok _ -> Alcotest.fail "half-open peer passed the probe"
               | Error _ -> ());
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:1
+                Drive.scan ~backend:(sockets_of addr) ~jobs:1
                   (Spec.of_golden (Lazy.force hi_golden))
               with
               | _ -> Alcotest.fail "expected Worker_failed"
@@ -684,7 +684,7 @@ let test_net_daemon_vanishes_then_resume () =
             ~finally:(fun () -> if not !killed then Remote.kill_daemon pid)
             (fun () ->
               match
-                Engine.run_spec ~backend:(sockets_of addr) ~jobs:2
+                Drive.scan ~backend:(sockets_of addr) ~jobs:2
                   ~observe:(fun s ->
                     (* First merged shard: pull the plug on the fleet. *)
                     if (not !killed) && s.Progress.shards_done >= 1 then begin
@@ -704,7 +704,7 @@ let test_net_daemon_vanishes_then_resume () =
       | _ -> Alcotest.fail "campaign journal not clean after daemon death");
       let resumed =
         with_daemon (fun addr ->
-            Engine.run_spec ~backend:(sockets_of addr) ~jobs:2 (spec true))
+            Drive.scan ~backend:(sockets_of addr) ~jobs:2 (spec true))
       in
       check_scans_identical "vanished fleet + resume = serial" serial resumed)
 
