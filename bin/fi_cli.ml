@@ -126,11 +126,12 @@ let engine_opts_term =
   let backend =
     let doc =
       "Campaign execution backend: $(b,domains) (shared-memory OCaml \
-       domains in this process), $(b,processes) (fork/exec'd worker \
-       processes, one crash-isolated journal segment each — a killed \
-       worker only costs its unfinished shards, which $(b,--resume) \
-       replays) or $(b,sockets) (remote worker daemons — requires \
-       $(b,--workers)).  Results are bit-identical in every case."
+       domains in this process), $(b,processes) (fork/exec'd, \
+       crash-isolated worker processes — a killed worker only costs its \
+       unfinished shards, which supervision or $(b,--resume) replays) or \
+       $(b,sockets) (remote worker daemons — requires $(b,--workers)).  \
+       Both worker backends speak one frame protocol.  Results are \
+       bit-identical in every case."
     in
     Arg.(
       value
@@ -148,9 +149,9 @@ let engine_opts_term =
     let doc =
       "Comma-separated $(b,HOST:PORT) addresses of remote worker daemons \
        (each started with $(b,fi-cli worker serve)).  Implies $(b,--backend \
-       sockets).  Jobs and journal-segment records cross the connections; \
-       the journal stays the only shared state, so $(b,--resume) heals a \
-       campaign whose remote workers vanished."
+       sockets).  Jobs and shard records cross the connections; the \
+       local journal stays the only durable state, so $(b,--resume) heals \
+       a campaign whose remote workers vanished."
     in
     Arg.(
       value
@@ -1061,20 +1062,17 @@ let worker_cmd =
             authenticate each via the protocol-version + binary-digest \
             handshake (both ends must run the byte-identical fi-cli \
             binary), and conduct the shipped shards exactly as a local \
-            $(b,--backend processes) worker would, streaming journal \
-            records back over the connection.  Runs until killed.")
+            $(b,--backend processes) worker would, over the same frame \
+            protocol.  Runs until killed.")
       Term.(const action $ listen $ workers $ secret)
   in
-  let stdio_action () = Worker.serve ~input:stdin ~output:stdout in
   Cmd.group
-    ~default:Term.(const stdio_action $ const ())
     (Cmd.info "worker"
        ~doc:
-         "Campaign worker entry points: the default serves one job over \
-          stdin/stdout (the $(b,--backend processes) child protocol, \
-          normally entered automatically via the $(b,FI_ENGINE_WORKER) \
-          environment variable); $(b,worker serve) runs a remote worker \
-          daemon for $(b,--backend sockets).")
+         "Remote campaign workers: $(b,worker serve) runs a worker \
+          daemon for $(b,--backend sockets).  Local \
+          $(b,--backend processes) workers need no entry point: the \
+          engine re-executes this binary with $(b,FI_ENGINE_WORKER) set.")
     [ serve_cmd ]
 
 (* ------------------------------------------------------------------ *)

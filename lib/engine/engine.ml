@@ -59,7 +59,7 @@ let resolve_journal ~fingerprint (policy : Spec.policy) =
 
 (* A well-formed record for one of [plan]'s shards whose outcome
    characters all decode — from a journal, a cache entry or a worker's
-   segment alike. *)
+   [Seg] frame alike. *)
 let parse_record plan payload =
   match Runcell.parse_record plan payload with
   | Some (_, outs) as r
@@ -280,52 +280,55 @@ type cell_mode =
   | Local_processes of int
   | Remote_hosts of (Addr.t * int) array
 
-(* The supervisor's handle on one spawned worker.  [Piped] is a local
-   fork/exec child (doorbell pipe + journal segment).  [Netted] is a
-   connection to a remote daemon's worker: the same two streams arrive
-   re-framed ([Door] and [Seg] frames), and tearing the connection down
-   replaces SIGKILL.  [Stillborn] is a dispatch that never produced a
-   worker (connect or handshake failure): it settles through the
-   ordinary supervision path, so refusals and dead hosts earn retries,
-   backoff and quarantine exactly like any other worker death. *)
-type link =
-  | Piped of Worker.child
-  | Netted of Remote.client
-  | Stillborn of { sb_index : int; sb_assigned : int array; sb_peer : string }
+(* How the supervisor stops one spawned worker.  Every live worker is a
+   {!Transport.conn} speaking the {!Worker} frame protocol; only the
+   stop differs.  A local child is SIGKILLed and reaped, which leaves
+   its exit status to explain it; a remote daemon's worker is stopped
+   by tearing its connection down, and its address holds one of that
+   host's seats while it lives.  [Stillborn] is a dispatch that never
+   produced a worker (connect or handshake failure): it settles through
+   the ordinary supervision path, so refusals and dead hosts earn
+   retries, backoff and quarantine exactly like any other worker
+   death. *)
+type stop = Sigkill of int | Teardown of Addr.t | Stillborn of string
 
-let link_assigned = function
-  | Piped c -> Worker.assigned c
-  | Netted (c : Remote.client) -> c.Remote.assigned
-  | Stillborn s -> s.sb_assigned
-
-let link_who = function
-  | Piped c ->
-      Printf.sprintf "worker %d (pid %d)" (Worker.index c) (Worker.pid c)
-  | Netted c ->
-      Printf.sprintf "remote worker %d (%s)" c.Remote.index
-        (Transport.peer c.Remote.conn)
-  | Stillborn s -> Printf.sprintf "remote worker %d (%s)" s.sb_index s.sb_peer
-
-(* One record per spawned worker: its event stream, heartbeat clocks,
-   the read cursor into its journal segment (local workers), and what
-   became of it. *)
+(* One record per spawned worker: its frame stream, heartbeat clocks,
+   and what became of it. *)
 type tracked = {
-  link : link;
+  conn : Transport.conn option;  (** [None] only when stillborn. *)
+  stop : stop;
+  index : int;
+  assigned : int array;
   t_rt : runtime;
-  spawned_at : float;
   mutable last_beat : float;  (** Last doorbell activity seen. *)
   mutable last_progress : float;  (** Last [s]/[end] doorbell line. *)
-  mutable st_pending : string;  (** Partial trailing doorbell line. *)
-  mutable seg_fd : Unix.file_descr option;
-  mutable seg_pending : string;  (** Partial trailing segment line. *)
   mutable header_ok : bool;
   mutable corrupt : string option;
   mutable killed : string option;  (** Supervisor teardown reason. *)
-  mutable remote_err : string option;  (** [Err] frame / frame corruption. *)
+  mutable wire_err : string option;
+      (** [Err] frame, frame corruption or failed dispatch. *)
   mutable eof : bool;
-  mutable status : Unix.process_status option;
+  mutable status : Unix.process_status option;  (** A local child's. *)
   mutable settled : bool;
 }
+
+let who t =
+  match t.stop with
+  | Sigkill pid -> Printf.sprintf "worker %d (pid %d)" t.index pid
+  | Teardown addr ->
+      Printf.sprintf "remote worker %d (%s)" t.index (Addr.to_string addr)
+  | Stillborn peer -> Printf.sprintf "remote worker %d (%s)" t.index peer
+
+(* End a worker's stream: close the connection and reap a local child,
+   SIGKILLing it first when it may still be running. *)
+let end_stream ?(kill = false) t =
+  t.eof <- true;
+  match t.stop with
+  | Sigkill pid ->
+      if kill then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      Option.iter Transport.close t.conn;
+      t.status <- Some (snd (Unix.waitpid [] pid))
+  | Teardown _ | Stillborn _ -> Option.iter Transport.close t.conn
 
 let signal_name s =
   if s = Sys.sigkill then "SIGKILL"
@@ -334,15 +337,27 @@ let signal_name s =
   else if s = Sys.sigsegv then "SIGSEGV"
   else Printf.sprintf "signal %d" s
 
-(* Protocol lines on the doorbell (pipe lines or [Door] frames): [h] is
-   a heartbeat, [s <id>] and [end] are shard progress (and count as
-   beats too).  Anything else is stray stdout from the hosted binary's
-   own initialisation (the worker is a re-exec of whatever executable
-   embeds the engine) and must NOT count as a heartbeat — otherwise one
-   banner line at startup makes a genuinely hung worker look merely
-   stalled.  Distinguishing beats from progress is what separates a
-   hung worker (silent) from a stalled one (chatty, but going
-   nowhere). *)
+(* A worker's cause of death.  A local child is judged by its exit
+   status before anything its connection showed: a frame cut short by
+   its death is its torn tail, not wire corruption. *)
+let status_cause t =
+  let describe = function
+    | Unix.WEXITED 0 -> "exited 0 with unfinished shards"
+    | Unix.WEXITED n -> Printf.sprintf "exited with code %d" n
+    | Unix.WSIGNALED s -> Printf.sprintf "was killed by %s" (signal_name s)
+    | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
+  in
+  match (t.killed, t.corrupt, t.status, t.wire_err) with
+  | Some reason, _, _, _ | None, Some reason, _, _ -> reason
+  | None, None, Some st, None -> describe st
+  | None, None, Some st, Some _ when st <> Unix.WEXITED 0 -> describe st
+  | None, None, _, Some err -> err
+  | None, None, None, None -> "closed its connection with unfinished shards"
+
+(* Doorbell lines ([Door] frames): [h] is a heartbeat, [s <id>] and
+   [end] are shard progress (and count as beats too).  Distinguishing
+   beats from progress is what separates a hung worker (silent) from a
+   stalled one (chatty, but going nowhere). *)
 let note_door_line t line now =
   if line = "end" || (String.length line >= 2 && String.sub line 0 2 = "s ")
   then begin
@@ -350,22 +365,6 @@ let note_door_line t line now =
     t.last_progress <- now
   end
   else if line = "h" then t.last_beat <- now
-
-(* Feed every complete line of [pending ^ data] to [f] and return the
-   trailing partial line, which stays pending (a torn tail). *)
-let split_lines pending data f =
-  let rec go = function
-    | [] -> ""
-    | [ tail ] -> tail
-    | line :: rest ->
-        f line;
-        go rest
-  in
-  go (String.split_on_char '\n' (pending ^ data))
-
-let note_status_data t data now =
-  t.st_pending <-
-    split_lines t.st_pending data (fun line -> note_door_line t line now)
 
 (* When supervision is on but no [--shard-timeout] was given and no
    shard has completed yet, this ceiling bounds the wait for the very
@@ -538,109 +537,51 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
       in
 
       (* -------------------------------------------------------------- *)
-      (* Processes backend: fork/exec'd workers, one journal segment
-         each, merged into the campaign journal as doorbells arrive.
-         Cells run one after another (each gets the full worker count).
-         With supervision off (the library default policy), a dead or
-         corrupt worker is recorded and reported after every cell has
-         been driven as far as it will go — the seed behaviour.  With
-         supervision on, a dead/hung/stalled worker's unfinished shards
-         are re-dispatched (bounded, with backoff), and a shard that
-         exhausts its budget is quarantined or failed per policy. *)
+      (* Worker backends (Processes and Sockets): every worker, local or
+         remote, is a connection carrying [Seg]/[Door] frames, merged
+         into the campaign journal as they arrive.  Cells run one after
+         another (each gets the full worker count).  With supervision
+         off (the library default policy), a dead or corrupt worker is
+         recorded and reported after every cell has been driven as far
+         as it will go.  With supervision on, a dead/hung/stalled
+         worker's unfinished shards are re-dispatched (bounded, with
+         backoff), and a shard that exhausts its budget is quarantined
+         or failed per policy. *)
       (* -------------------------------------------------------------- *)
-      (* One merge path for both worker backends: a local worker's
-         journal segment and a remote worker's [Seg] frame stream carry
-         the same CRC-guarded lines (header first, then one record per
-         shard), so the dedup / fingerprint / corruption verdicts cannot
-         diverge between them. *)
+      (* The one merge path: [Seg] lines are CRC-guarded journal lines
+         (header first, then one record per shard), so the dedup /
+         fingerprint / corruption verdicts are the same for every
+         worker. *)
       let merge_line t line =
-        let source () =
-          match t.link with
-          | Piped c -> Printf.sprintf "segment line in %s" (Worker.segment c)
-          | Netted _ | Stillborn _ -> "record line over its connection"
-        in
         if t.corrupt = None then
           match Journal.decode_line line with
-          | None ->
-              t.corrupt <-
-                Some (Printf.sprintf "wrote a CRC-invalid %s" (source ()))
+          | None -> t.corrupt <- Some "sent a CRC-invalid record line"
           | Some payload ->
               if not t.header_ok then (
                 match Worker.segment_fingerprint payload with
                 | Some fp when fp = t.t_rt.fp -> t.header_ok <- true
                 | Some _ ->
                     t.corrupt <-
-                      Some "wrote a segment for a different campaign"
-                | None -> t.corrupt <- Some "wrote a malformed segment header")
+                      Some "sent a header for a different campaign"
+                | None -> t.corrupt <- Some "sent a malformed header line")
               else
                 match parse_record t.t_rt.plan payload with
-                | None -> t.corrupt <- Some "wrote a malformed segment record"
+                | None -> t.corrupt <- Some "sent a malformed shard record"
                 | Some (shard, outs) ->
                     if not t.t_rt.shard_done.(shard.Shard.id) then
                       complete_shard t.t_rt shard outs
       in
-      (* Tail a local worker's segment from the last read position;
-         complete lines are merged, a trailing partial line (torn tail)
-         stays pending.  Remote workers have no segment file — their
-         lines were merged as [Seg] frames arrived — so this is a no-op
-         for them. *)
-      let drain t =
-        match t.link with
-        | Netted _ | Stillborn _ -> ()
-        | Piped child -> (
-            if t.seg_fd = None then (
-              try
-                t.seg_fd <-
-                  Some
-                    (Unix.openfile (Worker.segment child) [ Unix.O_RDONLY ] 0)
-              with Unix.Unix_error _ -> ());
-            match t.seg_fd with
-            | None -> ()
-            | Some fd ->
-                let chunk = Bytes.create 65536 in
-                let data = Buffer.create 256 in
-                let continue = ref true in
-                while !continue do
-                  match Sysio.read_once fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> continue := false
-                  | n -> Buffer.add_subbytes data chunk 0 n
-                done;
-                t.seg_pending <-
-                  split_lines t.seg_pending (Buffer.contents data)
-                    (merge_line t))
-      in
-      let status_cause t =
-        match (t.killed, t.corrupt, t.link) with
-        | Some reason, _, _ -> reason
-        | None, Some c, _ -> c
-        | None, None, (Netted _ | Stillborn _) -> (
-            match t.remote_err with
-            | Some e -> e
-            | None -> "closed its connection with unfinished shards")
-        | None, None, Piped _ -> (
-            match t.status with
-            | Some (Unix.WEXITED 0) -> "exited 0 with unfinished shards"
-            | Some (Unix.WEXITED n) -> Printf.sprintf "exited with code %d" n
-            | Some (Unix.WSIGNALED s) ->
-                Printf.sprintf "was killed by %s" (signal_name s)
-            | Some (Unix.WSTOPPED s) ->
-                Printf.sprintf "stopped by %s" (signal_name s)
-            | None -> "was never reaped")
-      in
-      (* Everything a remote worker says arrives as frames; doorbell
-         lines and segment lines feed the exact machinery the pipe
-         backend uses. *)
       let handle_frame t (kind, payload) =
         match kind with
         | Frame.Door -> note_door_line t payload (Unix.gettimeofday ())
         | Frame.Seg -> merge_line t payload
         | Frame.Err ->
-            if t.remote_err = None then
-              t.remote_err <- Some (Printf.sprintf "reported: %s" payload)
+            if t.wire_err = None then
+              t.wire_err <- Some (Printf.sprintf "reported: %s" payload)
         | Frame.Hello | Frame.Job | Frame.Submit | Frame.Stat | Frame.Prog
         | Frame.Res ->
-            if t.remote_err = None then
-              t.remote_err <-
+            if t.wire_err = None then
+              t.wire_err <-
                 Some
                   (Printf.sprintf "sent an unexpected %s frame"
                      (Frame.kind_tag kind))
@@ -675,11 +616,6 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           let redial_patience = 2.0 in
           (* (shard id, earliest dispatch time); dispatch sorts by id. *)
           let queue = ref (List.map (fun id -> (id, 0.)) (Array.to_list pending_ids)) in
-          let seg_path i =
-            match rt.journal_path with
-            | Some p -> Printf.sprintf "%s.seg%d" p i
-            | None -> Filename.temp_file "fi-segment" ".journal"
-          in
           let live () = List.filter (fun t -> not t.eof) !tracked in
           (* Per-host seat accounting for the sockets backend: a host's
              live connections occupy its seats; stillborn dispatches
@@ -687,8 +623,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           let host_live addr =
             List.fold_left
               (fun acc t ->
-                match t.link with
-                | Netted c when (not t.eof) && c.Remote.addr = addr -> acc + 1
+                match t.stop with
+                | Teardown a when (not t.eof) && a = addr -> acc + 1
                 | _ -> acc)
               0 !tracked
           in
@@ -709,75 +645,55 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                 | _ -> if free > 0 then Some (addr, free) else acc)
               None seats
           in
-          let make_tracked ?err link now =
-            {
-              link;
-              t_rt = rt;
-              spawned_at = now;
-              last_beat = now;
-              last_progress = now;
-              st_pending = "";
-              seg_fd = None;
-              seg_pending = "";
-              header_ok = false;
-              corrupt = None;
-              killed = None;
-              remote_err = err;
-              eof = (match link with Stillborn _ -> true | _ -> false);
-              status = None;
-              settled = false;
-            }
-          in
           let spawn_one shard_ids =
-            let idx = !spawn_counter in
+            let index = !spawn_counter in
             incr spawn_counter;
             let now = Unix.gettimeofday () in
-            let entry =
-              match mode with
-              | Local_processes _ ->
-                  let job =
-                    {
-                      Worker.spec = rt.cell.Runcell.spec;
-                      fingerprint = rt.fp;
-                      shard_ids;
-                      segment = seg_path idx;
-                      index = idx;
-                    }
-                  in
-                  make_tracked (Piped (Worker.spawn job)) now
-              | Remote_hosts seats -> (
-                  let stillborn peer err =
-                    make_tracked ~err
-                      (Stillborn
-                         {
-                           sb_index = idx;
-                           sb_assigned = shard_ids;
-                           sb_peer = peer;
-                         })
-                      now
-                  in
-                  match pick_host seats with
-                  | None -> stillborn "no host" "had no free worker seat"
-                  | Some (addr, _) -> (
-                      let patience =
-                        if Hashtbl.mem suspect_hosts addr then
-                          Some redial_patience
-                        else None
-                      in
-                      match
-                        Remote.dispatch ?patience ?secret ~addr
-                          ~fingerprint:rt.fp
-                          ~program:rt.cell.Runcell.golden.Golden.program
-                          ~spec:rt.cell.Runcell.spec ~shard_ids ~index:idx ()
-                      with
-                      | Ok client ->
-                          Hashtbl.remove suspect_hosts addr;
-                          make_tracked (Netted client) now
-                      | Error msg ->
-                          Hashtbl.replace suspect_hosts addr ();
-                          stillborn (Addr.to_string addr) msg))
+            let track ?err conn stop =
+              tracked :=
+                {
+                  conn;
+                  stop;
+                  index;
+                  assigned = shard_ids;
+                  t_rt = rt;
+                  last_beat = now;
+                  last_progress = now;
+                  header_ok = false;
+                  corrupt = None;
+                  killed = None;
+                  wire_err = err;
+                  eof = Option.is_none conn;
+                  status = None;
+                  settled = false;
+                }
+                :: !tracked
             in
-            tracked := entry :: !tracked
+            let job =
+              Worker.wire_of_spec rt.cell.Runcell.spec
+                ~program:rt.cell.Runcell.golden.Golden.program
+                ~fingerprint:rt.fp ~shard_ids ~index
+            in
+            match mode with
+            | Local_processes _ ->
+                let pid, conn = Worker.spawn job in
+                track (Some conn) (Sigkill pid)
+            | Remote_hosts seats -> (
+                match pick_host seats with
+                | None -> track ~err:"had no free worker seat" None (Stillborn "no host")
+                | Some (addr, _) -> (
+                    let patience =
+                      if Hashtbl.mem suspect_hosts addr then
+                        Some redial_patience
+                      else None
+                    in
+                    match Remote.dispatch ?patience ?secret ~addr job with
+                    | Ok conn ->
+                        Hashtbl.remove suspect_hosts addr;
+                        track (Some conn) (Teardown addr)
+                    | Error msg ->
+                        Hashtbl.replace suspect_hosts addr ();
+                        track ~err:msg None (Stillborn (Addr.to_string addr))))
           in
           let spawn_workers ids k =
             let n = Array.length ids in
@@ -825,28 +741,21 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
           in
           let settle t =
             t.settled <- true;
-            drain t;
-            (match t.seg_fd with
-            | Some fd ->
-                (try Unix.close fd with Unix.Unix_error _ -> ());
-                t.seg_fd <- None
-            | None -> ());
             let unfinished =
               List.filter
                 (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
-                (Array.to_list (link_assigned t.link))
+                (Array.to_list t.assigned)
             in
             let clean =
-              t.killed = None && t.corrupt = None
+              t.killed = None && t.corrupt = None && t.wire_err = None
               && unfinished = []
-              && (match t.link with
-                 | Piped _ -> t.status = Some (Unix.WEXITED 0)
-                 | Netted _ -> t.remote_err = None
-                 | Stillborn _ -> false)
+              && (match t.status with
+                 | None | Some (Unix.WEXITED 0) -> true
+                 | Some _ -> false)
             in
             if not clean then begin
               let cause = status_cause t in
-              let who = link_who t.link in
+              let who = who t in
               if not sup then
                 failures :=
                   Printf.sprintf "%s: %s %s%s" label who cause
@@ -887,8 +796,7 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                        dispatched at the head of a queue and every
                        death then charges it. *)
                     let progressed =
-                      List.length unfinished
-                      < Array.length (link_assigned t.link)
+                      List.length unfinished < Array.length t.assigned
                     in
                     if not progressed then
                       rt.retries.(first) <- rt.retries.(first) + 1;
@@ -965,19 +873,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                            delay);
                       emit_observe ()
                     end
-            end;
-            (* Everything merged lives in the campaign journal (when
-               there is one); the segment is scratch.  Keep it only as
-               corruption evidence.  A remote worker's "segment" is its
-               connection — just make sure it is torn down. *)
-            match t.link with
-            | Piped c ->
-                if t.corrupt = None then (
-                  try Sys.remove (Worker.segment c) with Sys_error _ -> ())
-            | Netted c -> Transport.close c.Remote.conn
-            | Stillborn _ -> ()
+            end
           in
-          let buf = Bytes.create 4096 in
           let rec supervise () =
             dispatch ();
             (* Stillborn dispatches are born settled-pending: push them
@@ -1017,51 +914,26 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                   in
                   Float.max 0.01 (Float.min 0.5 t_nb)
                 in
-                let link_fd t =
-                  match t.link with
-                  | Piped c -> Some (Worker.status_fd c)
-                  | Netted c -> Some (Transport.fd c.Remote.conn)
-                  | Stillborn _ -> None
+                let fds =
+                  List.filter_map (fun t -> Option.map Transport.fd t.conn) alive
                 in
-                let fds = List.filter_map link_fd alive in
                 let readable = Sysio.select_read fds timeout in
                 List.iter
                   (fun t ->
-                    match t.link with
-                    | Stillborn _ -> ()
-                    | Piped c -> (
-                        let fd = Worker.status_fd c in
-                        if List.mem fd readable then
-                          match Sysio.read_avail fd buf with
-                          | `Nothing -> ()
-                          | `Data k ->
-                              note_status_data t
-                                (Bytes.sub_string buf 0 k)
-                                (Unix.gettimeofday ())
-                          | `Eof ->
-                              t.eof <- true;
-                              t.status <- Some (Worker.wait c);
-                              Sysio.close_quietly fd)
-                    | Netted c ->
-                        if List.mem (Transport.fd c.Remote.conn) readable then (
-                          match Transport.pump c.Remote.conn with
-                          | `Frames frames ->
-                              List.iter (handle_frame t) frames
-                          | `Eof ->
-                              t.eof <- true;
-                              Transport.close c.Remote.conn
-                          | `Corrupt msg ->
-                              if t.remote_err = None then
-                                t.remote_err <-
-                                  Some
-                                    (Printf.sprintf "sent a corrupt frame (%s)"
-                                       msg);
-                              t.eof <- true;
-                              Transport.close c.Remote.conn))
+                    match t.conn with
+                    | Some conn when List.mem (Transport.fd conn) readable -> (
+                        match Transport.pump conn with
+                        | `Frames frames -> List.iter (handle_frame t) frames
+                        | `Eof -> end_stream t
+                        | `Corrupt msg ->
+                            if t.wire_err = None then
+                              t.wire_err <-
+                                Some
+                                  (Printf.sprintf "sent a corrupt frame (%s)"
+                                     msg);
+                            end_stream ~kill:true t)
+                    | Some _ | None -> ())
                   alive;
-                (* Merge whatever the doorbells (or deaths) made
-                   visible. *)
-                List.iter (fun t -> if not t.settled then drain t) !tracked;
                 List.iter
                   (fun t -> if t.eof && not t.settled then settle t)
                   !tracked;
@@ -1089,23 +961,14 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                             in
                             t.killed <- Some reason;
                             incr agg_kills;
-                            let how =
-                              match t.link with
-                              | Piped c ->
-                                  Worker.kill c;
-                                  "SIGKILLed"
-                              | Netted c ->
-                                  (* Teardown replaces SIGKILL: a remote
-                                     worker whose socket dies stops
-                                     mattering, whatever it is doing. *)
-                                  Transport.close c.Remote.conn;
-                                  t.eof <- true;
-                                  "connection torn down"
-                              | Stillborn _ -> "stillborn"
-                            in
+                            end_stream ~kill:true t;
                             on_event
-                              (Printf.sprintf "%s: %s %s — %s" label
-                                 (link_who t.link) reason how);
+                              (Printf.sprintf "%s: %s %s — %s" label (who t)
+                                 reason
+                                 (match t.stop with
+                                 | Sigkill _ -> "SIGKILLed"
+                                 | Teardown _ | Stillborn _ ->
+                                     "connection torn down"));
                             emit_observe ()
                           end)
                       (live ()));

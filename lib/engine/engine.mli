@@ -16,27 +16,28 @@
 
     - {!Pool.Domains} (default) — shared-memory OCaml 5 domains inside
       this process, one pool across the whole matrix.
-    - {!Pool.Processes} — fork/exec'd {!Worker} processes.  Each worker
-      receives a marshalled spec plus a shard-id range over a pipe and
-      appends results to its own CRC-guarded journal {e segment}; the
-      parent merges segments into the campaign journal as doorbells
-      arrive, so the journal is the only state crossing the process
-      boundary.  A worker that exits nonzero, dies on a signal or writes
-      a corrupt segment leaves its unfinished shards unmerged; the
-      parent drives every other worker and cell to completion first
-      (maximal journal progress), then raises {!Worker_failed} — and a
-      [resume] run replays exactly the missing shards.
+    - {!Pool.Processes} — fork/exec'd {!Worker} processes, each on one
+      end of a socketpair.  A worker receives a {!Worker.wire_job} (cell
+      description plus a shard-id range) and streams back one
+      CRC-guarded journal-format record per shard in [Seg] frames, with
+      [Door] frames for heartbeats and progress; the parent merges the
+      records into the campaign journal as they arrive, so its journal
+      is the only durable state.  A worker that exits nonzero, dies on
+      a signal or sends a corrupt record leaves its unfinished shards
+      unmerged; the parent drives every other worker and cell to
+      completion first (maximal journal progress), then raises
+      {!Worker_failed} — and a [resume] run replays exactly the missing
+      shards.
     - {!Pool.Sockets} — {!Remote} worker daemons reached over TCP
       ([fi-cli worker serve] on each host).  Every connection opens
-      with a protocol-version + binary-digest handshake; jobs carry the
-      cell {e description} (program image, policy, shard ids — never
-      closures), which the daemon re-analyses, refusing on campaign-
-      fingerprint disagreement.  Results stream back as the same
-      CRC-guarded journal-record lines a local segment holds, merged by
-      the same dedup/CRC/fingerprint checks, so the §9 guarantees carry
-      over verbatim; a vanished daemon is a dead worker, and [resume]
-      heals its campaign on a fresh fleet.  [jobs] bounds {e per-host}
-      concurrency ([0] adopts each daemon's advertised capacity).
+      with a protocol-version + binary-digest handshake; after it, the
+      job and the frames are the local workers' own, read and merged by
+      the same loop and dedup/CRC/fingerprint checks, so the §9
+      guarantees carry over verbatim.  The daemon re-analyses the cell,
+      refusing on campaign-fingerprint disagreement; a vanished daemon
+      is a dead worker, and [resume] heals its campaign on a fresh
+      fleet.  [jobs] bounds {e per-host} concurrency ([0] adopts each
+      daemon's advertised capacity).
 
     {2 Supervision}
 
@@ -45,15 +46,14 @@
     and sockets backends are {e self-healing} — campaigns complete,
     bit-identical to the serial scan, despite crashing, hanging or
     stalling workers (for remote workers, SIGKILL becomes connection
-    teardown and a heartbeat is a [Door] frame; the supervision logic
-    is shared):
+    teardown; the supervision logic is shared):
 
-    - {b Deadlines.}  Workers heartbeat on their doorbell pipe (one
-      line per conducted class).  A worker that completes no shard
+    - {b Deadlines.}  Workers heartbeat with [Door] frames (one per
+      conducted class, throttled).  A worker that completes no shard
       within the deadline — [shard_timeout], or 8× the observed mean
       per-worker shard time when unset — is declared hung (silent) or
-      stalled (heartbeats without progress), SIGKILLed, and its torn
-      segment tail discarded.
+      stalled (heartbeats without progress) and SIGKILLed; whatever it
+      had not sent in full is discarded.
     - {b Bounded retry.}  A dead worker's unfinished shards return to
       the dispatch queue; the shard being conducted at death is
       charged a retry attempt only when the worker completed no shard
@@ -113,8 +113,8 @@ exception Journal_mismatch of string
     crash artifact). *)
 
 exception Worker_failed of string
-(** A {!Pool.Processes} worker died (nonzero exit, signal) or wrote a
-    corrupt segment — and supervision either was off or exhausted a
+(** A worker died (nonzero exit, signal, lost connection) or sent a
+    corrupt record — and supervision either was off or exhausted a
     shard's retry budget with [quarantine] unset; or a scan-only entry
     point had quarantined shards to report.  Raised only after every
     other worker and cell has been driven as far as it will go and all
@@ -176,8 +176,8 @@ val run_matrix_results :
       sequence, each fanned out over up to [jobs] fork/exec'd worker
       processes ({!Worker}).  {!Pool.Sockets}: like [Processes], but
       the workers are {!Remote} daemons on the named [HOST:PORT]s and
-      [jobs] bounds per-host concurrency.  Both worker backends run the
-      same shard loop ({!Worker.conduct_job}) and every backend applies
+      [jobs] bounds per-host concurrency.  Both worker backends speak
+      one protocol ({!Worker.serve_job}) and every backend applies
       a finished shard through the same record path as [resume] and a
       cache hit.
     - [jobs] — worker count, resolved by {!Pool.resolve_jobs}: [0] (or

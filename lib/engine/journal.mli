@@ -18,8 +18,8 @@
 
     The journal is format-agnostic — payload syntax belongs to the
     caller ({!Engine} stores one header record and one record per
-    completed shard; {!Worker} segments store a segment header and the
-    same shard records). *)
+    completed shard; {!Worker}s send a header line and the same shard
+    records, line by line, in [Seg] frames). *)
 
 type writer
 
@@ -35,16 +35,14 @@ val close : writer -> unit
 
 val encode_line : string -> string
 (** Render one payload as a journal line (CRC hex, space, payload; no
-    trailing newline) — the inverse of {!decode_line}.  Exposed for the
-    socket transport, whose remote workers stream journal-format lines
-    in {!Frame.Seg} frames instead of appending to a local segment.
+    trailing newline) — the inverse of {!decode_line}.  Exposed for
+    workers, which stream journal-format lines in {!Frame.Seg} frames.
     @raise Invalid_argument if the payload contains a newline. *)
 
 val decode_line : string -> string option
 (** Decode one journal line (without its newline) to its payload; [None]
-    if the line is malformed or its CRC does not match.  Exposed for
-    incremental readers (the engine tails worker journal segments as
-    they grow). *)
+    if the line is malformed or its CRC does not match.  Exposed for the
+    engine, which checks every [Seg] line a worker sends. *)
 
 type recovery =
   | Clean  (** Every byte of the file is a valid record. *)

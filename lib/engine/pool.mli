@@ -17,13 +17,14 @@
 type backend =
   | Domains  (** Shared-memory OCaml 5 domains — one process. *)
   | Processes
-      (** Fork/exec'd worker processes, one journal segment each;
-          supervised by the parent, crash-tolerant under [--resume]. *)
+      (** Fork/exec'd worker processes, each speaking the {!Worker}
+          frame protocol over a socketpair; supervised by the parent,
+          crash-tolerant under [--resume]. *)
   | Sockets of string list
       (** Remote worker daemons ([fi-cli worker serve]) addressed as
-          ["HOST:PORT"] strings; jobs and journal-segment records cross
-          framed TCP connections ({!Remote}), the journal stays the only
-          shared state.  The list must be non-empty. *)
+          ["HOST:PORT"] strings; the same protocol crosses framed TCP
+          connections ({!Remote}), the parent's journal stays the only
+          durable state.  The list must be non-empty. *)
 
 val backend_tag : backend -> string
 (** ["domains"] / ["processes"] / ["sockets"] — the CLI and

@@ -7,92 +7,8 @@ let connect_timeout = ref 10.
 let handshake_timeout = ref 10.
 
 (* ------------------------------------------------------------------ *)
-(* The wire job                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike the fork/exec worker's job, nothing here may capture code: the
-   peer is another machine, so [Spec.Build] closures cannot cross.  The
-   job is the Runcell-level cell description — the assembled program
-   image plus the policy fields that shape the shard plan — and the
-   worker re-derives everything else (golden run, fault-space classes,
-   fingerprint) on its own silicon, refusing on disagreement.  Marshal
-   without [Closures] is plain portable data; the handshake's binary
-   digest pins both ends to the same executable, which makes the
-   marshalling format (and the analysis) agree by construction. *)
-type wire_job = {
-  benchmark : string;
-  variant : string;
-  model : Faultspace.model;
-  limit : int option;
-  shard_size : int option;
-  weighted : bool;
-  stride : int option;
-      (* checkpoint stride — a pure perf knob the peer honours locally;
-         deliberately absent from the fingerprint it verifies. *)
-  program : Program.t;
-  fingerprint : int;
-  shard_ids : int array;
-  index : int;
-}
-
-let wire_magic = "fi-wire v1\n"
-
-let encode_job (job : wire_job) = wire_magic ^ Marshal.to_string job []
-
-let decode_job s =
-  let mlen = String.length wire_magic in
-  if String.length s <= mlen || String.sub s 0 mlen <> wire_magic then None
-  else
-    match (Marshal.from_string s mlen : wire_job) with
-    | job -> Some job
-    | exception _ -> None
-
-let wire_of_spec (spec : Spec.t) ~program ~fingerprint ~shard_ids ~index =
-  {
-    benchmark = spec.Spec.benchmark;
-    variant = spec.Spec.variant;
-    model = spec.Spec.model;
-    limit = spec.Spec.limit;
-    shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
-    weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
-    stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
-    program;
-    fingerprint;
-    shard_ids;
-    index;
-  }
-
-(* Only the plan-shaping policy fields (plus the checkpoint stride, so
-   the peer accelerates the same way) cross the wire: journalling,
-   resume and supervision belong to the conducting parent. *)
-let spec_of_wire (job : wire_job) =
-  {
-    Spec.benchmark = job.benchmark;
-    variant = job.variant;
-    model = job.model;
-    source = Spec.Build (fun () -> job.program);
-    limit = job.limit;
-    policy =
-      Spec.make_policy ?shard_size:job.shard_size ~weighted:job.weighted
-        ?checkpoint_stride:job.stride ();
-  }
-
-let program_of_spec (spec : Spec.t) =
-  match spec.Spec.source with
-  | Spec.Analysed_memory g -> g.Golden.program
-  | Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
-  | Spec.Build build -> build ()
-
-(* ------------------------------------------------------------------ *)
 (* Client side (the conducting engine)                                *)
 (* ------------------------------------------------------------------ *)
-
-type client = {
-  conn : Transport.conn;
-  addr : Addr.t;
-  index : int;
-  assigned : int array;
-}
 
 let shake ?timeout ?secret conn ~fingerprint =
   let timeout = Option.value timeout ~default:!handshake_timeout in
@@ -137,8 +53,7 @@ let probe ?secret addr =
    shortens it when re-dialling a host that already failed once, so a
    dead host costs the supervision loop seconds, not two full default
    timeouts on every backoff round. *)
-let dispatch ?patience ?secret ~addr ~fingerprint ~program ~spec ~shard_ids
-    ~index () =
+let dispatch ?patience ?secret ~addr (job : Worker.wire_job) =
   let cap dflt =
     match patience with Some p -> Float.min p dflt | None -> dflt
   in
@@ -147,38 +62,18 @@ let dispatch ?patience ?secret ~addr ~fingerprint ~program ~spec ~shard_ids
         shake conn
           ~timeout:(cap !handshake_timeout)
           ?secret
-          ~fingerprint:(Crc32.to_hex fingerprint)
+          ~fingerprint:(Crc32.to_hex job.Worker.fingerprint)
       with
       | Error _ as e ->
           Transport.close conn;
           e
       | Ok _ ->
-          Transport.send conn Frame.Job
-            (encode_job
-               (wire_of_spec spec ~program ~fingerprint ~shard_ids ~index));
-          Ok { conn; addr; index; assigned = shard_ids })
+          Transport.send conn Frame.Job (Worker.encode_job job);
+          Ok conn)
 
 (* ------------------------------------------------------------------ *)
 (* Worker side: conducting one connection                             *)
 (* ------------------------------------------------------------------ *)
-
-(* The wire sink of the shared worker loop ({!Worker.conduct_job}):
-   segment lines travel as [Seg] frames and doorbell lines as [Door]
-   frames, and a torn record is a CRC-invalid [Seg] line — the wire
-   equivalent of a mid-append crash. *)
-let conduct conn (job : wire_job) =
-  let seg line = Transport.send conn Frame.Seg line in
-  let open_sink header =
-    seg (Journal.encode_line header);
-    {
-      Worker.append = (fun payload -> seg (Journal.encode_line payload));
-      door = Transport.send conn Frame.Door;
-      tear = (fun () -> seg "deadbeef torn-rec");
-      close = ignore;
-    }
-  in
-  Worker.conduct_job open_sink ~spec:(spec_of_wire job)
-    ~fingerprint:job.fingerprint ~shard_ids:job.shard_ids ~index:job.index
 
 let serve_connection ~capacity ?secret conn =
   match Transport.recv ~timeout:!handshake_timeout conn with
@@ -194,16 +89,7 @@ let serve_connection ~capacity ?secret conn =
               Transport.send conn Frame.Err msg;
               failwith msg));
       Transport.send conn Frame.Hello (Handshake.encode mine);
-      match Transport.recv ~timeout:!handshake_timeout conn with
-      | None -> () (* a probe: hello exchange only *)
-      | Some (Frame.Job, payload) -> (
-          match decode_job payload with
-          | None -> failwith "undecodable job payload"
-          | Some job -> conduct conn job)
-      | Some (kind, _) ->
-          failwith
-            (Printf.sprintf "expected a job frame, got %s"
-               (Frame.kind_tag kind)))
+      Worker.serve_job ~timeout:!handshake_timeout conn)
   | Some (kind, _) ->
       failwith
         (Printf.sprintf "expected a hello frame, got %s" (Frame.kind_tag kind))

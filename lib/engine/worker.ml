@@ -1,19 +1,83 @@
 let env_var = "FI_ENGINE_WORKER"
 let torture_var = "FI_ENGINE_TORTURE"
-let magic = "fiwork1\n"
 
-type job = {
-  spec : Spec.t;
+(* ------------------------------------------------------------------ *)
+(* The wire job                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Nothing here may capture code: a remote peer is another machine, so
+   [Spec.Build] closures cannot cross, and a local child gets the very
+   same bytes.  The job is the Runcell-level cell description — the
+   assembled program image plus the policy fields that shape the shard
+   plan — and the worker re-derives everything else (golden run,
+   fault-space classes, fingerprint) on its own, refusing on
+   disagreement.  Marshal without [Closures] is plain portable data; a
+   local child is this executable by construction and a remote one is
+   pinned to it by the handshake's binary digest, which makes the
+   marshalling format (and the analysis) agree. *)
+type wire_job = {
+  benchmark : string;
+  variant : string;
+  model : Faultspace.model;
+  limit : int option;
+  shard_size : int option;
+  weighted : bool;
+  stride : int option;
+      (* checkpoint stride — a pure perf knob the worker honours locally;
+         deliberately absent from the fingerprint it verifies. *)
+  program : Program.t;
   fingerprint : int;
   shard_ids : int array;
-  segment : string;
   index : int;
 }
 
-(* The job crosses the pipe as [magic] + [Marshal] with [Closures]: the
-   worker is a fork/exec of the very same executable, so code pointers
-   captured by a [Spec.Build] thunk relocate correctly. *)
-let encode_job (job : job) = magic ^ Marshal.to_string job [ Marshal.Closures ]
+let wire_magic = "fi-wire v1\n"
+
+let encode_job (job : wire_job) = wire_magic ^ Marshal.to_string job []
+
+let decode_job s =
+  let mlen = String.length wire_magic in
+  if String.length s <= mlen || String.sub s 0 mlen <> wire_magic then None
+  else
+    match (Marshal.from_string s mlen : wire_job) with
+    | job -> Some job
+    | exception _ -> None
+
+let wire_of_spec (spec : Spec.t) ~program ~fingerprint ~shard_ids ~index =
+  {
+    benchmark = spec.Spec.benchmark;
+    variant = spec.Spec.variant;
+    model = spec.Spec.model;
+    limit = spec.Spec.limit;
+    shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
+    weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
+    stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
+    program;
+    fingerprint;
+    shard_ids;
+    index;
+  }
+
+(* Only the plan-shaping policy fields (plus the checkpoint stride, so
+   the worker accelerates the same way) cross the wire: journalling,
+   resume and supervision belong to the conducting parent. *)
+let spec_of_wire (job : wire_job) =
+  {
+    Spec.benchmark = job.benchmark;
+    variant = job.variant;
+    model = job.model;
+    source = Spec.Build (fun () -> job.program);
+    limit = job.limit;
+    policy =
+      Spec.make_policy ?shard_size:job.shard_size ~weighted:job.weighted
+        ?checkpoint_stride:job.stride ();
+  }
+
+let program_of_spec (spec : Spec.t) =
+  match spec.Spec.source with
+  | Spec.Analysed_memory g -> g.Golden.program
+  | Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
+  | Spec.Build build -> build ()
 
 let segment_header ~fingerprint ~pid =
   Printf.sprintf "fi-segment v1 fingerprint=%s pid=%d" (Crc32.to_hex fingerprint)
@@ -59,23 +123,13 @@ let parse_torture = function
           | _ -> None)
       | _ -> None)
 
-(* Where one worker's results go once its segment is open: a segment
-   file plus the doorbell pipe (fork/exec workers) or [Seg]/[Door]
-   frames (remote workers). *)
-type sink = {
-  append : string -> unit;  (** One durable record payload. *)
-  door : string -> unit;  (** One doorbell line, no newline. *)
-  tear : unit -> unit;  (** Emit a raw partial record (torture). *)
-  close : unit -> unit;
-}
-
 (* The torture hook, checked before each shard ([shard_id] set) and
    once after the last.  Poison is keyed by {e plan shard id}, not
    completed-shard count, so the fault deterministically follows one
    coordinate range through any re-dispatch — the shard kills every
    worker it is ever assigned to, which is exactly what quarantine
    exists for. *)
-let torture_point torture sink ~index ~completed ~shard_id =
+let torture_point torture conn ~index ~completed ~shard_id =
   match torture with
   | Some t when t.only = None || t.only = Some index -> (
       match t.mode with
@@ -86,9 +140,9 @@ let torture_point torture sink ~index ~completed ~shard_id =
       | Raise -> failwith "torture: injected worker fault"
       | Sigkill -> Unix.kill (Unix.getpid ()) Sys.sigkill
       | Torn ->
-          (* A crash mid-append: raw partial record, no newline, then
-             die without cleanup. *)
-          sink.tear ();
+          (* A crash mid-record: a CRC-invalid record line, then die
+             without cleanup. *)
+          Transport.send conn Frame.Seg "deadbeef torn-rec";
           Unix.kill (Unix.getpid ()) Sys.sigkill
       | Hang ->
           (* Silent wedge: no heartbeat, no progress, never exits.  Only
@@ -100,7 +154,7 @@ let torture_point torture sink ~index ~completed ~shard_id =
           (* Livelock: the worker stays chatty — heartbeats keep
              flowing — but shard progress stops forever. *)
           while true do
-            sink.door "h";
+            Transport.send conn Frame.Door "h";
             Unix.sleepf 0.02
           done)
   | Some _ | None -> ()
@@ -109,83 +163,66 @@ let torture_point torture sink ~index ~completed ~shard_id =
 (* The worker side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let conduct_job open_sink ~spec ~fingerprint ~shard_ids ~index =
-  let cell = Runcell.analyse spec in
+let conduct_job conn (job : wire_job) =
+  let cell = Runcell.analyse (spec_of_wire job) in
   let classes = cell.Runcell.classes in
-  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
+  let plan = Runcell.plan_of_policy cell.Runcell.spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
-  if fp <> fingerprint then
+  if fp <> job.fingerprint then
     failwith
       (Printf.sprintf
          "re-analysed cell fingerprint %s disagrees with the conductor's %s \
           (mismatched build or nondeterministic analysis?)"
-         (Crc32.to_hex fp) (Crc32.to_hex fingerprint));
+         (Crc32.to_hex fp) (Crc32.to_hex job.fingerprint));
   let shards_total = Array.length plan.Shard.shards in
   Array.iter
     (fun id ->
       if id < 0 || id >= shards_total then
         failwith (Printf.sprintf "shard id %d out of range" id))
-    shard_ids;
+    job.shard_ids;
   let torture = parse_torture (Sys.getenv_opt torture_var) in
-  let sink = open_sink (segment_header ~fingerprint:fp ~pid:(Unix.getpid ())) in
-  (* Heartbeats: one [h] line per conducted class, throttled, so the
-     parent can tell a slow shard from a hung worker.  Lost beats are
-     harmless — the deadline just bites a little earlier. *)
+  let seg payload = Transport.send conn Frame.Seg (Journal.encode_line payload) in
+  let door = Transport.send conn Frame.Door in
+  seg (segment_header ~fingerprint:fp ~pid:(Unix.getpid ()));
+  (* Heartbeats: one [h] frame per conducted class, throttled, so the
+     parent can tell a slow shard from a hung worker. *)
   let last_beat = ref 0. in
   let heartbeat ~class_index:_ _ =
     let now = Unix.gettimeofday () in
     if now -. !last_beat >= 0.01 then begin
       last_beat := now;
-      sink.door "h"
+      door "h"
     end
   in
   Array.iteri
     (fun completed id ->
-      torture_point torture sink ~index ~completed ~shard_id:(Some id);
+      torture_point torture conn ~index:job.index ~completed ~shard_id:(Some id);
       let shard = plan.Shard.shards.(id) in
       let buf =
         Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
       in
-      sink.append (Runcell.record_payload shard buf);
-      (* Doorbell: the record is durable, the parent may merge it. *)
-      sink.door (Printf.sprintf "s %d" id))
-    shard_ids;
-  torture_point torture sink ~index ~completed:(Array.length shard_ids)
-    ~shard_id:None;
-  sink.close ();
-  sink.door "end"
+      seg (Runcell.record_payload shard buf);
+      door (Printf.sprintf "s %d" id))
+    job.shard_ids;
+  torture_point torture conn ~index:job.index
+    ~completed:(Array.length job.shard_ids) ~shard_id:None;
+  door "end"
 
-let serve ~input ~output =
-  set_binary_mode_in input true;
-  let seen = really_input_string input (String.length magic) in
-  if seen <> magic then failwith "worker: bad job magic on stdin";
-  let job : job = Marshal.from_channel input in
-  let open_sink header =
-    let w = Journal.create job.segment ~header in
-    {
-      append = Journal.append w;
-      door =
-        (fun line ->
-          output_string output line;
-          output_char output '\n';
-          flush output);
-      tear =
-        (fun () ->
-          let oc =
-            open_out_gen [ Open_append; Open_binary ] 0o644 job.segment
-          in
-          output_string oc "deadbeef torn-rec";
-          flush oc);
-      close = (fun () -> Journal.close w);
-    }
-  in
-  conduct_job open_sink ~spec:job.spec ~fingerprint:job.fingerprint
-    ~shard_ids:job.shard_ids ~index:job.index
+let serve_job ?timeout conn =
+  match Transport.recv ?timeout conn with
+  | None -> () (* the peer left without a job — a probe *)
+  | Some (Frame.Job, payload) -> (
+      match decode_job payload with
+      | None -> failwith "undecodable job payload"
+      | Some job -> conduct_job conn job)
+  | Some (kind, _) ->
+      failwith
+        (Printf.sprintf "expected a job frame, got %s" (Frame.kind_tag kind))
 
 let guard () =
   match Sys.getenv_opt env_var with
   | Some "1" ->
-      (try serve ~input:stdin ~output:stdout
+      (try serve_job (Transport.of_fd ~peer:"parent" Unix.stdin)
        with exn ->
          Printf.eprintf "fi worker (pid %d): %s\n%!" (Unix.getpid ())
            (Printexc.to_string exn);
@@ -197,48 +234,27 @@ let guard () =
 (* The parent side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type child = {
-  pid : int;
-  index : int;
-  status_fd : Unix.file_descr;
-  segment : string;
-  assigned : int array;
-}
-
-let spawn (job : job) =
-  let job_r, job_w = Unix.pipe ~cloexec:true () in
-  let st_r, st_w = Unix.pipe ~cloexec:true () in
+let spawn (job : wire_job) =
+  let mine, theirs =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
   let env =
     Array.append (Unix.environment ()) [| Printf.sprintf "%s=1" env_var |]
   in
+  (* The child's stdout goes to our stderr: whatever the hosting binary
+     prints can never reach the frame stream or our own stdout. *)
   let pid =
     Unix.create_process_env Sys.executable_name
       [| Sys.executable_name |]
-      env job_r st_w Unix.stderr
+      env theirs Unix.stderr Unix.stderr
   in
-  Unix.close job_r;
-  Unix.close st_w;
+  Unix.close theirs;
+  let conn = Transport.of_fd ~peer:(Printf.sprintf "pid %d" pid) mine in
   (* Ship the job.  The child may already be dead (torture, OOM): a
-     broken pipe here is a supervision event, not a parent crash — the
-     caller must have SIGPIPE ignored, which turns it into EPIPE. *)
-  (try Sysio.write_string job_w (encode_job job)
-   with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> ());
-  (try Unix.close job_w with Unix.Unix_error _ -> ());
-  {
-    pid;
-    index = job.index;
-    status_fd = st_r;
-    segment = job.segment;
-    assigned = job.shard_ids;
-  }
-
-let pid c = c.pid
-let index c = c.index
-let status_fd c = c.status_fd
-let segment c = c.segment
-let assigned c = c.assigned
-let wait child = snd (Unix.waitpid [] child.pid)
-
-let kill child =
-  try Unix.kill child.pid Sys.sigkill
-  with Unix.Unix_error _ -> () (* already reaped / gone *)
+     broken connection here is a supervision event, not a parent crash
+     — the caller must have SIGPIPE ignored, which turns it into
+     EPIPE. *)
+  (try Transport.send conn Frame.Job (encode_job job)
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+     ());
+  (pid, conn)

@@ -14,7 +14,7 @@ type kind =
   | Hello  (** Handshake, both directions ({!Handshake}). *)
   | Job  (** One campaign job, client → worker ({!Remote} wire format). *)
   | Door  (** Doorbell line, worker → client: [h], [s <id>], [end]. *)
-  | Seg  (** One journal-segment line (CRC-hex + payload), worker → client. *)
+  | Seg  (** One journal-format line (CRC-hex + payload), worker → client. *)
   | Err  (** Human-readable refusal/failure, either direction, then close. *)
   | Submit  (** One campaign/matrix submission, client → service ({!Service}). *)
   | Stat  (** Service status line, service → client. *)

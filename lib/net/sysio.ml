@@ -6,11 +6,6 @@ let rec write_all fd s off len =
 
 let write_string fd s = write_all fd s 0 (String.length s)
 
-let rec read_once fd buf off len =
-  match Unix.read fd buf off len with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_once fd buf off len
-
 let read_avail fd buf =
   match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> `Eof
@@ -19,16 +14,6 @@ let read_avail fd buf =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       `Nothing
   | exception Unix.Unix_error _ -> `Eof
-
-let really_read fd buf off len =
-  let got = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !got < len do
-    match read_once fd buf (off + !got) (len - !got) with
-    | 0 -> eof := true
-    | n -> got := !got + n
-  done;
-  not !eof
 
 let select_read fds timeout =
   match Unix.select fds [] [] timeout with

@@ -19,20 +19,12 @@ val write_all : Unix.file_descr -> string -> int -> int -> unit
 val write_string : Unix.file_descr -> string -> unit
 (** [write_all fd s 0 (String.length s)]. *)
 
-val read_once : Unix.file_descr -> bytes -> int -> int -> int
-(** One blocking [read], retrying [EINTR] only; returns the byte count
-    ([0] at EOF). *)
-
 val read_avail : Unix.file_descr -> bytes -> [ `Eof | `Data of int | `Nothing ]
 (** One read of whatever is available: [`Data n] bytes at the front of
     [buf], [`Nothing] on [EINTR]/[EAGAIN]/[EWOULDBLOCK] (nothing yet —
     a live peer), [`Eof] on end-of-file {e or any hard error} (the
     peer's death notice; mapping errors to EOF is deliberate — see the
     engine's supervision loop). *)
-
-val really_read : Unix.file_descr -> bytes -> int -> int -> bool
-(** Read exactly [len] bytes (blocking, [EINTR]-retried); [false] if EOF
-    arrives first. *)
 
 val select_read : Unix.file_descr list -> float -> Unix.file_descr list
 (** [Unix.select] on the read set only; [EINTR] yields [[]] (the caller

@@ -1,4 +1,5 @@
-(** TCP connections carrying {!Frame}s.
+(** Stream connections carrying {!Frame}s: TCP to remote workers, a
+    Unix socketpair to local ones.
 
     A {!conn} owns a socket, a frame {!Frame.decoder} and a read buffer.
     The two consumption styles match the two ends of the campaign
@@ -14,7 +15,8 @@ val fd : conn -> Unix.file_descr
 val peer : conn -> string
 
 val of_fd : peer:string -> Unix.file_descr -> conn
-(** Wrap an already-connected descriptor (tests, exotic transports). *)
+(** Wrap an already-connected descriptor (a local worker's socketpair
+    end, tests). *)
 
 val connect : ?timeout:float -> Addr.t -> (conn, string) result
 (** Connect with [TCP_NODELAY] (doorbell frames are latency-bound).

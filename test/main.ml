@@ -1,4 +1,13 @@
 let () =
+  (* Test-only: a banner on stdout ahead of the worker guard, the way a
+     hosting binary's initialisation might print.  The stray-stdout test
+     in test_process.ml sets the variable for its workers; the lines
+     mimic doorbells, so were they ever to reach a worker's frame stream
+     they could pass for heartbeats and progress. *)
+  if Sys.getenv_opt "FI_TEST_WORKER_BANNER" = Some "1" then begin
+    print_string "fipitfalls test runner\nh\ns 0\ns 1\nend\n";
+    flush stdout
+  end;
   (* Before anything else: if this process was exec'd as a campaign
      worker (the process backend re-execs the hosting binary) or as a
      remote-worker daemon (the sockets backend does the same), serve

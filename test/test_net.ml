@@ -379,23 +379,23 @@ let test_worker_daemon_auth () =
 let test_wire_job () =
   let spec = Spec.of_golden (Lazy.force hi_golden) in
   let job =
-    Remote.wire_of_spec spec
-      ~program:(Remote.program_of_spec spec)
+    Worker.wire_of_spec spec
+      ~program:(Worker.program_of_spec spec)
       ~fingerprint:0x1234abcd ~shard_ids:[| 2; 0; 5 |] ~index:7
   in
-  (match Remote.decode_job (Remote.encode_job job) with
+  (match Worker.decode_job (Worker.encode_job job) with
   | Some j ->
       Alcotest.(check bool) "roundtrip" true (j = job);
       (* The re-built spec must analyse to the same fingerprint as the
          conductor's — the property the worker-side refusal rests on. *)
       Alcotest.(check int) "re-analysis agrees"
         (Engine.fingerprint_spec spec)
-        (Engine.fingerprint_spec (Remote.spec_of_wire j))
+        (Engine.fingerprint_spec (Worker.spec_of_wire j))
   | None -> Alcotest.fail "roundtrip decode");
   Alcotest.(check bool) "wrong magic rejected" true
-    (Remote.decode_job ("fi-wire v0\n" ^ String.make 40 'x') = None);
+    (Worker.decode_job ("fi-wire v0\n" ^ String.make 40 'x') = None);
   Alcotest.(check bool) "truncation rejected" true
-    (Remote.decode_job (String.sub (Remote.encode_job job) 0 24) = None)
+    (Worker.decode_job (String.sub (Worker.encode_job job) 0 24) = None)
 
 (* ------------------------------------------------------------------ *)
 (* -j semantics for remote hosts                                      *)

@@ -1,9 +1,10 @@
 (* Tests for the fork/exec process backend (Pool.Processes): differential
    equivalence against the Domains backend and the serial scans, the
    unified jobs resolution, journal-corruption classification (torn tail
-   vs storage corruption vs duplicate records), and one quick
-   worker-crash round trip.  The slow/adversarial crash matrix lives in
-   torture.ml behind the @torture alias. *)
+   vs storage corruption vs duplicate records), one quick worker-crash
+   round trip, and workers whose hosting binary prints to stdout.  The
+   slow/adversarial crash matrix lives in torture.ml behind the @torture
+   alias. *)
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
 let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
@@ -18,14 +19,19 @@ let check_scans_identical msg serial parallel =
     (Csv_io.to_string serial)
     (Csv_io.to_string parallel)
 
+(* A journal path in a fresh directory of its own, so a test can check
+   that a campaign leaves nothing beside its journal. *)
 let with_temp_file f =
-  let path = Filename.temp_file "fiprocess" ".journal" in
+  let dir = Filename.temp_file "fiprocess" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
-    (fun () -> f path)
+      Array.iter
+        (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f (Filename.concat dir "campaign.journal"))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -308,7 +314,57 @@ let test_worker_crash_and_resume () =
       let resumed =
         Drive.scan ~backend:Pool.Processes ~jobs:2 (spec true)
       in
-      check_scans_identical "crash + resume = serial" serial resumed)
+      check_scans_identical "crash + resume = serial" serial resumed;
+      (* Workers write no files: the parent's journal is all there is. *)
+      Alcotest.(check (array string)) "only the journal on disk"
+        [| Filename.basename path |]
+        (Sys.readdir (Filename.dirname path)))
+
+(* A hosting binary may print to stdout before [Worker.guard] runs:
+   test/main.ml prints a doorbell-lookalike banner when [banner_var] is
+   set.  A local worker's stdout is the parent's stderr, so the banner
+   never reaches the frame stream.  Healthy workers give the serial
+   result with no supervision event; a hung worker is still reported as
+   hung — no banner line counted as a heartbeat, let alone progress. *)
+let banner_var = "FI_TEST_WORKER_BANNER"
+
+let test_stray_stdout () =
+  let serial = Lazy.force hi_serial in
+  let golden = Lazy.force hi_golden in
+  (* The healthy run is unsupervised, so any worker failure raises; the
+     hung one needs a deadline to end. *)
+  let run ?torture policy =
+    let events = ref [] in
+    let snap = ref None in
+    let result =
+      with_torture (Option.value torture ~default:"") (fun () ->
+          Drive.cell ~backend:Pool.Processes ~jobs:2
+            ~observe:(fun s -> snap := Some s)
+            ~on_event:(fun msg -> events := msg :: !events)
+            (Spec.of_golden ~policy golden))
+    in
+    check_scans_identical "banner-printing workers = serial" serial
+      result.Engine.scan;
+    (String.concat "\n" !events, Option.get !snap)
+  in
+  Unix.putenv banner_var "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv banner_var "")
+    (fun () ->
+      let events, snap = run (Spec.make_policy ~shard_size:1 ()) in
+      Alcotest.(check string) "no supervision event" "" events;
+      Alcotest.(check int) "no retries" 0 snap.Progress.retries;
+      Alcotest.(check int) "every shard done once" snap.Progress.shards_total
+        snap.Progress.shards_done;
+      let events, snap =
+        run ~torture:"hang:0:0"
+          (Spec.make_policy ~shard_size:1 ~shard_timeout:0.3 ~max_retries:2
+             ())
+      in
+      Alcotest.(check bool) "hung worker reported as hung" true
+        (Astring_contains.contains events "hung"
+        && not (Astring_contains.contains events "stalled"));
+      Alcotest.(check bool) "hung worker killed" true (snap.Progress.kills >= 1))
 
 let suite =
   ( "process-backend",
@@ -332,4 +388,6 @@ let suite =
         test_resume_rejects_duplicate_record;
       Alcotest.test_case "worker crash + resume" `Quick
         test_worker_crash_and_resume;
+      Alcotest.test_case "stray worker stdout never reaches the frames" `Quick
+        test_stray_stdout;
     ] )

@@ -22,9 +22,7 @@ let with_temp_file f =
   let path = Filename.temp_file "fisup" ".journal" in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
+      try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
 let read_file path =
@@ -123,25 +121,40 @@ let test_stall_detection () =
   heal_round_trip ~torture:"stall:0:0" ~expect_reason:"stalled" ()
 
 (* A worker that crashes outright (no deadline needed) is retried the
-   same way: the transient fault heals without --resume. *)
+   same way: the transient fault heals without --resume.  The retry
+   event names the local worker's exit status — a SIGKILLed worker is
+   reported by its signal, never as a corrupt frame, even though its
+   death may cut a frame short. *)
 let test_transient_crash_heals () =
   let serial = Lazy.force hi_serial in
   let golden = Lazy.force hi_golden in
-  let snap = ref None in
-  let result =
-    with_torture "exit:0:0" (fun () ->
-        Drive.cell ~backend:Pool.Processes ~jobs:2
-          ~observe:(fun s -> snap := Some s)
-          (Spec.of_golden ~policy:(sup_policy ()) golden))
-  in
-  check_scans_identical "healed crash = serial" serial result.Engine.scan;
-  Alcotest.(check int) "nothing quarantined" 0
-    (List.length result.Engine.quarantined);
-  match !snap with
-  | None -> Alcotest.fail "observe never called"
-  | Some s ->
-      Alcotest.(check bool) "retries counted" true (s.Progress.retries >= 1);
-      Alcotest.(check int) "no deadline kills" 0 s.Progress.kills
+  List.iter
+    (fun (torture, expect_cause) ->
+      let events = ref [] in
+      let snap = ref None in
+      let result =
+        with_torture torture (fun () ->
+            Drive.cell ~backend:Pool.Processes ~jobs:2
+              ~observe:(fun s -> snap := Some s)
+              ~on_event:(fun msg -> events := msg :: !events)
+              (Spec.of_golden ~policy:(sup_policy ()) golden))
+      in
+      check_scans_identical (torture ^ ": healed crash = serial") serial
+        result.Engine.scan;
+      Alcotest.(check int) (torture ^ ": nothing quarantined") 0
+        (List.length result.Engine.quarantined);
+      let all_events = String.concat "\n" !events in
+      Alcotest.(check bool)
+        (torture ^ ": retry event names the exit status")
+        true
+        (contains all_events expect_cause
+        && not (contains all_events "corrupt"));
+      match !snap with
+      | None -> Alcotest.fail "observe never called"
+      | Some s ->
+          Alcotest.(check bool) "retries counted" true (s.Progress.retries >= 1);
+          Alcotest.(check int) "no deadline kills" 0 s.Progress.kills)
+    [ ("exit:0:0", "exited with code 7"); ("sigkill:0:0", "was killed by SIGKILL") ]
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine: a deterministically poisoned shard                     *)

@@ -38,9 +38,7 @@ let with_temp_file f =
   let path = Filename.temp_file "fitorture" ".journal" in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (path :: List.init 32 (Printf.sprintf "%s.seg%d" path)))
+      try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
 let with_torture value f =
@@ -96,8 +94,9 @@ let crash_round_trip mode =
             (String.length msg > 0
             && String.starts_with ~prefix:"flag1" msg));
       (* The campaign journal holds the shards completed before the
-         crash — CRC-valid to the last byte (only worker segments may be
-         torn, and their torn tails are never merged). *)
+         crash — CRC-valid to the last byte: only the parent writes it,
+         and a dying worker's cut-short or CRC-invalid record is never
+         merged. *)
       (match Journal.replay path with
       | Some (_, records, Journal.Clean) ->
           Alcotest.(check bool)
@@ -787,7 +786,7 @@ let () =
         Alcotest.test_case "crash: sigkill between shards" `Slow
           test_crash_sigkill );
       ( false,
-        Alcotest.test_case "crash: sigkill mid-append (torn segment)" `Slow
+        Alcotest.test_case "crash: sigkill mid-append (torn record)" `Slow
           test_crash_torn );
       ( false,
         Alcotest.test_case "crash: killed before any shard" `Slow
