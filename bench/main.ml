@@ -773,7 +773,10 @@ let run_engine_net () =
         Engine.scan_exn
           (run_cell ~backend:Pool.Processes ~jobs (Spec.of_golden golden)))
   in
-  match Remote.spawn_daemon ~workers:jobs () with
+  match
+    Remote.spawn_daemon Remote.daemon
+      { Remote.default_config with workers = jobs }
+  with
   | Error e -> Printf.printf "engine-net skipped: no daemon (%s)\n" e
   | Ok (pid, addr) ->
       Fun.protect
@@ -896,20 +899,20 @@ let run_engine_cache () =
         { Service.default_config with Service.artifacts = dir; jobs }
       in
       let t_dispatch =
-        match Service.spawn_daemon ~config () with
+        match Remote.spawn_daemon Service.daemon config with
         | Error e ->
             Printf.printf "service latency skipped: no daemon (%s)\n" e;
             nan
         | Ok (pid, addr) ->
             Fun.protect
-              ~finally:(fun () -> Service.kill_daemon pid)
+              ~finally:(fun () -> Remote.kill_daemon pid)
               (fun () ->
                 let cell =
-                  Service.cell_of_spec (Spec.of_golden ~policy golden)
+                  Worker.cell_of_spec (Spec.of_golden ~policy golden)
                 in
                 let hit () =
                   match Service.submit ~addr [ cell ] with
-                  | Ok [ r ] when r.Service.r_cached -> ()
+                  | Ok [ (_, r) ] when r.Engine.cached -> ()
                   | Ok _ -> failwith "service returned a non-hit"
                   | Error msg -> failwith msg
                 in

@@ -1223,7 +1223,7 @@ let submit_cmd =
       if pairs then Suite.paper_specs ~model ()
       else Suite.spec_matrix ~model ()
     in
-    let cells = List.map Service.cell_of_spec specs in
+    let cells = List.map (fun s -> Worker.cell_of_spec s) specs in
     if not quiet then
       Printf.eprintf "submit: %d cell%s to %s\n%!" (List.length cells)
         (if List.length cells > 1 then "s" else "")
@@ -1241,24 +1241,18 @@ let submit_cmd =
             ("P(Failure)", Table.Right); ("origin", Table.Left) ]
     in
     List.iter
-      (fun (r : Service.wire_result) ->
-        let scan = r.Service.r_scan in
+      (fun (label, (r : Engine.result)) ->
+        let scan = r.Engine.scan in
         Table.row t
-          [ r.Service.r_label;
+          [ label;
             string_of_int (Array.length scan.Scan.experiments);
             Printf.sprintf "%.3f%%" (100.0 *. Metrics.coverage scan);
             string_of_int (Metrics.failure_count scan);
             Printf.sprintf "%.3e" (Metrics.failure_probability scan);
-            (if r.Service.r_cached then "cache" else "run") ])
+            (if r.Engine.cached then "cache" else "run") ])
       results;
     Table.print t;
-    let qs = List.concat_map (fun r -> r.Service.r_quarantined) results in
-    if qs <> [] then
-      Printf.eprintf
-        "fi-cli: WARNING: the service quarantined %d shard%s — those \
-         classes hold No_effect placeholders.\n%!"
-        (List.length qs)
-        (if List.length qs > 1 then "s" else "")
+    report_quarantine (List.map snd results)
   in
   Cmd.v
     (Cmd.info "submit"

@@ -124,7 +124,7 @@ type runtime = {
   resumed_shards : int;
   mutable classes_done : int;
   mutable shards_done : int;
-  cache_key : string option;  (** {!Cache.cell_key}, when caching is on. *)
+  cache_key : string option;  (** {!Worker.cell_key}, when caching is on. *)
   from_cache : bool;  (** Whole cell replayed from the result store. *)
 }
 
@@ -159,19 +159,12 @@ let setup cell ~progress =
      through to conducting normally. *)
   (* --------------------------------------------------------------- *)
   let cache_key =
-    match policy.Spec.acceleration.Spec.cache with
-    | None -> None
-    | Some _ ->
-        let image =
-          Digest.to_hex
-            (Digest.string
-               (Marshal.to_string cell.Runcell.golden.Golden.program []))
-        in
-        Some
-          (Cache.cell_key ~image
-             ~space:(Faultspace.tag cell.Runcell.spec.Spec.model)
-             ~limit:cell.Runcell.spec.Spec.limit
-             ~shard_size:policy.Spec.sharding.Spec.shard_size ~weighted:policy.Spec.sharding.Spec.weighted)
+    Option.map
+      (fun _ ->
+        Worker.cell_key
+          (Worker.cell_of_spec ~program:cell.Runcell.golden.Golden.program
+             cell.Runcell.spec))
+      policy.Spec.acceleration.Spec.cache
   in
   let from_cache =
     match (policy.Spec.acceleration.Spec.cache, cache_key) with
@@ -669,10 +662,17 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
                 }
                 :: !tracked
             in
+            let spec = rt.cell.Runcell.spec in
             let job =
-              Worker.wire_of_spec rt.cell.Runcell.spec
-                ~program:rt.cell.Runcell.golden.Golden.program
-                ~fingerprint:rt.fp ~shard_ids ~index
+              {
+                Worker.cell =
+                  Worker.cell_of_spec
+                    ~program:rt.cell.Runcell.golden.Golden.program spec;
+                stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
+                fingerprint = rt.fp;
+                shard_ids;
+                index;
+              }
             in
             match mode with
             | Local_processes _ ->

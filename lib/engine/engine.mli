@@ -17,8 +17,8 @@
     - {!Pool.Domains} (default) — shared-memory OCaml 5 domains inside
       this process, one pool across the whole matrix.
     - {!Pool.Processes} — fork/exec'd {!Worker} processes, each on one
-      end of a socketpair.  A worker receives a {!Worker.wire_job} (cell
-      description plus a shard-id range) and streams back one
+      end of a socketpair.  A worker receives a {!Worker.wire_job} (a
+      {!Worker.wire_cell} plus a shard-id range) and streams back one
       CRC-guarded journal-format record per shard in [Seg] frames, with
       [Door] frames for heartbeats and progress; the parent merges the
       records into the campaign journal as they arrive, so its journal
@@ -92,7 +92,7 @@
 
     When a policy names a {!Cache} directory, every cell is looked up in
     the content-addressed result store {e before} any shard is
-    scheduled.  The cell key ({!Cache.cell_key}) digests the program
+    scheduled.  The cell key ({!Worker.cell_key}) digests the program
     image, the fault-space tag and the plan-shaping policy fields
     (experiment limit, shard size, weighted sizing) — everything that
     determines results; supervision and journal placement are excluded

@@ -1,5 +1,3 @@
-let serve_var = "FI_ENGINE_NET_SERVE"
-
 (* Supervision-loop patience for peers that connect but never speak:
    mutable so the torture suite can shrink them (a half-open peer then
    costs half a second, not the production ten). *)
@@ -43,11 +41,13 @@ let with_conn ?timeout addr f =
           Transport.close conn;
           Error (Unix.error_message err))
 
-let probe ?secret addr =
+let with_peer ?secret addr f =
   with_conn addr (fun conn ->
-      let r = shake ?secret conn ~fingerprint:"" in
-      Transport.close conn;
-      r)
+      Fun.protect
+        ~finally:(fun () -> Transport.close conn)
+        (fun () -> Result.bind (shake ?secret conn ~fingerprint:"") (f conn)))
+
+let probe ?secret addr = with_peer ?secret addr (fun _ theirs -> Ok theirs)
 
 (* [patience] caps both the connect and handshake timeouts: the engine
    shortens it when re-dialling a host that already failed once, so a
@@ -68,28 +68,32 @@ let dispatch ?patience ?secret ~addr (job : Worker.wire_job) =
           Transport.close conn;
           e
       | Ok _ ->
-          Transport.send conn Frame.Job (Worker.encode_job job);
+          Transport.send conn Frame.Job (Worker.encode Worker.job_codec job);
           Ok conn)
 
 (* ------------------------------------------------------------------ *)
-(* Worker side: conducting one connection                             *)
+(* Server side: the hello answer and one conducted connection         *)
 (* ------------------------------------------------------------------ *)
+
+let answer_hello ?capacity ?secret conn payload =
+  let mine = Handshake.hello ?capacity ?secret () in
+  let verdict =
+    match Handshake.decode payload with
+    | None -> Error "malformed hello"
+    | Some theirs -> Handshake.check ?secret ~mine ~theirs ()
+  in
+  (match verdict with
+  | Ok () -> Transport.send conn Frame.Hello (Handshake.encode mine)
+  | Error msg -> Transport.send conn Frame.Err msg);
+  verdict
 
 let serve_connection ~capacity ?secret conn =
   match Transport.recv ~timeout:!handshake_timeout conn with
   | None -> () (* connected, said nothing, left — a port scan *)
   | Some (Frame.Hello, payload) -> (
-      let mine = Handshake.hello ~capacity ?secret () in
-      (match Handshake.decode payload with
-      | None -> failwith "malformed hello"
-      | Some theirs -> (
-          match Handshake.check ?secret ~mine ~theirs () with
-          | Ok () -> ()
-          | Error msg ->
-              Transport.send conn Frame.Err msg;
-              failwith msg));
-      Transport.send conn Frame.Hello (Handshake.encode mine);
-      Worker.serve_job ~timeout:!handshake_timeout conn)
+      match answer_hello ~capacity ?secret conn payload with
+      | Error msg -> failwith msg
+      | Ok () -> Worker.serve_job ~timeout:!handshake_timeout conn)
   | Some (kind, _) ->
       failwith
         (Printf.sprintf "expected a hello frame, got %s" (Frame.kind_tag kind))
@@ -98,126 +102,124 @@ let serve_connection ~capacity ?secret conn =
 (* The daemon                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let announce_line addr ~workers =
-  Printf.sprintf "fi-net listening %s workers=%d digest=%s"
-    (Addr.to_string addr) workers
-    (Handshake.self_digest ())
+let listen_announce ~prefix ?(tags = []) ~announce listen =
+  match Transport.listen listen with
+  | Error msg -> failwith msg
+  | Ok (lfd, addr) ->
+      (* A vanished peer must surface as EPIPE, not kill the daemon. *)
+      ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+      announce
+        (String.concat " "
+           ((prefix :: "listening" :: Addr.to_string addr :: tags)
+           @ [ "digest=" ^ Handshake.self_digest () ]));
+      lfd
 
-let parse_announce line =
+let secret_of_file =
+  Option.map (fun file ->
+      match Hmac.load_secret file with Ok s -> s | Error msg -> failwith msg)
+
+let parse_announce ~prefix line =
   match String.split_on_char ' ' line with
-  | "fi-net" :: "listening" :: addr :: _ -> (
-      match Addr.parse addr with Ok a -> Some a | Error _ -> None)
+  | p :: "listening" :: addr :: _ when p = prefix ->
+      Result.to_option (Addr.parse addr)
   | _ -> None
 
 let serve ~listen ~workers ?secret ?(announce = fun _ -> ()) () =
   if workers < 1 then
     invalid_arg (Printf.sprintf "Remote.serve: workers %d" workers);
-  match Transport.listen listen with
-  | Error msg -> failwith msg
-  | Ok (lfd, addr) ->
-      ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-      announce (announce_line addr ~workers);
-      let live = ref 0 in
-      (* Non-blocking: drain every already-exited child.  Blocking:
-         return after reaping ONE child — a single freed seat must
-         unblock accept immediately (the caller's [while !live >=
-         workers] re-checks), not wait for the whole wave to finish. *)
-      let reap ~block =
-        let flags = if block then [] else [ Unix.WNOHANG ] in
-        let continue = ref (!live > 0) in
-        while !continue do
-          match Unix.waitpid flags (-1) with
-          | 0, _ -> continue := false
-          | _ ->
-              decr live;
-              if block || !live = 0 then continue := false
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              live := 0;
-              continue := false
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done
-      in
-      while true do
-        reap ~block:false;
-        while !live >= workers do
-          reap ~block:true
-        done;
-        let conn = Transport.accept lfd in
-        match Unix.fork () with
-        | 0 ->
-            Sysio.close_quietly lfd;
-            (try
-               serve_connection ~capacity:workers ?secret conn;
-               Transport.close conn;
-               exit 0
-             with exn ->
-               (try
-                  Transport.send conn Frame.Err (Printexc.to_string exn);
-                  Transport.close conn
-                with _ -> ());
-               Printf.eprintf "fi-net worker (pid %d): %s\n%!"
-                 (Unix.getpid ()) (Printexc.to_string exn);
-               exit 3)
-        | _pid ->
-            incr live;
-            (* Close the parent's copy only — no shutdown, the child owns
-               the connection. *)
-            Sysio.close_quietly (Transport.fd conn)
-      done
+  let lfd =
+    listen_announce ~prefix:"fi-net"
+      ~tags:[ Printf.sprintf "workers=%d" workers ]
+      ~announce listen
+  in
+  let live = ref 0 in
+  (* Non-blocking: drain every already-exited child.  Blocking:
+     return after reaping ONE child — a single freed seat must
+     unblock accept immediately (the caller's [while !live >=
+     workers] re-checks), not wait for the whole wave to finish. *)
+  let reap ~block =
+    let flags = if block then [] else [ Unix.WNOHANG ] in
+    let continue = ref (!live > 0) in
+    while !continue do
+      match Unix.waitpid flags (-1) with
+      | 0, _ -> continue := false
+      | _ ->
+          decr live;
+          if block || !live = 0 then continue := false
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+          live := 0;
+          continue := false
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    done
+  in
+  while true do
+    reap ~block:false;
+    while !live >= workers do
+      reap ~block:true
+    done;
+    let conn = Transport.accept lfd in
+    match Unix.fork () with
+    | 0 ->
+        Sysio.close_quietly lfd;
+        (try
+           serve_connection ~capacity:workers ?secret conn;
+           Transport.close conn;
+           exit 0
+         with exn ->
+           (try
+              Transport.send conn Frame.Err (Printexc.to_string exn);
+              Transport.close conn
+            with _ -> ());
+           Printf.eprintf "fi-net worker (pid %d): %s\n%!"
+             (Unix.getpid ()) (Printexc.to_string exn);
+           exit 3)
+    | _pid ->
+        incr live;
+        (* Close the parent's copy only — no shutdown, the child owns
+           the connection. *)
+        Sysio.close_quietly (Transport.fd conn)
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Re-exec entry point (tests, bench, and `fi-cli worker serve`)       *)
+(* Re-exec harness (tests, bench) for this daemon and the service's   *)
 (* ------------------------------------------------------------------ *)
 
-let guard () =
-  match Sys.getenv_opt serve_var with
+type 'config daemon = {
+  var : string;
+  prefix : string;
+  run : 'config -> announce:(string -> unit) -> unit;
+}
+
+(* The configuration crosses the exec in [d.var], codec-encoded and
+   [String.escaped] so the marshalled bytes survive the environment. *)
+let config_codec d = Worker.codec (d.var ^ " v1\n")
+
+let daemon_guard d =
+  match Sys.getenv_opt d.var with
   | None | Some "" -> ()
   | Some value ->
       (try
-         let bad () = failwith (Printf.sprintf "bad %s value %S" serve_var value) in
-         let addr, workers, secret_file =
-           match String.split_on_char ';' value with
-           | [ addr; workers ] -> (addr, workers, None)
-           | [ addr; workers; secret ] -> (addr, workers, Some secret)
-           | _ -> bad ()
-         in
-         let secret =
-           match secret_file with
-           | None -> None
-           | Some file -> (
-               match Hmac.load_secret file with
-               | Ok s -> Some s
-               | Error msg -> failwith msg)
-         in
-         (match (Addr.parse addr, int_of_string_opt workers) with
-         | Ok listen, Some workers ->
-             (* Lead a fresh process group so killing the daemon
-                (group) also takes down its conducting children. *)
+         (match Worker.decode (config_codec d) (Scanf.unescaped value) with
+         | None -> failwith (Printf.sprintf "bad %s value" d.var)
+         | Some config ->
+             (* Lead a fresh process group so killing the daemon (group)
+                also takes down its children. *)
              (try ignore (Unix.setsid ()) with Unix.Unix_error _ -> ());
-             serve ~listen ~workers ?secret
-               ~announce:(fun line ->
+             d.run config ~announce:(fun line ->
                  print_endline line;
-                 flush stdout)
-               ()
-         | _ -> bad ());
+                 flush stdout));
          exit 0
        with exn ->
-         Printf.eprintf "fi-net daemon (pid %d): %s\n%!" (Unix.getpid ())
+         Printf.eprintf "%s daemon (pid %d): %s\n%!" d.prefix (Unix.getpid ())
            (Printexc.to_string exn);
          exit 3)
 
-let spawn_daemon ?(listen = { Addr.host = "127.0.0.1"; port = 0 }) ~workers
-    ?secret_file () =
+let spawn_daemon d config =
   let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let value =
-    match secret_file with
-    | None -> Printf.sprintf "%s;%d" (Addr.to_string listen) workers
-    | Some file ->
-        Printf.sprintf "%s;%d;%s" (Addr.to_string listen) workers file
-  in
+  let value = String.escaped (Worker.encode (config_codec d) config) in
   let env =
     Array.append (Unix.environment ())
-      [| Printf.sprintf "%s=%s" serve_var value |]
+      [| Printf.sprintf "%s=%s" d.var value |]
   in
   let pid =
     Unix.create_process_env Sys.executable_name
@@ -226,7 +228,7 @@ let spawn_daemon ?(listen = { Addr.host = "127.0.0.1"; port = 0 }) ~workers
   in
   Unix.close out_w;
   let ic = Unix.in_channel_of_descr out_r in
-  (* The hosting binary may print unrelated lines before [guard] runs
+  (* The hosting binary may print unrelated lines before its guard runs
      (module initialisers — test registration, banners).  Skip until the
      announce line, within reason.  Leave the channel open afterwards:
      closing it would close the pipe and could SIGPIPE a chatty daemon;
@@ -237,7 +239,7 @@ let spawn_daemon ?(listen = { Addr.host = "127.0.0.1"; port = 0 }) ~workers
     else
       match input_line ic with
       | line -> (
-          match parse_announce line with
+          match parse_announce ~prefix:d.prefix line with
           | Some addr -> Ok (pid, addr)
           | None -> await (budget - 1) line)
       | exception End_of_file ->
@@ -251,3 +253,24 @@ let kill_daemon pid =
    with Unix.Unix_error _ -> (
      try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
+type config = {
+  listen : Addr.t;
+  workers : int;
+  secret_file : string option;
+}
+
+let default_config =
+  { listen = { Addr.host = "127.0.0.1"; port = 0 }; workers = 1; secret_file = None }
+
+let daemon =
+  {
+    var = "FI_ENGINE_NET_SERVE";
+    prefix = "fi-net";
+    run =
+      (fun c ~announce ->
+        serve ~listen:c.listen ~workers:c.workers
+          ?secret:(secret_of_file c.secret_file) ~announce ());
+  }
+
+let guard () = daemon_guard daemon

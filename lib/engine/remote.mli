@@ -19,13 +19,10 @@
 
     The daemon ([fi-cli worker serve], or any binary whose main calls
     {!guard}) forks one child per accepted connection, at most [workers]
-    conducting at once. *)
-
-val serve_var : string
-(** ["FI_ENGINE_NET_SERVE"] — ["HOST:PORT;WORKERS"] (optionally
-    ["HOST:PORT;WORKERS;SECRET_FILE"]) in the environment diverts
-    {!guard} into {!serve}: how tests and the bench spawn a loopback
-    daemon by re-exec'ing themselves ({!spawn_daemon}). *)
+    conducting at once.  The server-side hello ({!answer_hello}), the
+    handshake timeout and the re-exec harness ({!daemon_guard},
+    {!spawn_daemon}, {!kill_daemon}) are shared with the campaign
+    service. *)
 
 val connect_timeout : float ref
 val handshake_timeout : float ref
@@ -35,17 +32,15 @@ val handshake_timeout : float ref
 
 (** {1 Client side (the conducting engine)} *)
 
-val shake :
-  ?timeout:float ->
+val with_peer :
   ?secret:string ->
-  Transport.conn ->
-  fingerprint:string ->
-  (Handshake.hello, string) result
-(** The client half of the hello exchange on an open connection: send
-    ours, await theirs, {!Handshake.check}.  Shared with the campaign
-    service's thin clients, which handshake against the same binary
-    digest (and, when armed, the same shared secret) as worker
-    dispatch. *)
+  Addr.t ->
+  (Transport.conn -> Handshake.hello -> ('a, string) result) ->
+  ('a, string) result
+(** Connect, exchange hellos (ours, then theirs, {!Handshake.check}ed),
+    run [f] on the connection and the peer's hello, close.  Refusal,
+    timeouts, transport errors and corrupt frames all come back as
+    [Error].  The campaign service's thin clients are built on it. *)
 
 val probe : ?secret:string -> Addr.t -> (Handshake.hello, string) result
 (** Connect, exchange hellos, close.  How the engine validates every
@@ -67,14 +62,19 @@ val dispatch :
     stall the supervision loop for the full default timeouts on every
     backoff round. *)
 
-(** {1 Worker side} *)
+(** {1 Server side} *)
 
-val serve_connection : capacity:int -> ?secret:string -> Transport.conn -> unit
-(** Conduct one connection: handshake (refusing on version, digest or
-    shared-secret mismatch), then at most one job ({!Worker.serve_job}).
-    Raises on protocol violations and fingerprint disagreement — the
-    daemon's per-connection child turns that into an [Err] frame and
-    exit code 3. *)
+val answer_hello :
+  ?capacity:int ->
+  ?secret:string ->
+  Transport.conn ->
+  string ->
+  (unit, string) result
+(** The server half of the hello exchange, given the client's [Hello]
+    payload: {!Handshake.check} it (version, shared secret, binary
+    digest) and reply [Hello] (advertising [capacity]) or [Err] with
+    the refusal, which is also returned.  Worker daemons and the
+    campaign service answer every client through it. *)
 
 val serve :
   listen:Addr.t ->
@@ -84,30 +84,72 @@ val serve :
   unit ->
   unit
 (** The daemon: bind (port [0] lets the kernel pick), call [announce]
-    with the [fi-net listening HOST:PORT …] line (actual port), then
-    accept forever, forking one child per connection with at most
-    [workers] conducting at once.  Never returns normally. *)
+    with the [fi-net listening HOST:PORT workers=N digest=…] line
+    (actual port), then accept forever, forking one child per
+    connection with at most [workers] conducting at once.  Each child
+    {!answer_hello}s the first frame (within {!handshake_timeout}), then
+    serves at most one job ({!Worker.serve_job}); a refusal, protocol
+    violation or fingerprint disagreement becomes an [Err] frame and
+    exit code 3.  Never returns normally. *)
 
-val announce_line : Addr.t -> workers:int -> string
-val parse_announce : string -> Addr.t option
+val listen_announce :
+  prefix:string ->
+  ?tags:string list ->
+  announce:(string -> unit) ->
+  Addr.t ->
+  Unix.file_descr
+(** Bind a daemon's listening socket, ignore [SIGPIPE] (a vanished peer
+    surfaces as [EPIPE]) and [announce] the one announce format,
+    [PREFIX listening HOST:PORT TAGS… digest=MD5] with the actual port
+    — for ["fi-net"] worker daemons and the ["fi-svc"] campaign service
+    alike.
+    @raise Failure when the address cannot be bound. *)
 
-val guard : unit -> unit
-(** Call right after {!Worker.guard} in every engine-hosting main: if
-    {!serve_var} is set, become a daemon (announcing on stdout, leading
-    a fresh process group so killing the group takes the conducting
-    children too) and never return. *)
+(** {1 Re-exec harness}
 
-val spawn_daemon :
-  ?listen:Addr.t ->
-  workers:int ->
-  ?secret_file:string ->
-  unit ->
-  (int * Addr.t, string) result
-(** Re-exec this executable as a daemon ({!serve_var}) and read the
-    announced address back (default listen: [127.0.0.1:0]).  Returns
-    the daemon's pid and actual address.  [secret_file] arms
-    shared-secret auth on the spawned daemon.  Test/bench harness. *)
+    How tests, the bench and the CLI start a loopback daemon: re-exec
+    this binary with the daemon's configuration in its environment;
+    the binary's guard diverts it into the daemon before [main] runs. *)
+
+type 'config daemon = {
+  var : string;  (** Environment variable carrying the configuration. *)
+  prefix : string;  (** Announce prefix, also tags startup diagnostics. *)
+  run : 'config -> announce:(string -> unit) -> unit;
+      (** Serve forever, announcing the bound address once. *)
+}
+
+val daemon_guard : 'config daemon -> unit
+(** No-op unless [var] is set.  Otherwise this process {e is} the
+    daemon: decode the configuration, lead a fresh session (so killing
+    the group takes the daemon's children too), [run] it announcing on
+    stdout, and never return — exit code 3 with a pid-tagged message on
+    startup failure. *)
+
+val spawn_daemon : 'config daemon -> 'config -> (int * Addr.t, string) result
+(** Re-exec this executable as the daemon and read its announce line
+    back.  Returns the daemon's pid and actual bound address. *)
 
 val kill_daemon : int -> unit
-(** SIGKILL the daemon's process group (conducting children included)
-    and reap it — the torture suite's cluster-power-cut. *)
+(** SIGKILL the daemon's process group (children included) and reap
+    it — the torture suite's cluster-power-cut. *)
+
+val secret_of_file : string option -> string option
+(** Load a daemon's shared secret ({!Hmac.load_secret}).
+    @raise Failure when the file is unreadable. *)
+
+type config = {
+  listen : Addr.t;
+  workers : int;  (** Conducting seats. *)
+  secret_file : string option;  (** Arms shared-secret auth. *)
+}
+(** A worker daemon, as {!spawn_daemon} starts one. *)
+
+val default_config : config
+(** [127.0.0.1:0], one seat, no secret. *)
+
+val daemon : config daemon
+(** The worker daemon ({!serve}) under [FI_ENGINE_NET_SERVE]. *)
+
+val guard : unit -> unit
+(** [daemon_guard daemon].  Call right after {!Worker.guard} in every
+    engine-hosting main. *)

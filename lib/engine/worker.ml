@@ -7,43 +7,57 @@ let torture_var = "FI_ENGINE_TORTURE"
 
 (* Nothing here may capture code: a remote peer is another machine, so
    [Spec.Build] closures cannot cross, and a local child gets the very
-   same bytes.  The job is the Runcell-level cell description — the
+   same bytes.  A wire cell is the Runcell-level cell description — the
    assembled program image plus the policy fields that shape the shard
-   plan — and the worker re-derives everything else (golden run,
-   fault-space classes, fingerprint) on its own, refusing on
-   disagreement.  Marshal without [Closures] is plain portable data; a
-   local child is this executable by construction and a remote one is
-   pinned to it by the handshake's binary digest, which makes the
-   marshalling format (and the analysis) agree. *)
-type wire_job = {
+   plan — and whoever receives one re-derives everything else (golden
+   run, fault-space classes, fingerprint) on its own.  Marshal without
+   [Closures] is plain portable data; a local child is this executable
+   by construction and a remote peer is pinned to it by the handshake's
+   binary digest, which makes the marshalling format (and the analysis)
+   agree. *)
+type wire_cell = {
   benchmark : string;
   variant : string;
   model : Faultspace.model;
   limit : int option;
   shard_size : int option;
   weighted : bool;
+  program : Program.t;
+}
+
+type wire_job = {
+  cell : wire_cell;
   stride : int option;
       (* checkpoint stride — a pure perf knob the worker honours locally;
          deliberately absent from the fingerprint it verifies. *)
-  program : Program.t;
   fingerprint : int;
   shard_ids : int array;
   index : int;
 }
 
-let wire_magic = "fi-wire v1\n"
+type 'a codec = string
 
-let encode_job (job : wire_job) = wire_magic ^ Marshal.to_string job []
+let codec magic = magic
 
-let decode_job s =
-  let mlen = String.length wire_magic in
-  if String.length s <= mlen || String.sub s 0 mlen <> wire_magic then None
-  else
-    match (Marshal.from_string s mlen : wire_job) with
-    | job -> Some job
+let encode magic v = magic ^ Marshal.to_string v []
+
+let decode magic s =
+  let mlen = String.length magic in
+  if String.length s <= mlen || String.sub s 0 mlen <> magic then None
+  else match Marshal.from_string s mlen with
+    | v -> Some v
     | exception _ -> None
 
-let wire_of_spec (spec : Spec.t) ~program ~fingerprint ~shard_ids ~index =
+let job_codec : wire_job codec = codec "fi-wire v1\n"
+
+let cell_of_spec ?program (spec : Spec.t) =
+  let program =
+    match (program, spec.Spec.source) with
+    | Some p, _ -> p
+    | None, Spec.Analysed_memory g -> g.Golden.program
+    | None, Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
+    | None, Spec.Build build -> build ()
+  in
   {
     benchmark = spec.Spec.benchmark;
     variant = spec.Spec.variant;
@@ -51,33 +65,33 @@ let wire_of_spec (spec : Spec.t) ~program ~fingerprint ~shard_ids ~index =
     limit = spec.Spec.limit;
     shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
     weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
-    stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
     program;
-    fingerprint;
-    shard_ids;
-    index;
   }
 
-(* Only the plan-shaping policy fields (plus the checkpoint stride, so
-   the worker accelerates the same way) cross the wire: journalling,
-   resume and supervision belong to the conducting parent. *)
-let spec_of_wire (job : wire_job) =
+(* The receiver's spec: its own execution policy (journalling, resume,
+   supervision, caching) around the sender's plan-shaping fields. *)
+let spec_of_cell ~policy (c : wire_cell) =
   {
-    Spec.benchmark = job.benchmark;
-    variant = job.variant;
-    model = job.model;
-    source = Spec.Build (fun () -> job.program);
-    limit = job.limit;
+    Spec.benchmark = c.benchmark;
+    variant = c.variant;
+    model = c.model;
+    source = Spec.Build (fun () -> c.program);
+    limit = c.limit;
     policy =
-      Spec.make_policy ?shard_size:job.shard_size ~weighted:job.weighted
-        ?checkpoint_stride:job.stride ();
+      {
+        policy with
+        Spec.sharding = { Spec.shard_size = c.shard_size; weighted = c.weighted };
+      };
   }
 
-let program_of_spec (spec : Spec.t) =
-  match spec.Spec.source with
-  | Spec.Analysed_memory g -> g.Golden.program
-  | Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
-  | Spec.Build build -> build ()
+(* Everything that determines a cell's results, and nothing that does
+   not: the engine's result-store consult and the service's up-front
+   routing both key through here. *)
+let cell_key (c : wire_cell) =
+  Cache.cell_key
+    ~image:(Digest.to_hex (Digest.string (Marshal.to_string c.program [])))
+    ~space:(Faultspace.tag c.model) ~limit:c.limit ~shard_size:c.shard_size
+    ~weighted:c.weighted
 
 let segment_header ~fingerprint ~pid =
   Printf.sprintf "fi-segment v1 fingerprint=%s pid=%d" (Crc32.to_hex fingerprint)
@@ -164,7 +178,11 @@ let torture_point torture conn ~index ~completed ~shard_id =
 (* ------------------------------------------------------------------ *)
 
 let conduct_job conn (job : wire_job) =
-  let cell = Runcell.analyse (spec_of_wire job) in
+  (* Only the plan-shaping fields (plus the checkpoint stride, so the
+     worker accelerates the same way) cross the wire: journalling,
+     resume and supervision belong to the conducting parent. *)
+  let policy = Spec.make_policy ?checkpoint_stride:job.stride () in
+  let cell = Runcell.analyse (spec_of_cell ~policy job.cell) in
   let classes = cell.Runcell.classes in
   let plan = Runcell.plan_of_policy cell.Runcell.spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
@@ -212,7 +230,7 @@ let serve_job ?timeout conn =
   match Transport.recv ?timeout conn with
   | None -> () (* the peer left without a job — a probe *)
   | Some (Frame.Job, payload) -> (
-      match decode_job payload with
+      match decode job_codec payload with
       | None -> failwith "undecodable job payload"
       | Some job -> conduct_job conn job)
   | Some (kind, _) ->
@@ -254,7 +272,7 @@ let spawn (job : wire_job) =
      broken connection here is a supervision event, not a parent crash
      — the caller must have SIGPIPE ignored, which turns it into
      EPIPE. *)
-  (try Transport.send conn Frame.Job (encode_job job)
+  (try Transport.send conn Frame.Job (encode job_codec job)
    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
      ());
   (pid, conn)

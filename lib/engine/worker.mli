@@ -1,10 +1,10 @@
 (** The campaign worker: the one protocol every worker speaks, local or
     remote, and the local (fork/exec) way to start one.
 
-    A worker reads one {!wire_job} in a [Job] frame — the Runcell-level
-    cell description (program image, plan-shaping policy fields,
-    campaign fingerprint, shard ids), marshalled {e without} [Closures]
-    — re-analyses the cell, refuses if its own fingerprint disagrees
+    A worker reads one {!wire_job} in a [Job] frame — a {!wire_cell}
+    (program image and plan-shaping policy fields) plus the dispatch
+    fields (campaign fingerprint, shard ids), marshalled {e without}
+    [Closures] — re-analyses the cell, refuses if its own fingerprint disagrees
     with the conductor's, and conducts its shards in order.  Everything
     it says goes back as frames on the same {!Transport.conn}: [Seg]
     frames carry journal-format lines (the [fi-segment v1] header first,
@@ -41,53 +41,71 @@ val torture_var : string
     poison coordinate that exercises shard quarantine, since it follows
     the shard through every retry.  Unset, empty or unparseable values
     inject nothing.  Local and remote workers honour it alike in
-    {!conduct_job}; a remote daemon reads its own environment. *)
+    {!serve_job}; a remote daemon reads its own environment. *)
 
-(** {1 Wire job} *)
+(** {1 Wire cell and wire job} *)
 
-type wire_job = {
+type wire_cell = {
   benchmark : string;
   variant : string;
   model : Faultspace.model;
   limit : int option;
   shard_size : int option;
   weighted : bool;
+  program : Program.t;  (** The assembled image — plain data. *)
+}
+(** One campaign cell as it crosses a process or host boundary: the
+    program image plus the plan-shaping spec fields, never a closure.
+    Execution policy (journalling, supervision, caching) belongs to the
+    receiver.  A worker job carries one; a campaign-service submission
+    is a list of them. *)
+
+type wire_job = {
+  cell : wire_cell;
   stride : int option;
       (** The conductor's checkpoint stride, honoured by the worker so
           both ends accelerate identically.  A pure perf knob — not part
           of the fingerprint the worker verifies (outcomes are
           bit-identical at any stride). *)
-  program : Program.t;  (** The assembled image — plain data. *)
   fingerprint : int;  (** Conductor's campaign fingerprint; verified. *)
   shard_ids : int array;  (** Plan shard ids to conduct, in order. *)
   index : int;
       (** Spawn ordinal within the cell (retry workers get fresh
           indices), for diagnostics and [torture] targeting. *)
 }
+(** One dispatch: a wire cell plus the fields that say which of its
+    shards to conduct, and how. *)
 
-val encode_job : wire_job -> string
-(** Versioned wire format: a [fi-wire v1] magic then [Marshal] {e
-    without} [Closures] — sound because both ends are the same binary
-    (by construction locally, by {!Handshake.check} remotely). *)
+type 'a codec
+(** A versioned wire format for ['a]: a magic line, then [Marshal]
+    {e without} [Closures] — sound because both ends are the same
+    binary (by construction locally, by {!Handshake.check} remotely). *)
 
-val decode_job : string -> wire_job option
+val codec : string -> 'a codec
+(** [codec magic]: bind each magic string to exactly one type. *)
 
-val wire_of_spec :
-  Spec.t ->
-  program:Program.t ->
-  fingerprint:int ->
-  shard_ids:int array ->
-  index:int ->
-  wire_job
+val encode : 'a codec -> 'a -> string
 
-val spec_of_wire : wire_job -> Spec.t
-(** Rebuild a [Spec.Build] spec around the shipped image.  Only the
-    plan-shaping policy fields cross the wire; journalling, resume and
-    supervision stay with the conducting parent. *)
+val decode : 'a codec -> string -> 'a option
+(** [None] on a wrong magic or a truncated or garbled payload. *)
 
-val program_of_spec : Spec.t -> Program.t
-(** Extract the program image a spec describes (building it if the
-    source is a thunk). *)
+val job_codec : wire_job codec
+(** The [fi-wire v1] job format. *)
+
+val cell_of_spec : ?program:Program.t -> Spec.t -> wire_cell
+(** Flatten a spec into its wire cell.  [program] is the image the
+    caller has already built; without it a [Spec.Build] source is
+    built here. *)
+
+val spec_of_cell : policy:Spec.policy -> wire_cell -> Spec.t
+(** Rebuild a [Spec.Build] spec around the shipped image: the cell's
+    sharding fields inside the receiver's own [policy]. *)
+
+val cell_key : wire_cell -> string
+(** The cell's result-store key ({!Cache}): program-image MD5 × fault
+    space × limit × shard size × weighting.  The one derivation the
+    engine's result-store consult and the campaign service's routing
+    share. *)
 
 val segment_fingerprint : string -> int option
 (** Parse the first [Seg] payload ([fi-segment v1 fingerprint=<crc32>
@@ -96,19 +114,16 @@ val segment_fingerprint : string -> int option
 
 (** {1 The worker side} *)
 
-val conduct_job : Transport.conn -> wire_job -> unit
-(** The shard loop: re-analyse the cell and verify the job's
-    fingerprint, range-check the shard ids, send the [fi-segment v1]
-    header, then conduct each shard in order — throttled [h] heartbeats
-    while conducting, one record [Seg] plus an [s <id>] [Door] per
-    shard — and finish with [end].  Writes nothing but frames.  Honours
-    {!torture_var}.  Raises on fingerprint disagreement or a bad shard
-    id. *)
-
 val serve_job : ?timeout:float -> Transport.conn -> unit
-(** Receive one [Job] frame (within [timeout], if given) and
-    {!conduct_job} it.  Returns at once if the peer closes without a job
-    (a probe); raises on any other frame or an undecodable job. *)
+(** Receive one [Job] frame (within [timeout], if given) and conduct
+    it: re-analyse the cell and verify the job's fingerprint, range-check
+    the shard ids, send the [fi-segment v1] header, then conduct each
+    shard in order — throttled [h] heartbeats while conducting, one
+    record [Seg] plus an [s <id>] [Door] per shard — and finish with
+    [end].  Writes nothing but frames; honours {!torture_var}.  Returns
+    at once if the peer closes without a job (a probe); raises on any
+    other frame, an undecodable job, fingerprint disagreement or a bad
+    shard id. *)
 
 val guard : unit -> unit
 (** Call first in every [main] of a binary that runs campaigns (the CLI,

@@ -1,104 +1,16 @@
-let serve_var = "FI_ENGINE_SVC_SERVE"
+(* A submission is a list of {!Worker.wire_cell}s — descriptions, never
+   closures — and the reply is each cell's label with its
+   {!Engine.result}; both cross in the worker's codec. *)
+let submission : Worker.wire_cell list Worker.codec = Worker.codec "fi-svc v1\n"
 
-(* Handshake patience, mutable for the same reason as {!Remote}'s: the
-   torture suite makes half-open peers cheap. *)
-let handshake_timeout = ref 10.
+let results : (string * Engine.result) list Worker.codec =
+  Worker.codec "fi-res v1\n"
 
-(* ------------------------------------------------------------------ *)
-(* Wire formats                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Like {!Worker.wire_job}, a submission carries cell DESCRIPTIONS —
-   assembled images plus plan-shaping policy fields — never closures.
-   Marshal without [Closures] is sound because the handshake's binary
-   digest already pinned both ends to the same executable. *)
-type wire_cell = {
-  c_benchmark : string;
-  c_variant : string;
-  c_model : Faultspace.model;
-  c_limit : int option;
-  c_shard_size : int option;
-  c_weighted : bool;
-  c_program : Program.t;
-}
-
-type wire_quarantined = {
-  wq_shard : int;
-  wq_classes : int;
-  wq_attempts : int;
-  wq_cause : string;
-}
-
-type wire_result = {
-  r_label : string;
-  r_scan : Scan.t;
-  r_cached : bool;  (** Served from the result store — zero shards run. *)
-  r_quarantined : wire_quarantined list;
-}
-
-let submit_magic = "fi-svc v1\n"
-let result_magic = "fi-res v1\n"
-
-let with_magic magic v = magic ^ Marshal.to_string v []
-
-let of_magic : 'a. string -> string -> 'a option =
- fun magic s ->
-  let mlen = String.length magic in
-  if String.length s <= mlen || String.sub s 0 mlen <> magic then None
-  else match Marshal.from_string s mlen with
-    | v -> Some v
-    | exception _ -> None
-
-let encode_submission (cells : wire_cell list) = with_magic submit_magic cells
-
-let decode_submission s : wire_cell list option = of_magic submit_magic s
-
-let encode_results (rs : wire_result list) = with_magic result_magic rs
-
-let decode_results s : wire_result list option = of_magic result_magic s
-
-let cell_of_spec (spec : Spec.t) =
-  {
-    c_benchmark = spec.Spec.benchmark;
-    c_variant = spec.Spec.variant;
-    c_model = spec.Spec.model;
-    c_limit = spec.Spec.limit;
-    c_shard_size = spec.Spec.policy.Spec.sharding.Spec.shard_size;
-    c_weighted = spec.Spec.policy.Spec.sharding.Spec.weighted;
-    c_program = Worker.program_of_spec spec;
-  }
-
-(* The daemon-side spec: the service's own policy (journalling into its
-   artifact directory, caching, supervision) around the client's cell. *)
-let spec_of_cell ~policy (c : wire_cell) =
-  {
-    Spec.benchmark = c.c_benchmark;
-    variant = c.c_variant;
-    model = c.c_model;
-    source = Spec.Build (fun () -> c.c_program);
-    limit = c.c_limit;
-    policy =
-      {
-        policy with
-        Spec.sharding =
-          { Spec.shard_size = c.c_shard_size; weighted = c.c_weighted };
-      };
-  }
-
-(* The same key the engine will derive in [setup] — consulted by the
-   daemon up front so a fully cached submission is served immediately,
-   bypassing both the admission queue and the worker fleet. *)
-let cell_key ~dir:_ (c : wire_cell) =
-  let image = Digest.to_hex (Digest.string (Marshal.to_string c.c_program [])) in
-  Cache.cell_key ~image
-    ~space:(Faultspace.tag c.c_model)
-    ~limit:c.c_limit ~shard_size:c.c_shard_size ~weighted:c.c_weighted
-
+(* Consulted once, in the daemon loop, so a fully cached submission is
+   served immediately, bypassing both the admission queue and the
+   worker fleet. *)
 let fully_cached ~dir cells =
-  cells <> []
-  && List.for_all
-       (fun c -> Cache.lookup ~dir (cell_key ~dir c) <> None)
-       cells
+  List.for_all (fun c -> Cache.lookup ~dir (Worker.cell_key c) <> None) cells
 
 (* ------------------------------------------------------------------ *)
 (* Daemon configuration                                               *)
@@ -135,16 +47,6 @@ let backend_of_config cfg =
             (Printf.sprintf "unknown service backend %S" cfg.local_backend))
   | hosts -> Pool.Sockets hosts
 
-let announce_line addr =
-  Printf.sprintf "fi-svc listening %s digest=%s" (Addr.to_string addr)
-    (Handshake.self_digest ())
-
-let parse_announce line =
-  match String.split_on_char ' ' line with
-  | "fi-svc" :: "listening" :: addr :: _ -> (
-      match Addr.parse addr with Ok a -> Some a | Error _ -> None)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* The runner child                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -156,26 +58,18 @@ let parse_announce line =
    (SIGPIPE is ignored daemon-wide), so the campaign still finishes and
    its cells are still published to the result store for the next
    submitter. *)
-let run_job ~cfg ~secret conn cells =
+let run_job ~cfg ~secret ~backend conn cells =
   let policy =
     Spec.make_policy ~catalogue:cfg.artifacts ~cache:cfg.artifacts
       ~max_retries:2 ~quarantine:true ()
   in
-  let specs = List.map (spec_of_cell ~policy) cells in
+  let specs = List.map (Worker.spec_of_cell ~policy) cells in
   let lost = ref false in
   let say kind payload =
     if not !lost then
       try Transport.send conn kind payload
       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
       -> lost := true
-  in
-  (* A fully cached submission never touches the fleet: the engine's
-     consult runs under a local backend, so a busy (or absent) fleet
-     cannot delay a hit.  [serve_loop] only routes here when every cell
-     is already published. *)
-  let backend =
-    if fully_cached ~dir:cfg.artifacts cells then Pool.Domains
-    else backend_of_config cfg
   in
   match
     Engine.run_matrix_results ~backend ~jobs:cfg.jobs
@@ -184,28 +78,9 @@ let run_job ~cfg ~secret conn cells =
       ~on_event:(fun msg -> say Frame.Stat (Printf.sprintf "supervision %s" msg))
       ?secret specs
   with
-  | results ->
-      let wired =
-        List.map2
-          (fun spec (r : Engine.result) ->
-            {
-              r_label = Spec.label spec;
-              r_scan = r.Engine.scan;
-              r_cached = r.Engine.cached;
-              r_quarantined =
-                List.map
-                  (fun (q : Engine.quarantined) ->
-                    {
-                      wq_shard = q.Engine.q_shard;
-                      wq_classes = q.Engine.q_classes;
-                      wq_attempts = q.Engine.q_attempts;
-                      wq_cause = q.Engine.q_cause;
-                    })
-                  r.Engine.quarantined;
-            })
-          specs results
-      in
-      say Frame.Res (encode_results wired)
+  | rs ->
+      say Frame.Res
+        (Worker.encode results (List.combine (List.map Spec.label specs) rs))
   | exception exn -> say Frame.Err (Printexc.to_string exn)
 
 (* ------------------------------------------------------------------ *)
@@ -216,6 +91,8 @@ let run_job ~cfg ~secret conn cells =
 type session = {
   s_conn : Transport.conn;
   s_host : string;  (** Fairness key: the peer's host part. *)
+  s_since : float;  (** Accept time: the hello is due within the timeout. *)
+  mutable s_greeted : bool;  (** Its hello passed {!Remote.answer_hello}. *)
   mutable s_submitted : bool;  (** One job per connection. *)
   mutable s_running : bool;  (** A runner child owns the reply stream. *)
 }
@@ -227,283 +104,203 @@ let host_of_peer peer =
 
 let serve ?(config = default_config) ?(announce = fun _ -> ()) () =
   let cfg = config in
-  let secret =
-    match cfg.secret_file with
-    | None -> None
-    | Some file -> (
-        match Hmac.load_secret file with
-        | Ok s -> Some s
-        | Error msg -> failwith msg)
+  let secret = Remote.secret_of_file cfg.secret_file in
+  let fleet_backend = backend_of_config cfg in
+  let lfd =
+    Remote.listen_announce ~prefix:"fi-svc" ~announce
+      (Addr.parse_exn cfg.listen)
   in
-  let listen_addr = Addr.parse_exn cfg.listen in
-  match Transport.listen listen_addr with
-  | Error msg -> failwith msg
-  | Ok (lfd, addr) ->
-      ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-      Catalog.ensure_dir cfg.artifacts;
-      announce (announce_line addr);
-      let sessions : (Unix.file_descr, session) Hashtbl.t = Hashtbl.create 8 in
-      let queue : (session * wire_cell list) Fairq.t =
-        Fairq.create ~window:cfg.window
-      in
-      (* The fleet (or the local pool) conducts one campaign at a time:
-         queued jobs wait their fair turn.  Cache-hit jobs fork
-         immediately and don't occupy the seat. *)
-      let fleet_pid = ref None in
-      let hit_pids = ref [] in
-      let drop s =
-        Hashtbl.remove sessions (Transport.fd s.s_conn);
-        Transport.close s.s_conn
-      in
-      (* After forking a runner the parent parks the session: the child
-         owns the reply stream; the parent only watches for EOF so a
-         vanished client is cleaned up promptly. *)
-      let reap () =
-        let finish pid =
+  Catalog.ensure_dir cfg.artifacts;
+  let sessions : (Unix.file_descr, session) Hashtbl.t = Hashtbl.create 8 in
+  let queue : (session * Worker.wire_cell list) Fairq.t =
+    Fairq.create ~window:cfg.window
+  in
+  (* The fleet (or the local pool) conducts one campaign at a time:
+     queued jobs wait their fair turn.  Cache-hit jobs fork
+     immediately and don't occupy the seat. *)
+  let fleet_pid = ref None in
+  let drop s =
+    Hashtbl.remove sessions (Transport.fd s.s_conn);
+    Transport.close s.s_conn
+  in
+  (* After forking a runner the parent parks the session: the child
+     owns the reply stream; the parent only watches for EOF so a
+     vanished client is cleaned up promptly. *)
+  let reap () =
+    let rec go () =
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | 0, _ -> ()
+      | pid, _ ->
           if !fleet_pid = Some pid then fleet_pid := None;
-          hit_pids := List.filter (fun p -> p <> pid) !hit_pids
-        in
-        let rec go () =
-          match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-          | 0, _ -> ()
-          | pid, _ ->
-              finish pid;
-              go ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        in
-        go ()
-      in
-      let fork_runner s cells =
-        match Unix.fork () with
-        | 0 ->
-            Sysio.close_quietly lfd;
-            Hashtbl.iter
-              (fun fd _ ->
-                if fd <> Transport.fd s.s_conn then Sysio.close_quietly fd)
-              sessions;
-            (try run_job ~cfg ~secret s.s_conn cells
-             with exn ->
-               Printf.eprintf "fi-svc runner (pid %d): %s\n%!" (Unix.getpid ())
-                 (Printexc.to_string exn));
-            exit 0
-        | pid ->
-            s.s_running <- true;
-            pid
-      in
-      let status_line () =
-        Printf.sprintf
-          "fi-svc status clients=%d queued=%d busy=%b cached-cells=%d window=%d"
-          (Hashtbl.length sessions) (Fairq.pending queue)
-          (!fleet_pid <> None)
-          (List.length (Cache.entries ~dir:cfg.artifacts))
-          cfg.window
-      in
-      let handle_submit s payload =
-        match decode_submission payload with
-        | None ->
-            Transport.send s.s_conn Frame.Err "undecodable submission payload";
-            drop s
-        | Some [] ->
-            Transport.send s.s_conn Frame.Err "empty submission";
-            drop s
-        | Some _ when s.s_submitted ->
-            Transport.send s.s_conn Frame.Err
-              "one submission per connection — reconnect for the next job"
-        | Some cells ->
-            s.s_submitted <- true;
-            if fully_cached ~dir:cfg.artifacts cells then begin
-              (* Cache hit: serve instantly, off-queue, fleet untouched. *)
-              Transport.send s.s_conn Frame.Stat "cache-hit serving";
-              hit_pids := fork_runner s cells :: !hit_pids
-            end
-            else (
-              match Fairq.admit queue ~client:s.s_host (s, cells) with
-              | Ok depth ->
-                  Transport.send s.s_conn Frame.Stat
-                    (Printf.sprintf "queued depth=%d" depth)
-              | Error msg ->
-                  Transport.send s.s_conn Frame.Err msg;
-                  drop s)
-      in
-      let handle_frame s (kind, payload) =
-        match kind with
-        | Frame.Submit -> handle_submit s payload
-        | Frame.Stat -> Transport.send s.s_conn Frame.Stat (status_line ())
-        | Frame.Hello -> () (* tolerated: re-hello is a no-op *)
-        | Frame.Job | Frame.Door | Frame.Seg | Frame.Err | Frame.Prog
-        | Frame.Res ->
-            Transport.send s.s_conn Frame.Err
-              (Printf.sprintf "unexpected %s frame" (Frame.kind_tag kind));
-            drop s
-      in
-      let accept_one () =
-        let conn = Transport.accept lfd in
-        match Transport.recv ~timeout:!handshake_timeout conn with
-        | Some (Frame.Hello, payload) -> (
-            let mine = Handshake.hello ?secret () in
-            match Handshake.decode payload with
-            | None -> Transport.close conn
-            | Some theirs -> (
-                match Handshake.check ?secret ~mine ~theirs () with
-                | Error msg ->
-                    (try Transport.send conn Frame.Err msg
-                     with Unix.Unix_error _ -> ());
-                    Transport.close conn
-                | Ok () ->
-                    Transport.send conn Frame.Hello (Handshake.encode mine);
-                    Hashtbl.replace sessions (Transport.fd conn)
-                      {
-                        s_conn = conn;
-                        s_host = host_of_peer (Transport.peer conn);
-                        s_submitted = false;
-                        s_running = false;
-                      }))
-        | Some _ | None -> Transport.close conn
-        | exception Frame.Corrupt _ -> Transport.close conn
-        | exception Unix.Unix_error _ -> Transport.close conn
-      in
-      while true do
-        reap ();
-        (* One fleet campaign at a time; pop the next fair job. *)
-        (if !fleet_pid = None then
-           match Fairq.take queue with
-           | Some (_, (s, cells)) -> fleet_pid := Some (fork_runner s cells)
-           | None -> ());
-        let fds =
-          lfd
-          :: Hashtbl.fold
-               (fun fd s acc -> if s.s_running then acc else fd :: acc)
-               sessions []
-        in
-        let ready = Sysio.select_read fds 0.2 in
-        List.iter
-          (fun fd ->
-            if fd = lfd then accept_one ()
-            else
-              match Hashtbl.find_opt sessions fd with
-              | None -> ()
-              | Some s -> (
-                  match Transport.pump s.s_conn with
-                  | `Eof | `Corrupt _ -> drop s
-                  | `Frames frames -> (
-                      try List.iter (handle_frame s) frames
-                      with Unix.Unix_error _ -> drop s)))
-          ready;
-        (* Sessions whose runner finished linger only until EOF; poll
-           them cheaply so a completed client that closed its end is
-           released. *)
+          go ()
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    in
+    go ()
+  in
+  let fork_runner s ~backend cells =
+    match Unix.fork () with
+    | 0 ->
+        Sysio.close_quietly lfd;
         Hashtbl.iter
-          (fun fd s ->
-            if s.s_running then
-              match Sysio.select_read [ fd ] 0. with
-              | [ _ ] -> (
-                  match Transport.pump s.s_conn with
-                  | `Eof | `Corrupt _ -> drop s
-                  | `Frames _ -> ())
-              | _ -> ())
-          (Hashtbl.copy sessions)
-      done
+          (fun fd _ ->
+            if fd <> Transport.fd s.s_conn then Sysio.close_quietly fd)
+          sessions;
+        (try run_job ~cfg ~secret ~backend s.s_conn cells
+         with exn ->
+           Printf.eprintf "fi-svc runner (pid %d): %s\n%!" (Unix.getpid ())
+             (Printexc.to_string exn));
+        exit 0
+    | pid ->
+        s.s_running <- true;
+        pid
+  in
+  let status_line () =
+    Printf.sprintf
+      "fi-svc status clients=%d queued=%d busy=%b cached-cells=%d window=%d"
+      (Hashtbl.length sessions) (Fairq.pending queue)
+      (!fleet_pid <> None)
+      (List.length (Cache.entries ~dir:cfg.artifacts))
+      cfg.window
+  in
+  let handle_submit s payload =
+    match Worker.decode submission payload with
+    | None ->
+        Transport.send s.s_conn Frame.Err "undecodable submission payload";
+        drop s
+    | Some [] ->
+        Transport.send s.s_conn Frame.Err "empty submission";
+        drop s
+    | Some _ when s.s_submitted ->
+        Transport.send s.s_conn Frame.Err
+          "one submission per connection — reconnect for the next job"
+    | Some cells ->
+        s.s_submitted <- true;
+        (* Routed once, here: the runner conducts on the backend this
+           decision picked, whatever the store says by then. *)
+        if fully_cached ~dir:cfg.artifacts cells then begin
+          (* Cache hit: serve instantly, off-queue, fleet untouched —
+             the engine's consult runs under a local backend, so a
+             busy (or absent) fleet cannot delay a hit. *)
+          Transport.send s.s_conn Frame.Stat "cache-hit serving";
+          ignore (fork_runner s ~backend:Pool.Domains cells : int)
+        end
+        else (
+          match Fairq.admit queue ~client:s.s_host (s, cells) with
+          | Ok depth ->
+              Transport.send s.s_conn Frame.Stat
+                (Printf.sprintf "queued depth=%d" depth)
+          | Error msg ->
+              Transport.send s.s_conn Frame.Err msg;
+              drop s)
+  in
+  (* A session's first frame must be its hello, answered here in the
+     loop: a client that connects and stays silent costs one idle
+     session until its handshake deadline, never a blocked loop. *)
+  let handle_frame s (kind, payload) =
+    match kind with
+    | Frame.Hello when not s.s_greeted -> (
+        match Remote.answer_hello ?secret s.s_conn payload with
+        | Ok () -> s.s_greeted <- true
+        | Error _ -> drop s)
+    | _ when not s.s_greeted ->
+        Transport.send s.s_conn Frame.Err
+          (Printf.sprintf "expected a hello frame, got %s"
+             (Frame.kind_tag kind));
+        drop s
+    | Frame.Submit -> handle_submit s payload
+    | Frame.Stat -> Transport.send s.s_conn Frame.Stat (status_line ())
+    | Frame.Hello -> () (* tolerated: re-hello is a no-op *)
+    | Frame.Job | Frame.Door | Frame.Seg | Frame.Err | Frame.Prog
+    | Frame.Res ->
+        Transport.send s.s_conn Frame.Err
+          (Printf.sprintf "unexpected %s frame" (Frame.kind_tag kind));
+        drop s
+  in
+  let accept_one () =
+    let conn = Transport.accept lfd in
+    Hashtbl.replace sessions (Transport.fd conn)
+      {
+        s_conn = conn;
+        s_host = host_of_peer (Transport.peer conn);
+        s_since = Unix.gettimeofday ();
+        s_greeted = false;
+        s_submitted = false;
+        s_running = false;
+      }
+  in
+  while true do
+    reap ();
+    (* One fleet campaign at a time; pop the next fair job. *)
+    (if !fleet_pid = None then
+       match Fairq.take queue with
+       | Some (_, (s, cells)) ->
+           fleet_pid := Some (fork_runner s ~backend:fleet_backend cells)
+       | None -> ());
+    let fds =
+      lfd
+      :: Hashtbl.fold
+           (fun fd s acc -> if s.s_running then acc else fd :: acc)
+           sessions []
+    in
+    let ready = Sysio.select_read fds 0.2 in
+    List.iter
+      (fun fd ->
+        if fd = lfd then accept_one ()
+        else
+          match Hashtbl.find_opt sessions fd with
+          | None -> ()
+          | Some s -> (
+              match Transport.pump s.s_conn with
+              | `Eof | `Corrupt _ -> drop s
+              | `Frames frames -> (
+                  (* A frame may drop the session; ignore the rest. *)
+                  try
+                    List.iter
+                      (fun f ->
+                        if Hashtbl.mem sessions fd then handle_frame s f)
+                      frames
+                  with Unix.Unix_error _ -> drop s)))
+      ready;
+    (* Sessions whose runner finished linger only until EOF; poll
+       them cheaply so a completed client that closed its end is
+       released.  A session still silent at its handshake deadline
+       is dropped. *)
+    let now = Unix.gettimeofday () in
+    Hashtbl.iter
+      (fun fd s ->
+        if (not s.s_greeted) && now -. s.s_since > !Remote.handshake_timeout
+        then drop s
+        else if s.s_running then
+          match Sysio.select_read [ fd ] 0. with
+          | [ _ ] -> (
+              match Transport.pump s.s_conn with
+              | `Eof | `Corrupt _ -> drop s
+              | `Frames _ -> ())
+          | _ -> ())
+      (Hashtbl.copy sessions)
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Re-exec entry point and test/bench harness                         *)
+(* Re-exec entry point                                                *)
 (* ------------------------------------------------------------------ *)
 
-let hex_encode s =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.init (String.length s) (fun i -> Char.code s.[i])))
+let daemon =
+  {
+    Remote.var = "FI_ENGINE_SVC_SERVE";
+    prefix = "fi-svc";
+    run = (fun config ~announce -> serve ~config ~announce ());
+  }
 
-let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    match
-      String.init (n / 2) (fun i ->
-          Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-    with
-    | v -> Some v
-    | exception _ -> None
-
-let guard () =
-  match Sys.getenv_opt serve_var with
-  | None | Some "" -> ()
-  | Some value ->
-      (try
-         (match Option.bind (hex_decode value) (of_magic submit_magic) with
-         | None -> failwith (Printf.sprintf "bad %s value" serve_var)
-         | Some (config : config) ->
-             (try ignore (Unix.setsid ()) with Unix.Unix_error _ -> ());
-             serve ~config
-               ~announce:(fun line ->
-                 print_endline line;
-                 flush stdout)
-               ());
-         exit 0
-       with exn ->
-         Printf.eprintf "fi-svc daemon (pid %d): %s\n%!" (Unix.getpid ())
-           (Printexc.to_string exn);
-         exit 3)
-
-let spawn_daemon ?(config = default_config) () =
-  let out_r, out_w = Unix.pipe ~cloexec:false () in
-  let env =
-    Array.append (Unix.environment ())
-      [|
-        Printf.sprintf "%s=%s" serve_var
-          (hex_encode (with_magic submit_magic config));
-      |]
-  in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [| Sys.executable_name |]
-      env Unix.stdin out_w Unix.stderr
-  in
-  Unix.close out_w;
-  let ic = Unix.in_channel_of_descr out_r in
-  let rec await budget last =
-    if budget = 0 then
-      Error (Printf.sprintf "daemon announced %S instead of an address" last)
-    else
-      match input_line ic with
-      | line -> (
-          match parse_announce line with
-          | Some addr -> Ok (pid, addr)
-          | None -> await (budget - 1) line)
-      | exception End_of_file ->
-          ignore (Unix.waitpid [] pid);
-          Error "daemon exited before announcing its address"
-  in
-  await 64 "<nothing>"
-
-let kill_daemon pid =
-  (try Unix.kill (-pid) Sys.sigkill
-   with Unix.Unix_error _ -> (
-     try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+let guard () = Remote.daemon_guard daemon
 
 (* ------------------------------------------------------------------ *)
 (* Thin clients (fi-cli submit / status)                              *)
 (* ------------------------------------------------------------------ *)
 
-let with_service ?secret addr f =
-  match Transport.connect addr with
-  | Error _ as e -> e
-  | Ok conn ->
-      let tidy r =
-        Transport.close conn;
-        r
-      in
-      (match Remote.shake ?secret conn ~fingerprint:"" with
-      | Error msg -> tidy (Error msg)
-      | Ok _ -> (
-          match f conn with
-          | r -> tidy r
-          | exception Frame.Corrupt msg -> tidy (Error msg)
-          | exception Unix.Unix_error (err, _, _) ->
-              tidy (Error (Unix.error_message err))))
-
 let submit ?secret ?(on_progress = fun _ -> ()) ~addr cells =
-  with_service ?secret addr (fun conn ->
-      Transport.send conn Frame.Submit (encode_submission cells);
+  Remote.with_peer ?secret addr (fun conn _ ->
+      Transport.send conn Frame.Submit (Worker.encode submission cells);
       let rec await () =
         match Transport.recv conn with
         | None -> Error "service closed the connection before a result"
@@ -511,7 +308,7 @@ let submit ?secret ?(on_progress = fun _ -> ()) ~addr cells =
             on_progress line;
             await ()
         | Some (Frame.Res, payload) -> (
-            match decode_results payload with
+            match Worker.decode results payload with
             | Some rs -> Ok rs
             | None -> Error "undecodable result payload")
         | Some (Frame.Err, msg) -> Error (Printf.sprintf "service refused: %s" msg)
@@ -523,9 +320,9 @@ let submit ?secret ?(on_progress = fun _ -> ()) ~addr cells =
       await ())
 
 let status ?secret ~addr () =
-  with_service ?secret addr (fun conn ->
+  Remote.with_peer ?secret addr (fun conn _ ->
       Transport.send conn Frame.Stat "";
-      match Transport.recv ~timeout:!handshake_timeout conn with
+      match Transport.recv ~timeout:!Remote.handshake_timeout conn with
       | Some (Frame.Stat, line) -> Ok line
       | Some (Frame.Err, msg) -> Error (Printf.sprintf "service refused: %s" msg)
       | Some (kind, _) ->

@@ -1,74 +1,50 @@
 (** Campaign-as-a-service: a resident daemon that accepts fault-injection
-    campaign specs over the framed {!Frame} protocol, executes them on
-    its configured backend (local pools or a {!Remote} worker fleet),
+    campaigns over the framed {!Frame} protocol, executes them on its
+    configured backend (local pools or a {!Remote} worker fleet),
     streams progress back, and serves repeat submissions straight from
     the {!Cache} result store without touching the fleet.
 
-    The daemon ([fi-cli serve]) holds one listening socket.  Each client
-    connection carries one job: hello exchange (version + binary digest
-    + optional shared-secret tag, exactly as worker dispatch), a
-    [Submit] frame with the versioned submission payload, then [Stat] /
-    [Prog] progress lines until the [Res] frame with every cell's
-    result.  Jobs from different client hosts are queued fairly
-    ({!Fairq}: FIFO within a host, round-robin across hosts) with a
-    bounded per-host admission window; the fleet conducts one campaign
-    at a time.  Submissions whose every cell is already published in
-    the result store bypass the queue entirely and are answered
-    immediately by a dedicated local replay — a cache hit is never
-    delayed behind someone else's campaign.
+    The service is a thin layer over the engine's own vocabulary: a
+    submission is a list of {!Worker.wire_cell}s, the reply carries
+    each cell's {!Engine.result}, both cross in a {!Worker.codec}, the
+    hello is {!Remote.answer_hello}, the up-front cache routing keys
+    cells with {!Worker.cell_key} (the engine's own derivation), and
+    the re-exec harness is {!Remote}'s.
+
+    The daemon ([fi-cli serve]) holds one listening socket and one
+    select loop.  Each client connection carries one job: hello
+    exchange (version + binary digest + optional shared-secret tag,
+    exactly as worker dispatch), a [Submit] frame, then [Stat] / [Prog]
+    progress lines until the [Res] frame.  The hello is the session's
+    first frame, handled in the loop like any other, so a client that
+    connects and stays silent never blocks other sessions; it is dropped
+    at {!Remote.handshake_timeout}.  Jobs from different client hosts
+    are queued fairly ({!Fairq}: FIFO within a host, round-robin across
+    hosts) with a bounded per-host admission window; the fleet conducts
+    one campaign at a time.  Each submission is routed once, on
+    arrival: if every cell is already published in the result store it
+    bypasses the queue and is answered immediately by a local replay —
+    a cache hit is never delayed behind someone else's campaign.
 
     A client that disconnects mid-run does not kill its campaign: the
     runner finishes, publishes the cells to the result store, and the
     work is a cache hit for whoever asks next. *)
 
-val serve_var : string
-(** Environment variable carrying a hex-encoded daemon {!config}; set
-    by {!spawn_daemon}, consumed by {!guard}. *)
-
-val handshake_timeout : float ref
-
 (** {2 Wire formats}
 
-    Versioned, magic-prefixed, [Marshal] {e without} closures — sound
-    because the handshake's binary digest pins both ends to the same
-    executable, same as {!Remote}'s job wire format. *)
+    {!Worker.codec}s: magic-prefixed [Marshal] {e without} closures —
+    sound because the handshake's binary digest pins both ends to the
+    same executable, as for worker jobs. *)
 
-type wire_cell = {
-  c_benchmark : string;
-  c_variant : string;
-  c_model : Faultspace.model;
-  c_limit : int option;
-  c_shard_size : int option;
-  c_weighted : bool;
-  c_program : Program.t;  (** The assembled image — never a closure. *)
-}
-(** One cell of a submission: the program image plus the plan-shaping
-    spec fields.  Execution policy (journalling, supervision, caching)
-    is the {e service's} to decide — submitters describe the campaign,
-    not how the daemon runs it. *)
+val submission : Worker.wire_cell list Worker.codec
+(** A submission: the cells to run, described exactly as a worker job
+    describes its cell.  Execution policy (journalling, supervision,
+    caching) is the {e service's} to decide — submitters describe the
+    campaign, not how the daemon runs it. *)
 
-type wire_quarantined = {
-  wq_shard : int;
-  wq_classes : int;
-  wq_attempts : int;
-  wq_cause : string;
-}
-
-type wire_result = {
-  r_label : string;
-  r_scan : Scan.t;
-  r_cached : bool;  (** Served from the result store — zero shards run. *)
-  r_quarantined : wire_quarantined list;
-}
-
-val encode_submission : wire_cell list -> string
-val decode_submission : string -> wire_cell list option
-val encode_results : wire_result list -> string
-val decode_results : string -> wire_result list option
-
-val cell_of_spec : Spec.t -> wire_cell
-(** Flatten a local {!Spec.t} (assembling its image if the source is a
-    build thunk) into its wire description. *)
+val results : (string * Engine.result) list Worker.codec
+(** The reply: each cell's {!Spec.label} with its {!Engine.result}, in
+    submission order — the same value [fi-cli campaign] reads. *)
 
 (** {2 Daemon} *)
 
@@ -88,28 +64,19 @@ val default_config : config
 
 val serve : ?config:config -> ?announce:(string -> unit) -> unit -> unit
 (** Run the daemon loop; never returns normally.  [announce] receives
-    the one-line listening banner (host, actual port, binary digest)
-    once the socket is bound.
+    the one-line [fi-svc listening HOST:PORT digest=…] banner
+    ({!Remote.listen_announce}) once the socket is bound.
     @raise Failure on bind failure, bad backend tag or unreadable
     secret file. *)
 
-val announce_line : Addr.t -> string
-val parse_announce : string -> Addr.t option
+val daemon : config Remote.daemon
+(** The service daemon ({!serve}) under [FI_ENGINE_SVC_SERVE], for
+    {!Remote.spawn_daemon}: the test and bench harness — production
+    deployments run [fi-cli serve] directly. *)
 
 val guard : unit -> unit
-(** Call first thing in [main].  No-op unless {!serve_var} is set, in
-    which case this process {e is} a service daemon: detach into a new
-    session, serve forever, never return.  Exit code 3 on startup
-    failure. *)
-
-val spawn_daemon : ?config:config -> unit -> (int * Addr.t, string) result
-(** Re-exec this binary as a service daemon ({!guard} path) and await
-    its announce line.  Returns the daemon's pid and actual bound
-    address.  Test and bench harness — production deployments run
-    [fi-cli serve] directly. *)
-
-val kill_daemon : int -> unit
-(** SIGKILL the daemon's process group and reap it. *)
+(** [Remote.daemon_guard daemon].  Call first thing in [main], after
+    {!Remote.guard}. *)
 
 (** {2 Thin clients} *)
 
@@ -117,8 +84,8 @@ val submit :
   ?secret:string ->
   ?on_progress:(string -> unit) ->
   addr:Addr.t ->
-  wire_cell list ->
-  (wire_result list, string) result
+  Worker.wire_cell list ->
+  ((string * Engine.result) list, string) result
 (** Connect, handshake, submit the cells, stream progress lines into
     [on_progress], return the per-cell results.  [Error] covers
     refusal (auth, admission window, malformed payload), transport

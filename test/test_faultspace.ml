@@ -233,7 +233,8 @@ let test_new_models_deterministic () =
 let test_new_models_over_sockets () =
   (* One remote round per new model: the wire job carries the model, the
      daemon re-analyses and must agree bit-for-bit. *)
-  match Remote.spawn_daemon ~workers:2 () with
+  match Remote.spawn_daemon Remote.daemon
+          { Remote.default_config with workers = 2 } with
   | Error e -> Alcotest.fail e
   | Ok (pid, addr) ->
       Fun.protect

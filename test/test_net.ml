@@ -29,7 +29,9 @@ let with_temp_file f =
     (fun () -> f path)
 
 let with_daemon ?(workers = 2) f =
-  match Remote.spawn_daemon ~workers () with
+  match
+    Remote.spawn_daemon Remote.daemon { Remote.default_config with workers }
+  with
   | Error e -> Alcotest.fail e
   | Ok (pid, addr) ->
       Fun.protect ~finally:(fun () -> Remote.kill_daemon pid) (fun () -> f addr)
@@ -338,7 +340,8 @@ let test_worker_daemon_auth () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove secret_file with Sys_error _ -> ())
     (fun () ->
-      match Remote.spawn_daemon ~workers:2 ~secret_file () with
+      match Remote.spawn_daemon Remote.daemon
+          { Remote.default_config with workers = 2; secret_file = Some secret_file } with
       | Error e -> Alcotest.fail e
       | Ok (pid, addr) ->
           Fun.protect
@@ -379,23 +382,31 @@ let test_worker_daemon_auth () =
 let test_wire_job () =
   let spec = Spec.of_golden (Lazy.force hi_golden) in
   let job =
-    Worker.wire_of_spec spec
-      ~program:(Worker.program_of_spec spec)
-      ~fingerprint:0x1234abcd ~shard_ids:[| 2; 0; 5 |] ~index:7
+    {
+      Worker.cell = Worker.cell_of_spec spec;
+      stride = None;
+      fingerprint = 0x1234abcd;
+      shard_ids = [| 2; 0; 5 |];
+      index = 7;
+    }
   in
-  (match Worker.decode_job (Worker.encode_job job) with
+  (match Worker.decode Worker.job_codec (Worker.encode Worker.job_codec job) with
   | Some j ->
       Alcotest.(check bool) "roundtrip" true (j = job);
       (* The re-built spec must analyse to the same fingerprint as the
          conductor's — the property the worker-side refusal rests on. *)
       Alcotest.(check int) "re-analysis agrees"
         (Engine.fingerprint_spec spec)
-        (Engine.fingerprint_spec (Worker.spec_of_wire j))
+        (Engine.fingerprint_spec
+           (Worker.spec_of_cell ~policy:Spec.default_policy j.Worker.cell))
   | None -> Alcotest.fail "roundtrip decode");
   Alcotest.(check bool) "wrong magic rejected" true
-    (Worker.decode_job ("fi-wire v0\n" ^ String.make 40 'x') = None);
+    (Worker.decode Worker.job_codec ("fi-wire v0\n" ^ String.make 40 'x')
+     = None);
   Alcotest.(check bool) "truncation rejected" true
-    (Worker.decode_job (String.sub (Worker.encode_job job) 0 24) = None)
+    (Worker.decode Worker.job_codec
+       (String.sub (Worker.encode Worker.job_codec job) 0 24)
+     = None)
 
 (* ------------------------------------------------------------------ *)
 (* -j semantics for remote hosts                                      *)

@@ -1,8 +1,9 @@
 (* Tests for the campaign service (lib/service): the fair admission
    queue, the versioned wire codecs, and the daemon end-to-end —
    submissions conducted and streamed back, repeat submissions served
-   from the result store, two concurrent clients each getting their own
-   correct results, and shared-secret handshake authentication with a
+   from the result store for every fault model, two concurrent clients
+   each getting their own correct results, a silent client that cannot
+   stall the daemon, and shared-secret handshake authentication with a
    distinct error per failure mode. *)
 
 let contains = Astring_contains.contains
@@ -34,16 +35,16 @@ let helper_guard () =
   | Some addr ->
       let addr = Addr.parse_exn addr in
       let cell_dft =
-        Service.cell_of_spec
+        Worker.cell_of_spec
           (Spec.of_golden ~variant:"dft" (Golden.run (Hi.dft ())))
       in
       let ok =
         match Service.submit ~addr [ cell_dft ] with
-        | Ok [ r ] ->
-            r.Service.r_label = cell_dft.Service.c_benchmark ^ "/dft"
-            && r.Service.r_scan
+        | Ok [ (label, r) ] ->
+            label = cell_dft.Worker.benchmark ^ "/dft"
+            && r.Engine.scan
                = Scan.pruned ~variant:"dft" (Golden.run (Hi.dft ()))
-            && r.Service.r_quarantined = []
+            && r.Engine.quarantined = []
         | _ -> false
       in
       exit (if ok then 0 else 1)
@@ -106,34 +107,29 @@ let test_fairq_window () =
 (* Wire codecs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let hi_cell () = Service.cell_of_spec (Spec.of_golden (Golden.run (Hi.program ())))
+let hi_cell () = Worker.cell_of_spec (Spec.of_golden (Golden.run (Hi.program ())))
 
 let test_wire_roundtrip () =
   let cell = hi_cell () in
-  (match Service.decode_submission (Service.encode_submission [ cell ]) with
-  | Some [ c ] ->
-      Alcotest.(check string) "benchmark survives" cell.Service.c_benchmark
-        c.Service.c_benchmark;
-      Alcotest.(check bool) "program survives" true
-        (c.Service.c_program = cell.Service.c_program)
+  (match Worker.decode Service.submission (Worker.encode Service.submission [ cell ]) with
+  | Some [ c ] -> Alcotest.(check bool) "cell survives" true (c = cell)
   | _ -> Alcotest.fail "submission did not roundtrip");
   Alcotest.(check bool) "garbage submission rejected" true
-    (Service.decode_submission "fi-svc v1\nnot marshal" = None);
+    (Worker.decode Service.submission "fi-svc v1\nnot marshal" = None);
   Alcotest.(check bool) "wrong magic rejected" true
-    (Service.decode_submission (Service.encode_results []) = None);
+    (Worker.decode Service.submission (Worker.encode Service.results []) = None);
   let r =
     {
-      Service.r_label = "hi/baseline";
-      r_scan = Scan.pruned (Golden.run (Hi.program ()));
-      r_cached = true;
-      r_quarantined =
-        [ { Service.wq_shard = 1; wq_classes = 3; wq_attempts = 2;
-            wq_cause = "hung" } ];
+      Engine.scan = Scan.pruned (Golden.run (Hi.program ()));
+      cached = true;
+      quarantined =
+        [ { Engine.q_cell = "hi/baseline"; q_shard = 1; q_classes = 3;
+            q_class_indices = [| 4; 5; 6 |]; q_attempts = 2; q_cause = "hung" } ];
     }
   in
-  match Service.decode_results (Service.encode_results [ r ]) with
+  match Worker.decode Service.results (Worker.encode Service.results [ ("hi/baseline", r) ]) with
   | Some [ r' ] ->
-      Alcotest.(check bool) "result roundtrips" true (r' = r)
+      Alcotest.(check bool) "result roundtrips" true (r' = ("hi/baseline", r))
   | _ -> Alcotest.fail "results did not roundtrip"
 
 (* ------------------------------------------------------------------ *)
@@ -150,10 +146,10 @@ let with_daemon ?secret_file f =
           secret_file;
         }
       in
-      match Service.spawn_daemon ~config () with
+      match Remote.spawn_daemon Service.daemon config with
       | Error msg -> Alcotest.failf "daemon failed to start: %s" msg
       | Ok (pid, addr) ->
-          Fun.protect ~finally:(fun () -> Service.kill_daemon pid) (fun () ->
+          Fun.protect ~finally:(fun () -> Remote.kill_daemon pid) (fun () ->
               f ~dir ~addr))
 
 let check_scans_identical msg serial parallel =
@@ -163,68 +159,98 @@ let check_scans_identical msg serial parallel =
     (Csv_io.to_string serial)
     (Csv_io.to_string parallel)
 
+(* One cell per fault-space family the service's cache routing keys: the
+   paper's memory model, the register file, and instruction skips. *)
+let model_specs () =
+  [
+    Spec.of_golden (Golden.run (Hi.program ()));
+    Spec.build ~model:Faultspace.Bitflip_reg ~benchmark:"hi" Hi.program;
+    Spec.build ~model:Faultspace.Skip ~benchmark:"hi" Hi.program;
+  ]
+
+let submit_all ~addr ~what cells =
+  let progress = ref [] in
+  match
+    Service.submit ~addr
+      ~on_progress:(fun line -> progress := line :: !progress)
+      cells
+  with
+  | Ok rs when List.length rs = List.length cells -> (rs, !progress)
+  | Ok rs -> Alcotest.failf "%s: expected %d results, got %d" what
+               (List.length cells) (List.length rs)
+  | Error msg -> Alcotest.failf "%s submit failed: %s" what msg
+
 let test_submit_then_cache_hit () =
   with_daemon (fun ~dir:_ ~addr ->
-      let serial = Scan.pruned (Golden.run (Hi.program ())) in
-      let cell = hi_cell () in
-      let progress = ref [] in
-      let cold =
-        match
-          Service.submit ~addr
-            ~on_progress:(fun line -> progress := line :: !progress)
-            [ cell ]
-        with
-        | Ok [ r ] -> r
-        | Ok rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
-        | Error msg -> Alcotest.failf "cold submit failed: %s" msg
-      in
-      Alcotest.(check bool) "cold result is a run" false cold.Service.r_cached;
-      check_scans_identical "cold scan = serial" serial cold.Service.r_scan;
+      let specs = model_specs () in
+      let cells = List.map (fun s -> Worker.cell_of_spec s) specs in
+      let cold, progress = submit_all ~addr ~what:"cold" cells in
+      List.iter2
+        (fun spec (label, (r : Engine.result)) ->
+          Alcotest.(check string) "label" (Spec.label spec) label;
+          Alcotest.(check bool) (label ^ ": cold result is a run") false
+            r.Engine.cached;
+          check_scans_identical (label ^ ": cold scan = local")
+            (Drive.scan ~jobs:1 spec) r.Engine.scan)
+        specs cold;
       Alcotest.(check bool) "progress streamed (queued ack at least)" true
-        (!progress <> []);
+        (progress <> []);
       Alcotest.(check bool) "cold was queued" true
-        (List.exists (fun l -> contains l "queued") !progress);
-      let warm_progress = ref [] in
-      let warm =
-        match
-          Service.submit ~addr
-            ~on_progress:(fun line -> warm_progress := line :: !warm_progress)
-            [ cell ]
-        with
-        | Ok [ r ] -> r
-        | Ok rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
-        | Error msg -> Alcotest.failf "warm submit failed: %s" msg
-      in
-      Alcotest.(check bool) "warm result is a cache hit" true
-        warm.Service.r_cached;
+        (List.exists (fun l -> contains l "queued") progress);
+      let warm, warm_progress = submit_all ~addr ~what:"warm" cells in
+      List.iter2
+        (fun (label, (c : Engine.result)) (_, (w : Engine.result)) ->
+          Alcotest.(check bool) (label ^ ": warm result is a cache hit") true
+            w.Engine.cached;
+          check_scans_identical (label ^ ": warm scan = cold scan")
+            c.Engine.scan w.Engine.scan)
+        cold warm;
       Alcotest.(check bool) "warm bypassed the queue" true
-        (List.exists (fun l -> contains l "cache-hit") !warm_progress);
-      check_scans_identical "warm scan = cold scan" cold.Service.r_scan
-        warm.Service.r_scan;
+        (List.exists (fun l -> contains l "cache-hit") warm_progress);
       (* Status reflects the published store. *)
       match Service.status ~addr () with
       | Ok line ->
           Alcotest.(check bool) "status names the store" true
-            (contains line "cached-cells=1")
+            (contains line "cached-cells=3")
       | Error msg -> Alcotest.failf "status failed: %s" msg)
+
+(* A client that connects and never says hello must not freeze the
+   daemon: the hello is read in the select loop, so everyone else is
+   answered at once while the silent session waits out its deadline. *)
+let test_silent_client () =
+  with_daemon (fun ~dir:_ ~addr ->
+      match Transport.connect addr with
+      | Error e -> Alcotest.fail e
+      | Ok silent ->
+          Fun.protect ~finally:(fun () -> Transport.close silent) (fun () ->
+              let t0 = Unix.gettimeofday () in
+              (match Service.status ~addr () with
+              | Ok line ->
+                  Alcotest.(check bool) "status line" true
+                    (contains line "fi-svc status")
+              | Error msg -> Alcotest.failf "status failed: %s" msg);
+              let dt = Unix.gettimeofday () -. t0 in
+              Alcotest.(check bool)
+                (Printf.sprintf "status answered in %.2fs (< 2s)" dt)
+                true (dt < 2.)))
 
 (* Two clients with different campaigns, concurrently: each must get
    its own results (labels and scans), never the other's. *)
 let test_two_concurrent_clients () =
   with_daemon (fun ~dir:_ ~addr ->
-      let cell_hi = Service.cell_of_spec (Spec.of_golden (Golden.run (Hi.program ()))) in
+      let cell_hi = hi_cell () in
       (* The second client races us from a fresh process: it submits
          the DFT cell and verifies on its side (see [helper_guard]). *)
       let child = spawn_helper submit_helper_var (Addr.to_string addr) in
       let mine =
         match Service.submit ~addr [ cell_hi ] with
-        | Ok [ r ] -> r
+        | Ok [ (_, r) ] -> r
         | Ok rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs)
         | Error msg -> Alcotest.failf "parent submit failed: %s" msg
       in
       check_scans_identical "parent got its own scan"
         (Scan.pruned (Golden.run (Hi.program ())))
-        mine.Service.r_scan;
+        mine.Engine.scan;
       match Unix.waitpid [] child with
       | _, Unix.WEXITED 0 -> ()
       | _, Unix.WEXITED n ->
@@ -261,9 +287,9 @@ let test_service_auth () =
                 (contains msg "mismatch"));
           (* Right secret: conducted normally. *)
           match Service.submit ~secret:"open sesame" ~addr [ cell ] with
-          | Ok [ r ] ->
+          | Ok [ (_, r) ] ->
               Alcotest.(check bool) "authenticated submit conducted" false
-                r.Service.r_cached
+                r.Engine.cached
           | Ok _ -> Alcotest.fail "unexpected result shape"
           | Error msg -> Alcotest.failf "authenticated submit failed: %s" msg))
 
@@ -280,6 +306,8 @@ let suite =
         test_submit_then_cache_hit;
       Alcotest.test_case "daemon: two concurrent clients" `Quick
         test_two_concurrent_clients;
+      Alcotest.test_case "daemon: a silent client does not stall status"
+        `Quick test_silent_client;
       Alcotest.test_case "daemon: shared-secret auth, distinct errors" `Quick
         test_service_auth;
     ] )

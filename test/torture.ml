@@ -478,7 +478,9 @@ let contains hay needle =
   nn = 0 || go 0
 
 let with_daemon ?(workers = 2) f =
-  match Remote.spawn_daemon ~workers () with
+  match
+    Remote.spawn_daemon Remote.daemon { Remote.default_config with workers }
+  with
   | Error e -> Alcotest.fail e
   | Ok (pid, addr) ->
       Fun.protect ~finally:(fun () -> Remote.kill_daemon pid) (fun () -> f addr)
@@ -675,7 +677,10 @@ let test_net_daemon_vanishes_then_resume () =
           ~policy:(policy ~journal:path ~resume ~shard_size:1 ())
           golden
       in
-      (match Remote.spawn_daemon ~workers:2 () with
+      (match
+         Remote.spawn_daemon Remote.daemon
+           { Remote.default_config with workers = 2 }
+       with
       | Error e -> Alcotest.fail e
       | Ok (pid, addr) ->
           let killed = ref false in
@@ -731,25 +736,24 @@ let test_service_survives_disconnect () =
       let config =
         { Service.default_config with Service.artifacts = dir; jobs = 2 }
       in
-      match Service.spawn_daemon ~config () with
+      match Remote.spawn_daemon Service.daemon config with
       | Error e -> Alcotest.fail e
       | Ok (pid, addr) ->
           Fun.protect
-            ~finally:(fun () -> Service.kill_daemon pid)
+            ~finally:(fun () -> Remote.kill_daemon pid)
             (fun () ->
               let cell =
-                Service.cell_of_spec (Spec.of_golden (Lazy.force hi_golden))
+                Worker.cell_of_spec (Spec.of_golden (Lazy.force hi_golden))
               in
               (* A client that submits and slams the connection shut. *)
-              (match Transport.connect addr with
-              | Error e -> Alcotest.fail e
-              | Ok conn ->
-                  (match Remote.shake conn ~fingerprint:"" with
-                  | Ok _ -> ()
-                  | Error e -> Alcotest.fail e);
-                  Transport.send conn Frame.Submit
-                    (Service.encode_submission [ cell ]);
-                  Transport.close conn);
+              (match
+                 Remote.with_peer addr (fun conn _ ->
+                     Ok
+                       (Transport.send conn Frame.Submit
+                          (Worker.encode Service.submission [ cell ])))
+               with
+              | Ok () -> ()
+              | Error e -> Alcotest.fail e);
               (* The abandoned campaign must still finish and publish. *)
               let deadline = Unix.gettimeofday () +. 30. in
               while
@@ -762,11 +766,11 @@ let test_service_survives_disconnect () =
                 (Cache.entries ~dir <> []);
               (* ...and the next submitter gets it for free, exactly. *)
               match Service.submit ~addr [ cell ] with
-              | Ok [ r ] ->
+              | Ok [ (_, r) ] ->
                   Alcotest.(check bool) "next submitter hits the store" true
-                    r.Service.r_cached;
+                    r.Engine.cached;
                   check_scans_identical "served scan = serial"
-                    (Lazy.force hi_serial) r.Service.r_scan
+                    (Lazy.force hi_serial) r.Engine.scan
               | Ok _ -> Alcotest.fail "unexpected result shape"
               | Error msg -> Alcotest.failf "follow-up submit failed: %s" msg))
 
