@@ -403,8 +403,9 @@ let run_engine_checkpoint () =
   let replay_mem, t_mr =
     time (fun () -> Scan.pruned ~provider:(Injector.replay golden) golden)
   in
+  let mem_provider = Injector.plan golden in
   let plan_mem, t_mp =
-    time (fun () -> Scan.pruned ~provider:(Injector.plan golden) golden)
+    time (fun () -> Scan.pruned ~provider:mem_provider golden)
   in
   let mem_identical = plan_mem = replay_mem in
   let rt = Regspace.analyze program in
@@ -412,8 +413,9 @@ let run_engine_checkpoint () =
   let replay_reg, t_rr =
     time (fun () -> Regspace.scan ~provider:(Injector.replay rgolden) rt)
   in
+  let reg_provider = Injector.plan rgolden in
   let plan_reg, t_rp =
-    time (fun () -> Regspace.scan ~provider:(Injector.plan rgolden) rt)
+    time (fun () -> Regspace.scan ~provider:reg_provider rt)
   in
   let reg_identical = plan_reg = replay_reg in
   Printf.printf "stride                    : %d cycles\n"
@@ -426,11 +428,23 @@ let run_engine_checkpoint () =
     "register space replay    : %6.2f s   checkpoint: %6.2f s  (speedup \
      %.2fx, bit-identical %b)\n"
     t_rr t_rp (t_rr /. t_rp) reg_identical;
+  let mem_counts = Injector.counts mem_provider
+  and reg_counts = Injector.counts reg_provider in
+  Format.printf "@.memory space exits:@.%a@.register space exits:@.%a@."
+    Injector.pp_counts mem_counts Injector.pp_counts reg_counts;
   if not (mem_identical && reg_identical) then begin
     Printf.eprintf
       "engine-checkpoint: plan outcomes are NOT bit-identical to replay \
        (memory %b, registers %b)\n"
       mem_identical reg_identical;
+    exit 1
+  end;
+  (* The differential above covers the memo only if it hit. *)
+  let memo_hits c = Injector.exits c Injector.Memo_hit in
+  if memo_hits mem_counts + memo_hits reg_counts = 0 then begin
+    prerr_endline
+      "engine-checkpoint: the faulty-state memo never hit, so the replay \
+       differential did not cover it";
     exit 1
   end;
   if smoke then

@@ -251,9 +251,11 @@ let engine_opts_term =
       "Checkpoint ladder stride in cycles for the snapshot-accelerated \
        injection hot path: the golden execution is checkpointed every \
        $(docv) cycles and each experiment starts from the nearest \
-       checkpoint at or below its injection cycle (and stops as soon as \
-       it provably re-converges with the golden run).  0 disables the \
-       ladder (restart-from-reset reference semantics).  A pure \
+       checkpoint at or below its injection cycle.  It stops as soon as \
+       it provably re-converges with the golden run, or reaches a \
+       checkpoint in a machine state an earlier experiment reached \
+       there (a memo of at most 5 MiB per process).  0 disables the \
+       ladder and the memo (restart-from-reset reference semantics).  A pure \
        performance knob: results are bit-identical at every stride, so \
        it is not part of the campaign fingerprint and does not affect \
        $(b,--resume) or the result cache."

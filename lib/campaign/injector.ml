@@ -226,6 +226,229 @@ let spliced_outcome golden machine (snap : Machine.Snapshot.t) =
 let timeout_outcome golden machine =
   classify_stopped golden machine Machine.Cycle_limit
 
+(* ------------------------------------------------------------------ *)
+(* Exit accounting                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type exit_kind =
+  | Stopped
+  | Ladder_splice
+  | Shifted_splice
+  | Anchor_splice
+  | Loop_proof
+  | Watchdog
+  | Memo_hit
+
+let exit_kinds =
+  [ Stopped; Ladder_splice; Shifted_splice; Anchor_splice; Loop_proof;
+    Watchdog; Memo_hit ]
+
+let exit_index = function
+  | Stopped -> 0
+  | Ladder_splice -> 1
+  | Shifted_splice -> 2
+  | Anchor_splice -> 3
+  | Loop_proof -> 4
+  | Watchdog -> 5
+  | Memo_hit -> 6
+
+let exit_kind_name = function
+  | Stopped -> "stop"
+  | Ladder_splice -> "ladder"
+  | Shifted_splice -> "shifted"
+  | Anchor_splice -> "anchor"
+  | Loop_proof -> "loopproof"
+  | Watchdog -> "watchdog"
+  | Memo_hit -> "memo"
+
+(* One per session, plain ints: a session is driven by one domain, and
+   the provider sums its sessions' tallies only when asked. *)
+type tally = {
+  t_exits : int array;
+  t_cycles : int array;
+  mutable t_lookups : int;
+  mutable t_inserts : int;
+}
+
+let tally_create () =
+  let n = List.length exit_kinds in
+  {
+    t_exits = Array.make n 0;
+    t_cycles = Array.make n 0;
+    t_lookups = 0;
+    t_inserts = 0;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Memo of faulty states                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact keys of faulty machine states at ladder rungs, mapped to the
+   outcome of the run that reached them: {!Machine.encode_diff} against
+   that rung's snapshot, whose process-unique id stands for the
+   provider and the rung.  Equal keys mean equal machines at equal
+   cycles (and, with the serial check in [memo_probe], equal output so
+   far), so the runs end identically.
+
+   One table per process, shared by every provider and domain, in two
+   generations.  A generation is an arena of entries (key length, key
+   bytes, outcome) and an open-addressing index of arena offsets tagged
+   with 16 hash bits; lookups compare key bytes exactly, the hash only
+   picks the slot.  Inserts go to the young generation; when it is
+   full it becomes the old one and the previous old one is dropped.  A
+   hit in the old generation is copied into the young one, so states
+   that keep recurring survive the drop.  Nothing here is scanned by
+   the GC, and the table's bytes are fixed whatever the number of
+   cells or providers. *)
+
+(* Arena bytes per generation; each also has an index of
+   [memo_arena / 32] slots, a quarter of the arena in bytes, so the
+   memo holds at most 5 MiB.  Measured on sync2 x SUM+DMR, the
+   costliest paper-fig2 cell, on a 2-core x86-64 host: a key averages
+   ~70 bytes, so a generation keeps ~30k states.  Its serial scan took
+   19.8 s without the memo, 9.5 s with 1 MiB arenas, 8.6 s with 2 MiB,
+   6.9 s with 4 MiB and 6.6 s with 8 MiB (which never dropped a
+   generation). *)
+let memo_arena = 1 lsl 21
+
+(* A state that differs from its rung in more bytes than this is not
+   looked up: its key would cost more memory than a hit saves. *)
+let memo_key_max = 512
+
+(* Outside the OCaml heap: a table this size inside it would raise
+   the GC's heap target by its own size again. *)
+type generation = {
+  arena : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable used : int;
+  slots : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (* 0 = empty, else (offset + 1) lsl 16 lor hash bits *)
+  mutable entries : int;
+}
+
+let generation () =
+  let slots = Bigarray.(Array1.create int c_layout (memo_arena / 32)) in
+  Bigarray.Array1.fill slots 0;
+  {
+    arena = Bigarray.(Array1.create int8_unsigned c_layout memo_arena);
+    used = 0;
+    slots;
+    entries = 0;
+  }
+
+(* The slot holding [key], or the empty slot where it would go. *)
+let slot_of g key h =
+  let mask = Bigarray.Array1.dim g.slots - 1 in
+  let len = String.length key in
+  let tag = (h lsr 14) land 0xFFFF in
+  let a = g.arena in
+  let same off =
+    a.{off} lor (a.{off + 1} lsl 8) = len
+    &&
+    let rec eq i =
+      i >= len
+      || a.{off + 2 + i} = Char.code (String.unsafe_get key i) && eq (i + 1)
+    in
+    eq 0
+  in
+  let rec probe i =
+    let v = g.slots.{i} in
+    if v = 0 || (v land 0xFFFF = tag && same ((v lsr 16) - 1)) then i
+    else probe ((i + 1) land mask)
+  in
+  probe (h land mask)
+
+let find_in g key h =
+  let v = g.slots.{slot_of g key h} in
+  if v = 0 then None
+  else
+    let off = (v lsr 16) - 1 in
+    Some (Outcome.of_index g.arena.{off + 2 + String.length key})
+
+(* Append unless present; [false] iff [g] has no room left. *)
+let add_to g key h o =
+  let i = slot_of g key h in
+  if g.slots.{i} <> 0 then true
+  else
+    let len = String.length key in
+    if
+      g.used + len + 3 > Bigarray.Array1.dim g.arena
+      || 2 * (g.entries + 1) > Bigarray.Array1.dim g.slots
+    then false
+    else begin
+      let a = g.arena and off = g.used in
+      a.{off} <- len land 0xFF;
+      a.{off + 1} <- len lsr 8;
+      String.iteri (fun k c -> a.{off + 2 + k} <- Char.code c) key;
+      a.{off + 2 + len} <- Outcome.index o;
+      g.used <- off + len + 3;
+      g.entries <- g.entries + 1;
+      g.slots.{i} <- ((off + 1) lsl 16) lor ((h lsr 14) land 0xFFFF);
+      true
+    end
+
+type memo = {
+  lock : Mutex.t;
+  mutable young : generation option; (* allocated on first insert *)
+  mutable old : generation option;
+  mutable resets : int; (* generations dropped *)
+}
+
+let memo = { lock = Mutex.create (); young = None; old = None; resets = 0 }
+
+(* Store [o] under [key] in the young generation; when it is full, the
+   old generation's storage is cleared and becomes the young one, so
+   the memo never allocates more than two. *)
+let insert key h o =
+  match memo.young with
+  | Some g when add_to g key h o -> ()
+  | young ->
+      let g =
+        match memo.old with
+        | Some g ->
+            Bigarray.Array1.fill g.slots 0;
+            g.used <- 0;
+            g.entries <- 0;
+            memo.resets <- memo.resets + 1;
+            g
+        | None -> generation ()
+      in
+      ignore (add_to g key h o);
+      memo.old <- young;
+      memo.young <- Some g
+
+let memo_find key =
+  let h = Hashtbl.hash key in
+  Mutex.protect memo.lock (fun () ->
+      let find = function Some g -> find_in g key h | None -> None in
+      match find memo.young with
+      | Some _ as hit -> hit
+      | None ->
+          let hit = find memo.old in
+          Option.iter (insert key h) hit;
+          hit)
+
+let memo_add key o =
+  let h = Hashtbl.hash key in
+  Mutex.protect memo.lock (fun () -> insert key h o)
+
+(* Process-wide: dropped generations and bytes held. *)
+let memo_usage () =
+  Mutex.protect memo.lock (fun () ->
+      let bytes = function
+        | Some g -> Bigarray.Array1.(dim g.arena + (8 * dim g.slots))
+        | None -> 0
+      in
+      (memo.resets, bytes memo.young + bytes memo.old))
+
+(* Probe every [memo_every]-th rung: each probe costs a RAM diff and a
+   lock, and each miss a key.  The serial sync2 x SUM+DMR scan above
+   (2 MiB arenas) took 17.6, 10.8, 7.4, 7.8 and 9.2 s probing every
+   1st, 2nd, 4th, 8th and 16th rung; every 8th stores half the keys of
+   every 4th.  The probed rungs are the 8th, 16th, ...: a program
+   shorter than 8 strides, whose runs are short anyway, never
+   allocates the memo. *)
+let memo_every = 8
+
 (* A run that outlives the whole golden ladder can never converge any
    more — it is either going to stop on its own or spin to the
    watchdog.  Past that point, arm a cheap pc-recurrence probe: each
@@ -243,7 +466,7 @@ let probe_window0 = 32
    latter cheap to prove long before the ladder runs out. *)
 let probe_miss_arm = 6
 
-let finish_planned plan golden machine =
+let finish_planned plan golden ~probe machine =
   let limit = Golden.timeout_limit golden in
   let nl = Array.length plan.ladder in
   (* First ladder entry strictly ahead of the machine. *)
@@ -285,7 +508,7 @@ let finish_planned plan golden machine =
     in
     Machine.run_until machine ~cycle:target;
     match Machine.stopped machine with
-    | Some stop -> classify_stopped golden machine stop
+    | Some stop -> (Stopped, classify_stopped golden machine stop)
     | None ->
         if Machine.take_serial_trap machine then begin
           (* The trap displaced any armed probe; re-arm on resume. *)
@@ -307,12 +530,12 @@ let finish_planned plan golden machine =
             else None
           in
           match hit with
-          | Some snap -> spliced_outcome golden machine snap
+          | Some snap -> (Anchor_splice, spliced_outcome golden machine snap)
           | None -> go i
         end
         else if Machine.pc_recurrence machine <> None then begin
           let proven = Loopproof.prove_no_halt machine ~limit in
-          if proven then timeout_outcome golden machine
+          if proven then (Loop_proof, timeout_outcome golden machine)
           else begin
             (* Unprovable loop (or a false alarm): space probes out and
                resume simulating — the proof attempt's steps were real
@@ -335,7 +558,7 @@ let finish_planned plan golden machine =
                 ~ram_live:plan.ram_live.(j) ~reg_mask:plan.reg_mask.(j)
               && cyc + (golden.Golden.cycles - plan.ladder_cycles.(j))
                  <= limit
-            then spliced_outcome golden machine plan.ladder.(j)
+            then (Shifted_splice, spliced_outcome golden machine plan.ladder.(j))
             else begin
               incr dfail;
               if !dfail >= 24 then dj := nl (* hypothesis refuted *);
@@ -346,36 +569,39 @@ let finish_planned plan golden machine =
             if
               Machine.converges_with machine plan.ladder.(i)
                 ~ram_live:plan.ram_live.(i) ~reg_mask:plan.reg_mask.(i)
-            then spliced_outcome golden machine plan.ladder.(i)
+            then (Ladder_splice, spliced_outcome golden machine plan.ladder.(i))
             else begin
-              (* Missed.  Maybe the run re-converged with a cycle
-                 shift: a golden state-hash hit at another cycle names
-                 the candidate offset, and the rendezvous tests above
-                 verify or refute it soundly at shifted boundaries. *)
-              (match
-                 Hashtbl.find_opt plan.shift_index
-                   (Machine.state_hash machine)
-               with
-              | Some g when g <> cyc ->
-                  let d = cyc - g in
-                  if d <> !delta || !dj >= nl then begin
-                    dfail := 0;
-                    delta := d;
-                    (* First ladder entry whose shifted cycle is ahead. *)
-                    let rec search lo hi =
-                      if lo >= hi then lo
-                      else
-                        let mid = (lo + hi) / 2 in
-                        if plan.ladder_cycles.(mid) + d <= cyc then
-                          search (mid + 1) hi
-                        else search lo mid
-                    in
-                    dj := search 0 nl
-                  end
-              | Some _ | None -> incr misses);
-              go (i + 1)
+              match probe i machine with
+              | Some o -> (Memo_hit, o)
+              | None ->
+                  (* Missed.  Maybe the run re-converged with a cycle
+                     shift: a golden state-hash hit at another cycle names
+                     the candidate offset, and the rendezvous tests above
+                     verify or refute it soundly at shifted boundaries. *)
+                  (match
+                     Hashtbl.find_opt plan.shift_index
+                       (Machine.state_hash machine)
+                   with
+                  | Some g when g <> cyc ->
+                      let d = cyc - g in
+                      if d <> !delta || !dj >= nl then begin
+                        dfail := 0;
+                        delta := d;
+                        (* First ladder entry whose shifted cycle is ahead. *)
+                        let rec search lo hi =
+                          if lo >= hi then lo
+                          else
+                            let mid = (lo + hi) / 2 in
+                            if plan.ladder_cycles.(mid) + d <= cyc then
+                              search (mid + 1) hi
+                            else search lo mid
+                        in
+                        dj := search 0 nl
+                      end
+                  | Some _ | None -> incr misses);
+                  go (i + 1)
             end
-          else if cyc >= limit then timeout_outcome golden machine
+          else if cyc >= limit then (Watchdog, timeout_outcome golden machine)
           else go (if i < nl && cyc >= plan.ladder_cycles.(i) then i + 1 else i)
         end
   in
@@ -386,26 +612,89 @@ let finish_planned plan golden machine =
 (* ------------------------------------------------------------------ *)
 
 type impl = Replay | Planned of plan
-type provider = { p_golden : Golden.t; impl : impl }
+
+type provider = {
+  p_golden : Golden.t;
+  impl : impl;
+  tallies_lock : Mutex.t;
+  mutable tallies : tally list; (* one per session *)
+}
+
+let make golden impl =
+  {
+    p_golden = golden;
+    impl;
+    tallies_lock = Mutex.create ();
+    tallies = [];
+  }
 
 let provider_golden p = p.p_golden
-let replay golden = { p_golden = golden; impl = Replay }
+let replay golden = make golden Replay
 
 let plan ?(stride = default_stride) golden =
   if stride <= 0 then replay golden
-  else { p_golden = golden; impl = Planned (build_plan golden ~stride) }
+  else make golden (Planned (build_plan golden ~stride))
+
+type counts = {
+  experiments : int array;
+  cycles : int array;
+  memo_lookups : int;
+  memo_inserts : int;
+  memo_resets : int;
+  memo_bytes : int;
+}
+
+let counts p =
+  let sum = tally_create () in
+  List.iter
+    (fun t ->
+      Array.iteri (fun k n -> sum.t_exits.(k) <- sum.t_exits.(k) + n) t.t_exits;
+      Array.iteri (fun k n -> sum.t_cycles.(k) <- sum.t_cycles.(k) + n) t.t_cycles;
+      sum.t_lookups <- sum.t_lookups + t.t_lookups;
+      sum.t_inserts <- sum.t_inserts + t.t_inserts)
+    (Mutex.protect p.tallies_lock (fun () -> p.tallies));
+  let memo_resets, memo_bytes = memo_usage () in
+  {
+    experiments = sum.t_exits;
+    cycles = sum.t_cycles;
+    memo_lookups = sum.t_lookups;
+    memo_inserts = sum.t_inserts;
+    memo_resets;
+    memo_bytes;
+  }
+
+let exits c kind = c.experiments.(exit_index kind)
+
+let pp_counts ppf c =
+  List.iter
+    (fun kind ->
+      let k = exit_index kind in
+      Format.fprintf ppf "%-10s %8d exp %12d cycles@." (exit_kind_name kind)
+        c.experiments.(k) c.cycles.(k))
+    exit_kinds;
+  Format.fprintf ppf "memo       %8d lookups %d inserts %d resets %d bytes@."
+    c.memo_lookups c.memo_inserts c.memo_resets c.memo_bytes
 
 type session = {
   provider : provider;
   mutable pristine : Machine.t;
   mutable at : int; (* cycles executed on the pristine machine *)
+  tally : tally;
+  key : Buffer.t; (* scratch for memo keys *)
+  mutable pending : string list; (* memo keys the current run missed *)
 }
 
 let session provider =
+  let tally = tally_create () in
+  Mutex.protect provider.tallies_lock (fun () ->
+      provider.tallies <- tally :: provider.tallies);
   {
     provider;
     pristine = Machine.create provider.p_golden.Golden.program;
     at = 0;
+    tally;
+    key = Buffer.create 128;
+    pending = [];
   }
 
 (* Rolling [hop_min] cycles costs about as much as one checkpoint
@@ -438,15 +727,63 @@ let advance s target =
     s.at <- target
   end
 
+(* The memo probe at rung [i] of a run that missed the splice there:
+   the stored outcome of an earlier run that reached the same state, or
+   [None] after remembering the key.  Only runs whose output so far is
+   golden's prefix are keyed, so the key need not carry the output. *)
+let memo_probe s plan i machine =
+  let golden = s.provider.p_golden in
+  if
+    i mod memo_every <> memo_every - 1
+    || not
+         (Machine.serial_agrees machine ~prefix:golden.Golden.output
+            ~len:(Machine.serial_length machine))
+  then None
+  else begin
+    let buf = s.key in
+    Buffer.clear buf;
+    Machine.encode_diff buf machine plan.ladder.(i);
+    if Buffer.length buf > memo_key_max then None
+    else begin
+      let key = Buffer.contents buf in
+      s.tally.t_lookups <- s.tally.t_lookups + 1;
+      match memo_find key with
+      | Some _ as hit -> hit
+      | None ->
+          s.pending <- key :: s.pending;
+          None
+    end
+  end
+
+let record s kind ~from machine =
+  let k = exit_index kind in
+  s.tally.t_exits.(k) <- s.tally.t_exits.(k) + 1;
+  s.tally.t_cycles.(k) <- s.tally.t_cycles.(k) + (Machine.cycle machine - from)
+
 let session_run_flip s ~cycle ~flip =
   advance s (cycle - 1);
   let machine = Machine.fork s.pristine in
+  let from = Machine.cycle machine in
   flip machine;
+  let golden = s.provider.p_golden in
   match s.provider.impl with
-  | Replay -> finish s.provider.p_golden machine
+  | Replay ->
+      let o = finish golden machine in
+      record s
+        (if Machine.stopped machine = Some Machine.Cycle_limit then Watchdog
+         else Stopped)
+        ~from machine;
+      o
   | Planned plan ->
       Machine.trap_serial machine ~positions:plan.trap_bits;
-      finish_planned plan s.provider.p_golden machine
+      s.pending <- [];
+      let kind, o =
+        finish_planned plan golden ~probe:(memo_probe s plan) machine
+      in
+      record s kind ~from machine;
+      List.iter (fun key -> memo_add key o) s.pending;
+      s.tally.t_inserts <- s.tally.t_inserts + List.length s.pending;
+      o
 
 let session_run_at s coord =
   check_coord s.provider.p_golden coord;

@@ -23,12 +23,20 @@
       still-live RAM byte and register agree — liveness comes from the
       golden def/use trace), or provably diverges forever (its execution
       state repeats, which on a deterministic machine is an infinite
-      loop), instead of simulating the remaining cycles.
+      loop), instead of simulating the remaining cycles, and
+    - classifies a faulty run as soon as it reaches, at a checkpoint, a
+      machine state that an earlier run of the same provider reached
+      there: the memo of faulty states, keyed by the exact sparse
+      difference from the checkpoint ({!Machine.encode_diff}: all
+      registers and all of RAM, not the live subset, plus the serial
+      length and event count), for runs whose output so far is
+      golden's prefix.
 
-    Both shortcuts are exact on the deterministic machine — outcomes are
-    bit-identical to {!replay} (property-tested differentially) — so the
-    checkpoint stride is a pure performance knob: it is deliberately
-    excluded from campaign fingerprints and result-cache keys. *)
+    All three shortcuts are exact on the deterministic machine —
+    outcomes are bit-identical to {!replay} (property-tested
+    differentially) — so the checkpoint stride is a pure performance
+    knob: it is deliberately excluded from campaign fingerprints and
+    result-cache keys. *)
 
 type provider
 (** A session provider for one golden run. *)
@@ -40,7 +48,16 @@ val plan : ?stride:int -> Golden.t -> provider
 (** Checkpoint-plan provider with a ladder every [stride] cycles
     (default {!default_stride}).  Costs one extra golden-speed replay
     plus [cycles/stride] machine snapshots up front.  [stride <= 0]
-    degrades to {!replay}. *)
+    degrades to {!replay}, with no memo.
+
+    A run that misses the splice at every 8th rung looks its state up
+    in the memo; a hit ends the run with the stored outcome, and a
+    miss's key is stored with the outcome the run ends with.  The memo
+    is one table per process, shared by every provider (keys name the
+    checkpoint) and every domain (behind a mutex), allocated on first
+    insert.  It holds at most 5 MiB, outside the OCaml heap, whatever
+    the number of providers: when its young half fills, the older half
+    is dropped. *)
 
 val default_stride : int
 (** 128 — around a hundred checkpoints for the bundled kernels; memory
@@ -48,6 +65,44 @@ val default_stride : int
 
 val provider_golden : provider -> Golden.t
 (** The golden run the provider was built over. *)
+
+(** {1 Exit accounting}
+
+    How each experiment ended, and the simulated cycles it took from
+    injection to that exit, summed over a provider's sessions.  The
+    counts stay out of journals, fingerprints and progress.  They repeat
+    exactly only at [-j 1]: with several domains sharing the memo, which
+    run reaches a state first — and so which one hits — depends on
+    scheduling.  Outcomes never do. *)
+
+type exit_kind =
+  | Stopped  (** Halted, trapped or panicked on its own. *)
+  | Ladder_splice  (** Re-converged with golden at a ladder rung. *)
+  | Shifted_splice  (** Re-converged at a cycle-shifted rung. *)
+  | Anchor_splice  (** Re-converged at a serial-output anchor. *)
+  | Loop_proof  (** {!Loopproof} proved it never halts. *)
+  | Watchdog  (** Simulated up to the cycle limit. *)
+  | Memo_hit  (** Reached a state another run already classified. *)
+
+val exit_kinds : exit_kind list
+
+type counts = {
+  experiments : int array;  (** Per exit kind, in {!exit_kinds} order. *)
+  cycles : int array;  (** Simulated cycles per exit kind. *)
+  memo_lookups : int;
+  memo_inserts : int;
+  memo_resets : int;  (** Generations the process-wide memo dropped. *)
+  memo_bytes : int;  (** Bytes the process-wide memo holds. *)
+}
+
+val counts : provider -> counts
+(** The provider's counts so far.  Exact once its sessions are idle. *)
+
+val exits : counts -> exit_kind -> int
+(** Experiments that ended with this exit kind. *)
+
+val pp_counts : Format.formatter -> counts -> unit
+(** One line per exit kind, then the memo line. *)
 
 type session
 (** An injection session over monotonically non-decreasing injection

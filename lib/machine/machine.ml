@@ -97,22 +97,20 @@ let serial_agrees m ~prefix ~len =
   serial_length m = len
   && String.length prefix >= len
   &&
-  if m.serial_pre == prefix then begin
-    (* Shared prefix: only the buffered tail needs comparing. *)
-    let tail = Buffer.length m.serial in
-    let off = m.serial_pre_len in
-    let rec go i =
-      i >= tail
-      || Char.equal (Buffer.nth m.serial i) (String.unsafe_get prefix (off + i))
-         && go (i + 1)
-    in
-    go 0
-  end
-  else begin
-    let s = serial_output m in
-    if String.length prefix = len then String.equal s prefix
-    else String.equal s (String.sub prefix 0 len)
-  end
+  (* In place: the shared prefix (skipped when it is physically
+     [prefix]), then the buffered tail — no output is materialised. *)
+  let pre = m.serial_pre and off = m.serial_pre_len in
+  let rec same_pre i =
+    i >= off
+    || Char.equal (String.unsafe_get pre i) (String.unsafe_get prefix i)
+       && same_pre (i + 1)
+  in
+  let rec same_tail i =
+    i >= len - off
+    || Char.equal (Buffer.nth m.serial i) (String.unsafe_get prefix (off + i))
+       && same_tail (i + 1)
+  in
+  (pre == prefix || same_pre 0) && same_tail 0
 
 let detection_events m = List.rev m.events
 let event_count m = List.length m.events
@@ -790,7 +788,10 @@ module Snapshot = struct
     s_events : (int * int32) list;
     s_event_count : int;
     s_stop : stop_reason option;
+    s_id : int; (* process-unique, for {!encode_diff} *)
   }
+
+  let next_id = Atomic.make 0
 
   let capture (m : machine) =
     {
@@ -806,6 +807,7 @@ module Snapshot = struct
       s_events = m.events;
       s_event_count = List.length m.events;
       s_stop = m.stop;
+      s_id = Atomic.fetch_and_add next_id 1;
     }
 
   let restore s ~tracer : machine =
@@ -882,6 +884,7 @@ let run_checkpointed m ~stride ~limit =
           s_events = events;
           s_event_count = evn;
           s_stop = None;
+          s_id = Atomic.fetch_and_add Snapshot.next_id 1;
         })
       !marks
   in
@@ -922,3 +925,61 @@ let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
 
 let rendezvous_with m (s : Snapshot.t) ~ram_live ~reg_mask =
   state_agrees m s ~ram_live ~reg_mask
+
+let add_varint buf n =
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (n land 0x7F lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+(* Layout: the snapshot's id, serial length, event count and pc
+   (varints); a 16-bit mask
+   of the registers that differ, then each one's 32-bit value; then
+   every differing RAM byte as its offset (16-bit when RAM fits 64 KiB,
+   else 32-bit) and value.  The id fixes the RAM size and the RAM
+   entries run to the end, so the encoding is injective.  RAM is compared
+   eight bytes at a time: runs that reach a probe typically differ from
+   the snapshot in a handful of bytes. *)
+let encode_diff buf m (s : Snapshot.t) =
+  add_varint buf s.Snapshot.s_id;
+  add_varint buf (serial_length m);
+  add_varint buf (event_count m);
+  add_varint buf m.pc;
+  let regs = m.regs and sregs = s.Snapshot.s_regs in
+  let mask = ref 0 in
+  for r = 1 to 15 do
+    if Array.unsafe_get regs r <> Array.unsafe_get sregs r then
+      mask := !mask lor (1 lsl r)
+  done;
+  Buffer.add_uint16_le buf !mask;
+  for r = 1 to 15 do
+    if !mask land (1 lsl r) <> 0 then
+      Buffer.add_int32_le buf (Int32.of_int regs.(r))
+  done;
+  let ram = m.ram and sram = s.Snapshot.s_ram in
+  let n = Bytes.length ram in
+  let add_off =
+    if n <= 0x10000 then Buffer.add_uint16_le buf
+    else fun off -> Buffer.add_int32_le buf (Int32.of_int off)
+  in
+  let add_bytes lo hi =
+    for b = lo to hi - 1 do
+      let v = Bytes.unsafe_get ram b in
+      if not (Char.equal v (Bytes.unsafe_get sram b)) then begin
+        add_off b;
+        Buffer.add_char buf v
+      end
+    done
+  in
+  let words = n land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    if not (Int64.equal (Bytes.get_int64_ne ram !i) (Bytes.get_int64_ne sram !i))
+    then add_bytes !i (!i + 8);
+    i := !i + 8
+  done;
+  add_bytes words n

@@ -72,9 +72,8 @@ val serial_length : t -> int
 val serial_agrees : t -> prefix:string -> len:int -> bool
 (** [serial_agrees m ~prefix ~len] is
     [String.equal (serial_output m) (String.sub prefix 0 len)], computed
-    without materialising the output when the machine's shared serial
-    prefix is physically [prefix] (the common case for machines restored
-    from a golden checkpoint ladder). *)
+    in place without allocating.  The shared serial prefix is not
+    compared when it is physically [prefix]. *)
 
 val detection_events : t -> (int * int32) list
 (** Detection events [(cycle, code)] recorded through the detect port, in
@@ -272,3 +271,15 @@ val pc_recurrence : t -> int option
     run: the current [pc] was last visited [d] cycles ago ([d] is a
     loop-period candidate, possibly a multiple or fraction of the true
     period).  [None] for full-mode detectors and unarmed machines. *)
+
+val encode_diff : Buffer.t -> t -> Snapshot.t -> unit
+(** [encode_diff buf m snap] appends an exact sparse encoding of [m]'s
+    state relative to [snap]: [snap]'s process-unique identity, [m]'s
+    serial length, event count and pc, every register that differs
+    from [snap] with its value, and every RAM byte that differs with
+    its offset and value.  Nothing is masked by liveness.  Two
+    encodings are equal iff they are relative to the same snapshot and
+    the machines agree on serial length, event count, pc, every
+    register and every RAM byte.  Cycle, serial contents and stop
+    state are not encoded; a caller that needs them in a key checks
+    them itself. *)

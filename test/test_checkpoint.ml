@@ -288,6 +288,155 @@ let qcheck_plan_equals_replay =
       Scan.pruned ~provider:(Injector.plan ~stride golden) golden
       = Scan.pruned ~provider:(Injector.replay golden) golden)
 
+(* ------------------------------------------------------------------ *)
+(* The faulty-state memo                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The memo's key encodes all of RAM and every register, not the live
+   subset: a bit flipped in a byte the golden tail never reads again
+   still changes it. *)
+let test_state_key () =
+  let golden = Lazy.force looper_golden in
+  let c = golden.Golden.cycles / 2 in
+  let m = Machine.create golden.Golden.program in
+  Machine.run_until m ~cycle:c;
+  let snap = Machine.Snapshot.capture m in
+  let key m =
+    let buf = Buffer.create 64 in
+    Machine.encode_diff buf m snap;
+    Buffer.contents buf
+  in
+  let read_later = Array.make golden.Golden.program.Program.ram_size false in
+  Trace.iter_byte_accesses golden.Golden.trace (fun ~byte ~cycle ~kind ->
+      if cycle > c && kind = Trace.Read then read_later.(byte) <- true);
+  let first p =
+    let rec go b = if p read_later.(b) then b else go (b + 1) in
+    go 0
+  in
+  let live = first Fun.id and dead = first not in
+  let a = Machine.fork m and b = Machine.fork m in
+  let k0 = key a in
+  Alcotest.(check string) "two forks, one key" k0 (key b);
+  let check_flip what flip =
+    flip b;
+    Alcotest.(check bool) (what ^ " changes the key") false (key b = k0);
+    flip b;
+    Alcotest.(check string) (what ^ " flipped back") k0 (key b)
+  in
+  check_flip "a live RAM bit" (fun m -> Machine.flip_bit m ((8 * live) + 3));
+  check_flip "a golden-dead RAM bit" (fun m -> Machine.flip_bit m (8 * dead));
+  check_flip "a register bit" (fun m -> Machine.flip_reg_bit m ~reg:5 ~bit:7)
+
+(* Two faults reach one machine state but different histories:
+   flipping [a] before [witness] reads it (which records the flip in
+   the output or as a detection event) or after.  Either way [a] and
+   [d] end up equal, and [d] sets the length of the loop that follows,
+   so the two runs share their faulty states at every probed rung.  The
+   key must tell them apart: only runs whose output so far is golden's
+   are keyed, and the key carries the event count. *)
+let test_memo_history () =
+  let open Builder in
+  List.iter
+    (fun (what, witness, marker) ->
+      let program =
+        Codegen.compile
+          (prog ~name:"memohistory" ~stack:64
+             [ global "a" ~init:[ 5 ]; global "d"; global "acc" ]
+             [
+               func "main" ~locals:[ "i" ]
+                 (witness
+                 @ [ setg "d" (g "a") ]
+                 @ for_ "i" ~from:(i 0)
+                     ~below:((g "d" &: i 15) +: i 8)
+                     [ setg "acc" (g "acc" +: l "i") ]
+                 @ [ out (i 33); ret_unit ]);
+             ])
+      in
+      let golden = Golden.run program in
+      let provider = Injector.plan ~stride:8 golden in
+      let reference = Scan.pruned ~provider:(Injector.replay golden) golden in
+      Alcotest.(check bool) (what ^ ": fixture has " ^ Outcome.to_string marker)
+        true
+        (outcome_count reference marker > 0);
+      check_scans_identical (what ^ ": plan = replay") reference
+        (Scan.pruned ~provider golden);
+      Alcotest.(check bool) (what ^ ": memo hits") true
+        (Injector.exits (Injector.counts provider) Injector.Memo_hit > 0))
+    [
+      ("output", [ out (g "a") ], Outcome.Sdc);
+      (* One event more when [a] is wrong.  The branches take equal
+         cycles (the taken one ends in a jump) and leave the same
+         registers behind, so both runs stay in step. *)
+      (let c = detect (Int32.to_int Event_codes.corrected)
+       and pad = setg "acc" (g "acc") in
+       ( "event",
+         if_else (g "a" <>: i 5) [ c; c ] [ c; pad; pad ],
+         Outcome.Corrected ));
+    ]
+
+let flag1_dmr =
+  lazy
+    (match Suite.find ~benchmark:"flag1" ~variant:Suite.Sum_dmr with
+    | Some e -> e
+    | None -> Alcotest.fail "flag1/sum+dmr missing from the suite")
+
+let memo_models =
+  [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 3;
+    Faultspace.Skip ]
+
+(* Replay reference per model, shared by the two memo differentials. *)
+let flag1_dmr_cells =
+  lazy
+    (let entry = Lazy.force flag1_dmr in
+     let program = entry.Suite.build () in
+     let variant = Suite.variant_name entry.Suite.variant in
+     List.map
+       (fun model ->
+         let cell = Faultspace.analyse model program in
+         let reference =
+           Faultspace.scan ~variant
+             ~provider:(Injector.replay cell.Faultspace.golden)
+             cell
+         in
+         (model, cell, reference))
+       memo_models)
+
+(* flag1/sum+dmr reaches repeated faulty states under every model, so
+   the plan = replay differential covers memo hits for each. *)
+let test_memo_plan_equals_replay () =
+  List.iter
+    (fun (model, cell, reference) ->
+      let provider = Injector.plan cell.Faultspace.golden in
+      check_scans_identical
+        (Faultspace.tag model ^ " plan = replay")
+        reference
+        (Faultspace.scan ~variant:reference.Scan.variant ~provider cell);
+      let counts = Injector.counts provider in
+      Alcotest.(check bool)
+        (Faultspace.tag model ^ " memo hits")
+        true
+        (Injector.exits counts Injector.Memo_hit > 0);
+      (* Skip's padding slots past the golden run conduct nothing. *)
+      Alcotest.(check int)
+        (Faultspace.tag model ^ " one exit per conducted experiment")
+        (match model with
+        | Faultspace.Skip -> cell.Faultspace.golden.Golden.cycles
+        | _ -> Faultspace.experiments cell)
+        (Array.fold_left ( + ) 0 counts.Injector.experiments))
+    (Lazy.force flag1_dmr_cells)
+
+(* Two domains share the one memo table: the engine's scan still equals
+   the serial replay. *)
+let test_memo_across_domains () =
+  match Lazy.force flag1_dmr_cells with
+  | (model, _, reference) :: _ ->
+      check_scans_identical
+        (Faultspace.tag model ^ " domains -j 2 = serial")
+        reference
+        (Drive.scan ~backend:Pool.Domains ~jobs:2
+           (Suite.spec_of ~model (Lazy.force flag1_dmr)))
+  | [] -> assert false
+
 let suite =
   ( "checkpoint",
     [
@@ -304,4 +453,11 @@ let suite =
       Alcotest.test_case "journal resume across stride change" `Quick
         test_resume_stride_churn;
       QCheck_alcotest.to_alcotest qcheck_plan_equals_replay;
+      Alcotest.test_case "memo state key" `Quick test_state_key;
+      Alcotest.test_case "memo tells histories apart" `Quick
+        test_memo_history;
+      Alcotest.test_case "memo: plan = replay with hits" `Quick
+        test_memo_plan_equals_replay;
+      Alcotest.test_case "memo shared across domains" `Quick
+        test_memo_across_domains;
     ] )
