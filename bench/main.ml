@@ -439,7 +439,9 @@ let run_engine_checkpoint () =
       mem_identical reg_identical;
     exit 1
   end;
-  (* The differential above covers the memo only if it hit. *)
+  (* The differential above covers an exit path only if runs took it:
+     the memo in either space, and the watchdog and the serial-trap
+     anchor splice in each space. *)
   let memo_hits c = Injector.exits c Injector.Memo_hit in
   if memo_hits mem_counts + memo_hits reg_counts = 0 then begin
     prerr_endline
@@ -447,6 +449,19 @@ let run_engine_checkpoint () =
        differential did not cover it";
     exit 1
   end;
+  List.iter
+    (fun (space, c) ->
+      List.iter
+        (fun kind ->
+          if Injector.exits c kind = 0 then begin
+            Printf.eprintf
+              "engine-checkpoint: no %s-space run exited by %s, so the \
+               replay differential did not cover that path\n"
+              space (Injector.exit_kind_name kind);
+            exit 1
+          end)
+        [ Injector.Watchdog; Injector.Anchor_splice ])
+    [ ("memory", mem_counts); ("register", reg_counts) ];
   if smoke then
     Printf.printf
       "smoke mode: bit-identity verified; BENCH_engine.json left untouched\n"

@@ -531,11 +531,21 @@ let campaign_cmd =
           Spec.of_regspace ~variant ~policy (Regspace.analyze image)
       | m -> Spec.of_golden ~variant ~policy ~model:m (Golden.run image)
     in
-    (match campaign_spec.Spec.source with
-    | Spec.Analysed_memory g | Spec.Analysed_registers { Regspace.golden = g; _ }
-      ->
+    (match (campaign_spec.Spec.source, model) with
+    | Spec.Analysed_memory g, Faultspace.Skip ->
+        (* the skip space is the cycle axis, not the memory geometry *)
+        let cell = Faultspace.of_golden model g in
+        Format.printf
+          "%s: %d cycles, %d bytes RAM, fault space w = %d cycles, %d \
+           experiments (no pruning)@."
+          g.Golden.program.Program.name g.Golden.cycles
+          g.Golden.program.Program.ram_size cell.Faultspace.space
+          cell.Faultspace.slots
+    | ( ( Spec.Analysed_memory g
+        | Spec.Analysed_registers { Regspace.golden = g; _ } ),
+        _ ) ->
         Format.printf "%a@." Golden.pp_summary g
-    | Spec.Build _ -> ());
+    | Spec.Build _, _ -> ());
     (match model with
     | Faultspace.Bitflip_mem -> ()
     | m -> Format.printf "fault model: %s@." (Faultspace.describe m));

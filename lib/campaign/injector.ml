@@ -220,12 +220,6 @@ let spliced_outcome golden machine (snap : Machine.Snapshot.t) =
   Outcome.classify ~golden_output ~golden_event_count:golden.Golden.event_count
     ~stop:Machine.Halted ~output ~event_count
 
-(* A repeated execution state proves an infinite loop (detected by the
-   machine's armed Brent hunter): classify as the watchdog would,
-   without simulating to the cycle limit. *)
-let timeout_outcome golden machine =
-  classify_stopped golden machine Machine.Cycle_limit
-
 (* ------------------------------------------------------------------ *)
 (* Exit accounting                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -235,29 +229,25 @@ type exit_kind =
   | Ladder_splice
   | Shifted_splice
   | Anchor_splice
-  | Loop_proof
   | Watchdog
   | Memo_hit
 
 let exit_kinds =
-  [ Stopped; Ladder_splice; Shifted_splice; Anchor_splice; Loop_proof;
-    Watchdog; Memo_hit ]
+  [ Stopped; Ladder_splice; Shifted_splice; Anchor_splice; Watchdog; Memo_hit ]
 
 let exit_index = function
   | Stopped -> 0
   | Ladder_splice -> 1
   | Shifted_splice -> 2
   | Anchor_splice -> 3
-  | Loop_proof -> 4
-  | Watchdog -> 5
-  | Memo_hit -> 6
+  | Watchdog -> 4
+  | Memo_hit -> 5
 
 let exit_kind_name = function
   | Stopped -> "stop"
   | Ladder_splice -> "ladder"
   | Shifted_splice -> "shifted"
   | Anchor_splice -> "anchor"
-  | Loop_proof -> "loopproof"
   | Watchdog -> "watchdog"
   | Memo_hit -> "memo"
 
@@ -449,23 +439,6 @@ let memo_usage () =
    allocates the memo. *)
 let memo_every = 8
 
-(* A run that outlives the whole golden ladder can never converge any
-   more — it is either going to stop on its own or spin to the
-   watchdog.  Past that point, arm a cheap pc-recurrence probe: each
-   time it fires (the run revisits an instruction — it is looping),
-   attempt a {!Loopproof} non-termination proof.  Success classifies
-   the run as the watchdog would; failure widens the probe window
-   geometrically so analysis cost stays negligible even for loops the
-   prover cannot crack. *)
-let probe_window0 = 32
-
-(* Consecutive failed ladder-boundary convergence checks (with no live
-   shift hypothesis) before the pc-recurrence probe is armed early: a
-   run that has been divergent for this many strides is usually either
-   about to stop on its own or stuck in a loop, and the probe makes the
-   latter cheap to prove long before the ladder runs out. *)
-let probe_miss_arm = 6
-
 let finish_planned plan golden ~probe machine =
   let limit = Golden.timeout_limit golden in
   let nl = Array.length plan.ladder in
@@ -481,28 +454,15 @@ let finish_planned plan golden ~probe machine =
     in
     search 0 nl
   in
-  let window = ref probe_window0 in
-  let armed = ref false in
   let delta = ref 0 in
   let dj = ref nl in (* next shifted ladder entry to test; [nl] = none *)
   let dfail = ref 0 in (* consecutive failed rendezvous tests *)
-  let misses = ref 0 in
   let rec go i =
-    (* Never arm while a shift hypothesis is live: a failed proof
-       attempt steps the machine thousands of cycles past the shifted
-       boundaries the hypothesis needs to test at.  Hypotheses are
-       short-lived (see [dfail]), so loop-bound runs still get the
-       probe promptly. *)
-    if (i >= nl || !misses >= probe_miss_arm) && !dj >= nl && not !armed
-    then begin
-      Machine.probe_pc_recurrence ~window0:!window machine;
-      armed := true
-    end;
     let target =
-      let ntarget =
-        if i < nl then plan.ladder_cycles.(i)
-        else min (Machine.cycle machine + plan.stride) limit
-      in
+      (* Past the ladder only a shifted or anchor splice can end a
+         running experiment early; otherwise it simulates to the
+         watchdog, as replay does. *)
+      let ntarget = if i < nl then plan.ladder_cycles.(i) else limit in
       if !dj < nl then min ntarget (plan.ladder_cycles.(!dj) + !delta)
       else ntarget
     in
@@ -511,8 +471,6 @@ let finish_planned plan golden ~probe machine =
     | Some stop -> (Stopped, classify_stopped golden machine stop)
     | None ->
         if Machine.take_serial_trap machine then begin
-          (* The trap displaced any armed probe; re-arm on resume. *)
-          armed := false;
           let n = Machine.serial_length machine in
           let hit =
             if n >= 1 && n - 1 < Array.length plan.anchor_at then
@@ -532,18 +490,6 @@ let finish_planned plan golden ~probe machine =
           match hit with
           | Some snap -> (Anchor_splice, spliced_outcome golden machine snap)
           | None -> go i
-        end
-        else if Machine.pc_recurrence machine <> None then begin
-          let proven = Loopproof.prove_no_halt machine ~limit in
-          if proven then (Loop_proof, timeout_outcome golden machine)
-          else begin
-            (* Unprovable loop (or a false alarm): space probes out and
-               resume simulating — the proof attempt's steps were real
-               execution, so the machine is simply further along. *)
-            window := !window * 8;
-            Machine.probe_pc_recurrence ~window0:!window machine;
-            go i
-          end
         end
         else begin
           let cyc = Machine.cycle machine in
@@ -598,10 +544,11 @@ let finish_planned plan golden ~probe machine =
                         in
                         dj := search 0 nl
                       end
-                  | Some _ | None -> incr misses);
+                  | Some _ | None -> ());
                   go (i + 1)
             end
-          else if cyc >= limit then (Watchdog, timeout_outcome golden machine)
+          else if cyc >= limit then
+            (Watchdog, classify_stopped golden machine Machine.Cycle_limit)
           else go (if i < nl && cyc >= plan.ladder_cycles.(i) then i + 1 else i)
         end
   in

@@ -21,9 +21,8 @@
     - classifies a faulty run as soon as it provably re-converges with
       the golden execution at a checkpoint (pc, cycle and every
       still-live RAM byte and register agree — liveness comes from the
-      golden def/use trace), or provably diverges forever (its execution
-      state repeats, which on a deterministic machine is an infinite
-      loop), instead of simulating the remaining cycles, and
+      golden def/use trace), possibly shifted in cycles, instead of
+      simulating the remaining cycles, and
     - classifies a faulty run as soon as it reaches, at a checkpoint, a
       machine state that an earlier run of the same provider reached
       there: the memo of faulty states, keyed by the exact sparse
@@ -32,7 +31,8 @@
       length and event count), for runs whose output so far is
       golden's prefix.
 
-    All three shortcuts are exact on the deterministic machine —
+    A run that does neither simulates to the watchdog, exactly as under
+    {!replay}.  Both shortcuts are exact on the deterministic machine —
     outcomes are bit-identical to {!replay} (property-tested
     differentially) — so the checkpoint stride is a pure performance
     knob: it is deliberately excluded from campaign fingerprints and
@@ -80,11 +80,17 @@ type exit_kind =
   | Ladder_splice  (** Re-converged with golden at a ladder rung. *)
   | Shifted_splice  (** Re-converged at a cycle-shifted rung. *)
   | Anchor_splice  (** Re-converged at a serial-output anchor. *)
-  | Loop_proof  (** {!Loopproof} proved it never halts. *)
-  | Watchdog  (** Simulated up to the cycle limit. *)
+  | Watchdog
+      (** Simulated up to the cycle limit, as {!replay} does.  No
+          shortcut ends a run that never stops and never re-converges:
+          a proof of non-termination cost more than the cycles it
+          saved. *)
   | Memo_hit  (** Reached a state another run already classified. *)
 
 val exit_kinds : exit_kind list
+
+val exit_kind_name : exit_kind -> string
+(** The short name {!pp_counts} prints, e.g. ["watchdog"]. *)
 
 type counts = {
   experiments : int array;  (** Per exit kind, in {!exit_kinds} order. *)

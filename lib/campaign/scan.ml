@@ -17,7 +17,10 @@ type t = {
   benign_weight : int;
 }
 
-let fault_space_size t = t.cycles * t.ram_bytes * 8
+let fault_space_size t =
+  Array.fold_left
+    (fun acc e -> acc + experiment_weight e)
+    t.benign_weight t.experiments
 
 type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
 
@@ -33,15 +36,17 @@ let provider_for golden = function
       p
   | None -> Injector.plan golden
 
-let of_outcomes ~variant ~ram_bytes ~benign_weight golden
+let of_outcomes ~variant ~ram_bytes ~benign_weight ?slots golden
     (classes : Defuse.byte_class array) outcomes =
+  let slots = Option.value slots ~default:(8 * Array.length classes) in
   let experiments =
     Array.init (8 * Array.length classes) (fun idx ->
         let c = classes.(idx / 8) in
         {
           byte = c.Defuse.byte;
           t_start = c.Defuse.t_start;
-          t_end = c.Defuse.t_end;
+          (* a padding slot covers the empty interval: weight 0 *)
+          t_end = (if idx < slots then c.Defuse.t_end else c.Defuse.t_start - 1);
           bit_in_byte = idx mod 8;
           outcome = outcomes.(idx);
         })
@@ -56,7 +61,7 @@ let of_outcomes ~variant ~ram_bytes ~benign_weight golden
   }
 
 let serial ?(variant = "baseline") ?provider ?(progress = no_progress)
-    ~ram_bytes ~benign_weight ~conduct golden
+    ~ram_bytes ~benign_weight ?slots ~conduct golden
     (classes : Defuse.byte_class array) =
   (* Sessions require non-decreasing injection cycles; classes may be
      sorted by (byte, t_start), so visit a copy sorted by t_end. *)
@@ -78,7 +83,8 @@ let serial ?(variant = "baseline") ?provider ?(progress = no_progress)
       done;
       progress ~done_:(rank + 1) ~total ~tally)
     order;
-  of_outcomes ~variant ~ram_bytes ~benign_weight golden classes outcomes
+  of_outcomes ~variant ~ram_bytes ~benign_weight ?slots golden classes
+    outcomes
 
 let pruned ?variant ?provider ?progress golden =
   let defuse = golden.Golden.defuse in

@@ -31,8 +31,12 @@ type t = {
 }
 
 val fault_space_size : t -> int
-(** w = Δt × 8·Δm; equals the sum of all experiment weights plus
-    [benign_weight] (invariant, property-tested). *)
+(** w, the fault-space coordinates the scan accounts for: the sum of
+    all experiment weights plus [benign_weight].  For a lossless
+    partition this is the fault model's space size
+    ([Faultspace.cell.space]): Δt × 8·Δm bit-cycles for the memory
+    models, Δt × 480 for registers, Δt cycles for instruction skip
+    (invariant, tested for every model). *)
 
 type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
 (** Campaign progress callback, shared by every campaign conductor
@@ -68,12 +72,16 @@ val of_outcomes :
   variant:string ->
   ram_bytes:int ->
   benign_weight:int ->
+  ?slots:int ->
   Golden.t ->
   Defuse.byte_class array ->
   Outcome.t array ->
   t
 (** Assemble a scan from per-slot outcomes indexed [8 × class + bit]:
     experiment [i] takes class [i / 8]'s coordinates and slot [i mod 8].
+    Slots from index [slots] on (default: none) are padding that stands
+    for no fault-space coordinate: their interval is empty
+    ([t_end = t_start − 1]), so they weigh 0.
     The serial loop ({!serial}) and the parallel engine both build their
     results here, so their scans are structurally equal. *)
 
@@ -83,6 +91,7 @@ val serial :
   ?progress:progress ->
   ram_bytes:int ->
   benign_weight:int ->
+  ?slots:int ->
   conduct:
     (Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t) ->
   Golden.t ->

@@ -1,7 +1,9 @@
 let weight_of ~(policy : Accounting.t) e =
   match policy.Accounting.weighting with
   | Accounting.Weighted -> Scan.experiment_weight e
-  | Accounting.Unweighted -> 1
+  | Accounting.Unweighted ->
+      (* one per experiment; a weight-0 padding slot is no experiment *)
+      min 1 (Scan.experiment_weight e)
 
 let failure_count ?(policy = Accounting.correct) (scan : Scan.t) =
   Array.fold_left
@@ -22,7 +24,7 @@ let experiment_total ?(policy = Accounting.correct) (scan : Scan.t) =
          experiments plus one unit per benign class is not well-defined
          either, so we fall back to conducted experiments — this is what
          papers that fall into Pitfall 1 implicitly do. *)
-      Array.length scan.Scan.experiments
+      conducted_total ~policy scan
   | Accounting.Conducted_only, _ -> conducted_total ~policy scan
 
 let no_effect_count ?(policy = Accounting.correct) (scan : Scan.t) =
@@ -82,10 +84,9 @@ let failure_probability ?(rate = Fit_rate.mean_published)
     ?(ns_per_cycle = 1.0) (scan : Scan.t) =
   let f = float_of_int (failure_count ~policy:Accounting.correct scan) in
   let g = Fit_rate.per_bit_per_ns rate in
-  let w_ns_bits =
-    float_of_int scan.Scan.cycles *. ns_per_cycle
-    *. float_of_int (scan.Scan.ram_bytes * 8)
-  in
+  (* The exposure window is the model's whole space (bit-cycles for
+     the memory and register models), not the memory geometry. *)
+  let w_ns_bits = float_of_int (Scan.fault_space_size scan) *. ns_per_cycle in
   (* Equation 5: F·g·e^{-gw}.  F is in bit·cycles; one cycle is
      ns_per_cycle, so the conversion factor is applied to g·w only — F·g
      already carries 1/(ns·bit) × bit·cycle, normalised per cycle. *)

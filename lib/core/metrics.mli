@@ -17,7 +17,8 @@ val no_effect_count : ?policy:Accounting.t -> Scan.t -> int
     this includes the a-priori benign coordinates. *)
 
 val experiment_total : ?policy:Accounting.t -> Scan.t -> int
-(** The denominator N implied by the policy: fault-space size [w] for
+(** The denominator N implied by the policy: fault-space size [w]
+    ({!Scan.fault_space_size}, the fault model's whole space) for
     [Full_space]+[Weighted], total conducted weight w′ for
     [Conducted_only]+[Weighted], or plain experiment counts when
     unweighted. *)
@@ -46,7 +47,8 @@ val coverage_improves :
 val failure_probability :
   ?rate:Fit_rate.t -> ?ns_per_cycle:float -> Scan.t -> float
 (** Equation 5: P(Failure) ≈ F·g·e^{−gw}, the absolute per-run failure
-    probability under real-world soft-error rates.  Defaults:
+    probability under real-world soft-error rates.  The exposure window
+    [w] is {!Scan.fault_space_size}, the fault model's space.  Defaults:
     {!Fit_rate.mean_published} and 1 ns per cycle (1 GHz). *)
 
 val extrapolated_failures : Sampler.estimate -> float

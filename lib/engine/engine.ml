@@ -1039,7 +1039,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
             Scan.of_outcomes ~variant:rt.cell.Runcell.spec.Spec.variant
               ~ram_bytes:rt.cell.Runcell.ram_bytes
               ~benign_weight:rt.cell.Runcell.benign_weight
-              rt.cell.Runcell.golden rt.classes rt.outcomes
+              ~slots:rt.cell.Runcell.slots rt.cell.Runcell.golden rt.classes
+              rt.outcomes
           in
           let quarantined =
             List.rev_map

@@ -15,6 +15,7 @@ type cell = {
   classes : Defuse.byte_class array;
   benign_weight : int;
   ram_bytes : int;
+  slots : int;
   provider : unit -> Injector.provider;
   conduct : Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
@@ -50,6 +51,7 @@ let cell_of spec (fc : Faultspace.cell) =
     classes = fc.Faultspace.classes;
     benign_weight = fc.Faultspace.benign_weight;
     ram_bytes = fc.Faultspace.ram_bytes;
+    slots = fc.Faultspace.slots;
     provider = provider_of_policy spec.Spec.policy fc.Faultspace.golden;
     conduct = fc.Faultspace.conduct;
   }

@@ -24,6 +24,9 @@ type cell = {
   benign_weight : int;
       (** A-priori-benign fault-space weight of the model. *)
   ram_bytes : int;  (** Real, pseudo or synthetic row footprint. *)
+  slots : int;
+      (** Slots that are real experiments ([Faultspace.cell]'s); the
+          rest are weight-0 padding. *)
   provider : unit -> Injector.provider;
       (** The session provider every conductor of this cell draws from —
           an [Injector.plan] at the policy's

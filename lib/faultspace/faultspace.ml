@@ -96,6 +96,8 @@ type cell = {
   classes : Defuse.byte_class array;
   ram_bytes : int;
   benign_weight : int;
+  space : int;
+  slots : int;
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
@@ -145,7 +147,8 @@ let skip_classes cycles =
 let conduct_skip ~cycles session (c : Defuse.byte_class) ~bit_in_byte =
   let cycle = c.Defuse.t_start + bit_in_byte in
   if cycle > cycles then
-    (* padding slot of the last class, past the golden runtime *)
+    (* padding slot of the last class, past the golden runtime: the
+       cell's [slots] gives it weight 0 in the scan *)
     Outcome.No_effect
   else Injector.session_run_flip session ~cycle ~flip:Machine.skip_next
 
@@ -153,28 +156,30 @@ let conduct_skip ~cycles session (c : Defuse.byte_class) ~bit_in_byte =
 (* Cells                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Memory and burst cells share the def/use partition, the geometry
+   and the benign weight; only the conductor differs. *)
+let memory_cell (golden : Golden.t) conduct =
+  let defuse = golden.Golden.defuse in
+  let classes = Defuse.experiment_classes defuse in
+  {
+    golden;
+    classes;
+    ram_bytes = golden.Golden.program.Program.ram_size;
+    benign_weight = Defuse.known_benign_weight defuse;
+    space = Golden.fault_space_size golden;
+    slots = 8 * Array.length classes;
+    conduct;
+  }
+
 let of_golden model (golden : Golden.t) =
   match model with
   | Bitflip_reg ->
       invalid_arg "Faultspace.of_golden: Bitflip_reg needs a Regspace.t"
-  | Bitflip_mem ->
-      {
-        golden;
-        classes = Defuse.experiment_classes golden.Golden.defuse;
-        ram_bytes = golden.Golden.program.Program.ram_size;
-        benign_weight = Defuse.known_benign_weight golden.Golden.defuse;
-        conduct = Scan.conduct_class;
-      }
+  | Bitflip_mem -> memory_cell golden Scan.conduct_class
   | Burst { width; pattern } ->
       check_burst ~width ~pattern;
       let step = match pattern with Adjacent -> 1 | Row s -> s in
-      {
-        golden;
-        classes = Defuse.experiment_classes golden.Golden.defuse;
-        ram_bytes = golden.Golden.program.Program.ram_size;
-        benign_weight = Defuse.known_benign_weight golden.Golden.defuse;
-        conduct = conduct_burst ~width ~step;
-      }
+      memory_cell golden (conduct_burst ~width ~step)
   | Skip ->
       let cycles = golden.Golden.cycles in
       let classes = skip_classes cycles in
@@ -183,15 +188,20 @@ let of_golden model (golden : Golden.t) =
         classes;
         ram_bytes = Array.length classes;
         benign_weight = 0;
+        space = cycles;
+        slots = cycles;
         conduct = conduct_skip ~cycles;
       }
 
 let of_regspace (r : Regspace.t) =
+  let classes = Defuse.experiment_classes r.Regspace.reg_defuse in
   {
     golden = r.Regspace.golden;
-    classes = Defuse.experiment_classes r.Regspace.reg_defuse;
+    classes;
     ram_bytes = Regspace.pseudo_ram_bytes;
     benign_weight = Defuse.known_benign_weight r.Regspace.reg_defuse;
+    space = Regspace.fault_space_size r;
+    slots = 8 * Array.length classes;
     conduct = Regspace.conduct;
   }
 
@@ -202,5 +212,5 @@ let analyse ?limit model program =
 
 let scan ?variant ?provider ?progress cell =
   Scan.serial ?variant ?provider ?progress ~ram_bytes:cell.ram_bytes
-    ~benign_weight:cell.benign_weight ~conduct:cell.conduct cell.golden
-    cell.classes
+    ~benign_weight:cell.benign_weight ~slots:cell.slots ~conduct:cell.conduct
+    cell.golden cell.classes

@@ -90,6 +90,18 @@ type cell = {
   benign_weight : int;
       (** Fault-space coordinates known benign a priori (overwritten or
           dormant classes); [0] for {!Skip}, whose space has no pruning. *)
+  space : int;
+      (** The model's fault-space size, in coordinates: [Δt × 8·Δm]
+          bit-cycles for {!Bitflip_mem} and {!Burst} (one burst per
+          anchoring bit-cycle), [Δt × 480] for {!Bitflip_reg}, [Δt]
+          cycles for {!Skip}.  A lossless partition's experiment weights
+          plus [benign_weight] sum to it. *)
+  slots : int;
+      (** Experiment slots that stand for fault-space coordinates: slot
+          [8 × class + bit] with index [>= slots] is padding, conducted
+          as {!Outcome.No_effect} and weighted 0 in the scan.  Only
+          {!Skip} pads (its last class past [Δt]); every other model
+          has [slots = 8 × Array.length classes]. *)
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
       (** Conduct one experiment slot on a session over [golden]'s
@@ -109,7 +121,8 @@ val of_golden : model -> Golden.t -> cell
     cycle is its own equivalence class — no pruning), and slot [s]
     injects at cycle [8i+1+s].  Trailing slots of the last class that
     fall beyond the golden runtime are conducted as {!Outcome.No_effect}
-    without running the machine.
+    without running the machine, and weigh 0 ([slots = Δt]), so the
+    space is exactly [Δt] cycles.
 
     @raise Invalid_argument for {!Bitflip_reg} (use {!of_regspace}) or a
     malformed {!Burst}. *)

@@ -44,33 +44,12 @@ type t = {
   serial : Buffer.t; (* bytes emitted past the shared prefix *)
   mutable events : (int * int32) list; (* reversed *)
   mutable stop : stop_reason option;
-  mutable hunt : hunt option;
   mutable serial_trap : Bytes.t;
       (* bitmap over output byte positions; emitting a flagged byte
          suspends the run for a rendezvous-anchor check (empty = off) *)
+  mutable trapped : bool; (* a flagged byte was emitted, not yet taken *)
   tracer : tracer option;
   exec_tracer : exec_tracer option;
-}
-
-(* Brent-style recurrence detector: one tortoise state, recaptured with
-   exponentially growing windows.  The hot loop pays one [pc] compare
-   per cycle.  In full mode ([h_full]) a hit additionally compares the
-   complete execution state (pc, regs, RAM — everything the transition
-   function reads), short-circuiting on the first differing register; a
-   match proves the state recurred, which on this deterministic machine
-   proves the run can never halt.  In probe mode a bare pc revisit
-   suspends the run: it proves nothing by itself, but hands the caller
-   a loop-period candidate for deeper analysis (see {!Loopproof}). *)
-and hunt = {
-  h_full : bool; (* full-state proof mode vs. pc-recurrence probe *)
-  h_serial : bool; (* suspension raised by the serial-position trap *)
-  mutable h_pc : int;
-  h_regs : int array; (* empty in probe mode *)
-  h_ram : Bytes.t; (* empty in probe mode *)
-  mutable h_window : int; (* current Brent window, in cycles *)
-  mutable h_left : int; (* cycles left before the tortoise moves *)
-  mutable h_dist : int; (* cycles since the tortoise was (re)captured *)
-  mutable h_stop : bool; (* suspend the run loop *)
 }
 
 let program m = m.prog
@@ -204,20 +183,7 @@ let mmio_store m addr value =
         n < 8 * Bytes.length bits
         && Char.code (Bytes.unsafe_get bits (n lsr 3)) land (1 lsl (n land 7))
            <> 0
-      then
-        m.hunt <-
-          Some
-            {
-              h_full = false;
-              h_serial = true;
-              h_pc = m.pc;
-              h_regs = [||];
-              h_ram = Bytes.empty;
-              h_window = 0;
-              h_left = max_int;
-              h_dist = 0;
-              h_stop = true;
-            }
+      then m.trapped <- true
     end
   end
   else if addr = Memmap.detect_port then
@@ -583,76 +549,11 @@ let create ?tracer ?exec_tracer prog =
     serial = Buffer.create 64;
     events = [];
     stop = None;
-    hunt = None;
     serial_trap = Bytes.empty;
+    trapped = false;
     tracer;
     exec_tracer;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Recurrence detection                                               *)
-(* ------------------------------------------------------------------ *)
-
-let hunt_window0 = 32
-
-let arm_hunt m ~full ~window0 =
-  m.hunt <-
-    Some
-      {
-        h_full = full;
-        h_serial = false;
-        h_pc = m.pc;
-        h_regs = (if full then Array.copy m.regs else [||]);
-        h_ram = (if full then Bytes.copy m.ram else Bytes.empty);
-        h_window = window0;
-        h_left = window0;
-        h_dist = 0;
-        h_stop = false;
-      }
-
-(* Bulk stepping for loop analysis: the per-step [try]/bounds overhead
-   of [step] is hoisted out, like the run loops do, with the observed
-   pc sequence landing in [buf].  Loop detectors are deliberately not
-   consulted — the caller is already past detection. *)
-let scan_pcs m buf =
-  let n = Array.length buf in
-  let i = ref 0 in
-  (match (m.stop, m.exec_tracer) with
-  | Some _, _ -> ()
-  | None, Some _ ->
-      (* traced machines are off the hot path: plain stepping *)
-      while !i < n && m.stop == None do
-        buf.(!i) <- m.pc;
-        step m;
-        incr i
-      done
-  | None, None -> (
-      let xcode = m.xcode in
-      try
-        while !i < n do
-          buf.(!i) <- m.pc;
-          let f = Array.unsafe_get xcode m.pc in
-          m.cyc <- m.cyc + 1;
-          f m;
-          incr i
-        done
-      with Stop reason ->
-        m.stop <- Some reason;
-        incr i));
-  !i
-
-let hunt_loops m = arm_hunt m ~full:true ~window0:hunt_window0
-
-let probe_pc_recurrence ?(window0 = hunt_window0) m =
-  arm_hunt m ~full:false ~window0:(max 1 window0)
-
-let loop_proven m =
-  match m.hunt with Some h -> h.h_full && h.h_stop | None -> false
-
-let pc_recurrence m =
-  match m.hunt with
-  | Some h when (not h.h_full) && (not h.h_serial) && h.h_stop -> Some h.h_dist
-  | Some _ | None -> None
 
 let state_hash m =
   let h = ref (m.pc + 0x9E3779B9) in
@@ -665,38 +566,9 @@ let state_hash m =
 let trap_serial m ~positions = m.serial_trap <- positions
 
 let take_serial_trap m =
-  match m.hunt with
-  | Some h when h.h_serial && h.h_stop ->
-      m.hunt <- None;
-      true
-  | Some _ | None -> false
-
-let hunt_step m h =
-  if h.h_stop then ()
-  else if h.h_left = 0 then begin
-    h.h_pc <- m.pc;
-    if h.h_full then begin
-      Array.blit m.regs 0 h.h_regs 0 16;
-      Bytes.blit m.ram 0 h.h_ram 0 (Bytes.length m.ram)
-    end;
-    h.h_window <- h.h_window * 2;
-    h.h_left <- h.h_window;
-    h.h_dist <- 0
-  end
-  else begin
-    h.h_left <- h.h_left - 1;
-    h.h_dist <- h.h_dist + 1;
-    if m.pc = h.h_pc then
-      if h.h_full then begin
-        let regs = m.regs and tregs = h.h_regs in
-        let rec eq i =
-          i >= 16
-          || (Array.unsafe_get regs i = Array.unsafe_get tregs i && eq (i + 1))
-        in
-        if eq 0 && Bytes.equal m.ram h.h_ram then h.h_stop <- true
-      end
-      else h.h_stop <- true
-  end
+  let t = m.trapped in
+  m.trapped <- false;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Run loops                                                          *)
@@ -711,11 +583,7 @@ let rec exec_loop m xcode stop_at =
     let f = Array.unsafe_get xcode m.pc in
     m.cyc <- m.cyc + 1;
     f m;
-    match m.hunt with
-    | None -> exec_loop m xcode stop_at
-    | Some h ->
-        hunt_step m h;
-        if not h.h_stop then exec_loop m xcode stop_at
+    if not m.trapped then exec_loop m xcode stop_at
   end
 
 (* Machines with an exec tracer (golden analysis) take the stepper so
@@ -724,12 +592,7 @@ let rec exec_loop m xcode stop_at =
 let rec traced_loop m stop_at =
   if m.cyc < stop_at && m.stop == None then begin
     step m;
-    if m.stop == None then
-      match m.hunt with
-      | None -> traced_loop m stop_at
-      | Some h ->
-          hunt_step m h;
-          if not h.h_stop then traced_loop m stop_at
+    if not m.trapped then traced_loop m stop_at
   end
 
 let run_to m stop_at =
@@ -742,15 +605,14 @@ let run_to m stop_at =
           with Stop reason -> m.stop <- Some reason)
       | Some _ -> traced_loop m stop_at)
 
-let run m ~limit =
-  (* [run] ignores an armed recurrence detector: the detector's clients
-     drive bounded spans with [run_until] (see the .mli contract). *)
-  let saved = m.hunt in
-  m.hunt <- None;
+let rec run m ~limit =
+  (* [run] resumes through serial-trap suspensions: the trap's client
+     drives bounded spans with [run_until] (see the .mli contract). *)
+  m.trapped <- false;
   run_to m limit;
-  m.hunt <- saved;
   match m.stop with
   | Some reason -> reason
+  | None when m.trapped -> run m ~limit
   | None ->
       m.stop <- Some Cycle_limit;
       Cycle_limit
@@ -765,8 +627,8 @@ let fork ?tracer m =
     ram = Bytes.copy m.ram;
     regs = Array.copy m.regs;
     serial;
-    hunt = None;
     serial_trap = Bytes.empty;
+    trapped = false;
     tracer;
     exec_tracer = None;
   }
@@ -827,8 +689,8 @@ module Snapshot = struct
       serial;
       events = s.s_events;
       stop = s.s_stop;
-      hunt = None;
       serial_trap = Bytes.empty;
+      trapped = false;
       tracer;
       exec_tracer = None;
     }

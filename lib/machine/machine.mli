@@ -124,23 +124,18 @@ val skip_next : t -> unit
     handles for register faults.  No-op if the machine has stopped; an
     out-of-range pc stops with [Bad_pc], as {!step} would. *)
 
-val scan_pcs : t -> int array -> int
-(** [scan_pcs m buf] executes up to [Array.length buf] instructions,
-    recording in [buf.(i)] the pc {e before} the [i]-th one, and
-    returns the number of steps taken (short only if the machine
-    stopped).  Equivalent to calling {!step} in a loop but at the run
-    loops' per-cycle cost.  Armed loop detectors are not consulted —
-    the caller ({!Loopproof}) is already past detection. *)
-
 val run : t -> limit:int -> stop_reason
 (** [run m ~limit] executes until the machine stops or [limit] total
     cycles have been executed; in the latter case the machine is stopped
-    with [Cycle_limit].  Idempotent on stopped machines. *)
+    with [Cycle_limit].  Serial-trap suspensions ({!trap_serial}) are
+    resumed through, not reported.  Idempotent on stopped machines. *)
 
 val run_until : t -> cycle:int -> unit
 (** [run_until m ~cycle] executes until [cycle m = cycle] (i.e. exactly
-    [cycle] instructions have executed) or the machine stops earlier.
-    Used to position the machine just before a fault-injection point. *)
+    [cycle] instructions have executed), the machine stops, or an armed
+    serial trap suspends it ({!take_serial_trap}), whichever comes
+    first.  Used to position the machine just before a fault-injection
+    point. *)
 
 val fork : ?tracer:tracer -> t -> t
 (** [fork m] is an independent machine with identical state — the
@@ -230,47 +225,14 @@ val trap_serial : t -> positions:Bytes.t -> unit
     cycle-shifted run to a known golden position, so it is the natural
     trigger for a {!rendezvous_with} check.  The empty bitmap (the
     default; never inherited by {!fork} or restored machines) disarms
-    the trap at zero per-cycle cost. *)
+    the trap. *)
 
 val take_serial_trap : t -> bool
-(** Consume a pending serial-trap suspension: [true] iff the trap
-    fired, in which case the suspension is cleared and the run can be
-    resumed.  The caller should check this before {!pc_recurrence} —
-    a firing trap displaces an armed probe, which then needs
-    re-arming. *)
-
-val hunt_loops : t -> unit
-(** Arm the livelock detector on [m]: subsequent {!run_until} spans
-    watch for a recurrence of the execution state (pc, registers, RAM —
-    everything the transition function reads) via Brent's algorithm —
-    one tortoise state, recaptured with exponentially growing windows,
-    compared against the hare at one [pc] equality per cycle.  When a
-    recurrence is found the run suspends ({!loop_proven} becomes true,
-    {!stopped} stays [None]): on a deterministic machine a repeated
-    state proves the run can never halt, so the caller may classify it
-    as the watchdog would without simulating up to the cycle limit.
-    Forked and restored machines never inherit an armed detector. *)
-
-val loop_proven : t -> bool
-(** Whether the armed detector has proven an infinite loop ([false] if
-    {!hunt_loops} was never called). *)
-
-val probe_pc_recurrence : ?window0:int -> t -> unit
-(** Arm the detector in {e probe} mode: the same Brent tortoise as
-    {!hunt_loops}, but a bare [pc] revisit suspends the run without
-    comparing (or copying) any state.  A pc recurrence proves nothing
-    by itself — it is a cheap trigger for deeper loop analysis
-    ({!Loopproof}): the suspension hands the caller a machine parked at
-    a loop head together with a period candidate.  [window0] sets the
-    initial Brent window (default 32); re-arming with a larger window
-    spaces successive triggers out geometrically.  Replaces any
-    previously armed detector. *)
-
-val pc_recurrence : t -> int option
-(** [Some d] iff an armed {!probe_pc_recurrence} detector suspended the
-    run: the current [pc] was last visited [d] cycles ago ([d] is a
-    loop-period candidate, possibly a multiple or fraction of the true
-    period).  [None] for full-mode detectors and unarmed machines. *)
+(** Consume a pending serial-trap suspension: [true] iff a flagged byte
+    was emitted since the last call, in which case the suspension is
+    cleared and the run can be resumed.  The trap is one flag that the
+    emitting store sets and this function clears, so the run loops pay
+    one test per cycle for it. *)
 
 val encode_diff : Buffer.t -> t -> Snapshot.t -> unit
 (** [encode_diff buf m snap] appends an exact sparse encoding of [m]'s

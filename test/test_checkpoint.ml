@@ -15,7 +15,7 @@ let check_scans_identical msg reference scan =
 
 (* A small kernel whose fault space provokes every interesting shape of
    faulty run: a RAM-resident loop bound (bit flips yield watchdog
-   timeouts for the ladder's loop-proof shortcut to classify), serial
+   timeouts, which the plan simulates to the limit as replay does), serial
    output spread over the run (rendezvous anchors), and enough data flow
    that some faults converge back onto the golden trace mid-run. *)
 let looper () =

@@ -302,6 +302,62 @@ let test_model_fingerprints_distinct () =
   Alcotest.(check int) "all models fingerprint apart" (List.length fps)
     (List.length distinct)
 
+(* ------------------------------------------------------------------ *)
+(* Accounting: every model's scan sums to its own space               *)
+(* ------------------------------------------------------------------ *)
+
+(* Σ weighted histogram = experiment_total = the model's space size,
+   with the size computed here from the golden run alone: Δt × 8·Δm
+   bit-cycles for the memory models, Δt × 480 for registers, Δt cycles
+   for skip.  hi+dft runs 12 cycles, so its skip cell pads 4 slots. *)
+let test_accounting_invariant () =
+  let models =
+    [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 3;
+      Faultspace.burst ~row:2 3; Faultspace.Skip ]
+  in
+  List.iter
+    (fun (name, image) ->
+      let golden = Golden.run image in
+      let cycles = golden.Golden.cycles in
+      List.iter
+        (fun model ->
+          let label = name ^ "@" ^ Faultspace.tag model in
+          let cell = Faultspace.analyse model image in
+          let space, experiments =
+            match model with
+            | Faultspace.Skip -> (cycles, cycles)
+            | Faultspace.Bitflip_reg ->
+                (cycles * 8 * Regspace.pseudo_ram_bytes, Faultspace.experiments cell)
+            | Faultspace.Bitflip_mem | Faultspace.Burst _ ->
+                (cycles * 8 * image.Program.ram_size, Faultspace.experiments cell)
+          in
+          Alcotest.(check int) (label ^ ": cell space") space cell.Faultspace.space;
+          let spec =
+            match model with
+            | Faultspace.Bitflip_reg -> Spec.of_regspace (Regspace.analyze image)
+            | _ -> Spec.of_golden ~model golden
+          in
+          List.iter
+            (fun (path, scan) ->
+              let label = label ^ " " ^ path in
+              let sum policy =
+                List.fold_left (fun n (_, k) -> n + k) 0
+                  (Metrics.outcome_histogram ~policy scan)
+              in
+              Alcotest.(check int) (label ^ ": experiment_total") space
+                (Metrics.experiment_total scan);
+              Alcotest.(check int) (label ^ ": weighted histogram") space
+                (sum Accounting.correct);
+              Alcotest.(check int) (label ^ ": unweighted experiments")
+                experiments
+                (Metrics.experiment_total ~policy:Accounting.pitfall1 scan);
+              Alcotest.(check int) (label ^ ": unweighted histogram")
+                experiments (sum Accounting.pitfall1))
+            [ ("serial", Faultspace.scan cell); ("engine", Drive.scan ~jobs:1 spec) ])
+        models)
+    [ ("hi", Hi.program ()); ("hi+dft", Hi.dft ());
+      ("flag1", Flag1.baseline ()) ]
+
 let suite =
   ( "faultspace",
     [
@@ -324,4 +380,6 @@ let suite =
         test_new_models_plan_vs_replay;
       Alcotest.test_case "model fingerprints distinct" `Quick
         test_model_fingerprints_distinct;
+      Alcotest.test_case "every model's scan sums to its space" `Quick
+        test_accounting_invariant;
     ] )
