@@ -440,8 +440,8 @@ let run_engine_checkpoint () =
     exit 1
   end;
   (* The differential above covers an exit path only if runs took it:
-     the memo in either space, and the watchdog and the serial-trap
-     anchor splice in each space. *)
+     the memo in either space, and the watchdog and the ladder splice
+     in each space. *)
   let memo_hits c = Injector.exits c Injector.Memo_hit in
   if memo_hits mem_counts + memo_hits reg_counts = 0 then begin
     prerr_endline
@@ -460,7 +460,7 @@ let run_engine_checkpoint () =
               space (Injector.exit_kind_name kind);
             exit 1
           end)
-        [ Injector.Watchdog; Injector.Anchor_splice ])
+        [ Injector.Watchdog; Injector.Ladder_splice ])
     [ ("memory", mem_counts); ("register", reg_counts) ];
   if smoke then
     Printf.printf
@@ -529,17 +529,33 @@ let run_engine_checkpoint () =
       done;
       String.sub s 0 !n
     in
-    let body =
+    let block = ",\n  \"checkpoint\": " ^ ck_json in
+    let text =
       match find_sub base ",\n  \"checkpoint\":" with
-      | Some i -> String.sub base 0 i
+      | Some i ->
+          (* Replace the old section in place, up to the brace that
+             closes its object, and keep the sections after it. *)
+          let rec close j depth =
+            match base.[j] with
+            | '{' -> close (j + 1) (depth + 1)
+            | '}' when depth = 1 -> j + 1
+            | '}' -> close (j + 1) (depth - 1)
+            | _ -> close (j + 1) depth
+          in
+          let e = close (String.index_from base i '{') 0 in
+          String.sub base 0 i ^ block
+          ^ String.sub base e (String.length base - e)
       | None ->
           let t = trim_tail base in
           let n = String.length t in
-          if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
-          else t
+          let body =
+            if n > 0 && t.[n - 1] = '}' then trim_tail (String.sub t 0 (n - 1))
+            else t
+          in
+          body ^ block ^ "\n}\n"
     in
     let oc = open_out path in
-    output_string oc (body ^ ",\n  \"checkpoint\": " ^ ck_json ^ "\n}\n");
+    output_string oc text;
     close_out oc;
     Printf.printf "spliced checkpoint into BENCH_engine.json\n"
   end

@@ -28,32 +28,11 @@ let default_stride = 128
    byte / register the golden tail still reads before overwriting
    provably replays that tail, so its outcome is computable without
    simulating it. *)
-(* A rendezvous anchor: the golden state just after emitting serial
-   byte [position], for catching cycle-shifted re-convergence.  A
-   faulty run that rejoins the golden instruction stream with a cycle
-   offset never satisfies [converges_with] (cycle counts differ at
-   every ladder entry), but when it emits output byte [n] it is — by
-   construction — about to replay golden's tail from golden's byte-[n]
-   state.  That emission is an exact, cheaply detectable rendezvous
-   point. *)
-type anchor = {
-  a_cycle : int; (* golden cycle just after emitting the byte *)
-  a_snap : Machine.Snapshot.t;
-  a_ram_live : int array;
-  a_reg_mask : int;
-}
-
 type plan = {
-  stride : int;
   ladder : Machine.Snapshot.t array; (* ascending cycles, running states *)
   ladder_cycles : int array;
   ram_live : int array array; (* per ladder entry: live-in RAM bytes *)
   reg_mask : int array; (* per ladder entry: live-in register bitmask *)
-  anchor_at : anchor option array; (* indexed by serial byte position *)
-  trap_bits : Bytes.t; (* anchored positions, as a Machine trap bitmap *)
-  shift_index : (int, int) Hashtbl.t;
-      (* golden {!Machine.state_hash} at every cycle -> that cycle, for
-         guessing the offset of cycle-shifted re-convergence *)
 }
 
 (* Walk one location's chronological access list ([(cycle, is_read)],
@@ -74,36 +53,6 @@ let fold_live_in ~ladder_cycles accesses ~live =
           end
   in
   fill 0 accesses
-
-(* Replay the golden execution once more (plain compiled machine, no
-   tracer), picking serial anchor positions — the first byte emitted at
-   least [stride] cycles after the previous anchor, as
-   [(position, cycle, snapshot)] in ascending order — and indexing the
-   golden {!Machine.state_hash} of every cycle for shift guessing. *)
-let golden_survey golden ~stride =
-  let glen = String.length golden.Golden.output in
-  let shift_index = Hashtbl.create (2 * golden.Golden.cycles) in
-  let machine = Machine.create golden.Golden.program in
-  let last = ref (-stride) in
-  let prev_len = ref 0 in
-  let points = ref [] in
-  while Machine.stopped machine = None do
-    Machine.step machine;
-    if Machine.stopped machine = None then
-      Hashtbl.add shift_index
-        (Machine.state_hash machine)
-        (Machine.cycle machine);
-    let n = Machine.serial_length machine in
-    if n > !prev_len then begin
-      prev_len := n;
-      let c = Machine.cycle machine in
-      if c >= !last + stride && n <= glen then begin
-        last := c;
-        points := (n - 1, c, Machine.Snapshot.capture machine) :: !points
-      end
-    end
-  done;
-  (List.rev !points, shift_index)
 
 let build_plan golden ~stride =
   (* Replay the golden execution once, tracing register accesses for
@@ -136,15 +85,11 @@ let build_plan golden ~stride =
            Machine.pp_stop_reason reason));
   let ladder_cycles = Array.map Machine.Snapshot.cycle ladder in
   let nl = Array.length ladder_cycles in
-  let points, shift_index = golden_survey golden ~stride in
-  let anchor_cycles = Array.of_list (List.map (fun (_, c, _) -> c) points) in
-  let na = Array.length anchor_cycles in
   let ram_size = golden.Golden.program.Program.ram_size in
   let ram_acc = Array.make ram_size [] in
   Trace.iter_byte_accesses golden.Golden.trace (fun ~byte ~cycle ~kind ->
       ram_acc.(byte) <- (cycle, kind = Trace.Read) :: ram_acc.(byte));
   let live_lists = Array.make nl [] in
-  let a_live_lists = Array.make na [] in
   for b = ram_size - 1 downto 0 do
     let accesses =
       List.sort
@@ -153,56 +98,38 @@ let build_plan golden ~stride =
         (List.rev ram_acc.(b))
     in
     fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        live_lists.(i) <- b :: live_lists.(i));
-    fold_live_in ~ladder_cycles:anchor_cycles accesses ~live:(fun i ->
-        a_live_lists.(i) <- b :: a_live_lists.(i))
+        live_lists.(i) <- b :: live_lists.(i))
   done;
   let reg_mask = Array.make nl 0 in
-  let a_reg_mask = Array.make na 0 in
   for r = 1 to 15 do
-    let accesses = List.rev reg_acc.(r) in
-    fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        reg_mask.(i) <- reg_mask.(i) lor (1 lsl r));
-    fold_live_in ~ladder_cycles:anchor_cycles accesses ~live:(fun i ->
-        a_reg_mask.(i) <- a_reg_mask.(i) lor (1 lsl r))
+    fold_live_in ~ladder_cycles (List.rev reg_acc.(r)) ~live:(fun i ->
+        reg_mask.(i) <- reg_mask.(i) lor (1 lsl r))
   done;
-  let glen = String.length golden.Golden.output in
-  let anchor_at = Array.make glen None in
-  let trap_bits =
-    if points = [] then Bytes.empty
-    else Bytes.make ((glen + 7) / 8) '\000'
-  in
-  List.iteri
-    (fun i (p, c, snap) ->
-      anchor_at.(p) <-
-        Some
-          {
-            a_cycle = c;
-            a_snap = snap;
-            a_ram_live = Array.of_list a_live_lists.(i);
-            a_reg_mask = a_reg_mask.(i);
-          };
-      Bytes.set trap_bits (p lsr 3)
-        (Char.chr (Char.code (Bytes.get trap_bits (p lsr 3)) lor (1 lsl (p land 7)))))
-    points;
   {
-    stride;
     ladder;
     ladder_cycles;
     ram_live = Array.map Array.of_list live_lists;
     reg_mask;
-    anchor_at;
-    trap_bits;
-    shift_index;
   }
 
+(* How many ladder entries lie at or below [cycle]: the index of the
+   first one strictly ahead of it. *)
+let rungs_upto plan cycle =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if plan.ladder_cycles.(mid) <= cycle then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length plan.ladder_cycles)
+
 (* Outcome of a run that provably re-converged with the golden
-   execution at checkpoint [snap] (a ladder entry or a rendezvous
-   anchor): the tail replays golden, so splice the golden tail onto
-   what the faulty run emitted so far.  Serial output and events are
-   execution history, not machine state, so the splice is sound even
-   when the prefixes disagree — the run just carries its corrupted
-   prefix under the golden tail. *)
+   execution at ladder entry [snap]: the tail replays golden, so splice
+   the golden tail onto what the faulty run emitted so far.  Serial
+   output and events are execution history, not machine state, so the
+   splice is sound even when the prefixes disagree — the run just
+   carries its corrupted prefix under the golden tail. *)
 let spliced_outcome golden machine (snap : Machine.Snapshot.t) =
   let mark = Machine.Snapshot.serial_length snap in
   let event_count =
@@ -224,30 +151,19 @@ let spliced_outcome golden machine (snap : Machine.Snapshot.t) =
 (* Exit accounting                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type exit_kind =
-  | Stopped
-  | Ladder_splice
-  | Shifted_splice
-  | Anchor_splice
-  | Watchdog
-  | Memo_hit
+type exit_kind = Stopped | Ladder_splice | Watchdog | Memo_hit
 
-let exit_kinds =
-  [ Stopped; Ladder_splice; Shifted_splice; Anchor_splice; Watchdog; Memo_hit ]
+let exit_kinds = [ Stopped; Ladder_splice; Watchdog; Memo_hit ]
 
 let exit_index = function
   | Stopped -> 0
   | Ladder_splice -> 1
-  | Shifted_splice -> 2
-  | Anchor_splice -> 3
-  | Watchdog -> 4
-  | Memo_hit -> 5
+  | Watchdog -> 2
+  | Memo_hit -> 3
 
 let exit_kind_name = function
   | Stopped -> "stop"
   | Ladder_splice -> "ladder"
-  | Shifted_splice -> "shifted"
-  | Anchor_splice -> "anchor"
   | Watchdog -> "watchdog"
   | Memo_hit -> "memo"
 
@@ -442,117 +358,26 @@ let memo_every = 8
 let finish_planned plan golden ~probe machine =
   let limit = Golden.timeout_limit golden in
   let nl = Array.length plan.ladder in
-  (* First ladder entry strictly ahead of the machine. *)
-  let start =
-    let cyc = Machine.cycle machine in
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if plan.ladder_cycles.(mid) <= cyc then search (mid + 1) hi
-        else search lo mid
-    in
-    search 0 nl
-  in
-  let delta = ref 0 in
-  let dj = ref nl in (* next shifted ladder entry to test; [nl] = none *)
-  let dfail = ref 0 in (* consecutive failed rendezvous tests *)
   let rec go i =
-    let target =
-      (* Past the ladder only a shifted or anchor splice can end a
-         running experiment early; otherwise it simulates to the
-         watchdog, as replay does. *)
-      let ntarget = if i < nl then plan.ladder_cycles.(i) else limit in
-      if !dj < nl then min ntarget (plan.ladder_cycles.(!dj) + !delta)
-      else ntarget
-    in
-    Machine.run_until machine ~cycle:target;
+    (* Past the ladder nothing ends a running experiment early: it
+       simulates to the watchdog, as replay does. *)
+    Machine.run_until machine
+      ~cycle:(if i < nl then plan.ladder_cycles.(i) else limit);
     match Machine.stopped machine with
     | Some stop -> (Stopped, classify_stopped golden machine stop)
-    | None ->
-        if Machine.take_serial_trap machine then begin
-          let n = Machine.serial_length machine in
-          let hit =
-            if n >= 1 && n - 1 < Array.length plan.anchor_at then
-              match plan.anchor_at.(n - 1) with
-              | Some a
-                when Machine.rendezvous_with machine a.a_snap
-                       ~ram_live:a.a_ram_live ~reg_mask:a.a_reg_mask
-                     && Machine.cycle machine
-                        + (golden.Golden.cycles - a.a_cycle)
-                        <= limit ->
-                  (* The run replays golden's tail shifted in time, and
-                     the shifted finish still beats the watchdog. *)
-                  Some a.a_snap
-              | Some _ | None -> None
-            else None
-          in
-          match hit with
-          | Some snap -> (Anchor_splice, spliced_outcome golden machine snap)
-          | None -> go i
-        end
-        else begin
-          let cyc = Machine.cycle machine in
-          if !dj < nl && cyc >= plan.ladder_cycles.(!dj) + !delta then begin
-            (* A shifted ladder boundary: test the shift hypothesis.
-               [rendezvous_with] is sound at any cycle, so a hit proves
-               the run replays golden's tail shifted by [delta]. *)
-            let j = !dj in
-            dj := j + 1;
-            if
-              Machine.rendezvous_with machine plan.ladder.(j)
-                ~ram_live:plan.ram_live.(j) ~reg_mask:plan.reg_mask.(j)
-              && cyc + (golden.Golden.cycles - plan.ladder_cycles.(j))
-                 <= limit
-            then (Shifted_splice, spliced_outcome golden machine plan.ladder.(j))
-            else begin
-              incr dfail;
-              if !dfail >= 24 then dj := nl (* hypothesis refuted *);
-              go i
-            end
-          end
-          else if i < nl && cyc = plan.ladder_cycles.(i) then
-            if
-              Machine.converges_with machine plan.ladder.(i)
-                ~ram_live:plan.ram_live.(i) ~reg_mask:plan.reg_mask.(i)
-            then (Ladder_splice, spliced_outcome golden machine plan.ladder.(i))
-            else begin
-              match probe i machine with
-              | Some o -> (Memo_hit, o)
-              | None ->
-                  (* Missed.  Maybe the run re-converged with a cycle
-                     shift: a golden state-hash hit at another cycle names
-                     the candidate offset, and the rendezvous tests above
-                     verify or refute it soundly at shifted boundaries. *)
-                  (match
-                     Hashtbl.find_opt plan.shift_index
-                       (Machine.state_hash machine)
-                   with
-                  | Some g when g <> cyc ->
-                      let d = cyc - g in
-                      if d <> !delta || !dj >= nl then begin
-                        dfail := 0;
-                        delta := d;
-                        (* First ladder entry whose shifted cycle is ahead. *)
-                        let rec search lo hi =
-                          if lo >= hi then lo
-                          else
-                            let mid = (lo + hi) / 2 in
-                            if plan.ladder_cycles.(mid) + d <= cyc then
-                              search (mid + 1) hi
-                            else search lo mid
-                        in
-                        dj := search 0 nl
-                      end
-                  | Some _ | None -> ());
-                  go (i + 1)
-            end
-          else if cyc >= limit then
-            (Watchdog, classify_stopped golden machine Machine.Cycle_limit)
-          else go (if i < nl && cyc >= plan.ladder_cycles.(i) then i + 1 else i)
-        end
+    | None when i >= nl ->
+        (Watchdog, classify_stopped golden machine Machine.Cycle_limit)
+    | None -> (
+        if
+          Machine.converges_with machine plan.ladder.(i)
+            ~ram_live:plan.ram_live.(i) ~reg_mask:plan.reg_mask.(i)
+        then (Ladder_splice, spliced_outcome golden machine plan.ladder.(i))
+        else
+          match probe i machine with
+          | Some o -> (Memo_hit, o)
+          | None -> go (i + 1))
   in
-  go start
+  go (rungs_upto plan (Machine.cycle machine))
 
 (* ------------------------------------------------------------------ *)
 (* Session providers                                                  *)
@@ -654,19 +479,10 @@ let advance s target =
   (match s.provider.impl with
   | Planned plan when target > s.at ->
       (* Greatest ladder entry at or below [target]. *)
-      let cycles = plan.ladder_cycles in
-      let n = Array.length cycles in
-      let rec search lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if cycles.(mid) <= target then search (mid + 1) hi
-          else search lo mid
-      in
-      let i = search 0 n - 1 in
-      if i >= 0 && cycles.(i) >= s.at + hop_min then begin
+      let i = rungs_upto plan target - 1 in
+      if i >= 0 && plan.ladder_cycles.(i) >= s.at + hop_min then begin
         s.pristine <- Machine.Snapshot.restore plan.ladder.(i) ~tracer:None;
-        s.at <- cycles.(i)
+        s.at <- plan.ladder_cycles.(i)
       end
   | Planned _ | Replay -> ());
   if target > s.at then begin
@@ -722,7 +538,6 @@ let session_run_flip s ~cycle ~flip =
         ~from machine;
       o
   | Planned plan ->
-      Machine.trap_serial machine ~positions:plan.trap_bits;
       s.pending <- [];
       let kind, o =
         finish_planned plan golden ~probe:(memo_probe s plan) machine

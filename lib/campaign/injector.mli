@@ -21,8 +21,8 @@
     - classifies a faulty run as soon as it provably re-converges with
       the golden execution at a checkpoint (pc, cycle and every
       still-live RAM byte and register agree — liveness comes from the
-      golden def/use trace), possibly shifted in cycles, instead of
-      simulating the remaining cycles, and
+      golden def/use trace) instead of simulating the remaining cycles,
+      and
     - classifies a faulty run as soon as it reaches, at a checkpoint, a
       machine state that an earlier run of the same provider reached
       there: the memo of faulty states, keyed by the exact sparse
@@ -31,12 +31,14 @@
       length and event count), for runs whose output so far is
       golden's prefix.
 
-    A run that does neither simulates to the watchdog, exactly as under
-    {!replay}.  Both shortcuts are exact on the deterministic machine —
-    outcomes are bit-identical to {!replay} (property-tested
-    differentially) — so the checkpoint stride is a pure performance
-    knob: it is deliberately excluded from campaign fingerprints and
-    result-cache keys. *)
+    A run that does neither runs until it halts, traps or reaches the
+    watchdog, exactly as under {!replay}.  So every run ends in one of
+    four {!exit_kind}s: it stopped on its own, spliced at a ladder rung,
+    hit the memo, or reached the watchdog.  Both shortcuts are exact on
+    the deterministic machine — outcomes are bit-identical to {!replay}
+    (property-tested differentially) — so the checkpoint stride is a
+    pure performance knob: it is deliberately excluded from campaign
+    fingerprints and result-cache keys. *)
 
 type provider
 (** A session provider for one golden run. *)
@@ -46,8 +48,8 @@ val replay : Golden.t -> provider
 
 val plan : ?stride:int -> Golden.t -> provider
 (** Checkpoint-plan provider with a ladder every [stride] cycles
-    (default {!default_stride}).  Costs one extra golden-speed replay
-    plus [cycles/stride] machine snapshots up front.  [stride <= 0]
+    (default {!default_stride}).  Costs one traced replay of the golden
+    run plus [cycles/stride] machine snapshots up front.  [stride <= 0]
     degrades to {!replay}, with no memo.
 
     A run that misses the splice at every 8th rung looks its state up
@@ -77,14 +79,16 @@ val provider_golden : provider -> Golden.t
 
 type exit_kind =
   | Stopped  (** Halted, trapped or panicked on its own. *)
-  | Ladder_splice  (** Re-converged with golden at a ladder rung. *)
-  | Shifted_splice  (** Re-converged at a cycle-shifted rung. *)
-  | Anchor_splice  (** Re-converged at a serial-output anchor. *)
+  | Ladder_splice
+      (** Re-converged with golden at a ladder rung, at the rung's own
+          cycle. *)
   | Watchdog
       (** Simulated up to the cycle limit, as {!replay} does.  No
           shortcut ends a run that never stops and never re-converges:
           a proof of non-termination cost more than the cycles it
-          saved. *)
+          saved.  Neither does a run that rejoins golden's instruction
+          stream a few cycles early or late: it ends at a halt, a trap,
+          the watchdog or the memo. *)
   | Memo_hit  (** Reached a state another run already classified. *)
 
 val exit_kinds : exit_kind list

@@ -44,10 +44,6 @@ type t = {
   serial : Buffer.t; (* bytes emitted past the shared prefix *)
   mutable events : (int * int32) list; (* reversed *)
   mutable stop : stop_reason option;
-  mutable serial_trap : Bytes.t;
-      (* bitmap over output byte positions; emitting a flagged byte
-         suspends the run for a rendezvous-anchor check (empty = off) *)
-  mutable trapped : bool; (* a flagged byte was emitted, not yet taken *)
   tracer : tracer option;
   exec_tracer : exec_tracer option;
 }
@@ -173,19 +169,8 @@ let load_word m addr =
   | Memmap.Unmapped -> raise (Stop (Trapped (Unmapped_access addr)))
 
 let mmio_store m addr value =
-  if addr = Memmap.serial_port then begin
-    Buffer.add_char m.serial (Char.chr (value land 0xFF));
-    let bits = m.serial_trap in
-    if Bytes.length bits > 0 then begin
-      (* position of the byte just emitted *)
-      let n = m.serial_pre_len + Buffer.length m.serial - 1 in
-      if
-        n < 8 * Bytes.length bits
-        && Char.code (Bytes.unsafe_get bits (n lsr 3)) land (1 lsl (n land 7))
-           <> 0
-      then m.trapped <- true
-    end
-  end
+  if addr = Memmap.serial_port then
+    Buffer.add_char m.serial (Char.chr (value land 0xFF))
   else if addr = Memmap.detect_port then
     m.events <- (m.cyc, Int32.of_int (signed value)) :: m.events
   else if addr = Memmap.panic_port then
@@ -549,26 +534,9 @@ let create ?tracer ?exec_tracer prog =
     serial = Buffer.create 64;
     events = [];
     stop = None;
-    serial_trap = Bytes.empty;
-    trapped = false;
     tracer;
     exec_tracer;
   }
-
-let state_hash m =
-  let h = ref (m.pc + 0x9E3779B9) in
-  let regs = m.regs in
-  for i = 1 to 15 do
-    h := (!h lxor Array.unsafe_get regs i) * 0x01000193 land max_int
-  done;
-  !h
-
-let trap_serial m ~positions = m.serial_trap <- positions
-
-let take_serial_trap m =
-  let t = m.trapped in
-  m.trapped <- false;
-  t
 
 (* ------------------------------------------------------------------ *)
 (* Run loops                                                          *)
@@ -583,7 +551,7 @@ let rec exec_loop m xcode stop_at =
     let f = Array.unsafe_get xcode m.pc in
     m.cyc <- m.cyc + 1;
     f m;
-    if not m.trapped then exec_loop m xcode stop_at
+    exec_loop m xcode stop_at
   end
 
 (* Machines with an exec tracer (golden analysis) take the stepper so
@@ -592,7 +560,7 @@ let rec exec_loop m xcode stop_at =
 let rec traced_loop m stop_at =
   if m.cyc < stop_at && m.stop == None then begin
     step m;
-    if not m.trapped then traced_loop m stop_at
+    traced_loop m stop_at
   end
 
 let run_to m stop_at =
@@ -605,14 +573,10 @@ let run_to m stop_at =
           with Stop reason -> m.stop <- Some reason)
       | Some _ -> traced_loop m stop_at)
 
-let rec run m ~limit =
-  (* [run] resumes through serial-trap suspensions: the trap's client
-     drives bounded spans with [run_until] (see the .mli contract). *)
-  m.trapped <- false;
+let run m ~limit =
   run_to m limit;
   match m.stop with
   | Some reason -> reason
-  | None when m.trapped -> run m ~limit
   | None ->
       m.stop <- Some Cycle_limit;
       Cycle_limit
@@ -627,8 +591,6 @@ let fork ?tracer m =
     ram = Bytes.copy m.ram;
     regs = Array.copy m.regs;
     serial;
-    serial_trap = Bytes.empty;
-    trapped = false;
     tracer;
     exec_tracer = None;
   }
@@ -689,8 +651,6 @@ module Snapshot = struct
       serial;
       events = s.s_events;
       stop = s.s_stop;
-      serial_trap = Bytes.empty;
-      trapped = false;
       tracer;
       exec_tracer = None;
     }
@@ -752,12 +712,9 @@ let run_checkpointed m ~stride ~limit =
   in
   (stop, Array.of_list snaps)
 
-(* Shared by [converges_with] (which additionally requires equal cycle
-   counts) and [rendezvous_with] (which deliberately does not: a
-   cycle-shifted run replays the golden tail just the same — only its
-   cycle numbering differs). *)
-let state_agrees m (s : Snapshot.t) ~ram_live ~reg_mask =
-  m.pc = s.Snapshot.s_pc
+let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
+  m.cyc = s.Snapshot.s_cyc
+  && m.pc = s.Snapshot.s_pc
   && (match (m.stop, s.Snapshot.s_stop) with
      | None, None -> true
      | _, _ -> false)
@@ -781,12 +738,6 @@ let state_agrees m (s : Snapshot.t) ~ram_live ~reg_mask =
     Char.equal (Bytes.unsafe_get ram b) (Bytes.unsafe_get sram b) && go (i + 1)
   in
   go 0
-
-let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
-  m.cyc = s.Snapshot.s_cyc && state_agrees m s ~ram_live ~reg_mask
-
-let rendezvous_with m (s : Snapshot.t) ~ram_live ~reg_mask =
-  state_agrees m s ~ram_live ~reg_mask
 
 let add_varint buf n =
   let rec go n =

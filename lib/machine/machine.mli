@@ -119,23 +119,20 @@ val skip_next : t -> unit
 (** Execute the next fetched instruction as if it were [Nop]: one cycle
     elapses and pc advances, but no architectural state changes — the
     instruction-skip fault-injection primitive ([Faultspace.Skip]).
-    Subsequent instructions shift one slot earlier in time, exactly the
-    divergent control flow the replay/convergence machinery already
-    handles for register faults.  No-op if the machine has stopped; an
-    out-of-range pc stops with [Bad_pc], as {!step} would. *)
+    Subsequent instructions shift one slot earlier in time.  No-op if
+    the machine has stopped; an out-of-range pc stops with [Bad_pc], as
+    {!step} would. *)
 
 val run : t -> limit:int -> stop_reason
 (** [run m ~limit] executes until the machine stops or [limit] total
     cycles have been executed; in the latter case the machine is stopped
-    with [Cycle_limit].  Serial-trap suspensions ({!trap_serial}) are
-    resumed through, not reported.  Idempotent on stopped machines. *)
+    with [Cycle_limit].  Idempotent on stopped machines. *)
 
 val run_until : t -> cycle:int -> unit
 (** [run_until m ~cycle] executes until [cycle m = cycle] (i.e. exactly
-    [cycle] instructions have executed), the machine stops, or an armed
-    serial trap suspends it ({!take_serial_trap}), whichever comes
-    first.  Used to position the machine just before a fault-injection
-    point. *)
+    [cycle] instructions have executed) or the machine stops, whichever
+    comes first.  Used to position the machine just before a
+    fault-injection point. *)
 
 val fork : ?tracer:tracer -> t -> t
 (** [fork m] is an independent machine with identical state — the
@@ -196,43 +193,6 @@ val converges_with :
     same instructions run with the same operands.  Serial output and
     detection events are deliberately not compared — they record the
     past, not the future. *)
-
-val rendezvous_with :
-  t -> Snapshot.t -> ram_live:int array -> reg_mask:int -> bool
-(** {!converges_with} without the cycle-count conjunct.  Sound for the
-    same reason — the machine has no way to observe its own cycle
-    counter, so two states agreeing on pc and live-ins evolve
-    identically even when their cycle numbering differs — but the
-    conclusions differ: the run replays the checkpoint's {e tail of
-    instructions}, shifted in time, rather than finishing at the
-    checkpoint run's cycle count.  The caller must separately check
-    that the shifted finish still beats the watchdog. *)
-
-val state_hash : t -> int
-(** A cheap fingerprint of the machine's register state and pc (RAM is
-    deliberately excluded — hashing it would cost more than it saves).
-    Two machines executing the same instruction stream hash equal at
-    corresponding points; the converse does not hold, so a hash match
-    is a {e hypothesis} to be verified with {!rendezvous_with}, never a
-    proof. *)
-
-val trap_serial : t -> positions:Bytes.t -> unit
-(** Arm the serial rendezvous trap: [positions] is a bitmap over
-    serial-output byte positions (bit [n] of byte [n/8]); when the
-    machine emits the byte at a flagged position, the run suspends
-    right after the emitting instruction ({!stopped} stays [None]).
-    Emitting a serial byte is the one hot-path event that pins a
-    cycle-shifted run to a known golden position, so it is the natural
-    trigger for a {!rendezvous_with} check.  The empty bitmap (the
-    default; never inherited by {!fork} or restored machines) disarms
-    the trap. *)
-
-val take_serial_trap : t -> bool
-(** Consume a pending serial-trap suspension: [true] iff a flagged byte
-    was emitted since the last call, in which case the suspension is
-    cleared and the run can be resumed.  The trap is one flag that the
-    emitting store sets and this function clears, so the run loops pay
-    one test per cycle for it. *)
 
 val encode_diff : Buffer.t -> t -> Snapshot.t -> unit
 (** [encode_diff buf m snap] appends an exact sparse encoding of [m]'s

@@ -16,8 +16,9 @@ let check_scans_identical msg reference scan =
 (* A small kernel whose fault space provokes every interesting shape of
    faulty run: a RAM-resident loop bound (bit flips yield watchdog
    timeouts, which the plan simulates to the limit as replay does), serial
-   output spread over the run (rendezvous anchors), and enough data flow
-   that some faults converge back onto the golden trace mid-run. *)
+   output spread over the run (spliced under golden's tail), and enough
+   data flow that some faults converge back onto the golden trace
+   mid-run. *)
 let looper () =
   let open Builder in
   prog ~name:"looper" ~stack:64
@@ -272,21 +273,34 @@ let random_program seed =
         @ [ out (g "acc" &: i 255); ret_unit ]);
     ]
 
+(* Every fault model, each on its own analysed cell: the register
+   cell's golden run is the register analysis's own. *)
 let qcheck_plan_equals_replay =
   QCheck.Test.make ~name:"checkpoint plan equals replay on random programs"
     ~count:8
     QCheck.(pair (int_bound 1000) (int_bound 1000))
     (fun (seed, stride_seed) ->
-      let golden = Golden.run (Codegen.compile (random_program seed)) in
-      (* Cover tiny, mid and beyond-runtime strides. *)
-      let stride =
-        match stride_seed mod 3 with
-        | 0 -> 1 + (stride_seed mod 13)
-        | 1 -> 1 + (stride_seed mod golden.Golden.cycles)
-        | _ -> golden.Golden.cycles + 1 + stride_seed
-      in
-      Scan.pruned ~provider:(Injector.plan ~stride golden) golden
-      = Scan.pruned ~provider:(Injector.replay golden) golden)
+      let program = Codegen.compile (random_program seed) in
+      List.for_all
+        (fun model ->
+          let cell = Faultspace.analyse model program in
+          let golden = cell.Faultspace.golden in
+          (* Cover tiny, mid and beyond-runtime strides. *)
+          let stride =
+            match stride_seed mod 3 with
+            | 0 -> 1 + (stride_seed mod 13)
+            | 1 -> 1 + (stride_seed mod golden.Golden.cycles)
+            | _ -> golden.Golden.cycles + 1 + stride_seed
+          in
+          Faultspace.scan ~provider:(Injector.plan ~stride golden) cell
+          = Faultspace.scan ~provider:(Injector.replay golden) cell)
+        [
+          Faultspace.Bitflip_mem;
+          Faultspace.Bitflip_reg;
+          Faultspace.burst 3;
+          Faultspace.burst ~row:2 3;
+          Faultspace.Skip;
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* The faulty-state memo                                              *)

@@ -85,6 +85,47 @@ let test_burst_shares_mem_partition () =
   Alcotest.(check int) "same ram bytes" mem.Faultspace.ram_bytes
     b.Faultspace.ram_bytes
 
+(* Brute-force oracle for burst pruning: a burst anchored at every raw
+   (cycle, byte, bit) coordinate, conducted alone as a one-cycle class
+   on a replay session, must end as the pruned scan says it does once
+   expanded over the raw space — a-priori-benign coordinates included. *)
+let test_burst_brute_force () =
+  let golden = Lazy.force hi_golden in
+  let total_cycles = golden.Golden.cycles in
+  let ram_size = golden.Golden.program.Program.ram_size in
+  List.iter
+    (fun model ->
+      let tag = Faultspace.tag model in
+      let cell = Faultspace.of_golden model golden in
+      let expand = Scan.expander (Faultspace.scan cell) in
+      let session = Injector.session (Injector.replay golden) in
+      let coords = ref 0 and failures = ref 0 in
+      Coordspace.iter ~total_cycles ~ram_size (fun coord ->
+          let c = coord.Coordspace.cycle in
+          let one_cycle =
+            {
+              Defuse.byte = coord.Coordspace.bit / 8;
+              t_start = c;
+              t_end = c;
+              kind = Defuse.Experiment;
+            }
+          in
+          let brute =
+            cell.Faultspace.conduct session one_cycle
+              ~bit_in_byte:(coord.Coordspace.bit mod 8)
+          in
+          let pruned = expand coord in
+          if brute <> pruned then
+            Alcotest.failf "%s at %a: pruned %s, brute force %s" tag
+              Coordspace.pp_coord coord (Outcome.to_string pruned)
+              (Outcome.to_string brute);
+          incr coords;
+          if brute <> Outcome.No_effect then incr failures);
+      Alcotest.(check int) (tag ^ ": every coordinate")
+        (Golden.fault_space_size golden) !coords;
+      Alcotest.(check bool) (tag ^ ": some bursts fail") true (!failures > 0))
+    [ Faultspace.burst 3; Faultspace.burst ~row:2 3 ]
+
 (* A small compiled MIR kernel: a counted loop over a 3-element array,
    its trip count and constants derived from [seed]. *)
 let loop_image seed =
@@ -366,6 +407,8 @@ let suite =
         test_mem_cell_matches_legacy;
       Alcotest.test_case "burst shares the mem partition" `Quick
         test_burst_shares_mem_partition;
+      Alcotest.test_case "burst pruning = brute force (hi)" `Quick
+        test_burst_brute_force;
       QCheck_alcotest.to_alcotest qcheck_legacy_models_differential;
       Alcotest.test_case "skip_next machine semantics" `Quick
         test_skip_next_semantics;

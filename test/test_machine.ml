@@ -328,99 +328,6 @@ let test_snapshot_isolation () =
     (Machine.read_ram_byte m 0 <> Machine.read_ram_byte fork 0
     || Machine.read_ram_byte m 0 land 1 = 0)
 
-(* ------------------------------------------------------------------ *)
-(* Serial rendezvous trap                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Emits "ABCDE" with byte stores inside a loop that also writes RAM,
-   then a sixth byte (5) with a word store. *)
-let serial_loop_program =
-  program
-    [
-      Isa.Li (r 1, Int32.of_int Memmap.serial_port);
-      Isa.Li (r 3, 0l);
-      Isa.Li (r 4, 5l);
-      Isa.Alui (Isa.Add, r 2, r 3, 65l);
-      Isa.Sb (r 2, r 1, 0l);
-      Isa.Sb (r 2, r 3, 8l);
-      Isa.Alui (Isa.Add, r 3, r 3, 1l);
-      Isa.Beq (r 3, r 4, 3, Isa.Ne);
-      Isa.Sw (r 4, r 1, 0l);
-      Isa.Halt;
-    ]
-
-let check_same_state what a b =
-  Alcotest.(check int) (what ^ ": cycle") (Machine.cycle a) (Machine.cycle b);
-  Alcotest.(check string)
-    (what ^ ": output") (Machine.serial_output a) (Machine.serial_output b);
-  Alcotest.(check bool)
-    (what ^ ": stop") true
-    (Machine.stopped a = Machine.stopped b);
-  for i = 0 to 15 do
-    Alcotest.(check int32)
-      (Printf.sprintf "%s: r%d" what i)
-      (Machine.reg a (r i)) (Machine.reg b (r i))
-  done;
-  for off = 0 to 63 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: ram[%d]" what off)
-      (Machine.read_ram_byte a off) (Machine.read_ram_byte b off)
-  done
-
-let test_serial_trap ?exec_tracer () =
-  let flagged = [ 1; 3; 5 ] in
-  let positions = Bytes.make 1 '\000' in
-  List.iter
-    (fun p ->
-      Bytes.set positions 0
-        (Char.chr (Char.code (Bytes.get positions 0) lor (1 lsl p))))
-    flagged;
-  (* Untrapped reference, stepped: (cycle, pc) right after each byte. *)
-  let reference = Machine.create serial_loop_program in
-  let emitted = ref [] in
-  while Machine.stopped reference = None do
-    let n = Machine.serial_length reference in
-    Machine.step reference;
-    if Machine.serial_length reference > n then
-      emitted := (Machine.cycle reference, Machine.pc reference) :: !emitted
-  done;
-  let emitted = Array.of_list (List.rev !emitted) in
-  Alcotest.(check string)
-    "reference output" "ABCDE\005"
-    (Machine.serial_output reference);
-  let m = Machine.create ?exec_tracer serial_loop_program in
-  Machine.trap_serial m ~positions;
-  Alcotest.(check bool) "nothing pending" false (Machine.take_serial_trap m);
-  let suspensions = ref [] in
-  let rec go () =
-    Machine.run_until m ~cycle:10_000;
-    if Machine.stopped m = None && Machine.cycle m < 10_000 then begin
-      Alcotest.(check bool) "suspension taken" true (Machine.take_serial_trap m);
-      Alcotest.(check bool) "taken once" false (Machine.take_serial_trap m);
-      let p = Machine.serial_length m - 1 in
-      suspensions := p :: !suspensions;
-      let cycle, pc = emitted.(p) in
-      Alcotest.(check int) (Printf.sprintf "byte %d: cycle" p) cycle
-        (Machine.cycle m);
-      Alcotest.(check int) (Printf.sprintf "byte %d: pc" p) pc (Machine.pc m);
-      go ()
-    end
-  in
-  go ();
-  Alcotest.(check (list int)) "suspended after each flagged byte" flagged
-    (List.rev !suspensions);
-  Alcotest.(check bool) "nothing pending at the end" false
-    (Machine.take_serial_trap m);
-  check_same_state "resumed" reference m;
-  (* [run] resumes through suspensions instead of reporting them. *)
-  let whole = Machine.create ?exec_tracer serial_loop_program in
-  Machine.trap_serial whole ~positions;
-  Alcotest.check stop "run halts" Machine.Halted (Machine.run whole ~limit:10_000);
-  check_same_state "run" reference whole
-
-let test_serial_trap_traced () =
-  test_serial_trap ~exec_tracer:(fun ~cycle:_ _ -> ()) ()
-
 let test_tracer_records () =
   let events = ref [] in
   let tracer ~cycle ~addr ~width ~kind =
@@ -475,9 +382,5 @@ let suite =
       Alcotest.test_case "run_until" `Quick test_run_until;
       Alcotest.test_case "snapshot equivalence" `Quick test_snapshot_equivalence;
       Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
-      Alcotest.test_case "serial trap suspends and resumes" `Quick
-        (test_serial_trap ?exec_tracer:None);
-      Alcotest.test_case "serial trap, traced machine" `Quick
-        test_serial_trap_traced;
       Alcotest.test_case "tracer records RAM accesses" `Quick test_tracer_records;
     ] )
