@@ -305,7 +305,30 @@ let test_policy_keys_do_not_collide () =
       Alcotest.(check bool) "shard_size=1 hits its own entry" true
         (run (cache_policy ~shard_size:1 dir)).Engine.cached;
       Alcotest.(check bool) "weighted hits its own entry" true
-        (run (cache_policy ~weighted:true dir)).Engine.cached)
+        (run (cache_policy ~weighted:true dir)).Engine.cached;
+      (* Same label, different image: "hi/baseline" built from the
+         program and then from its DFT variant.  The key digests the
+         image, so the second build misses instead of being served the
+         first one's results. *)
+      let labelled build =
+        Drive.cell
+          (Spec.memory ~policy:(cache_policy dir) ~benchmark:"hi"
+             ~variant:"baseline" build)
+      in
+      let plain = labelled (fun () -> Hi.program ()) in
+      let dft = labelled (fun () -> Hi.dft ()) in
+      Alcotest.(check bool) "changed image under the same label misses" false
+        dft.Engine.cached;
+      let plain' = labelled (fun () -> Hi.program ()) in
+      let dft' = labelled (fun () -> Hi.dft ()) in
+      Alcotest.(check bool) "original image hits its own entry" true
+        plain'.Engine.cached;
+      Alcotest.(check bool) "changed image hits its own entry" true
+        dft'.Engine.cached;
+      check_scans_identical "original image's hit" plain.Engine.scan
+        plain'.Engine.scan;
+      check_scans_identical "changed image's hit" dft.Engine.scan
+        dft'.Engine.scan)
 
 (* ------------------------------------------------------------------ *)
 (* Compaction protection                                              *)

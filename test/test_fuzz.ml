@@ -122,14 +122,20 @@ let stmt_size prog =
 
 (* One hunt shared by the next three tests (lazy so the suite builds
    fast when filtered). *)
-let hunt_result =
-  lazy
-    (Delta.run ~variants:[ Delta.Dft 16 ] ~shrink_budget:40 ~seed:1007L
-       ~budget:2 ())
+let run_hunt ?backend ?jobs () =
+  Delta.run ?backend ?jobs ~variants:[ Delta.Dft 16 ] ~shrink_budget:40
+    ~seed:1007L ~budget:2 ()
+
+let hunt_result = lazy (run_hunt ())
 
 let test_hunt_finds () =
   let hunt = Lazy.force hunt_result in
   Alcotest.(check bool) "at least one finding" true (hunt.Delta.findings <> []);
+  (* The same hunt on worker processes: the backend must not change
+     what is found. *)
+  Alcotest.(check bool) "processes hunt finds the same" true
+    ((run_hunt ~backend:Pool.Processes ~jobs:2 ()).Delta.findings
+    = hunt.Delta.findings);
   List.iter
     (fun f ->
       Alcotest.(check bool) "predicate holds on stored tallies" true
