@@ -271,6 +271,15 @@ let run_engine_checkpoint () =
   and reg_counts = Injector.counts reg_provider in
   Format.printf "@.memory space exits:@.%a@.register space exits:@.%a@."
     Injector.pp_counts mem_counts Injector.pp_counts reg_counts;
+  (* The interpreter's layer figure: the plan's wall time over the
+     cycles its runs simulated (a report, not a gate). *)
+  let simulated c = Array.fold_left ( + ) 0 c.Injector.cycles in
+  let ns_per_cycle t c = t *. 1e9 /. float (max 1 (simulated c)) in
+  Printf.printf
+    "memory space   plan      : %d simulated cycles, %.2f ns/cycle\n\
+     register space plan      : %d simulated cycles, %.2f ns/cycle\n"
+    (simulated mem_counts) (ns_per_cycle t_mp mem_counts)
+    (simulated reg_counts) (ns_per_cycle t_rp reg_counts);
   if not (mem_identical && reg_identical) then begin
     Printf.eprintf
       "engine-checkpoint: plan outcomes are NOT bit-identical to replay \
@@ -313,13 +322,17 @@ let run_engine_checkpoint () =
       \    \"benchmark\": \"bin_sem2/baseline\",\n\
       \    \"stride\": %d,\n\
       \    \"memory\": {\"replay_seconds\": %.3f, \"plan_seconds\": %.3f, \
-       \"speedup\": %.2f, \"bit_identical\": %b},\n\
+       \"speedup\": %.2f, \"bit_identical\": %b, \"plan_cycles\": %d, \
+       \"ns_per_cycle\": %.2f},\n\
       \    \"registers\": {\"replay_seconds\": %.3f, \"plan_seconds\": \
-       %.3f, \"speedup\": %.2f, \"bit_identical\": %b}\n\
+       %.3f, \"speedup\": %.2f, \"bit_identical\": %b, \"plan_cycles\": \
+       %d, \"ns_per_cycle\": %.2f}\n\
       \  }\n\
        }\n"
       (Pool.default_jobs ()) Injector.default_stride t_mr t_mp (t_mr /. t_mp)
-      mem_identical t_rr t_rp (t_rr /. t_rp) reg_identical;
+      mem_identical (simulated mem_counts) (ns_per_cycle t_mp mem_counts) t_rr
+      t_rp (t_rr /. t_rp) reg_identical (simulated reg_counts)
+      (ns_per_cycle t_rp reg_counts);
     close_out oc;
     Printf.printf "wrote BENCH_engine.json\n"
   end

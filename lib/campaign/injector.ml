@@ -54,6 +54,8 @@ let fold_live_in ~ladder_cycles accesses ~live =
   in
   fill 0 accesses
 
+(* The plan, and a fork of its machine taken before the replay: the
+   provider's reset machine, sharing the ladder's compiled code. *)
 let build_plan golden ~stride =
   (* Replay the golden execution once, tracing register accesses for
      the register live-in masks and capturing the checkpoint ladder. *)
@@ -72,6 +74,7 @@ let build_plan golden ~stride =
       writes
   in
   let machine = Machine.create ~exec_tracer golden.Golden.program in
+  let reset = Machine.fork machine in
   let stop, ladder =
     Machine.run_checkpointed machine ~stride
       ~limit:(golden.Golden.cycles + 1)
@@ -105,12 +108,13 @@ let build_plan golden ~stride =
     fold_live_in ~ladder_cycles (List.rev reg_acc.(r)) ~live:(fun i ->
         reg_mask.(i) <- reg_mask.(i) lor (1 lsl r))
   done;
-  {
-    ladder;
-    ladder_cycles;
-    ram_live = Array.map Array.of_list live_lists;
-    reg_mask;
-  }
+  ( reset,
+    {
+      ladder;
+      ladder_cycles;
+      ram_live = Array.map Array.of_list live_lists;
+      reg_mask;
+    } )
 
 (* How many ladder entries lie at or below [cycle]: the index of the
    first one strictly ahead of it. *)
@@ -387,25 +391,31 @@ type impl = Replay | Planned of plan
 
 type provider = {
   p_golden : Golden.t;
+  reset : Machine.t; (* never run: each session forks it, so the code
+                        compiles once per provider *)
   impl : impl;
   tallies_lock : Mutex.t;
   mutable tallies : tally list; (* one per session *)
 }
 
-let make golden impl =
+let make golden ~reset impl =
   {
     p_golden = golden;
+    reset;
     impl;
     tallies_lock = Mutex.create ();
     tallies = [];
   }
 
 let provider_golden p = p.p_golden
-let replay golden = make golden Replay
+let replay golden =
+  make golden ~reset:(Machine.create golden.Golden.program) Replay
 
 let plan ?(stride = default_stride) golden =
   if stride <= 0 then replay golden
-  else make golden (Planned (build_plan golden ~stride))
+  else
+    let reset, plan = build_plan golden ~stride in
+    make golden ~reset (Planned plan)
 
 type counts = {
   experiments : int array;
@@ -462,7 +472,7 @@ let session provider =
       provider.tallies <- tally :: provider.tallies);
   {
     provider;
-    pristine = Machine.create provider.p_golden.Golden.program;
+    pristine = Machine.fork provider.reset;
     at = 0;
     tally;
     key = Buffer.create 128;

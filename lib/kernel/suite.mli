@@ -37,5 +37,6 @@ val spec_matrix :
 val paper_specs :
   ?model:Faultspace.model -> ?policy:Spec.policy -> unit -> Spec.t list
 (** The {!paper_pairs} matrix flattened to specs (baseline and SUM+DMR
-    cells for bin_sem2 and sync2) — the cells behind Figure 2 and the
-    benchmark harness's matrix artifact. *)
+    cells for bin_sem2 and sync2) — the cells behind Figure 2, the
+    [--pairs] matrix of [fi-cli] and the repository benchmark's
+    paper-fig2 workload. *)

@@ -33,10 +33,13 @@ type exec_tracer = cycle:int -> Isa.instr -> unit
 type t = {
   prog : Program.t;
   code : Isa.instr array;
-  xcode : (t -> unit) array; (* closure-compiled code, shared by forks *)
+  xcode : (t -> unit) array; (* block-compiled code, shared by forks *)
+  blen : int array; (* per pc: instructions left in its block *)
   rom : bytes;
   ram : Bytes.t;
-  regs : int array; (* values masked to 32 bits, unsigned representation *)
+  regs : int array;
+      (* r0-r15 masked to 32 bits, unsigned representation; slot 16 is
+         the write sink for r0 *)
   mutable pc : int;
   mutable cyc : int;
   serial_pre : string; (* immutable serial prefix, shared across restores *)
@@ -234,8 +237,15 @@ let cond_eval c a b =
   | Ltu -> a < b
   | Geu -> a >= b
 
-let get m i = if i = 0 then 0 else m.regs.(i)
-let set m i v = if i <> 0 then m.regs.(i) <- v
+(* Register slot 16 is the write sink for [r0]: writes to [r0] land
+   there, so slot 0 stays zero and reads need no [r0] test. *)
+let sink i = if i = 0 then 16 else i
+let src r = Isa.reg_index r
+let dst r = sink (Isa.reg_index r)
+
+(* [src] and [dst] indices lie in [0, 16] by construction. *)
+let get m i = Array.unsafe_get m.regs i
+let set m i v = Array.unsafe_set m.regs i v
 
 let jump_to m target =
   if target < 0 || target >= Array.length m.code then
@@ -245,285 +255,340 @@ let jump_to m target =
 let imm32 v = to_u32 (Int32.to_int v land mask32)
 
 let execute m instr =
-  let ri r = Isa.reg_index r in
   match (instr : Isa.instr) with
   | Nop -> m.pc <- m.pc + 1
   | Halt -> raise (Stop Halted)
   | Li (rd, imm) ->
-      set m (ri rd) (imm32 imm);
+      set m (dst rd) (imm32 imm);
       m.pc <- m.pc + 1
   | Alu (op, rd, rs1, rs2) ->
-      set m (ri rd) (alu_eval op (get m (ri rs1)) (get m (ri rs2)));
+      set m (dst rd) (alu_eval op (get m (src rs1)) (get m (src rs2)));
       m.pc <- m.pc + 1
   | Alui (op, rd, rs1, imm) ->
-      set m (ri rd) (alu_eval op (get m (ri rs1)) (imm32 imm));
+      set m (dst rd) (alu_eval op (get m (src rs1)) (imm32 imm));
       m.pc <- m.pc + 1
   | Lb (rd, rs, off) ->
-      let addr = to_u32 (get m (ri rs) + Int32.to_int off) in
-      set m (ri rd) (load_byte m addr);
+      let addr = to_u32 (get m (src rs) + Int32.to_int off) in
+      set m (dst rd) (load_byte m addr);
       m.pc <- m.pc + 1
   | Lw (rd, rs, off) ->
-      let addr = to_u32 (get m (ri rs) + Int32.to_int off) in
-      set m (ri rd) (load_word m addr);
+      let addr = to_u32 (get m (src rs) + Int32.to_int off) in
+      set m (dst rd) (load_word m addr);
       m.pc <- m.pc + 1
   | Sb (rd, rs, off) ->
-      let addr = to_u32 (get m (ri rs) + Int32.to_int off) in
-      store_byte m addr (get m (ri rd));
+      let addr = to_u32 (get m (src rs) + Int32.to_int off) in
+      store_byte m addr (get m (src rd));
       m.pc <- m.pc + 1
   | Sw (rd, rs, off) ->
-      let addr = to_u32 (get m (ri rs) + Int32.to_int off) in
-      store_word m addr (get m (ri rd));
+      let addr = to_u32 (get m (src rs) + Int32.to_int off) in
+      store_word m addr (get m (src rd));
       m.pc <- m.pc + 1
   | Beq (rs1, rs2, target, c) ->
-      if cond_eval c (get m (ri rs1)) (get m (ri rs2)) then jump_to m target
+      if cond_eval c (get m (src rs1)) (get m (src rs2)) then jump_to m target
       else m.pc <- m.pc + 1
   | Jmp target -> jump_to m target
   | Jal (rd, target) ->
-      set m (ri rd) (m.pc + 1);
+      set m (dst rd) (m.pc + 1);
       jump_to m target
-  | Jr rs ->
-      let target = get m (ri rs) in
-      jump_to m target
+  | Jr rs -> jump_to m (get m (src rs))
 
+(* The reference interpreter, one instruction per call.  Every fetch
+   takes its cycle, the one at [pc = length code] too: it stops with
+   [Bad_pc]. *)
 let step m =
   match m.stop with
   | Some _ -> ()
   | None ->
+      m.cyc <- m.cyc + 1;
       if m.pc < 0 || m.pc >= Array.length m.code then
         m.stop <- Some (Trapped (Bad_pc m.pc))
-      else (
-        match m.exec_tracer with
-        | Some f ->
-            let instr = Array.unsafe_get m.code m.pc in
-            m.cyc <- m.cyc + 1;
-            f ~cycle:m.cyc instr;
-            (try execute m instr with Stop reason -> m.stop <- Some reason)
-        | None ->
-            (* untraced: dispatch through the compiled code, same as the
-               run loops (the closures are bit-identical to [execute]) *)
-            let f = Array.unsafe_get m.xcode m.pc in
-            m.cyc <- m.cyc + 1;
-            (try f m with Stop reason -> m.stop <- Some reason))
+      else begin
+        let instr = Array.unsafe_get m.code m.pc in
+        (match m.exec_tracer with
+        | Some f -> f ~cycle:m.cyc instr
+        | None -> ());
+        try execute m instr with Stop reason -> m.stop <- Some reason
+      end
 
 let skip_next m =
   match m.stop with
   | Some _ -> ()
   | None ->
+      (* the fetched instruction executes as [Nop]: one cycle elapses,
+         pc advances, no architectural state changes *)
+      m.cyc <- m.cyc + 1;
       if m.pc < 0 || m.pc >= Array.length m.code then
         m.stop <- Some (Trapped (Bad_pc m.pc))
-      else (
-        (* the fetched instruction executes as [Nop]: one cycle elapses,
-           pc advances, no architectural state changes *)
-        m.cyc <- m.cyc + 1;
-        m.pc <- m.pc + 1)
+      else m.pc <- m.pc + 1
 
 (* ------------------------------------------------------------------ *)
-(* Closure compilation                                                *)
+(* Block compilation                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The campaign hot path simulates hundreds of millions of cycles, so
-   per-cycle decode — the [Isa.instr] match, operand index lookups,
-   [int32] immediate conversions — is a measurable fraction of a whole
-   campaign.  Each instruction therefore compiles once, per program,
-   into a closure specialised on its operands: register indices,
-   immediates and branch targets are resolved at compile time, static
-   control transfers are bounds-checked at compile time, and RAM
-   loads/stores test the common in-RAM case inline before falling back
-   to the full memory system.  The closure observes exactly the
-   semantics of [execute] per instruction; [step] keeps the
-   interpretive path (it must consult the exec tracer anyway).
+   the run loop's per-instruction bookkeeping costs as much as the
+   instructions.  Code therefore compiles once per program into
+   closures specialised on their operands — register indices,
+   immediates and branch targets resolved, static control transfers
+   bounds-checked, in-RAM loads and stores inline — chained into
+   blocks.
 
-   The closure array is indexed by pc and shared by every machine
-   forked from the same creation (safe: closures capture no machine).
-   A sentinel closure at index [length code] turns falling off the end
-   of the program into the same [Bad_pc] trap the stepper raises, so
-   the driver loop needs no per-cycle pc bounds check: every compiled
-   transfer either validates its target or leaves [pc <= length code],
-   and no other pc values are reachable while the machine runs. *)
+   A block ends at a control transfer ([Beq], [Jmp], [Jal], [Jr],
+   [Halt]), at the last instruction and at every [block_cap]-th pc.
+   Each closure does its work and tail-calls its successor's; only a
+   block's last instruction sets [pc].  [blen.(pc)] counts the
+   instructions from [pc] to the end of its block, so the run loop
+   checks the budget and charges the cycles once per block: while the
+   chain runs, [cyc] holds the block-end cycle, and an instruction [k]
+   places before the end executes at cycle [cyc - k].  Traps, MMIO
+   stores and tracer calls restore that exact cycle and the exact pc
+   first, so every observable matches {!step}.
 
-let compile_instr ~ram_size ~code_len instr =
-  let ri = Isa.reg_index in
+   Both arrays have an entry at [length code]: falling off the end is a
+   one-instruction block whose fetch takes its cycle and stops with
+   [Bad_pc], as under {!step}.  Every compiled transfer validates its
+   target, so no other out-of-range pc is reachable while the machine
+   runs.  The arrays are shared by every machine forked or restored
+   from the same creation (closures capture no machine). *)
+
+let block_cap = 16
+
+(* Set the exact pc and cycle of the instruction at [pc], [k] places
+   before its block's end. *)
+let exact m ~pc ~k =
+  m.pc <- pc;
+  m.cyc <- m.cyc - k
+
+let trap_at m ~pc ~k t =
+  exact m ~pc ~k;
+  raise (Stop (Trapped t))
+
+(* The full memory system, entered at the exact pc and cycle; a normal
+   return puts the cycle back at the block end. *)
+let slow_load m ~pc ~k load addr =
+  exact m ~pc ~k;
+  let v = load m addr in
+  m.cyc <- m.cyc + k;
+  v
+
+let slow_store m ~pc ~k store addr v =
+  exact m ~pc ~k;
+  store m addr v;
+  m.cyc <- m.cyc + k
+
+let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
   let valid t = t >= 0 && t < code_len in
+  let fall = pc + 1 in
   match (instr : Isa.instr) with
-  | Nop -> fun m -> m.pc <- m.pc + 1
-  | Halt -> fun _ -> raise (Stop Halted)
+  | Nop -> next
+  | Halt ->
+      fun m ->
+        m.pc <- pc;
+        raise (Stop Halted)
   | Li (rd, imm) ->
-      let d = ri rd and v = imm32 imm in
+      let d = dst rd and v = imm32 imm in
       fun m ->
         set m d v;
-        m.pc <- m.pc + 1
+        next m
   | Alu (op, rd, rs1, rs2) -> (
-      let d = ri rd and a = ri rs1 and b = ri rs2 in
+      let d = dst rd and a = src rs1 and b = src rs2 in
       match (op : Isa.alu_op) with
       | Add ->
           fun m ->
             set m d (to_u32 (get m a + get m b));
-            m.pc <- m.pc + 1
+            next m
       | Sub ->
           fun m ->
             set m d (to_u32 (get m a - get m b));
-            m.pc <- m.pc + 1
+            next m
       | And ->
           fun m ->
             set m d (get m a land get m b);
-            m.pc <- m.pc + 1
+            next m
       | Or ->
           fun m ->
             set m d (get m a lor get m b);
-            m.pc <- m.pc + 1
+            next m
       | Xor ->
           fun m ->
             set m d (get m a lxor get m b);
-            m.pc <- m.pc + 1
+            next m
+      | Divu | Remu ->
+          fun m ->
+            let y = get m b in
+            if y = 0 then trap_at m ~pc ~k Division_by_zero;
+            set m d (alu_eval op (get m a) y);
+            next m
       | op ->
           fun m ->
             set m d (alu_eval op (get m a) (get m b));
-            m.pc <- m.pc + 1)
+            next m)
   | Alui (op, rd, rs1, imm) -> (
-      let d = ri rd and a = ri rs1 and v = imm32 imm in
+      let d = dst rd and a = src rs1 and v = imm32 imm in
       match (op : Isa.alu_op) with
       | Add ->
           fun m ->
             set m d (to_u32 (get m a + v));
-            m.pc <- m.pc + 1
+            next m
       | Sub ->
           fun m ->
             set m d (to_u32 (get m a - v));
-            m.pc <- m.pc + 1
+            next m
       | And ->
           fun m ->
             set m d (get m a land v);
-            m.pc <- m.pc + 1
+            next m
       | Or ->
           fun m ->
             set m d (get m a lor v);
-            m.pc <- m.pc + 1
+            next m
       | Xor ->
           fun m ->
             set m d (get m a lxor v);
-            m.pc <- m.pc + 1
+            next m
+      | (Divu | Remu) when v = 0 -> fun m -> trap_at m ~pc ~k Division_by_zero
       | op ->
           fun m ->
             set m d (alu_eval op (get m a) v);
-            m.pc <- m.pc + 1)
+            next m)
   | Lb (rd, rs, off) ->
-      let d = ri rd and s = ri rs and off = Int32.to_int off in
+      let d = dst rd and s = src rs and off = Int32.to_int off in
       fun m ->
         let addr = to_u32 (get m s + off) in
-        let v =
-          if addr < ram_size then begin
-            (match m.tracer with
-            | Some f -> f ~cycle:m.cyc ~addr ~width:1 ~kind:Read
-            | None -> ());
-            Char.code (Bytes.unsafe_get m.ram addr)
-          end
-          else load_byte m addr
-        in
-        set m d v;
-        m.pc <- m.pc + 1
+        set m d
+          (if addr < ram_size then begin
+             (match m.tracer with
+             | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:1 ~kind:Read
+             | None -> ());
+             Char.code (Bytes.unsafe_get m.ram addr)
+           end
+           else slow_load m ~pc ~k load_byte addr);
+        next m
   | Lw (rd, rs, off) ->
-      let d = ri rd and s = ri rs and off = Int32.to_int off in
+      let d = dst rd and s = src rs and off = Int32.to_int off in
       fun m ->
         let addr = to_u32 (get m s + off) in
-        let v =
-          if addr land 3 = 0 && addr + 3 < ram_size then begin
-            (match m.tracer with
-            | Some f -> f ~cycle:m.cyc ~addr ~width:4 ~kind:Read
-            | None -> ());
-            let ram = m.ram in
-            Char.code (Bytes.unsafe_get ram addr)
-            lor (Char.code (Bytes.unsafe_get ram (addr + 1)) lsl 8)
-            lor (Char.code (Bytes.unsafe_get ram (addr + 2)) lsl 16)
-            lor (Char.code (Bytes.unsafe_get ram (addr + 3)) lsl 24)
-          end
-          else load_word m addr
-        in
-        set m d v;
-        m.pc <- m.pc + 1
-  | Sb (rd, rs, off) ->
-      let d = ri rd and s = ri rs and off = Int32.to_int off in
+        set m d
+          (if addr land 3 = 0 && addr + 3 < ram_size then begin
+             (match m.tracer with
+             | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:4 ~kind:Read
+             | None -> ());
+             let ram = m.ram in
+             Char.code (Bytes.unsafe_get ram addr)
+             lor (Char.code (Bytes.unsafe_get ram (addr + 1)) lsl 8)
+             lor (Char.code (Bytes.unsafe_get ram (addr + 2)) lsl 16)
+             lor (Char.code (Bytes.unsafe_get ram (addr + 3)) lsl 24)
+           end
+           else slow_load m ~pc ~k load_word addr);
+        next m
+  | Sb (rv, rs, off) ->
+      let v = src rv and s = src rs and off = Int32.to_int off in
       fun m ->
         let addr = to_u32 (get m s + off) in
         (if addr < ram_size then begin
            (match m.tracer with
-           | Some f -> f ~cycle:m.cyc ~addr ~width:1 ~kind:Write
+           | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:1 ~kind:Write
            | None -> ());
-           Bytes.unsafe_set m.ram addr (Char.unsafe_chr (get m d land 0xFF))
+           Bytes.unsafe_set m.ram addr (Char.unsafe_chr (get m v land 0xFF))
          end
-         else store_byte m addr (get m d));
-        m.pc <- m.pc + 1
-  | Sw (rd, rs, off) ->
-      let d = ri rd and s = ri rs and off = Int32.to_int off in
+         else slow_store m ~pc ~k store_byte addr (get m v));
+        next m
+  | Sw (rv, rs, off) ->
+      let v = src rv and s = src rs and off = Int32.to_int off in
       fun m ->
         let addr = to_u32 (get m s + off) in
         (if addr land 3 = 0 && addr + 3 < ram_size then begin
            (match m.tracer with
-           | Some f -> f ~cycle:m.cyc ~addr ~width:4 ~kind:Write
+           | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:4 ~kind:Write
            | None -> ());
-           let v = get m d and ram = m.ram in
-           Bytes.unsafe_set ram addr (Char.unsafe_chr (v land 0xFF));
-           Bytes.unsafe_set ram (addr + 1) (Char.unsafe_chr ((v lsr 8) land 0xFF));
-           Bytes.unsafe_set ram (addr + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
-           Bytes.unsafe_set ram (addr + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
+           let x = get m v and ram = m.ram in
+           Bytes.unsafe_set ram addr (Char.unsafe_chr (x land 0xFF));
+           Bytes.unsafe_set ram (addr + 1) (Char.unsafe_chr ((x lsr 8) land 0xFF));
+           Bytes.unsafe_set ram (addr + 2) (Char.unsafe_chr ((x lsr 16) land 0xFF));
+           Bytes.unsafe_set ram (addr + 3) (Char.unsafe_chr ((x lsr 24) land 0xFF))
          end
-         else store_word m addr (get m d));
-        m.pc <- m.pc + 1
-  | Beq (rs1, rs2, target, c) ->
-      let a = ri rs1 and b = ri rs2 in
-      let taken : t -> unit =
-        if valid target then fun m -> m.pc <- target
-        else fun _ -> raise (Stop (Trapped (Bad_pc target)))
-      in
-      (match (c : Isa.cond) with
-      | Eq -> fun m -> if get m a = get m b then taken m else m.pc <- m.pc + 1
-      | Ne -> fun m -> if get m a <> get m b then taken m else m.pc <- m.pc + 1
-      | Lt ->
-          fun m ->
-            if signed (get m a) < signed (get m b) then taken m
-            else m.pc <- m.pc + 1
-      | Ge ->
-          fun m ->
-            if signed (get m a) >= signed (get m b) then taken m
-            else m.pc <- m.pc + 1
-      | Ltu -> fun m -> if get m a < get m b then taken m else m.pc <- m.pc + 1
-      | Geu -> fun m -> if get m a >= get m b then taken m else m.pc <- m.pc + 1)
+         else slow_store m ~pc ~k store_word addr (get m v));
+        next m
+  (* Control transfers end their block: [k = 0]. *)
+  | Beq (rs1, rs2, target, c) -> (
+      let a = src rs1 and b = src rs2 in
+      if not (valid target) then fun m ->
+        if cond_eval c (get m a) (get m b) then
+          trap_at m ~pc ~k:0 (Bad_pc target)
+        else m.pc <- fall
+      else
+        match (c : Isa.cond) with
+        | Eq -> fun m -> m.pc <- (if get m a = get m b then target else fall)
+        | Ne -> fun m -> m.pc <- (if get m a <> get m b then target else fall)
+        | Lt ->
+            fun m ->
+              m.pc <- (if signed (get m a) < signed (get m b) then target else fall)
+        | Ge ->
+            fun m ->
+              m.pc <- (if signed (get m a) >= signed (get m b) then target else fall)
+        | Ltu -> fun m -> m.pc <- (if get m a < get m b then target else fall)
+        | Geu -> fun m -> m.pc <- (if get m a >= get m b then target else fall))
   | Jmp target ->
       if valid target then fun m -> m.pc <- target
-      else fun _ -> raise (Stop (Trapped (Bad_pc target)))
+      else fun m -> trap_at m ~pc ~k:0 (Bad_pc target)
   | Jal (rd, target) ->
-      let d = ri rd in
+      let d = dst rd in
       if valid target then fun m ->
-        set m d (m.pc + 1);
+        set m d fall;
         m.pc <- target
       else fun m ->
-        set m d (m.pc + 1);
-        raise (Stop (Trapped (Bad_pc target)))
+        set m d fall;
+        trap_at m ~pc ~k:0 (Bad_pc target)
   | Jr rs ->
-      let s = ri rs in
+      let s = src rs in
       fun m ->
         let target = get m s in
-        if target >= code_len then raise (Stop (Trapped (Bad_pc target)))
+        if target >= code_len then trap_at m ~pc ~k:0 (Bad_pc target)
         else m.pc <- target
 
+let ends_block (instr : Isa.instr) =
+  match instr with
+  | Beq _ | Jmp _ | Jal _ | Jr _ | Halt -> true
+  | Nop | Li _ | Alu _ | Alui _ | Lb _ | Lw _ | Sb _ | Sw _ -> false
+
+(* Compiled back to front, so each closure can capture its successor. *)
 let compile_program (prog : Program.t) =
   let code = prog.Program.code in
   let code_len = Array.length code in
   let ram_size = prog.Program.ram_size in
-  Array.init (code_len + 1) (fun i ->
-      if i = code_len then fun _ -> raise (Stop (Trapped (Bad_pc code_len)))
-      else compile_instr ~ram_size ~code_len code.(i))
+  let blen = Array.make (code_len + 1) 1 in
+  let xcode =
+    Array.make (code_len + 1) (fun _ -> raise (Stop (Trapped (Bad_pc code_len))))
+  in
+  for pc = code_len - 1 downto 0 do
+    let last =
+      ends_block code.(pc) || pc + 1 = code_len || (pc + 1) mod block_cap = 0
+    in
+    let k = if last then 0 else blen.(pc + 1) in
+    let next =
+      if last then
+        let fall = pc + 1 in
+        fun m -> m.pc <- fall
+      else xcode.(pc + 1)
+    in
+    blen.(pc) <- k + 1;
+    xcode.(pc) <- compile_instr ~ram_size ~code_len ~pc ~k ~next code.(pc)
+  done;
+  (xcode, blen)
 
 let create ?tracer ?exec_tracer prog =
-  let regs = Array.make 16 0 in
+  let regs = Array.make 17 0 in
   List.iter
     (fun (r, v) ->
       let i = Isa.reg_index r in
       if i <> 0 then regs.(i) <- Int32.to_int v land 0xFFFFFFFF)
     prog.Program.reg_init;
+  let xcode, blen = compile_program prog in
   {
     prog;
     code = prog.Program.code;
-    xcode = compile_program prog;
+    xcode;
+    blen;
     rom = prog.Program.rom;
     ram = Program.initial_ram prog;
     regs;
@@ -542,36 +607,34 @@ let create ?tracer ?exec_tracer prog =
 (* Run loops                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled hot loop.  The pc is always within [0, length code]
-   while the machine is unstopped (see [compile_instr]), so the
-   closure fetch needs no bounds check; the [Stop] handler is hoisted
-   into [run_to] — one handler per span instead of one per cycle. *)
-let rec exec_loop m xcode stop_at =
-  if m.cyc < stop_at then begin
-    let f = Array.unsafe_get xcode m.pc in
-    m.cyc <- m.cyc + 1;
-    f m;
-    exec_loop m xcode stop_at
+(* The compiled hot loop: one budget check per block, and none of the
+   fetches needs a bounds check (see [compile_program]).  It returns at
+   the first block that does not fit the budget; the [Stop] handler is
+   hoisted into [run_to]. *)
+let rec run_blocks m xcode blen stop_at =
+  let pc = m.pc in
+  let block_end = m.cyc + Array.unsafe_get blen pc in
+  if block_end <= stop_at then begin
+    m.cyc <- block_end;
+    (Array.unsafe_get xcode pc) m;
+    run_blocks m xcode blen stop_at
   end
 
-(* Machines with an exec tracer (golden analysis) take the stepper so
-   the tracer observes every instruction; they run exactly once per
-   campaign, off the hot path. *)
-let rec traced_loop m stop_at =
+let rec step_to m stop_at =
   if m.cyc < stop_at && m.stop == None then begin
     step m;
-    traced_loop m stop_at
+    step_to m stop_at
   end
 
+(* Whole blocks while they fit, then the reference interpreter for the
+   fewer than [block_cap] cycles left.  Machines with an exec tracer
+   (golden analysis) interpret all the way, so the tracer observes
+   every instruction; they run once per campaign, off the hot path. *)
 let run_to m stop_at =
-  match m.stop with
-  | Some _ -> ()
-  | None -> (
-      match m.exec_tracer with
-      | None -> (
-          try exec_loop m m.xcode stop_at
-          with Stop reason -> m.stop <- Some reason)
-      | Some _ -> traced_loop m stop_at)
+  if m.stop == None && m.exec_tracer == None then (
+    try run_blocks m m.xcode m.blen stop_at
+    with Stop reason -> m.stop <- Some reason);
+  step_to m stop_at
 
 let run m ~limit =
   run_to m limit;
@@ -602,6 +665,7 @@ module Snapshot = struct
   type t = {
     s_prog : Program.t;
     s_xcode : (machine -> unit) array; (* shared, compiled once per program *)
+    s_blen : int array;
     s_ram : bytes;
     s_regs : int array;
     s_pc : int;
@@ -621,6 +685,7 @@ module Snapshot = struct
     {
       s_prog = m.prog;
       s_xcode = m.xcode;
+      s_blen = m.blen;
       s_ram = Bytes.copy m.ram;
       s_regs = Array.copy m.regs;
       s_pc = m.pc;
@@ -641,6 +706,7 @@ module Snapshot = struct
       prog = s.s_prog;
       code = s.s_prog.Program.code;
       xcode = s.s_xcode;
+      blen = s.s_blen;
       rom = s.s_prog.Program.rom;
       ram = Bytes.copy s.s_ram;
       regs = Array.copy s.s_regs;
@@ -696,6 +762,7 @@ let run_checkpointed m ~stride ~limit =
         {
           Snapshot.s_prog = m.prog;
           s_xcode = m.xcode;
+          s_blen = m.blen;
           s_ram = ram;
           s_regs = regs;
           s_pc = pc;

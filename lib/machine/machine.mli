@@ -11,7 +11,26 @@
     Cycle numbering: the [t]-th executed instruction (1-indexed) executes
     *at* cycle [t].  A fault at coordinate [(t, bit)] is injected after
     [t−1] instructions have executed, i.e. immediately before instruction
-    [t]; see {!Fi_trace.Coordspace} for the geometry. *)
+    [t]; see {!Fi_trace.Coordspace} for the geometry.
+
+    Every fetch takes its cycle, including one at [pc = length code]:
+    a program that falls off the end of its code stops with
+    [Bad_pc (length code)] one cycle after its last instruction, on
+    every path ({!run}, {!step}, an exec-traced run, {!skip_next}).
+
+    Two interpreters execute the same semantics.  {!step} is the
+    reference: it decodes and executes one instruction per call.
+    {!run} and {!run_until} use code compiled once per {!create}
+    (and shared by every {!fork} and {!Snapshot.restore} of it) into
+    basic blocks.  A block ends at a control transfer ([Beq], [Jmp],
+    [Jal], [Jr], [Halt]) or at every 16th pc.  Each instruction is a
+    closure specialised on its operands that tail-calls its
+    successor's, so the run loop checks the cycle budget and charges
+    the cycles once per block.  Traps, MMIO stores and tracer calls
+    see the exact pc and cycle of their instruction.  A block that
+    does not fit the remaining budget runs on {!step}, one instruction
+    at a time, so runs stop on the exact cycle asked for.  The test
+    suite checks the two paths against each other. *)
 
 (** CPU traps (abnormal termination causes). *)
 type trap =
@@ -19,7 +38,8 @@ type trap =
   | Unmapped_access of int    (** Access outside RAM, ROM and MMIO. *)
   | Rom_write of int          (** Store into the ROM window. *)
   | Division_by_zero
-  | Bad_pc of int             (** Control transfer outside the code. *)
+  | Bad_pc of int
+      (** Control transfer outside the code, or falling off its end. *)
 
 val pp_trap : Format.formatter -> trap -> unit
 
@@ -113,20 +133,24 @@ val flip_reg_bit : t -> reg:int -> bit:int -> unit
     @raise Invalid_argument outside the register file. *)
 
 val step : t -> unit
-(** Execute one instruction (no-op if the machine has stopped). *)
+(** Execute one instruction (no-op if the machine has stopped) with the
+    reference interpreter, which shares no code with the compiled
+    blocks of {!run}. *)
 
 val skip_next : t -> unit
 (** Execute the next fetched instruction as if it were [Nop]: one cycle
     elapses and pc advances, but no architectural state changes — the
     instruction-skip fault-injection primitive ([Faultspace.Skip]).
     Subsequent instructions shift one slot earlier in time.  No-op if
-    the machine has stopped; an out-of-range pc stops with [Bad_pc], as
-    {!step} would. *)
+    the machine has stopped; at [pc = length code] the fetch takes its
+    cycle and stops with [Bad_pc], as under {!step}. *)
 
 val run : t -> limit:int -> stop_reason
 (** [run m ~limit] executes until the machine stops or [limit] total
     cycles have been executed; in the latter case the machine is stopped
-    with [Cycle_limit].  Idempotent on stopped machines. *)
+    with [Cycle_limit].  Idempotent on stopped machines.  Runs the
+    compiled blocks, or {!step} throughout when the machine has an
+    exec tracer. *)
 
 val run_until : t -> cycle:int -> unit
 (** [run_until m ~cycle] executes until [cycle m = cycle] (i.e. exactly

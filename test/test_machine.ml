@@ -227,9 +227,26 @@ let test_bad_jump_traps () =
   Alcotest.check stop "trap" (Machine.Trapped (Machine.Bad_pc 999)) reason
 
 let test_fallthrough_end_traps () =
+  (* The fetch at [pc = length code] takes its cycle on every path. *)
   let p = program [ Isa.Nop ] in
-  let _, reason = run p in
-  Alcotest.check stop "trap" (Machine.Trapped (Machine.Bad_pc 1)) reason
+  let check path m reason =
+    Alcotest.check stop (path ^ ": trap") (Machine.Trapped (Machine.Bad_pc 1))
+      reason;
+    Alcotest.(check int) (path ^ ": cycle") 2 (Machine.cycle m)
+  in
+  let stopped m = Option.value ~default:Machine.Cycle_limit (Machine.stopped m) in
+  let m, reason = run p in
+  check "compiled run" m reason;
+  let m = Machine.create p in
+  Machine.step m;
+  Machine.step m;
+  check "step" m (stopped m);
+  let m = Machine.create ~exec_tracer:(fun ~cycle:_ _ -> ()) p in
+  check "exec-traced run" m (Machine.run m ~limit:100);
+  let m = Machine.create p in
+  Machine.skip_next m;
+  Machine.skip_next m;
+  check "skip_next" m (stopped m)
 
 let test_cycle_limit () =
   let p = program [ Isa.Jmp 0 ] in
@@ -349,6 +366,215 @@ let test_tracer_records () =
     [ (2, 4, 4); (3, 4, 1) ]
     (List.rev_map (fun (c, a, w, _) -> (c, a, w)) !events)
 
+(* ------------------------------------------------------------------ *)
+(* Compiled blocks vs the reference interpreter                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The compiled path runs [run_until] segments of 1 to 200 cycles, so
+   budgets end at every position in a block; the reference runs
+   [step] after [step].  A fault [(cycle, flip)] is applied to both at
+   that cycle.  Both finish with [run ~limit], so a run that reaches
+   the limit stops with [Cycle_limit] on both. *)
+let drive m ~limit ~fault ~advance =
+  let pending = ref fault in
+  let rec go () =
+    (match !pending with
+    | Some (at, flip) when Machine.cycle m = at ->
+        pending := None;
+        flip m
+    | _ -> ());
+    if Machine.stopped m = None && Machine.cycle m < limit then begin
+      let upto =
+        match !pending with Some (at, _) -> min limit at | None -> limit
+      in
+      let before = Machine.cycle m in
+      advance m ~upto;
+      if Machine.stopped m = None && Machine.cycle m = before then
+        Alcotest.failf "no progress at cycle %d" before;
+      go ()
+    end
+  in
+  go ();
+  ignore (Machine.run m ~limit)
+
+let access_string (cycle, addr, width, kind) =
+  Printf.sprintf "%d:%d/%d%s" cycle addr width
+    (match kind with Machine.Read -> "r" | Machine.Write -> "w")
+
+(* Run [p] both ways and compare everything a run can show: cycle, pc,
+   stop reason, r1-r15, RAM, serial output, detection events with their
+   cycles, and the tracer's accesses. *)
+let check_differential ~name rng ?fault ~limit p =
+  let traced () =
+    let log = ref [] in
+    let tracer ~cycle ~addr ~width ~kind =
+      log := access_string (cycle, addr, width, kind) :: !log
+    in
+    (Machine.create ~tracer p, log)
+  in
+  let compiled, clog = traced () and reference, rlog = traced () in
+  drive compiled ~limit ~fault ~advance:(fun m ~upto ->
+      Machine.run_until m
+        ~cycle:(min upto (Machine.cycle m + 1 + Prng.int rng 200)));
+  drive reference ~limit ~fault ~advance:(fun m ~upto:_ -> Machine.step m);
+  let field what = name ^ ": " ^ what in
+  let ram m =
+    String.init p.Program.ram_size (fun i -> Char.chr (Machine.read_ram_byte m i))
+  in
+  let regs m = List.init 15 (fun i -> Machine.reg m (r (i + 1))) in
+  Alcotest.(check int) (field "cycle") (Machine.cycle reference)
+    (Machine.cycle compiled);
+  Alcotest.(check int) (field "pc") (Machine.pc reference) (Machine.pc compiled);
+  Alcotest.(check (option stop)) (field "stop") (Machine.stopped reference)
+    (Machine.stopped compiled);
+  Alcotest.(check (list int32)) (field "r1-r15") (regs reference) (regs compiled);
+  Alcotest.(check string) (field "ram") (ram reference) (ram compiled);
+  Alcotest.(check string) (field "serial")
+    (Machine.serial_output reference)
+    (Machine.serial_output compiled);
+  Alcotest.(check (list (pair int int32))) (field "events")
+    (Machine.detection_events reference)
+    (Machine.detection_events compiled);
+  Alcotest.(check (list string)) (field "accesses") (List.rev !rlog)
+    (List.rev !clog)
+
+(* A random RAM or register bit flip at a random cycle up to [cycles]. *)
+let random_fault rng p ~cycles =
+  let at = Prng.int rng (cycles + 1) in
+  if Prng.bool rng then
+    let bit = Prng.int rng (8 * p.Program.ram_size) in
+    (at, fun m -> Machine.flip_bit m bit)
+  else
+    let reg = 1 + Prng.int rng 15 and bit = Prng.int rng 32 in
+    (at, fun m -> Machine.flip_reg_bit m ~reg ~bit)
+
+(* Straight-line filler with RAM traffic: [3 n] instructions, no
+   control transfer, so runs of it span several blocks. *)
+let line n =
+  List.concat
+    (List.init n (fun i ->
+         [
+           Isa.Alui (Isa.Add, r 1, r 1, Int32.of_int (i + 3));
+           Isa.Sw (r 1, r 0, Int32.of_int (4 * (i mod 8)));
+           Isa.Lb (r 2, r 0, Int32.of_int (i mod 32));
+         ]))
+
+let li reg v = Isa.Li (r reg, Int32.of_int v)
+
+(* Each traps, stops or transfers in the middle of a block, or leaves
+   the code, after a straight-line run longer than a block. *)
+let edge_programs =
+  let rom = Bytes.of_string "ROMDATA!" in
+  let p ?reg_init code = program ~rom ?reg_init code in
+  let bad_targets code =
+    (* Program.make rejects static targets outside the code; the
+       machine still traps on them. *)
+    { (program [ Isa.Halt ]) with Program.code = Array.of_list code }
+  in
+  [
+    ("misaligned lw", p (line 7 @ [ Isa.Lw (r 3, r 0, 2l) ] @ line 2 @ [ Isa.Halt ]));
+    ("misaligned sw", p (line 6 @ [ Isa.Sw (r 1, r 0, 6l) ] @ line 2 @ [ Isa.Halt ]));
+    ( "divu by zero",
+      p (line 6 @ [ Isa.Alu (Isa.Divu, r 3, r 1, r 0) ] @ line 2 @ [ Isa.Halt ]) );
+    ( "remu by immediate zero",
+      p (line 5 @ [ Isa.Alui (Isa.Remu, r 3, r 1, 0l) ] @ line 2 @ [ Isa.Halt ]) );
+    ( "rom write",
+      p (line 6 @ [ li 4 Memmap.rom_base; Isa.Sb (r 1, r 4, 0l) ] @ line 2
+        @ [ Isa.Halt ]) );
+    ( "unmapped load",
+      p (line 6 @ [ Isa.Lb (r 3, r 0, 9999l) ] @ line 2 @ [ Isa.Halt ]) );
+    ( "unmapped store",
+      p (line 6 @ [ li 4 0x500000; Isa.Sw (r 1, r 4, 0l) ] @ line 2 @ [ Isa.Halt ]) );
+    ( "rom and mmio loads",
+      p
+        (line 5
+        @ [ li 4 Memmap.rom_base; Isa.Lw (r 5, r 4, 4l); Isa.Lb (r 6, r 4, 1l);
+            li 7 Memmap.detect_port; Isa.Lw (r 8, r 7, 0l); Isa.Lb (r 9, r 7, 1l) ]
+        @ line 5 @ [ Isa.Halt ]) );
+    ( "serial and detect ports",
+      p
+        (line 4
+        @ [ li 5 Memmap.serial_port; Isa.Sb (r 1, r 5, 0l);
+            li 6 Memmap.detect_port; Isa.Sw (r 1, r 6, 0l) ]
+        @ line 4
+        @ [ Isa.Sb (r 2, r 5, 0l); Isa.Sw (r 2, r 6, 0l) ]
+        @ line 3 @ [ Isa.Halt ]) );
+    ( "panic port",
+      p
+        (line 4
+        @ [ li 5 Memmap.serial_port; Isa.Sb (r 1, r 5, 0l);
+            li 6 Memmap.detect_port; Isa.Sw (r 1, r 6, 0l);
+            li 7 Memmap.panic_port; Isa.Sw (r 1, r 7, 0l) ]
+        @ line 3 @ [ Isa.Halt ]) );
+    ("jr to a bad pc", p (line 6 @ [ li 8 5000; Isa.Jr (r 8) ]));
+    ( "r0 destinations",
+      p ~reg_init:[ (r 1, 5l) ]
+        (line 3
+        @ [ Isa.Li (r 0, 7l); Isa.Alu (Isa.Add, r 0, r 1, r 1);
+            Isa.Alui (Isa.Or, r 0, r 0, 5l); Isa.Lw (r 0, r 0, 0l);
+            Isa.Lb (r 0, r 0, 1l); Isa.Jal (r 0, 15);
+            Isa.Alu (Isa.Add, r 2, r 0, r 0); Isa.Sw (r 0, r 0, 8l);
+            Isa.Halt ]) );
+    ("falls off the end", p (line 7));
+    ( "call and loop",
+      p
+        ([ li 3 6; Isa.Jal (Isa.ra, 5); Isa.Alui (Isa.Sub, r 3, r 3, 1l);
+           Isa.Beq (r 3, r 0, 1, Isa.Ne); Isa.Halt ]
+        @ line 6 @ [ Isa.Jr Isa.ra ]) );
+    ("cycle limit mid-block", p (line 7 @ [ Isa.Jmp 0 ]));
+    ("jmp to a bad pc", bad_targets (line 6 @ [ Isa.Jmp 99 ]));
+    ("jal to a bad pc", bad_targets (line 6 @ [ Isa.Jal (Isa.ra, 99) ]));
+    ( "beq to a bad pc",
+      bad_targets
+        (line 6
+        @ [ Isa.Beq (r 1, r 0, 99, Isa.Eq); Isa.Beq (r 1, r 0, 99, Isa.Ne) ]) );
+  ]
+
+let test_differential_edges () =
+  let rng = Prng.create ~seed:19L in
+  List.iter
+    (fun (name, p) ->
+      let limit = 400 in
+      for _ = 1 to 20 do
+        check_differential ~name rng ~limit p
+      done;
+      for _ = 1 to 20 do
+        check_differential ~name:(name ^ " + fault") rng
+          ~fault:(random_fault rng p ~cycles:limit)
+          ~limit p
+      done)
+    edge_programs
+
+(* Generated programs, baseline or hardened, each with a random fault
+   and a limit past which a faulty run is cut off: traps, detections
+   and the watchdog mid-block.  FI_INTERP_DIFF_CASES overrides the
+   case count (the @interp-diff alias runs a long one). *)
+let test_differential_generated () =
+  let cases =
+    Option.fold ~none:30 ~some:int_of_string
+      (Sys.getenv_opt "FI_INTERP_DIFF_CASES")
+  in
+  let rng = Prng.create ~seed:2015L in
+  for case = 1 to cases do
+    let prog = Gen.program rng in
+    let variant, prog =
+      match Prng.int rng 3 with
+      | 0 -> ("baseline", prog)
+      | 1 -> ("sum+dmr", Harden.sum_dmr prog)
+      | _ -> ("tmr", Harden.tmr prog)
+    in
+    let p = Codegen.compile prog in
+    let golden = Machine.create p in
+    ignore (Machine.run golden ~limit:1_000_000);
+    let cycles = Machine.cycle golden in
+    let name = Printf.sprintf "case %d (%s)" case variant in
+    check_differential ~name rng ~limit:((2 * cycles) + 50) p;
+    check_differential ~name:(name ^ " + fault") rng
+      ~fault:(random_fault rng p ~cycles)
+      ~limit:(cycles + Prng.int rng cycles + 1)
+      p
+  done
+
 let suite =
   ( "machine",
     [
@@ -383,4 +609,8 @@ let suite =
       Alcotest.test_case "snapshot equivalence" `Quick test_snapshot_equivalence;
       Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
       Alcotest.test_case "tracer records RAM accesses" `Quick test_tracer_records;
+      Alcotest.test_case "compiled = reference: edge programs" `Quick
+        test_differential_edges;
+      Alcotest.test_case "compiled = reference: generated programs" `Quick
+        test_differential_generated;
     ] )
