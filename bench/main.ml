@@ -13,14 +13,12 @@
 
 let store = "_artifacts"
 
-let progress label ~done_ ~total ~tally =
-  if done_ = total || done_ mod 500 = 0 then begin
-    Printf.eprintf "\r[campaign %s] %d/%d classes (%d failures)" label done_
-      total
-      (Outcome.tally_failures tally);
-    if done_ = total then Printf.eprintf "\n";
-    flush stderr
-  end
+(* Matrix-wide campaign progress on stderr, at most ten lines a
+   second. *)
+let progress () =
+  Progress.throttled (fun snap ->
+      Printf.eprintf "\r[campaign] %s%!" (Progress.render snap);
+      if Progress.finished snap then prerr_newline ())
 
 let section title =
   Printf.printf "\n%s\n%s\n" (String.make 72 '=') title;
@@ -41,7 +39,7 @@ let scans specs =
   in
   List.map Engine.scan_exn
     (Engine.run_matrix_results
-       ~progress:(fun spec -> progress (Spec.label spec))
+       ~observe:(progress ())
        (List.map (Spec.with_policy policy) specs))
 
 (* The Figure-2 pairs: (name, baseline scan, SUM+DMR scan). *)
@@ -387,7 +385,7 @@ let perf_tests () =
          (let m = Machine.create bin_image in
           Machine.run_until m ~cycle:1000;
           let snap = Machine.Snapshot.capture m in
-          fun () -> ignore (Machine.Snapshot.restore snap ~tracer:None)));
+          fun () -> ignore (Machine.Snapshot.restore snap)));
   ]
 
 let run_perf () =

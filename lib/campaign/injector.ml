@@ -491,7 +491,7 @@ let advance s target =
       (* Greatest ladder entry at or below [target]. *)
       let i = rungs_upto plan target - 1 in
       if i >= 0 && plan.ladder_cycles.(i) >= s.at + hop_min then begin
-        s.pristine <- Machine.Snapshot.restore plan.ladder.(i) ~tracer:None;
+        s.pristine <- Machine.Snapshot.restore plan.ladder.(i);
         s.at <- plan.ladder_cycles.(i)
       end
   | Planned _ | Replay -> ());

@@ -54,7 +54,7 @@ let resolve_journal ~fingerprint (policy : Spec.policy) =
           else Some (Catalog.journal_path ~dir ~fingerprint))
 
 (* ------------------------------------------------------------------ *)
-(* Shard records: the one parse and the one apply                     *)
+(* Shard records: the one parse                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* A well-formed record for one of [plan]'s shards whose outcome
@@ -87,77 +87,110 @@ let parse_journal plan payloads =
           | None -> mismatch "journal has malformed record %S" payload))
     payloads
 
-(* Decode a parsed record into the cell's per-slot outcomes, adding each
-   outcome to every tally in [tallies]; [on_class] runs after each
-   class. *)
-let apply_record ~(plan : Shard.plan) ~outcomes ~tallies ?(on_class = ignore)
-    (shard : Shard.t) outs =
-  for k = 0 to Shard.classes_in shard - 1 do
-    let class_index = plan.Shard.order.(shard.Shard.lo + k) in
-    for bit = 0 to 7 do
-      let o = Option.get (Outcome.of_char outs.[(8 * k) + bit]) in
-      outcomes.((class_index * 8) + bit) <- o;
-      List.iter (fun t -> Outcome.tally_add t o) tallies
-    done;
-    on_class ()
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Per-cell runtime state                                             *)
+(* Per-cell runtime: the one set of counters                          *)
 (* ------------------------------------------------------------------ *)
 
 type runtime = {
   cell : Runcell.cell;
-  classes : Defuse.byte_class array;
   plan : Shard.plan;
   fp : int;
   outcomes : Outcome.t array;
+  tally : Outcome.tally;
   shard_done : bool array;
   retries : int array;  (** Retry attempts burned, per shard. *)
   quarantined : bool array;
   mutable q_info : (int * int * string) list;  (** Newest first. *)
-  tally : Outcome.tally;
-  progress : Scan.progress;
   journal_path : string option;
-  mutable writer : Journal.writer option;
+  writer : Journal.writer option;
+  cache_key : string option;  (** {!Worker.cell_key}, when caching is on. *)
+  from_cache : bool;  (** Whole cell replayed from the result store. *)
   resumed_classes : int;
   resumed_shards : int;
   mutable classes_done : int;
   mutable shards_done : int;
-  cache_key : string option;  (** {!Worker.cell_key}, when caching is on. *)
-  from_cache : bool;  (** Whole cell replayed from the result store. *)
+  mutable requeues : int;  (** Supervision re-dispatches. *)
+  mutable kills : int;  (** Workers killed on the shard deadline. *)
 }
 
-let setup cell ~progress =
-  let classes = cell.Runcell.classes in
+(* The one apply, for a resumed, cached or conducted shard alike:
+   decode its record into the cell's per-slot outcomes and tally, and
+   mark the shard done. *)
+let apply rt (shard : Shard.t) outs =
+  for k = 0 to Shard.classes_in shard - 1 do
+    let class_index = rt.plan.Shard.order.(shard.Shard.lo + k) in
+    for bit = 0 to 7 do
+      let o = Option.get (Outcome.of_char outs.[(8 * k) + bit]) in
+      rt.outcomes.((class_index * 8) + bit) <- o;
+      Outcome.tally_add rt.tally o
+    done
+  done;
+  rt.shard_done.(shard.Shard.id) <- true;
+  rt.classes_done <- rt.classes_done + Shard.classes_in shard;
+  rt.shards_done <- rt.shards_done + 1
+
+let journal rt payload =
+  Option.iter (fun w -> Journal.append w payload) rt.writer
+
+let pending rt =
+  List.filter
+    (fun (s : Shard.t) -> not rt.shard_done.(s.Shard.id))
+    (Array.to_list rt.plan.Shard.shards)
+
+(* Result-store consult.  The cell key fingerprints everything that
+   determines results (program image × fault space × plan-shaping
+   policy); a published journal under that key replays through the same
+   parse/apply path a --resume uses, so a hit is bit-identical to a
+   fresh run and costs zero shard executions.  Anything short of a
+   complete, header-matching, every-shard-covered journal is a miss — in
+   particular a quarantine-degraded journal, which lacks records for its
+   quarantined shards.  The journal is parsed in full before any state
+   is touched, so a miss falls through to conducting normally. *)
+let cached_records ~plan ~fp ~header ~dir key =
+  match Cache.lookup ~dir key with
+  | Some e when e.Cache.fingerprint = fp -> (
+      match Journal.replay e.Cache.path with
+      | Some (hdr, payloads, Journal.Clean) when hdr = header -> (
+          match parse_journal plan payloads with
+          | records, _ when List.length records = Array.length plan.Shard.shards
+            ->
+              Some records
+          | _ -> None
+          | exception Journal_mismatch _ -> None)
+      | Some _ | None | (exception Sys_error _) -> None)
+  | Some _ | None -> None
+
+(* Reopen [path] to resume it: its writer, shard records and
+   supervision records, or a fresh journal when there is none (or only a
+   torn header).  Every refusal closes the writer it opened. *)
+let resume_journal ~plan ~header path =
+  match Journal.open_resume path with
+  | Error line ->
+      mismatch
+        "journal %s: CRC-invalid record at line %d — refusing to resume a \
+         corrupt journal (a crash leaves a torn tail, not mid-file \
+         corruption); delete it to re-run from scratch"
+        path line
+  | Ok None -> (Journal.create path ~header, [], [])
+  | Ok (Some (w, hdr, payloads)) -> (
+      try
+        if hdr <> header then
+          mismatch
+            "journal %s belongs to a different campaign\n\
+            \  journal: %s\n\
+            \  current: %s"
+            path hdr header;
+        let records, sups = parse_journal plan payloads in
+        (w, records, sups)
+      with Journal_mismatch _ as e ->
+        Journal.close w;
+        raise e)
+
+let setup cell =
   let policy = cell.Runcell.spec.Spec.policy in
-  let plan = Runcell.plan_of_policy policy classes in
+  let plan = Runcell.plan_of_policy policy cell.Runcell.classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
   let header = Runcell.header_payload cell ~plan ~fp in
-  let total = plan.Shard.classes_total in
-  let outcomes = Array.make (8 * total) Outcome.No_effect in
-  let shard_done = Array.make (Array.length plan.Shard.shards) false in
-  let retries = Array.make (Array.length plan.Shard.shards) 0 in
-  let tally = Outcome.tally_create () in
-  let apply records =
-    List.iter
-      (fun ((shard : Shard.t), outs) ->
-        apply_record ~plan ~outcomes ~tallies:[ tally ] shard outs;
-        shard_done.(shard.Shard.id) <- true)
-      records
-  in
-  (* --------------------------------------------------------------- *)
-  (* Result-store consult.  The cell key fingerprints everything that
-     determines results (program image × fault space × plan-shaping
-     policy); a published journal under that key replays through the
-     same parse/apply path a --resume uses, so a hit is bit-identical
-     to a fresh run and costs zero shard executions.  Anything short
-     of a complete, header-matching, every-shard-covered journal is
-     treated as a miss — in particular a quarantine-degraded journal,
-     which lacks records for its quarantined shards.  The journal is
-     parsed in full before any state is touched, so a miss falls
-     through to conducting normally. *)
-  (* --------------------------------------------------------------- *)
   let cache_key =
     Option.map
       (fun _ ->
@@ -166,112 +199,204 @@ let setup cell ~progress =
              cell.Runcell.spec))
       policy.Spec.acceleration.Spec.cache
   in
-  let from_cache =
+  let cached =
     match (policy.Spec.acceleration.Spec.cache, cache_key) with
-    | Some dir, Some key -> (
-        match Cache.lookup ~dir key with
-        | Some e when e.Cache.fingerprint = fp -> (
-            match Journal.replay e.Cache.path with
-            | Some (hdr, payloads, Journal.Clean) when hdr = header -> (
-                match parse_journal plan payloads with
-                | records, _
-                  when List.length records = Array.length plan.Shard.shards ->
-                    apply records;
-                    true
-                | _ -> false
-                | exception Journal_mismatch _ -> false)
-            | Some _ | None | (exception Sys_error _) -> false)
-        | Some _ | None -> false)
-    | _ -> false
+    | Some dir, Some key -> cached_records ~plan ~fp ~header ~dir key
+    | _ -> None
   in
   let journal_path =
-    if from_cache then None else resolve_journal ~fingerprint:fp policy
+    if cached <> None then None else resolve_journal ~fingerprint:fp policy
   in
-  let writer =
-    match journal_path with
-    | None -> None
-    | Some path ->
-        let fresh () = Some (Journal.create path ~header) in
-        if not policy.Spec.durability.Spec.resume then fresh ()
-        else (
-          match Journal.replay path with
-          | Some (_, _, Journal.Corrupt_record { line }) ->
-              mismatch
-                "journal %s: CRC-invalid record at line %d — refusing to \
-                 resume a corrupt journal (a crash leaves a torn tail, not \
-                 mid-file corruption); delete it to re-run from scratch"
-                path line
-          | Some _ | None -> (
-              match Journal.open_resume path with
-              | None -> fresh ()
-              | Some (w, hdr, payloads) ->
-                  if hdr <> header then begin
-                    Journal.close w;
-                    mismatch
-                      "journal %s belongs to a different campaign\n\
-                      \  journal: %s\n\
-                      \  current: %s"
-                      path hdr header
-                  end;
-                  let records, sups = parse_journal plan payloads in
-                  List.iter
-                    (function
-                      | Runcell.Retry { shard; attempt; _ } ->
-                          (* Resume composes with retry accounting: the
-                             budget a shard burned before the crash stays
-                             burned. *)
-                          if shard >= 0 && shard < Array.length retries then
-                            retries.(shard) <- max retries.(shard) attempt
-                      | Runcell.Quarantine _ ->
-                          (* Informational: a resumed campaign gives the
-                             shard a fresh dispatch (its burned retries
-                             above still count). *)
-                          ())
-                    sups;
-                  apply records;
-                  Some w))
+  let writer, records, sups =
+    match (cached, journal_path) with
+    | Some records, _ -> (None, records, [])
+    | None, None -> (None, [], [])
+    | None, Some path when policy.Spec.durability.Spec.resume ->
+        let w, records, sups = resume_journal ~plan ~header path in
+        (Some w, records, sups)
+    | None, Some path -> (Some (Journal.create path ~header), [], [])
   in
-  let resumed_classes =
-    Array.fold_left
-      (fun acc (s : Shard.t) ->
-        if shard_done.(s.Shard.id) then acc + Shard.classes_in s else acc)
-      0 plan.Shard.shards
+  let shards = Array.length plan.Shard.shards in
+  let rt =
+    {
+      cell;
+      plan;
+      fp;
+      outcomes = Array.make (8 * plan.Shard.classes_total) Outcome.No_effect;
+      tally = Outcome.tally_create ();
+      shard_done = Array.make shards false;
+      retries = Array.make shards 0;
+      quarantined = Array.make shards false;
+      q_info = [];
+      journal_path;
+      writer;
+      cache_key;
+      from_cache = cached <> None;
+      resumed_classes = 0;
+      resumed_shards = 0;
+      classes_done = 0;
+      shards_done = 0;
+      requeues = 0;
+      kills = 0;
+    }
   in
-  let resumed_shards =
-    Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 shard_done
+  List.iter (fun (shard, outs) -> apply rt shard outs) records;
+  List.iter
+    (function
+      | Runcell.Retry { shard; attempt; _ } ->
+          (* Resume composes with retry accounting: the budget a shard
+             burned before the crash stays burned. *)
+          if shard >= 0 && shard < shards then
+            rt.retries.(shard) <- max rt.retries.(shard) attempt
+      | Runcell.Quarantine _ ->
+          (* Informational: a resumed campaign gives the shard a fresh
+             dispatch (its burned retries above still count). *)
+          ())
+    sups;
+  { rt with resumed_classes = rt.classes_done; resumed_shards = rt.shards_done }
+
+(* The matrix-wide progress snapshot: a fold over the cells' own
+   counters. *)
+let snapshot ~t0 rts =
+  let sum f = List.fold_left (fun acc rt -> acc + f rt) 0 rts in
+  let tally = Outcome.tally_create () in
+  List.iter (fun rt -> Outcome.tally_merge ~into:tally rt.tally) rts;
+  Progress.make
+    ~classes_done:(sum (fun rt -> rt.classes_done))
+    ~classes_total:(sum (fun rt -> rt.plan.Shard.classes_total))
+    ~shards_done:(sum (fun rt -> rt.shards_done))
+    ~shards_total:(sum (fun rt -> Array.length rt.plan.Shard.shards))
+    ~resumed_classes:(sum (fun rt -> rt.resumed_classes))
+    ~retries:(sum (fun rt -> rt.requeues))
+    ~kills:(sum (fun rt -> rt.kills))
+    ~quarantined_shards:(sum (fun rt -> List.length rt.q_info))
+    ~quarantined_classes:
+      (sum (fun rt ->
+           List.fold_left
+             (fun acc (id, _, _) ->
+               acc + Shard.classes_in rt.plan.Shard.shards.(id))
+             0 rt.q_info))
+    ~elapsed:(Unix.gettimeofday () -. t0)
+    ~tally ()
+
+(* The one completion path of every backend: apply a conducted shard's
+   record, journal it, and report progress. *)
+let complete ~emit rt shard outs =
+  apply rt shard outs;
+  journal rt (Runcell.record_payload shard (Bytes.of_string outs));
+  emit ()
+
+(* Close the cell's journal and index it in its catalogue. *)
+let close rt =
+  Option.iter Journal.close rt.writer;
+  match
+    ( rt.journal_path,
+      rt.cell.Runcell.spec.Spec.policy.Spec.durability.Spec.catalogue )
+  with
+  | Some path, Some dir -> (
+      try Catalog.record ~dir ~fingerprint:rt.fp ~path with Sys_error _ -> ())
+  | _ -> ()
+
+let finish rt =
+  assert (
+    Array.for_all Fun.id
+      (Array.mapi (fun i d -> d || rt.quarantined.(i)) rt.shard_done));
+  let cell = rt.cell in
+  (* Deterministic merge: the serial loop's own construction.
+     Quarantined classes keep the No_effect placeholder — callers must
+     consult [quarantined] before treating the scan as complete. *)
+  let scan =
+    Scan.of_outcomes ~variant:cell.Runcell.spec.Spec.variant
+      ~ram_bytes:cell.Runcell.ram_bytes
+      ~benign_weight:cell.Runcell.benign_weight ~slots:cell.Runcell.slots
+      cell.Runcell.golden cell.Runcell.classes rt.outcomes
   in
-  {
-    cell;
-    classes;
-    plan;
-    fp;
-    outcomes;
-    shard_done;
-    retries;
-    quarantined = Array.make (Array.length plan.Shard.shards) false;
-    q_info = [];
-    tally;
-    progress;
-    journal_path;
-    writer;
-    resumed_classes;
-    resumed_shards;
-    classes_done = resumed_classes;
-    shards_done = resumed_shards;
-    cache_key;
-    from_cache;
-  }
+  let quarantined =
+    List.rev_map
+      (fun (shard_id, attempts, cause) ->
+        let s = rt.plan.Shard.shards.(shard_id) in
+        {
+          q_cell = Spec.label cell.Runcell.spec;
+          q_shard = shard_id;
+          q_classes = Shard.classes_in s;
+          q_class_indices =
+            Array.init (Shard.classes_in s) (fun k ->
+                rt.plan.Shard.order.(s.Shard.lo + k));
+          q_attempts = attempts;
+          q_cause = cause;
+        })
+      rt.q_info
+  in
+  (* Publish to the result store only what a future consult can trust
+     blindly: a freshly conducted cell whose every shard completed and
+     whose journal is on disk.  A quarantined cell never publishes — its
+     journal lacks the quarantined shards' records, and serving it as a
+     hit would launder a degraded run into a complete one. *)
+  (match
+     ( cell.Runcell.spec.Spec.policy.Spec.acceleration.Spec.cache,
+       rt.cache_key,
+       rt.journal_path )
+   with
+  | Some dir, Some key, Some path
+    when (not rt.from_cache) && quarantined = []
+         && Array.for_all Fun.id rt.shard_done -> (
+      try Cache.publish ~dir ~key ~fingerprint:rt.fp ~path
+      with Sys_error _ | Unix.Unix_error _ -> ())
+  | _ -> ());
+  { scan; quarantined; cached = rt.from_cache }
 
 (* ------------------------------------------------------------------ *)
-(* Worker-backend supervision state (Processes and Sockets)           *)
+(* Domains backend                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* How a cell's shards reach their workers: the fork/exec backend with
-   a total seat count, or the sockets backend with one seat cap per
-   probed daemon host. *)
-type cell_mode =
-  | Local_processes of int
-  | Remote_hosts of (Addr.t * int) array
+(* One shared pool over every pending shard of every cell; tasks are
+   claimed in cell order, so workers drain cell 1 first but spill into
+   cell 2 as soon as slots free up — no back-to-back barrier between
+   cells.  Supervision here is report-only: domains share the heap and
+   cannot be SIGKILLed, so a blown deadline fires [on_event] and the
+   pool still joins every domain. *)
+let conduct_domains ~jobs ~on_event ~emit rts =
+  let pending =
+    Array.of_list
+      (List.concat_map (fun rt -> List.map (fun s -> (rt, s)) (pending rt)) rts)
+  in
+  let mu = Mutex.create () in
+  let deadline =
+    List.fold_left
+      (fun acc rt ->
+        match
+          (rt.cell.Runcell.spec.Spec.policy.Spec.supervision.Spec.shard_timeout, acc)
+        with
+        | None, acc -> acc
+        | Some t, None -> Some t
+        | Some t, Some a -> Some (Float.min t a))
+      None rts
+  in
+  let on_stall ~stalled_for =
+    on_event
+      (Printf.sprintf
+         "domain pool stalled: no shard completed for %.1fs (hung domain?) \
+          — still waiting, domains cannot be killed"
+         stalled_for)
+  in
+  Pool.run ?deadline ~on_stall ~jobs ~tasks:(Array.length pending) (fun i ->
+      let rt, shard = pending.(i) in
+      let buf =
+        Runcell.conduct_shard rt.cell ~classes:rt.cell.Runcell.classes
+          ~plan:rt.plan shard
+      in
+      Mutex.protect mu (fun () -> complete ~emit rt shard (Bytes.to_string buf)))
+
+(* ------------------------------------------------------------------ *)
+(* Worker backends (Processes and Sockets): the one supervisor        *)
+(* ------------------------------------------------------------------ *)
+
+(* Where a worker seat lives: this machine (a fork/exec'd child) or a
+   {!Remote} daemon.  The supervisor works over one seat table
+   [(host * seats) array] — the processes backend is one [Local] host
+   with [jobs] seats, the sockets backend one [Remote] host per probed
+   daemon. *)
+type host = Local | Remote of Addr.t
 
 (* How the supervisor stops one spawned worker.  Every live worker is a
    {!Transport.conn} speaking the {!Worker} frame protocol; only the
@@ -292,7 +417,6 @@ type tracked = {
   stop : stop;
   index : int;
   assigned : int array;
-  t_rt : runtime;
   mutable last_beat : float;  (** Last doorbell activity seen. *)
   mutable last_progress : float;  (** Last [s]/[end] doorbell line. *)
   mutable header_ok : bool;
@@ -304,6 +428,16 @@ type tracked = {
   mutable status : Unix.process_status option;  (** A local child's. *)
   mutable settled : bool;
 }
+
+(* A live worker occupying one of [host]'s seats; stillborn dispatches
+   never do. *)
+let seated host t =
+  (not t.eof)
+  &&
+  match (host, t.stop) with
+  | Local, Sigkill _ -> true
+  | Remote a, Teardown b -> a = b
+  | _ -> false
 
 let who t =
   match t.stop with
@@ -359,20 +493,442 @@ let note_door_line t line now =
   end
   else if line = "h" then t.last_beat <- now
 
+(* The one merge path: [Seg] lines are CRC-guarded journal lines (header
+   first, then one record per shard), so the dedup / fingerprint /
+   corruption verdicts are the same for every worker. *)
+let merge_line ~emit rt t line =
+  if t.corrupt = None then
+    match Journal.decode_line line with
+    | None -> t.corrupt <- Some "sent a CRC-invalid record line"
+    | Some payload -> (
+        if not t.header_ok then
+          match Worker.segment_fingerprint payload with
+          | Some fp when fp = rt.fp -> t.header_ok <- true
+          | Some _ -> t.corrupt <- Some "sent a header for a different campaign"
+          | None -> t.corrupt <- Some "sent a malformed header line"
+        else
+          match parse_record rt.plan payload with
+          | None -> t.corrupt <- Some "sent a malformed shard record"
+          | Some (shard, outs) ->
+              if not rt.shard_done.(shard.Shard.id) then
+                complete ~emit rt shard outs)
+
+let handle_frame ~emit rt t (kind, payload) =
+  match kind with
+  | Frame.Door -> note_door_line t payload (Unix.gettimeofday ())
+  | Frame.Seg -> merge_line ~emit rt t payload
+  | Frame.Err ->
+      if t.wire_err = None then
+        t.wire_err <- Some (Printf.sprintf "reported: %s" payload)
+  | Frame.Hello | Frame.Job | Frame.Submit | Frame.Stat | Frame.Prog
+  | Frame.Res ->
+      if t.wire_err = None then
+        t.wire_err <-
+          Some
+            (Printf.sprintf "sent an unexpected %s frame" (Frame.kind_tag kind))
+
 (* When supervision is on but no [--shard-timeout] was given and no
    shard has completed yet, this ceiling bounds the wait for the very
    first completion (otherwise a campaign whose every worker hangs at
    shard 0 would give the derived deadline nothing to derive from). *)
 let bootstrap_deadline = 60.
 
+(* Base, in seconds, of the exponential re-dispatch backoff: a shard's
+   [n]-th retry waits [retry_backoff × 2ⁿ⁻¹]. *)
+let retry_backoff = 0.05
+
+(* The shard deadline: explicit policy, else derived from the observed
+   shard rate (8× the mean per-worker shard time seen so far across the
+   matrix), else the bootstrap ceiling. *)
+let shard_deadline ~t0 ~capacity rts policy =
+  if not (Spec.supervised policy) then None
+  else
+    match policy.Spec.supervision.Spec.shard_timeout with
+    | Some t -> Some t
+    | None ->
+        let completions =
+          List.fold_left
+            (fun acc rt -> acc + rt.shards_done - rt.resumed_shards)
+            0 rts
+        in
+        if completions > 0 then
+          Some
+            (Float.max 1.0
+               (8. *. float_of_int capacity
+               *. (Unix.gettimeofday () -. t0)
+               /. float_of_int completions))
+        else Some bootstrap_deadline
+
+let requeue queue ids nb = queue := !queue @ List.map (fun id -> (id, nb)) ids
+
+(* Settle a worker whose stream has ended.  With supervision off (the
+   library default policy), a dead or corrupt worker is recorded in
+   [failures] and reported after every cell has been driven as far as
+   it will go.  With supervision on, its unfinished shards are
+   re-dispatched (bounded, with backoff), and a shard that exhausts its
+   budget is quarantined or failed per policy. *)
+let settle ~on_event ~emit rt queue failures t =
+  t.settled <- true;
+  let policy = rt.cell.Runcell.spec.Spec.policy in
+  let max_retries = policy.Spec.supervision.Spec.max_retries in
+  let label = Spec.label rt.cell.Runcell.spec in
+  let unfinished =
+    List.filter
+      (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
+      (Array.to_list t.assigned)
+  in
+  let clean =
+    t.killed = None && t.corrupt = None && t.wire_err = None && unfinished = []
+    && match t.status with None | Some (Unix.WEXITED 0) -> true | Some _ -> false
+  in
+  if not clean then begin
+    let cause = status_cause t in
+    let who = who t in
+    if not (Spec.supervised policy) then
+      failures :=
+        Printf.sprintf "%s: %s %s%s" label who cause
+          (match unfinished with
+          | [] -> ""
+          | ids ->
+              Printf.sprintf
+                "; shard%s %s unfinished — run again with --resume to replay"
+                (if List.length ids > 1 then "s" else "")
+                (String.concat "," (List.map string_of_int ids)))
+        :: !failures
+    else
+      match unfinished with
+      | [] ->
+          (* Died after finishing everything it was assigned: nothing to
+             recover. *)
+          on_event
+            (Printf.sprintf
+               "%s: %s %s (all assigned shards complete; nothing to retry)"
+               label who cause)
+      | first :: rest ->
+          (* Charge a retry attempt only when the worker made NO
+             progress: then [first] — the shard being conducted at death
+             — is the prime suspect.  A worker that completed shards
+             before dying is evidence of a transient or positional
+             fault, not of [first] being poisonous, and charging it
+             would let sustained churn quarantine healthy shards (every
+             death would bill whichever shard happened to be next in
+             line).  Termination is preserved: an uncharged requeue
+             always comes with at least one newly completed shard, so
+             there can be at most [shards_total] of them — and a
+             genuinely poisoned shard still converges to quarantine,
+             because once its neighbours drain it is dispatched at the
+             head of a queue and every death then charges it. *)
+          let progressed = List.length unfinished < Array.length t.assigned in
+          if not progressed then rt.retries.(first) <- rt.retries.(first) + 1;
+          let attempt = rt.retries.(first) in
+          if (not progressed) && attempt > max_retries then
+            if policy.Spec.supervision.Spec.quarantine then begin
+              rt.quarantined.(first) <- true;
+              rt.q_info <- (first, attempt, cause) :: rt.q_info;
+              journal rt
+                (Runcell.supervision_payload
+                   (Runcell.Quarantine
+                      { shard = first; attempts = attempt; cause }));
+              on_event
+                (Printf.sprintf
+                   "%s: shard %d quarantined after %d failed attempt%s (last: \
+                    %s %s)"
+                   label first attempt
+                   (if attempt > 1 then "s" else "")
+                   who cause);
+              if rest <> [] then requeue queue rest (Unix.gettimeofday ());
+              emit ()
+            end
+            else begin
+              failures :=
+                Printf.sprintf
+                  "%s: shard %d failed %d time%s (last: %s %s); retry budget \
+                   exhausted — run again with --resume to replay"
+                  label first attempt
+                  (if attempt > 1 then "s" else "")
+                  who cause
+                :: !failures;
+              (* Still drive the untouched shards to completion: maximal
+                 journal progress for --resume. *)
+              if rest <> [] then requeue queue rest (Unix.gettimeofday ())
+            end
+          else begin
+            (* Journal the budget change only when there is one:
+               uncharged requeues leave nothing for --resume to
+               restore. *)
+            if not progressed then
+              journal rt
+                (Runcell.supervision_payload
+                   (Runcell.Retry { shard = first; attempt; cause }));
+            rt.requeues <- rt.requeues + 1;
+            let delay =
+              retry_backoff *. (2. ** float_of_int (max 0 (attempt - 1)))
+            in
+            requeue queue unfinished (Unix.gettimeofday () +. delay);
+            on_event
+              (Printf.sprintf "%s: %s %s; retrying shard%s %s (%s, backoff %.2fs)"
+                 label who cause
+                 (if List.length unfinished > 1 then "s" else "")
+                 (String.concat "," (List.map string_of_int unfinished))
+                 (if progressed then "no charge — worker had completed shards"
+                  else
+                    Printf.sprintf "attempt %d/%d for shard %d" attempt
+                      max_retries first)
+                 delay);
+            emit ()
+          end
+  end
+
+(* Drive one cell's pending shards over the seat table: every worker,
+   local or remote, is a connection carrying [Seg]/[Door] frames,
+   merged into the campaign journal as they arrive.  A dead, hung or
+   stalled worker settles through {!settle}. *)
+let supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures =
+  let policy = rt.cell.Runcell.spec.Spec.policy in
+  let label = Spec.label rt.cell.Runcell.spec in
+  let capacity = Array.fold_left (fun acc (_, cap) -> acc + cap) 0 seats in
+  (* (shard id, earliest dispatch time); dispatch sorts by id. *)
+  let queue =
+    ref (List.map (fun (s : Shard.t) -> (s.Shard.id, 0.)) (pending rt))
+  in
+  let tracked = ref [] in
+  let spawned = ref 0 in
+  (* Hosts whose last dispatch failed: re-dials get a short patience so
+     a dead host stalls the (blocking, serial) dispatch path for a
+     couple of seconds, not the full connect+handshake timeouts on every
+     backoff round. *)
+  let suspect_hosts : (Addr.t, unit) Hashtbl.t = Hashtbl.create 4 in
+  let redial_patience = 2.0 in
+  let live () = List.filter (fun t -> not t.eof) !tracked in
+  let free_at (host, cap) =
+    max 0 (cap - List.length (List.filter (seated host) !tracked))
+  in
+  (* The host with the most free seats. *)
+  let pick_host () =
+    Array.fold_left
+      (fun acc seat ->
+        let n = free_at seat in
+        match acc with
+        | Some (_, best) when best >= n -> acc
+        | _ -> if n > 0 then Some (fst seat, n) else acc)
+      None seats
+  in
+  let spawn_one shard_ids =
+    let index = !spawned in
+    incr spawned;
+    let now = Unix.gettimeofday () in
+    let track ?err conn stop =
+      tracked :=
+        {
+          conn;
+          stop;
+          index;
+          assigned = shard_ids;
+          last_beat = now;
+          last_progress = now;
+          header_ok = false;
+          corrupt = None;
+          killed = None;
+          wire_err = err;
+          eof = Option.is_none conn;
+          status = None;
+          settled = false;
+        }
+        :: !tracked
+    in
+    let spec = rt.cell.Runcell.spec in
+    let job =
+      {
+        Worker.cell =
+          Worker.cell_of_spec ~program:rt.cell.Runcell.golden.Golden.program
+            spec;
+        stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
+        fingerprint = rt.fp;
+        shard_ids;
+        index;
+      }
+    in
+    match pick_host () with
+    | None -> track ~err:"had no free worker seat" None (Stillborn "no host")
+    | Some (Local, _) ->
+        let pid, conn = Worker.spawn job in
+        track (Some conn) (Sigkill pid)
+    | Some (Remote addr, _) -> (
+        let patience =
+          if Hashtbl.mem suspect_hosts addr then Some redial_patience else None
+        in
+        match Remote.dispatch ?patience ?secret ~addr job with
+        | Ok conn ->
+            Hashtbl.remove suspect_hosts addr;
+            track (Some conn) (Teardown addr)
+        | Error msg ->
+            Hashtbl.replace suspect_hosts addr ();
+            track ~err:msg None (Stillborn (Addr.to_string addr)))
+  in
+  let dispatch () =
+    let free = Array.fold_left (fun acc seat -> acc + free_at seat) 0 seats in
+    let now = Unix.gettimeofday () in
+    let eligible, later = List.partition (fun (_, nb) -> nb <= now) !queue in
+    if free > 0 && eligible <> [] then begin
+      queue := later;
+      let ids = Array.of_list (List.map fst eligible) in
+      Array.sort compare ids;
+      let n = Array.length ids in
+      let k = min free n in
+      for i = 0 to k - 1 do
+        let lo = i * n / k and hi = (i + 1) * n / k in
+        spawn_one (Array.sub ids lo (hi - lo))
+      done
+    end
+  in
+  let settle_ended () =
+    List.iter
+      (fun t ->
+        if t.eof && not t.settled then
+          settle ~on_event ~emit rt queue failures t)
+      !tracked
+  in
+  let deadline () = shard_deadline ~t0 ~capacity rts policy in
+  let rec loop () =
+    dispatch ();
+    (* Stillborn dispatches are born settled-pending: push them through
+       supervision now so their shards requeue (with retries and
+       backoff) even when nothing else is alive. *)
+    settle_ended ();
+    match (live (), !queue) with
+    | [], [] -> ()
+    | [], q ->
+        (* Everything is backing off; sleep to the earliest dispatch
+           time. *)
+        let now = Unix.gettimeofday () in
+        let earliest =
+          List.fold_left (fun a (_, nb) -> Float.min a nb) infinity q
+        in
+        if earliest > now then Unix.sleepf (Float.min 0.5 (earliest -. now));
+        loop ()
+    | alive, _ ->
+        let now = Unix.gettimeofday () in
+        let timeout =
+          let t_dl =
+            match deadline () with
+            | None -> 0.5
+            | Some dl ->
+                List.fold_left
+                  (fun acc t -> Float.min acc (dl -. (now -. t.last_progress)))
+                  0.5 alive
+          in
+          let t_nb =
+            List.fold_left
+              (fun acc (_, nb) -> Float.min acc (nb -. now))
+              t_dl !queue
+          in
+          Float.max 0.01 (Float.min 0.5 t_nb)
+        in
+        let fds =
+          List.filter_map (fun t -> Option.map Transport.fd t.conn) alive
+        in
+        let readable = Sysio.select_read fds timeout in
+        List.iter
+          (fun t ->
+            match t.conn with
+            | Some conn when List.mem (Transport.fd conn) readable -> (
+                match Transport.pump conn with
+                | `Frames frames -> List.iter (handle_frame ~emit rt t) frames
+                | `Eof -> end_stream t
+                | `Corrupt msg ->
+                    if t.wire_err = None then
+                      t.wire_err <-
+                        Some (Printf.sprintf "sent a corrupt frame (%s)" msg);
+                    end_stream ~kill:true t)
+            | Some _ | None -> ())
+          alive;
+        settle_ended ();
+        (* Deadline pass: kill what stopped progressing. *)
+        (match deadline () with
+        | None -> ()
+        | Some dl ->
+            let now = Unix.gettimeofday () in
+            List.iter
+              (fun t ->
+                let stuck = now -. t.last_progress in
+                if t.killed = None && stuck > dl then begin
+                  let reason =
+                    if now -. t.last_beat > dl then
+                      Printf.sprintf
+                        "hung (no heartbeat for %.1fs, deadline %.1fs)"
+                        (now -. t.last_beat) dl
+                    else
+                      Printf.sprintf
+                        "stalled (heartbeats flowing but no shard completed \
+                         for %.1fs, deadline %.1fs)"
+                        stuck dl
+                  in
+                  t.killed <- Some reason;
+                  rt.kills <- rt.kills + 1;
+                  end_stream ~kill:true t;
+                  on_event
+                    (Printf.sprintf "%s: %s %s — %s" label (who t) reason
+                       (match t.stop with
+                       | Sigkill _ -> "SIGKILLed"
+                       | Teardown _ | Stillborn _ -> "connection torn down"));
+                  emit ()
+                end)
+              (live ()));
+        loop ()
+  in
+  if !queue <> [] then begin
+    loop ();
+    (* Belt and braces: every worker is dead and settled here. *)
+    settle_ended ()
+  end
+
+(* The sockets backend's seat table.  Every host is probed (connect +
+   hello) before anything is conducted: unreachable hosts, protocol
+   mismatches and foreign binaries fail fast, before a single shard is
+   dispatched. *)
+let probe_seats ?secret ~jobs addrs =
+  Array.of_list
+    (List.map
+       (fun addr ->
+         match Remote.probe ?secret addr with
+         | Ok h ->
+             (* -j bounds per-host concurrency; 0 defers to the capacity
+                the daemon advertised in its hello. *)
+             (Remote addr, if jobs = 0 then max 1 h.Handshake.capacity else jobs)
+         | Error msg ->
+             raise
+               (Worker_failed
+                  (Printf.sprintf "worker host %s: %s" (Addr.to_string addr)
+                     msg)))
+       addrs)
+
+(* Cells run one after another, each with every seat.  Both worker
+   backends run under SIGPIPE-ignore: a worker (or daemon) that dies
+   mid-write must surface as a supervision event, never as a parent
+   crash.  [seats] runs inside the protected region because the sockets
+   backend probes its hosts there. *)
+let conduct_workers ?secret ~on_event ~emit ~t0 ~seats rts =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let failures = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+    (fun () ->
+      let seats = seats () in
+      List.iter
+        (fun rt -> supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures)
+        rts);
+  match List.rev !failures with
+  | [] -> ()
+  | fs -> raise (Worker_failed (String.concat "\n" fs))
+
 (* ------------------------------------------------------------------ *)
-(* The matrix scheduler                                               *)
+(* The matrix scheduler: set up, conduct, finish                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
-    ?(observe = fun _ -> ()) ?(on_event = fun _ -> ()) ?secret specs =
+let run_matrix_results ?(backend = Pool.Domains) ?jobs ?observe
+    ?(on_event = fun _ -> ()) ?secret specs =
   let jobs = Pool.resolve_jobs ~backend ?jobs () in
-  let worker_hosts =
+  let hosts =
     match backend with
     | Pool.Sockets [] ->
         invalid_arg
@@ -381,702 +937,37 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?progress
     | Pool.Sockets hosts -> List.map Addr.parse_exn hosts
     | Pool.Domains | Pool.Processes -> []
   in
-  let progress_of =
-    match progress with None -> fun _ -> Scan.no_progress | Some p -> p
-  in
   List.iter
     (fun (s : Spec.t) ->
-      let p = s.Spec.policy in
-      if p.Spec.durability.Spec.resume && p.Spec.durability.Spec.journal = None && p.Spec.durability.Spec.catalogue = None then
+      let d = s.Spec.policy.Spec.durability in
+      if d.Spec.resume && d.Spec.journal = None && d.Spec.catalogue = None then
         invalid_arg "Engine.run_matrix_results: ~resume requires ~journal")
     specs;
   let cells = List.map Runcell.analyse specs in
-  let rts = ref [] in
-  let finally () =
-    List.iter
-      (fun rt ->
-        Option.iter Journal.close rt.writer;
-        match
-          (rt.journal_path, rt.cell.Runcell.spec.Spec.policy.Spec.durability.Spec.catalogue)
-        with
-        | Some path, Some dir -> (
-            try Catalog.record ~dir ~fingerprint:rt.fp ~path
-            with Sys_error _ -> ())
-        | _ -> ())
-      !rts
-  in
-  Fun.protect ~finally (fun () ->
-      List.iter
-        (fun cell ->
-          rts :=
-            setup cell ~progress:(progress_of cell.Runcell.spec) :: !rts)
-        cells;
-      let rts_in_order = List.rev !rts in
-      (* Aggregate counters across the whole matrix. *)
-      let agg_classes_total =
-        List.fold_left (fun a rt -> a + rt.plan.Shard.classes_total) 0
-          rts_in_order
-      in
-      let agg_shards_total =
-        List.fold_left
-          (fun a rt -> a + Array.length rt.plan.Shard.shards)
-          0 rts_in_order
-      in
-      let agg_resumed =
-        List.fold_left (fun a rt -> a + rt.resumed_classes) 0 rts_in_order
-      in
-      let agg_tally = Outcome.tally_create () in
-      List.iter
-        (fun rt -> Outcome.tally_merge ~into:agg_tally rt.tally)
-        rts_in_order;
-      let agg_classes_done = ref agg_resumed in
-      let agg_resumed_shards =
-        List.fold_left (fun a rt -> a + rt.resumed_shards) 0 rts_in_order
-      in
-      let agg_shards_done = ref agg_resumed_shards in
-      let agg_retries = ref 0 in
-      let agg_kills = ref 0 in
-      let agg_q_shards = ref 0 in
-      let agg_q_classes = ref 0 in
+  let opened = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter close !opened)
+    (fun () ->
+      List.iter (fun cell -> opened := setup cell :: !opened) cells;
+      let rts = List.rev !opened in
       let t0 = Unix.gettimeofday () in
-      let mu = Mutex.create () in
-      let emit_observe () =
-        observe
-          (Progress.make ~classes_done:!agg_classes_done
-             ~classes_total:agg_classes_total ~shards_done:!agg_shards_done
-             ~shards_total:agg_shards_total ~resumed_classes:agg_resumed
-             ~retries:!agg_retries ~kills:!agg_kills
-             ~quarantined_shards:!agg_q_shards
-             ~quarantined_classes:!agg_q_classes
-             ~elapsed:(Unix.gettimeofday () -. t0)
-             ~tally:agg_tally ())
+      let emit =
+        match observe with
+        | None -> ignore
+        | Some hook -> fun () -> hook (snapshot ~t0 rts)
       in
-      List.iter
-        (fun rt ->
-          if rt.resumed_classes > 0 then
-            rt.progress ~done_:rt.resumed_classes
-              ~total:rt.plan.Shard.classes_total ~tally:rt.tally)
-        rts_in_order;
-      emit_observe ();
-
-      (* The one completion path of every backend: apply a conducted
-         shard's record, journal it, and report progress. *)
-      let complete_shard rt (shard : Shard.t) outs =
-        apply_record ~plan:rt.plan ~outcomes:rt.outcomes
-          ~tallies:[ rt.tally; agg_tally ]
-          ~on_class:(fun () ->
-            rt.classes_done <- rt.classes_done + 1;
-            incr agg_classes_done;
-            rt.progress ~done_:rt.classes_done
-              ~total:rt.plan.Shard.classes_total ~tally:rt.tally)
-          shard outs;
-        Option.iter
-          (fun w ->
-            Journal.append w
-              (Runcell.record_payload shard (Bytes.of_string outs)))
-          rt.writer;
-        rt.shard_done.(shard.Shard.id) <- true;
-        rt.shards_done <- rt.shards_done + 1;
-        incr agg_shards_done;
-        emit_observe ()
-      in
-
-      (* -------------------------------------------------------------- *)
-      (* Domains backend: one shared pool over every pending shard of
-         every cell; tasks are claimed in cell order, so workers drain
-         cell 1 first but spill into cell 2 as soon as slots free up —
-         no back-to-back barrier between cells.  Supervision here is
-         report-only: domains share the heap and cannot be SIGKILLed,
-         so a blown deadline fires [on_event] and the pool still joins
-         every domain. *)
-      (* -------------------------------------------------------------- *)
-      let conduct_domains () =
-        let pending =
-          Array.of_list
-            (List.concat_map
-               (fun rt ->
-                 List.filter_map
-                   (fun (s : Shard.t) ->
-                     if rt.shard_done.(s.Shard.id) then None else Some (rt, s))
-                   (Array.to_list rt.plan.Shard.shards))
-               rts_in_order)
-        in
-        let conduct_shard (rt, (shard : Shard.t)) =
-          let buf =
-            Runcell.conduct_shard rt.cell ~classes:rt.classes ~plan:rt.plan
-              shard
-          in
-          Mutex.protect mu (fun () ->
-              complete_shard rt shard (Bytes.to_string buf))
-        in
-        let deadline =
-          List.fold_left
-            (fun acc (s : Spec.t) ->
-              match (s.Spec.policy.Spec.supervision.Spec.shard_timeout, acc) with
-              | None, acc -> acc
-              | Some t, None -> Some t
-              | Some t, Some a -> Some (Float.min t a))
-            None specs
-        in
-        let on_stall ~stalled_for =
-          on_event
-            (Printf.sprintf
-               "domain pool stalled: no shard completed for %.1fs (hung \
-                domain?) — still waiting, domains cannot be killed"
-               stalled_for)
-        in
-        Pool.run ?deadline ~on_stall ~jobs ~tasks:(Array.length pending)
-          (fun i -> conduct_shard pending.(i))
-      in
-
-      (* -------------------------------------------------------------- *)
-      (* Worker backends (Processes and Sockets): every worker, local or
-         remote, is a connection carrying [Seg]/[Door] frames, merged
-         into the campaign journal as they arrive.  Cells run one after
-         another (each gets the full worker count).  With supervision
-         off (the library default policy), a dead or corrupt worker is
-         recorded and reported after every cell has been driven as far
-         as it will go.  With supervision on, a dead/hung/stalled
-         worker's unfinished shards are re-dispatched (bounded, with
-         backoff), and a shard that exhausts its budget is quarantined
-         or failed per policy. *)
-      (* -------------------------------------------------------------- *)
-      (* The one merge path: [Seg] lines are CRC-guarded journal lines
-         (header first, then one record per shard), so the dedup /
-         fingerprint / corruption verdicts are the same for every
-         worker. *)
-      let merge_line t line =
-        if t.corrupt = None then
-          match Journal.decode_line line with
-          | None -> t.corrupt <- Some "sent a CRC-invalid record line"
-          | Some payload ->
-              if not t.header_ok then (
-                match Worker.segment_fingerprint payload with
-                | Some fp when fp = t.t_rt.fp -> t.header_ok <- true
-                | Some _ ->
-                    t.corrupt <-
-                      Some "sent a header for a different campaign"
-                | None -> t.corrupt <- Some "sent a malformed header line")
-              else
-                match parse_record t.t_rt.plan payload with
-                | None -> t.corrupt <- Some "sent a malformed shard record"
-                | Some (shard, outs) ->
-                    if not t.t_rt.shard_done.(shard.Shard.id) then
-                      complete_shard t.t_rt shard outs
-      in
-      let handle_frame t (kind, payload) =
-        match kind with
-        | Frame.Door -> note_door_line t payload (Unix.gettimeofday ())
-        | Frame.Seg -> merge_line t payload
-        | Frame.Err ->
-            if t.wire_err = None then
-              t.wire_err <- Some (Printf.sprintf "reported: %s" payload)
-        | Frame.Hello | Frame.Job | Frame.Submit | Frame.Stat | Frame.Prog
-        | Frame.Res ->
-            if t.wire_err = None then
-              t.wire_err <-
-                Some
-                  (Printf.sprintf "sent an unexpected %s frame"
-                     (Frame.kind_tag kind))
-      in
-      let run_cell mode rt failures =
-        let policy = rt.cell.Runcell.spec.Spec.policy in
-        let sup = Spec.supervised policy in
-        let max_retries = policy.Spec.supervision.Spec.max_retries in
-        let label = Spec.label rt.cell.Runcell.spec in
-        let capacity =
-          match mode with
-          | Local_processes jobs -> jobs
-          | Remote_hosts seats ->
-              Array.fold_left (fun acc (_, cap) -> acc + cap) 0 seats
-        in
-        let pending_ids =
-          Array.of_list
-            (List.filter_map
-               (fun (s : Shard.t) ->
-                 if rt.shard_done.(s.Shard.id) then None else Some s.Shard.id)
-               (Array.to_list rt.plan.Shard.shards))
-        in
-        let n = Array.length pending_ids in
-        if n > 0 then begin
-          let spawn_counter = ref 0 in
-          let tracked = ref [] in
-          (* Hosts whose last dispatch failed: re-dials get a short
-             patience so a dead host stalls the (blocking, serial)
-             dispatch path for a couple of seconds, not the full
-             connect+handshake timeouts on every backoff round. *)
-          let suspect_hosts : (Addr.t, unit) Hashtbl.t = Hashtbl.create 4 in
-          let redial_patience = 2.0 in
-          (* (shard id, earliest dispatch time); dispatch sorts by id. *)
-          let queue = ref (List.map (fun id -> (id, 0.)) (Array.to_list pending_ids)) in
-          let live () = List.filter (fun t -> not t.eof) !tracked in
-          (* Per-host seat accounting for the sockets backend: a host's
-             live connections occupy its seats; stillborn dispatches
-             never do. *)
-          let host_live addr =
-            List.fold_left
-              (fun acc t ->
-                match t.stop with
-                | Teardown a when (not t.eof) && a = addr -> acc + 1
-                | _ -> acc)
-              0 !tracked
-          in
-          let free_seats () =
-            match mode with
-            | Local_processes jobs -> jobs - List.length (live ())
-            | Remote_hosts seats ->
-                Array.fold_left
-                  (fun acc (addr, cap) -> acc + max 0 (cap - host_live addr))
-                  0 seats
-          in
-          let pick_host seats =
-            Array.fold_left
-              (fun acc (addr, cap) ->
-                let free = cap - host_live addr in
-                match acc with
-                | Some (_, best) when best >= free -> acc
-                | _ -> if free > 0 then Some (addr, free) else acc)
-              None seats
-          in
-          let spawn_one shard_ids =
-            let index = !spawn_counter in
-            incr spawn_counter;
-            let now = Unix.gettimeofday () in
-            let track ?err conn stop =
-              tracked :=
-                {
-                  conn;
-                  stop;
-                  index;
-                  assigned = shard_ids;
-                  t_rt = rt;
-                  last_beat = now;
-                  last_progress = now;
-                  header_ok = false;
-                  corrupt = None;
-                  killed = None;
-                  wire_err = err;
-                  eof = Option.is_none conn;
-                  status = None;
-                  settled = false;
-                }
-                :: !tracked
-            in
-            let spec = rt.cell.Runcell.spec in
-            let job =
-              {
-                Worker.cell =
-                  Worker.cell_of_spec
-                    ~program:rt.cell.Runcell.golden.Golden.program spec;
-                stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
-                fingerprint = rt.fp;
-                shard_ids;
-                index;
-              }
-            in
-            match mode with
-            | Local_processes _ ->
-                let pid, conn = Worker.spawn job in
-                track (Some conn) (Sigkill pid)
-            | Remote_hosts seats -> (
-                match pick_host seats with
-                | None -> track ~err:"had no free worker seat" None (Stillborn "no host")
-                | Some (addr, _) -> (
-                    let patience =
-                      if Hashtbl.mem suspect_hosts addr then
-                        Some redial_patience
-                      else None
-                    in
-                    match Remote.dispatch ?patience ?secret ~addr job with
-                    | Ok conn ->
-                        Hashtbl.remove suspect_hosts addr;
-                        track (Some conn) (Teardown addr)
-                    | Error msg ->
-                        Hashtbl.replace suspect_hosts addr ();
-                        track ~err:msg None (Stillborn (Addr.to_string addr))))
-          in
-          let spawn_workers ids k =
-            let n = Array.length ids in
-            let k = min k n in
-            for i = 0 to k - 1 do
-              let lo = i * n / k and hi = (i + 1) * n / k in
-              spawn_one (Array.sub ids lo (hi - lo))
-            done
-          in
-          let dispatch () =
-            let free = free_seats () in
-            if free > 0 && !queue <> [] then begin
-              let now = Unix.gettimeofday () in
-              let eligible, later =
-                List.partition (fun (_, nb) -> nb <= now) !queue
-              in
-              if eligible <> [] then begin
-                queue := later;
-                let ids = Array.of_list (List.map fst eligible) in
-                Array.sort compare ids;
-                spawn_workers ids free
-              end
-            end
-          in
-          (* The shard deadline: explicit policy, else derived from the
-             observed shard rate (8× the mean per-worker shard time seen
-             so far across the matrix), else the bootstrap ceiling. *)
-          let current_deadline () =
-            if not sup then None
-            else
-              match policy.Spec.supervision.Spec.shard_timeout with
-              | Some t -> Some t
-              | None ->
-                  let completions = !agg_shards_done - agg_resumed_shards in
-                  if completions > 0 then
-                    Some
-                      (Float.max 1.0
-                         (8. *. float_of_int capacity
-                         *. (Unix.gettimeofday () -. t0)
-                         /. float_of_int completions))
-                  else Some bootstrap_deadline
-          in
-          let requeue ids nb =
-            queue := !queue @ List.map (fun id -> (id, nb)) ids
-          in
-          let settle t =
-            t.settled <- true;
-            let unfinished =
-              List.filter
-                (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
-                (Array.to_list t.assigned)
-            in
-            let clean =
-              t.killed = None && t.corrupt = None && t.wire_err = None
-              && unfinished = []
-              && (match t.status with
-                 | None | Some (Unix.WEXITED 0) -> true
-                 | Some _ -> false)
-            in
-            if not clean then begin
-              let cause = status_cause t in
-              let who = who t in
-              if not sup then
-                failures :=
-                  Printf.sprintf "%s: %s %s%s" label who cause
-                    (match unfinished with
-                    | [] -> ""
-                    | ids ->
-                        Printf.sprintf
-                          "; shard%s %s unfinished — run again with --resume \
-                           to replay"
-                          (if List.length ids > 1 then "s" else "")
-                          (String.concat "," (List.map string_of_int ids)))
-                  :: !failures
-              else
-                match unfinished with
-                | [] ->
-                    (* Died after finishing everything it was assigned:
-                       nothing to recover. *)
-                    on_event
-                      (Printf.sprintf
-                         "%s: %s %s (all assigned shards complete; nothing to \
-                          retry)"
-                         label who cause)
-                | first :: rest ->
-                    (* Charge a retry attempt only when the worker made
-                       NO progress: then [first] — the shard being
-                       conducted at death — is the prime suspect.  A
-                       worker that completed shards before dying is
-                       evidence of a transient or positional fault, not
-                       of [first] being poisonous, and charging it would
-                       let sustained churn quarantine healthy shards
-                       (every death would bill whichever shard happened
-                       to be next in line).  Termination is preserved:
-                       an uncharged requeue always comes with at least
-                       one newly completed shard, so there can be at
-                       most [shards_total] of them — and a genuinely
-                       poisoned shard still converges to quarantine,
-                       because once its neighbours drain it is
-                       dispatched at the head of a queue and every
-                       death then charges it. *)
-                    let progressed =
-                      List.length unfinished < Array.length t.assigned
-                    in
-                    if not progressed then
-                      rt.retries.(first) <- rt.retries.(first) + 1;
-                    let attempt = rt.retries.(first) in
-                    if (not progressed) && attempt > max_retries then
-                      if policy.Spec.supervision.Spec.quarantine then begin
-                        rt.quarantined.(first) <- true;
-                        rt.q_info <- (first, attempt, cause) :: rt.q_info;
-                        incr agg_q_shards;
-                        agg_q_classes :=
-                          !agg_q_classes
-                          + Shard.classes_in rt.plan.Shard.shards.(first);
-                        (match rt.writer with
-                        | Some w ->
-                            Journal.append w
-                              (Runcell.supervision_payload
-                                 (Runcell.Quarantine
-                                    { shard = first; attempts = attempt; cause }))
-                        | None -> ());
-                        on_event
-                          (Printf.sprintf
-                             "%s: shard %d quarantined after %d failed \
-                              attempt%s (last: %s %s)"
-                             label first attempt
-                             (if attempt > 1 then "s" else "")
-                             who cause);
-                        if rest <> [] then requeue rest (Unix.gettimeofday ());
-                        emit_observe ()
-                      end
-                      else begin
-                        failures :=
-                          Printf.sprintf
-                            "%s: shard %d failed %d time%s (last: %s %s); \
-                             retry budget exhausted — run again with --resume \
-                             to replay"
-                            label first attempt
-                            (if attempt > 1 then "s" else "")
-                            who cause
-                          :: !failures;
-                        (* Still drive the untouched shards to completion:
-                           maximal journal progress for --resume. *)
-                        if rest <> [] then requeue rest (Unix.gettimeofday ())
-                      end
-                    else begin
-                      (* Journal the budget change only when there is
-                         one: uncharged requeues leave nothing for
-                         --resume to restore. *)
-                      if not progressed then
-                        (match rt.writer with
-                        | Some w ->
-                            Journal.append w
-                              (Runcell.supervision_payload
-                                 (Runcell.Retry
-                                    { shard = first; attempt; cause }))
-                        | None -> ());
-                      incr agg_retries;
-                      let delay =
-                        policy.Spec.supervision.Spec.retry_backoff
-                        *. (2. ** float_of_int (max 0 (attempt - 1)))
-                      in
-                      requeue unfinished (Unix.gettimeofday () +. delay);
-                      on_event
-                        (Printf.sprintf
-                           "%s: %s %s; retrying shard%s %s (%s, backoff %.2fs)"
-                           label who cause
-                           (if List.length unfinished > 1 then "s" else "")
-                           (String.concat ","
-                              (List.map string_of_int unfinished))
-                           (if progressed then
-                              "no charge — worker had completed shards"
-                            else
-                              Printf.sprintf "attempt %d/%d for shard %d"
-                                attempt max_retries first)
-                           delay);
-                      emit_observe ()
-                    end
-            end
-          in
-          let rec supervise () =
-            dispatch ();
-            (* Stillborn dispatches are born settled-pending: push them
-               through supervision now so their shards requeue (with
-               retries and backoff) even when nothing else is alive. *)
-            List.iter
-              (fun t -> if t.eof && not t.settled then settle t)
-              !tracked;
-            match (live (), !queue) with
-            | [], [] -> ()
-            | [], q ->
-                (* Everything is backing off; sleep to the earliest
-                   dispatch time. *)
-                let now = Unix.gettimeofday () in
-                let earliest =
-                  List.fold_left (fun a (_, nb) -> Float.min a nb) infinity q
-                in
-                if earliest > now then
-                  Unix.sleepf (Float.min 0.5 (earliest -. now));
-                supervise ()
-            | alive, _ ->
-                let now = Unix.gettimeofday () in
-                let timeout =
-                  let t_dl =
-                    match current_deadline () with
-                    | None -> 0.5
-                    | Some dl ->
-                        List.fold_left
-                          (fun acc t ->
-                            Float.min acc (dl -. (now -. t.last_progress)))
-                          0.5 alive
-                  in
-                  let t_nb =
-                    List.fold_left
-                      (fun acc (_, nb) -> Float.min acc (nb -. now))
-                      t_dl !queue
-                  in
-                  Float.max 0.01 (Float.min 0.5 t_nb)
-                in
-                let fds =
-                  List.filter_map (fun t -> Option.map Transport.fd t.conn) alive
-                in
-                let readable = Sysio.select_read fds timeout in
-                List.iter
-                  (fun t ->
-                    match t.conn with
-                    | Some conn when List.mem (Transport.fd conn) readable -> (
-                        match Transport.pump conn with
-                        | `Frames frames -> List.iter (handle_frame t) frames
-                        | `Eof -> end_stream t
-                        | `Corrupt msg ->
-                            if t.wire_err = None then
-                              t.wire_err <-
-                                Some
-                                  (Printf.sprintf "sent a corrupt frame (%s)"
-                                     msg);
-                            end_stream ~kill:true t)
-                    | Some _ | None -> ())
-                  alive;
-                List.iter
-                  (fun t -> if t.eof && not t.settled then settle t)
-                  !tracked;
-                (* Deadline pass: kill what stopped progressing. *)
-                (match current_deadline () with
-                | None -> ()
-                | Some dl ->
-                    let now = Unix.gettimeofday () in
-                    List.iter
-                      (fun t ->
-                        if (not t.eof) && t.killed = None then
-                          let stuck = now -. t.last_progress in
-                          if stuck > dl then begin
-                            let reason =
-                              if now -. t.last_beat > dl then
-                                Printf.sprintf
-                                  "hung (no heartbeat for %.1fs, deadline \
-                                   %.1fs)"
-                                  (now -. t.last_beat) dl
-                              else
-                                Printf.sprintf
-                                  "stalled (heartbeats flowing but no shard \
-                                   completed for %.1fs, deadline %.1fs)"
-                                  stuck dl
-                            in
-                            t.killed <- Some reason;
-                            incr agg_kills;
-                            end_stream ~kill:true t;
-                            on_event
-                              (Printf.sprintf "%s: %s %s — %s" label (who t)
-                                 reason
-                                 (match t.stop with
-                                 | Sigkill _ -> "SIGKILLed"
-                                 | Teardown _ | Stillborn _ ->
-                                     "connection torn down"));
-                            emit_observe ()
-                          end)
-                      (live ()));
-                supervise ()
-          in
-          supervise ();
-          (* Belt and braces: every worker is dead and settled here. *)
-          List.iter (fun t -> if not t.settled then settle t) !tracked
-        end
-      in
-      (* Both worker backends run under SIGPIPE-ignore: a worker (or
-         daemon) that dies mid-write must surface as a supervision
-         event, never as a parent crash.  [make_mode] runs inside the
-         protected region because the sockets backend probes its hosts
-         (connect + hello) before conducting anything — unreachable
-         hosts, protocol mismatches and foreign binaries fail fast,
-         before a single shard is dispatched. *)
-      let conduct_workers make_mode =
-        let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-        let failures = ref [] in
-        Fun.protect
-          ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
-          (fun () ->
-            let mode = make_mode () in
-            List.iter (fun rt -> run_cell mode rt failures) rts_in_order);
-        match List.rev !failures with
-        | [] -> ()
-        | fs -> raise (Worker_failed (String.concat "\n" fs))
-      in
-      let probe_hosts () =
-        Remote_hosts
-          (Array.of_list
-             (List.map
-                (fun addr ->
-                  match Remote.probe ?secret addr with
-                  | Ok h ->
-                      (* -j bounds per-host concurrency; 0 defers to the
-                         capacity the daemon advertised in its hello. *)
-                      let cap =
-                        if jobs = 0 then max 1 h.Handshake.capacity else jobs
-                      in
-                      (addr, cap)
-                  | Error msg ->
-                      raise
-                        (Worker_failed
-                           (Printf.sprintf "worker host %s: %s"
-                              (Addr.to_string addr) msg)))
-                worker_hosts))
-      in
-
+      emit ();
       (match backend with
-      | Pool.Domains -> conduct_domains ()
-      | Pool.Processes -> conduct_workers (fun () -> Local_processes jobs)
-      | Pool.Sockets _ -> conduct_workers probe_hosts);
-
-      List.map
-        (fun rt ->
-          assert (
-            Array.for_all Fun.id
-              (Array.mapi
-                 (fun i d -> d || rt.quarantined.(i))
-                 rt.shard_done));
-          (* Deterministic merge: the serial loop's own construction.
-             Quarantined classes keep the No_effect placeholder —
-             callers must consult [quarantined] before treating the
-             scan as complete. *)
-          let scan =
-            Scan.of_outcomes ~variant:rt.cell.Runcell.spec.Spec.variant
-              ~ram_bytes:rt.cell.Runcell.ram_bytes
-              ~benign_weight:rt.cell.Runcell.benign_weight
-              ~slots:rt.cell.Runcell.slots rt.cell.Runcell.golden rt.classes
-              rt.outcomes
-          in
-          let quarantined =
-            List.rev_map
-              (fun (shard_id, attempts, cause) ->
-                let s = rt.plan.Shard.shards.(shard_id) in
-                {
-                  q_cell = Spec.label rt.cell.Runcell.spec;
-                  q_shard = shard_id;
-                  q_classes = Shard.classes_in s;
-                  q_class_indices =
-                    Array.init (Shard.classes_in s) (fun k ->
-                        rt.plan.Shard.order.(s.Shard.lo + k));
-                  q_attempts = attempts;
-                  q_cause = cause;
-                })
-              rt.q_info
-          in
-          (* Publish to the result store only what a future consult can
-             trust blindly: a freshly conducted cell whose every shard
-             completed and whose journal is on disk.  A quarantined cell
-             never publishes — its journal lacks the quarantined shards'
-             records, and serving it as a hit would launder a degraded
-             run into a complete one. *)
-          (match
-             (rt.cell.Runcell.spec.Spec.policy.Spec.acceleration.Spec.cache, rt.cache_key,
-              rt.journal_path)
-           with
-          | Some dir, Some key, Some path
-            when (not rt.from_cache)
-                 && quarantined = []
-                 && Array.for_all Fun.id rt.shard_done -> (
-              try Cache.publish ~dir ~key ~fingerprint:rt.fp ~path
-              with Sys_error _ | Unix.Unix_error _ -> ())
-          | _ -> ());
-          { scan; quarantined; cached = rt.from_cache })
-        rts_in_order)
+      | Pool.Domains -> conduct_domains ~jobs ~on_event ~emit rts
+      | Pool.Processes ->
+          conduct_workers ?secret ~on_event ~emit ~t0
+            ~seats:(fun () -> [| (Local, jobs) |])
+            rts
+      | Pool.Sockets _ ->
+          conduct_workers ?secret ~on_event ~emit ~t0
+            ~seats:(fun () -> probe_seats ?secret ~jobs hosts)
+            rts);
+      List.map finish rts)
 
 let scan_exn (r : result) =
   match r.quarantined with

@@ -45,8 +45,10 @@
     [shard_timeout], [max_retries > 0] or [quarantine]), the processes
     and sockets backends are {e self-healing} — campaigns complete,
     bit-identical to the serial scan, despite crashing, hanging or
-    stalling workers (for remote workers, SIGKILL becomes connection
-    teardown; the supervision logic is shared):
+    stalling workers.  One supervisor drives both over a table of
+    worker seats — the processes backend is one local host with [jobs]
+    seats, the sockets backend one host per daemon — and for remote
+    workers SIGKILL becomes connection teardown:
 
     - {b Deadlines.}  Workers heartbeat with [Door] frames (one per
       conducted class, throttled).  A worker that completes no shard
@@ -58,9 +60,9 @@
       the dispatch queue; the shard being conducted at death is
       charged a retry attempt only when the worker completed no shard
       of its assignment (a death after progress requeues without
-      burning budget).  Re-dispatch backs off exponentially
-      ([retry_backoff × 2ⁿ⁻¹]) and each shard's budget is
-      [max_retries].  Every retry is journaled as a supervision record,
+      burning budget).  Re-dispatch backs off exponentially from a
+      fixed 0.05 s base (0.05 × 2ⁿ⁻¹ s before the [n]-th retry) and
+      each shard's budget is [max_retries].  Every retry is journaled as a supervision record,
       so retry accounting survives [resume].
     - {b Quarantine.}  A shard that exhausts its budget is isolated
       when [quarantine] is set: the campaign completes, every other
@@ -72,9 +74,12 @@
 
     {!run_matrix_results} is the one entry point: it drives a whole
     experiment matrix (a list of specs; one cell is a one-element list)
-    with a per-cell journal each and one aggregate {!Progress.hook}
-    across the matrix, and returns each cell's quarantine report next
-    to its scan.  {!scan_exn} turns a result into a plain scan and
+    in three steps — set up each cell (result-store consult, journal
+    resume), conduct the pending shards, finish each cell (scan,
+    quarantine report, cache publish).  Each cell keeps one set of
+    counters; the single {!Progress.hook} sees their sum across the
+    matrix.  It returns each cell's quarantine report next to its
+    scan.  {!scan_exn} turns a result into a plain scan and
     never returns a silently degraded one: if anything was quarantined
     it raises {!Worker_failed}.
 
@@ -157,7 +162,6 @@ val fingerprint_spec : Spec.t -> int
 val run_matrix_results :
   ?backend:Pool.backend ->
   ?jobs:int ->
-  ?progress:(Spec.t -> Scan.progress) ->
   ?observe:Progress.hook ->
   ?on_event:(string -> unit) ->
   ?secret:string ->
@@ -183,14 +187,14 @@ val run_matrix_results :
     - [jobs] — worker count, resolved by {!Pool.resolve_jobs}: [0] (or
       omitted) means {!Pool.default_jobs}[ ()]; [1] runs inline, still
       sharded and journal-compatible with any other worker count.
-    - [progress] — per-cell campaign callback factory: called once per
-      spec at setup, and the resulting {!Scan.progress} observes that
-      cell like {!Scan.serial}'s would (once per conducted class, in
-      completion order, plus once up-front with the resumed count if
-      journal shards were recovered).
-    - [observe] — one aggregate {!Progress.hook} whose counters span the
-      whole matrix (total classes, shards, resumed classes and outcome
-      tally across all cells).
+    - [observe] — the one progress channel: a {!Progress.hook} called
+      once up front (resumed and cached shards already counted), after
+      every completed shard, and after every supervision retry, kill or
+      quarantine.  Each snapshot sums the cells' own counters across the
+      whole matrix (classes, shards, resumed classes, retries, kills,
+      quarantined shards and classes, outcome tally).  An exception it
+      raises aborts the run like a crash: journals are closed with
+      every shard completed so far, ready for [resume].
     - [on_event] — one human-readable line per supervision event (worker
       killed on deadline, shard retry dispatched, shard quarantined,
       domain-pool stall), as they happen; it defaults to silence.

@@ -93,14 +93,17 @@ let replay path =
       | header :: records, _, recovery -> Some (header, records, recovery)
       | [], _, _ -> None)
 
+(* A torn or CRC-invalid header is no journal at all, so [[]] is
+   matched before [Corrupt_record]. *)
 let open_resume path =
   match read_file path with
-  | None -> None
+  | None -> Ok None
   | Some text -> (
       match scan_prefix text with
-      | [], _, _ -> None
+      | [], _, _ -> Ok None
+      | _, _, Corrupt_record { line } -> Error line
       | header :: records, prefix_len, _ ->
           let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
           Unix.ftruncate fd prefix_len;
           ignore (Unix.lseek fd prefix_len Unix.SEEK_SET);
-          Some ({ fd; closed = false }, header, records))
+          Ok (Some ({ fd; closed = false }, header, records)))

@@ -12,9 +12,10 @@
     prefix ended ({!recovery}), which is what lets the engine tell a
     crash artifact (torn tail — resumable) from storage corruption
     (a complete line with a bad CRC — rejected loudly rather than
-    silently skewing weighted tallies).  {!open_resume} truncates the
-    file back to the valid prefix so that subsequent appends never merge
-    into a torn tail.
+    silently skewing weighted tallies).  {!open_resume} is the resume
+    gate: it refuses a corrupt journal untouched, and otherwise truncates
+    the file back to the valid prefix so that subsequent appends never
+    merge into a torn tail.
 
     The journal is format-agnostic — payload syntax belongs to the
     caller ({!Engine} stores one header record and one record per
@@ -61,11 +62,14 @@ val load : string -> (string * string list) option
 
 val replay : string -> (string * string list * recovery) option
 (** Like {!load}, read-only, but also reports how the valid prefix
-    ended.  This is the engine's resume gate: [Corrupt_record] makes it
-    reject the journal instead of silently dropping the suffix. *)
+    ended.  The result-store consult accepts only a [Clean] journal. *)
 
-val open_resume : string -> (writer * string * string list) option
-(** Like {!load}, but also truncates the file to the valid prefix and
-    returns a writer positioned there, ready to append the remaining
-    records.  Callers that must distinguish corruption from a torn tail
-    check {!replay} first — truncation destroys the evidence. *)
+val open_resume : string -> ((writer * string * string list) option, int) result
+(** The resume gate, in one read of the file.  [Ok (Some (w, header,
+    records))] is {!load}'s result plus a writer positioned at the end
+    of the valid prefix — the file is truncated there first, so a torn
+    tail never merges into the next append.  [Ok None] means no journal:
+    the file is missing, empty or its header record is torn or fails its
+    CRC.  [Error line] reports a {e complete} record at 1-based [line]
+    that fails its CRC ({!Corrupt_record}); the file is left untouched,
+    so the evidence survives the refusal. *)

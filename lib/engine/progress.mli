@@ -1,12 +1,13 @@
 (** Campaign observability: rates, ETA and live progress rendering.
 
-    The engine reports through two channels.  The per-class
-    {!Scan.progress} callback is shared with the serial conductors; this
-    module adds the engine's richer {e observability hook}: a {!snapshot}
-    of the whole campaign (shards, experiments/second, ETA, outcome
-    tallies) delivered after every completed class and shard.  Snapshots
-    are immutable copies — safe to retain, ship to another domain, or
-    render from a UI thread. *)
+    The engine reports through one channel, this module's
+    {e observability hook}: a {!snapshot} of the whole matrix (classes,
+    shards, experiments/second, ETA, outcome tallies, supervision
+    counters) delivered once up front, after every completed shard and
+    after every supervision event.  (The serial conductors keep their
+    own per-class {!Scan.progress} callback.)  Snapshots are immutable
+    copies — safe to retain, ship to another domain, or render from a
+    UI thread. *)
 
 type snapshot = {
   classes_done : int;  (** Classes complete, including resumed ones. *)

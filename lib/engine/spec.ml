@@ -15,7 +15,6 @@ type supervision = {
   shard_timeout : float option;
   max_retries : int;
   quarantine : bool;
-  retry_backoff : float;
 }
 
 type acceleration = { cache : string option; checkpoint_stride : int option }
@@ -31,8 +30,7 @@ let default_sharding = { shard_size = None; weighted = false }
 let default_durability = { journal = None; resume = false; catalogue = None }
 
 let default_supervision =
-  { shard_timeout = None; max_retries = 0; quarantine = false;
-    retry_backoff = 0.05 }
+  { shard_timeout = None; max_retries = 0; quarantine = false }
 
 let default_acceleration = { cache = None; checkpoint_stride = None }
 
@@ -46,11 +44,11 @@ let default_policy =
 
 let make_policy ?shard_size ?(weighted = false) ?journal ?(resume = false)
     ?catalogue ?shard_timeout ?(max_retries = 0) ?(quarantine = false)
-    ?(retry_backoff = 0.05) ?cache ?checkpoint_stride () =
+    ?cache ?checkpoint_stride () =
   {
     sharding = { shard_size; weighted };
     durability = { journal; resume; catalogue };
-    supervision = { shard_timeout; max_retries; quarantine; retry_backoff };
+    supervision = { shard_timeout; max_retries; quarantine };
     acceleration = { cache; checkpoint_stride };
   }
 

@@ -76,10 +76,9 @@ type supervision = {
           the cell: the campaign completes, the shard's classes stay
           unconducted, and the engine reports it in
           [Engine.result.quarantined].  With [quarantine = false] an
-          exhausted shard raises [Engine.Worker_failed] as before. *)
-  retry_backoff : float;
-      (** Base, in seconds, of the exponential backoff before a shard's
-          [n]-th retry dispatch: [retry_backoff *. 2. ** (n - 1)]. *)
+          exhausted shard raises [Engine.Worker_failed] as before.
+          Re-dispatch backs off exponentially from a fixed base (see
+          [Engine]). *)
 }
 
 type acceleration = {
@@ -115,7 +114,7 @@ val default_acceleration : acceleration
 val default_policy : policy
 (** No journal, no catalogue, no resume, count-sized default shards, no
     supervision ([shard_timeout = None], [max_retries = 0],
-    [quarantine = false], [retry_backoff = 0.05]), no result cache, and
+    [quarantine = false]), no result cache, and
     the default checkpoint stride — outcome-wise, the seed engine's
     exact behaviour. *)
 
@@ -128,7 +127,6 @@ val make_policy :
   ?shard_timeout:float ->
   ?max_retries:int ->
   ?quarantine:bool ->
-  ?retry_backoff:float ->
   ?cache:string ->
   ?checkpoint_stride:int ->
   unit ->

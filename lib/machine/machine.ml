@@ -646,7 +646,7 @@ let run m ~limit =
 
 let run_until m ~cycle = run_to m cycle
 
-let fork ?tracer m =
+let fork m =
   let serial = Buffer.create (Buffer.length m.serial + 64) in
   Buffer.add_buffer serial m.serial;
   {
@@ -654,7 +654,7 @@ let fork ?tracer m =
     ram = Bytes.copy m.ram;
     regs = Array.copy m.regs;
     serial;
-    tracer;
+    tracer = None;
     exec_tracer = None;
   }
 
@@ -699,7 +699,7 @@ module Snapshot = struct
       s_id = Atomic.fetch_and_add next_id 1;
     }
 
-  let restore s ~tracer : machine =
+  let restore s : machine =
     let serial = Buffer.create (String.length s.s_serial_tail + 64) in
     Buffer.add_string serial s.s_serial_tail;
     {
@@ -717,7 +717,7 @@ module Snapshot = struct
       serial;
       events = s.s_events;
       stop = s.s_stop;
-      tracer;
+      tracer = None;
       exec_tracer = None;
     }
 

@@ -158,10 +158,10 @@ val run_until : t -> cycle:int -> unit
     comes first.  Used to position the machine just before a
     fault-injection point. *)
 
-val fork : ?tracer:tracer -> t -> t
+val fork : t -> t
 (** [fork m] is an independent machine with identical state — the
     one-copy fusion of {!Snapshot.capture} followed by
-    {!Snapshot.restore}.  The fork does not inherit [m]'s tracers. *)
+    {!Snapshot.restore}.  The fork has no tracers. *)
 
 (** Deep-copyable machine state, for checkpoint-based campaign
     acceleration.  Serial output is stored as an immutable shared prefix
@@ -175,9 +175,10 @@ module Snapshot : sig
   val capture : machine -> t
   (** Freeze the complete machine state. *)
 
-  val restore : t -> tracer:tracer option -> machine
-  (** Materialise a fresh machine from the snapshot; the new machine is
-      independent of both the snapshot and the original. *)
+  val restore : t -> machine
+  (** Materialise a fresh machine from the snapshot, without tracers;
+      the new machine is independent of both the snapshot and the
+      original. *)
 
   val cycle : t -> int
   (** Cycle count at capture. *)

@@ -146,38 +146,6 @@ let figure3 () =
 (* Figure 2 (campaign-backed)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_pair ?cache_dir ?(progress = fun _ -> Scan.no_progress) ~name
-    ~baseline ~hardened () =
-  let run variant build =
-    let cache_file =
-      Option.map
-        (fun dir -> Filename.concat dir (Printf.sprintf "%s-%s.csv" name variant))
-        cache_dir
-    in
-    let cached =
-      match cache_file with
-      | Some f when Sys.file_exists f -> (
-          match Csv_io.load f with Ok scan -> Some scan | Error _ -> None)
-      | Some _ | None -> None
-    in
-    match cached with
-    | Some scan -> scan
-    | None ->
-        let golden = Golden.run (build ()) in
-        let scan =
-          Scan.pruned ~variant
-            ~progress:(progress (name ^ "/" ^ variant))
-            golden
-        in
-        (match cache_file with
-        | Some f ->
-            (try Csv_io.save f scan
-             with Sys_error _ -> () (* cache is best-effort *))
-        | None -> ());
-        scan
-  in
-  (run "baseline" baseline, run "sum+dmr" hardened)
-
 let figure2 pairs =
   let buf = Buffer.create 4096 in
   let panel title render =

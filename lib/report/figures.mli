@@ -2,8 +2,8 @@
 
     Each function renders one artifact as plain text; the benchmark
     harness ([bench/main.exe]) and the CLI ([fi-cli report]) both drive
-    these.  Campaign-backed artifacts take the scans as input — use
-    {!run_pair} (which caches results as CSV) to obtain them. *)
+    these.  Campaign-backed artifacts take the scans as input; the
+    callers obtain them from the campaign engine. *)
 
 val table1 : unit -> string
 (** Table I: Poisson probabilities for k = 0…5 independent faults hitting
@@ -21,18 +21,6 @@ val figure3 : unit -> string
 (** Figure 3 and the Section IV numbers: full fault-space scans of the
     "Hi" program and its DFT/DFT′/memory-diluted variants; outcome maps;
     fault coverage inflating 62.5 % → 75.0 % while F stays 48. *)
-
-val run_pair :
-  ?cache_dir:string ->
-  ?progress:(string -> Scan.progress) ->
-  name:string ->
-  baseline:(unit -> Program.t) ->
-  hardened:(unit -> Program.t) ->
-  unit ->
-  Scan.t * Scan.t
-(** Full pruned campaigns for a baseline/hardened pair.  With
-    [cache_dir], results are stored as CSV and reloaded on the next call
-    (campaigns take minutes; the cache makes reports cheap). *)
 
 val figure2 : (string * Scan.t * Scan.t) list -> string
 (** Figure 2, all panels the paper's text references, from the given

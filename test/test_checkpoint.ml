@@ -68,7 +68,7 @@ let test_ladder_watermarks () =
         (Printf.sprintf "snap %d cycle" idx)
         ((idx + 1) * stride)
         (Machine.Snapshot.cycle snap);
-      let r = Machine.Snapshot.restore snap ~tracer:None in
+      let r = Machine.Snapshot.restore snap in
       (* The length watermark was resolved against the final output:
          a restored machine reports exactly the prefix emitted by
          capture time, without ever having copied it per checkpoint. *)
@@ -218,8 +218,9 @@ let test_resume_stride_churn () =
       in
       (match
          Drive.scan ~jobs:1
-           ~progress:(fun ~done_ ~total ~tally:_ ->
-             if done_ > total / 3 then raise Killed)
+           ~observe:(fun s ->
+             if s.Progress.classes_done > s.Progress.classes_total / 3 then
+               raise Killed)
            (spec ~resume:false ~stride:8)
        with
       | _ -> Alcotest.fail "expected the campaign to be killed"

@@ -180,11 +180,11 @@ let test_journal_tolerates_torn_tail () =
       | None -> Alcotest.fail "load failed");
       (* open_resume truncates the torn tail and appends cleanly. *)
       (match Journal.open_resume path with
-      | Some (w, _, records) ->
+      | Ok (Some (w, _, records)) ->
           Alcotest.(check int) "records survive" 1 (List.length records);
           Journal.append w "after-resume";
           Journal.close w
-      | None -> Alcotest.fail "open_resume failed");
+      | Ok None | Error _ -> Alcotest.fail "open_resume failed");
       match Journal.load path with
       | Some (_, records) ->
           Alcotest.(check (list string)) "clean append after truncation"
@@ -286,25 +286,28 @@ let qcheck_engine_equals_serial =
 
 let test_engine_progress_interface () =
   let golden = Lazy.force hi_golden in
-  let calls = ref 0 in
-  let last_done = ref 0 in
   let snapshots = ref [] in
   ignore
     (Drive.scan ~jobs:1
-       ~progress:(fun ~done_ ~total ~tally ->
-         incr calls;
-         Alcotest.(check bool) "done_ monotonic" true (done_ > !last_done);
-         last_done := done_;
-         Alcotest.(check int) "total" 2 total;
-         Alcotest.(check int) "tally tracks done_" (8 * done_)
-           (Outcome.tally_total tally))
        ~observe:(fun snap -> snapshots := snap :: !snapshots)
        (Spec.of_golden golden));
-  Alcotest.(check int) "one progress call per class" 2 !calls;
-  Alcotest.(check int) "final done_" 2 !last_done;
+  ignore
+    (List.fold_left
+       (fun last (s : Progress.snapshot) ->
+         Alcotest.(check bool) "classes_done monotonic" true
+           (s.Progress.classes_done >= last);
+         Alcotest.(check int) "total" 2 s.Progress.classes_total;
+         Alcotest.(check int) "tally tracks classes_done"
+           (8 * s.Progress.classes_done)
+           (Outcome.tally_total s.Progress.tally);
+         s.Progress.classes_done)
+       0 (List.rev !snapshots));
   match !snapshots with
   | [] -> Alcotest.fail "observe never called"
   | final :: _ ->
+      Alcotest.(check int) "one snapshot up front, then one per shard"
+        (final.Progress.shards_total + 1)
+        (List.length !snapshots);
       Alcotest.(check bool) "finished" true (Progress.finished final);
       Alcotest.(check int) "all experiments" 16 final.Progress.experiments_done;
       Alcotest.(check int) "no resumed classes" 0 final.Progress.resumed_classes;
@@ -394,18 +397,18 @@ let test_resume_truncated_journal () =
 exception Killed
 
 let test_resume_after_crash () =
-  (* Kill the campaign from inside (the progress callback raises once
-     enough classes are done) and verify the journal's durable prefix
-     resumes to the identical result. *)
+  (* Kill the campaign from inside (the observe hook raises once enough
+     classes are done) and verify the journal's durable prefix resumes
+     to the identical result. *)
   let golden = Lazy.force flag1_golden in
   let serial = Lazy.force flag1_serial in
   with_temp_file (fun path ->
       let classes_at_kill = ref 0 in
       (match
          Drive.scan ~jobs:2
-           ~progress:(fun ~done_ ~total ~tally:_ ->
-             if done_ > total / 3 then begin
-               classes_at_kill := done_;
+           ~observe:(fun s ->
+             if s.Progress.classes_done > s.Progress.classes_total / 3 then begin
+               classes_at_kill := s.Progress.classes_done;
                raise Killed
              end)
            (spec ~journal:path golden)
@@ -449,6 +452,26 @@ let test_resume_wrong_campaign () =
       with
       | _ -> Alcotest.fail "expected Journal_mismatch (shard_size)"
       | exception Engine.Journal_mismatch _ -> ())
+
+(* A refused resume closes the journal it reopened: a malformed shard
+   record must not leak one descriptor per attempt. *)
+let test_refused_resume_closes_journal () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let golden = Lazy.force hi_golden in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  with_temp_file (fun path ->
+      ignore (Drive.scan ~jobs:1 (spec ~journal:path golden));
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      output_string oc (Journal.encode_line "shard=0 outcomes=zz" ^ "\n");
+      close_out oc;
+      let before = open_fds () in
+      for _ = 1 to 5 do
+        match Drive.scan ~jobs:1 (spec ~journal:path ~resume:true golden) with
+        | _ -> Alcotest.fail "expected Journal_mismatch"
+        | exception Engine.Journal_mismatch _ -> ()
+      done;
+      Alcotest.(check int) "descriptors after five refusals" before
+        (open_fds ()))
 
 let test_resume_missing_journal_starts_fresh () =
   let golden = Lazy.force hi_golden in
@@ -525,6 +548,8 @@ let suite =
       Alcotest.test_case "resume after crash" `Slow test_resume_after_crash;
       Alcotest.test_case "resume rejects foreign journal" `Quick
         test_resume_wrong_campaign;
+      Alcotest.test_case "refused resume closes the journal" `Quick
+        test_refused_resume_closes_journal;
       Alcotest.test_case "resume without journal file" `Quick
         test_resume_missing_journal_starts_fresh;
       Alcotest.test_case "oracle samplers agree" `Slow test_oracle_samplers_agree;

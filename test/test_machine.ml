@@ -329,7 +329,7 @@ let test_snapshot_equivalence () =
   let m2 = Machine.create loop_program in
   Machine.run_until m2 ~cycle:37;
   let snap = Machine.Snapshot.capture m2 in
-  let m3 = Machine.Snapshot.restore snap ~tracer:None in
+  let m3 = Machine.Snapshot.restore snap in
   ignore (Machine.run m3 ~limit:10_000);
   Alcotest.(check int) "cycles equal" (Machine.cycle m1) (Machine.cycle m3);
   Alcotest.(check int) "ram equal" (Machine.read_ram_byte m1 0)
@@ -339,7 +339,7 @@ let test_snapshot_isolation () =
   let m = Machine.create loop_program in
   Machine.run_until m ~cycle:20;
   let snap = Machine.Snapshot.capture m in
-  let fork = Machine.Snapshot.restore snap ~tracer:None in
+  let fork = Machine.Snapshot.restore snap in
   Machine.flip_bit fork 0;
   Alcotest.(check bool) "original unaffected" true
     (Machine.read_ram_byte m 0 <> Machine.read_ram_byte fork 0

@@ -137,31 +137,6 @@ let test_ablation () =
   let text = Figures.ablation [ ("hi", scan) ] in
   Alcotest.(check bool) "has MWTF column" true (contains text "MWTF")
 
-let test_run_pair_cache () =
-  let dir = Filename.temp_file "fipit" "" in
-  Sys.remove dir;
-  Unix_mkdir.mkdir dir;
-  let calls = ref 0 in
-  let build () =
-    incr calls;
-    Hi.program ()
-  in
-  let sb1, _ =
-    Figures.run_pair ~cache_dir:dir ~name:"hi" ~baseline:build
-      ~hardened:(fun () -> Hi.dft ())
-      ()
-  in
-  let calls_after_first = !calls in
-  let sb2, _ =
-    Figures.run_pair ~cache_dir:dir ~name:"hi" ~baseline:build
-      ~hardened:(fun () -> Hi.dft ())
-      ()
-  in
-  Alcotest.(check int) "builder not re-invoked" calls_after_first !calls;
-  Alcotest.(check int) "same results from cache"
-    (Metrics.failure_count sb1)
-    (Metrics.failure_count sb2)
-
 let suite =
   ( "report",
     [
@@ -180,5 +155,4 @@ let suite =
       Alcotest.test_case "pitfall 3 figure" `Quick test_pitfall3_figure;
       Alcotest.test_case "figure 2 renders" `Quick test_figure2_renders;
       Alcotest.test_case "ablation" `Quick test_ablation;
-      Alcotest.test_case "run_pair cache" `Quick test_run_pair_cache;
     ] )

@@ -245,6 +245,38 @@ let test_scan_only_raises_on_quarantine () =
       Alcotest.(check bool) "message reports the quarantine" true
         (contains msg "quarantined")
 
+(* The matrix snapshot sums each cell's quarantine counters: shard 1
+   poisoned in each of two cells is two quarantined shards, and the
+   final snapshot still accounts for every class. *)
+let test_quarantine_counters_in_snapshot () =
+  let golden = Lazy.force hi_golden in
+  let spec variant =
+    Spec.of_golden ~variant
+      ~policy:(sup_policy ~max_retries:0 ~quarantine:true ())
+      golden
+  in
+  let final = ref None in
+  let results =
+    with_torture "poison:1" (fun () ->
+        Engine.run_matrix_results ~backend:Pool.Processes ~jobs:2
+          ~observe:(fun s -> final := Some s)
+          [ spec "baseline"; spec "copy" ])
+  in
+  let qs = List.concat_map (fun r -> r.Engine.quarantined) results in
+  Alcotest.(check int) "one quarantined shard per cell" 2 (List.length qs);
+  match !final with
+  | None -> Alcotest.fail "observe never called"
+  | Some s ->
+      Alcotest.(check int) "quarantined_shards" (List.length qs)
+        s.Progress.quarantined_shards;
+      Alcotest.(check int) "quarantined_classes"
+        (List.fold_left (fun n q -> n + q.Engine.q_classes) 0 qs)
+        s.Progress.quarantined_classes;
+      Alcotest.(check int) "classes_done + quarantined_classes"
+        s.Progress.classes_total
+        (s.Progress.classes_done + s.Progress.quarantined_classes);
+      Alcotest.(check bool) "finished" true (Progress.finished s)
+
 (* ------------------------------------------------------------------ *)
 (* journal_finished and catalogue compaction                          *)
 (* ------------------------------------------------------------------ *)
@@ -360,6 +392,8 @@ let suite =
         test_poison_quarantine_and_resume;
       Alcotest.test_case "scan-only API raises on quarantine" `Quick
         test_scan_only_raises_on_quarantine;
+      Alcotest.test_case "quarantine counters in the matrix snapshot" `Quick
+        test_quarantine_counters_in_snapshot;
       Alcotest.test_case "journal_finished taxonomy" `Quick
         test_journal_finished;
       Alcotest.test_case "catalogue compaction" `Quick test_catalog_compact;
