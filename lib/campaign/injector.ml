@@ -31,7 +31,7 @@ let default_stride = 128
 type plan = {
   ladder : Machine.Snapshot.t array; (* ascending cycles, running states *)
   ladder_cycles : int array;
-  ram_live : int array array; (* per ladder entry: live-in RAM bytes *)
+  ram_live : Machine.live_ram array; (* per ladder entry: live-in RAM *)
   reg_mask : int array; (* per ladder entry: live-in register bitmask *)
 }
 
@@ -92,7 +92,7 @@ let build_plan golden ~stride =
   let ram_acc = Array.make ram_size [] in
   Trace.iter_byte_accesses golden.Golden.trace (fun ~byte ~cycle ~kind ->
       ram_acc.(byte) <- (cycle, kind = Trace.Read) :: ram_acc.(byte));
-  let live_lists = Array.make nl [] in
+  let masks = Array.init nl (fun _ -> Bytes.make ram_size '\000') in
   for b = ram_size - 1 downto 0 do
     let accesses =
       List.sort
@@ -101,7 +101,7 @@ let build_plan golden ~stride =
         (List.rev ram_acc.(b))
     in
     fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        live_lists.(i) <- b :: live_lists.(i))
+        Bytes.set masks.(i) b '\xff')
   done;
   let reg_mask = Array.make nl 0 in
   for r = 1 to 15 do
@@ -112,7 +112,7 @@ let build_plan golden ~stride =
     {
       ladder;
       ladder_cycles;
-      ram_live = Array.map Array.of_list live_lists;
+      ram_live = Array.map Machine.live_ram masks;
       reg_mask;
     } )
 

@@ -330,8 +330,9 @@ let skip_next m =
    instructions.  Code therefore compiles once per program into
    closures specialised on their operands — register indices,
    immediates and branch targets resolved, static control transfers
-   bounds-checked, in-RAM loads and stores inline — chained into
-   blocks.
+   bounds-checked, in-RAM loads and stores inline and word-wide, every
+   ALU op but [divu]/[remu] its own closure, two constant idioms fused
+   (see [idiom]) — chained into blocks.
 
    A block ends at a control transfer ([Beq], [Jmp], [Jal], [Jr],
    [Halt]), at the last instruction and at every [block_cap]-th pc.
@@ -376,6 +377,92 @@ let slow_store m ~pc ~k store addr v =
   store m addr v;
   m.cyc <- m.cyc + k
 
+(* RAM words are little-endian on every host: one 32-bit access, byte
+   swapped on a big-endian one. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] ram_word ram addr =
+  let w = get32u ram addr in
+  Int32.to_int (if Sys.big_endian then bswap32 w else w) land mask32
+
+let[@inline] set_ram_word ram addr v =
+  let w = Int32.of_int v in
+  set32u ram addr (if Sys.big_endian then bswap32 w else w)
+
+(* [op] with a constant right operand [v], after writing [w] to
+   register slot [wr]: the [Alui] closures, and those of [li r, c; op
+   rd, ra, r] fused with [wr = dst r].  A plain [Alui] writes the [r0]
+   sink, which nothing reads.  [Divu] and [Remu] come here only with
+   [v <> 0]. *)
+let imm_op ~wr ~w op d a v next : t -> unit =
+  match (op : Isa.alu_op) with
+  | Add ->
+      fun m ->
+        set m wr w;
+        set m d (to_u32 (get m a + v));
+        next m
+  | Sub ->
+      fun m ->
+        set m wr w;
+        set m d (to_u32 (get m a - v));
+        next m
+  | Mul ->
+      fun m ->
+        set m wr w;
+        set m d (to_u32 (get m a * v));
+        next m
+  | And ->
+      fun m ->
+        set m wr w;
+        set m d (get m a land v);
+        next m
+  | Or ->
+      fun m ->
+        set m wr w;
+        set m d (get m a lor v);
+        next m
+  | Xor ->
+      fun m ->
+        set m wr w;
+        set m d (get m a lxor v);
+        next m
+  | Shl ->
+      let s = v land 31 in
+      fun m ->
+        set m wr w;
+        set m d (to_u32 (get m a lsl s));
+        next m
+  | Shr ->
+      let s = v land 31 in
+      fun m ->
+        set m wr w;
+        set m d (get m a lsr s);
+        next m
+  | Sar ->
+      let s = v land 31 in
+      fun m ->
+        set m wr w;
+        set m d (to_u32 (signed (get m a) asr s));
+        next m
+  | Slt ->
+      let v = signed v in
+      fun m ->
+        set m wr w;
+        set m d (if signed (get m a) < v then 1 else 0);
+        next m
+  | Sltu ->
+      fun m ->
+        set m wr w;
+        set m d (if get m a < v then 1 else 0);
+        next m
+  | Divu | Remu ->
+      fun m ->
+        set m wr w;
+        set m d (alu_eval op (get m a) v);
+        next m
+
 let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
   let valid t = t >= 0 && t < code_len in
   let fall = pc + 1 in
@@ -401,6 +488,10 @@ let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
           fun m ->
             set m d (to_u32 (get m a - get m b));
             next m
+      | Mul ->
+          fun m ->
+            set m d (to_u32 (get m a * get m b));
+            next m
       | And ->
           fun m ->
             set m d (get m a land get m b);
@@ -413,44 +504,37 @@ let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
           fun m ->
             set m d (get m a lxor get m b);
             next m
+      | Shl ->
+          fun m ->
+            set m d (to_u32 (get m a lsl (get m b land 31)));
+            next m
+      | Shr ->
+          fun m ->
+            set m d (get m a lsr (get m b land 31));
+            next m
+      | Sar ->
+          fun m ->
+            set m d (to_u32 (signed (get m a) asr (get m b land 31)));
+            next m
+      | Slt ->
+          fun m ->
+            set m d (if signed (get m a) < signed (get m b) then 1 else 0);
+            next m
+      | Sltu ->
+          fun m ->
+            set m d (if get m a < get m b then 1 else 0);
+            next m
       | Divu | Remu ->
           fun m ->
             let y = get m b in
             if y = 0 then trap_at m ~pc ~k Division_by_zero;
             set m d (alu_eval op (get m a) y);
-            next m
-      | op ->
-          fun m ->
-            set m d (alu_eval op (get m a) (get m b));
             next m)
   | Alui (op, rd, rs1, imm) -> (
-      let d = dst rd and a = src rs1 and v = imm32 imm in
+      let v = imm32 imm in
       match (op : Isa.alu_op) with
-      | Add ->
-          fun m ->
-            set m d (to_u32 (get m a + v));
-            next m
-      | Sub ->
-          fun m ->
-            set m d (to_u32 (get m a - v));
-            next m
-      | And ->
-          fun m ->
-            set m d (get m a land v);
-            next m
-      | Or ->
-          fun m ->
-            set m d (get m a lor v);
-            next m
-      | Xor ->
-          fun m ->
-            set m d (get m a lxor v);
-            next m
       | (Divu | Remu) when v = 0 -> fun m -> trap_at m ~pc ~k Division_by_zero
-      | op ->
-          fun m ->
-            set m d (alu_eval op (get m a) v);
-            next m)
+      | op -> imm_op ~wr:16 ~w:0 op (dst rd) (src rs1) v next)
   | Lb (rd, rs, off) ->
       let d = dst rd and s = src rs and off = Int32.to_int off in
       fun m ->
@@ -473,11 +557,7 @@ let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
              (match m.tracer with
              | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:4 ~kind:Read
              | None -> ());
-             let ram = m.ram in
-             Char.code (Bytes.unsafe_get ram addr)
-             lor (Char.code (Bytes.unsafe_get ram (addr + 1)) lsl 8)
-             lor (Char.code (Bytes.unsafe_get ram (addr + 2)) lsl 16)
-             lor (Char.code (Bytes.unsafe_get ram (addr + 3)) lsl 24)
+             ram_word m.ram addr
            end
            else slow_load m ~pc ~k load_word addr);
         next m
@@ -501,11 +581,7 @@ let compile_instr ~ram_size ~code_len ~pc ~k ~next instr : t -> unit =
            (match m.tracer with
            | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:4 ~kind:Write
            | None -> ());
-           let x = get m v and ram = m.ram in
-           Bytes.unsafe_set ram addr (Char.unsafe_chr (x land 0xFF));
-           Bytes.unsafe_set ram (addr + 1) (Char.unsafe_chr ((x lsr 8) land 0xFF));
-           Bytes.unsafe_set ram (addr + 2) (Char.unsafe_chr ((x lsr 16) land 0xFF));
-           Bytes.unsafe_set ram (addr + 3) (Char.unsafe_chr ((x lsr 24) land 0xFF))
+           set_ram_word m.ram addr (get m v)
          end
          else slow_store m ~pc ~k store_word addr (get m v));
         next m
@@ -551,6 +627,80 @@ let ends_block (instr : Isa.instr) =
   | Beq _ | Jmp _ | Jal _ | Jr _ | Halt -> true
   | Nop | Li _ | Alu _ | Alui _ | Lb _ | Lw _ | Sb _ | Sw _ -> false
 
+let block_last code pc =
+  ends_block code.(pc)
+  || pc + 1 = Array.length code
+  || (pc + 1) mod block_cap = 0
+
+(* Idioms whose instructions compile into one closure, at the pc of
+   their [li]: two or three instructions of one block, the constant
+   folded into its consumer.
+
+   - [li r, c; op rd, ra, r] with [ra <> r] and [op] neither [Divu] nor
+     [Remu], which could trap;
+   - [li r, c; shli r2, r, s; lw rd, off(r2)] when the loaded address
+     is constant, aligned and in RAM, so the load can neither trap nor
+     reach MMIO: the code generator's constant-index global load.
+
+   A fused closure writes every register in order and reports its load
+   to the tracer at the load's own cycle.  It sits only at the [li]'s
+   pc: the pcs behind it keep their own closures, for runs that enter
+   the block there. *)
+type idiom =
+  | Li_op of { r : int; c : int; v : int; op : Isa.alu_op; d : int; a : int }
+  | Li_shl_lw of { r : int; c : int; r2 : int; v2 : int; d : int; addr : int }
+
+(* The value a read of [r] sees after writing [v] to it. *)
+let written r v = if Isa.reg_index r = 0 then 0 else v
+
+let same r r' = Isa.reg_index r = Isa.reg_index r'
+
+let idiom ~ram_size code pc =
+  match code.(pc) with
+  | Isa.Li (r, c) when not (block_last code pc) -> (
+      let c = imm32 c in
+      match code.(pc + 1) with
+      | Isa.Alu (op, rd, ra, rb)
+        when same rb r && not (same ra r) && op <> Isa.Divu && op <> Isa.Remu ->
+          Some
+            (Li_op { r = dst r; c; v = written r c; op; d = dst rd; a = src ra })
+      | Isa.Alui (Isa.Shl, r2, rs, s)
+        when same rs r && not (block_last code (pc + 1)) -> (
+          let v2 = to_u32 (written r c lsl (imm32 s land 31)) in
+          match code.(pc + 2) with
+          | Isa.Lw (rd, rb, off) when same rb r2 ->
+              let addr = to_u32 (written r2 v2 + Int32.to_int off) in
+              if addr land 3 = 0 && addr + 3 < ram_size then
+                Some
+                  (Li_shl_lw
+                     { r = dst r; c; r2 = dst r2; v2; d = dst rd; addr })
+              else None
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
+let idiom_length = function Li_op _ -> 2 | Li_shl_lw _ -> 3
+
+let fused_length (prog : Program.t) pc =
+  match idiom ~ram_size:prog.Program.ram_size prog.Program.code pc with
+  | None -> 1
+  | Some i -> idiom_length i
+
+(* [k] places the [li] before its block's end; [next] follows the
+   idiom's last instruction. *)
+let compile_idiom ~k ~next = function
+  | Li_op { r; c; v; op; d; a } -> imm_op ~wr:r ~w:c op d a v next
+  | Li_shl_lw { r; c; r2; v2; d; addr } ->
+      let k = k - 2 in
+      fun m ->
+        set m r c;
+        set m r2 v2;
+        (match m.tracer with
+        | Some f -> f ~cycle:(m.cyc - k) ~addr ~width:4 ~kind:Read
+        | None -> ());
+        set m d (ram_word m.ram addr);
+        next m
+
 (* Compiled back to front, so each closure can capture its successor. *)
 let compile_program (prog : Program.t) =
   let code = prog.Program.code in
@@ -560,19 +710,21 @@ let compile_program (prog : Program.t) =
   let xcode =
     Array.make (code_len + 1) (fun _ -> raise (Stop (Trapped (Bad_pc code_len))))
   in
+  (* The closure that runs after the instruction at [pc]. *)
+  let after pc =
+    if block_last code pc then
+      let fall = pc + 1 in
+      fun m -> m.pc <- fall
+    else xcode.(pc + 1)
+  in
   for pc = code_len - 1 downto 0 do
-    let last =
-      ends_block code.(pc) || pc + 1 = code_len || (pc + 1) mod block_cap = 0
-    in
-    let k = if last then 0 else blen.(pc + 1) in
-    let next =
-      if last then
-        let fall = pc + 1 in
-        fun m -> m.pc <- fall
-      else xcode.(pc + 1)
-    in
+    let k = if block_last code pc then 0 else blen.(pc + 1) in
     blen.(pc) <- k + 1;
-    xcode.(pc) <- compile_instr ~ram_size ~code_len ~pc ~k ~next code.(pc)
+    xcode.(pc) <-
+      (match idiom ~ram_size code pc with
+      | Some i -> compile_idiom ~k ~next:(after (pc + idiom_length i - 1)) i
+      | None ->
+          compile_instr ~ram_size ~code_len ~pc ~k ~next:(after pc) code.(pc))
   done;
   (xcode, blen)
 
@@ -779,6 +931,30 @@ let run_checkpointed m ~stride ~limit =
   in
   (stop, Array.of_list snaps)
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+type live_ram = { mask : Bytes.t; words : int array }
+
+(* The 8-byte windows that hold a live byte: every aligned word, and,
+   when the size is not a multiple of 8, the window ending at the last
+   byte, which covers the partial word without reading past it. *)
+let live_ram mask =
+  let n = Bytes.length mask in
+  let words = ref [] in
+  if n >= 8 then begin
+    let full = n land lnot 7 in
+    let rec partial b =
+      b < n && (Bytes.get mask b <> '\000' || partial (b + 1))
+    in
+    if partial full then words := [ n - 8 ];
+    let o = ref (full - 8) in
+    while !o >= 0 do
+      if get64u mask !o <> 0L then words := !o :: !words;
+      o := !o - 8
+    done
+  end;
+  { mask; words = Array.of_list !words }
+
 let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
   m.cyc = s.Snapshot.s_cyc
   && m.pc = s.Snapshot.s_pc
@@ -795,16 +971,28 @@ let converges_with m (s : Snapshot.t) ~ram_live ~reg_mask =
       in
       go 1)
   &&
-  let sram = s.Snapshot.s_ram in
-  let ram = m.ram in
-  let n = Array.length ram_live in
-  let rec go i =
-    i >= n
-    ||
-    let b = Array.unsafe_get ram_live i in
-    Char.equal (Bytes.unsafe_get ram b) (Bytes.unsafe_get sram b) && go (i + 1)
-  in
-  go 0
+  let sram = s.Snapshot.s_ram and ram = m.ram and mask = ram_live.mask in
+  let n = Bytes.length mask in
+  if n <> Bytes.length ram then
+    invalid_arg "Machine.converges_with: live mask and RAM sizes differ";
+  if n < 8 then
+    let rec go b =
+      b >= n
+      || (Bytes.get mask b = '\000' || Bytes.get ram b = Bytes.get sram b)
+         && go (b + 1)
+    in
+    go 0
+  else
+    let words = ram_live.words in
+    let rec go i =
+      i >= Array.length words
+      ||
+      let o = Array.unsafe_get words i in
+      Int64.logand (Int64.logxor (get64u ram o) (get64u sram o)) (get64u mask o)
+      = 0L
+      && go (i + 1)
+    in
+    go 0
 
 let add_varint buf n =
   let rec go n =
@@ -858,8 +1046,7 @@ let encode_diff buf m (s : Snapshot.t) =
   let words = n land lnot 7 in
   let i = ref 0 in
   while !i < words do
-    if not (Int64.equal (Bytes.get_int64_ne ram !i) (Bytes.get_int64_ne sram !i))
-    then add_bytes !i (!i + 8);
+    if get64u ram !i <> get64u sram !i then add_bytes !i (!i + 8);
     i := !i + 8
   done;
   add_bytes words n

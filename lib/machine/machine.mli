@@ -26,7 +26,9 @@
     [Jal], [Jr], [Halt]) or at every 16th pc.  Each instruction is a
     closure specialised on its operands that tail-calls its
     successor's, so the run loop checks the cycle budget and charges
-    the cycles once per block.  Traps, MMIO stores and tracer calls
+    the cycles once per block.  In-RAM words load and store in one
+    access, and two constant idioms run as one closure (see
+    {!fused_length}).  Traps, MMIO stores and tracer calls
     see the exact pc and cycle of their instruction.  A block that
     does not fit the remaining budget runs on {!step}, one instruction
     at a time, so runs stop on the exact cycle asked for.  The test
@@ -158,6 +160,14 @@ val run_until : t -> cycle:int -> unit
     comes first.  Used to position the machine just before a
     fault-injection point. *)
 
+val fused_length : Program.t -> int -> int
+(** [fused_length prog pc] is how many instructions from [pc] on the
+    compiled interpreter runs as one closure: 2 for [li r, c; op rd,
+    ra, r] ([ra <> r], [op] not [divu]/[remu]), 3 for [li r, c; shli
+    r2, r, s; lw rd, off(r2)] loading a constant, aligned in-RAM
+    address, 1 otherwise.  Fusion stays inside a block and does not
+    change cycles, traps, tracer calls or the pcs a run can stop at. *)
+
 val fork : t -> t
 (** [fork m] is an independent machine with identical state — the
     one-copy fusion of {!Snapshot.capture} followed by
@@ -202,12 +212,22 @@ val run_checkpointed :
 
     @raise Invalid_argument if [stride <= 0]. *)
 
+type live_ram
+(** A set of live-in RAM bytes, laid out for {!converges_with}: a byte
+    mask the size of RAM and the offsets of the 8-byte windows that
+    hold a live byte. *)
+
+val live_ram : Bytes.t -> live_ram
+(** [live_ram mask]: the bytes where [mask] is non-zero are live.
+    [mask] must be as long as the RAM it will be compared on, and is
+    not copied. *)
+
 val converges_with :
-  t -> Snapshot.t -> ram_live:int array -> reg_mask:int -> bool
+  t -> Snapshot.t -> ram_live:live_ram -> reg_mask:int -> bool
 (** [converges_with m snap ~ram_live ~reg_mask]: does running machine
     [m] agree with checkpoint [snap] on everything that can influence
     future execution — pc, cycle count, the registers whose bit is set
-    in [reg_mask] and the RAM bytes listed in [ram_live]?  The masks
+    in [reg_mask] and the RAM bytes live in [ram_live]?  The masks
     must name (at least) every location the checkpoint's run still
     {e reads before overwriting} — its live-in set; locations the run
     overwrites first, or never touches again, may disagree freely.  On
@@ -217,7 +237,11 @@ val converges_with :
     rewritten — identically, by induction — before being read), so the
     same instructions run with the same operands.  Serial output and
     detection events are deliberately not compared — they record the
-    past, not the future. *)
+    past, not the future.  RAM is compared a masked 64-bit word at a
+    time.
+
+    @raise Invalid_argument if [ram_live] was built for another RAM
+    size. *)
 
 val encode_diff : Buffer.t -> t -> Snapshot.t -> unit
 (** [encode_diff buf m snap] appends an exact sparse encoding of [m]'s

@@ -108,7 +108,21 @@ let test_word_endianness () =
   in
   let m, _ = run p in
   Alcotest.(check int32) "little-endian low byte" 0x44l (Machine.reg m (r 2));
-  Alcotest.(check int32) "high byte" 0x11l (Machine.reg m (r 3))
+  Alcotest.(check int32) "high byte" 0x11l (Machine.reg m (r 3));
+  (* Word loads assemble bytes little-endian too, on every host. *)
+  let p =
+    program
+      [
+        Isa.Li (r 1, 0x44l);
+        Isa.Sb (r 1, r 0, 8l);
+        Isa.Li (r 1, 0x11l);
+        Isa.Sb (r 1, r 0, 11l);
+        Isa.Lw (r 2, r 0, 8l);
+        Isa.Halt;
+      ]
+  in
+  let m, _ = run p in
+  Alcotest.(check int32) "word from bytes" 0x11000044l (Machine.reg m (r 2))
 
 let test_misaligned_word () =
   let p = program [ Isa.Li (r 1, 1l); Isa.Sw (r 1, r 0, 2l); Isa.Halt ] in
@@ -545,6 +559,139 @@ let test_differential_edges () =
       done)
     edge_programs
 
+(* ------------------------------------------------------------------ *)
+(* Fused idioms                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let shli rd rs s = Isa.Alui (Isa.Shl, r rd, r rs, Int32.of_int s)
+let lw rd rs off = Isa.Lw (r rd, r rs, Int32.of_int off)
+
+(* [groups] after a straight-line prelude that fills RAM words 0-28,
+   then a halt.  [nop]s pad each group to end a block (the compiler's
+   blocks end at every 16th pc), so a run that stops at a block end
+   sees what the group's closure did.  Each group comes with the
+   {!Machine.fused_length} expected at its first pc. *)
+let fused_program ?(ram_size = 64) groups =
+  let code = ref (line 4) and expect = ref [] in
+  List.iter
+    (fun (group, fused) ->
+      let pos = List.length !code and len = List.length group in
+      let pad = (16 - ((pos + len) mod 16)) mod 16 in
+      code := !code @ List.init pad (fun _ -> Isa.Nop);
+      expect := (List.length !code, fused) :: !expect;
+      code := !code @ group)
+    groups;
+  ( program ~rom:(Bytes.of_string "ROMDATA!") ~ram_size
+      (!code @ line 1 @ [ Isa.Halt ]),
+    List.rev !expect )
+
+let all_ops =
+  Isa.[ Add; Sub; Mul; Divu; Remu; And; Or; Xor; Shl; Shr; Sar; Slt; Sltu ]
+
+(* Fusing cases and near misses; those that trap stop their program. *)
+let fused_cases =
+  let li_op ?(ra = 1) c op rd =
+    let fused = match op with Isa.Divu | Isa.Remu -> 1 | _ -> 2 in
+    ([ li 4 c; Isa.Alu (op, r rd, r ra, r 4) ], fused)
+  in
+  [
+    ( "li;op, every op",
+      fused_program
+        (List.concat_map
+           (fun op -> [ li_op 0x80000021 op 5; li_op 33 op 6; li_op 7 op 7 ])
+           all_ops) );
+    ( "li;op, r0 and aliases",
+      fused_program
+        [
+          ([ Isa.Li (r 0, 7l); Isa.Alu (Isa.Add, r 5, r 1, r 0) ], 2);
+          ([ li 4 9; Isa.Alu (Isa.Sub, r 0, r 1, r 4) ], 2);
+          ([ li 4 9; Isa.Alu (Isa.Or, r 4, r 1, r 4) ], 2);
+          ([ li 4 9; Isa.Alu (Isa.Xor, r 6, r 0, r 4) ], 2);
+          ([ li 4 9; Isa.Alu (Isa.Add, r 5, r 4, r 4) ], 1);
+          ([ li 4 0; Isa.Alu (Isa.Remu, r 5, r 1, r 4) ], 1);
+        ] );
+    ( "li;shli;lw, constant RAM words",
+      fused_program
+        [
+          ([ li 4 3; shli 4 4 2; lw 4 4 8 ], 3);
+          ([ li 4 2; shli 5 4 3; lw 6 5 0 ], 3);
+          ([ li 4 1; shli 5 4 2; lw 4 5 4 ], 3);
+          ([ Isa.Li (r 0, 5l); shli 4 0 2; lw 5 4 8 ], 3);
+          ([ li 4 3; shli 0 4 2; lw 5 0 12 ], 3);
+          ([ li 4 3; shli 4 4 2; lw 0 4 8 ], 3);
+          ([ li 4 4; shli 4 4 2; lw 7 4 (-4) ], 3);
+          ([ li 4 15; shli 4 4 2; lw 7 4 0 ], 3);
+          ([ li 4 3; shli 5 6 2; lw 5 5 8 ], 1);
+          ([ li 4 3; shli 5 4 2; lw 6 7 8 ], 1);
+        ] );
+    ( "li;shli;lw, misaligned",
+      fused_program [ ([ li 4 3; shli 4 4 1; lw 5 4 8 ], 1) ] );
+    ( "li;shli;lw, ROM",
+      fused_program
+        [ ([ li 4 (Memmap.rom_base / 4); shli 4 4 2; lw 5 4 4 ], 1) ] );
+    ( "li;shli;lw, serial port",
+      fused_program
+        [ ([ li 4 (Memmap.serial_port / 4); shli 4 4 2; lw 5 4 0 ], 1) ] );
+    ( "li;shli;lw, past RAM",
+      fused_program [ ([ li 4 16; shli 4 4 2; lw 5 4 0 ], 1) ] );
+    ( "li;shli;lw, past a 62-byte RAM",
+      fused_program ~ram_size:62 [ ([ li 4 15; shli 4 4 2; lw 5 4 0 ], 1) ] );
+  ]
+
+(* Everything a run can show, as one string. *)
+let summary m =
+  let ram_size = (Machine.program m).Program.ram_size in
+  let regs = List.init 15 (fun i -> Int32.to_string (Machine.reg m (r (i + 1)))) in
+  let events =
+    List.map
+      (fun (c, v) -> Printf.sprintf "%d:%ld" c v)
+      (Machine.detection_events m)
+  in
+  Format.asprintf "cycle %d pc %d stop %a regs %s ram %S serial %S events %s"
+    (Machine.cycle m) (Machine.pc m)
+    (Format.pp_print_option Machine.pp_stop_reason)
+    (Machine.stopped m) (String.concat "," regs)
+    (String.init ram_size (fun i -> Char.chr (Machine.read_ram_byte m i)))
+    (Machine.serial_output m) (String.concat "," events)
+
+let test_fused_idioms () =
+  let rng = Prng.create ~seed:23L in
+  List.iter
+    (fun (name, (p, expect)) ->
+      List.iter
+        (fun (pc, fused) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: fused length at pc %d" name pc)
+            fused (Machine.fused_length p pc))
+        expect;
+      let limit = 400 in
+      for _ = 1 to 20 do
+        check_differential ~name rng ~limit p;
+        check_differential ~name:(name ^ " + fault") rng
+          ~fault:(random_fault rng p ~cycles:limit)
+          ~limit p
+      done;
+      (* Stop at every cycle, in a fused group too, and compare with
+         the reference there; then finish on a restored snapshot,
+         which enters the group's block mid-way. *)
+      let final = Machine.create ~exec_tracer:(fun ~cycle:_ _ -> ()) p in
+      ignore (Machine.run final ~limit);
+      let stepped = Machine.create p in
+      for c = 0 to Machine.cycle final do
+        let m = Machine.create p in
+        Machine.run_until m ~cycle:c;
+        Alcotest.(check string)
+          (Printf.sprintf "%s: stopped at cycle %d" name c)
+          (summary stepped) (summary m);
+        Machine.step stepped;
+        let m = Machine.Snapshot.restore (Machine.Snapshot.capture m) in
+        ignore (Machine.run m ~limit);
+        Alcotest.(check string)
+          (Printf.sprintf "%s: restored at cycle %d" name c)
+          (summary final) (summary m)
+      done)
+    fused_cases
+
 (* Generated programs, baseline or hardened, each with a random fault
    and a limit past which a faulty run is cut off: traps, detections
    and the watchdog mid-block.  FI_INTERP_DIFF_CASES overrides the
@@ -555,6 +702,8 @@ let test_differential_generated () =
       (Sys.getenv_opt "FI_INTERP_DIFF_CASES")
   in
   let rng = Prng.create ~seed:2015L in
+  (* Programs with each fused idiom: the differential must cover both. *)
+  let with_fused = [| 0; 0; 0; 0 |] in
   for case = 1 to cases do
     let prog = Gen.program rng in
     let variant, prog =
@@ -564,6 +713,10 @@ let test_differential_generated () =
       | _ -> ("tmr", Harden.tmr prog)
     in
     let p = Codegen.compile prog in
+    let lengths = List.init (Program.code_length p) (Machine.fused_length p) in
+    List.iter
+      (fun n -> if List.mem n lengths then with_fused.(n) <- with_fused.(n) + 1)
+      [ 2; 3 ];
     let golden = Machine.create p in
     ignore (Machine.run golden ~limit:1_000_000);
     let cycles = Machine.cycle golden in
@@ -573,7 +726,154 @@ let test_differential_generated () =
       ~fault:(random_fault rng p ~cycles)
       ~limit:(cycles + Prng.int rng cycles + 1)
       p
-  done
+  done;
+  if with_fused.(2) = 0 || with_fused.(3) = 0 then
+    Alcotest.failf
+      "of %d generated programs, %d contain li;op and %d li;shli;lw: the \
+       differential does not cover both fused idioms"
+      cases with_fused.(2) with_fused.(3)
+
+(* ------------------------------------------------------------------ *)
+(* Splice test and memo key against byte-wise definitions             *)
+(* ------------------------------------------------------------------ *)
+
+(* A machine [a] with random RAM (of [ram_size] bytes, every byte
+   random) and registers, one cycle in at pc 1; its snapshot; and a
+   machine [b] that differs from it in a few RAM bytes (half of them
+   in the final partial word, when there is one) and registers, and
+   in pc ([mismatch = 1]) or cycle ([mismatch = 2]).  Code:
+   [0: r15 <> 0 ? 2 : 1], [1: jmp 1], [2: jmp 2]. *)
+let random_pair st ~ram_size ~mismatch =
+  let p =
+    program ~ram_size
+      [ Isa.Beq (r 15, r 0, 2, Isa.Ne); Isa.Jmp 1; Isa.Jmp 2 ]
+  in
+  let fill m =
+    for b = 0 to ram_size - 1 do
+      Machine.write_ram_byte m b (Random.State.int st 256)
+    done;
+    for i = 1 to 14 do
+      Machine.set_reg m (r i) (Random.State.bits32 st)
+    done
+  in
+  let a = Machine.create p in
+  fill a;
+  let b = Machine.fork a in
+  Machine.step a;
+  let snap = Machine.Snapshot.capture a in
+  if mismatch = 1 then Machine.set_reg b (r 15) 1l;
+  Machine.step b;
+  if mismatch = 2 then Machine.step b;
+  let tail = ram_size land 7 in
+  for _ = 1 to Random.State.int st 4 do
+    let off =
+      if tail > 0 && Random.State.bool st then
+        ram_size - 1 - Random.State.int st tail
+      else Random.State.int st ram_size
+    in
+    Machine.write_ram_byte b off
+      (Machine.read_ram_byte b off lxor (1 + Random.State.int st 255))
+  done;
+  for _ = 1 to Random.State.int st 3 do
+    let i = 1 + Random.State.int st 15 in
+    Machine.set_reg b (r i)
+      (Int32.logxor (Machine.reg b (r i)) (Random.State.bits32 st))
+  done;
+  (a, snap, b)
+
+let qcheck_splice_bytewise =
+  QCheck.Test.make ~count:500
+    ~name:"word-masked converges_with equals the byte-wise definition"
+    QCheck.(triple (int_range 1 100) (int_bound 2) int)
+    (fun (ram_size, mismatch, seed) ->
+      let st = Random.State.make [| seed |] in
+      let a, snap, b = random_pair st ~ram_size ~mismatch in
+      let density = [| 0.0; 0.05; 0.3; 1.0 |].(Random.State.int st 4) in
+      let live =
+        List.filter
+          (fun _ -> Random.State.float st 1.0 < density)
+          (List.init ram_size Fun.id)
+      in
+      (* The final partial word's bytes, live or not, half the time. *)
+      let live =
+        if Random.State.bool st then live
+        else live @ List.init (ram_size land 7) (fun i -> ram_size - 1 - i)
+      in
+      let reg_mask = Random.State.int st 0x10000 land 0xFFFE in
+      let mask = Bytes.make ram_size '\000' in
+      List.iter (fun i -> Bytes.set mask i '\xff') live;
+      let bytewise =
+        Machine.cycle b = Machine.cycle a
+        && Machine.pc b = Machine.pc a
+        && Machine.stopped b = None
+        && List.for_all
+             (fun i ->
+               reg_mask land (1 lsl i) = 0
+               || Machine.reg b (r i) = Machine.reg a (r i))
+             (List.init 15 succ)
+        && List.for_all
+             (fun i -> Machine.read_ram_byte b i = Machine.read_ram_byte a i)
+             live
+      in
+      Machine.converges_with b snap ~ram_live:(Machine.live_ram mask) ~reg_mask
+      = bytewise)
+
+(* The layout of {!Machine.encode_diff}, one byte at a time, without
+   the leading snapshot id: [a] is the machine [snap] captured. *)
+let encode_bytewise m a =
+  let buf = Buffer.create 64 in
+  let rec varint n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (n land 0x7F lor 0x80));
+      varint (n lsr 7)
+    end
+  in
+  varint (Machine.serial_length m);
+  varint (Machine.event_count m);
+  varint (Machine.pc m);
+  let differs i = Machine.reg m (r i) <> Machine.reg a (r i) in
+  let regs = List.filter differs (List.init 15 succ) in
+  Buffer.add_uint16_le buf
+    (List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 regs);
+  List.iter (fun i -> Buffer.add_int32_le buf (Machine.reg m (r i))) regs;
+  let n = (Machine.program m).Program.ram_size in
+  for off = 0 to n - 1 do
+    let v = Machine.read_ram_byte m off in
+    if v <> Machine.read_ram_byte a off then begin
+      if n <= 0x10000 then Buffer.add_uint16_le buf off
+      else Buffer.add_int32_le buf (Int32.of_int off);
+      Buffer.add_uint8 buf v
+    end
+  done;
+  Buffer.contents buf
+
+let qcheck_memo_key_bytewise =
+  QCheck.Test.make ~count:300
+    ~name:"encode_diff equals a byte-at-a-time encoder"
+    QCheck.(triple (int_range 1 100) (int_bound 2) int)
+    (fun (small, mismatch, seed) ->
+      let st = Random.State.make [| seed |] in
+      (* Both offset widths: RAM up to and past 64 KiB. *)
+      let ram_size =
+        if Random.State.int st 8 = 0 then 0x10000 - 8 + Random.State.int st 17
+        else small
+      in
+      let a, snap, b = random_pair st ~ram_size ~mismatch in
+      let encode m =
+        let buf = Buffer.create 64 in
+        Machine.encode_diff buf m snap;
+        Buffer.contents buf
+      in
+      (* The snapshot's id is the one part the byte-wise layout lacks:
+         take it from the encoding of the snapshot itself. *)
+      let itself = Machine.Snapshot.restore snap in
+      let self = encode itself and self_tail = encode_bytewise itself a in
+      let id =
+        String.sub self 0 (String.length self - String.length self_tail)
+      in
+      String.ends_with ~suffix:self_tail self
+      && String.equal (encode b) (id ^ encode_bytewise b a))
 
 let suite =
   ( "machine",
@@ -611,6 +911,10 @@ let suite =
       Alcotest.test_case "tracer records RAM accesses" `Quick test_tracer_records;
       Alcotest.test_case "compiled = reference: edge programs" `Quick
         test_differential_edges;
+      Alcotest.test_case "compiled = reference: fused idioms" `Quick
+        test_fused_idioms;
       Alcotest.test_case "compiled = reference: generated programs" `Quick
         test_differential_generated;
+      QCheck_alcotest.to_alcotest qcheck_splice_bytewise;
+      QCheck_alcotest.to_alcotest qcheck_memo_key_bytewise;
     ] )
