@@ -369,9 +369,11 @@ let perf_tests () =
           in
           fun () -> ignore (Injector.run_at bin_golden coord)));
     Test.make ~name:"P2-sampling-256"
-      (Staged.stage (fun () ->
-           let rng = Prng.create ~seed:7L in
-           ignore (Sampler.uniform_raw rng ~samples:256 hi_golden)));
+      (Staged.stage
+         (let cell = Faultspace.of_golden Faultspace.Bitflip_mem hi_golden in
+          fun () ->
+            let rng = Prng.create ~seed:7L in
+            ignore Sampler.(conduct cell (uniform_raw rng ~samples:256 cell))));
     Test.make ~name:"substrate-encode-decode"
       (Staged.stage (fun () ->
            Array.iter

@@ -109,19 +109,6 @@ let fault_model_arg =
     & opt fault_model_conv Faultspace.Bitflip_mem
     & info [ "fault-model" ] ~docv:"MODEL" ~doc)
 
-(* The legacy --registers flag is an alias for --fault-model reg; naming
-   both (with different models) is a contradiction, not a preference. *)
-let model_of ~registers (fault_model : Faultspace.model) =
-  match (registers, fault_model) with
-  | false, m -> m
-  | true, (Faultspace.Bitflip_mem | Faultspace.Bitflip_reg) ->
-      Faultspace.Bitflip_reg
-  | true, m ->
-      or_die
-        (Error
-           (Printf.sprintf "--registers conflicts with --fault-model %s"
-              (Faultspace.tag m)))
-
 let engine_opts_term =
   let backend =
     let doc =
@@ -499,6 +486,39 @@ let variant_of_program_spec spec =
     | None -> "baseline"
   else "baseline"
 
+(* A campaign's spec and the fault-model cell it conducts, from one
+   analysis of the image. *)
+let analysed ~variant ~policy model image =
+  match model with
+  | Faultspace.Bitflip_reg ->
+      let r = Regspace.analyze image in
+      (Spec.of_regspace ~variant ~policy r, Faultspace.of_regspace r)
+  | m ->
+      let g = Golden.run image in
+      (Spec.of_golden ~variant ~policy ~model:m g, Faultspace.of_golden m g)
+
+(* The program and its fault space under the chosen model: what every
+   count and extrapolation below is relative to. *)
+let print_space model (cell : Faultspace.cell) =
+  let g = cell.Faultspace.golden in
+  (match model with
+  | Faultspace.Skip ->
+      (* the skip space is the cycle axis, not the memory geometry *)
+      Format.printf
+        "%s: %d cycles, %d bytes RAM, fault space w = %d cycles, %d \
+         experiments (no pruning)@."
+        g.Golden.program.Program.name g.Golden.cycles
+        g.Golden.program.Program.ram_size (Faultspace.space cell)
+        cell.Faultspace.slots
+  | _ -> Format.printf "%a@." Golden.pp_summary g);
+  match model with
+  | Faultspace.Bitflip_mem -> ()
+  | m ->
+      Format.printf "fault model: %s@." (Faultspace.describe m);
+      if m = Faultspace.Bitflip_reg then
+        Format.printf "register fault space: w = %d bit-cycles@."
+          (Faultspace.space cell)
+
 let campaign_cmd =
   let out =
     Arg.(
@@ -506,55 +526,21 @@ let campaign_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Save results as CSV.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress.") in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:
-            "Campaign over the register fault space (Section VI-B) instead \
-             of main memory — an alias for $(b,--fault-model reg).")
-  in
   let breakdown =
     Arg.(
       value & flag
       & info [ "breakdown" ]
           ~doc:"Also attribute the failure mass to data regions.")
   in
-  let action spec out quiet registers breakdown opts =
+  let action spec out quiet breakdown opts =
     let image = or_die (load_program spec) in
-    let model = model_of ~registers opts.fault_model in
-    let policy = policy_of opts in
-    let variant = variant_of_program_spec spec in
-    let campaign_spec =
-      match model with
-      | Faultspace.Bitflip_reg ->
-          Spec.of_regspace ~variant ~policy (Regspace.analyze image)
-      | m -> Spec.of_golden ~variant ~policy ~model:m (Golden.run image)
+    let model = opts.fault_model in
+    let campaign_spec, cell =
+      analysed ~variant:(variant_of_program_spec spec) ~policy:(policy_of opts)
+        model image
     in
-    (match (campaign_spec.Spec.source, model) with
-    | Spec.Analysed_memory g, Faultspace.Skip ->
-        (* the skip space is the cycle axis, not the memory geometry *)
-        let cell = Faultspace.of_golden model g in
-        Format.printf
-          "%s: %d cycles, %d bytes RAM, fault space w = %d cycles, %d \
-           experiments (no pruning)@."
-          g.Golden.program.Program.name g.Golden.cycles
-          g.Golden.program.Program.ram_size cell.Faultspace.space
-          cell.Faultspace.slots
-    | ( ( Spec.Analysed_memory g
-        | Spec.Analysed_registers { Regspace.golden = g; _ } ),
-        _ ) ->
-        Format.printf "%a@." Golden.pp_summary g
-    | Spec.Build _, _ -> ());
-    (match model with
-    | Faultspace.Bitflip_mem -> ()
-    | m -> Format.printf "fault model: %s@." (Faultspace.describe m));
+    print_space model cell;
     let scan = engine_spec ~opts ~quiet campaign_spec in
-    (match model with
-    | Faultspace.Bitflip_reg ->
-        Format.printf "register fault space: w = %d bit-cycles@."
-          (Scan.fault_space_size scan)
-    | _ -> ());
     let t =
       Table.create
         ~columns:
@@ -595,8 +581,7 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc:"Run a full pruned fault-injection campaign.")
     Term.(
-      const action $ program_arg $ out $ quiet $ registers $ breakdown
-      $ engine_opts_term)
+      const action $ program_arg $ out $ quiet $ breakdown $ engine_opts_term)
 
 (* ------------------------------------------------------------------ *)
 (* matrix                                                             *)
@@ -611,14 +596,6 @@ let matrix_cmd =
             "Only the paper's Figure 2 pairs (bin_sem2 and sync2, baseline \
              vs SUM+DMR) instead of the whole suite.")
   in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:"Campaign every cell over the register fault space \
-                (Section VI-B) instead of main memory — an alias for \
-                $(b,--fault-model reg).")
-  in
   let outdir =
     Arg.(
       value
@@ -630,8 +607,8 @@ let matrix_cmd =
   let sanitize label =
     String.map (function '/' | '@' -> '-' | c -> c) label
   in
-  let action pairs registers outdir quiet opts =
-    let model = model_of ~registers opts.fault_model in
+  let action pairs outdir quiet opts =
+    let model = opts.fault_model in
     let policy = policy_of opts in
     let specs =
       (if pairs then Suite.paper_specs ~model ~policy ()
@@ -700,7 +677,7 @@ let matrix_cmd =
           and aggregate progress.  With --resume, every cell with a \
           catalogued journal picks up where it left off.")
     Term.(
-      const action $ pairs $ registers $ outdir $ quiet $ engine_opts_term)
+      const action $ pairs $ outdir $ quiet $ engine_opts_term)
 
 (* ------------------------------------------------------------------ *)
 (* sample                                                             *)
@@ -725,16 +702,6 @@ let sample_cmd =
   let action spec samples seed biased opts =
     let image = or_die (load_program spec) in
     let model = opts.fault_model in
-    (* Sampling draws from the raw (row × cycle × bit) grid, which the
-       skip model's synthetic cycle-indexed classes do not cover. *)
-    (match model with
-    | Faultspace.Skip ->
-        or_die
-          (Error
-             "the skip model has no raw-coordinate fault-space geometry to \
-              sample; run a full campaign instead (fi-cli campaign \
-              --fault-model skip)")
-    | _ -> ());
     (match (biased, model) with
     | true, Faultspace.Bitflip_mem -> ()
     | true, m ->
@@ -745,43 +712,29 @@ let sample_cmd =
                  only defined for --fault-model mem (got %s)"
                 (Faultspace.tag m)))
     | false, _ -> ());
-    let golden = Golden.run image in
-    Format.printf "%a@." Golden.pp_summary golden;
+    let campaign_spec, cell =
+      analysed ~variant:(variant_of_program_spec spec) ~policy:(policy_of opts)
+        model image
+    in
+    print_space model cell;
     let rng = Prng.create ~seed:(Int64.of_int seed) in
-    let variant = variant_of_program_spec spec in
-    (* With engine options — or any non-memory model, whose direct
-       samplers do not exist — conduct (or resume) the full pruned
-       campaign in parallel once and answer every sample from that
-       oracle — the estimates are identical to conducting each sample
+    let draw =
+      if biased then Sampler.biased_per_class rng ~samples cell
+      else Sampler.uniform_raw rng ~samples cell
+    in
+    (* In-process, only the draw's distinct slots are conducted.  With
+       engine options, conduct (or resume) the full pruned campaign once
+       and read every sample from it — the estimate is identical
        (deterministic machine, lossless pruning), but the heavy lifting
-       shards, runs on all requested domains, and survives crashes. *)
+       shards, runs on all requested workers, and survives crashes. *)
     let oracle =
-      if
-        model <> Faultspace.Bitflip_mem
-        || opts.jobs <> 1 || opts.backend <> Pool.Domains
-        || opts.workers <> None || opts.journal <> None
-        || opts.resume || opts.shard_size <> None || opts.weighted
-        || opts.shard_timeout <> None
-      then
-        let spec =
-          match model with
-          | Faultspace.Bitflip_reg ->
-              Spec.of_regspace ~variant ~policy:(policy_of opts)
-                (Regspace.analyze image)
-          | m ->
-              Spec.of_golden ~variant ~policy:(policy_of opts) ~model:m golden
-        in
-        Some (engine_spec ~opts ~quiet:false spec)
-      else None
+      opts.jobs <> 1 || opts.backend <> Pool.Domains || opts.workers <> None
+      || opts.journal <> None || opts.resume || opts.shard_size <> None
+      || opts.weighted || opts.shard_timeout <> None
     in
     let est =
-      match oracle with
-      | None ->
-          if biased then Sampler.biased_per_class rng ~samples golden
-          else Sampler.uniform_raw rng ~samples golden
-      | Some scan ->
-          if biased then Sampler.biased_per_class_oracle rng ~samples golden scan
-          else Sampler.uniform_raw_oracle rng ~samples scan
+      if oracle then Sampler.read (engine_spec ~opts ~quiet:false campaign_spec) draw
+      else Sampler.conduct cell draw
     in
     let interval =
       Confidence.wilson ~fails:est.Sampler.failures ~trials:est.Sampler.samples
@@ -789,7 +742,7 @@ let sample_cmd =
     in
     Format.printf "sampler            : %s%s@."
       (if biased then "per-class (BIASED, pitfall 2)" else "uniform raw space")
-      (if oracle <> None then " via parallel campaign oracle" else "");
+      (if oracle then " via parallel campaign oracle" else "");
     Format.printf "samples            : %d (%d experiments conducted)@."
       est.Sampler.samples est.Sampler.conducted;
     Format.printf "failure fraction   : %.5f  95%% CI %a@."
@@ -1219,18 +1172,10 @@ let submit_cmd =
           ~doc:"Submit only the paper's Figure 2 pairs instead of the \
                 whole suite.")
   in
-  let registers =
-    Arg.(
-      value & flag
-      & info [ "registers" ]
-          ~doc:"Campaign over the register fault space instead of main \
-                memory — an alias for $(b,--fault-model reg).")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress.") in
-  let action addr pairs registers quiet secret_file fault_model =
+  let action addr pairs quiet secret_file model =
     let addr = or_die (Addr.parse addr) in
     let secret = svc_secret_of secret_file in
-    let model = model_of ~registers fault_model in
     let specs =
       if pairs then Suite.paper_specs ~model ()
       else Suite.spec_matrix ~model ()
@@ -1275,8 +1220,8 @@ let submit_cmd =
           instantly from its result store, marked $(b,cache) in the \
           origin column.")
     Term.(
-      const action $ svc_addr_arg $ pairs $ registers $ quiet
-      $ svc_secret_arg $ fault_model_arg)
+      const action $ svc_addr_arg $ pairs $ quiet $ svc_secret_arg
+      $ fault_model_arg)
 
 let status_cmd =
   let action addr secret_file =

@@ -12,6 +12,7 @@
 let () =
   let image = Mbox1.baseline () in
   let golden = Golden.run image in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   Format.printf "%a@.@." Golden.pp_summary golden;
 
   (* Ground truth from the full pruned scan. *)
@@ -32,8 +33,8 @@ let () =
     (fun n ->
       let rng1 = Prng.create ~seed:1L in
       let rng2 = Prng.create ~seed:2L in
-      let correct = Sampler.uniform_raw rng1 ~samples:n golden in
-      let biased = Sampler.biased_per_class rng2 ~samples:n golden in
+      let correct = Sampler.(conduct cell (uniform_raw rng1 ~samples:n cell)) in
+      let biased = Sampler.(conduct cell (biased_per_class rng2 ~samples:n cell)) in
       let ci est =
         Confidence.wilson ~fails:est.Sampler.failures
           ~trials:est.Sampler.samples ~confidence:0.95
@@ -55,8 +56,9 @@ let () =
   let golden_h = Golden.run hardened in
   let scan_h = Scan.pruned golden_h in
   let rng = Prng.create ~seed:3L in
-  let est_b = Sampler.uniform_raw rng ~samples:4000 golden in
-  let est_h = Sampler.uniform_raw rng ~samples:4000 golden_h in
+  let cell_h = Faultspace.of_golden Faultspace.Bitflip_mem golden_h in
+  let est_b = Sampler.(conduct cell (uniform_raw rng ~samples:4000 cell)) in
+  let est_h = Sampler.(conduct cell_h (uniform_raw rng ~samples:4000 cell_h)) in
   Format.printf "@.with N = 4000 samples each:@.";
   Format.printf "  baseline: F_sampled = %4d -> F_extrapolated = %10.0f (true %d)@."
     est_b.Sampler.failures

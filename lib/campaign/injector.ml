@@ -1,10 +1,10 @@
-let check_coord golden coord =
-  let total_cycles = golden.Golden.cycles in
+let check_coord golden { Coordspace.cycle; bit } =
   let ram_size = golden.Golden.program.Program.ram_size in
-  if not (Coordspace.contains ~total_cycles ~ram_size coord) then
+  if cycle < 1 || cycle > golden.Golden.cycles || bit < 0 || bit >= ram_size * 8
+  then
     invalid_arg
-      (Format.asprintf "Injector: coordinate %a outside fault space"
-         Coordspace.pp_coord coord)
+      (Printf.sprintf "Injector: coordinate (%d, %d) outside fault space" cycle
+         bit)
 
 let classify_stopped golden machine stop =
   Outcome.classify ~golden_output:golden.Golden.output

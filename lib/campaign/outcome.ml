@@ -95,7 +95,6 @@ type tally = int array (* indexed by [index] *)
 
 let tally_create () = Array.make count 0
 let tally_add t o = t.(index o) <- t.(index o) + 1
-let tally_count t o = t.(index o)
 let tally_total (t : tally) = Array.fold_left ( + ) 0 t
 let tally_copy = Array.copy
 
@@ -113,11 +112,6 @@ let tally_to_list t =
       let n = t.(index o) in
       if n > 0 then Some (o, n) else None)
     all
-
-let pp_tally ppf t =
-  Format.fprintf ppf "%d benign / %d failures"
-    (tally_total t - tally_failures t)
-    (tally_failures t)
 
 let is_prefix ~prefix s =
   String.length prefix < String.length s

@@ -75,7 +75,6 @@ val tally_create : unit -> tally
 val tally_add : tally -> t -> unit
 (** Count one experiment with the given outcome. *)
 
-val tally_count : tally -> t -> int
 val tally_total : tally -> int
 
 val tally_failures : tally -> int
@@ -88,9 +87,6 @@ val tally_merge : into:tally -> tally -> unit
 
 val tally_to_list : tally -> (t * int) list
 (** Non-zero counts in the order of {!all}. *)
-
-val pp_tally : Format.formatter -> tally -> unit
-(** e.g. ["1234 benign / 56 failures"]. *)
 
 val classify :
   golden_output:string ->

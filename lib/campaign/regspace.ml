@@ -42,12 +42,13 @@ let coord_of_bit bit =
 
 let classes t = Defuse.experiment_classes t.reg_defuse
 
-let conduct session (c : Defuse.byte_class) ~bit_in_byte =
-  let reg, bit = coord_of_bit ((c.Defuse.byte * 8) + bit_in_byte) in
-  Injector.session_run_flip session ~cycle:c.Defuse.t_end ~flip:(fun machine ->
+let inject session { Coordspace.cycle; bit } =
+  let reg, bit = coord_of_bit bit in
+  Injector.session_run_flip session ~cycle ~flip:(fun machine ->
       Machine.flip_reg_bit machine ~reg ~bit)
 
 let scan ?variant ?provider ?progress t =
   Scan.serial ?variant ?provider ?progress ~ram_bytes:pseudo_ram_bytes
     ~benign_weight:(Defuse.known_benign_weight t.reg_defuse)
-    ~conduct t.golden (classes t)
+    ~conduct:(Scan.conduct_at_t_end inject)
+    t.golden (classes t)

@@ -42,16 +42,15 @@ val fault_space_size : t -> int
 val classes : t -> Defuse.byte_class array
 (** The register-space experiment classes over the pseudo-memory —
     the class provider the campaign engine shards exactly like a memory
-    campaign's (same [t_end]-contiguity invariant: {!conduct} uses
+    campaign's (same [t_end]-contiguity invariant: {!inject} uses
     {!Injector.session_run_flip}, whose cycles must be non-decreasing
     per session). *)
 
-val conduct :
-  Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t
-(** Conduct the canonical register-space experiment of one
-    (byte-class, bit) pair: flip the mapped [(register, bit)] at the
-    class's [t_end] on the session's machine — the single-experiment
-    kernel shared by the serial {!scan} and the parallel engine. *)
+val inject : Injector.session -> Coordspace.coord -> Outcome.t
+(** Flip pseudo-memory bit [bit] (register {!coord_of_bit}[ bit])
+    immediately before [cycle] on the session's machine and classify the
+    run — the register space's per-coordinate experiment, [0 <= bit <
+    480].  Cycles must be non-decreasing per session. *)
 
 val scan :
   ?variant:string ->

@@ -26,8 +26,9 @@ type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
 
 let no_progress ~done_:_ ~total:_ ~tally:_ = ()
 
-let conduct_class session (c : Defuse.byte_class) ~bit_in_byte =
-  Injector.session_run_at session (Coordspace.canonical_injection c ~bit_in_byte)
+let conduct_at_t_end inject session (c : Defuse.byte_class) ~bit_in_byte =
+  inject session
+    { Coordspace.cycle = c.Defuse.t_end; bit = (c.Defuse.byte * 8) + bit_in_byte }
 
 let provider_for golden = function
   | Some p ->
@@ -91,50 +92,6 @@ let pruned ?variant ?provider ?progress golden =
   serial ?variant ?provider ?progress
     ~ram_bytes:golden.Golden.program.Program.ram_size
     ~benign_weight:(Defuse.known_benign_weight defuse)
-    ~conduct:conduct_class golden
+    ~conduct:(conduct_at_t_end Injector.session_run_at)
+    golden
     (Defuse.experiment_classes defuse)
-
-let brute_force ?variant:_ golden =
-  let total_cycles = golden.Golden.cycles in
-  let ram_size = golden.Golden.program.Program.ram_size in
-  let out = ref [] in
-  Coordspace.iter ~total_cycles ~ram_size (fun coord ->
-      out := (coord, Injector.run_at golden coord) :: !out);
-  Array.of_list (List.rev !out)
-
-let expander t =
-  (* Index experiments per byte, sorted by t_start, for binary search. *)
-  let per_byte = Hashtbl.create 256 in
-  Array.iter
-    (fun e ->
-      let key = (e.byte, e.bit_in_byte) in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt per_byte key) in
-      Hashtbl.replace per_byte key (e :: existing))
-    t.experiments;
-  let sorted = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun key items ->
-      let arr = Array.of_list items in
-      Array.sort (fun a b -> compare a.t_start b.t_start) arr;
-      Hashtbl.replace sorted key arr)
-    per_byte;
-  fun (coord : Coordspace.coord) ->
-    let byte = coord.Coordspace.bit / 8 in
-    let bit_in_byte = coord.Coordspace.bit mod 8 in
-    let cycle = coord.Coordspace.cycle in
-    match Hashtbl.find_opt sorted (byte, bit_in_byte) with
-    | None -> Outcome.No_effect
-    | Some arr ->
-        (* Binary search for t_start <= cycle <= t_end. *)
-        let rec search lo hi =
-          if lo >= hi then Outcome.No_effect
-          else
-            let mid = (lo + hi) / 2 in
-            let e = arr.(mid) in
-            if cycle < e.t_start then search lo mid
-            else if cycle > e.t_end then search (mid + 1) hi
-            else e.outcome
-        in
-        search 0 (Array.length arr)
-
-let outcome_at t coord = expander t coord

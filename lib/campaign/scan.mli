@@ -2,10 +2,10 @@
 
     A {e pruned scan} conducts one experiment per def/use equivalence
     class and bit — everything a full fault-space scan can learn, at a
-    tiny fraction of the cost (Section III-C).  A {e brute-force scan}
-    conducts one experiment per raw fault-space coordinate; it exists to
-    validate pruning losslessly on small programs and as the ground truth
-    for the "Hi" Gedankenexperiment of Section IV. *)
+    tiny fraction of the cost (Section III-C).  The brute-force scan
+    that checks it, one experiment per raw coordinate, is
+    [Faultspace.brute_force], which knows every fault model's raw
+    geometry. *)
 
 type experiment = {
   byte : int;  (** RAM byte offset of the class. *)
@@ -39,26 +39,27 @@ val fault_space_size : t -> int
     (invariant, tested for every model). *)
 
 type progress = done_:int -> total:int -> tally:Outcome.tally -> unit
-(** Campaign progress callback, shared by every campaign conductor
-    (the serial {!serial} loop and the parallel [Fi_engine.Engine]):
+(** Progress callback of the serial conduction loop ({!serial}):
     [done_] classes out of [total] are complete and [tally] carries the
-    running outcome counts of all experiments conducted so far.  The
-    tally is live — read it, don't keep it (use {!Outcome.tally_copy} to
-    retain a snapshot).  Serial conductors call it once per class in
-    t_end-sorted rank order; the parallel engine calls it in completion
-    order (still monotonic in [done_]). *)
+    running outcome counts of all experiments conducted so far, called
+    once per class in [t_end]-sorted rank order.  The tally is live —
+    read it, don't keep it (use {!Outcome.tally_copy} to retain a
+    snapshot).  The parallel engine does not use it: its one progress
+    channel is [Engine.run_matrix_results ~observe]. *)
 
-val no_progress : progress
-(** The silent callback (default). *)
-
-val conduct_class :
-  Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t
-(** Conduct the canonical memory-space experiment of one
-    (byte-class, bit) pair on an injection session — the single-
-    experiment kernel shared by the serial {!pruned} and the parallel
-    engine (which is what makes their results bit-identical).  Injection
-    cycles must be presented in non-decreasing order per session
-    ({!Injector.session_run_at}). *)
+val conduct_at_t_end :
+  (Injector.session -> Coordspace.coord -> Outcome.t) ->
+  Injector.session ->
+  Defuse.byte_class ->
+  bit_in_byte:int ->
+  Outcome.t
+(** [conduct_at_t_end inject] conducts a byte-class slot as [inject] at
+    its canonical coordinate: the class's [t_end], directly before the
+    activating read (Figure 1b), row [8 × byte + bit_in_byte].  Every
+    def/use-pruned model (memory, burst, registers) conducts its slots
+    this way, serially and in the engine, which is what makes their
+    results bit-identical.  Injection cycles must be presented in
+    non-decreasing order per session ({!Injector.session_run_flip}). *)
 
 val provider_for : Golden.t -> Injector.provider option -> Injector.provider
 (** [provider_for golden p] is [p] checked against [golden], or a fresh
@@ -121,17 +122,3 @@ val pruned :
 
     @raise Invalid_argument if [provider] was built over a different
     golden run. *)
-
-val brute_force :
-  ?variant:string -> Golden.t -> (Coordspace.coord * Outcome.t) array
-(** One experiment per raw coordinate, cycle-major.  Cost is
-    [w] full machine runs — only for tiny validation programs. *)
-
-val outcome_at : t -> Coordspace.coord -> Outcome.t
-(** Expand pruned results back over the raw fault space: the outcome at
-    any coordinate (a-priori-benign coordinates yield [No_effect]).
-    Builds a lookup table on first use per call — for repeated queries use
-    {!expander}. *)
-
-val expander : t -> Coordspace.coord -> Outcome.t
-(** Pre-indexed version of {!outcome_at} for bulk queries. *)

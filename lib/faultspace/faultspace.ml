@@ -96,13 +96,68 @@ type cell = {
   classes : Defuse.byte_class array;
   ram_bytes : int;
   benign_weight : int;
-  space : int;
+  rows : int;
   slots : int;
+  locate : Coordspace.coord -> int option;
+  inject : Injector.session -> Coordspace.coord -> Outcome.t;
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
 
 let experiments cell = 8 * Array.length cell.classes
+let space cell = cell.golden.Golden.cycles * cell.rows
+
+(* ------------------------------------------------------------------ *)
+(* Geometry                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every model's axes are [1, Δt] × [0, rows); a coordinate outside them
+   is a caller's error, never a benign answer. *)
+let bounded ~cycles ~rows lookup ({ Coordspace.cycle; bit } as coord) =
+  if cycle < 1 || cycle > cycles || bit < 0 || bit >= rows then
+    invalid_arg
+      (Printf.sprintf "Faultspace.locate: coordinate (%d, %d) outside %d x %d"
+         cycle bit cycles rows)
+  else lookup coord
+
+(* Byte-class models (memory, burst, registers): row [r] is bit [r mod 8]
+   of byte [r / 8].  The experiment classes are sorted by (byte, t_start)
+   and disjoint within a byte, so the class holding a coordinate, if
+   any, is the last one not after (byte, cycle): a binary search over
+   the cell's own array, with no index to build.  A coordinate in no
+   experiment class lies in an overwritten or dormant interval. *)
+let locate_byte_classes (classes : Defuse.byte_class array)
+    { Coordspace.cycle; bit } =
+  let byte = bit / 8 in
+  let before (c : Defuse.byte_class) =
+    c.Defuse.byte < byte || (c.Defuse.byte = byte && c.Defuse.t_start <= cycle)
+  in
+  (* [lo] ends as the count of classes not after (byte, cycle) *)
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if before classes.(mid) then search (mid + 1) hi else search lo mid
+  in
+  let i = search 0 (Array.length classes) - 1 in
+  if i >= 0 && classes.(i).Defuse.byte = byte && cycle <= classes.(i).Defuse.t_end
+  then Some ((8 * i) + (bit mod 8))
+  else None
+
+let byte_cell golden ~classes ~ram_bytes ~benign_weight inject =
+  let rows = 8 * ram_bytes in
+  {
+    golden;
+    classes;
+    ram_bytes;
+    benign_weight;
+    rows;
+    slots = 8 * Array.length classes;
+    locate =
+      bounded ~cycles:golden.Golden.cycles ~rows (locate_byte_classes classes);
+    inject;
+    conduct = Scan.conduct_at_t_end inject;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Burst                                                              *)
@@ -114,25 +169,26 @@ let experiments cell = 8 * Array.length cell.classes
    untouched interval is equivalent to flipping them at its canonical
    [t_end].  Benign classes stay benign — an overwritten or dormant byte
    is overwritten or dormant no matter how many of its bits flipped. *)
-let conduct_burst ~width ~step session (c : Defuse.byte_class)
-    ~bit_in_byte =
-  Injector.session_run_flip session ~cycle:c.Defuse.t_end ~flip:(fun m ->
+let inject_burst ~width ~step session { Coordspace.cycle; bit } =
+  let byte = bit / 8 in
+  Injector.session_run_flip session ~cycle ~flip:(fun m ->
       for j = 0 to width - 1 do
-        Machine.flip_bit m ((c.Defuse.byte * 8) + ((bit_in_byte + (j * step)) mod 8))
+        Machine.flip_bit m ((byte * 8) + ((bit + (j * step)) mod 8))
       done)
 
 (* ------------------------------------------------------------------ *)
 (* Skip                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The skip space is the cycle axis: one experiment per executed cycle,
-   no equivalence pruning.  The journal records exactly 8 outcome slots
-   per class, so cycles pack 8 per synthetic class: class [i] holds
-   cycles [8i+1 .. 8i+8], slot [s] injecting at cycle [8i+1+s].  The
-   class is encoded [{byte = i; t_start = t_end = 8i+1}] so each slot's
-   span-derived experiment weight is 1 (each cycle is its own class) and
-   [t_end] stays strictly increasing — shard order therefore visits
-   injection cycles non-decreasingly, the session invariant. *)
+(* The skip space is the cycle axis: one row, one experiment per
+   executed cycle, no equivalence pruning.  The journal records exactly
+   8 outcome slots per class, so cycles pack 8 per synthetic class:
+   class [i] holds cycles [8i+1 .. 8i+8], slot [s = 8i + j] injecting at
+   cycle [s + 1].  The class is encoded [{byte = i; t_start = t_end =
+   8i+1}] so each slot's span-derived experiment weight is 1 (each cycle
+   is its own class) and [t_end] stays strictly increasing — shard order
+   therefore visits injection cycles non-decreasingly, the session
+   invariant. *)
 let skip_classes cycles =
   Array.init
     ((cycles + 7) / 8)
@@ -144,42 +200,40 @@ let skip_classes cycles =
         kind = Defuse.Experiment;
       })
 
+let inject_skip session { Coordspace.cycle; bit = _ } =
+  Injector.session_run_flip session ~cycle ~flip:Machine.skip_next
+
 let conduct_skip ~cycles session (c : Defuse.byte_class) ~bit_in_byte =
   let cycle = c.Defuse.t_start + bit_in_byte in
   if cycle > cycles then
     (* padding slot of the last class, past the golden runtime: the
        cell's [slots] gives it weight 0 in the scan *)
     Outcome.No_effect
-  else Injector.session_run_flip session ~cycle ~flip:Machine.skip_next
+  else inject_skip session { Coordspace.cycle; bit = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Cells                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Memory and burst cells share the def/use partition, the geometry
-   and the benign weight; only the conductor differs. *)
-let memory_cell (golden : Golden.t) conduct =
+   and the benign weight; only the injection differs. *)
+let memory_cell (golden : Golden.t) inject =
   let defuse = golden.Golden.defuse in
-  let classes = Defuse.experiment_classes defuse in
-  {
-    golden;
-    classes;
-    ram_bytes = golden.Golden.program.Program.ram_size;
-    benign_weight = Defuse.known_benign_weight defuse;
-    space = Golden.fault_space_size golden;
-    slots = 8 * Array.length classes;
-    conduct;
-  }
+  byte_cell golden
+    ~classes:(Defuse.experiment_classes defuse)
+    ~ram_bytes:golden.Golden.program.Program.ram_size
+    ~benign_weight:(Defuse.known_benign_weight defuse)
+    inject
 
 let of_golden model (golden : Golden.t) =
   match model with
   | Bitflip_reg ->
       invalid_arg "Faultspace.of_golden: Bitflip_reg needs a Regspace.t"
-  | Bitflip_mem -> memory_cell golden Scan.conduct_class
+  | Bitflip_mem -> memory_cell golden Injector.session_run_at
   | Burst { width; pattern } ->
       check_burst ~width ~pattern;
       let step = match pattern with Adjacent -> 1 | Row s -> s in
-      memory_cell golden (conduct_burst ~width ~step)
+      memory_cell golden (inject_burst ~width ~step)
   | Skip ->
       let cycles = golden.Golden.cycles in
       let classes = skip_classes cycles in
@@ -188,22 +242,20 @@ let of_golden model (golden : Golden.t) =
         classes;
         ram_bytes = Array.length classes;
         benign_weight = 0;
-        space = cycles;
+        rows = 1;
         slots = cycles;
+        locate =
+          bounded ~cycles ~rows:1 (fun c -> Some (c.Coordspace.cycle - 1));
+        inject = inject_skip;
         conduct = conduct_skip ~cycles;
       }
 
 let of_regspace (r : Regspace.t) =
-  let classes = Defuse.experiment_classes r.Regspace.reg_defuse in
-  {
-    golden = r.Regspace.golden;
-    classes;
-    ram_bytes = Regspace.pseudo_ram_bytes;
-    benign_weight = Defuse.known_benign_weight r.Regspace.reg_defuse;
-    space = Regspace.fault_space_size r;
-    slots = 8 * Array.length classes;
-    conduct = Regspace.conduct;
-  }
+  byte_cell r.Regspace.golden
+    ~classes:(Regspace.classes r)
+    ~ram_bytes:Regspace.pseudo_ram_bytes
+    ~benign_weight:(Defuse.known_benign_weight r.Regspace.reg_defuse)
+    Regspace.inject
 
 let analyse ?limit model program =
   match model with
@@ -214,3 +266,14 @@ let scan ?variant ?provider ?progress cell =
   Scan.serial ?variant ?provider ?progress ~ram_bytes:cell.ram_bytes
     ~benign_weight:cell.benign_weight ~slots:cell.slots ~conduct:cell.conduct
     cell.golden cell.classes
+
+let outcome_at cell (scan : Scan.t) coord =
+  match cell.locate coord with
+  | None -> Outcome.No_effect
+  | Some slot -> scan.Scan.experiments.(slot).Scan.outcome
+
+let brute_force cell =
+  let session = Injector.session (Injector.replay cell.golden) in
+  Array.init (space cell) (fun i ->
+      let coord = { Coordspace.cycle = 1 + (i / cell.rows); bit = i mod cell.rows } in
+      (coord, cell.inject session coord))

@@ -7,7 +7,14 @@
     first-class value describing {e which} faults a campaign injects; a
     {!cell} is that model analysed against one program: the experiment
     equivalence classes to shard, the a-priori-benign weight, and the
-    per-experiment conductor over the {!Injector.provider} session API.
+    model's raw geometry — its axes, the map from a raw coordinate to
+    the experiment slot that stands for it, and the per-coordinate
+    injection every slot is conducted with.
+
+    The geometry is what the paper's own checks are stated over: uniform
+    sampling from the {e raw} space (Pitfall 2, {!Sampler.uniform_raw})
+    and the brute-force sweep that proves pruning lossless
+    ({!brute_force}, Section III-C) work for every model alike.
 
     Every model reuses the engine's whole execution stack unchanged —
     sharding, journaling, [--resume], the result cache, and all four
@@ -80,9 +87,11 @@ val known : (string * string) list
 type cell = {
   golden : Golden.t;  (** The shared fault-free reference run. *)
   classes : Defuse.byte_class array;
-      (** Experiment equivalence classes, [t_end]-sorted by construction
-          (the engine's shard-contiguity invariant).  8 experiment slots
-          per class. *)
+      (** Experiment equivalence classes, 8 experiment slots per class.
+          Byte-class models keep the def/use order, sorted by
+          [(byte, t_start)]; skip's synthetic classes ascend in [t_end].
+          The engine ranks classes by [t_end] (its shard-contiguity
+          invariant). *)
   ram_bytes : int;
       (** Real ({!Bitflip_mem}/{!Burst}), pseudo ({!Bitflip_reg}: 60) or
           synthetic ({!Skip}: class count) row footprint — the
@@ -90,23 +99,39 @@ type cell = {
   benign_weight : int;
       (** Fault-space coordinates known benign a priori (overwritten or
           dormant classes); [0] for {!Skip}, whose space has no pruning. *)
-  space : int;
-      (** The model's fault-space size, in coordinates: [Δt × 8·Δm]
-          bit-cycles for {!Bitflip_mem} and {!Burst} (one burst per
-          anchoring bit-cycle), [Δt × 480] for {!Bitflip_reg}, [Δt]
-          cycles for {!Skip}.  A lossless partition's experiment weights
-          plus [benign_weight] sum to it. *)
+  rows : int;
+      (** The row axis of the raw space: [8·Δm] bits for {!Bitflip_mem}
+          and {!Burst} (one burst per anchoring bit), [480] register
+          bits for {!Bitflip_reg}, [1] for {!Skip}.  Coordinates are
+          [\[1, Δt\] × \[0, rows)]; see {!space}. *)
   slots : int;
       (** Experiment slots that stand for fault-space coordinates: slot
           [8 × class + bit] with index [>= slots] is padding, conducted
           as {!Outcome.No_effect} and weighted 0 in the scan.  Only
           {!Skip} pads (its last class past [Δt]); every other model
           has [slots = 8 × Array.length classes]. *)
+  locate : Coordspace.coord -> int option;
+      (** The experiment slot a raw coordinate belongs to — the index
+          [8 × class + bit] that {!Scan.of_outcomes}, journals and the
+          engine use — or [None] when the coordinate is a-priori benign
+          (an overwritten or dormant interval).  Byte-class models find
+          the class by binary search over [classes], so nothing is built
+          up front; skip's cycle [c] is slot [c − 1].  Never returns a
+          padding slot.
+          @raise Invalid_argument outside the model's axes. *)
+  inject : Injector.session -> Coordspace.coord -> Outcome.t;
+      (** Conduct the model's fault at one raw coordinate on a session
+          (flip the bit, the burst anchored at it, the register bit, or
+          skip the instruction fetched at the cycle).  Cycles must be
+          non-decreasing per session. *)
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
-      (** Conduct one experiment slot on a session over [golden]'s
-          provider.  Injection cycles are non-decreasing when classes are
-          visited in [t_end] order with ascending slots. *)
+      (** Conduct one experiment slot: {!field-inject} at the slot's
+          canonical coordinate — a byte class's [t_end] (directly before
+          the activating read, Figure 1b), a skip slot's own cycle —
+          and {!Outcome.No_effect} for skip's padding slots.  Injection
+          cycles are non-decreasing when classes are visited in [t_end]
+          order with ascending slots. *)
 }
 
 val of_golden : model -> Golden.t -> cell
@@ -119,7 +144,7 @@ val of_golden : model -> Golden.t -> cell
     [8i+1 … 8i+8], encoded as [{byte = i; t_start = t_end = 8i+1}] so
     each slot's {!Defuse.weight}-derived experiment weight is 1 (every
     cycle is its own equivalence class — no pruning), and slot [s]
-    injects at cycle [8i+1+s].  Trailing slots of the last class that
+    injects at cycle [s + 1].  Trailing slots of the last class that
     fall beyond the golden runtime are conducted as {!Outcome.No_effect}
     without running the machine, and weigh 0 ([slots = Δt]), so the
     space is exactly [Δt] cycles.
@@ -137,6 +162,12 @@ val analyse : ?limit:int -> model -> Program.t -> cell
 val experiments : cell -> int
 (** [8 × Array.length classes] — the campaign's experiment count. *)
 
+val space : cell -> int
+(** The model's fault-space size [Δt × rows], in coordinates: [Δt ×
+    8·Δm] bit-cycles for {!Bitflip_mem} and {!Burst}, [Δt × 480] for
+    {!Bitflip_reg}, [Δt] cycles for {!Skip}.  A lossless partition's
+    experiment weights plus [benign_weight] sum to it. *)
+
 val scan :
   ?variant:string ->
   ?provider:Injector.provider ->
@@ -151,3 +182,16 @@ val scan :
 
     @raise Invalid_argument if [provider] was built over a different
     golden run. *)
+
+val outcome_at : cell -> Scan.t -> Coordspace.coord -> Outcome.t
+(** The outcome a finished scan of this cell implies at a raw
+    coordinate: the experiment at its {!field-locate}d slot, or
+    {!Outcome.No_effect} when it is a-priori benign — the pruned scan
+    expanded over the raw space. *)
+
+val brute_force : cell -> (Coordspace.coord * Outcome.t) array
+(** One {!field-inject} per raw coordinate, cycle-major ([space cell]
+    entries), on one replay session — the ground truth pruning is
+    checked against: a lossless partition has [outcome_at cell scan
+    coord] equal to it everywhere.  Costs [space cell] runs; only for
+    small validation programs. *)

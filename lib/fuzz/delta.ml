@@ -95,21 +95,26 @@ let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
   | [] -> assert false
   | base_scan :: variant_scans ->
       let baseline = tally_of_scan base_scan in
-      let sampled_ratio scan_b scan_h =
+      let sampled_ratio =
         match samples with
-        | None -> None
+        | None -> fun _ _ -> None
         | Some n ->
-            (* Oracle estimates against the already-conducted scans:
-               identical to what a conducting sampler would return. *)
-            let est_b =
-              Sampler.uniform_raw_oracle (Prng.create ~seed) ~samples:n scan_b
+            (* The draws need each cell's geometry: redo its golden run,
+               for findings only, and read the outcomes from the
+               conducted scans — identical to what a conducting sampler
+               would return. *)
+            let extrapolate program scan =
+              let cell =
+                Faultspace.of_golden Faultspace.Bitflip_mem (Golden.run program)
+              in
+              Metrics.extrapolated_failures
+                (Sampler.read scan
+                   (Sampler.uniform_raw (Prng.create ~seed) ~samples:n cell))
             in
-            let est_h =
-              Sampler.uniform_raw_oracle (Prng.create ~seed) ~samples:n scan_h
-            in
-            let fb = Metrics.extrapolated_failures est_b in
-            if fb = 0.0 then None
-            else Some (Metrics.extrapolated_failures est_h /. fb)
+            let fb = lazy (extrapolate (compile_baseline prog) base_scan) in
+            fun v scan ->
+              if Lazy.force fb = 0.0 then None
+              else Some (extrapolate (compile_variant v prog) scan /. Lazy.force fb)
       in
       List.concat
         (List.map2
@@ -123,7 +128,7 @@ let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
                    variant = v;
                    baseline;
                    hardened;
-                   sampled_failure_ratio = sampled_ratio base_scan scan;
+                   sampled_failure_ratio = sampled_ratio v scan;
                  };
                ]
              else [])

@@ -51,7 +51,7 @@ type finding = {
   hardened : tally;
   sampled_failure_ratio : float option;
       (** When the hunt sampled: extrapolated-F ratio hardened/baseline
-          from {!Sampler.uniform_raw_oracle} estimates over the
+          from {!Sampler.uniform_raw} draws {!Sampler.read} from the
           conducted scans (diagnostic only — the predicate always uses
           the exact tallies). *)
 }
@@ -75,8 +75,9 @@ val hunt_program :
 (** Conduct baseline plus every variant cell through one
     {!Engine.run_matrix_results} call on the chosen backend and return
     the cells that exhibit the dilution delusion.  With [samples] set,
-    each conducted scan is additionally sampled by
-    {!Sampler.uniform_raw_oracle} (from [Prng.create ~seed]) and
+    each finding's two conducted scans are additionally sampled by
+    {!Sampler.uniform_raw} (from [Prng.create ~seed], located in the
+    cell's geometry after a fresh golden run) and {!Sampler.read}, and
     findings carry the sampled extrapolation ratio. *)
 
 val shrink : ?budget:int -> finding -> finding

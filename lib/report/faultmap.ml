@@ -47,14 +47,16 @@ let access_map_golden (golden : Golden.t) =
 let outcome_map (golden : Golden.t) scan =
   let trace = golden.Golden.trace and defuse = golden.Golden.defuse in
   let grid = event_grid ~trace ~defuse in
-  let expand = Scan.expander scan in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   let cycles = Defuse.total_cycles defuse in
   Array.iteri
     (fun row line ->
       for t = 0 to cycles - 1 do
         match line.(t) with
         | '.' ->
-            let outcome = expand { Coordspace.cycle = t + 1; bit = row } in
+            let outcome =
+              Faultspace.outcome_at cell scan { Coordspace.cycle = t + 1; bit = row }
+            in
             line.(t) <- (if Outcome.is_failure outcome then 'X' else 'o')
         | 'R' | 'W' | ' ' | _ -> ()
       done)

@@ -245,12 +245,13 @@ let pitfall2 ?(samples = 4096) ?(seed = 42L) scan golden =
         [ ("N samples", Table.Right); ("correct (raw space)", Table.Right);
           ("biased (per class)", Table.Right); ("truth", Table.Right) ]
   in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   let n = ref 256 in
   while !n <= samples do
     let rng_c = Prng.create ~seed in
     let rng_b = Prng.create ~seed:(Int64.add seed 1L) in
-    let correct = Sampler.uniform_raw rng_c ~samples:!n golden in
-    let biased = Sampler.biased_per_class rng_b ~samples:!n golden in
+    let correct = Sampler.(conduct cell (uniform_raw rng_c ~samples:!n cell)) in
+    let biased = Sampler.(conduct cell (biased_per_class rng_b ~samples:!n cell)) in
     Table.row t
       [
         string_of_int !n;
@@ -276,7 +277,8 @@ let pitfall3_extrapolation ?(samples = 2048) ?(seed = 7L) entries =
   List.iter
     (fun (name, scan, golden) ->
       let rng = Prng.create ~seed in
-      let est = Sampler.uniform_raw rng ~samples golden in
+      let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+      let est = Sampler.(conduct cell (uniform_raw rng ~samples cell)) in
       Table.row t
         [
           name;
@@ -338,9 +340,11 @@ let figure2_sampled ?(samples = 20_000) ?(seed = 2015L) pairs =
     (fun (name, sb, sh) ->
       List.iter
         (fun (variant_name, variant, scan) ->
-          let golden = rebuild name variant in
+          let cell =
+            Faultspace.of_golden Faultspace.Bitflip_mem (rebuild name variant)
+          in
           let rng = Prng.create ~seed in
-          let est = Sampler.uniform_raw rng ~samples golden in
+          let est = Sampler.(conduct cell (uniform_raw rng ~samples cell)) in
           let ci =
             Confidence.wilson ~fails:est.Sampler.failures
               ~trials:est.Sampler.samples ~confidence:0.95

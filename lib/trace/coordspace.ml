@@ -1,32 +1,1 @@
 type coord = { cycle : int; bit : int }
-
-let pp_coord ppf { cycle; bit } = Format.fprintf ppf "(%d, %d)" cycle bit
-
-let compare_coord a b =
-  match compare a.cycle b.cycle with 0 -> compare a.bit b.bit | c -> c
-
-let size ~total_cycles ~ram_size = total_cycles * ram_size * 8
-
-let contains ~total_cycles ~ram_size { cycle; bit } =
-  cycle >= 1 && cycle <= total_cycles && bit >= 0 && bit < ram_size * 8
-
-let iter ~total_cycles ~ram_size f =
-  for cycle = 1 to total_cycles do
-    for bit = 0 to (ram_size * 8) - 1 do
-      f { cycle; bit }
-    done
-  done
-
-let sample_uniform rng ~total_cycles ~ram_size =
-  let cycle = 1 + Prng.int rng total_cycles in
-  let bit = Prng.int rng (ram_size * 8) in
-  { cycle; bit }
-
-let class_and_bit defuse { cycle; bit } =
-  let byte = bit / 8 in
-  (Defuse.find defuse ~cycle ~byte, bit mod 8)
-
-let canonical_injection (c : Defuse.byte_class) ~bit_in_byte =
-  if bit_in_byte < 0 || bit_in_byte > 7 then
-    invalid_arg "Coordspace.canonical_injection: bit outside byte";
-  { cycle = c.Defuse.t_end; bit = (c.Defuse.byte * 8) + bit_in_byte }

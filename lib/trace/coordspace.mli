@@ -1,36 +1,9 @@
-(** Fault-space geometry: coordinates, enumeration and uniform sampling.
+(** A raw fault-space coordinate.
 
-    A coordinate [(cycle, bit)] means: flip RAM bit [bit] immediately
-    before the instruction executing at [cycle] (1-indexed).  The space is
-    the grid [\[1, Δt\] × \[0, 8·Δm)] — Figure 1a of the paper. *)
+    [(cycle, bit)] means: disturb row [bit] immediately before the
+    instruction executing at [cycle] (1-indexed).  What a row is depends
+    on the fault model — a RAM bit, a register-file bit, or the single
+    row of the instruction-skip space; [Faultspace] owns each model's
+    axes and maps a coordinate to the experiment that stands for it. *)
 
 type coord = { cycle : int; bit : int }
-
-val pp_coord : Format.formatter -> coord -> unit
-(** Prints as ["(cycle, bit)"]. *)
-
-val compare_coord : coord -> coord -> int
-(** Lexicographic by [(cycle, bit)]. *)
-
-val size : total_cycles:int -> ram_size:int -> int
-(** [Δt × 8·Δm], the paper's raw fault-space size [w]. *)
-
-val contains : total_cycles:int -> ram_size:int -> coord -> bool
-
-val iter : total_cycles:int -> ram_size:int -> (coord -> unit) -> unit
-(** Visit every coordinate (cycle-major).  Only sensible for the tiny
-    programs used in brute-force validation. *)
-
-val sample_uniform :
-  Prng.t -> total_cycles:int -> ram_size:int -> coord
-(** One coordinate uniform over the {e raw} fault space — the correct
-    sampling procedure (avoiding Pitfall 2). *)
-
-val class_and_bit : Defuse.t -> coord -> Defuse.byte_class * int
-(** The def/use equivalence class containing the coordinate, plus the
-    bit-within-byte (0–7). *)
-
-val canonical_injection : Defuse.byte_class -> bit_in_byte:int -> coord
-(** The single coordinate at which the experiment for this class is
-    actually conducted: the {e latest} cycle of the interval (directly
-    before the activating read), as in Figure 1b. *)

@@ -71,6 +71,9 @@ let test_outcome_benign () =
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
 
+let hi_cell =
+  lazy (Faultspace.of_golden Faultspace.Bitflip_mem (Lazy.force hi_golden))
+
 let test_golden_hi () =
   let g = Lazy.force hi_golden in
   Alcotest.(check string) "output" "Hi" g.Golden.output;
@@ -101,13 +104,14 @@ let test_hi_failure_coordinates () =
     if byte = 0 then cycle >= 2 && cycle <= 4 else cycle >= 4 && cycle <= 6
   in
   let failures = ref 0 in
-  Coordspace.iter ~total_cycles:8 ~ram_size:2 (fun coord ->
-      let o = Injector.run_at g coord in
-      let expected = expected_failure coord.Coordspace.cycle coord.Coordspace.bit in
-      if Outcome.is_failure o <> expected then
-        Alcotest.failf "coordinate %a: got %a"
-          Coordspace.pp_coord coord Outcome.pp o;
-      if Outcome.is_failure o then incr failures);
+  for cycle = 1 to 8 do
+    for bit = 0 to 15 do
+      let o = Injector.run_at g { Coordspace.cycle; bit } in
+      if Outcome.is_failure o <> expected_failure cycle bit then
+        Alcotest.failf "coordinate (%d, %d): got %a" cycle bit Outcome.pp o;
+      if Outcome.is_failure o then incr failures
+    done
+  done;
   Alcotest.(check int) "F = 48 (paper)" 48 !failures
 
 let test_session_matches_restart () =
@@ -119,8 +123,7 @@ let test_session_matches_restart () =
       let coord = { Coordspace.cycle; bit } in
       let a = Injector.run_at g coord in
       let b = Injector.session_run_at session coord in
-      if a <> b then
-        Alcotest.failf "mismatch at %a" Coordspace.pp_coord coord
+      if a <> b then Alcotest.failf "mismatch at (%d, %d)" cycle bit
     done
   done
 
@@ -153,15 +156,15 @@ let test_hi_pruned_scan () =
   Alcotest.(check int) "F weighted = 48" 48 (Metrics.failure_count scan)
 
 let test_hi_brute_force_equivalence () =
-  let g = Lazy.force hi_golden in
+  let cell = Lazy.force hi_cell in
   let scan = Lazy.force hi_scan in
-  let expand = Scan.expander scan in
-  let brute = Scan.brute_force g in
+  let brute = Faultspace.brute_force cell in
   Alcotest.(check int) "all coordinates" 128 (Array.length brute);
   Array.iter
-    (fun (coord, o) ->
-      if expand coord <> o then
-        Alcotest.failf "pruned/brute mismatch at %a" Coordspace.pp_coord coord)
+    (fun ((coord : Coordspace.coord), o) ->
+      if Faultspace.outcome_at cell scan coord <> o then
+        Alcotest.failf "pruned/brute mismatch at (%d, %d)"
+          coord.Coordspace.cycle coord.Coordspace.bit)
     brute
 
 let test_scan_strategies_agree () =
@@ -242,20 +245,31 @@ let qcheck_pruning_lossless =
       let golden = Golden.run image in
       (* Keep brute force tractable. *)
       QCheck.assume (golden.Golden.cycles * golden.Golden.program.Program.ram_size < 40_000);
-      let scan = Scan.pruned golden in
-      let expand = Scan.expander scan in
-      Array.for_all
-        (fun (coord, o) -> expand coord = o)
-        (Scan.brute_force golden))
+      List.for_all
+        (fun model ->
+          let cell =
+            match model with
+            | Faultspace.Bitflip_reg -> Faultspace.of_regspace (Regspace.analyze image)
+            | m -> Faultspace.of_golden m golden
+          in
+          let scan = Faultspace.scan cell in
+          Array.for_all
+            (fun (coord, o) -> Faultspace.outcome_at cell scan coord = o)
+            (Faultspace.brute_force cell))
+        Faultspace.[ Bitflip_mem; Bitflip_reg; burst 3; burst ~row:2 3; Skip ])
 
 (* ------------------------------------------------------------------ *)
 (* Samplers                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Draw from Hi's memory cell and conduct the draw. *)
+let sample sampler rng ~samples =
+  let cell = Lazy.force hi_cell in
+  Sampler.conduct cell (sampler rng ~samples cell)
+
 let test_uniform_raw_converges () =
-  let g = Lazy.force hi_golden in
   let rng = Prng.create ~seed:5L in
-  let est = Sampler.uniform_raw rng ~samples:4000 g in
+  let est = sample Sampler.uniform_raw rng ~samples:4000 in
   (* Ground truth on Hi: 48/128 = 0.375. *)
   Alcotest.(check bool) "estimate near 0.375" true
     (Float.abs (Sampler.failure_fraction est -. 0.375) < 0.03);
@@ -265,16 +279,14 @@ let test_uniform_raw_converges () =
 let test_biased_sampler_is_wrong () =
   (* On Hi every def/use experiment class fails, so per-class sampling
      reports failure fraction 1.0 — a maximal Pitfall-2 demonstration. *)
-  let g = Lazy.force hi_golden in
   let rng = Prng.create ~seed:5L in
-  let est = Sampler.biased_per_class rng ~samples:500 g in
+  let est = sample Sampler.biased_per_class rng ~samples:500 in
   Alcotest.(check bool) "biased estimate = 1.0" true
     (Sampler.failure_fraction est = 1.0)
 
 let test_uniform_effective () =
-  let g = Lazy.force hi_golden in
   let rng = Prng.create ~seed:5L in
-  let est = Sampler.uniform_effective rng ~samples:1000 g in
+  let est = sample Sampler.uniform_effective rng ~samples:1000 in
   (* Effective population w' = 2 classes x 8 bits x weight 3 = 48, all
      failing. *)
   Alcotest.(check int) "population w'" 48 est.Sampler.population;
@@ -285,9 +297,8 @@ let test_uniform_effective () =
     (Float.abs (Metrics.extrapolated_failures est -. 48.0) < 1e-9)
 
 let test_outcome_counts_sum () =
-  let g = Lazy.force hi_golden in
   let rng = Prng.create ~seed:6L in
-  let est = Sampler.uniform_raw rng ~samples:777 g in
+  let est = sample Sampler.uniform_raw rng ~samples:777 in
   let total =
     List.fold_left (fun acc (_, n) -> acc + n) 0 est.Sampler.outcome_counts
   in

@@ -81,7 +81,8 @@ let test_failure_probability () =
 let test_extrapolation () =
   let g = Lazy.force hi_golden in
   let rng = Prng.create ~seed:3L in
-  let est = Sampler.uniform_raw rng ~samples:6000 g in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem g in
+  let est = Sampler.(conduct cell (uniform_raw rng ~samples:6000 cell)) in
   let extrapolated = Metrics.extrapolated_failures est in
   Alcotest.(check bool) "near true F=48" true
     (Float.abs (extrapolated -. 48.0) < 5.0);
@@ -122,8 +123,12 @@ let test_ratio_sampled () =
   let g_base = Lazy.force hi_golden in
   let g_dft = Lazy.force dft_golden in
   let rng = Prng.create ~seed:11L in
-  let est_base = Sampler.uniform_raw rng ~samples:8000 g_base in
-  let est_dft = Sampler.uniform_raw rng ~samples:8000 g_dft in
+  let sample g =
+    let cell = Faultspace.of_golden Faultspace.Bitflip_mem g in
+    Sampler.(conduct cell (uniform_raw rng ~samples:8000 cell))
+  in
+  let est_base = sample g_base in
+  let est_dft = sample g_dft in
   let r = Compare.ratio_sampled ~baseline:est_base ~hardened:est_dft in
   Alcotest.(check bool) "sampled ratio near 1" true (Float.abs (r -. 1.0) < 0.25)
 
@@ -168,8 +173,9 @@ let test_pitfall2_analysis () =
   let g = Lazy.force hi_golden in
   let scan = Lazy.force hi_scan in
   let rng = Prng.create ~seed:9L in
-  let correct = Sampler.uniform_raw rng ~samples:3000 g in
-  let biased = Sampler.biased_per_class rng ~samples:3000 g in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem g in
+  let correct = Sampler.(conduct cell (uniform_raw rng ~samples:3000 cell)) in
+  let biased = Sampler.(conduct cell (biased_per_class rng ~samples:3000 cell)) in
   let p = Pitfalls.analyze_pitfall2 ~scan ~correct ~biased in
   close "truth" 0.375 p.Pitfalls.ground_truth_failure_fraction;
   close "biased = 1.0 on Hi" 1.0 p.Pitfalls.biased_estimate;

@@ -484,7 +484,7 @@ let test_resume_missing_journal_starts_fresh () =
       Alcotest.(check bool) "journal created" true (Sys.file_exists path))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle samplers agree with conducting samplers                     *)
+(* The two sampling resolvers agree, for every model                  *)
 (* ------------------------------------------------------------------ *)
 
 let check_estimates_agree msg (a : Sampler.estimate) (b : Sampler.estimate) =
@@ -494,25 +494,38 @@ let check_estimates_agree msg (a : Sampler.estimate) (b : Sampler.estimate) =
   Alcotest.(check bool) (msg ^ " outcome counts") true
     (a.Sampler.outcome_counts = b.Sampler.outcome_counts)
 
+(* At a fixed seed, conducting a draw's slots in-process and reading
+   them from the engine's scan of the same cell give the same estimate:
+   flag1 for a mid-size space, hi+dft for a padded skip cell. *)
 let test_oracle_samplers_agree () =
-  let golden = Lazy.force flag1_golden in
-  let scan = Lazy.force flag1_serial in
-  let conducted =
-    Sampler.uniform_raw (Prng.create ~seed:11L) ~samples:1500 golden
-  in
-  let oracle =
-    Sampler.uniform_raw_oracle (Prng.create ~seed:11L) ~samples:1500 scan
-  in
-  check_estimates_agree "uniform" conducted oracle;
-  Alcotest.(check int) "oracle conducts nothing" 0 oracle.Sampler.conducted;
-  let conducted_b =
-    Sampler.biased_per_class (Prng.create ~seed:12L) ~samples:800 golden
-  in
-  let oracle_b =
-    Sampler.biased_per_class_oracle (Prng.create ~seed:12L) ~samples:800 golden
-      scan
-  in
-  check_estimates_agree "biased" conducted_b oracle_b
+  List.iter
+    (fun (name, image) ->
+      List.iter
+        (fun model ->
+          let label = name ^ "@" ^ Faultspace.tag model in
+          let spec, cell =
+            match model with
+            | Faultspace.Bitflip_reg ->
+                let r = Regspace.analyze image in
+                (Spec.of_regspace r, Faultspace.of_regspace r)
+            | m ->
+                let g = Golden.run image in
+                (Spec.of_golden ~model:m g, Faultspace.of_golden m g)
+          in
+          let scan = Drive.scan ~jobs:1 spec in
+          let both msg draw =
+            let oracle = Sampler.read scan (draw ()) in
+            check_estimates_agree (label ^ " " ^ msg)
+              (Sampler.conduct cell (draw ())) oracle;
+            Alcotest.(check int) (label ^ " oracle conducts nothing") 0
+              oracle.Sampler.conducted
+          in
+          both "uniform" (fun () ->
+              Sampler.uniform_raw (Prng.create ~seed:11L) ~samples:1500 cell);
+          both "biased" (fun () ->
+              Sampler.biased_per_class (Prng.create ~seed:12L) ~samples:800 cell))
+        Faultspace.[ Bitflip_mem; Bitflip_reg; burst 3; burst ~row:2 3; Skip ])
+    [ ("flag1", Flag1.baseline ()); ("hi+dft", Hi.dft ()) ]
 
 let suite =
   ( "engine",

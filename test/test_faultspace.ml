@@ -8,6 +8,9 @@
 let hi_image = lazy (Hi.program ())
 let hi_golden = lazy (Golden.run (Lazy.force hi_image))
 
+let all_models =
+  Faultspace.[ Bitflip_mem; Bitflip_reg; burst 3; burst ~row:2 3; Skip ]
+
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
   Alcotest.(check string)
@@ -85,46 +88,133 @@ let test_burst_shares_mem_partition () =
   Alcotest.(check int) "same ram bytes" mem.Faultspace.ram_bytes
     b.Faultspace.ram_bytes
 
-(* Brute-force oracle for burst pruning: a burst anchored at every raw
-   (cycle, byte, bit) coordinate, conducted alone as a one-cycle class
-   on a replay session, must end as the pruned scan says it does once
-   expanded over the raw space — a-priori-benign coordinates included. *)
+(* Brute force against pruning: every raw coordinate, injected alone on
+   a replay session, must end as the cell's pruned scan says it does
+   once expanded over the raw space — a-priori-benign coordinates
+   included.  Returns how many coordinates fail. *)
+let check_brute_force label cell =
+  let scan = Faultspace.scan cell in
+  let brute = Faultspace.brute_force cell in
+  Alcotest.(check int) (label ^ ": every coordinate") (Faultspace.space cell)
+    (Array.length brute);
+  Array.fold_left
+    (fun failures ((coord : Coordspace.coord), brute) ->
+      let pruned = Faultspace.outcome_at cell scan coord in
+      if brute <> pruned then
+        Alcotest.failf "%s at (%d, %d): pruned %s, brute force %s" label
+          coord.Coordspace.cycle coord.Coordspace.bit (Outcome.to_string pruned)
+          (Outcome.to_string brute);
+      if Outcome.is_failure brute then failures + 1 else failures)
+    0 brute
+
 let test_burst_brute_force () =
   let golden = Lazy.force hi_golden in
-  let total_cycles = golden.Golden.cycles in
-  let ram_size = golden.Golden.program.Program.ram_size in
   List.iter
     (fun model ->
       let tag = Faultspace.tag model in
-      let cell = Faultspace.of_golden model golden in
-      let expand = Scan.expander (Faultspace.scan cell) in
-      let session = Injector.session (Injector.replay golden) in
-      let coords = ref 0 and failures = ref 0 in
-      Coordspace.iter ~total_cycles ~ram_size (fun coord ->
-          let c = coord.Coordspace.cycle in
-          let one_cycle =
-            {
-              Defuse.byte = coord.Coordspace.bit / 8;
-              t_start = c;
-              t_end = c;
-              kind = Defuse.Experiment;
-            }
-          in
-          let brute =
-            cell.Faultspace.conduct session one_cycle
-              ~bit_in_byte:(coord.Coordspace.bit mod 8)
-          in
-          let pruned = expand coord in
-          if brute <> pruned then
-            Alcotest.failf "%s at %a: pruned %s, brute force %s" tag
-              Coordspace.pp_coord coord (Outcome.to_string pruned)
-              (Outcome.to_string brute);
-          incr coords;
-          if brute <> Outcome.No_effect then incr failures);
-      Alcotest.(check int) (tag ^ ": every coordinate")
-        (Golden.fault_space_size golden) !coords;
-      Alcotest.(check bool) (tag ^ ": some bursts fail") true (!failures > 0))
+      let failures = check_brute_force tag (Faultspace.of_golden model golden) in
+      Alcotest.(check bool) (tag ^ ": some bursts fail") true (failures > 0))
     [ Faultspace.burst 3; Faultspace.burst ~row:2 3 ]
+
+(* The same check for all five models on hi, on hi+dft (12 cycles, so
+   skip pads 4 slots) and on hi+pad (two unused RAM bytes, dormant
+   rows).  Each model's geometry counts its own raw space. *)
+let test_every_model_brute_force () =
+  List.iter
+    (fun (name, image) ->
+      List.iter
+        (fun model ->
+          let label = name ^ "@" ^ Faultspace.tag model in
+          let cell = Faultspace.analyse model image in
+          let failures = check_brute_force label cell in
+          Alcotest.(check bool) (label ^ ": some faults fail") true (failures > 0))
+        all_models)
+    [ ("hi", Hi.program ()); ("hi+dft", Hi.dft ());
+      ("hi+pad", Hi.dft_memory ()) ]
+
+(* ------------------------------------------------------------------ *)
+(* Geometry: locate, canonical coordinates, bounds, draws             *)
+(* ------------------------------------------------------------------ *)
+
+(* The coordinate a slot is conducted at: a byte class's t_end, a skip
+   slot's own cycle. *)
+let canonical model (cell : Faultspace.cell) slot =
+  match model with
+  | Faultspace.Skip -> { Coordspace.cycle = slot + 1; bit = 0 }
+  | _ ->
+      let c = cell.Faultspace.classes.(slot / 8) in
+      { Coordspace.cycle = c.Defuse.t_end; bit = (8 * c.Defuse.byte) + (slot mod 8) }
+
+let test_locate () =
+  (* Hi's memory space: msg[0] (bits 0-7) is an experiment class over
+     cycles 2-4, msg[1] (bits 8-15) over 4-6; the rest is benign. *)
+  let mem = Faultspace.of_golden Faultspace.Bitflip_mem (Lazy.force hi_golden) in
+  let at cycle bit = mem.Faultspace.locate { Coordspace.cycle; bit } in
+  Alcotest.(check (option int)) "msg[0] bit 5 mid-class" (Some 5) (at 3 5);
+  Alcotest.(check (option int)) "msg[1] bit 1 at its read" (Some 9) (at 6 9);
+  Alcotest.(check (option int)) "msg[1] bit 0 right after its write" (Some 8)
+    (at 4 8);
+  Alcotest.(check (option int)) "overwritten" None (at 1 0);
+  Alcotest.(check (option int)) "dormant" None (at 7 12);
+  List.iter
+    (fun model ->
+      let tag = Faultspace.tag model in
+      let cell = Faultspace.analyse model (Hi.dft ()) in
+      let cycles = cell.Faultspace.golden.Golden.cycles in
+      (* Every real slot's canonical coordinate locates back to it, and
+         conducting the slot is injecting there. *)
+      for slot = 0 to cell.Faultspace.slots - 1 do
+        let coord = canonical model cell slot in
+        if cell.Faultspace.locate coord <> Some slot then
+          Alcotest.failf "%s: slot %d does not contain its canonical coordinate"
+            tag slot;
+        let fresh () = Injector.session (Injector.replay cell.Faultspace.golden) in
+        let conducted =
+          cell.Faultspace.conduct (fresh ()) cell.Faultspace.classes.(slot / 8)
+            ~bit_in_byte:(slot mod 8)
+        in
+        if conducted <> cell.Faultspace.inject (fresh ()) coord then
+          Alcotest.failf "%s: slot %d is not conducted at its canonical coordinate"
+            tag slot
+      done;
+      List.iter
+        (fun (cycle, bit) ->
+          match cell.Faultspace.locate { Coordspace.cycle; bit } with
+          | _ -> Alcotest.failf "%s: (%d, %d) is outside the space" tag cycle bit
+          | exception Invalid_argument _ -> ())
+        [ (0, 0); (cycles + 1, 0); (1, cell.Faultspace.rows); (1, -1) ])
+    all_models
+
+let test_draws () =
+  List.iter
+    (fun model ->
+      let tag = Faultspace.tag model in
+      let cell = Faultspace.analyse model (Hi.dft ()) in
+      let check name (draw : Sampler.draw) ~population ~benign ~bound =
+        Alcotest.(check int) (tag ^ " " ^ name ^ " population") population
+          draw.Sampler.population;
+        Alcotest.(check int) (tag ^ " " ^ name ^ " samples") 500
+          (Array.length draw.Sampler.slots);
+        Array.iter
+          (function
+            | None when benign -> ()
+            | None -> Alcotest.failf "%s %s: drew a benign coordinate" tag name
+            | Some s when s >= 0 && s < bound -> ()
+            | Some s -> Alcotest.failf "%s %s: slot %d out of range" tag name s)
+          draw.Sampler.slots
+      in
+      let rng = Prng.create ~seed:3L in
+      let space = Faultspace.space cell in
+      check "raw" (Sampler.uniform_raw rng ~samples:500 cell) ~population:space
+        ~benign:true ~bound:cell.Faultspace.slots;
+      check "effective"
+        (Sampler.uniform_effective rng ~samples:500 cell)
+        ~population:(space - cell.Faultspace.benign_weight) ~benign:false
+        ~bound:cell.Faultspace.slots;
+      check "biased"
+        (Sampler.biased_per_class rng ~samples:500 cell)
+        ~population:space ~benign:false ~bound:(Faultspace.experiments cell))
+    all_models
 
 (* A small compiled MIR kernel: a counted loop over a 3-element array,
    its trip count and constants derived from [seed]. *)
@@ -372,7 +462,7 @@ let test_accounting_invariant () =
             | Faultspace.Bitflip_mem | Faultspace.Burst _ ->
                 (cycles * 8 * image.Program.ram_size, Faultspace.experiments cell)
           in
-          Alcotest.(check int) (label ^ ": cell space") space cell.Faultspace.space;
+          Alcotest.(check int) (label ^ ": cell space") space (Faultspace.space cell);
           let spec =
             match model with
             | Faultspace.Bitflip_reg -> Spec.of_regspace (Regspace.analyze image)
@@ -407,6 +497,11 @@ let suite =
         test_mem_cell_matches_legacy;
       Alcotest.test_case "burst shares the mem partition" `Quick
         test_burst_shares_mem_partition;
+      Alcotest.test_case "every model's pruning = brute force (hi, hi+dft, hi+pad)"
+        `Quick test_every_model_brute_force;
+      Alcotest.test_case "locate: slots, canonical coordinates, bounds" `Quick
+        test_locate;
+      Alcotest.test_case "samplers draw slots of the cell" `Quick test_draws;
       Alcotest.test_case "burst pruning = brute force (hi)" `Quick
         test_burst_brute_force;
       QCheck_alcotest.to_alcotest qcheck_legacy_models_differential;

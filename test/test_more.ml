@@ -98,11 +98,13 @@ let test_samplers_agree () =
   let golden = Golden.run (Mbox1.baseline ~items:4 ()) in
   let scan = Scan.pruned golden in
   let truth = float_of_int (Metrics.failure_count scan) in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   let est_raw =
-    Sampler.uniform_raw (Prng.create ~seed:4L) ~samples:20_000 golden
+    Sampler.(conduct cell (uniform_raw (Prng.create ~seed:4L) ~samples:20_000 cell))
   in
   let est_eff =
-    Sampler.uniform_effective (Prng.create ~seed:5L) ~samples:20_000 golden
+    Sampler.(
+      conduct cell (uniform_effective (Prng.create ~seed:5L) ~samples:20_000 cell))
   in
   let f_raw = Metrics.extrapolated_failures est_raw in
   let f_eff = Metrics.extrapolated_failures est_eff in
