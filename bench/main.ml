@@ -42,15 +42,35 @@ let scans specs =
        ~observe:(progress ())
        (List.map (Spec.with_policy policy) specs))
 
-(* The Figure-2 pairs: (name, baseline scan, SUM+DMR scan). *)
-let paper_scans =
+(* The Figure-2 pairs: (name, baseline, SUM+DMR), each a memory cell
+   analysed once and its scan.  The engine conducts from the same golden
+   runs, so cache keys and fingerprints are those of the suite's specs. *)
+let paper_cells =
   lazy
-    (let rec pair_up = function
-       | (name, _, _) :: pairs, sb :: sh :: rest ->
-           (name, sb, sh) :: pair_up (pairs, rest)
+    (let analysed variant build =
+       let golden = Golden.run (build ()) in
+       ( Spec.of_golden ~variant golden,
+         Faultspace.of_golden Faultspace.Bitflip_mem golden )
+     in
+     let cells =
+       List.concat_map
+         (fun (_, baseline, sum_dmr) ->
+           [ analysed "baseline" baseline; analysed "sum+dmr" sum_dmr ])
+         Suite.paper_pairs
+     in
+     let rec pair_up = function
+       | (name, _, _) :: pairs, b :: h :: rest ->
+           (name, b, h) :: pair_up (pairs, rest)
        | _ -> []
      in
-     pair_up (Suite.paper_pairs, scans (Suite.paper_specs ())))
+     let scanned = List.combine (List.map snd cells) (scans (List.map fst cells)) in
+     pair_up (Suite.paper_pairs, scanned))
+
+(* The Figure-2 pairs' scans: (name, baseline scan, SUM+DMR scan). *)
+let paper_scans () =
+  List.map
+    (fun (name, (_, sb), (_, sh)) -> (name, sb, sh))
+    (Lazy.force paper_cells)
 
 (* ------------------------------------------------------------------ *)
 (* Artifacts                                                          *)
@@ -70,7 +90,7 @@ let run_figure3 () =
 
 let run_figure2 () =
   section "F2 | Figure 2: bin_sem2 and sync2, baseline vs SUM+DMR";
-  print_string (Figures.figure2 (Lazy.force paper_scans))
+  print_string (Figures.figure2 (paper_scans ()))
 
 let run_pruning () =
   section "S3C | Section III-C: pruning effectiveness";
@@ -87,37 +107,24 @@ let run_pruning () =
 let run_pitfall2 () =
   section "P2 | Pitfall 2: biased sampling";
   (* Ground truth from the bin_sem2 baseline campaign. *)
-  let scans = Lazy.force paper_scans in
-  let _, sb, _ = List.hd scans in
-  let golden = Golden.run (Bin_sem2.baseline ()) in
-  print_string (Figures.pitfall2 sb golden);
+  let _, bin_sem2, _ = List.hd (Lazy.force paper_cells) in
+  print_string (Figures.pitfall2 bin_sem2);
   print_string "\nAnd maximally on the Hi program (every def/use class fails):\n";
-  let hi_g = Golden.run (Hi.program ()) in
-  print_string (Figures.pitfall2 ~samples:1024 (Scan.pruned hi_g) hi_g)
+  let hi = Faultspace.analyse Faultspace.Bitflip_mem (Hi.program ()) in
+  print_string (Figures.pitfall2 ~samples:1024 (hi, Faultspace.scan hi))
 
 let run_pitfall3 () =
   section "P3 | Pitfall 3 (corollary 2): extrapolation";
-  let scans = Lazy.force paper_scans in
   let entries =
     List.concat_map
-      (fun (name, sb, sh) ->
-        let baseline_golden, hardened_golden =
-          match name with
-          | "bin_sem2" ->
-              (Golden.run (Bin_sem2.baseline ()), Golden.run (Bin_sem2.sum_dmr ()))
-          | _ -> (Golden.run (Sync2.baseline ()), Golden.run (Sync2.sum_dmr ()))
-        in
-        [
-          (name ^ "/baseline", sb, baseline_golden);
-          (name ^ "/sum+dmr", sh, hardened_golden);
-        ])
-      scans
+      (fun (name, b, h) -> [ (name ^ "/baseline", b); (name ^ "/sum+dmr", h) ])
+      (Lazy.force paper_cells)
   in
   print_string (Figures.pitfall3_extrapolation entries)
 
 let run_figure2_sampled () =
   section "F2s | Figure 2(e) via sampling (common practice, done right)";
-  print_string (Figures.figure2_sampled (Lazy.force paper_scans))
+  print_string (Figures.figure2_sampled (Lazy.force paper_cells))
 
 let run_ratios () =
   section "R | Comparison ratios (Section V)";
@@ -127,7 +134,7 @@ let run_ratios () =
       Format.printf "%-10s %a@." name Pitfalls.pp_pitfall3 p3;
       Format.printf "%-10s MWTF ratio (hardened/baseline): %.3f@." ""
         (Mwtf.relative ~baseline:sb ~hardened:sh ()))
-    (Lazy.force paper_scans)
+    (paper_scans ())
 
 let run_ablation () =
   section "X2 | Hardening ablation: baseline vs SUM+DMR vs TMR";
@@ -199,10 +206,12 @@ let run_optimization () =
   in
   let entries =
     [
-      ("filter -O0", Scan.pruned (Golden.run (Codegen.compile source)));
+      ( "filter -O0",
+        Faultspace.(scan (analyse Bitflip_mem (Codegen.compile source))) );
       ( "filter -O1",
-        Scan.pruned ~variant:"optimized"
-          (Golden.run (Codegen.compile (Optimize.optimize source))) );
+        Faultspace.(
+          scan ~variant:"optimized"
+            (analyse Bitflip_mem (Codegen.compile (Optimize.optimize source)))) );
     ]
   in
   print_string (Figures.ablation entries);
@@ -236,23 +245,24 @@ let run_engine_checkpoint () =
   let program =
     if smoke then Mbox1.baseline () else Bin_sem2.baseline ()
   in
-  let golden = Golden.run program in
-  let replay_mem, t_mr =
-    time (fun () -> Scan.pruned ~provider:(Injector.replay golden) golden)
+  (* Each space's scan through the replay provider, then through a
+     checkpoint plan whose exit counts are reported below. *)
+  let scans model =
+    let cell = Faultspace.analyse model program in
+    let golden = cell.Faultspace.golden in
+    let replay, t_replay =
+      time (fun () -> Faultspace.scan ~provider:(Injector.replay golden) cell)
+    in
+    let provider = Injector.plan golden in
+    let plan, t_plan = time (fun () -> Faultspace.scan ~provider cell) in
+    (replay, t_replay, provider, plan, t_plan)
   in
-  let mem_provider = Injector.plan golden in
-  let plan_mem, t_mp =
-    time (fun () -> Scan.pruned ~provider:mem_provider golden)
+  let replay_mem, t_mr, mem_provider, plan_mem, t_mp =
+    scans Faultspace.Bitflip_mem
   in
   let mem_identical = plan_mem = replay_mem in
-  let rt = Regspace.analyze program in
-  let rgolden = rt.Regspace.golden in
-  let replay_reg, t_rr =
-    time (fun () -> Regspace.scan ~provider:(Injector.replay rgolden) rt)
-  in
-  let reg_provider = Injector.plan rgolden in
-  let plan_reg, t_rp =
-    time (fun () -> Regspace.scan ~provider:reg_provider rt)
+  let replay_reg, t_rr, reg_provider, plan_reg, t_rp =
+    scans Faultspace.Bitflip_reg
   in
   let reg_identical = plan_reg = replay_reg in
   Printf.printf "stride                    : %d cycles\n"
@@ -357,7 +367,8 @@ let perf_tests () =
     Test.make ~name:"F1-defuse-analysis"
       (Staged.stage (fun () -> ignore (Defuse.analyze bin_golden.Golden.trace)));
     Test.make ~name:"F3-hi-full-scan"
-      (Staged.stage (fun () -> ignore (Scan.pruned hi_golden)));
+      (Staged.stage (fun () ->
+           ignore Faultspace.(scan (of_golden Bitflip_mem hi_golden))));
     Test.make ~name:"F2-golden-run-bin-sem2"
       (Staged.stage (fun () ->
            let m = Machine.create bin_image in

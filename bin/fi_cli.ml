@@ -501,23 +501,24 @@ let analysed ~variant ~policy model image =
    count and extrapolation below is relative to. *)
 let print_space model (cell : Faultspace.cell) =
   let g = cell.Faultspace.golden in
+  let name = g.Golden.program.Program.name in
   (match model with
   | Faultspace.Skip ->
       (* the skip space is the cycle axis, not the memory geometry *)
       Format.printf
         "%s: %d cycles, %d bytes RAM, fault space w = %d cycles, %d \
          experiments (no pruning)@."
-        g.Golden.program.Program.name g.Golden.cycles
-        g.Golden.program.Program.ram_size (Faultspace.space cell)
-        cell.Faultspace.slots
+        name g.Golden.cycles g.Golden.program.Program.ram_size
+        (Faultspace.space cell) cell.Faultspace.slots
+  | Faultspace.Bitflip_reg ->
+      Format.printf
+        "%s: %d cycles, register fault space w = %d bit-cycles (%d x %d), %d \
+         pruned experiments@."
+        name g.Golden.cycles (Faultspace.space cell) g.Golden.cycles
+        cell.Faultspace.rows (Faultspace.experiments cell)
   | _ -> Format.printf "%a@." Golden.pp_summary g);
-  match model with
-  | Faultspace.Bitflip_mem -> ()
-  | m ->
-      Format.printf "fault model: %s@." (Faultspace.describe m);
-      if m = Faultspace.Bitflip_reg then
-        Format.printf "register fault space: w = %d bit-cycles@."
-          (Faultspace.space cell)
+  if model <> Faultspace.Bitflip_mem then
+    Format.printf "fault model: %s@." (Faultspace.describe model)
 
 let campaign_cmd =
   let out =
@@ -743,8 +744,8 @@ let sample_cmd =
     Format.printf "sampler            : %s%s@."
       (if biased then "per-class (BIASED, pitfall 2)" else "uniform raw space")
       (if oracle then " via parallel campaign oracle" else "");
-    Format.printf "samples            : %d (%d experiments conducted)@."
-      est.Sampler.samples est.Sampler.conducted;
+    Format.printf "samples            : %d (%d distinct experiments)@."
+      est.Sampler.samples est.Sampler.distinct;
     Format.printf "failure fraction   : %.5f  95%% CI %a@."
       (Sampler.failure_fraction est)
       Confidence.pp_interval interval;
@@ -771,12 +772,6 @@ let compare_cmd =
     let base = or_die (load_program base_spec) in
     let hard = or_die (load_program hard_spec) in
     let spec_of name image =
-      let golden = Golden.run image in
-      (match opts.fault_model with
-      | Faultspace.Bitflip_reg -> ()
-      | m ->
-          Printf.eprintf "[%s] %d experiments...\n%!" name
-            (Faultspace.experiments (Faultspace.of_golden m golden)));
       (* One journal per side, derived from the --journal stem (the
          catalogue keys each side by its own fingerprint anyway). *)
       let policy =
@@ -791,10 +786,10 @@ let compare_cmd =
             };
         }
       in
-      match opts.fault_model with
-      | Faultspace.Bitflip_reg ->
-          Spec.of_regspace ~variant:name ~policy (Regspace.analyze image)
-      | m -> Spec.of_golden ~variant:name ~policy ~model:m golden
+      let spec, cell = analysed ~variant:name ~policy opts.fault_model image in
+      Printf.eprintf "[%s] %d experiments...\n%!" name
+        (Faultspace.experiments cell);
+      spec
     in
     (* Both sides share one worker pool: the hardened cell's shards start
        as soon as baseline shards stop saturating it. *)

@@ -7,7 +7,7 @@
 
 let campaign name image =
   let golden = Golden.run image in
-  let scan = Scan.pruned ~variant:name golden in
+  let scan = Faultspace.(scan ~variant:name (of_golden Bitflip_mem golden)) in
   (name, golden, scan)
 
 let () =

@@ -51,7 +51,7 @@ let campaign name mir_prog =
   let image = Codegen.compile mir_prog in
   let golden = Golden.run image in
   Format.printf "%-14s %a@." name Golden.pp_summary golden;
-  Scan.pruned ~variant:name golden
+  Faultspace.(scan ~variant:name (of_golden Bitflip_mem golden))
 
 let () =
   let base_prog = sensor_app () in

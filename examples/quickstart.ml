@@ -54,7 +54,7 @@ let () =
   Format.printf "%a@." Golden.pp_summary golden;
 
   (* 4. Full pruned campaign: one injection per class and bit. *)
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem golden)) in
 
   (* 5. Metrics — weighted (correct) and unweighted (Pitfall 1). *)
   Format.printf "fault coverage (weighted)   : %.2f%%@."

@@ -16,7 +16,7 @@ let () =
   Format.printf "%a@.@." Golden.pp_summary golden;
 
   (* Ground truth from the full pruned scan. *)
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.scan cell in
   let truth_fraction =
     float_of_int (Metrics.failure_count scan)
     /. float_of_int (Scan.fault_space_size scan)
@@ -54,9 +54,9 @@ let () =
   (* Corollary 2: raw counts vs extrapolation across two variants. *)
   let hardened = Mbox1.sum_dmr () in
   let golden_h = Golden.run hardened in
-  let scan_h = Scan.pruned golden_h in
-  let rng = Prng.create ~seed:3L in
   let cell_h = Faultspace.of_golden Faultspace.Bitflip_mem golden_h in
+  let scan_h = Faultspace.scan cell_h in
+  let rng = Prng.create ~seed:3L in
   let est_b = Sampler.(conduct cell (uniform_raw rng ~samples:4000 cell)) in
   let est_h = Sampler.(conduct cell_h (uniform_raw rng ~samples:4000 cell_h)) in
   Format.printf "@.with N = 4000 samples each:@.";

@@ -91,13 +91,12 @@ type exit_kind =
           the watchdog or the memo. *)
   | Memo_hit  (** Reached a state another run already classified. *)
 
-val exit_kinds : exit_kind list
-
 val exit_kind_name : exit_kind -> string
 (** The short name {!pp_counts} prints, e.g. ["watchdog"]. *)
 
 type counts = {
-  experiments : int array;  (** Per exit kind, in {!exit_kinds} order. *)
+  experiments : int array;
+      (** Per exit kind, in declaration order; read with {!exits}. *)
   cycles : int array;  (** Simulated cycles per exit kind. *)
   memo_lookups : int;
   memo_inserts : int;

@@ -63,9 +63,9 @@ val of_char : char -> t option
 
 (** {1 Running tallies}
 
-    A mutable per-outcome experiment counter, used by campaign progress
-    reporting (both the serial {!Scan.pruned} loop and the parallel
-    engine) and cheap to update once per experiment. *)
+    A mutable per-outcome experiment counter, used by the engine's
+    progress reporting and by sampling estimates, and cheap to update
+    once per experiment. *)
 
 type tally
 

@@ -46,9 +46,3 @@ let inject session { Coordspace.cycle; bit } =
   let reg, bit = coord_of_bit bit in
   Injector.session_run_flip session ~cycle ~flip:(fun machine ->
       Machine.flip_reg_bit machine ~reg ~bit)
-
-let scan ?variant ?provider ?progress t =
-  Scan.serial ?variant ?provider ?progress ~ram_bytes:pseudo_ram_bytes
-    ~benign_weight:(Defuse.known_benign_weight t.reg_defuse)
-    ~conduct:(Scan.conduct_at_t_end inject)
-    t.golden (classes t)

@@ -6,7 +6,8 @@
     per-cycle register def/use sets from the executed instruction stream,
     reuses the def/use machinery by mapping register [i] (1–15; [r0] is
     hardwired and immune) onto a 60-byte pseudo-memory at bytes
-    [4·(i−1) … 4·i), and runs campaigns that flip register bits.
+    [4·(i−1) … 4·i), and injects register-bit flips ({!inject}).
+    Campaigns run through the register cell of [Faultspace.of_regspace].
 
     The resulting {!Scan.t} is fully compatible with the metrics layer,
     so fault coverage, weighted failure counts and the pitfall analyses
@@ -51,24 +52,6 @@ val inject : Injector.session -> Coordspace.coord -> Outcome.t
     immediately before [cycle] on the session's machine and classify the
     run — the register space's per-coordinate experiment, [0 <= bit <
     480].  Cycles must be non-decreasing per session. *)
-
-val scan :
-  ?variant:string ->
-  ?provider:Injector.provider ->
-  ?progress:Scan.progress ->
-  t ->
-  Scan.t
-(** Full pruned campaign over the register fault space, conducted
-    through [provider] as in {!Scan.pruned} (default: a fresh checkpoint
-    plan over the shared golden run).  The returned scan's [ram_bytes]
-    is the 60-byte pseudo-memory, so [Scan.fault_space_size] and all
-    metrics are consistent.  [variant] is the program's {e hardening}
-    variant (default ["baseline"]) — the fault space is already in the
-    scan's identity, so labelling register scans ["registers"] only
-    mislabelled hardened cells in matrix reports.
-
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
 
 val coord_of_bit : int -> int * int
 (** Map a pseudo-memory bit index to [(register, bit-in-register)]. *)

@@ -104,13 +104,6 @@ let pp_pitfall1 ppf p =
     (100.0 *. p.weighted_coverage)
     p.delta_percent_points p.unweighted_failures p.weighted_failures
 
-let pp_pitfall2 ppf p =
-  Format.fprintf ppf
-    "truth %.3e, raw-space sampling %.3e, per-class sampling %.3e (excess \
-     bias %.3e)"
-    p.ground_truth_failure_fraction p.correct_estimate p.biased_estimate
-    p.bias
-
 let pp_pitfall3 ppf p =
   Format.fprintf ppf
     "coverage %.2f%% -> %.2f%% says %a; failure ratio r = %.3f says %a%s"

@@ -80,5 +80,4 @@ val dilution_delusion :
 val pp_dilution : Format.formatter -> dilution -> unit
 
 val pp_pitfall1 : Format.formatter -> pitfall1 -> unit
-val pp_pitfall2 : Format.formatter -> pitfall2 -> unit
 val pp_pitfall3 : Format.formatter -> pitfall3 -> unit

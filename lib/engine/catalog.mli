@@ -33,10 +33,6 @@ val record : dir:string -> fingerprint:int -> path:string -> unit
     campaigns on one host (the service's normal case) cannot interleave
     index lines. *)
 
-val rewrite : dir:string -> (int * string) list -> unit
-(** Replace the whole index with these entries, atomically (write to a
-    temp file, then rename).  Compaction's primitive. *)
-
 type compaction = {
   examined : int;  (** Index lines parsed. *)
   kept : int;  (** Entries still in the index afterwards. *)

@@ -8,9 +8,8 @@
     each shard on its own {!Injector.Checkpoint} session, which is valid
     because injection cycles are non-decreasing within a shard — and
     merges results by class index, so every returned {!Scan.t} is
-    bit-identical to its serial counterpart ({!Scan.pruned},
-    {!Regspace.scan}, [Faultspace.scan]) for {e any} worker count and
-    {e any} backend.
+    bit-identical to the serial reference [Faultspace.scan] of the same
+    cell for {e any} worker count and {e any} backend.
 
     Three {!Pool.backend}s conduct the shards:
 
@@ -208,10 +207,9 @@ val run_matrix_results :
     catalogued, so a matrix interrupted mid-cell resumes with all
     completed shards of {e every} cell recovered.
 
-    Each complete scan is structurally equal to its serial counterpart
-    ({!Scan.pruned} for memory cells, {!Regspace.scan} for register
-    cells, [Faultspace.scan] for any model) for any [jobs] and any
-    backend — property-tested.
+    Each complete scan is structurally equal to the serial reference
+    [Faultspace.scan] of the same cell, for any model, any [jobs] and
+    any backend — property-tested.
 
     @raise Journal_mismatch when resuming against a foreign or corrupt
     journal.

@@ -4,8 +4,7 @@
     {e observability hook}: a {!snapshot} of the whole matrix (classes,
     shards, experiments/second, ETA, outcome tallies, supervision
     counters) delivered once up front, after every completed shard and
-    after every supervision event.  (The serial conductors keep their
-    own per-class {!Scan.progress} callback.)  Snapshots are immutable
+    after every supervision event.  Snapshots are immutable
     copies — safe to retain, ship to another domain, or render from a
     UI thread. *)
 

@@ -67,19 +67,12 @@ val parse_record : Shard.plan -> string -> (Shard.t * string) option
 (** Parse a {!record_payload} back against [plan]; [None] on any
     malformation (bad id, wrong outcome-string length). *)
 
-val header_shard_count : string -> int option
-(** The [shards=N] token of a {!header_payload} ([None] for anything
-    else, e.g. a worker segment header). *)
-
-val header_model_tag : string -> string option
-(** The [space=<tag>] token of a {!header_payload} — the fault model the
-    journal was written under ([None] for non-engine headers).  Lets the
-    CLI refuse a [--fault-model] that disagrees with an existing journal
-    instead of silently truncating it. *)
-
 val journal_model_tag : string -> string option
-(** {!header_model_tag} of the journal at a path ([None] when the file
-    is missing, unreadable or headerless). *)
+(** The [space=<tag>] token of the {!header_payload} of the journal at a
+    path — the fault model the journal was written under ([None] when the
+    file is missing, unreadable or headerless, or not an engine
+    journal).  Lets the CLI refuse a [--fault-model] that disagrees with
+    an existing journal instead of silently truncating it. *)
 
 type supervision =
   | Retry of { shard : int; attempt : int; cause : string }

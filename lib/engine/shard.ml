@@ -24,7 +24,7 @@ let plan ?shard_size ?(weighted = false) (classes : Defuse.byte_class array) =
     | Some n when n >= 1 -> n
     | Some n -> invalid_arg (Printf.sprintf "Shard.plan: shard_size %d" n)
   in
-  (* Identical ranking to the serial Scan.pruned: a plain sort by t_end.
+  (* Identical ranking to the serial Faultspace.scan: a plain sort by t_end.
      Ties may land in any order — harmless, because results are merged by
      class index, not by rank — but the sort is deterministic for a given
      input, which keeps journal shard contents reproducible. *)

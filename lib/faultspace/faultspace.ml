@@ -107,6 +107,16 @@ type cell = {
 let experiments cell = 8 * Array.length cell.classes
 let space cell = cell.golden.Golden.cycles * cell.rows
 
+(* A byte-class slot is conducted as [inject] at its canonical
+   coordinate: the class's [t_end], directly before the activating read
+   (Figure 1b), row [8 × byte + bit_in_byte]. *)
+let conduct_at_t_end inject session (c : Defuse.byte_class) ~bit_in_byte =
+  inject session
+    {
+      Coordspace.cycle = c.Defuse.t_end;
+      bit = (c.Defuse.byte * 8) + bit_in_byte;
+    }
+
 (* ------------------------------------------------------------------ *)
 (* Geometry                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -156,7 +166,7 @@ let byte_cell golden ~classes ~ram_bytes ~benign_weight inject =
     locate =
       bounded ~cycles:golden.Golden.cycles ~rows (locate_byte_classes classes);
     inject;
-    conduct = Scan.conduct_at_t_end inject;
+    conduct = conduct_at_t_end inject;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -262,10 +272,38 @@ let analyse ?limit model program =
   | Bitflip_reg -> of_regspace (Regspace.analyze ?limit program)
   | _ -> of_golden model (Golden.run ?limit program)
 
-let scan ?variant ?provider ?progress cell =
-  Scan.serial ?variant ?provider ?progress ~ram_bytes:cell.ram_bytes
-    ~benign_weight:cell.benign_weight ~slots:cell.slots ~conduct:cell.conduct
-    cell.golden cell.classes
+(* ------------------------------------------------------------------ *)
+(* Serial conduction                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let provider_for golden = function
+  | Some p ->
+      if Injector.provider_golden p != golden then
+        invalid_arg "provider was built over a different golden run";
+      p
+  | None -> Injector.plan golden
+
+let conduct_slots ?provider cell slots =
+  let session = Injector.session (provider_for cell.golden provider) in
+  Array.map
+    (fun s -> cell.conduct session cell.classes.(s / 8) ~bit_in_byte:(s mod 8))
+    slots
+
+let scan ?(variant = "baseline") ?provider cell =
+  (* Sessions require non-decreasing injection cycles and byte classes
+     are sorted by (byte, t_start): visit the classes by t_end. *)
+  let order = Array.init (Array.length cell.classes) Fun.id in
+  let t_end i = cell.classes.(i).Defuse.t_end in
+  Array.sort (fun a b -> compare (t_end a) (t_end b)) order;
+  let slots =
+    Array.init (experiments cell) (fun i -> (8 * order.(i / 8)) + (i mod 8))
+  in
+  let conducted = conduct_slots ?provider cell slots in
+  let outcomes = Array.make (experiments cell) Outcome.No_effect in
+  Array.iteri (fun i s -> outcomes.(s) <- conducted.(i)) slots;
+  Scan.of_outcomes ~variant ~ram_bytes:cell.ram_bytes
+    ~benign_weight:cell.benign_weight ~slots:cell.slots cell.golden cell.classes
+    outcomes
 
 let outcome_at cell (scan : Scan.t) coord =
   match cell.locate coord with

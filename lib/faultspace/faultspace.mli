@@ -27,9 +27,9 @@
     The four models:
 
     - {!Bitflip_mem} — the paper's model: one bit of data memory, def/use
-      pruned ({!Scan.pruned}).  Bit-identical to the legacy memory path.
+      pruned.
     - {!Bitflip_reg} — the Section VI-B register file space
-      ({!Regspace.scan}).  Bit-identical to the legacy register path.
+      ({!Regspace}).
     - {!Burst} — [width] bits of one data byte flip together, adjacent or
       interleaved by a row stride, modelling the spatially-correlated
       multi-bit upsets observed in undervolted SRAMs (Soyturk et al.).
@@ -168,17 +168,29 @@ val space : cell -> int
     {!Bitflip_reg}, [Δt] cycles for {!Skip}.  A lossless partition's
     experiment weights plus [benign_weight] sum to it. *)
 
-val scan :
-  ?variant:string ->
-  ?provider:Injector.provider ->
-  ?progress:Scan.progress ->
-  cell ->
-  Scan.t
-(** The serial reference campaign of any model: {!Scan.serial} over the
-    cell's classes and conductor.  For {!Bitflip_mem} and {!Bitflip_reg}
-    cells it equals {!Scan.pruned} and {!Regspace.scan}; pass
+val scan : ?variant:string -> ?provider:Injector.provider -> cell -> Scan.t
+(** The serial reference campaign of every model, and the only serial
+    scan: visit the classes in [t_end] order on one session over
+    [provider], conduct their 8 slots each with {!field-conduct}
+    ({!conduct_slots}) and assemble the result with {!Scan.of_outcomes}.
+    The campaign engine is bit-identical to it for any worker count and
+    backend.  [provider] defaults to a fresh checkpoint plan over
+    [cell.golden] at {!Injector.default_stride}; pass
     [~provider:(Injector.replay cell.golden)] for the restart-from-reset
-    reference the plan provider is checked against.
+    reference the plan is checked against.  [variant] is the scan's
+    label (default ["baseline"]).
+
+    @raise Invalid_argument if [provider] was built over a different
+    golden run. *)
+
+val conduct_slots :
+  ?provider:Injector.provider -> cell -> int array -> Outcome.t array
+(** [conduct_slots cell slots] conducts each experiment slot [8 × class
+    + bit] of [slots], in array order, on one session over [provider]
+    (default as in {!scan}), and returns their outcomes in the same
+    order.  The slots' canonical injection cycles must be non-decreasing
+    ({!Injector.session_run_flip}); {!scan} and [Sampler.conduct] order
+    them by [t_end].
 
     @raise Invalid_argument if [provider] was built over a different
     golden run. *)

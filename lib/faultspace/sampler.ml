@@ -3,7 +3,7 @@ type estimate = {
   samples : int;
   failures : int;
   outcome_counts : (Outcome.t * int) list;
-  conducted : int;
+  distinct : int;
 }
 
 let failure_fraction e =
@@ -61,7 +61,11 @@ let biased_per_class rng ~samples (cell : Faultspace.cell) =
   in
   { population = Faultspace.space cell; slots }
 
-let estimate draw ~conducted outcome_of =
+(* The draw's distinct experiment slots, ascending. *)
+let distinct_slots draw =
+  List.sort_uniq Int.compare (List.filter_map Fun.id (Array.to_list draw.slots))
+
+let estimate draw outcome_of =
   let tally = Outcome.tally_create () in
   Array.iter
     (fun slot ->
@@ -73,7 +77,7 @@ let estimate draw ~conducted outcome_of =
     samples = Array.length draw.slots;
     failures = Outcome.tally_failures tally;
     outcome_counts = Outcome.tally_to_list tally;
-    conducted;
+    distinct = List.length (distinct_slots draw);
   }
 
 let conduct ?provider (cell : Faultspace.cell) draw =
@@ -84,19 +88,11 @@ let conduct ?provider (cell : Faultspace.cell) draw =
     | 0 -> Int.compare a b
     | c -> c
   in
-  let distinct =
-    List.sort_uniq injection_order (List.filter_map Fun.id (Array.to_list draw.slots))
-  in
-  let session =
-    Injector.session (Scan.provider_for cell.Faultspace.golden provider)
-  in
-  let outcomes = Hashtbl.create (List.length distinct) in
-  List.iter
-    (fun s ->
-      Hashtbl.replace outcomes s
-        (cell.Faultspace.conduct session classes.(s / 8) ~bit_in_byte:(s mod 8)))
-    distinct;
-  estimate draw ~conducted:(List.length distinct) (Hashtbl.find outcomes)
+  let slots = Array.of_list (List.sort injection_order (distinct_slots draw)) in
+  let outcomes = Hashtbl.create (Array.length slots) in
+  Array.iter2 (Hashtbl.replace outcomes) slots
+    (Faultspace.conduct_slots ?provider cell slots);
+  estimate draw (Hashtbl.find outcomes)
 
 let read (scan : Scan.t) draw =
-  estimate draw ~conducted:0 (fun s -> scan.Scan.experiments.(s).Scan.outcome)
+  estimate draw (fun s -> scan.Scan.experiments.(s).Scan.outcome)

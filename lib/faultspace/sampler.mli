@@ -7,7 +7,8 @@
     {!estimate}: {!conduct} runs the distinct slots, {!read} looks them
     up in a finished scan of the same cell.  The machine is
     deterministic and pruning is lossless, so both resolvers give the
-    same estimate for the same draw (tested for every model).
+    same estimate for the same draw, field for field (tested for every
+    model).
 
     Three samplers are provided:
 
@@ -30,10 +31,11 @@ type estimate = {
   failures : int;  (** Failing samples, F_sampled. *)
   outcome_counts : (Outcome.t * int) list;
       (** Sample counts per outcome (sums to [samples]). *)
-  conducted : int;
-      (** Distinct FI experiments actually executed (≤ samples, thanks to
-          class memoisation and a-priori-benign skipping); [0] when
-          {!read} from a scan. *)
+  distinct : int;
+      (** Distinct experiment slots the draw touches (≤ samples: samples
+          in one class share its experiment, a-priori-benign samples
+          need none) — the experiments {!conduct} runs, and the same
+          count when {!read} from a scan. *)
 }
 
 val failure_fraction : estimate -> float
@@ -63,9 +65,9 @@ val biased_per_class : Prng.t -> samples:int -> Faultspace.cell -> draw
     evaluator would assume). *)
 
 val conduct : ?provider:Injector.provider -> Faultspace.cell -> draw -> estimate
-(** Resolve a draw by conducting its distinct slots through the cell's
-    [Faultspace.cell.conduct], in [t_end] order on one session over
-    [provider] (default: a fresh checkpoint plan, as in {!Scan.pruned}).
+(** Resolve a draw by conducting its distinct slots in [t_end] order
+    with {!Faultspace.conduct_slots}, on one session over [provider]
+    (default: a fresh checkpoint plan, as in {!Faultspace.scan}).
 
     @raise Invalid_argument if [provider] was built over a different
     golden run. *)

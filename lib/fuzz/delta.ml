@@ -64,9 +64,10 @@ let evaluate ?limit ~variant prog =
       match
         let base = compile_baseline prog in
         let hard = compile_variant variant prog in
-        let gb = Golden.run ?limit base in
-        let gh = Golden.run ?limit hard in
-        (Scan.pruned gb, Scan.pruned gh)
+        let scan image =
+          Faultspace.(scan (of_golden Bitflip_mem (Golden.run ?limit image)))
+        in
+        (scan base, scan hard)
       with
       | sb, sh -> Some (tally_of_scan sb, tally_of_scan sh)
       | exception Golden.Golden_failed _ -> None
@@ -87,38 +88,46 @@ let specs_for ?variants:(vs = default_variants) prog =
 
 let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
     prog =
-  let scans =
-    List.map Engine.scan_exn
-      (Engine.run_matrix_results ?backend ?jobs (specs_for ~variants prog))
+  (* One analysis per cell: the engine conducts from these golden runs,
+     and the draws below locate in their geometry. *)
+  let analysed variant compile =
+    let golden = Golden.run (compile prog) in
+    ( Spec.of_golden ~variant golden,
+      Faultspace.of_golden Faultspace.Bitflip_mem golden )
   in
-  match scans with
+  let specs, cells =
+    List.split
+      (analysed "baseline" compile_baseline
+      :: List.map
+           (fun v -> analysed (variant_to_string v) (compile_variant v))
+           variants)
+  in
+  let scans =
+    List.map Engine.scan_exn (Engine.run_matrix_results ?backend ?jobs specs)
+  in
+  match List.combine cells scans with
   | [] -> assert false
-  | base_scan :: variant_scans ->
+  | (base_cell, base_scan) :: variant_cells ->
       let baseline = tally_of_scan base_scan in
       let sampled_ratio =
         match samples with
-        | None -> fun _ _ -> None
+        | None -> fun _ -> None
         | Some n ->
-            (* The draws need each cell's geometry: redo its golden run,
-               for findings only, and read the outcomes from the
-               conducted scans — identical to what a conducting sampler
-               would return. *)
-            let extrapolate program scan =
-              let cell =
-                Faultspace.of_golden Faultspace.Bitflip_mem (Golden.run program)
-              in
+            (* Read each draw from the conducted scan — identical to what
+               a conducting sampler would return. *)
+            let extrapolate (cell, scan) =
               Metrics.extrapolated_failures
                 (Sampler.read scan
                    (Sampler.uniform_raw (Prng.create ~seed) ~samples:n cell))
             in
-            let fb = lazy (extrapolate (compile_baseline prog) base_scan) in
-            fun v scan ->
+            let fb = lazy (extrapolate (base_cell, base_scan)) in
+            fun hardened ->
               if Lazy.force fb = 0.0 then None
-              else Some (extrapolate (compile_variant v prog) scan /. Lazy.force fb)
+              else Some (extrapolate hardened /. Lazy.force fb)
       in
       List.concat
         (List.map2
-           (fun v scan ->
+           (fun v ((_, scan) as cell) ->
              let hardened = tally_of_scan scan in
              if is_dilution ~baseline hardened then
                [
@@ -128,11 +137,11 @@ let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
                    variant = v;
                    baseline;
                    hardened;
-                   sampled_failure_ratio = sampled_ratio v scan;
+                   sampled_failure_ratio = sampled_ratio cell;
                  };
                ]
              else [])
-           variants variant_scans)
+           variants variant_cells)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

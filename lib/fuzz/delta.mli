@@ -33,9 +33,6 @@ type tally = {
       (** Weighted full-space outcome totals; sums to [space]. *)
 }
 
-val tally_of_scan : Scan.t -> tally
-(** Exact {!Accounting.correct} accounting of a completed scan. *)
-
 val is_dilution : baseline:tally -> tally -> bool
 (** [F_h > F_b] and [F_h·w_b < F_b·w_h] (integer cross-multiplication —
     coverage improves).  Same verdict as {!Pitfalls.dilution_delusion}
@@ -59,8 +56,8 @@ type finding = {
 val evaluate :
   ?limit:int -> variant:variant -> Mir.prog -> (tally * tally) option
 (** Serial predicate evaluation: compile baseline and variant, golden-run
-    both, conduct full pruned campaigns ({!Scan.pruned} — bit-identical
-    to any engine backend), return both tallies.  [None] when the
+    both, conduct full pruned campaigns ({!Faultspace.scan} —
+    bit-identical to any engine backend), return both tallies.  [None] when the
     program is rejected by {!Check}, fails to assemble, or either golden
     run does not halt (shrink candidates routinely trip these). *)
 
@@ -72,13 +69,14 @@ val hunt_program :
   seed:int64 ->
   Mir.prog ->
   finding list
-(** Conduct baseline plus every variant cell through one
-    {!Engine.run_matrix_results} call on the chosen backend and return
-    the cells that exhibit the dilution delusion.  With [samples] set,
-    each finding's two conducted scans are additionally sampled by
-    {!Sampler.uniform_raw} (from [Prng.create ~seed], located in the
-    cell's geometry after a fresh golden run) and {!Sampler.read}, and
-    findings carry the sampled extrapolation ratio. *)
+(** Golden-run and analyse baseline plus every variant cell once,
+    conduct them through one {!Engine.run_matrix_results} call on the
+    chosen backend and return the cells that exhibit the dilution
+    delusion.  With [samples] set, each finding's two conducted scans
+    are additionally sampled by {!Sampler.uniform_raw} (from
+    [Prng.create ~seed], located in the cells' own geometry) and
+    {!Sampler.read}, and findings carry the sampled extrapolation
+    ratio. *)
 
 val shrink : ?budget:int -> finding -> finding
 (** Greedy QCheck-style minimisation: repeatedly take the first

@@ -38,7 +38,6 @@ let make ~name ~code ?(rom = Bytes.empty) ?(ram_init = []) ?(reg_init = [])
   { name; code; rom; ram_size; ram_init; reg_init; symbols; data_symbols }
 
 let code_length t = Array.length t.code
-let find_symbol t name = List.assoc_opt name t.symbols
 let find_data_symbol t name = List.assoc_opt name t.data_symbols
 
 let initial_ram t =

@@ -40,9 +40,6 @@ val make :
 val code_length : t -> int
 (** Number of instructions. *)
 
-val find_symbol : t -> string -> int option
-(** Look up a code label. *)
-
 val find_data_symbol : t -> string -> int option
 (** Look up a data label (absolute address). *)
 

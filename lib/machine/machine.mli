@@ -43,8 +43,6 @@ type trap =
   | Bad_pc of int
       (** Control transfer outside the code, or falling off its end. *)
 
-val pp_trap : Format.formatter -> trap -> unit
-
 (** Why a run stopped. *)
 type stop_reason =
   | Halted              (** The program executed [halt] — normal exit. *)

@@ -17,7 +17,3 @@ val compile : Mir.prog -> Program.t
     executable image.
 
     @raise Invalid_argument if the program is invalid. *)
-
-val compile_statements : Mir.prog -> Asm.stmt list
-(** The assembly stream before label resolution — for inspection and
-    tests. *)

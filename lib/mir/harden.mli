@@ -32,6 +32,3 @@ val sum_dmr : Mir.prog -> Mir.prog
 val tmr : Mir.prog -> Mir.prog
 (** Triple modular redundancy (extension): two replicas, per-word
     majority vote at check time.  Name gains ["+tmr"]. *)
-
-val protected_globals : Mir.prog -> Mir.global list
-(** The globals a pass would protect (in declaration order). *)

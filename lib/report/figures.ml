@@ -105,7 +105,8 @@ let figure3 () =
     List.map
       (fun (name, image) ->
         let golden = Golden.run image in
-        (name, golden, Scan.pruned ~variant:name golden))
+        let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+        (name, golden, Faultspace.scan ~variant:name cell))
       variants
   in
   let maps =
@@ -234,7 +235,7 @@ let pruning_stats goldens =
      19,553)"
   ^ Table.render t
 
-let pitfall2 ?(samples = 4096) ?(seed = 42L) scan golden =
+let pitfall2 ?(samples = 4096) ?(seed = 42L) (cell, scan) =
   let truth =
     float_of_int (Metrics.failure_count scan)
     /. float_of_int (Scan.fault_space_size scan)
@@ -245,13 +246,12 @@ let pitfall2 ?(samples = 4096) ?(seed = 42L) scan golden =
         [ ("N samples", Table.Right); ("correct (raw space)", Table.Right);
           ("biased (per class)", Table.Right); ("truth", Table.Right) ]
   in
-  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   let n = ref 256 in
   while !n <= samples do
     let rng_c = Prng.create ~seed in
     let rng_b = Prng.create ~seed:(Int64.add seed 1L) in
-    let correct = Sampler.(conduct cell (uniform_raw rng_c ~samples:!n cell)) in
-    let biased = Sampler.(conduct cell (biased_per_class rng_b ~samples:!n cell)) in
+    let correct = Sampler.(read scan (uniform_raw rng_c ~samples:!n cell)) in
+    let biased = Sampler.(read scan (biased_per_class rng_b ~samples:!n cell)) in
     Table.row t
       [
         string_of_int !n;
@@ -275,10 +275,9 @@ let pitfall3_extrapolation ?(samples = 2048) ?(seed = 7L) entries =
           ("F full scan", Table.Right) ]
   in
   List.iter
-    (fun (name, scan, golden) ->
+    (fun (name, (cell, scan)) ->
       let rng = Prng.create ~seed in
-      let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
-      let est = Sampler.(conduct cell (uniform_raw rng ~samples cell)) in
+      let est = Sampler.(read scan (uniform_raw rng ~samples cell)) in
       Table.row t
         [
           name;
@@ -329,22 +328,12 @@ let figure2_sampled ?(samples = 20_000) ?(seed = 2015L) pairs =
           ("conducted", Table.Right); ("F_extrapolated", Table.Right);
           ("95% CI", Table.Left); ("F full scan", Table.Right) ]
   in
-  let rebuild name variant =
-    (* The golden runs are cheap to reproduce from the benchmark suite;
-       scans passed in supply the ground truth. *)
-    match Suite.find ~benchmark:name ~variant with
-    | Some e -> Golden.run (e.Suite.build ())
-    | None -> invalid_arg ("figure2_sampled: unknown benchmark " ^ name)
-  in
   List.iter
-    (fun (name, sb, sh) ->
+    (fun (name, base, hardened) ->
       List.iter
-        (fun (variant_name, variant, scan) ->
-          let cell =
-            Faultspace.of_golden Faultspace.Bitflip_mem (rebuild name variant)
-          in
+        (fun (variant_name, (cell, scan)) ->
           let rng = Prng.create ~seed in
-          let est = Sampler.(conduct cell (uniform_raw rng ~samples cell)) in
+          let est = Sampler.(read scan (uniform_raw rng ~samples cell)) in
           let ci =
             Confidence.wilson ~fails:est.Sampler.failures
               ~trials:est.Sampler.samples ~confidence:0.95
@@ -354,14 +343,14 @@ let figure2_sampled ?(samples = 20_000) ?(seed = 2015L) pairs =
             [
               Printf.sprintf "%s/%s" name variant_name;
               string_of_int samples;
-              string_of_int est.Sampler.conducted;
+              string_of_int est.Sampler.distinct;
               Printf.sprintf "%.0f" (Metrics.extrapolated_failures est);
               Printf.sprintf "[%.0f, %.0f]"
                 (w *. ci.Confidence.lower)
                 (w *. ci.Confidence.upper);
               string_of_int (Metrics.failure_count scan);
             ])
-        [ ("baseline", Suite.Baseline, sb); ("sum+dmr", Suite.Sum_dmr, sh) ])
+        [ ("baseline", base); ("sum+dmr", hardened) ])
     pairs;
   heading
     "Figure 2(e) by sampling: extrapolated failure counts with confidence \
@@ -381,8 +370,11 @@ let cross_layer entries =
   in
   List.iter
     (fun (name, rs) ->
-      let mem_scan = Scan.pruned ~variant:"memory" rs.Regspace.golden in
-      let reg_scan = Regspace.scan rs in
+      let mem_scan =
+        Faultspace.(
+          scan ~variant:"memory" (of_golden Bitflip_mem rs.Regspace.golden))
+      in
+      let reg_scan = Faultspace.(scan (of_regspace rs)) in
       List.iter
         (fun (layer, scan) ->
           Table.row t

@@ -34,19 +34,22 @@ val pruning_stats : (string * Golden.t) list -> string
 (** Section III-C: raw fault-space size vs. pruned experiment count and
     the reduction factor, per benchmark. *)
 
-val pitfall2 : ?samples:int -> ?seed:int64 -> Scan.t -> Golden.t -> string
-(** Pitfall 2 demonstration on one fully-scanned benchmark: ground-truth
+val pitfall2 :
+  ?samples:int -> ?seed:int64 -> Faultspace.cell * Scan.t -> string
+(** Pitfall 2 demonstration on one fully-scanned memory cell: ground-truth
     failure fraction vs. correct raw-space sampling vs. biased per-class
-    sampling, at increasing sample counts (default max [samples] 4096). *)
+    sampling, at increasing sample counts (default max [samples] 4096).
+    Every draw is read from the scan ({!Sampler.read}). *)
 
 val pitfall3_extrapolation :
   ?samples:int ->
   ?seed:int64 ->
-  (string * Scan.t * Golden.t) list ->
+  (string * (Faultspace.cell * Scan.t)) list ->
   string
 (** Pitfall 3, corollary 2: raw sampled failure counts vs. extrapolated
     counts across variants with different fault-space sizes, showing the
-    raw counts inverting the verdict. *)
+    raw counts inverting the verdict.  Each named cell's draw is read
+    from its scan. *)
 
 val ablation : (string * Scan.t) list -> string
 (** Extension table: any set of scans compared by weighted/unweighted
@@ -55,13 +58,16 @@ val ablation : (string * Scan.t) list -> string
 val figure2_sampled :
   ?samples:int ->
   ?seed:int64 ->
-  (string * Scan.t * Scan.t) list ->
+  (string * (Faultspace.cell * Scan.t) * (Faultspace.cell * Scan.t)) list ->
   string
 (** Figure 2(e) as most published studies would obtain it — by sampling
     rather than full scans: extrapolated failure counts with 95 % Wilson
-    intervals, next to the full-scan truth.  Demonstrates that the
-    correct sampling procedure reaches the paper's conclusions at a
-    fraction of the experiment count. *)
+    intervals, next to the full-scan truth, from [(benchmark, baseline,
+    SUM+DMR)] cells and their scans.  Each draw is read from its scan;
+    the [conducted] column is the draw's {!Sampler.estimate.distinct}
+    slots, the experiments a sampling campaign would conduct.
+    Demonstrates that the correct sampling procedure reaches the paper's
+    conclusions at a fraction of the experiment count. *)
 
 val breakdown : Scan.t -> Program.t -> string
 (** Table rendering of {!Breakdown.by_region}: where the failure mass

@@ -22,5 +22,4 @@ val take : 'a t -> (string * 'a) option
 val pending : 'a t -> int
 (** Jobs queued across all clients. *)
 
-val pending_for : 'a t -> string -> int
 val clients : 'a t -> int

@@ -18,13 +18,11 @@ val of_fit_per_mbit : float -> t
 val to_float : t -> float
 (** The underlying FIT/Mbit number. *)
 
-val published_rates : t list
-(** The three DRAM study rates cited by the paper:
-    0.061 (Sridharan & Liberty), 0.066 (Hwang et al.) and
-    0.044 FIT/Mbit (the 2013 large-scale study). *)
-
 val mean_published : t
-(** Their arithmetic mean, 0.057 FIT/Mbit, as used in the paper. *)
+(** The arithmetic mean of the three DRAM study rates cited by the
+    paper — 0.061 (Sridharan & Liberty), 0.066 (Hwang et al.) and
+    0.044 FIT/Mbit (the 2013 large-scale study) — 0.057 FIT/Mbit, as
+    used in the paper. *)
 
 val per_bit_per_ns : t -> float
 (** [per_bit_per_ns r] is the fault rate g in 1/(ns·bit):

@@ -13,9 +13,6 @@ val cdf : lambda:float -> int -> float
 (** [cdf ~lambda k] is P(X ≤ k) via the regularised incomplete gamma
     function Q(k+1, λ). *)
 
-val survival : lambda:float -> int -> float
-(** [survival ~lambda k] is P(X > k) = 1 − cdf. *)
-
 val mean : lambda:float -> float
 (** λ. *)
 

@@ -19,9 +19,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-val stddev : t -> float
-(** Square root of [variance]. *)
-
 val min : t -> float
 (** Smallest observation; [nan] when empty. *)
 

@@ -4,7 +4,7 @@ let test_hi_single_region () =
   (* Hi carries no data symbols: everything lands in one region whose
      mass is the Section-IV F = 48. *)
   let golden = Golden.run (Hi.program ()) in
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem golden)) in
   match Breakdown.by_region scan golden.Golden.program with
   | [ r ] ->
       Alcotest.(check string) "name" "<all ram>" r.Breakdown.name;
@@ -35,7 +35,7 @@ let fixture () =
 let test_attribution () =
   let image = Codegen.compile (fixture ()) in
   let golden = Golden.run image in
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem golden)) in
   let regions = Breakdown.by_region scan image in
   let find name =
     List.find (fun r -> r.Breakdown.name = name) regions
@@ -52,7 +52,7 @@ let test_attribution () =
 
 let test_sorted_output () =
   let image = Codegen.compile (fixture ()) in
-  let scan = Scan.pruned (Golden.run image) in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem (Golden.run image))) in
   let masses =
     List.map (fun r -> r.Breakdown.failure_mass) (Breakdown.by_region scan image)
   in
@@ -60,7 +60,7 @@ let test_sorted_output () =
 
 let test_render () =
   let image = Codegen.compile (fixture ()) in
-  let scan = Scan.pruned (Golden.run image) in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem (Golden.run image))) in
   let text = Figures.breakdown scan image in
   Alcotest.(check bool) "mentions hot" true (Astring_contains.contains text "hot");
   Alcotest.(check bool) "mentions stack" true

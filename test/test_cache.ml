@@ -7,7 +7,8 @@
 
 let contains = Astring_contains.contains
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
@@ -218,7 +219,7 @@ let test_register_hit_bit_identical () =
         Spec.registers ~benchmark:"hi" ~policy:(cache_policy builddir)
           (fun () -> Hi.program ())
       in
-      let serial = Regspace.scan (Regspace.analyze (Hi.program ())) in
+      let serial = Faultspace.(scan (analyse Bitflip_reg (Hi.program ()))) in
       let cold = Drive.cell (spec dir) in
       Alcotest.(check bool) "cold register run not a hit" false
         cold.Engine.cached;

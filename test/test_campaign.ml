@@ -146,7 +146,8 @@ let test_injector_bad_coord () =
 (* Scans                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let hi_scan = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_scan =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 
 let test_hi_pruned_scan () =
   let scan = Lazy.force hi_scan in
@@ -169,8 +170,9 @@ let test_hi_brute_force_equivalence () =
 
 let test_scan_strategies_agree () =
   let g = Lazy.force hi_golden in
-  let a = Scan.pruned ~provider:(Injector.plan g) g in
-  let b = Scan.pruned ~provider:(Injector.replay g) g in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem g in
+  let a = Faultspace.scan ~provider:(Injector.plan g) cell in
+  let b = Faultspace.scan ~provider:(Injector.replay g) cell in
   let key (e : Scan.experiment) =
     (e.Scan.byte, e.Scan.t_start, e.Scan.bit_in_byte, e.Scan.outcome)
   in
@@ -190,32 +192,6 @@ let test_scan_weight_invariant () =
   Alcotest.(check int) "conducted + benign = w"
     (Scan.fault_space_size scan)
     (conducted + scan.Scan.benign_weight)
-
-let test_scan_progress_callback () =
-  let g = Lazy.force hi_golden in
-  let calls = ref 0 in
-  let total_seen = ref 0 in
-  let last_tally = ref None in
-  ignore
-    (Scan.pruned
-       ~progress:(fun ~done_ ~total ~tally ->
-         incr calls;
-         total_seen := total;
-         (* The running tally always covers exactly the experiments of
-            the classes completed so far (8 per class). *)
-         Alcotest.(check int) "tally total" (8 * done_)
-           (Outcome.tally_total tally);
-         last_tally := Some (Outcome.tally_copy tally))
-       g);
-  Alcotest.(check int) "one call per class" 2 !calls;
-  Alcotest.(check int) "total classes" 2 !total_seen;
-  match !last_tally with
-  | None -> Alcotest.fail "progress never called"
-  | Some tally ->
-      (* Hi: every class-bit fails except the upper bits (paper: F=48 of
-         weight; 16 experiments, all conducted). *)
-      Alcotest.(check int) "tally covers all experiments" 16
-        (Outcome.tally_total tally)
 
 (* Pruned scan == brute force on a random compiled MIR program: the
    central losslessness theorem of def/use pruning, checked end-to-end. *)
@@ -274,7 +250,7 @@ let test_uniform_raw_converges () =
   Alcotest.(check bool) "estimate near 0.375" true
     (Float.abs (Sampler.failure_fraction est -. 0.375) < 0.03);
   Alcotest.(check int) "population = w" 128 est.Sampler.population;
-  Alcotest.(check bool) "memoised" true (est.Sampler.conducted <= 16)
+  Alcotest.(check bool) "memoised" true (est.Sampler.distinct <= 16)
 
 let test_biased_sampler_is_wrong () =
   (* On Hi every def/use experiment class fails, so per-class sampling
@@ -367,7 +343,6 @@ let suite =
         test_hi_brute_force_equivalence;
       Alcotest.test_case "scan strategies agree" `Quick test_scan_strategies_agree;
       Alcotest.test_case "scan weight invariant" `Quick test_scan_weight_invariant;
-      Alcotest.test_case "scan progress callback" `Quick test_scan_progress_callback;
       QCheck_alcotest.to_alcotest qcheck_pruning_lossless;
       Alcotest.test_case "uniform sampling converges" `Quick
         test_uniform_raw_converges;

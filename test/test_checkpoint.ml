@@ -43,7 +43,8 @@ let looper_golden = lazy (Golden.run (Codegen.compile (looper ())))
 let looper_replay =
   lazy
     (let golden = Lazy.force looper_golden in
-     Scan.pruned ~provider:(Injector.replay golden) golden)
+     Faultspace.(
+       scan ~provider:(Injector.replay golden) (of_golden Bitflip_mem golden)))
 
 let outcome_count scan o =
   Array.fold_left
@@ -121,13 +122,17 @@ let test_stride_identity_memory () =
       check_scans_identical
         (Printf.sprintf "memory stride %d" stride)
         reference
-        (Scan.pruned ~provider:(Injector.plan ~stride golden) golden))
+        Faultspace.(
+          scan ~provider:(Injector.plan ~stride golden)
+            (of_golden Bitflip_mem golden)))
     (strides golden)
 
 let test_stride_identity_registers () =
   let rt = Regspace.analyze (Codegen.compile (looper ())) in
   let rgolden = rt.Regspace.golden in
-  let reference = Regspace.scan ~provider:(Injector.replay rgolden) rt in
+  let reference =
+    Faultspace.(scan ~provider:(Injector.replay rgolden) (of_regspace rt))
+  in
   Alcotest.(check bool) "register fixture has timeouts" true
     (outcome_count reference Outcome.Timeout > 0);
   List.iter
@@ -135,7 +140,7 @@ let test_stride_identity_registers () =
       check_scans_identical
         (Printf.sprintf "registers stride %d" stride)
         reference
-        (Regspace.scan ~provider:(Injector.plan ~stride rgolden) rt))
+        Faultspace.(scan ~provider:(Injector.plan ~stride rgolden) (of_regspace rt)))
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
@@ -369,12 +374,13 @@ let test_memo_history () =
       in
       let golden = Golden.run program in
       let provider = Injector.plan ~stride:8 golden in
-      let reference = Scan.pruned ~provider:(Injector.replay golden) golden in
+      let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+      let reference = Faultspace.scan ~provider:(Injector.replay golden) cell in
       Alcotest.(check bool) (what ^ ": fixture has " ^ Outcome.to_string marker)
         true
         (outcome_count reference marker > 0);
       check_scans_identical (what ^ ": plan = replay") reference
-        (Scan.pruned ~provider golden);
+        (Faultspace.scan ~provider cell);
       Alcotest.(check bool) (what ^ ": memo hits") true
         (Injector.exits (Injector.counts provider) Injector.Memo_hit > 0))
     [

@@ -3,10 +3,13 @@
    Section-IV numbers of the "Hi" Gedankenexperiment. *)
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_scan = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_scan =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let dft_golden = lazy (Golden.run (Hi.dft ()))
-let dft_scan = lazy (Scan.pruned ~variant:"dft" (Lazy.force dft_golden))
-let dft'_scan = lazy (Scan.pruned ~variant:"dft'" (Golden.run (Hi.dft' ())))
+let dft_scan =
+  lazy Faultspace.(scan ~variant:"dft" (of_golden Bitflip_mem (Lazy.force dft_golden)))
+let dft'_scan =
+  lazy Faultspace.(scan ~variant:"dft'" (analyse Bitflip_mem (Hi.dft' ())))
 
 let close what expected actual =
   if Float.abs (expected -. actual) > 1e-9 then

@@ -1,7 +1,7 @@
 (* Tests for the parallel campaign engine (lib/engine): CRC32 vectors,
    shard-plan invariants, the Domain pool, journal durability semantics,
    and the headline guarantees — a parallel campaign is bit-identical to
-   the serial Scan.pruned for any worker count, and a journaled campaign
+   the serial Faultspace.scan for any worker count, and a journaled campaign
    killed partway resumes to the identical result without re-conducting
    finished shards. *)
 
@@ -10,9 +10,11 @@
 (* ------------------------------------------------------------------ *)
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
-let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
+let flag1_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
 
 let check_scans_identical msg serial parallel =
   (* Structural equality covers every field; CSV text equality pins the
@@ -282,7 +284,8 @@ let qcheck_engine_equals_serial =
           ]
       in
       let golden = Golden.run (Codegen.compile source) in
-      Scan.pruned golden = Drive.scan ~jobs (spec ~shard_size golden))
+      Faultspace.(scan (of_golden Bitflip_mem golden))
+      = Drive.scan ~jobs (spec ~shard_size golden))
 
 let test_engine_progress_interface () =
   let golden = Lazy.force hi_golden in
@@ -487,16 +490,10 @@ let test_resume_missing_journal_starts_fresh () =
 (* The two sampling resolvers agree, for every model                  *)
 (* ------------------------------------------------------------------ *)
 
-let check_estimates_agree msg (a : Sampler.estimate) (b : Sampler.estimate) =
-  Alcotest.(check int) (msg ^ " population") a.Sampler.population b.Sampler.population;
-  Alcotest.(check int) (msg ^ " samples") a.Sampler.samples b.Sampler.samples;
-  Alcotest.(check int) (msg ^ " failures") a.Sampler.failures b.Sampler.failures;
-  Alcotest.(check bool) (msg ^ " outcome counts") true
-    (a.Sampler.outcome_counts = b.Sampler.outcome_counts)
-
 (* At a fixed seed, conducting a draw's slots in-process and reading
-   them from the engine's scan of the same cell give the same estimate:
-   flag1 for a mid-size space, hi+dft for a padded skip cell. *)
+   them from the engine's scan of the same cell give the same estimate,
+   field for field (the distinct-slot count included): flag1 for a
+   mid-size space, hi+dft for a padded skip cell. *)
 let test_oracle_samplers_agree () =
   List.iter
     (fun (name, image) ->
@@ -514,11 +511,14 @@ let test_oracle_samplers_agree () =
           in
           let scan = Drive.scan ~jobs:1 spec in
           let both msg draw =
-            let oracle = Sampler.read scan (draw ()) in
-            check_estimates_agree (label ^ " " ^ msg)
-              (Sampler.conduct cell (draw ())) oracle;
-            Alcotest.(check int) (label ^ " oracle conducts nothing") 0
-              oracle.Sampler.conducted
+            let conducted = Sampler.conduct cell (draw ())
+            and read = Sampler.read scan (draw ()) in
+            if conducted <> read then
+              Alcotest.failf
+                "%s %s: conducted %d failures over %d distinct slots, read %d \
+                 over %d"
+                label msg conducted.Sampler.failures conducted.Sampler.distinct
+                read.Sampler.failures read.Sampler.distinct
           in
           both "uniform" (fun () ->
               Sampler.uniform_raw (Prng.create ~seed:11L) ~samples:1500 cell);

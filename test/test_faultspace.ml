@@ -1,6 +1,6 @@
 (* Tests for the pluggable fault-model subsystem (lib/faultspace): tag
    codec stability, the legacy models re-homed behind the Faultspace API
-   (differential against Scan.pruned / Regspace.scan on fixed and random
+   (differential against the serial Faultspace.scan on fixed and random
    programs, across backends and worker counts), burst/skip determinism
    and agreement with the replay reference, and fingerprint separation
    between models. *)
@@ -248,8 +248,8 @@ let qcheck_legacy_models_differential =
       let golden = Golden.run image in
       let r = Regspace.analyze image in
       let policy = Spec.make_policy ~shard_size () in
-      let mem_serial = Scan.pruned golden in
-      let reg_serial = Regspace.scan r in
+      let mem_serial = Faultspace.(scan (of_golden Bitflip_mem golden)) in
+      let reg_serial = Faultspace.(scan (of_regspace r)) in
       List.for_all
         (fun backend ->
           mem_serial

@@ -1,6 +1,6 @@
 (* Tests for the campaign-spec API (lib/engine Spec/Catalog + the matrix
    scheduler): weighted shard sizing, register-space campaigns through
-   the engine (bit-identical to Regspace.scan for any worker count),
+   the engine (bit-identical to the serial Faultspace.scan for any worker count),
    fingerprint separation of spaces and sizing policies, journal
    catalogue lookup, cross-space resume rejection, and matrix runs where
    only some cells have journals. *)
@@ -10,11 +10,14 @@
 (* ------------------------------------------------------------------ *)
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let hi_regspace = lazy (Regspace.analyze (Hi.program ()))
-let hi_reg_serial = lazy (Regspace.scan (Lazy.force hi_regspace))
+let hi_reg_serial =
+  lazy Faultspace.(scan (of_regspace (Lazy.force hi_regspace)))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
-let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
+let flag1_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
@@ -133,10 +136,10 @@ let test_register_engine_equals_scan () =
         (Drive.scan ~jobs (Spec.of_regspace r)))
     [ 1; 2; 4 ]
 
-(* Register engine == Regspace.scan on random compiled MIR programs with
+(* Register engine == serial Faultspace.scan on random compiled MIR programs with
    random shard geometry and worker counts. *)
 let qcheck_register_engine_equals_scan =
-  QCheck.Test.make ~name:"register engine equals Regspace.scan on random programs"
+  QCheck.Test.make ~name:"random register engine = serial"
     ~count:4
     QCheck.(triple (int_bound 1000) (int_range 1 4) (int_range 1 9))
     (fun (seed, jobs, shard_size) ->
@@ -158,7 +161,8 @@ let qcheck_register_engine_equals_scan =
       in
       let r = Regspace.analyze (Codegen.compile source) in
       let policy = Spec.make_policy ~shard_size () in
-      Regspace.scan r = Drive.scan ~jobs (Spec.of_regspace ~policy r))
+      Faultspace.(scan (of_regspace r))
+      = Drive.scan ~jobs (Spec.of_regspace ~policy r))
 
 let test_register_journal_resume () =
   let r = Lazy.force hi_regspace in
@@ -393,8 +397,8 @@ let test_paper_matrix_equals_serial () =
   let serial =
     List.concat_map
       (fun (_, baseline, hardened) ->
-        [ Scan.pruned (Golden.run (baseline ()));
-          Scan.pruned ~variant:"sum+dmr" (Golden.run (hardened ())) ])
+        [ Faultspace.(scan (analyse Bitflip_mem (baseline ())));
+          Faultspace.(scan ~variant:"sum+dmr" (analyse Bitflip_mem (hardened ()))) ])
       Suite.paper_pairs
   in
   let scans = Drive.scans ~jobs:2 (Suite.paper_specs ()) in
@@ -415,7 +419,7 @@ let suite =
         test_weighted_engine_equals_serial;
       Alcotest.test_case "fingerprints distinguish space and sizing" `Quick
         test_fingerprints_distinguish;
-      Alcotest.test_case "register engine = Regspace.scan (hi, j 1/2/4)"
+      Alcotest.test_case "register engine = serial scan"
         `Quick test_register_engine_equals_scan;
       QCheck_alcotest.to_alcotest qcheck_register_engine_equals_scan;
       Alcotest.test_case "register journal torn-tail resume" `Quick

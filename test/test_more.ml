@@ -96,7 +96,7 @@ let test_samplers_agree () =
   (* uniform_raw and uniform_effective estimate the same F (the former
      via the failure fraction of w, the latter via w'). *)
   let golden = Golden.run (Mbox1.baseline ~items:4 ()) in
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem golden)) in
   let truth = float_of_int (Metrics.failure_count scan) in
   let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
   let est_raw =
@@ -126,7 +126,7 @@ let test_samplers_agree () =
 (* ------------------------------------------------------------------ *)
 
 let test_register_scan_csv () =
-  let scan = Regspace.scan (Regspace.analyze (Hi.program ())) in
+  let scan = Faultspace.(scan (analyse Bitflip_reg (Hi.program ()))) in
   match Csv_io.of_string (Csv_io.to_string scan) with
   | Error e -> Alcotest.fail e
   | Ok scan' ->
@@ -140,13 +140,17 @@ let test_register_scan_csv () =
 (* ------------------------------------------------------------------ *)
 
 let test_figure2_sampled () =
-  (* Use the real (small) mbox1 pair through the Suite so the generator's
-     golden-rebuild path is exercised. *)
-  let sb = Scan.pruned (Golden.run (Mbox1.baseline ())) in
-  let sh =
-    Scan.pruned ~variant:"sum+dmr" (Golden.run (Mbox1.sum_dmr ()))
+  (* The real (small) mbox1 pair: each draw is read from its cell's
+     scan. *)
+  let scanned variant image =
+    let cell = Faultspace.analyse Faultspace.Bitflip_mem image in
+    (cell, Faultspace.scan ~variant cell)
   in
-  let text = Figures.figure2_sampled ~samples:2000 [ ("mbox1", sb, sh) ] in
+  let text =
+    Figures.figure2_sampled ~samples:2000
+      [ ("mbox1", scanned "baseline" (Mbox1.baseline ()),
+         scanned "sum+dmr" (Mbox1.sum_dmr ())) ]
+  in
   Alcotest.(check bool) "has CI column" true
     (Astring_contains.contains text "95% CI");
   Alcotest.(check bool) "both variants" true
@@ -163,8 +167,10 @@ let qcheck_dilution_never_changes_f =
     (fun nops ->
       let base = Golden.run (Hi.program ()) in
       let diluted = Golden.run (Hi.dft ~nops ()) in
-      let f_base = Metrics.failure_count (Scan.pruned base) in
-      let f_diluted = Metrics.failure_count (Scan.pruned diluted) in
+      let f golden =
+        Metrics.failure_count Faultspace.(scan (of_golden Bitflip_mem golden))
+      in
+      let f_base = f base and f_diluted = f diluted in
       f_base = f_diluted
       && Golden.fault_space_size diluted
          = Golden.fault_space_size base + (nops * 16))
@@ -175,9 +181,9 @@ let qcheck_memory_dilution_inflates_coverage =
     QCheck.(int_bound 8)
     (fun extra ->
       let bytes = extra + 1 in
-      let base = Scan.pruned (Golden.run (Hi.program ())) in
+      let base = Faultspace.(scan (analyse Bitflip_mem (Hi.program ()))) in
       let padded =
-        Scan.pruned (Golden.run (Hi.dft_memory ~bytes ()))
+        Faultspace.(scan (analyse Bitflip_mem (Hi.dft_memory ~bytes ())))
       in
       Metrics.coverage padded > Metrics.coverage base
       && Metrics.failure_count padded = Metrics.failure_count base)

@@ -10,10 +10,12 @@
 
 let contains = Astring_contains.contains
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let hi_regs = lazy (Regspace.analyze (Hi.program ()))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
-let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
+let flag1_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
@@ -611,7 +613,7 @@ let test_sockets_equal_serial_memory () =
 
 let test_sockets_equal_serial_registers () =
   let rs = Lazy.force hi_regs in
-  let serial = Regspace.scan rs in
+  let serial = Faultspace.(scan (of_regspace rs)) in
   with_daemon (fun addr ->
       check_scans_identical "hi registers sockets = serial" serial
         (Drive.scan ~backend:(sockets_of addr) ~jobs:2
@@ -628,7 +630,7 @@ let test_sockets_matrix () =
   let serials =
     [
       Lazy.force hi_serial;
-      Regspace.scan (Lazy.force hi_regs);
+      Faultspace.(scan (of_regspace (Lazy.force hi_regs)));
       Lazy.force flag1_serial;
     ]
   in

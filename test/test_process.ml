@@ -7,10 +7,12 @@
    alias. *)
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let hi_regs = lazy (Regspace.analyze (Hi.program ()))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
-let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
+let flag1_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
@@ -89,7 +91,7 @@ let test_processes_equal_serial_memory () =
 
 let test_processes_equal_serial_registers () =
   let rs = Lazy.force hi_regs in
-  let serial = Regspace.scan rs in
+  let serial = Faultspace.(scan (of_regspace rs)) in
   List.iter
     (fun jobs ->
       check_scans_identical
@@ -109,7 +111,7 @@ let test_processes_matrix () =
   let serials =
     [
       Lazy.force hi_serial;
-      Regspace.scan (Lazy.force hi_regs);
+      Faultspace.(scan (of_regspace (Lazy.force hi_regs)));
       Lazy.force flag1_serial;
     ]
   in
@@ -155,7 +157,7 @@ let qcheck_processes_equal_serial =
           ]
       in
       let golden = Golden.run (Codegen.compile source) in
-      Scan.pruned golden
+      Faultspace.(scan (of_golden Bitflip_mem golden))
       = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
 
 (* ------------------------------------------------------------------ *)

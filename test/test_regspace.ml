@@ -55,7 +55,7 @@ let test_coord_of_bit () =
 
 let test_hi_register_scan () =
   let t = Lazy.force hi in
-  let scan = Regspace.scan t in
+  let scan = Faultspace.(scan (of_regspace t)) in
   Alcotest.(check int) "pseudo ram" 60 scan.Scan.ram_bytes;
   Alcotest.(check int) "w consistent" (8 * 480) (Scan.fault_space_size scan);
   (* Low byte of r1 (the 'H' about to be stored): all 8 bits corrupt the

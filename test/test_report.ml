@@ -70,7 +70,7 @@ let test_access_map () =
 
 let test_outcome_map () =
   let golden = Lazy.force hi_golden in
-  let scan = Scan.pruned golden in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem golden)) in
   let map = Faultmap.outcome_map golden scan in
   (* Failing coordinates excluding the R/W event columns: each byte's
      experiment interval spans 3 cycles of which one is the R event
@@ -105,27 +105,25 @@ let test_pruning_stats () =
   Alcotest.(check bool) "raw size" true (contains text "128")
 
 let test_pitfall2_figure () =
-  let golden = Lazy.force hi_golden in
-  let scan = Scan.pruned golden in
-  let text = Figures.pitfall2 ~samples:1024 scan golden in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem (Lazy.force hi_golden) in
+  let text = Figures.pitfall2 ~samples:1024 (cell, Faultspace.scan cell) in
   Alcotest.(check bool) "truth column" true (contains text "0.37500");
   Alcotest.(check bool) "biased converges to 1" true (contains text "1.00000")
 
 let test_pitfall3_figure () =
-  let golden = Lazy.force hi_golden in
-  let scan = Scan.pruned golden in
-  let dft_g = Golden.run (Hi.dft ()) in
-  let dft_s = Scan.pruned ~variant:"dft" dft_g in
+  let hi = Faultspace.of_golden Faultspace.Bitflip_mem (Lazy.force hi_golden) in
+  let dft = Faultspace.analyse Faultspace.Bitflip_mem (Hi.dft ()) in
   let text =
     Figures.pitfall3_extrapolation
-      [ ("hi", scan, golden); ("hi+dft", dft_s, dft_g) ]
+      [ ("hi", (hi, Faultspace.scan hi));
+        ("hi+dft", (dft, Faultspace.scan ~variant:"dft" dft)) ]
   in
   Alcotest.(check bool) "full-scan column" true (contains text "48")
 
 let test_figure2_renders () =
   (* figure2 only needs scans; use hi and its dilution as a cheap pair. *)
-  let sb = Scan.pruned (Lazy.force hi_golden) in
-  let sh = Scan.pruned ~variant:"sum+dmr" (Golden.run (Hi.dft ())) in
+  let sb = Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden))) in
+  let sh = Faultspace.(scan ~variant:"sum+dmr" (analyse Bitflip_mem (Hi.dft ()))) in
   let text = Figures.figure2 [ ("hi", sb, sh) ] in
   Alcotest.(check bool) "panel a" true (contains text "(a) fault coverage");
   Alcotest.(check bool) "panel e" true (contains text "(e) absolute failure");
@@ -133,7 +131,7 @@ let test_figure2_renders () =
   Alcotest.(check bool) "misleading flagged" true (contains text "MISLEADING")
 
 let test_ablation () =
-  let scan = Scan.pruned (Lazy.force hi_golden) in
+  let scan = Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden))) in
   let text = Figures.ablation [ ("hi", scan) ] in
   Alcotest.(check bool) "has MWTF column" true (contains text "MWTF")
 

@@ -43,7 +43,7 @@ let helper_guard () =
         | Ok [ (label, r) ] ->
             label = cell_dft.Worker.benchmark ^ "/dft"
             && r.Engine.scan
-               = Scan.pruned ~variant:"dft" (Golden.run (Hi.dft ()))
+               = Faultspace.(scan ~variant:"dft" (analyse Bitflip_mem (Hi.dft ())))
             && r.Engine.quarantined = []
         | _ -> false
       in
@@ -120,7 +120,7 @@ let test_wire_roundtrip () =
     (Worker.decode Service.submission (Worker.encode Service.results []) = None);
   let r =
     {
-      Engine.scan = Scan.pruned (Golden.run (Hi.program ()));
+      Engine.scan = Faultspace.(scan (analyse Bitflip_mem (Hi.program ())));
       cached = true;
       quarantined =
         [ { Engine.q_cell = "hi/baseline"; q_shard = 1; q_classes = 3;
@@ -249,7 +249,7 @@ let test_two_concurrent_clients () =
         | Error msg -> Alcotest.failf "parent submit failed: %s" msg
       in
       check_scans_identical "parent got its own scan"
-        (Scan.pruned (Golden.run (Hi.program ())))
+        (Faultspace.(scan (analyse Bitflip_mem (Hi.program ()))))
         mine.Engine.scan;
       match Unix.waitpid [] child with
       | _, Unix.WEXITED 0 -> ()

@@ -9,7 +9,8 @@
 
 let contains = Astring_contains.contains
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);

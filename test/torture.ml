@@ -23,9 +23,11 @@ let () = Service.guard ()
 let smoke = Sys.getenv_opt "FI_TORTURE_SMOKE" = Some "1"
 
 let hi_golden = lazy (Golden.run (Hi.program ()))
-let hi_serial = lazy (Scan.pruned (Lazy.force hi_golden))
+let hi_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
-let flag1_serial = lazy (Scan.pruned (Lazy.force flag1_golden))
+let flag1_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
 
 let check_scans_identical msg serial parallel =
   Alcotest.(check bool) (msg ^ " (structural)") true (serial = parallel);
@@ -212,7 +214,7 @@ let qcheck_differential_memory =
     QCheck.(pair (int_bound 10_000) (int_range 1 3))
     (fun (seed, jobs) ->
       let golden = random_golden seed in
-      Scan.pruned golden
+      Faultspace.(scan (of_golden Bitflip_mem golden))
       = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
 
 let qcheck_differential_registers =
@@ -233,7 +235,7 @@ let qcheck_differential_registers =
           ]
       in
       let rs = Regspace.analyze (Codegen.compile source) in
-      Regspace.scan rs
+      Faultspace.(scan (of_regspace rs))
       = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_regspace rs))
 
 (* ------------------------------------------------------------------ *)
@@ -440,7 +442,7 @@ let qcheck_supervised_crash_heals =
               (Spec.of_golden ~policy:(sup_policy ()) golden))
       in
       result.Engine.quarantined = []
-      && Scan.pruned golden = result.Engine.scan)
+      && Faultspace.(scan (of_golden Bitflip_mem golden)) = result.Engine.scan)
 
 let qcheck_sigkill_resume =
   QCheck.Test.make
@@ -466,7 +468,7 @@ let qcheck_sigkill_resume =
           let resumed =
             Drive.scan ~backend:Pool.Processes ~jobs:2 (spec true)
           in
-          died && Scan.pruned golden = resumed))
+          died && Faultspace.(scan (of_golden Bitflip_mem golden)) = resumed))
 
 (* ------------------------------------------------------------------ *)
 (* The crash matrix over the network (Pool.Sockets on the loopback)   *)
