@@ -29,7 +29,7 @@ let section title =
 (* ------------------------------------------------------------------ *)
 
 (* The one campaign path: every cell runs through the engine's single
-   entry point with the result store and journal catalogue under
+   entry point with its journals and the result store under
    _artifacts/.  A cell is served from the store only when its key
    (program-image digest, fault space, limit, shard size, weighting)
    matches, and an interrupted regeneration resumes shard-exact. *)

@@ -64,6 +64,40 @@ let or_die = function
       Printf.eprintf "fi-cli: %s\n" msg;
       exit 2
 
+(* --secret and --workers HOST:PORT[,...] mean the same thing in every
+   subcommand that takes them: one declaration and one reader each. *)
+let secret_arg =
+  let doc =
+    "Shared-secret file for handshake authentication: every handshake \
+     between a conductor, a worker daemon ($(b,fi-cli worker serve)) and \
+     a campaign service ($(b,fi-cli serve)) carries an HMAC tag derived \
+     from $(docv)'s contents (whitespace-trimmed), and peers without the \
+     same secret are refused.  Both ends must pass $(b,--secret)."
+  in
+  Arg.(value & opt (some string) None & info [ "secret" ] ~docv:"FILE" ~doc)
+
+let load_secret = Option.map (fun file -> or_die (Hmac.load_secret file))
+
+let fleet_arg =
+  let doc =
+    "Comma-separated $(b,HOST:PORT) addresses of remote worker daemons \
+     (each started with $(b,fi-cli worker serve)) to conduct campaigns \
+     on.  Implies $(b,--backend sockets); $(b,fi-cli serve) uses them \
+     instead of $(b,--local-backend).  Jobs and shard records cross the \
+     connections; the local journal stays the only durable state, so \
+     $(b,--resume) heals a campaign whose remote workers vanished."
+  in
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "workers" ] ~docv:"HOST:PORT[,HOST:PORT...]" ~doc)
+
+(* The one parser of a --workers list, called where the fleet is used. *)
+let fleet_hosts spec =
+  match Addr.parse_list spec with
+  | Ok addrs -> List.map Addr.to_string addrs
+  | Error msg -> or_die (Error msg)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign-engine options (campaign / matrix / compare / sample)     *)
 (* ------------------------------------------------------------------ *)
@@ -132,19 +166,6 @@ let engine_opts_term =
           Pool.Domains
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
-  let workers =
-    let doc =
-      "Comma-separated $(b,HOST:PORT) addresses of remote worker daemons \
-       (each started with $(b,fi-cli worker serve)).  Implies $(b,--backend \
-       sockets).  Jobs and shard records cross the connections; the \
-       local journal stays the only durable state, so $(b,--resume) heals \
-       a campaign whose remote workers vanished."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workers" ] ~docv:"HOST:PORT[,HOST:PORT...]" ~doc)
-  in
   let jobs =
     let doc =
       "Workers (domains or processes, per $(b,--backend)) for the \
@@ -161,17 +182,19 @@ let engine_opts_term =
       "Write an append-only, fsync'd campaign journal to $(docv) (one \
        CRC-guarded record per completed shard), enabling $(b,--resume) \
        after a crash or kill.  Without this flag the engine journals to \
-       a fingerprint-derived path under $(b,_artifacts/) and indexes it \
-       in $(b,_artifacts/journals.idx)."
+       $(b,_artifacts/fi-)$(i,FINGERPRINT)$(b,.journal), named by the \
+       campaign fingerprint.  A $(docv) outside $(b,_artifacts/) is \
+       yours: pass the same $(b,--journal) to resume it; $(b,journal \
+       compact) never touches it."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
   let resume =
     let doc =
       "Recover already-completed shards from the journal instead of \
-       re-conducting them.  The journal is found at $(b,--journal) when \
-       given, otherwise by campaign fingerprint in the journal catalogue \
-       ($(b,_artifacts/journals.idx))."
+       re-conducting them.  The journal is the $(b,--journal) file when \
+       given, otherwise the campaign's fingerprint-named journal under \
+       $(b,_artifacts/) — found again even after a SIGKILL."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
@@ -252,15 +275,6 @@ let engine_opts_term =
       & opt (some int) None
       & info [ "checkpoint-stride" ] ~docv:"CYCLES" ~doc)
   in
-  let secret =
-    let doc =
-      "Shared-secret file for fleet authentication: every handshake \
-       with a remote worker (or campaign service) carries an HMAC tag \
-       derived from $(docv)'s contents, and peers without the same \
-       secret are refused.  Both ends must pass $(b,--secret)."
-    in
-    Arg.(value & opt (some string) None & info [ "secret" ] ~docv:"FILE" ~doc)
-  in
   Term.(
     const (fun backend workers jobs journal resume shard_size weighted
                shard_timeout max_retries no_quarantine no_cache
@@ -281,22 +295,17 @@ let engine_opts_term =
           secret;
           fault_model;
         })
-    $ backend $ workers $ jobs $ journal $ resume $ shard_size $ weighted
+    $ backend $ fleet_arg $ jobs $ journal $ resume $ shard_size $ weighted
     $ shard_timeout $ max_retries $ no_quarantine $ no_cache
-    $ checkpoint_stride $ secret $ fault_model_arg)
+    $ checkpoint_stride $ secret_arg $ fault_model_arg)
 
 let policy_of opts =
   Spec.make_policy ?shard_size:opts.shard_size ~weighted:opts.weighted
-    ?journal:opts.journal ~resume:opts.resume ~catalogue:Catalog.default_dir
+    ?journal:opts.journal ~resume:opts.resume ~catalogue:Cache.default_dir
     ?shard_timeout:opts.shard_timeout ~max_retries:opts.max_retries
     ~quarantine:(not opts.no_quarantine)
-    ?cache:(if opts.no_cache then None else Some Catalog.default_dir)
+    ?cache:(if opts.no_cache then None else Some Cache.default_dir)
     ?checkpoint_stride:opts.checkpoint_stride ()
-
-let secret_of opts =
-  match opts.secret with
-  | None -> None
-  | Some file -> Some (or_die (Hmac.load_secret file))
 
 (* --workers names hosts, --backend names a strategy; together they
    resolve to one backend value here, so every engine subcommand agrees
@@ -305,10 +314,7 @@ let secret_of opts =
 let backend_of opts =
   match (opts.backend, opts.workers) with
   | (Pool.Domains | Pool.Processes), None -> opts.backend
-  | _, Some hosts -> (
-      match Addr.parse_list hosts with
-      | Ok addrs -> Pool.Sockets (List.map Addr.to_string addrs)
-      | Error msg -> or_die (Error msg))
+  | _, Some hosts -> Pool.Sockets (fleet_hosts hosts)
   | Pool.Sockets _, None ->
       or_die
         (Error
@@ -392,7 +398,7 @@ let engine_matrix ~opts ~quiet specs =
       ~jobs:(resolve_jobs ~backend opts.jobs)
       ~observe:(engine_progress ~quiet)
       ~on_event:(fun msg -> Printf.eprintf "\n[supervision] %s\n%!" msg)
-      ?secret:(secret_of opts) specs
+      ?secret:(load_secret opts.secret) specs
   with
   | results ->
       report_quarantine results;
@@ -660,7 +666,7 @@ let matrix_cmd =
     match outdir with
     | None -> ()
     | Some dir ->
-        Catalog.ensure_dir dir;
+        Cache.ensure_dir dir;
         List.iter2
           (fun spec scan ->
             let path =
@@ -675,8 +681,9 @@ let matrix_cmd =
        ~doc:
          "Run a whole benchmark matrix (suite × variants, or the paper \
           pairs) through one shared worker pool, with per-cell journals \
-          and aggregate progress.  With --resume, every cell with a \
-          catalogued journal picks up where it left off.")
+          and aggregate progress.  With --resume, every cell picks up \
+          where its journal left off (pass the same --journal stem, if \
+          any).")
     Term.(
       const action $ pairs $ outdir $ quiet $ engine_opts_term)
 
@@ -723,7 +730,8 @@ let sample_cmd =
       if biased then Sampler.biased_per_class rng ~samples cell
       else Sampler.uniform_raw rng ~samples cell
     in
-    (* In-process, only the draw's distinct slots are conducted.  With
+    (* In-process, only the draw's distinct slots are conducted, on a
+       plan with the --checkpoint-stride ladder (as the engine's).  With
        engine options, conduct (or resume) the full pruned campaign once
        and read every sample from it — the estimate is identical
        (deterministic machine, lossless pruning), but the heavy lifting
@@ -735,7 +743,12 @@ let sample_cmd =
     in
     let est =
       if oracle then Sampler.read (engine_spec ~opts ~quiet:false campaign_spec) draw
-      else Sampler.conduct cell draw
+      else
+        Sampler.conduct
+          ~provider:
+            (Injector.plan ?stride:opts.checkpoint_stride
+               cell.Faultspace.golden)
+          cell draw
     in
     let interval =
       Confidence.wilson ~fails:est.Sampler.failures ~trials:est.Sampler.samples
@@ -772,8 +785,8 @@ let compare_cmd =
     let base = or_die (load_program base_spec) in
     let hard = or_die (load_program hard_spec) in
     let spec_of name image =
-      (* One journal per side, derived from the --journal stem (the
-         catalogue keys each side by its own fingerprint anyway). *)
+      (* One journal per side, derived from the --journal stem (without
+         it, each side's journal is named by its own fingerprint). *)
       let policy =
         let p = policy_of opts in
         { p with
@@ -903,58 +916,53 @@ let report_cmd =
     Term.(const action $ which)
 
 (* ------------------------------------------------------------------ *)
-(* journal (maintenance of the catalogue)                             *)
+(* journal (maintenance of the artifact store)                        *)
 (* ------------------------------------------------------------------ *)
 
 let journal_cmd =
   let dir =
     Arg.(
       value
-      & opt string Catalog.default_dir
+      & opt string Cache.default_dir
       & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Journal-catalogue directory (default $(b,_artifacts)).")
+          ~doc:
+            "Artifact-store directory: the campaigns' fingerprint-named \
+             journals and $(b,results.idx).")
   in
   let dry_run =
     Arg.(
       value & flag
       & info [ "dry-run" ]
-          ~doc:"Report what compaction would do without deleting or \
-                rewriting anything.")
+          ~doc:"Report what compaction would delete without deleting it.")
   in
   let compact_cmd =
     let action dir dry_run =
-      let c =
-        (* Journals the result cache still points at must survive
-           compaction: folding one into CSV would turn every future
-           cache hit on that cell into a miss. *)
-        Catalog.compact ~dry_run ~finished:Runcell.journal_finished
-          ~protect:(Cache.referenced ~dir) ~dir ()
-      in
-      Format.printf
-        "%s%d entries examined: %d finished journal%s %s, %d superseded \
-         entr%s and %d dangling entr%s pruned, %d kept@."
+      let c = Engine.compact ~dry_run ~dir () in
+      Format.printf "%s%d journal%s examined: %d finished journal%s %s, %d kept@."
         (if dry_run then "[dry run] " else "")
-        c.Catalog.examined c.Catalog.folded
-        (if c.Catalog.folded = 1 then "" else "s")
-        (if dry_run then "would be folded" else "folded")
-        c.Catalog.superseded
-        (if c.Catalog.superseded = 1 then "y" else "ies")
-        c.Catalog.dangling
-        (if c.Catalog.dangling = 1 then "y" else "ies")
-        c.Catalog.kept
+        c.Engine.examined
+        (if c.Engine.examined = 1 then "" else "s")
+        c.Engine.deleted
+        (if c.Engine.deleted = 1 then "" else "s")
+        (if dry_run then "would be deleted" else "deleted")
+        c.Engine.kept
     in
     Cmd.v
       (Cmd.info "compact"
          ~doc:
-           "Fold finished campaign journals into the CSV store and prune \
-            superseded or dangling $(b,journals.idx) entries.  A journal \
-            is finished when it replays cleanly and every plan shard has \
-            a record; unfinished ones — including quarantine-degraded \
-            journals, which $(b,--resume) can still heal — are kept.")
+           "Delete the store's finished campaign journals \
+            ($(b,fi-*.journal) in $(b,--dir)) that no $(b,results.idx) \
+            entry references.  A journal is finished when it replays \
+            cleanly and every plan shard has a record; unfinished ones \
+            — a killed run, or a quarantine-degraded one that \
+            $(b,--resume) can still heal — are kept, as are \
+            cache-referenced journals (they are the cached results) and \
+            journals written to an explicit $(b,--journal) path outside \
+            the store.")
       Term.(const action $ dir $ dry_run)
   in
   Cmd.group
-    (Cmd.info "journal" ~doc:"Maintain the journal catalogue.")
+    (Cmd.info "journal" ~doc:"Maintain the artifact store's journals.")
     [ compact_cmd ]
 
 (* ------------------------------------------------------------------ *)
@@ -983,18 +991,6 @@ let worker_cmd =
       in
       Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
     in
-    let secret =
-      let doc =
-        "Arm shared-secret handshake authentication: every connecting \
-         conductor must present an HMAC tag derived from the secret in \
-         $(docv) (first line, whitespace-trimmed).  Conductors pass the \
-         same file via $(b,--secret)."
-      in
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "secret" ] ~docv:"FILE" ~doc)
-    in
     let action listen workers secret =
       let listen =
         match Addr.parse listen with Ok a -> a | Error e -> or_die (Error e)
@@ -1005,10 +1001,7 @@ let worker_cmd =
           or_die (Error (Printf.sprintf "invalid worker count %d" workers))
         else workers
       in
-      let secret =
-        Option.map (fun file -> or_die (Hmac.load_secret file)) secret
-      in
-      Remote.serve ~listen ~workers ?secret
+      Remote.serve ~listen ~workers ?secret:(load_secret secret)
         ~announce:(fun line ->
           print_endline line;
           flush stdout)
@@ -1024,7 +1017,7 @@ let worker_cmd =
             binary), and conduct the shipped shards exactly as a local \
             $(b,--backend processes) worker would, over the same frame \
             protocol.  Runs until killed.")
-      Term.(const action $ listen $ workers $ secret)
+      Term.(const action $ listen $ workers $ secret_arg)
   in
   Cmd.group
     (Cmd.info "worker"
@@ -1039,23 +1032,12 @@ let worker_cmd =
 (* serve / submit / status — the campaign service                     *)
 (* ------------------------------------------------------------------ *)
 
-let svc_secret_arg =
-  let doc =
-    "Shared-secret file for handshake authentication (HMAC over the \
-     hello).  Both the service and its clients — and, when the service \
-     drives a worker fleet, the workers — must name byte-identical \
-     secrets."
-  in
-  Arg.(value & opt (some string) None & info [ "secret" ] ~docv:"FILE" ~doc)
-
 let svc_addr_arg =
   let doc = "Campaign-service address (from its announce line)." in
   Arg.(
     required
     & opt (some string) None
     & info [ "to" ] ~docv:"HOST:PORT" ~doc)
-
-let svc_secret_of file = Option.map (fun f -> or_die (Hmac.load_secret f)) file
 
 let serve_cmd =
   let listen =
@@ -1068,17 +1050,6 @@ let serve_cmd =
       value
       & opt string Service.default_config.Service.listen
       & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
-  in
-  let workers =
-    let doc =
-      "Comma-separated $(b,HOST:PORT) worker daemons the service conducts \
-       campaigns on (each started with $(b,fi-cli worker serve)).  \
-       Without it, campaigns run locally on $(b,--local-backend)."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workers" ] ~docv:"HOST:PORT[,HOST:PORT...]" ~doc)
   in
   let local_backend =
     Arg.(
@@ -1106,22 +1077,15 @@ let serve_cmd =
   let dir =
     Arg.(
       value
-      & opt string Catalog.default_dir
+      & opt string Cache.default_dir
       & info [ "dir" ] ~docv:"DIR"
           ~doc:
-            "Artifact directory: campaign journals, the journal \
-             catalogue and the content-addressed result store all live \
-             here.")
+            "Artifact store: the campaigns' fingerprint-named journals \
+             and the content-addressed result index $(b,results.idx) \
+             live here.")
   in
   let action listen workers local_backend jobs window dir secret_file =
-    let workers =
-      match workers with
-      | None -> []
-      | Some hosts -> (
-          match Addr.parse_list hosts with
-          | Ok addrs -> List.map Addr.to_string addrs
-          | Error msg -> or_die (Error msg))
-    in
+    let workers = Option.fold ~none:[] ~some:fleet_hosts workers in
     (if Pool.backend_of_string local_backend = None then
        or_die (Error (Printf.sprintf "unknown --local-backend %S" local_backend)));
     if jobs < 0 then
@@ -1156,8 +1120,8 @@ let serve_cmd =
           every cell is already in the content-addressed result store \
           instantly — without occupying the worker fleet.")
     Term.(
-      const action $ listen $ workers $ local_backend $ jobs $ window $ dir
-      $ svc_secret_arg)
+      const action $ listen $ fleet_arg $ local_backend $ jobs $ window $ dir
+      $ secret_arg)
 
 let submit_cmd =
   let pairs =
@@ -1170,7 +1134,7 @@ let submit_cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress.") in
   let action addr pairs quiet secret_file model =
     let addr = or_die (Addr.parse addr) in
-    let secret = svc_secret_of secret_file in
+    let secret = load_secret secret_file in
     let specs =
       if pairs then Suite.paper_specs ~model ()
       else Suite.spec_matrix ~model ()
@@ -1215,13 +1179,13 @@ let submit_cmd =
           instantly from its result store, marked $(b,cache) in the \
           origin column.")
     Term.(
-      const action $ svc_addr_arg $ pairs $ quiet $ svc_secret_arg
+      const action $ svc_addr_arg $ pairs $ quiet $ secret_arg
       $ fault_model_arg)
 
 let status_cmd =
   let action addr secret_file =
     let addr = or_die (Addr.parse addr) in
-    let secret = svc_secret_of secret_file in
+    let secret = load_secret secret_file in
     print_endline (or_die (Service.status ?secret ~addr ()))
   in
   Cmd.v
@@ -1229,7 +1193,7 @@ let status_cmd =
        ~doc:"One-line status of a running campaign service: connected \
              clients, queue depth, fleet busyness, published result-store \
              cells.")
-    Term.(const action $ svc_addr_arg $ svc_secret_arg)
+    Term.(const action $ svc_addr_arg $ secret_arg)
 
 (* ------------------------------------------------------------------ *)
 (* list                                                               *)

@@ -1,4 +1,5 @@
-(* The content-addressed result store.
+(* The artifact store: campaign journals at fingerprint-derived paths,
+   and the content-addressed result index.
 
    A campaign cell that has finished anywhere need never run again: its
    key is a stable fingerprint of everything that determines its results
@@ -7,19 +8,20 @@
    journal, which replays through the engine's normal CRC/fingerprint
    merge path to bit-identical results.
 
-   This generalises the journal catalogue (journals.idx): the catalogue
-   answers "where is MY campaign's journal" (keyed by campaign CRC, for
-   --resume); the store answers "has ANYONE finished this cell" (keyed
-   by content, for free re-runs).  Both are append-only line indexes,
-   later entries winning, tolerant of junk lines. *)
+   "Where is MY campaign's journal" (for --resume) needs no index: the
+   path is derived from the campaign CRC.  The index answers "has ANYONE
+   finished this cell" (keyed by content, for free re-runs). *)
 
-let index_name = "results.idx"
-
-let index_path ~dir = Filename.concat dir index_name
+let default_dir = "_artifacts"
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+
+let journal_path ~dir ~fingerprint =
+  Filename.concat dir (Printf.sprintf "fi-%08x.journal" fingerprint)
+
+let index_path ~dir = Filename.concat dir "results.idx"
 
 (* ------------------------------------------------------------------ *)
 (* Keying                                                             *)
@@ -105,7 +107,21 @@ let publish ~dir ~key ~fingerprint ~path =
           output_string oc (encode_line { key; fingerprint; path } ^ "\n");
           close_out oc)
 
+(* Paths as published, and the files they name: the index records paths
+   as the publishing campaign spelled its directory, which need not be
+   how the caller spells it. *)
 let referenced ~dir =
-  let paths = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace paths e.path ()) (entries ~dir);
-  fun path -> Hashtbl.mem paths path
+  let file path =
+    match Unix.stat path with
+    | st -> Some (st.Unix.st_dev, st.Unix.st_ino)
+    | exception Unix.Unix_error _ -> None
+  in
+  let paths = Hashtbl.create 16 and files = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace paths e.path ();
+      Option.iter (fun f -> Hashtbl.replace files f ()) (file e.path))
+    (entries ~dir);
+  fun path ->
+    Hashtbl.mem paths path
+    || match file path with Some f -> Hashtbl.mem files f | None -> false

@@ -4,10 +4,10 @@
    half-lines.
 
    The lock lives in a sidecar [<path>.lock] file rather than on the
-   index itself: compaction replaces the index inode (tmp + rename), and
-   a lock taken on the old inode would silently stop excluding writers
-   that open the new one.  The sidecar is never renamed, so its inode —
-   and the exclusion it provides — is stable. *)
+   index itself: POSIX record locks are dropped when the process closes
+   any descriptor of the file, and the writer re-reads the index under
+   the lock, so a lock on the index would be released by its own check.
+   The sidecar is opened only here. *)
 
 let lock_path path = path ^ ".lock"
 

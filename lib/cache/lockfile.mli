@@ -1,8 +1,9 @@
 (** Advisory whole-file locks ([Unix.lockf]) for index writers.
 
-    The lock is a sidecar [<path>.lock] file, not the index itself —
-    compaction replaces the index inode by rename, which would strand a
-    lock taken on the old inode while new writers lock the new one.
+    The lock is a sidecar [<path>.lock] file, not the index itself: a
+    [lockf] lock is released when its process closes {e any} descriptor
+    of the locked file, and a writer re-reads the index under the lock
+    (open, read, close), which would drop a lock taken on the index.
     Locks are per-process (lockf semantics): this serialises processes,
     which is the concurrency the service introduces. *)
 

@@ -35,23 +35,18 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Journal resolution (explicit path or catalogue)                    *)
+(* Journal resolution (explicit path or fingerprint path)             *)
 (* ------------------------------------------------------------------ *)
 
 let resolve_journal ~fingerprint (policy : Spec.policy) =
   match policy.Spec.durability.Spec.journal with
   | Some path -> Some path
-  | None -> (
-      match policy.Spec.durability.Spec.catalogue with
-      | None -> None
-      | Some dir ->
-          Catalog.ensure_dir dir;
-          if policy.Spec.durability.Spec.resume then
-            Some
-              (match Catalog.lookup ~dir ~fingerprint with
-              | Some path -> path
-              | None -> Catalog.journal_path ~dir ~fingerprint)
-          else Some (Catalog.journal_path ~dir ~fingerprint))
+  | None ->
+      Option.map
+        (fun dir ->
+          Cache.ensure_dir dir;
+          Cache.journal_path ~dir ~fingerprint)
+        policy.Spec.durability.Spec.catalogue
 
 (* ------------------------------------------------------------------ *)
 (* Shard records: the one parse                                      *)
@@ -285,17 +280,6 @@ let complete ~emit rt shard outs =
   apply rt shard outs;
   journal rt (Runcell.record_payload shard (Bytes.of_string outs));
   emit ()
-
-(* Close the cell's journal and index it in its catalogue. *)
-let close rt =
-  Option.iter Journal.close rt.writer;
-  match
-    ( rt.journal_path,
-      rt.cell.Runcell.spec.Spec.policy.Spec.durability.Spec.catalogue )
-  with
-  | Some path, Some dir -> (
-      try Catalog.record ~dir ~fingerprint:rt.fp ~path with Sys_error _ -> ())
-  | _ -> ()
 
 let finish rt =
   assert (
@@ -946,7 +930,8 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?observe
   let cells = List.map Runcell.analyse specs in
   let opened = ref [] in
   Fun.protect
-    ~finally:(fun () -> List.iter close !opened)
+    ~finally:(fun () ->
+      List.iter (fun rt -> Option.iter Journal.close rt.writer) !opened)
     (fun () ->
       List.iter (fun cell -> opened := setup cell :: !opened) cells;
       let rts = List.rev !opened in
@@ -983,3 +968,38 @@ let scan_exn (r : result) =
                       (%s)"
                      q.q_cell q.q_shard q.q_classes q.q_attempts q.q_cause)
                  qs)))
+
+(* ------------------------------------------------------------------ *)
+(* Compaction: a sweep of the artifact store                          *)
+(* ------------------------------------------------------------------ *)
+
+type compaction = { examined : int; deleted : int; kept : int }
+
+(* Only the store's own journals ([Cache.journal_path] names): a journal
+   given an explicit path belongs to whoever named it. *)
+let compact ?(dry_run = false) ~dir () =
+  let journals =
+    match Sys.readdir dir with
+    | names ->
+        List.filter
+          (fun name ->
+            String.starts_with ~prefix:"fi-" name
+            && Filename.check_suffix name ".journal")
+          (Array.to_list names)
+    | exception Sys_error _ -> []
+  in
+  let referenced = Cache.referenced ~dir in
+  let deleted =
+    List.filter
+      (fun name ->
+        let path = Filename.concat dir name in
+        Runcell.journal_finished path && not (referenced path))
+      journals
+  in
+  if not dry_run then
+    List.iter
+      (fun name ->
+        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+      deleted;
+  let examined = List.length journals and deleted = List.length deleted in
+  { examined; deleted; kept = examined - deleted }

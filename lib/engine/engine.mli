@@ -89,8 +89,9 @@
     {!Journal_mismatch} instead of corrupting results.  A journal whose
     {e middle} fails its CRC (storage corruption, as opposed to the torn
     tail a crash leaves) is likewise rejected.  When a policy names a
-    {!Catalog} directory, journal paths are derived from the fingerprint
-    and indexed in [journals.idx], so [resume] needs no explicit path.
+    [catalogue] directory and no explicit journal, the journal lives at
+    {!Cache.journal_path} of the fingerprint, so [resume] finds it again
+    without an explicit path — even after the writer was SIGKILLed.
 
     {2 The result cache}
 
@@ -202,10 +203,10 @@ val run_matrix_results :
       with the same secret).
 
     Journalling is governed by each spec's {!Spec.policy}: per-cell
-    journals (explicit paths or catalogue-derived), per-cell resume.  On
-    exit — normal or exceptional — every opened journal is closed and
-    catalogued, so a matrix interrupted mid-cell resumes with all
-    completed shards of {e every} cell recovered.
+    journals (explicit paths or fingerprint paths in the [catalogue]
+    directory), per-cell resume.  On exit — normal or exceptional —
+    every opened journal is closed, so a matrix interrupted mid-cell
+    resumes with all completed shards of {e every} cell recovered.
 
     Each complete scan is structurally equal to the serial reference
     [Faultspace.scan] of the same cell, for any model, any [jobs] and
@@ -224,3 +225,22 @@ val scan_exn : result -> Scan.t
 (** The result's scan, or {!Worker_failed} naming every quarantined
     shard — the plain-scan view for callers that cannot use a degraded
     scan. *)
+
+(** {2 Compaction} *)
+
+type compaction = {
+  examined : int;  (** [fi-*.journal] files in the directory. *)
+  deleted : int;  (** Finished, unreferenced journals removed. *)
+  kept : int;  (** The rest. *)
+}
+
+val compact : ?dry_run:bool -> dir:string -> unit -> compaction
+(** Sweep the artifact store [dir]: delete every [fi-*.journal] file
+    (the names {!Cache.journal_path} gives) that
+    {!Runcell.journal_finished} judges complete and that no
+    [results.idx] entry references ({!Cache.referenced} — a cache-backed
+    journal IS the cached result).  Unfinished journals — a run still
+    going, a killed run, a quarantine-degraded run that [--resume] can
+    still heal — are kept, as is every other file, and journals at
+    explicit paths are never looked at.  With [dry_run] nothing is
+    deleted; the summary reports what {e would} be. *)

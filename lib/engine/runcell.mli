@@ -20,7 +20,9 @@ type cell = {
   golden : Golden.t;
   classes : Defuse.byte_class array;
       (** The fault model's experiment classes ([Faultspace.cell]'s),
-          [t_end]-sorted. *)
+          in its order: [(byte, t_start)] for byte-class models,
+          ascending [t_end] for skip.  Only {!Shard.plan} ranks them by
+          [t_end]. *)
   benign_weight : int;
       (** A-priori-benign fault-space weight of the model. *)
   ram_bytes : int;  (** Real, pseudo or synthetic row footprint. *)
@@ -95,8 +97,8 @@ val parse_supervision : string -> supervision option
 val journal_finished : string -> bool
 (** Whether [path] is a {e finished} campaign journal: replays [Clean]
     with an engine header, and every plan shard id has a record.  This
-    is journal compaction's gate — only such journals may be folded
-    into the CSV store and pruned.  Torn, corrupt, quarantine-degraded
+    is journal compaction's gate ({!Engine.compact}) — only such
+    journals may be deleted.  Torn, corrupt, quarantine-degraded
     or foreign files are all [false]. *)
 
 val conduct_shard :

@@ -26,20 +26,15 @@ type policy = {
   acceleration : acceleration;
 }
 
-let default_sharding = { shard_size = None; weighted = false }
-let default_durability = { journal = None; resume = false; catalogue = None }
-
 let default_supervision =
   { shard_timeout = None; max_retries = 0; quarantine = false }
 
-let default_acceleration = { cache = None; checkpoint_stride = None }
-
 let default_policy =
   {
-    sharding = default_sharding;
-    durability = default_durability;
+    sharding = { shard_size = None; weighted = false };
+    durability = { journal = None; resume = false; catalogue = None };
     supervision = default_supervision;
-    acceleration = default_acceleration;
+    acceleration = { cache = None; checkpoint_stride = None };
   }
 
 let make_policy ?shard_size ?(weighted = false) ?journal ?(resume = false)

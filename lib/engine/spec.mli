@@ -14,7 +14,7 @@
     - an {b execution policy} — four orthogonal concern groups:
       {!sharding} (shard geometry and sizing — the only group that is
       part of the campaign fingerprint), {!durability} (journal, resume,
-      catalogue), {!supervision} (timeouts, retries, quarantine) and
+      journal directory), {!supervision} (timeouts, retries, quarantine) and
       {!acceleration} (result cache, checkpoint stride) — pure
       throughput/robustness knobs that never shape outcomes.
 
@@ -46,14 +46,13 @@ type sharding = {
 type durability = {
   journal : string option;  (** Explicit journal path. *)
   resume : bool;
-      (** Recover completed shards from the journal (found at [journal],
-          or looked up by fingerprint in the [catalogue]). *)
+      (** Recover completed shards from the journal (at [journal], or
+          at the fingerprint path in the [catalogue] directory). *)
   catalogue : string option;
-      (** Journal-catalogue directory.  When set and [journal] is
-          [None], the engine journals to a fingerprint-derived path under
-          this directory and records [fingerprint → path] in
-          [<dir>/journals.idx] on close, so a later [resume] needs no
-          explicit path. *)
+      (** The journal directory.  When set and [journal] is [None], the
+          engine journals to [Cache.journal_path] of the campaign
+          fingerprint under this directory, so a later [resume] needs
+          no explicit path.  Nothing is indexed: the name is derived. *)
 }
 
 type supervision = {
@@ -106,16 +105,13 @@ type policy = {
   acceleration : acceleration;
 }
 
-val default_sharding : sharding
-val default_durability : durability
 val default_supervision : supervision
-val default_acceleration : acceleration
 
 val default_policy : policy
-(** No journal, no catalogue, no resume, count-sized default shards, no
-    supervision ([shard_timeout = None], [max_retries = 0],
-    [quarantine = false]), no result cache, and
-    the default checkpoint stride — outcome-wise, the seed engine's
+(** No journal, no journal directory, no resume, count-sized default
+    shards, no supervision ([shard_timeout = None], [max_retries = 0],
+    [quarantine = false]), no result cache, and the default checkpoint
+    stride — outcome-wise, the seed engine's
     exact behaviour. *)
 
 val make_policy :

@@ -10,8 +10,6 @@
     label; the authoritative check is the worker's own re-analysis
     (see {!Remote}). *)
 
-val protocol_version : int
-
 val self_digest : unit -> string
 (** Hex MD5 of [Sys.executable_name], memoized ("unknown" if the
     executable cannot be read — {!check} refuses such hellos, on either
@@ -28,7 +26,7 @@ type hello = {
 }
 
 val hello : ?fingerprint:string -> ?capacity:int -> ?secret:string -> unit -> hello
-(** This process's hello: {!protocol_version} + {!self_digest}.  With
+(** This process's hello: the protocol version (1) + {!self_digest}.  With
     [?secret], the hello carries an HMAC tag over its other fields. *)
 
 val encode : hello -> string

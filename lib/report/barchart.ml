@@ -16,6 +16,3 @@ let render ?(width = 48) ?(unit_label = "") series =
            value unit_label))
     series;
   Buffer.contents buf
-
-let print ?width ?unit_label series =
-  print_string (render ?width ?unit_label series)

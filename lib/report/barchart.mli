@@ -8,5 +8,3 @@ val render :
 (** [render series] draws one bar per (label, value); bars are scaled to
     the maximum value into [width] (default 48) characters.  Values are
     printed after each bar with [unit_label] appended. *)
-
-val print : ?width:int -> ?unit_label:string -> (string * float) list -> unit

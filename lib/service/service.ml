@@ -22,7 +22,7 @@ type config = {
   local_backend : string;  (** {!Pool.backend_tag} used when no fleet. *)
   jobs : int;
   window : int;  (** {!Fairq} admission window, per client host. *)
-  artifacts : string;  (** Catalogue + result-store directory. *)
+  artifacts : string;  (** Artifact store: journals and [results.idx]. *)
   secret_file : string option;
 }
 
@@ -33,7 +33,7 @@ let default_config =
     local_backend = "domains";
     jobs = 0;
     window = 4;
-    artifacts = Catalog.default_dir;
+    artifacts = Cache.default_dir;
     secret_file = None;
   }
 
@@ -110,7 +110,7 @@ let serve ?(config = default_config) ?(announce = fun _ -> ()) () =
     Remote.listen_announce ~prefix:"fi-svc" ~announce
       (Addr.parse_exn cfg.listen)
   in
-  Catalog.ensure_dir cfg.artifacts;
+  Cache.ensure_dir cfg.artifacts;
   let sessions : (Unix.file_descr, session) Hashtbl.t = Hashtbl.create 8 in
   let queue : (session * Worker.wire_cell list) Fairq.t =
     Fairq.create ~window:cfg.window

@@ -54,7 +54,7 @@ type config = {
   local_backend : string;  (** {!Pool.backend_of_string} tag used when no fleet. *)
   jobs : int;  (** 0 = {!Pool.default_jobs}. *)
   window : int;  (** {!Fairq} admission window, per client host. *)
-  artifacts : string;  (** Catalogue + result-store directory. *)
+  artifacts : string;  (** Artifact store: journals and [results.idx]. *)
   secret_file : string option;
       (** Arms shared-secret handshake auth for clients {e and} towards
           fleet workers. *)

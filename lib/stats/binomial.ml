@@ -27,14 +27,3 @@ let cdf ~n ~p k =
     Special.regularized_beta (1.0 -. p)
       ~a:(float_of_int (n - k))
       ~b:(float_of_int (k + 1))
-
-let mean ~n ~p = float_of_int n *. p
-let variance ~n ~p = float_of_int n *. p *. (1.0 -. p)
-
-let sample rng ~n ~p =
-  check n p;
-  let count = ref 0 in
-  for _ = 1 to n do
-    if Prng.float rng 1.0 < p then incr count
-  done;
-  !count

@@ -14,13 +14,3 @@ val pmf : n:int -> p:float -> int -> float
 val cdf : n:int -> p:float -> int -> float
 (** [cdf ~n ~p k] is P(X ≤ k), via the regularised incomplete beta
     function. *)
-
-val mean : n:int -> p:float -> float
-(** n·p. *)
-
-val variance : n:int -> p:float -> float
-(** n·p·(1−p). *)
-
-val sample : Prng.t -> n:int -> p:float -> int
-(** Draw a binomial variate by counting Bernoulli successes ([n] draws;
-    adequate for the moderate [n] used in tests). *)

@@ -14,9 +14,6 @@ let cdf ~lambda k =
   else if lambda = 0.0 then 1.0
   else Special.regularized_gamma_q (float_of_int (k + 1)) lambda
 
-let mean ~lambda = lambda
-let variance ~lambda = lambda
-
 let sample rng ~lambda =
   check_lambda lambda;
   if lambda = 0.0 then 0

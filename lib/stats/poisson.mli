@@ -13,12 +13,6 @@ val cdf : lambda:float -> int -> float
 (** [cdf ~lambda k] is P(X ≤ k) via the regularised incomplete gamma
     function Q(k+1, λ). *)
 
-val mean : lambda:float -> float
-(** λ. *)
-
-val variance : lambda:float -> float
-(** λ. *)
-
 val sample : Prng.t -> lambda:float -> int
 (** Draw a Poisson variate (Knuth's product method for small λ, the PTRS
     transformed-rejection method is unnecessary at the λ used here and a

@@ -1,9 +1,5 @@
 type kind = Read | Write
 
-let pp_kind ppf = function
-  | Read -> Format.pp_print_string ppf "R"
-  | Write -> Format.pp_print_string ppf "W"
-
 type entry = { cycle : int; addr : int; width : int; kind : kind }
 
 type t = {
@@ -48,7 +44,6 @@ let total_cycles t =
   | None -> invalid_arg "Trace.total_cycles: trace not sealed"
 
 let length t = t.len
-let entries t = Array.sub t.items 0 t.len
 
 let iter_byte_accesses t f =
   for i = 0 to t.len - 1 do

@@ -7,9 +7,6 @@
 
 type kind = Read | Write
 
-val pp_kind : Format.formatter -> kind -> unit
-(** ["R"] or ["W"], matching Figure 1 of the paper. *)
-
 type entry = { cycle : int; addr : int; width : int; kind : kind }
 (** One access: instruction at [cycle] touched [width] bytes starting at
     RAM offset [addr]. *)
@@ -38,9 +35,6 @@ val total_cycles : t -> int
 
 val length : t -> int
 (** Number of recorded accesses. *)
-
-val entries : t -> entry array
-(** All accesses in execution order (a copy). *)
 
 val iter_byte_accesses : t -> (byte:int -> cycle:int -> kind:kind -> unit) -> unit
 (** Visit every (byte, access) pair: a [width]-byte access yields [width]

@@ -350,20 +350,23 @@ let test_compact_protects_cache_referenced_journals () =
       in
       Alcotest.(check bool) "journal finished (compactable on merit)" true
         (Runcell.journal_finished journal);
-      (* Unprotected compaction WOULD fold it (dry run proves intent)... *)
-      let unprotected =
-        Catalog.compact ~dry_run:true ~finished:Runcell.journal_finished ~dir
-          ()
-      in
-      Alcotest.(check int) "dry run would fold the journal" 1
-        unprotected.Catalog.folded;
-      (* ...but the CLI's protected compaction keeps it. *)
-      let protected_ =
-        Catalog.compact ~finished:Runcell.journal_finished
-          ~protect:(Cache.referenced ~dir) ~dir ()
-      in
-      Alcotest.(check int) "protected compaction folds nothing" 0
-        protected_.Catalog.folded;
+      (* A finished copy no entry references is what compaction deletes... *)
+      let copy = Cache.journal_path ~dir ~fingerprint:0xc0b1 in
+      let oc = open_out_bin copy in
+      let ic = open_in_bin journal in
+      output_string oc (really_input_string ic (in_channel_length ic));
+      close_in ic;
+      close_out oc;
+      let dry = Engine.compact ~dry_run:true ~dir () in
+      Alcotest.(check int) "dry run would delete only the copy" 1
+        dry.Engine.deleted;
+      (* ...but the referenced journal survives, however the directory
+         is spelled. *)
+      let c = Engine.compact ~dir:(Filename.concat dir ".") () in
+      Alcotest.(check int) "compaction deletes only the copy" 1
+        c.Engine.deleted;
+      Alcotest.(check int) "and keeps the referenced journal" 1 c.Engine.kept;
+      Alcotest.(check bool) "copy deleted" false (Sys.file_exists copy);
       Alcotest.(check bool) "journal file survives" true
         (Sys.file_exists journal);
       (* The store still serves it — the whole point of protection. *)

@@ -1,9 +1,9 @@
-(* Tests for the campaign-spec API (lib/engine Spec/Catalog + the matrix
+(* Tests for the campaign-spec API (lib/engine Spec + the matrix
    scheduler): weighted shard sizing, register-space campaigns through
    the engine (bit-identical to the serial Faultspace.scan for any worker count),
-   fingerprint separation of spaces and sizing policies, journal
-   catalogue lookup, cross-space resume rejection, and matrix runs where
-   only some cells have journals. *)
+   fingerprint separation of spaces and sizing policies, resume by
+   fingerprint-named journal, cross-space resume rejection, and matrix
+   runs where only some cells have journals. *)
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures and helpers                                               *)
@@ -317,35 +317,8 @@ let test_matrix_partial_journals () =
       | _ -> Alcotest.fail "wrong cell count")
 
 (* ------------------------------------------------------------------ *)
-(* Journal catalogue                                                  *)
+(* Fingerprint-named journals                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_catalogue_roundtrip () =
-  with_temp_dir (fun dir ->
-      Alcotest.(check (option string)) "empty" None
-        (Catalog.lookup ~dir ~fingerprint:0xdeadbeef);
-      Catalog.record ~dir ~fingerprint:0xdeadbeef ~path:"a.journal";
-      Catalog.record ~dir ~fingerprint:0x12345678 ~path:"b.journal";
-      Catalog.record ~dir ~fingerprint:0xdeadbeef ~path:"c.journal";
-      Alcotest.(check (option string)) "last entry wins" (Some "c.journal")
-        (Catalog.lookup ~dir ~fingerprint:0xdeadbeef);
-      Alcotest.(check (option string)) "other key intact" (Some "b.journal")
-        (Catalog.lookup ~dir ~fingerprint:0x12345678);
-      (* Re-recording the current mapping appends nothing. *)
-      Catalog.record ~dir ~fingerprint:0x12345678 ~path:"b.journal";
-      let lines =
-        let ic = open_in (Catalog.index_path ~dir) in
-        let n = ref 0 in
-        (try
-           while true do
-             ignore (input_line ic);
-             incr n
-           done
-         with End_of_file -> ());
-        close_in ic;
-        !n
-      in
-      Alcotest.(check int) "no duplicate index lines" 3 lines)
 
 let test_catalogue_resume_by_fingerprint () =
   with_temp_dir (fun dir ->
@@ -355,20 +328,22 @@ let test_catalogue_resume_by_fingerprint () =
           (Lazy.force hi_golden)
       in
       let first = Drive.scan ~jobs:2 (spec false) in
-      check_scans_identical "catalogued run" (Lazy.force hi_serial) first;
-      let fp = Engine.fingerprint_spec (spec false) in
-      (match Catalog.lookup ~dir ~fingerprint:fp with
-      | None -> Alcotest.fail "journal not catalogued"
-      | Some path ->
-          Alcotest.(check bool) "catalogued journal exists" true
-            (Sys.file_exists path));
+      check_scans_identical "journaled run" (Lazy.force hi_serial) first;
+      let path =
+        Cache.journal_path ~dir
+          ~fingerprint:(Engine.fingerprint_spec (spec false))
+      in
+      Alcotest.(check bool) "journal at its fingerprint path" true
+        (Sys.file_exists path);
+      Alcotest.(check bool) "no journal index written" false
+        (Sys.file_exists (Filename.concat dir "journals.idx"));
       (* --resume with no explicit path: found by fingerprint, nothing
          re-conducted. *)
       let snap = ref None in
       let resumed =
         Drive.scan ~jobs:2 ~observe:(fun s -> snap := Some s) (spec true)
       in
-      check_scans_identical "resumed from catalogue" (Lazy.force hi_serial)
+      check_scans_identical "resumed by fingerprint" (Lazy.force hi_serial)
         resumed;
       match !snap with
       | None -> Alcotest.fail "observe never called"
@@ -432,7 +407,6 @@ let suite =
         test_matrix_aggregate_progress;
       Alcotest.test_case "matrix partial journal resume" `Slow
         test_matrix_partial_journals;
-      Alcotest.test_case "catalogue roundtrip" `Quick test_catalogue_roundtrip;
       Alcotest.test_case "catalogue resume by fingerprint" `Quick
         test_catalogue_resume_by_fingerprint;
       Alcotest.test_case "resume requires journal or catalogue" `Quick

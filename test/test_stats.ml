@@ -226,40 +226,6 @@ let test_sample_size () =
   let n2 = Confidence.sample_size ~half_width:0.02 ~confidence:0.95 ~worst_case_p:0.5 in
   Alcotest.(check bool) "smaller for wider interval" true (n2 < n1)
 
-(* ------------------------------------------------------------------ *)
-(* Summary                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_summary_moments () =
-  let data = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  let s = Summary.of_array data in
-  Alcotest.(check int) "count" 8 (Summary.count s);
-  close "mean" 5.0 (Summary.mean s);
-  close "variance" (32.0 /. 7.0) (Summary.variance s);
-  close "min" 2.0 (Summary.min s);
-  close "max" 9.0 (Summary.max s)
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  close "mean of empty" 0.0 (Summary.mean s) ~eps:1e-12;
-  close "variance of empty" 0.0 (Summary.variance s) ~eps:1e-12;
-  Alcotest.(check bool) "min nan" true (Float.is_nan (Summary.min s))
-
-let qcheck_summary_matches_reference =
-  QCheck.Test.make ~name:"Summary matches direct computation" ~count:200
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_bound_exclusive 1000.0))
-    (fun data ->
-      let a = Array.of_list data in
-      let s = Summary.of_array a in
-      let n = float_of_int (Array.length a) in
-      let mean = Array.fold_left ( +. ) 0.0 a /. n in
-      let var =
-        Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 a
-        /. (n -. 1.0)
-      in
-      Float.abs (Summary.mean s -. mean) < 1e-6
-      && Float.abs (Summary.variance s -. var) < 1e-4)
-
 let suite =
   ( "stats",
     [
@@ -294,7 +260,4 @@ let suite =
         test_clopper_pearson_edges;
       Alcotest.test_case "wald domain" `Quick test_wald_domain;
       Alcotest.test_case "sample size" `Quick test_sample_size;
-      Alcotest.test_case "summary moments" `Quick test_summary_moments;
-      Alcotest.test_case "summary empty" `Quick test_summary_empty;
-      QCheck_alcotest.to_alcotest qcheck_summary_matches_reference;
     ] )

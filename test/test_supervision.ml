@@ -1,6 +1,6 @@
 (* Tests for the self-healing supervision layer: heartbeat/deadline hang
    detection, bounded retry with backoff, shard quarantine, supervision
-   journal records, the journal-catalogue compaction that rides on
+   journal records, the artifact-store compaction that rides on
    [Runcell.journal_finished], and the Domains-pool stall watchdog.
    Every process-backend test here is deliberately fast (sub-second
    deadlines on the two-class [hi] campaign); the slow adversarial
@@ -279,7 +279,7 @@ let test_quarantine_counters_in_snapshot () =
       Alcotest.(check bool) "finished" true (Progress.finished s)
 
 (* ------------------------------------------------------------------ *)
-(* journal_finished and catalogue compaction                          *)
+(* journal_finished and artifact-store compaction                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_journal_finished () =
@@ -303,57 +303,104 @@ let test_journal_finished () =
       Alcotest.(check bool) "missing journal unfinished" false
         (Runcell.journal_finished (path ^ ".does-not-exist")))
 
+(* Compaction over real journals in a store directory: it deletes the
+   finished journals no results.idx entry references — also one whose
+   writer never reached close, as after a SIGKILL — and keeps
+   everything else. *)
 let test_catalog_compact () =
-  let dir = Filename.temp_file "fisupidx" "" in
+  let golden = Lazy.force hi_golden in
+  let dir = Filename.temp_file "fisupstore" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let file name text =
-    let p = Filename.concat dir name in
-    let oc = open_out_bin p in
-    output_string oc text;
-    close_out oc;
-    p
-  in
+  let in_dir name = Filename.concat dir name in
   Fun.protect
     ~finally:(fun () ->
       Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        (fun f -> try Sys.remove (in_dir f) with Sys_error _ -> ())
         (Sys.readdir dir);
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
-      let live = file "live.journal" "unfinished" in
-      let old = file "old.journal" "superseded-then-kept-alive" in
-      let finished = file "done.journal" "finished" in
-      Catalog.record ~dir ~fingerprint:1 ~path:old;
-      Catalog.record ~dir ~fingerprint:1 ~path:live (* supersedes old *);
-      Catalog.record ~dir ~fingerprint:2 ~path:(Filename.concat dir "gone");
-      Catalog.record ~dir ~fingerprint:3 ~path:finished;
-      let is_done p = Filename.basename p = "done.journal" in
-      (* Dry run: full report, nothing touched. *)
-      let dry = Catalog.compact ~dry_run:true ~finished:is_done ~dir () in
-      Alcotest.(check int) "dry examined" 4 dry.Catalog.examined;
-      Alcotest.(check int) "dry folded" 1 dry.Catalog.folded;
-      Alcotest.(check bool) "dry run deletes nothing" true
-        (Sys.file_exists finished);
-      Alcotest.(check bool) "dry run keeps superseded index lines" true
-        (Catalog.lookup ~dir ~fingerprint:3 <> None);
-      (* Real compaction. *)
-      let c = Catalog.compact ~finished:is_done ~dir () in
-      Alcotest.(check int) "examined" 4 c.Catalog.examined;
-      Alcotest.(check int) "superseded" 1 c.Catalog.superseded;
-      Alcotest.(check int) "dangling" 1 c.Catalog.dangling;
-      Alcotest.(check int) "folded" 1 c.Catalog.folded;
-      Alcotest.(check int) "kept" 1 c.Catalog.kept;
-      Alcotest.(check bool) "finished journal deleted" false
-        (Sys.file_exists finished);
-      Alcotest.(check bool) "unfinished journal kept on disk" true
-        (Sys.file_exists live);
-      Alcotest.(check bool) "live entry survives" true
-        (Catalog.lookup ~dir ~fingerprint:1 = Some live);
-      Alcotest.(check bool) "folded entry pruned" true
-        (Catalog.lookup ~dir ~fingerprint:3 = None);
-      Alcotest.(check bool) "dangling entry pruned" true
-        (Catalog.lookup ~dir ~fingerprint:2 = None))
+      with_temp_file (fun outside ->
+          let run policy = ignore (Drive.scan (Spec.of_golden ~policy golden)) in
+          (* Finished and closed, unreferenced (two one-class shards). *)
+          run (Spec.make_policy ~catalogue:dir ~shard_size:1 ());
+          let closed =
+            match Sys.readdir dir with
+            | [| name |] -> in_dir name
+            | names ->
+                Alcotest.failf "expected one journal, found %d"
+                  (Array.length names)
+          in
+          (* Finished and referenced: the cache publishes it (weighted
+             shards: another campaign fingerprint, another file). *)
+          run (Spec.make_policy ~catalogue:dir ~weighted:true ~cache:dir ());
+          let referenced =
+            match Cache.entries ~dir with
+            | [ e ] -> e.Cache.path
+            | es -> Alcotest.failf "expected one entry, found %d" (List.length es)
+          in
+          Alcotest.(check bool) "two journals" true (referenced <> closed);
+          (* A writer killed after its last append, and one killed after
+             its first: [closed]'s records, the writers left open as a
+             killed process leaves them. *)
+          let header, records =
+            match Journal.load closed with
+            | Some (h, rs) -> (h, rs)
+            | None -> Alcotest.fail "closed journal unreadable"
+          in
+          let unclosed ~fingerprint records =
+            let path = Cache.journal_path ~dir ~fingerprint in
+            let w = Journal.create path ~header in
+            List.iter (Journal.append w) records;
+            path
+          in
+          let killed = unclosed ~fingerprint:0xb records in
+          let unfinished = unclosed ~fingerprint:0xc [ List.hd records ] in
+          (* Finished journals the sweep must not look at. *)
+          let copy dst =
+            let oc = open_out_bin dst in
+            output_string oc (read_file closed);
+            close_out oc;
+            dst
+          in
+          let other_name = copy (in_dir "notes.journal") in
+          let other_ext = copy (in_dir "fi-0000000d.journal.bak") in
+          let outside = copy outside in
+          List.iter
+            (fun p ->
+              Alcotest.(check bool) (p ^ " finished") true
+                (Runcell.journal_finished p))
+            [ closed; referenced; killed; other_name; other_ext; outside ];
+          Alcotest.(check bool) "truncated writer unfinished" false
+            (Runcell.journal_finished unfinished);
+          let all = [ closed; referenced; killed; unfinished; other_name;
+                      other_ext; outside ] in
+          (* Dry run: the full report, nothing touched. *)
+          let dry = Engine.compact ~dry_run:true ~dir () in
+          Alcotest.(check int) "dry examined" 4 dry.Engine.examined;
+          Alcotest.(check int) "dry deleted" 2 dry.Engine.deleted;
+          Alcotest.(check int) "dry kept" 2 dry.Engine.kept;
+          List.iter
+            (fun p ->
+              Alcotest.(check bool) ("dry run keeps " ^ p) true
+                (Sys.file_exists p))
+            all;
+          (* The sweep. *)
+          let c = Engine.compact ~dir () in
+          Alcotest.(check int) "examined" 4 c.Engine.examined;
+          Alcotest.(check int) "deleted" 2 c.Engine.deleted;
+          Alcotest.(check int) "kept" 2 c.Engine.kept;
+          List.iter
+            (fun (p, present) ->
+              Alcotest.(check bool) p present (Sys.file_exists p))
+            [ (closed, false); (killed, false); (referenced, true);
+              (unfinished, true); (other_name, true); (other_ext, true);
+              (outside, true) ];
+          Alcotest.(check bool) "no journal index" false
+            (Sys.file_exists (in_dir "journals.idx"));
+          let again = Engine.compact ~dir () in
+          Alcotest.(check int) "a second sweep deletes nothing" 0
+            again.Engine.deleted))
 
 (* ------------------------------------------------------------------ *)
 (* Domains-pool stall watchdog (report-only)                          *)
