@@ -375,10 +375,15 @@ let perf_tests () =
            ignore (Machine.run m ~limit:10_000_000)));
     Test.make ~name:"F2-one-experiment"
       (Staged.stage
-         (let coord =
-            { Coordspace.cycle = bin_golden.Golden.cycles / 2; bit = 64 }
+         (let cell = Faultspace.of_golden Faultspace.Bitflip_mem bin_golden in
+          let coord =
+            { Faultspace.cycle = bin_golden.Golden.cycles / 2; bit = 64 }
           in
-          fun () -> ignore (Injector.run_at bin_golden coord)));
+          fun () ->
+            ignore
+              (cell.Faultspace.inject
+                 (Injector.session (Injector.replay bin_golden))
+                 coord)));
     Test.make ~name:"P2-sampling-256"
       (Staged.stage
          (let cell = Faultspace.of_golden Faultspace.Bitflip_mem hi_golden in

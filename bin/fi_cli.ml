@@ -3,13 +3,21 @@
    Subcommands:
      run       execute a benchmark (or an .s file) and show its behaviour
      trace     golden run + def/use statistics
-     campaign  full pruned FI campaign (memory or register space), CSV out
+     campaign  full pruned FI campaign under any fault model, CSV out
      matrix    a whole benchmark matrix through one shared worker pool
      sample    sampling-based estimation with confidence intervals
      compare   objective comparison of a baseline/hardened pair
      asm       assemble / disassemble / encode a .s file
      poisson   Table-I style Poisson fault-count probabilities
-     list      available benchmarks and variants *)
+     report    campaign-free paper artifacts
+     journal   artifact-store maintenance (journal compact)
+     list      available benchmarks and variants
+     worker    remote worker daemon (worker serve) for --backend sockets
+     serve     campaign-service daemon
+     submit    submit a benchmark matrix to a campaign service
+     status    one-line status of a campaign service
+     fuzz      mine dilution-delusion counterexamples (fuzz replay
+               re-verifies the corpus) *)
 
 open Cmdliner
 
@@ -143,40 +151,40 @@ let fault_model_arg =
     & opt fault_model_conv Faultspace.Bitflip_mem
     & info [ "fault-model" ] ~docv:"MODEL" ~doc)
 
+let backend_arg =
+  let doc =
+    "Campaign execution backend: $(b,domains) (shared-memory OCaml \
+     domains in this process), $(b,processes) (fork/exec'd, \
+     crash-isolated worker processes — a killed worker only costs its \
+     unfinished shards, which supervision or $(b,--resume) replays) or \
+     $(b,sockets) (remote worker daemons — requires $(b,--workers)).  \
+     Both worker backends speak one frame protocol.  Results are \
+     bit-identical in every case."
+  in
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("domains", Pool.Domains);
+             ("processes", Pool.Processes);
+             ("sockets", Pool.Sockets []);
+           ])
+        Pool.Domains
+    & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+let jobs_arg =
+  let doc =
+    "Workers (domains or processes, per $(b,--backend)) for the \
+     campaign engine; 0 means all cores \
+     ($(b,Domain.recommended_domain_count)).  With $(b,--workers), \
+     bounds $(i,per-remote-host) concurrency instead, and 0 lets each \
+     daemon decide (its advertised capacity).  Results are \
+     bit-identical for every value."
+  in
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let engine_opts_term =
-  let backend =
-    let doc =
-      "Campaign execution backend: $(b,domains) (shared-memory OCaml \
-       domains in this process), $(b,processes) (fork/exec'd, \
-       crash-isolated worker processes — a killed worker only costs its \
-       unfinished shards, which supervision or $(b,--resume) replays) or \
-       $(b,sockets) (remote worker daemons — requires $(b,--workers)).  \
-       Both worker backends speak one frame protocol.  Results are \
-       bit-identical in every case."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("domains", Pool.Domains);
-               ("processes", Pool.Processes);
-               ("sockets", Pool.Sockets []);
-             ])
-          Pool.Domains
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let jobs =
-    let doc =
-      "Workers (domains or processes, per $(b,--backend)) for the \
-       campaign engine; 0 means all cores \
-       ($(b,Domain.recommended_domain_count)).  With $(b,--workers), \
-       bounds $(i,per-remote-host) concurrency instead, and 0 lets each \
-       daemon decide (its advertised capacity).  Results are \
-       bit-identical for every value."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let journal =
     let doc =
       "Write an append-only, fsync'd campaign journal to $(docv) (one \
@@ -295,8 +303,8 @@ let engine_opts_term =
           secret;
           fault_model;
         })
-    $ backend $ fleet_arg $ jobs $ journal $ resume $ shard_size $ weighted
-    $ shard_timeout $ max_retries $ no_quarantine $ no_cache
+    $ backend_arg $ fleet_arg $ jobs_arg $ journal $ resume $ shard_size
+    $ weighted $ shard_timeout $ max_retries $ no_quarantine $ no_cache
     $ checkpoint_stride $ secret_arg $ fault_model_arg)
 
 let policy_of opts =
@@ -311,15 +319,41 @@ let policy_of opts =
    resolve to one backend value here, so every engine subcommand agrees
    on what the pair means: --workers implies sockets, sockets without
    --workers is an error (there is nothing to connect to). *)
-let backend_of opts =
-  match (opts.backend, opts.workers) with
-  | (Pool.Domains | Pool.Processes), None -> opts.backend
+let resolve_backend backend workers =
+  match (backend, workers) with
+  | (Pool.Domains | Pool.Processes), None -> backend
   | _, Some hosts -> Pool.Sockets (fleet_hosts hosts)
   | Pool.Sockets _, None ->
       or_die
         (Error
            "--backend sockets needs --workers HOST:PORT[,HOST:PORT...] (start \
             daemons with `fi-cli worker serve`)")
+
+let backend_of opts = resolve_backend opts.backend opts.workers
+
+(* The options the fuzzer honours: where its campaigns run.  The hunt
+   fixes everything else itself (memory model, default policy), so the
+   rest of the engine options are usage errors there, not silently
+   ignored flags. *)
+type fleet_opts = {
+  fleet_backend : Pool.backend;
+  fleet_jobs : int;
+  fleet_secret : string option;
+}
+
+let fleet_opts_term =
+  Term.(
+    const (fun backend workers jobs secret ->
+        {
+          fleet_backend = resolve_backend backend workers;
+          fleet_jobs = jobs;
+          fleet_secret = load_secret secret;
+        })
+    $ backend_arg $ fleet_arg $ jobs_arg $ secret_arg)
+
+(* A fleet that refuses or loses the fuzzer's campaigns ends the command
+   as it ends a campaign: exit 2 with the engine's message. *)
+let on_fleet f = try f () with Engine.Worker_failed msg -> or_die (Error msg)
 
 (* Jobs resolution lives in Pool.resolve_jobs — the engine uses the very
    same function, so `-j 0` can never mean different things to different
@@ -730,8 +764,8 @@ let sample_cmd =
       if biased then Sampler.biased_per_class rng ~samples cell
       else Sampler.uniform_raw rng ~samples cell
     in
-    (* In-process, only the draw's distinct slots are conducted, on a
-       plan with the --checkpoint-stride ladder (as the engine's).  With
+    (* In-process, only the draw's distinct slots are conducted, on the
+       provider the engine maps the policy's --checkpoint-stride to.  With
        engine options, conduct (or resume) the full pruned campaign once
        and read every sample from it — the estimate is identical
        (deterministic machine, lossless pruning), but the heavy lifting
@@ -745,9 +779,7 @@ let sample_cmd =
       if oracle then Sampler.read (engine_spec ~opts ~quiet:false campaign_spec) draw
       else
         Sampler.conduct
-          ~provider:
-            (Injector.plan ?stride:opts.checkpoint_stride
-               cell.Faultspace.golden)
+          ~provider:((Runcell.analyse campaign_spec).Runcell.provider ())
           cell draw
     in
     let interval =
@@ -1053,7 +1085,10 @@ let serve_cmd =
   in
   let local_backend =
     Arg.(
-      value & opt string "domains"
+      value
+      & opt
+          (enum [ ("domains", Pool.Domains); ("processes", Pool.Processes) ])
+          Service.default_config.Service.local_backend
       & info [ "local-backend" ] ~docv:"BACKEND"
           ~doc:
             "Backend for fleet-less operation: $(b,domains) or \
@@ -1086,8 +1121,6 @@ let serve_cmd =
   in
   let action listen workers local_backend jobs window dir secret_file =
     let workers = Option.fold ~none:[] ~some:fleet_hosts workers in
-    (if Pool.backend_of_string local_backend = None then
-       or_die (Error (Printf.sprintf "unknown --local-backend %S" local_backend)));
     if jobs < 0 then
       or_die (Error (Printf.sprintf "invalid job count %d" jobs));
     if window < 1 then
@@ -1263,8 +1296,7 @@ let fuzz_cmd =
       let doc = "Campaign-pair evaluations the shrinker may spend per finding." in
       Arg.(value & opt int 200 & info [ "shrink-budget" ] ~docv:"N" ~doc)
     in
-    let action budget seed variants samples min_found shrink_budget dir opts =
-      let backend = backend_of opts in
+    let action budget seed variants samples min_found shrink_budget dir fleet =
       let variants =
         match variants with
         | None -> Delta.default_variants
@@ -1274,10 +1306,11 @@ let fuzz_cmd =
               (String.split_on_char ',' s)
       in
       let hunt =
-        Delta.run ~backend ~jobs:opts.jobs ~variants ?samples
-          ~shrink_budget
-          ~log:(fun line -> Printf.eprintf "%s\n%!" line)
-          ~seed:(Int64.of_int seed) ~budget ()
+        on_fleet (fun () ->
+            Delta.run ~backend:fleet.fleet_backend ~jobs:fleet.fleet_jobs
+              ?secret:fleet.fleet_secret ~variants ?samples ~shrink_budget
+              ~log:(fun line -> Printf.eprintf "%s\n%!" line)
+              ~seed:(Int64.of_int seed) ~budget ())
       in
       List.iter
         (fun f ->
@@ -1307,11 +1340,10 @@ let fuzz_cmd =
     in
     Term.(
       const action $ budget $ seed $ variants $ samples $ min_found
-      $ shrink_budget $ fuzz_corpus_arg $ engine_opts_term)
+      $ shrink_budget $ fuzz_corpus_arg $ fleet_opts_term)
   in
   let replay_cmd =
-    let action dir opts =
-      let backend = backend_of opts in
+    let action dir fleet =
       let paths = Corpus.list ~dir in
       if paths = [] then
         or_die (Error (Printf.sprintf "no corpus entries under %s" dir));
@@ -1323,7 +1355,11 @@ let fuzz_cmd =
               incr failed;
               Printf.printf "FAIL %s: %s\n%!" path msg
           | Ok e -> (
-              match Corpus.verify ~backend ~jobs:opts.jobs e with
+              match
+                on_fleet (fun () ->
+                    Corpus.verify ~backend:fleet.fleet_backend
+                      ~jobs:fleet.fleet_jobs ?secret:fleet.fleet_secret e)
+              with
               | Ok () ->
                   Printf.printf "ok   %s (%s, F %d/%d -> %d/%d)\n%!" path
                     (Delta.variant_to_string e.Corpus.variant)
@@ -1346,7 +1382,7 @@ let fuzz_cmd =
                the chosen backend, and require the stored tallies exactly \
                plus the coverage-vs-failures inversion.  Nonzero exit on \
                any mismatch.")
-      Term.(const action $ fuzz_corpus_arg $ engine_opts_term)
+      Term.(const action $ fuzz_corpus_arg $ fleet_opts_term)
   in
   Cmd.group
     (Cmd.info "fuzz"

@@ -1,11 +1,3 @@
-let check_coord golden { Coordspace.cycle; bit } =
-  let ram_size = golden.Golden.program.Program.ram_size in
-  if cycle < 1 || cycle > golden.Golden.cycles || bit < 0 || bit >= ram_size * 8
-  then
-    invalid_arg
-      (Printf.sprintf "Injector: coordinate (%d, %d) outside fault space" cycle
-         bit)
-
 let classify_stopped golden machine stop =
   Outcome.classify ~golden_output:golden.Golden.output
     ~golden_event_count:golden.Golden.event_count ~stop
@@ -485,7 +477,7 @@ let hop_min = 64
 
 let advance s target =
   if target < s.at then
-    invalid_arg "Injector.session_run_at: injection cycles must not decrease";
+    invalid_arg "Injector.session_run_flip: injection cycles must not decrease";
   (match s.provider.impl with
   | Planned plan when target > s.at ->
       (* Greatest ladder entry at or below [target]. *)
@@ -556,13 +548,3 @@ let session_run_flip s ~cycle ~flip =
       List.iter (fun key -> memo_add key o) s.pending;
       s.tally.t_inserts <- s.tally.t_inserts + List.length s.pending;
       o
-
-let session_run_at s coord =
-  check_coord s.provider.p_golden coord;
-  session_run_flip s ~cycle:coord.Coordspace.cycle ~flip:(fun machine ->
-      Machine.flip_bit machine coord.Coordspace.bit)
-
-let run_at golden coord =
-  (* Plan-of-one: a throwaway replay session.  Building a ladder for a
-     single experiment would cost more than the experiment. *)
-  session_run_at (session (replay golden)) coord

@@ -1,9 +1,11 @@
 (** Single-experiment execution.
 
     One FI experiment: run the benchmark from reset until just before the
-    injection cycle, flip one bit, resume to completion (or watchdog),
-    and classify the outcome against the golden run — the procedure of
-    Section III-B of the paper.
+    injection cycle, disturb the machine state, resume to completion (or
+    watchdog), and classify the outcome against the golden run — the
+    procedure of Section III-B of the paper.  This module knows no fault
+    model: what a fault-space coordinate is, and which disturbance it
+    stands for, is [Faultspace]'s (its cells' [inject]).
 
     Experiments are conducted through a {e session provider}: the
     per-campaign object that owns whatever acceleration state the
@@ -121,26 +123,12 @@ type session
 val session : provider -> session
 (** Fresh session positioned at reset. *)
 
-val session_run_at : session -> Coordspace.coord -> Outcome.t
-(** Conduct one experiment at a fault-space coordinate on the session's
-    pristine machine.  Injection cycles must be presented in
-    non-decreasing order.
-
-    @raise Invalid_argument if the coordinate lies outside the fault
-    space, or on a decreasing injection cycle. *)
-
 val session_run_flip :
   session -> cycle:int -> flip:(Machine.t -> unit) -> Outcome.t
-(** Generalised injection: advance to [cycle − 1], fork, apply [flip]
-    (any state mutation — e.g. a register bit flip for the Section-VI-B
-    extension) and classify the resumed run.  Same monotonicity
-    requirement as {!session_run_at}.
+(** Conduct one experiment on the session's pristine machine: advance
+    to [cycle − 1], fork, apply [flip] (any state mutation — a memory or
+    register bit flip, a burst, an instruction skip; [Faultspace] owns
+    what each fault model's flip is) and classify the resumed run.
+    Injection cycles must be presented in non-decreasing order.
 
     @raise Invalid_argument on a decreasing injection cycle. *)
-
-val run_at : Golden.t -> Coordspace.coord -> Outcome.t
-(** One-shot experiment at an arbitrary coordinate: a plan-of-one,
-    conducted on a throwaway {!replay} session (building a checkpoint
-    ladder for a single experiment would cost more than the experiment).
-
-    @raise Invalid_argument if [coord] lies outside the fault space. *)

@@ -1,17 +1,19 @@
 let register_count = 15
 let pseudo_ram_bytes = 4 * register_count
 
-let defs_uses = Isa.defs_uses
-
 type t = { golden : Golden.t; reg_defuse : Defuse.t }
 
 let pseudo_addr r = 4 * (Isa.reg_index r - 1)
+
+let coord_of_bit bit =
+  let reg = 1 + (bit / 32) in
+  (reg, bit mod 32)
 
 let analyze ?limit program =
   let golden = Golden.run ?limit program in
   let trace = Trace.create ~ram_size:pseudo_ram_bytes in
   let exec_tracer ~cycle instr =
-    let writes, reads = defs_uses instr in
+    let writes, reads = Isa.defs_uses instr in
     (* Reads happen before the write within the cycle; Defuse relies on
        that ordering for same-cycle read+write of one register. *)
     List.iter
@@ -34,15 +36,4 @@ let analyze ?limit program =
   Trace.seal trace ~total_cycles:golden.Golden.cycles;
   { golden; reg_defuse = Defuse.analyze trace }
 
-let fault_space_size t = Defuse.fault_space_size t.reg_defuse
-
-let coord_of_bit bit =
-  let reg = 1 + (bit / 32) in
-  (reg, bit mod 32)
-
 let classes t = Defuse.experiment_classes t.reg_defuse
-
-let inject session { Coordspace.cycle; bit } =
-  let reg, bit = coord_of_bit bit in
-  Injector.session_run_flip session ~cycle ~flip:(fun machine ->
-      Machine.flip_reg_bit machine ~reg ~bit)

@@ -6,8 +6,9 @@
     per-cycle register def/use sets from the executed instruction stream,
     reuses the def/use machinery by mapping register [i] (1–15; [r0] is
     hardwired and immune) onto a 60-byte pseudo-memory at bytes
-    [4·(i−1) … 4·i), and injects register-bit flips ({!inject}).
-    Campaigns run through the register cell of [Faultspace.of_regspace].
+    [4·(i−1) … 4·i) ({!coord_of_bit} inverts the layout).  The register
+    cell of [Faultspace.of_regspace] owns the space's geometry and
+    injects its register-bit flips; campaigns run through it.
 
     The resulting {!Scan.t} is fully compatible with the metrics layer,
     so fault coverage, weighted failure counts and the pitfall analyses
@@ -15,15 +16,8 @@
     demonstrates the paper's Section VI-C warning about comparing
     coverage across layers with different fault-space sizes. *)
 
-val register_count : int
-(** 15 — registers [r1]–[r15]. *)
-
 val pseudo_ram_bytes : int
 (** 60 — the pseudo-memory footprint (4 bytes per register). *)
-
-val defs_uses : Isa.instr -> Isa.reg list * Isa.reg list
-(** [(writes, reads)] of one instruction, [r0] excluded from both
-    (an alias of {!Isa.defs_uses}, kept here for discoverability). *)
 
 type t = {
   golden : Golden.t;
@@ -37,21 +31,12 @@ val analyze : ?limit:int -> Program.t -> t
 (** Run the program twice (deterministically identical): once for the
     memory-space golden, once tracing register accesses. *)
 
-val fault_space_size : t -> int
-(** Δt × 480 — the register-layer [w]. *)
-
 val classes : t -> Defuse.byte_class array
 (** The register-space experiment classes over the pseudo-memory —
     the class provider the campaign engine shards exactly like a memory
-    campaign's (same [t_end]-contiguity invariant: {!inject} uses
-    {!Injector.session_run_flip}, whose cycles must be non-decreasing
-    per session). *)
-
-val inject : Injector.session -> Coordspace.coord -> Outcome.t
-(** Flip pseudo-memory bit [bit] (register {!coord_of_bit}[ bit])
-    immediately before [cycle] on the session's machine and classify the
-    run — the register space's per-coordinate experiment, [0 <= bit <
-    480].  Cycles must be non-decreasing per session. *)
+    campaign's (same [t_end]-contiguity invariant). *)
 
 val coord_of_bit : int -> int * int
-(** Map a pseudo-memory bit index to [(register, bit-in-register)]. *)
+(** Map a pseudo-memory bit index [0 <= bit < 480] to [(register,
+    bit-in-register)]: bit [b] is bit [b mod 32] of register
+    [1 + b / 32], the inverse of the pseudo-memory layout. *)

@@ -1,16 +1,5 @@
 type backend = Domains | Processes | Sockets of string list
 
-let backend_tag = function
-  | Domains -> "domains"
-  | Processes -> "processes"
-  | Sockets _ -> "sockets"
-
-let backend_of_string = function
-  | "domains" -> Some Domains
-  | "processes" -> Some Processes
-  | "sockets" -> Some (Sockets [])
-  | _ -> None
-
 let default_jobs () = Domain.recommended_domain_count ()
 
 let resolve_jobs ?backend ?jobs () =

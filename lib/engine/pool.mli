@@ -26,15 +26,6 @@ type backend =
           connections ({!Remote}), the parent's journal stays the only
           durable state.  The list must be non-empty. *)
 
-val backend_tag : backend -> string
-(** ["domains"] / ["processes"] / ["sockets"] — the CLI and
-    bench-artifact spelling. *)
-
-val backend_of_string : string -> backend option
-(** ["sockets"] parses to [Sockets []] — a naming, not a runnable
-    backend; callers must supply the host list (the CLI's
-    [--workers]). *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the runtime's estimate of
     available parallelism (1 on a single-core host). *)

@@ -91,6 +91,8 @@ let legacy = function
   | Bitflip_mem | Bitflip_reg -> true
   | Burst _ | Skip -> false
 
+type coord = { cycle : int; bit : int }
+
 type cell = {
   golden : Golden.t;
   classes : Defuse.byte_class array;
@@ -98,8 +100,8 @@ type cell = {
   benign_weight : int;
   rows : int;
   slots : int;
-  locate : Coordspace.coord -> int option;
-  inject : Injector.session -> Coordspace.coord -> Outcome.t;
+  locate : coord -> int option;
+  inject : Injector.session -> coord -> Outcome.t;
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
@@ -107,28 +109,41 @@ type cell = {
 let experiments cell = 8 * Array.length cell.classes
 let space cell = cell.golden.Golden.cycles * cell.rows
 
-(* A byte-class slot is conducted as [inject] at its canonical
-   coordinate: the class's [t_end], directly before the activating read
-   (Figure 1b), row [8 × byte + bit_in_byte]. *)
-let conduct_at_t_end inject session (c : Defuse.byte_class) ~bit_in_byte =
-  inject session
-    {
-      Coordspace.cycle = c.Defuse.t_end;
-      bit = (c.Defuse.byte * 8) + bit_in_byte;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* Geometry                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Every model's axes are [1, Δt] × [0, rows); a coordinate outside them
    is a caller's error, never a benign answer. *)
-let bounded ~cycles ~rows lookup ({ Coordspace.cycle; bit } as coord) =
+let check_bounds ~cycles ~rows { cycle; bit } =
   if cycle < 1 || cycle > cycles || bit < 0 || bit >= rows then
     invalid_arg
-      (Printf.sprintf "Faultspace.locate: coordinate (%d, %d) outside %d x %d"
-         cycle bit cycles rows)
-  else lookup coord
+      (Printf.sprintf "Faultspace: coordinate (%d, %d) outside %d x %d" cycle
+         bit cycles rows)
+
+(* The one constructor: [locate] and [inject] are given for in-range
+   coordinates and checked here, for every model alike.  [conduct]
+   injects at canonical coordinates, in range by construction. *)
+let make golden ~classes ~ram_bytes ~benign_weight ~rows ~slots ~locate ~inject
+    ~conduct =
+  let check = check_bounds ~cycles:golden.Golden.cycles ~rows in
+  {
+    golden;
+    classes;
+    ram_bytes;
+    benign_weight;
+    rows;
+    slots;
+    locate =
+      (fun coord ->
+        check coord;
+        locate coord);
+    inject =
+      (fun session coord ->
+        check coord;
+        inject session coord);
+    conduct;
+  }
 
 (* Byte-class models (memory, burst, registers): row [r] is bit [r mod 8]
    of byte [r / 8].  The experiment classes are sorted by (byte, t_start)
@@ -136,8 +151,7 @@ let bounded ~cycles ~rows lookup ({ Coordspace.cycle; bit } as coord) =
    any, is the last one not after (byte, cycle): a binary search over
    the cell's own array, with no index to build.  A coordinate in no
    experiment class lies in an overwritten or dormant interval. *)
-let locate_byte_classes (classes : Defuse.byte_class array)
-    { Coordspace.cycle; bit } =
+let locate_byte_classes (classes : Defuse.byte_class array) { cycle; bit } =
   let byte = bit / 8 in
   let before (c : Defuse.byte_class) =
     c.Defuse.byte < byte || (c.Defuse.byte = byte && c.Defuse.t_start <= cycle)
@@ -154,24 +168,30 @@ let locate_byte_classes (classes : Defuse.byte_class array)
   then Some ((8 * i) + (bit mod 8))
   else None
 
+(* A byte-class slot is conducted as the injection at its canonical
+   coordinate: the class's [t_end], directly before the activating read
+   (Figure 1b), row [8 × byte + bit_in_byte]. *)
 let byte_cell golden ~classes ~ram_bytes ~benign_weight inject =
-  let rows = 8 * ram_bytes in
-  {
-    golden;
-    classes;
-    ram_bytes;
-    benign_weight;
-    rows;
-    slots = 8 * Array.length classes;
-    locate =
-      bounded ~cycles:golden.Golden.cycles ~rows (locate_byte_classes classes);
-    inject;
-    conduct = conduct_at_t_end inject;
-  }
+  make golden ~classes ~ram_bytes ~benign_weight ~rows:(8 * ram_bytes)
+    ~slots:(8 * Array.length classes)
+    ~locate:(locate_byte_classes classes) ~inject
+    ~conduct:(fun session (c : Defuse.byte_class) ~bit_in_byte ->
+      inject session
+        { cycle = c.Defuse.t_end; bit = (c.Defuse.byte * 8) + bit_in_byte })
 
 (* ------------------------------------------------------------------ *)
-(* Burst                                                              *)
+(* Injections                                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Each flips the machine state right before the coordinate's cycle on
+   the session's machine and classifies the resumed run. *)
+let inject_mem session { cycle; bit } =
+  Injector.session_run_flip session ~cycle ~flip:(fun m -> Machine.flip_bit m bit)
+
+let inject_reg session { cycle; bit } =
+  let reg, bit = Regspace.coord_of_bit bit in
+  Injector.session_run_flip session ~cycle ~flip:(fun m ->
+      Machine.flip_reg_bit m ~reg ~bit)
 
 (* The burst stays within the addressed byte, so the def/use partition
    of the single-bit model carries over unchanged: equivalence intervals
@@ -179,15 +199,18 @@ let byte_cell golden ~classes ~ram_bytes ~benign_weight inject =
    untouched interval is equivalent to flipping them at its canonical
    [t_end].  Benign classes stay benign — an overwritten or dormant byte
    is overwritten or dormant no matter how many of its bits flipped. *)
-let inject_burst ~width ~step session { Coordspace.cycle; bit } =
+let inject_burst ~width ~step session { cycle; bit } =
   let byte = bit / 8 in
   Injector.session_run_flip session ~cycle ~flip:(fun m ->
       for j = 0 to width - 1 do
         Machine.flip_bit m ((byte * 8) + ((bit + (j * step)) mod 8))
       done)
 
+let inject_skip session { cycle; bit = _ } =
+  Injector.session_run_flip session ~cycle ~flip:Machine.skip_next
+
 (* ------------------------------------------------------------------ *)
-(* Skip                                                               *)
+(* Cells                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* The skip space is the cycle axis: one row, one experiment per
@@ -199,31 +222,30 @@ let inject_burst ~width ~step session { Coordspace.cycle; bit } =
    is its own class) and [t_end] stays strictly increasing — shard order
    therefore visits injection cycles non-decreasingly, the session
    invariant. *)
-let skip_classes cycles =
-  Array.init
-    ((cycles + 7) / 8)
-    (fun i ->
-      {
-        Defuse.byte = i;
-        t_start = (8 * i) + 1;
-        t_end = (8 * i) + 1;
-        kind = Defuse.Experiment;
-      })
-
-let inject_skip session { Coordspace.cycle; bit = _ } =
-  Injector.session_run_flip session ~cycle ~flip:Machine.skip_next
-
-let conduct_skip ~cycles session (c : Defuse.byte_class) ~bit_in_byte =
-  let cycle = c.Defuse.t_start + bit_in_byte in
-  if cycle > cycles then
-    (* padding slot of the last class, past the golden runtime: the
-       cell's [slots] gives it weight 0 in the scan *)
-    Outcome.No_effect
-  else inject_skip session { Coordspace.cycle; bit = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Cells                                                              *)
-(* ------------------------------------------------------------------ *)
+let skip_cell (golden : Golden.t) =
+  let cycles = golden.Golden.cycles in
+  let classes =
+    Array.init
+      ((cycles + 7) / 8)
+      (fun i ->
+        {
+          Defuse.byte = i;
+          t_start = (8 * i) + 1;
+          t_end = (8 * i) + 1;
+          kind = Defuse.Experiment;
+        })
+  in
+  make golden ~classes ~ram_bytes:(Array.length classes) ~benign_weight:0
+    ~rows:1 ~slots:cycles
+    ~locate:(fun c -> Some (c.cycle - 1))
+    ~inject:inject_skip
+    ~conduct:(fun session (c : Defuse.byte_class) ~bit_in_byte ->
+      let cycle = c.Defuse.t_start + bit_in_byte in
+      if cycle > cycles then
+        (* padding slot of the last class, past the golden runtime: the
+           cell's [slots] gives it weight 0 in the scan *)
+        Outcome.No_effect
+      else inject_skip session { cycle; bit = 0 })
 
 (* Memory and burst cells share the def/use partition, the geometry
    and the benign weight; only the injection differs. *)
@@ -239,33 +261,19 @@ let of_golden model (golden : Golden.t) =
   match model with
   | Bitflip_reg ->
       invalid_arg "Faultspace.of_golden: Bitflip_reg needs a Regspace.t"
-  | Bitflip_mem -> memory_cell golden Injector.session_run_at
+  | Bitflip_mem -> memory_cell golden inject_mem
   | Burst { width; pattern } ->
       check_burst ~width ~pattern;
       let step = match pattern with Adjacent -> 1 | Row s -> s in
       memory_cell golden (inject_burst ~width ~step)
-  | Skip ->
-      let cycles = golden.Golden.cycles in
-      let classes = skip_classes cycles in
-      {
-        golden;
-        classes;
-        ram_bytes = Array.length classes;
-        benign_weight = 0;
-        rows = 1;
-        slots = cycles;
-        locate =
-          bounded ~cycles ~rows:1 (fun c -> Some (c.Coordspace.cycle - 1));
-        inject = inject_skip;
-        conduct = conduct_skip ~cycles;
-      }
+  | Skip -> skip_cell golden
 
 let of_regspace (r : Regspace.t) =
   byte_cell r.Regspace.golden
     ~classes:(Regspace.classes r)
     ~ram_bytes:Regspace.pseudo_ram_bytes
     ~benign_weight:(Defuse.known_benign_weight r.Regspace.reg_defuse)
-    Regspace.inject
+    inject_reg
 
 let analyse ?limit model program =
   match model with
@@ -313,5 +321,5 @@ let outcome_at cell (scan : Scan.t) coord =
 let brute_force cell =
   let session = Injector.session (Injector.replay cell.golden) in
   Array.init (space cell) (fun i ->
-      let coord = { Coordspace.cycle = 1 + (i / cell.rows); bit = i mod cell.rows } in
+      let coord = { cycle = 1 + (i / cell.rows); bit = i mod cell.rows } in
       (coord, cell.inject session coord))

@@ -17,7 +17,7 @@
     ({!brute_force}, Section III-C) work for every model alike.
 
     Every model reuses the engine's whole execution stack unchanged —
-    sharding, journaling, [--resume], the result cache, and all four
+    sharding, journaling, [--resume], the result cache, and all three
     backends — because each one presents its space as an array of
     {!Defuse.byte_class}es (8 experiment slots per class, the journal's
     record granularity) whose canonical injection cycles are
@@ -84,6 +84,16 @@ val legacy : model -> bool
 val known : (string * string) list
 (** [(tag form, description)] pairs for help output. *)
 
+type coord = { cycle : int; bit : int }
+(** A raw fault-space coordinate.
+
+    [(cycle, bit)] means: disturb row [bit] immediately before the
+    instruction executing at [cycle] (1-indexed).  What a row is depends
+    on the fault model — a RAM bit, a register-file bit, or the single
+    row of the instruction-skip space; a {!cell}'s [rows] and [locate]
+    give each model's axes and map a coordinate to the experiment that
+    stands for it. *)
+
 type cell = {
   golden : Golden.t;  (** The shared fault-free reference run. *)
   classes : Defuse.byte_class array;
@@ -110,7 +120,7 @@ type cell = {
           as {!Outcome.No_effect} and weighted 0 in the scan.  Only
           {!Skip} pads (its last class past [Δt]); every other model
           has [slots = 8 × Array.length classes]. *)
-  locate : Coordspace.coord -> int option;
+  locate : coord -> int option;
       (** The experiment slot a raw coordinate belongs to — the index
           [8 × class + bit] that {!Scan.of_outcomes}, journals and the
           engine use — or [None] when the coordinate is a-priori benign
@@ -119,11 +129,14 @@ type cell = {
           up front; skip's cycle [c] is slot [c − 1].  Never returns a
           padding slot.
           @raise Invalid_argument outside the model's axes. *)
-  inject : Injector.session -> Coordspace.coord -> Outcome.t;
+  inject : Injector.session -> coord -> Outcome.t;
       (** Conduct the model's fault at one raw coordinate on a session
-          (flip the bit, the burst anchored at it, the register bit, or
-          skip the instruction fetched at the cycle).  Cycles must be
-          non-decreasing per session. *)
+          (flip the memory bit, the burst anchored at it, the register
+          bit, or skip the instruction fetched at the cycle) through
+          {!Injector.session_run_flip}.  Cycles must be non-decreasing
+          per session.
+          @raise Invalid_argument outside the model's axes, with the
+          message {!field-locate} raises. *)
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
       (** Conduct one experiment slot: {!field-inject} at the slot's
@@ -195,13 +208,13 @@ val conduct_slots :
     @raise Invalid_argument if [provider] was built over a different
     golden run. *)
 
-val outcome_at : cell -> Scan.t -> Coordspace.coord -> Outcome.t
+val outcome_at : cell -> Scan.t -> coord -> Outcome.t
 (** The outcome a finished scan of this cell implies at a raw
     coordinate: the experiment at its {!field-locate}d slot, or
     {!Outcome.No_effect} when it is a-priori benign — the pruned scan
     expanded over the raw space. *)
 
-val brute_force : cell -> (Coordspace.coord * Outcome.t) array
+val brute_force : cell -> (coord * Outcome.t) array
 (** One {!field-inject} per raw coordinate, cycle-major ([space cell]
     entries), on one replay session — the ground truth pruning is
     checked against: a lossless partition has [outcome_at cell scan

@@ -18,7 +18,7 @@ let uniform_raw rng ~samples (cell : Faultspace.cell) =
     Array.init samples (fun _ ->
         let cycle = 1 + Prng.int rng cycles in
         let bit = Prng.int rng cell.Faultspace.rows in
-        cell.Faultspace.locate { Coordspace.cycle; bit })
+        cell.Faultspace.locate { Faultspace.cycle; bit })
   in
   { population = Faultspace.space cell; slots }
 

@@ -166,8 +166,8 @@ let list ~dir =
       in
       List.sort String.compare paths
 
-let verify ?backend ?jobs e =
-  Delta.verify ?backend ?jobs
+let verify ?backend ?jobs ?secret e =
+  Delta.verify ?backend ?jobs ?secret
     {
       Delta.program = e.program;
       seed = e.seed;

@@ -44,7 +44,12 @@ val load_file : string -> (entry, string) result
 val list : dir:string -> string list
 (** All [*.fz] paths under [dir], sorted; [[]] if [dir] is missing. *)
 
-val verify : ?backend:Pool.backend -> ?jobs:int -> entry -> (unit, string) result
+val verify :
+  ?backend:Pool.backend ->
+  ?jobs:int ->
+  ?secret:string ->
+  entry ->
+  (unit, string) result
 (** {!Delta.verify} of the entry's finding: fresh campaigns on [backend]
-    must reproduce both stored tallies exactly and re-establish the
-    inversion. *)
+    (authenticated with [secret], for an armed fleet) must reproduce
+    both stored tallies exactly and re-establish the inversion. *)

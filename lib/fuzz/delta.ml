@@ -86,7 +86,7 @@ let specs_for ?variants:(vs = default_variants) prog =
            (fun () -> compile_variant v prog))
        vs
 
-let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
+let hunt_program ?backend ?jobs ?secret ?(variants = default_variants) ?samples ~seed
     prog =
   (* One analysis per cell: the engine conducts from these golden runs,
      and the draws below locate in their geometry. *)
@@ -103,7 +103,8 @@ let hunt_program ?backend ?jobs ?(variants = default_variants) ?samples ~seed
            variants)
   in
   let scans =
-    List.map Engine.scan_exn (Engine.run_matrix_results ?backend ?jobs specs)
+    List.map Engine.scan_exn
+      (Engine.run_matrix_results ?backend ?jobs ?secret specs)
   in
   match List.combine cells scans with
   | [] -> assert false
@@ -187,7 +188,7 @@ let pp_hist ppf hist =
     (fun (o, n) -> Format.fprintf ppf " %s=%d" (Outcome.to_string o) n)
     hist
 
-let verify ?backend ?jobs finding =
+let verify ?backend ?jobs ?secret finding =
   match Check.check finding.program with
   | Error errs ->
       Error
@@ -198,7 +199,7 @@ let verify ?backend ?jobs finding =
       let specs = specs_for ~variants:[ finding.variant ] finding.program in
       match
         List.map Engine.scan_exn
-          (Engine.run_matrix_results ?backend ?jobs specs)
+          (Engine.run_matrix_results ?backend ?jobs ?secret specs)
       with
       | exception Golden.Golden_failed _ -> Error "golden run failed"
       | [ sb; sh ] ->
@@ -223,7 +224,7 @@ let verify ?backend ?jobs finding =
 
 type hunt = { tried : int; findings : finding list }
 
-let run ?cfg ?backend ?jobs ?(variants = default_variants) ?samples
+let run ?cfg ?backend ?jobs ?secret ?(variants = default_variants) ?samples
     ?shrink_budget ?(log = ignore) ~seed ~budget () =
   let master = Prng.create ~seed in
   let findings = ref [] in
@@ -235,7 +236,7 @@ let run ?cfg ?backend ?jobs ?(variants = default_variants) ?samples
         (Gen.program ?cfg (Prng.create ~seed:pseed))
     in
     let found =
-      hunt_program ?backend ?jobs ~variants ?samples ~seed:pseed prog
+      hunt_program ?backend ?jobs ?secret ~variants ?samples ~seed:pseed prog
     in
     log
       (Printf.sprintf "[%d/%d] %s: %d dilution cell%s" i budget prog.Mir.p_name
@@ -244,7 +245,7 @@ let run ?cfg ?backend ?jobs ?(variants = default_variants) ?samples
     List.iter
       (fun f ->
         let shrunk = shrink ?budget:shrink_budget f in
-        match verify ?backend ?jobs shrunk with
+        match verify ?backend ?jobs ?secret shrunk with
         | Ok () ->
             log
               (Printf.sprintf "  %s %s: F %d/%d -> %d/%d (shrunk, verified)"

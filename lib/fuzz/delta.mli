@@ -64,6 +64,7 @@ val evaluate :
 val hunt_program :
   ?backend:Pool.backend ->
   ?jobs:int ->
+  ?secret:string ->
   ?variants:variant list ->
   ?samples:int ->
   seed:int64 ->
@@ -71,7 +72,8 @@ val hunt_program :
   finding list
 (** Golden-run and analyse baseline plus every variant cell once,
     conduct them through one {!Engine.run_matrix_results} call on the
-    chosen backend and return the cells that exhibit the dilution
+    chosen backend ([secret] arms its handshakes, as there) and return
+    the cells that exhibit the dilution
     delusion.  With [samples] set, each finding's two conducted scans
     are additionally sampled by {!Sampler.uniform_raw} (from
     [Prng.create ~seed], located in the cells' own geometry) and
@@ -87,11 +89,15 @@ val shrink : ?budget:int -> finding -> finding
     tallies are those of the minimised program. *)
 
 val verify :
-  ?backend:Pool.backend -> ?jobs:int -> finding -> (unit, string) result
+  ?backend:Pool.backend ->
+  ?jobs:int ->
+  ?secret:string ->
+  finding ->
+  (unit, string) result
 (** Re-establish a finding end to end on a fresh engine: recompile both
     cells, conduct them through one {!Engine.run_matrix_results} call on
-    [backend], and
-    require the resulting tallies to equal the finding's {e exactly}
+    [backend] (with [secret], as {!hunt_program}), and require the
+    resulting tallies to equal the finding's {e exactly}
     (histograms included) with the predicate holding.  This is the
     bit-identical replay check the corpus and CI lean on. *)
 
@@ -104,6 +110,7 @@ val run :
   ?cfg:Gen.cfg ->
   ?backend:Pool.backend ->
   ?jobs:int ->
+  ?secret:string ->
   ?variants:variant list ->
   ?samples:int ->
   ?shrink_budget:int ->

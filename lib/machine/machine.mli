@@ -11,7 +11,8 @@
     Cycle numbering: the [t]-th executed instruction (1-indexed) executes
     *at* cycle [t].  A fault at coordinate [(t, bit)] is injected after
     [t−1] instructions have executed, i.e. immediately before instruction
-    [t]; see {!Fi_trace.Coordspace} for the geometry.
+    [t]; [Faultspace.coord] is the coordinate and [Faultspace] each
+    fault model's geometry.
 
     Every fetch takes its cycle, including one at [pc = length code]:
     a program that falls off the end of its code stops with

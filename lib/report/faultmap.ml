@@ -55,7 +55,7 @@ let outcome_map (golden : Golden.t) scan =
         match line.(t) with
         | '.' ->
             let outcome =
-              Faultspace.outcome_at cell scan { Coordspace.cycle = t + 1; bit = row }
+              Faultspace.outcome_at cell scan { Faultspace.cycle = t + 1; bit = row }
             in
             line.(t) <- (if Outcome.is_failure outcome then 'X' else 'o')
         | 'R' | 'W' | ' ' | _ -> ()

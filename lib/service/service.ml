@@ -19,7 +19,7 @@ let fully_cached ~dir cells =
 type config = {
   listen : string;  (** HOST:PORT, port 0 = kernel-assigned. *)
   workers : string list;  (** Remote fleet; [[]] = run locally. *)
-  local_backend : string;  (** {!Pool.backend_tag} used when no fleet. *)
+  local_backend : Pool.backend;
   jobs : int;
   window : int;  (** {!Fairq} admission window, per client host. *)
   artifacts : string;  (** Artifact store: journals and [results.idx]. *)
@@ -30,7 +30,7 @@ let default_config =
   {
     listen = "127.0.0.1:0";
     workers = [];
-    local_backend = "domains";
+    local_backend = Pool.Domains;
     jobs = 0;
     window = 4;
     artifacts = Cache.default_dir;
@@ -38,14 +38,13 @@ let default_config =
   }
 
 let backend_of_config cfg =
-  match cfg.workers with
-  | [] -> (
-      match Pool.backend_of_string cfg.local_backend with
-      | Some b -> b
-      | None ->
-          failwith
-            (Printf.sprintf "unknown service backend %S" cfg.local_backend))
-  | hosts -> Pool.Sockets hosts
+  match (cfg.workers, cfg.local_backend) with
+  | [], Pool.Sockets _ ->
+      failwith
+        "the service's local backend is domains or processes; a fleet goes \
+         in its workers"
+  | [], local -> local
+  | hosts, _ -> Pool.Sockets hosts
 
 (* ------------------------------------------------------------------ *)
 (* The runner child                                                   *)

@@ -51,7 +51,9 @@ val results : (string * Engine.result) list Worker.codec
 type config = {
   listen : string;  (** HOST:PORT, port 0 = kernel-assigned. *)
   workers : string list;  (** Remote fleet; [[]] = run locally. *)
-  local_backend : string;  (** {!Pool.backend_of_string} tag used when no fleet. *)
+  local_backend : Pool.backend;
+      (** {!Pool.Domains} or {!Pool.Processes}, used when [workers] is
+          empty. *)
   jobs : int;  (** 0 = {!Pool.default_jobs}. *)
   window : int;  (** {!Fairq} admission window, per client host. *)
   artifacts : string;  (** Artifact store: journals and [results.idx]. *)
@@ -66,8 +68,8 @@ val serve : ?config:config -> ?announce:(string -> unit) -> unit -> unit
 (** Run the daemon loop; never returns normally.  [announce] receives
     the one-line [fi-svc listening HOST:PORT digest=…] banner
     ({!Remote.listen_announce}) once the socket is bound.
-    @raise Failure on bind failure, bad backend tag or unreadable
-    secret file. *)
+    @raise Failure on bind failure, a {!Pool.Sockets} [local_backend]
+    without [workers], or an unreadable secret file. *)
 
 val daemon : config Remote.daemon
 (** The service daemon ({!serve}) under [FI_ENGINE_SVC_SERVE], for

@@ -95,8 +95,13 @@ let test_golden_failure () =
 (* Injection: Hi, the Section-IV arithmetic                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One experiment at a coordinate of hi's memory space, alone on a
+   fresh replay session: the restart-from-reset reference. *)
+let inject_alone coord =
+  let cell = Lazy.force hi_cell in
+  cell.Faultspace.inject (Injector.session (Injector.replay cell.Faultspace.golden)) coord
+
 let test_hi_failure_coordinates () =
-  let g = Lazy.force hi_golden in
   (* msg[0] (bits 0-7) vulnerable at cycles 2-4; msg[1] (bits 8-15) at
      cycles 4-6; everything else benign. *)
   let expected_failure cycle bit =
@@ -106,7 +111,7 @@ let test_hi_failure_coordinates () =
   let failures = ref 0 in
   for cycle = 1 to 8 do
     for bit = 0 to 15 do
-      let o = Injector.run_at g { Coordspace.cycle; bit } in
+      let o = inject_alone { Faultspace.cycle; bit } in
       if Outcome.is_failure o <> expected_failure cycle bit then
         Alcotest.failf "coordinate (%d, %d): got %a" cycle bit Outcome.pp o;
       if Outcome.is_failure o then incr failures
@@ -115,32 +120,31 @@ let test_hi_failure_coordinates () =
   Alcotest.(check int) "F = 48 (paper)" 48 !failures
 
 let test_session_matches_restart () =
-  let g = Lazy.force hi_golden in
-  let session = Injector.session (Injector.plan g) in
+  let cell = Lazy.force hi_cell in
+  let session = Injector.session (Injector.plan cell.Faultspace.golden) in
   (* Visit coordinates in non-decreasing cycle order. *)
   for cycle = 1 to 8 do
     for bit = 0 to 15 do
-      let coord = { Coordspace.cycle; bit } in
-      let a = Injector.run_at g coord in
-      let b = Injector.session_run_at session coord in
+      let coord = { Faultspace.cycle; bit } in
+      let a = inject_alone coord in
+      let b = cell.Faultspace.inject session coord in
       if a <> b then Alcotest.failf "mismatch at (%d, %d)" cycle bit
     done
   done
 
 let test_session_monotonic () =
-  let g = Lazy.force hi_golden in
-  let session = Injector.session (Injector.replay g) in
-  ignore (Injector.session_run_at session { Coordspace.cycle = 5; bit = 0 });
+  let cell = Lazy.force hi_cell in
+  let session = Injector.session (Injector.replay cell.Faultspace.golden) in
+  ignore (cell.Faultspace.inject session { Faultspace.cycle = 5; bit = 0 });
   Alcotest.check_raises "decreasing cycle"
-    (Invalid_argument "Injector.session_run_at: injection cycles must not decrease")
+    (Invalid_argument "Injector.session_run_flip: injection cycles must not decrease")
     (fun () ->
-      ignore (Injector.session_run_at session { Coordspace.cycle = 3; bit = 0 }))
+      ignore (cell.Faultspace.inject session { Faultspace.cycle = 3; bit = 0 }))
 
 let test_injector_bad_coord () =
-  let g = Lazy.force hi_golden in
   Alcotest.check_raises "outside space"
-    (Invalid_argument "Injector: coordinate (9, 0) outside fault space")
-    (fun () -> ignore (Injector.run_at g { Coordspace.cycle = 9; bit = 0 }))
+    (Invalid_argument "Faultspace: coordinate (9, 0) outside 8 x 16")
+    (fun () -> ignore (inject_alone { Faultspace.cycle = 9; bit = 0 }))
 
 (* ------------------------------------------------------------------ *)
 (* Scans                                                              *)
@@ -162,10 +166,10 @@ let test_hi_brute_force_equivalence () =
   let brute = Faultspace.brute_force cell in
   Alcotest.(check int) "all coordinates" 128 (Array.length brute);
   Array.iter
-    (fun ((coord : Coordspace.coord), o) ->
+    (fun ((coord : Faultspace.coord), o) ->
       if Faultspace.outcome_at cell scan coord <> o then
         Alcotest.failf "pruned/brute mismatch at (%d, %d)"
-          coord.Coordspace.cycle coord.Coordspace.bit)
+          coord.Faultspace.cycle coord.Faultspace.bit)
     brute
 
 let test_scan_strategies_agree () =

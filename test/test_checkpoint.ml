@@ -144,11 +144,15 @@ let test_stride_identity_registers () =
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
-(* run_at / session equivalence on ladder sessions                    *)
+(* Ladder sessions equal one-experiment replay sessions               *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_at_matches_planned_session () =
   let golden = Lazy.force looper_golden in
+  let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
+  let alone coord =
+    cell.Faultspace.inject (Injector.session (Injector.replay golden)) coord
+  in
   let w_bits = golden.Golden.program.Program.ram_size * 8 in
   let coords =
     (* Edge cycles (first and last) and a spread in between, on a few
@@ -166,12 +170,11 @@ let test_run_at_matches_planned_session () =
       let session = Injector.session (Injector.plan ~stride golden) in
       List.iter
         (fun (cycle, bit) ->
-          let coord = { Coordspace.cycle; bit } in
+          let coord = { Faultspace.cycle; bit } in
           Alcotest.(check bool)
             (Printf.sprintf "stride %d @ (%d,%d)" stride cycle bit)
             true
-            (Injector.session_run_at session coord
-            = Injector.run_at golden coord))
+            (cell.Faultspace.inject session coord = alone coord))
         coords)
     [ 1; Injector.default_stride; golden.Golden.cycles + 50 ]
 
@@ -446,6 +449,44 @@ let test_memo_plan_equals_replay () =
         (Array.fold_left ( + ) 0 counts.Injector.experiments))
     (Lazy.force flag1_dmr_cells)
 
+(* A policy's checkpoint stride reaches the provider through the
+   engine's one mapping (Runcell.analyse, as fi-cli sample takes it):
+   stride 0 is the replay reference, with no ladder and no memo, and the
+   default stride hits the memo. *)
+let test_stride_reaches_provider () =
+  let program = (Lazy.force flag1_dmr).Suite.build () in
+  let golden = Golden.run program in
+  let registers = lazy (Regspace.analyze program) in
+  List.iter
+    (fun model ->
+      let spec_and_cell ?checkpoint_stride () =
+        let policy = Spec.make_policy ?checkpoint_stride () in
+        match model with
+        | Faultspace.Bitflip_reg ->
+            let r = Lazy.force registers in
+            (Spec.of_regspace ~policy r, Faultspace.of_regspace r)
+        | _ ->
+            ( Spec.of_golden ~policy ~model golden,
+              Faultspace.of_golden model golden )
+      in
+      let counts ?checkpoint_stride () =
+        let spec, cell = spec_and_cell ?checkpoint_stride () in
+        let provider = (Runcell.analyse spec).Runcell.provider () in
+        ignore (Faultspace.scan ~provider cell);
+        Injector.counts provider
+      in
+      let tag = Faultspace.tag model in
+      let replay = counts ~checkpoint_stride:0 () in
+      Alcotest.(check int) (tag ^ " stride 0: no memo lookups") 0
+        replay.Injector.memo_lookups;
+      Alcotest.(check int) (tag ^ " stride 0: no ladder splice") 0
+        (Injector.exits replay Injector.Ladder_splice);
+      Alcotest.(check int) (tag ^ " stride 0: no memo hit") 0
+        (Injector.exits replay Injector.Memo_hit);
+      Alcotest.(check bool) (tag ^ " default stride: memo hits") true
+        (Injector.exits (counts ()) Injector.Memo_hit > 0))
+    memo_models
+
 (* Two domains share the one memo table: the engine's scan still equals
    the serial replay. *)
 let test_memo_across_domains () =
@@ -479,6 +520,8 @@ let suite =
         test_memo_history;
       Alcotest.test_case "memo: plan = replay with hits" `Quick
         test_memo_plan_equals_replay;
+      Alcotest.test_case "checkpoint stride reaches the provider" `Quick
+        test_stride_reaches_provider;
       Alcotest.test_case "memo shared across domains" `Quick
         test_memo_across_domains;
     ] )

@@ -199,23 +199,29 @@ let qcheck_session_equals_restart =
   QCheck.Test.make ~name:"checkpointed injection equals restart (compiled)"
     ~count:60
     QCheck.(pair (int_bound 10_000) (int_bound 10_000))
-    (let golden = lazy (Golden.run (Mbox1.baseline ~items:3 ())) in
+    (let cell =
+       lazy
+         (Faultspace.analyse Faultspace.Bitflip_mem (Mbox1.baseline ~items:3 ()))
+     in
      fun (a, b) ->
-       let golden = Lazy.force golden in
+       let cell = Lazy.force cell in
+       let golden = cell.Faultspace.golden in
        let w_cycles = golden.Golden.cycles in
        let w_bits = golden.Golden.program.Program.ram_size * 8 in
        let c1 = 1 + (a mod w_cycles) and c2 = 1 + (b mod w_cycles) in
        let lo, hi = if c1 <= c2 then (c1, c2) else (c2, c1) in
        let bit1 = a mod w_bits and bit2 = b mod w_bits in
+       let inject session cycle bit =
+         cell.Faultspace.inject session { Faultspace.cycle; bit }
+       in
+       let alone cycle bit =
+         inject (Injector.session (Injector.replay golden)) cycle bit
+       in
        let session = Injector.session (Injector.plan ~stride:64 golden) in
-       let s1 =
-         Injector.session_run_at session { Coordspace.cycle = lo; bit = bit1 }
-       in
-       let s2 =
-         Injector.session_run_at session { Coordspace.cycle = hi; bit = bit2 }
-       in
-       let r1 = Injector.run_at golden { Coordspace.cycle = lo; bit = bit1 } in
-       let r2 = Injector.run_at golden { Coordspace.cycle = hi; bit = bit2 } in
+       let s1 = inject session lo bit1 in
+       let s2 = inject session hi bit2 in
+       let r1 = alone lo bit1 in
+       let r2 = alone hi bit2 in
        s1 = r1 && s2 = r2)
 
 let suite =

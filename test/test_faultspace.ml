@@ -98,11 +98,11 @@ let check_brute_force label cell =
   Alcotest.(check int) (label ^ ": every coordinate") (Faultspace.space cell)
     (Array.length brute);
   Array.fold_left
-    (fun failures ((coord : Coordspace.coord), brute) ->
+    (fun failures ((coord : Faultspace.coord), brute) ->
       let pruned = Faultspace.outcome_at cell scan coord in
       if brute <> pruned then
         Alcotest.failf "%s at (%d, %d): pruned %s, brute force %s" label
-          coord.Coordspace.cycle coord.Coordspace.bit (Outcome.to_string pruned)
+          coord.Faultspace.cycle coord.Faultspace.bit (Outcome.to_string pruned)
           (Outcome.to_string brute);
       if Outcome.is_failure brute then failures + 1 else failures)
     0 brute
@@ -140,16 +140,16 @@ let test_every_model_brute_force () =
    slot's own cycle. *)
 let canonical model (cell : Faultspace.cell) slot =
   match model with
-  | Faultspace.Skip -> { Coordspace.cycle = slot + 1; bit = 0 }
+  | Faultspace.Skip -> { Faultspace.cycle = slot + 1; bit = 0 }
   | _ ->
       let c = cell.Faultspace.classes.(slot / 8) in
-      { Coordspace.cycle = c.Defuse.t_end; bit = (8 * c.Defuse.byte) + (slot mod 8) }
+      { Faultspace.cycle = c.Defuse.t_end; bit = (8 * c.Defuse.byte) + (slot mod 8) }
 
 let test_locate () =
   (* Hi's memory space: msg[0] (bits 0-7) is an experiment class over
      cycles 2-4, msg[1] (bits 8-15) over 4-6; the rest is benign. *)
   let mem = Faultspace.of_golden Faultspace.Bitflip_mem (Lazy.force hi_golden) in
-  let at cycle bit = mem.Faultspace.locate { Coordspace.cycle; bit } in
+  let at cycle bit = mem.Faultspace.locate { Faultspace.cycle; bit } in
   Alcotest.(check (option int)) "msg[0] bit 5 mid-class" (Some 5) (at 3 5);
   Alcotest.(check (option int)) "msg[1] bit 1 at its read" (Some 9) (at 6 9);
   Alcotest.(check (option int)) "msg[1] bit 0 right after its write" (Some 8)
@@ -179,11 +179,50 @@ let test_locate () =
       done;
       List.iter
         (fun (cycle, bit) ->
-          match cell.Faultspace.locate { Coordspace.cycle; bit } with
+          match cell.Faultspace.locate { Faultspace.cycle; bit } with
           | _ -> Alcotest.failf "%s: (%d, %d) is outside the space" tag cycle bit
           | exception Invalid_argument _ -> ())
         [ (0, 0); (cycles + 1, 0); (1, cell.Faultspace.rows); (1, -1) ])
     all_models
+
+(* Every model's [inject] checks its coordinate as [locate] does:
+   outside [1, Δt] × [0, rows) both raise the same Invalid_argument, on
+   a fresh session (so a cycle-0 injection is refused for its bounds,
+   not for running backwards). *)
+let test_inject_bounds () =
+  List.iter
+    (fun (name, image) ->
+      List.iter
+        (fun model ->
+          let cell = Faultspace.analyse model image in
+          let cycles = cell.Faultspace.golden.Golden.cycles in
+          let rows = cell.Faultspace.rows in
+          List.iter
+            (fun (cycle, bit) ->
+              let label =
+                Printf.sprintf "%s@%s (%d, %d)" name (Faultspace.tag model)
+                  cycle bit
+              in
+              let coord = { Faultspace.cycle; bit } in
+              let expected =
+                Printf.sprintf "Faultspace: coordinate (%d, %d) outside %d x %d"
+                  cycle bit cycles rows
+              in
+              Alcotest.check_raises (label ^ " locate")
+                (Invalid_argument expected) (fun () ->
+                  ignore (cell.Faultspace.locate coord));
+              let session =
+                Injector.session (Injector.replay cell.Faultspace.golden)
+              in
+              match cell.Faultspace.inject session coord with
+              | o ->
+                  Alcotest.failf "%s: inject returned %s" label
+                    (Outcome.to_string o)
+              | exception Invalid_argument msg ->
+                  Alcotest.(check string) (label ^ " inject") expected msg)
+            [ (0, 0); (cycles + 1, 0); (1, -1); (1, rows) ])
+        all_models)
+    [ ("hi", Hi.program ()); ("hi+dft", Hi.dft ()) ]
 
 let test_draws () =
   List.iter
@@ -407,13 +446,13 @@ let test_new_models_plan_vs_replay () =
               ~model golden
           in
           List.iter
-            (fun backend ->
+            (fun (label, backend) ->
               check_scans_identical
                 (Printf.sprintf "%s %s %s plan = replay" name
-                   (Faultspace.tag model) (Pool.backend_tag backend))
+                   (Faultspace.tag model) label)
                 reference
                 (Drive.scan ~backend ~jobs:2 spec))
-            [ Pool.Domains; Pool.Processes ])
+            [ ("domains", Pool.Domains); ("processes", Pool.Processes) ])
         [ Faultspace.burst 3; Faultspace.burst ~row:2 3; Faultspace.Skip ])
     [ ("hi", Lazy.force hi_image); ("loop", loop_image 17) ]
 
@@ -501,6 +540,8 @@ let suite =
         `Quick test_every_model_brute_force;
       Alcotest.test_case "locate: slots, canonical coordinates, bounds" `Quick
         test_locate;
+      Alcotest.test_case "inject checks bounds as locate does" `Quick
+        test_inject_bounds;
       Alcotest.test_case "samplers draw slots of the cell" `Quick test_draws;
       Alcotest.test_case "burst pruning = brute force (hi)" `Quick
         test_burst_brute_force;

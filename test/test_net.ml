@@ -30,9 +30,10 @@ let with_temp_file f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let with_daemon ?(workers = 2) f =
+let with_daemon ?(workers = 2) ?secret_file f =
   match
-    Remote.spawn_daemon Remote.daemon { Remote.default_config with workers }
+    Remote.spawn_daemon Remote.daemon
+      { Remote.default_config with workers; secret_file }
   with
   | Error e -> Alcotest.fail e
   | Ok (pid, addr) ->
@@ -334,48 +335,73 @@ let test_handshake_auth () =
 
 (* End-to-end: a worker daemon started with --secret refuses the
    unarmed and mis-armed, conducts for the properly armed. *)
-let test_worker_daemon_auth () =
+(* A secret file holding "open sesame", padded with whitespace that
+   [Hmac.load_secret] trims. *)
+let with_secret_file f =
   let secret_file = Filename.temp_file "finet" ".key" in
   let oc = open_out secret_file in
   output_string oc "  open sesame \n";
   close_out oc;
   Fun.protect
     ~finally:(fun () -> try Sys.remove secret_file with Sys_error _ -> ())
-    (fun () ->
-      match Remote.spawn_daemon Remote.daemon
-          { Remote.default_config with workers = 2; secret_file = Some secret_file } with
-      | Error e -> Alcotest.fail e
-      | Ok (pid, addr) ->
-          Fun.protect
-            ~finally:(fun () -> Remote.kill_daemon pid)
-            (fun () ->
-              (match Remote.probe addr with
-              | Error msg ->
-                  Alcotest.(check bool) "unarmed probe refused with reason"
-                    true
-                    (contains msg "secret")
-              | Ok _ -> Alcotest.fail "unarmed probe accepted");
-              (match Remote.probe ~secret:"wrong" addr with
-              | Error msg ->
-                  Alcotest.(check bool) "wrong-secret probe says mismatch"
-                    true (contains msg "mismatch")
-              | Ok _ -> Alcotest.fail "wrong-secret probe accepted");
-              (* load_secret trims whitespace: the armed probe and a
-                 whole campaign go through. *)
-              (match Hmac.load_secret secret_file with
-              | Error msg -> Alcotest.failf "load_secret failed: %s" msg
-              | Ok s -> Alcotest.(check string) "trimmed" "open sesame" s);
-              let secret = "open sesame" in
-              (match Remote.probe ~secret addr with
-              | Ok _ -> ()
-              | Error msg -> Alcotest.failf "armed probe refused: %s" msg);
-              let result =
-                Drive.cell ~backend:(sockets_of addr) ~jobs:2
-                  ~secret
-                  (Spec.of_golden (Lazy.force hi_golden))
-              in
-              check_scans_identical "authenticated campaign = serial"
-                (Lazy.force hi_serial) result.Engine.scan))
+    (fun () -> f secret_file)
+
+let test_worker_daemon_auth () =
+  with_secret_file (fun secret_file ->
+      with_daemon ~secret_file (fun addr ->
+          (match Remote.probe addr with
+          | Error msg ->
+              Alcotest.(check bool) "unarmed probe refused with reason"
+                true
+                (contains msg "secret")
+          | Ok _ -> Alcotest.fail "unarmed probe accepted");
+          (match Remote.probe ~secret:"wrong" addr with
+          | Error msg ->
+              Alcotest.(check bool) "wrong-secret probe says mismatch"
+                true (contains msg "mismatch")
+          | Ok _ -> Alcotest.fail "wrong-secret probe accepted");
+          (* load_secret trims whitespace: the armed probe and a
+             whole campaign go through. *)
+          (match Hmac.load_secret secret_file with
+          | Error msg -> Alcotest.failf "load_secret failed: %s" msg
+          | Ok s -> Alcotest.(check string) "trimmed" "open sesame" s);
+          let secret = "open sesame" in
+          (match Remote.probe ~secret addr with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "armed probe refused: %s" msg);
+          let result =
+            Drive.cell ~backend:(sockets_of addr) ~jobs:2
+              ~secret
+              (Spec.of_golden (Lazy.force hi_golden))
+          in
+          check_scans_identical "authenticated campaign = serial"
+            (Lazy.force hi_serial) result.Engine.scan))
+
+(* A corpus entry re-verifies on an armed fleet given the secret (as
+   [fi-cli fuzz replay --secret] passes it), and is refused without. *)
+let test_corpus_verify_armed_fleet () =
+  let entry =
+    match Corpus.list ~dir:(Filename.concat ".." "corpus") with
+    | path :: _ -> (
+        match Corpus.load_file path with
+        | Ok e -> e
+        | Error msg -> Alcotest.fail (path ^ ": " ^ msg))
+    | [] -> Alcotest.fail "no checked-in corpus entry"
+  in
+  with_secret_file (fun secret_file ->
+      with_daemon ~secret_file (fun addr ->
+          let verify ?secret () =
+            Corpus.verify ~backend:(sockets_of addr) ~jobs:2 ?secret entry
+          in
+          (match verify ~secret:"open sesame" () with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "authenticated verify failed: %s" msg);
+          match verify () with
+          | Ok () -> Alcotest.fail "unauthenticated verify accepted"
+          | Error msg | (exception Engine.Worker_failed msg) ->
+              Alcotest.(check bool)
+                ("refused for its handshake: " ^ msg)
+                true (contains msg "auth")))
 
 (* ------------------------------------------------------------------ *)
 (* Wire job codec                                                     *)
@@ -427,8 +453,6 @@ let test_resolve_jobs_sockets () =
        "Pool.resolve_jobs: negative job count -2 (use 0 to let each worker \
         daemon decide)")
     (fun () -> ignore (Pool.resolve_jobs ~backend:sockets ~jobs:(-2) ()));
-  Alcotest.(check bool) "tag roundtrip" true
-    (Pool.backend_of_string (Pool.backend_tag sockets) = Some (Pool.Sockets []));
   match
     Drive.scan ~backend:(Pool.Sockets [])
       (Spec.of_golden (Lazy.force hi_golden))
@@ -578,18 +602,18 @@ let test_sockets_equal_serial_memory () =
              (Lazy.force hi_golden))
       in
       let read path = In_channel.with_open_bin path In_channel.input_all in
-      let journal_of backend =
+      let journal_of label backend =
         with_temp_file (fun path ->
             check_scans_identical
-              (Pool.backend_tag backend ^ " journaled -j 1 = serial")
+              (label ^ " journaled -j 1 = serial")
               serial (run ~journal:path backend).Engine.scan;
             read path)
       in
-      let domains = journal_of Pool.Domains in
+      let domains = journal_of "domains" Pool.Domains in
       Alcotest.(check string) "processes journal = domains journal" domains
-        (journal_of Pool.Processes);
+        (journal_of "processes" Pool.Processes);
       Alcotest.(check string) "sockets journal = domains journal" domains
-        (journal_of (sockets_of addr));
+        (journal_of "sockets" (sockets_of addr));
       let dir = Filename.temp_file "finet" ".store" in
       Sys.remove dir;
       with_temp_file (fun path ->
@@ -712,6 +736,8 @@ let suite =
         test_handshake_auth;
       Alcotest.test_case "worker daemon --secret end-to-end" `Quick
         test_worker_daemon_auth;
+      Alcotest.test_case "corpus verify on an armed fleet" `Quick
+        test_corpus_verify_armed_fleet;
       Alcotest.test_case "wire jobs roundtrip without closures" `Quick
         test_wire_job;
       Alcotest.test_case "-j bounds per-host concurrency" `Quick

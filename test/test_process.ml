@@ -61,15 +61,6 @@ let test_resolve_jobs () =
        "Pool.resolve_jobs: negative job count -2 (use 0 for all cores)")
     (fun () -> ignore (Pool.resolve_jobs ~jobs:(-2) ()))
 
-let test_backend_names () =
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "tag roundtrip" true
-        (Pool.backend_of_string (Pool.backend_tag b) = Some b))
-    [ Pool.Domains; Pool.Processes ];
-  Alcotest.(check bool) "unknown tag" true
-    (Pool.backend_of_string "threads" = None)
-
 (* ------------------------------------------------------------------ *)
 (* Differential: Processes = Domains = serial                         *)
 (* ------------------------------------------------------------------ *)
@@ -373,7 +364,6 @@ let suite =
     [
       Alcotest.test_case "resolve_jobs is the single authority" `Quick
         test_resolve_jobs;
-      Alcotest.test_case "backend names roundtrip" `Quick test_backend_names;
       Alcotest.test_case "processes = domains = serial (memory)" `Quick
         test_processes_equal_serial_memory;
       Alcotest.test_case "processes = serial (registers)" `Quick

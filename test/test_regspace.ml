@@ -6,7 +6,7 @@ let hi = lazy (Regspace.analyze (Hi.program ()))
 let test_defs_uses () =
   let r = Isa.reg in
   let check instr expected_writes expected_reads =
-    let writes, reads = Regspace.defs_uses instr in
+    let writes, reads = Isa.defs_uses instr in
     Alcotest.(check (list int)) "writes" expected_writes
       (List.map Isa.reg_index writes);
     Alcotest.(check (list int)) "reads" expected_reads
@@ -28,7 +28,7 @@ let test_defs_uses () =
 let test_hi_register_space_size () =
   let t = Lazy.force hi in
   Alcotest.(check int) "w = 8 cycles x 480 bits" (8 * 480)
-    (Regspace.fault_space_size t)
+    (Faultspace.space (Faultspace.of_regspace t))
 
 let test_hi_register_classes () =
   let t = Lazy.force hi in
@@ -109,13 +109,16 @@ let test_register_partition_invariant () =
   let total =
     8 * Array.fold_left (fun acc c -> acc + Defuse.weight c) 0 (Defuse.classes d)
   in
-  Alcotest.(check int) "weights partition w" (Regspace.fault_space_size t) total
+  Alcotest.(check int) "weights partition w"
+    (Faultspace.space (Faultspace.of_regspace t))
+    total
 
 let test_cross_layer_sizes_differ () =
   (* The Section VI-C setup: same program, two layers, different w. *)
   let t = Lazy.force hi in
   Alcotest.(check bool) "register w != memory w" true
-    (Regspace.fault_space_size t <> Golden.fault_space_size t.Regspace.golden)
+    (Faultspace.space (Faultspace.of_regspace t)
+    <> Golden.fault_space_size t.Regspace.golden)
 
 let suite =
   ( "regspace",

@@ -257,6 +257,19 @@ let test_two_concurrent_clients () =
           Alcotest.failf "concurrent client got wrong results (exit %d)" n
       | _ -> Alcotest.fail "concurrent client died")
 
+(* A fleet-less service conducts on its local backend, so a hostless
+   sockets backend is refused before the daemon announces an address,
+   not by every submission after it. *)
+let test_hostless_sockets_refused () =
+  match
+    Remote.spawn_daemon Service.daemon
+      { Service.default_config with Service.local_backend = Pool.Sockets [] }
+  with
+  | Ok (pid, _) ->
+      Remote.kill_daemon pid;
+      Alcotest.fail "a service with a hostless sockets backend started"
+  | Error _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Shared-secret authentication                                       *)
 (* ------------------------------------------------------------------ *)
@@ -308,6 +321,8 @@ let suite =
         test_two_concurrent_clients;
       Alcotest.test_case "daemon: a silent client does not stall status"
         `Quick test_silent_client;
+      Alcotest.test_case "daemon: hostless sockets backend refused" `Quick
+        test_hostless_sockets_refused;
       Alcotest.test_case "daemon: shared-secret auth, distinct errors" `Quick
         test_service_auth;
     ] )

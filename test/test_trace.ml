@@ -237,7 +237,7 @@ let test_canonical_injection () =
       for bit_in_byte = 0 to 7 do
         let slot = (8 * i) + bit_in_byte in
         let coord =
-          { Coordspace.cycle = c.Defuse.t_end; bit = (8 * c.Defuse.byte) + bit_in_byte }
+          { Faultspace.cycle = c.Defuse.t_end; bit = (8 * c.Defuse.byte) + bit_in_byte }
         in
         if cell.Faultspace.locate coord <> Some slot then
           Alcotest.failf "slot %d does not contain its canonical coordinate" slot;
@@ -252,9 +252,9 @@ let test_canonical_injection () =
    (bit mod 8); the byte and cycle pick the def/use class. *)
 let test_class_and_bit () =
   let d = figure1_defuse () in
-  let coord = { Coordspace.cycle = 7; bit = 5 } in
-  let cls = Defuse.find d ~cycle:coord.Coordspace.cycle ~byte:(coord.Coordspace.bit / 8) in
-  Alcotest.(check int) "bit in byte" 5 (coord.Coordspace.bit mod 8);
+  let coord = { Faultspace.cycle = 7; bit = 5 } in
+  let cls = Defuse.find d ~cycle:coord.Faultspace.cycle ~byte:(coord.Faultspace.bit / 8) in
+  Alcotest.(check int) "bit in byte" 5 (coord.Faultspace.bit mod 8);
   Alcotest.(check bool) "the experiment class" true
     (cls.Defuse.kind = Defuse.Experiment && cls.Defuse.t_start = 5)
 
