@@ -63,4 +63,12 @@ val plan : ?shard_size:int -> ?weighted:bool -> Defuse.byte_class array -> plan
     shards — of [shard_size] classes each by default, or by estimated
     conducted cycles with [~weighted:true] ({!By_weight}).
 
+    The rank of classes with equal [t_end] is fixed by the sort's
+    permutation, and it is part of every stored campaign: a journal
+    record holds its outcome characters in rank order, and the campaign
+    fingerprint does not cover that order.  A plan that broke ties
+    differently would replay existing journals and cache entries into
+    the wrong class slots, without any error.  The test "campaign
+    identity is pinned" (test_engine) guards the order.
+
     @raise Invalid_argument if [shard_size < 1]. *)

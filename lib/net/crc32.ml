@@ -1,16 +1,16 @@
+(* Built at module initialisation, not on first use: a [Lazy.t] forced
+   by two domains at once raises [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.update";
-  let table = Lazy.force table in
   let c = ref (crc lxor 0xffffffff) in
   for i = pos to pos + len - 1 do
     c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)

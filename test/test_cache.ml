@@ -393,6 +393,26 @@ let test_corrupt_cached_journal_degrades_to_miss () =
         warm.Engine.cached;
       check_scans_identical "re-run is still exact" serial warm.Engine.scan)
 
+(* A stored journal whose record holds a character outside the outcome
+   alphabet (right length, valid CRC) is a miss: the cell is conducted
+   afresh, and its new journal serves the next run. *)
+let test_foreign_outcome_character_is_a_miss () =
+  with_temp_dir (fun dir ->
+      let golden = Lazy.force hi_golden in
+      let serial = Lazy.force hi_serial in
+      ignore (run_cached ~dir golden);
+      (match Cache.entries ~dir with
+      | [ e ] -> Journal_edit.set_last_outcome e.Cache.path 'x'
+      | _ -> Alcotest.fail "expected one store entry");
+      let warm = run_cached ~dir golden in
+      Alcotest.(check bool) "foreign character is a miss" false
+        warm.Engine.cached;
+      check_scans_identical "conducted afresh" serial warm.Engine.scan;
+      let again = run_cached ~dir golden in
+      Alcotest.(check bool) "re-conducted journal is a hit" true
+        again.Engine.cached;
+      check_scans_identical "hit after the miss" serial again.Engine.scan)
+
 let suite =
   ( "cache",
     [
@@ -418,4 +438,6 @@ let suite =
         `Quick test_compact_protects_cache_referenced_journals;
       Alcotest.test_case "corrupt cached journal degrades to a miss" `Quick
         test_corrupt_cached_journal_degrades_to_miss;
+      Alcotest.test_case "foreign outcome character is a miss" `Quick
+        test_foreign_outcome_character_is_a_miss;
     ] )

@@ -64,13 +64,66 @@ let test_no_effect_count () =
   Alcotest.(check int) "failures + benign = w" 128
     (Metrics.no_effect_count scan + Metrics.failure_count scan)
 
+(* The histogram by a plain fold per outcome: [Outcome.all] order, zero
+   counts dropped, and the a-priori benign weight added to No_effect only
+   under Full_space x Weighted. *)
+let histogram_by_fold (policy : Accounting.t) (scan : Scan.t) =
+  let weight e =
+    match policy.Accounting.weighting with
+    | Accounting.Weighted -> Scan.experiment_weight e
+    | Accounting.Unweighted -> min 1 (Scan.experiment_weight e)
+  in
+  let benign =
+    match (policy.Accounting.population, policy.Accounting.weighting) with
+    | Accounting.Full_space, Accounting.Weighted -> scan.Scan.benign_weight
+    | _ -> 0
+  in
+  List.filter_map
+    (fun o ->
+      let n =
+        Array.fold_left
+          (fun acc e -> if e.Scan.outcome = o then acc + weight e else acc)
+          (if o = Outcome.No_effect then benign else 0)
+          scan.Scan.experiments
+      in
+      if n > 0 then Some (o, n) else None)
+    Outcome.all
+
 let test_outcome_histogram () =
   let scan = Lazy.force hi_scan in
   let hist = Metrics.outcome_histogram scan in
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 hist in
   Alcotest.(check int) "histogram covers w" 128 total;
   Alcotest.(check (option int)) "sdc mass" (Some 48)
-    (List.assoc_opt Outcome.Sdc hist)
+    (List.assoc_opt Outcome.Sdc hist);
+  (* hi+dft under skip pads its slots with weight-0 experiments. *)
+  let skip = Faultspace.(scan (analyse Skip (Hi.dft ()))) in
+  Alcotest.(check bool) "skip cell has padding slots" true
+    (Array.exists
+       (fun e -> Scan.experiment_weight e = 0)
+       skip.Scan.experiments);
+  let histogram =
+    Alcotest.testable
+      (fun ppf hist ->
+        List.iter (fun (o, n) -> Format.fprintf ppf "%a=%d " Outcome.pp o n) hist)
+      ( = )
+  in
+  List.iter
+    (fun (label, scan) ->
+      List.iter
+        (fun policy ->
+          Alcotest.check histogram
+            (Format.asprintf "%s %a" label Accounting.pp policy)
+            (histogram_by_fold policy scan)
+            (Metrics.outcome_histogram ~policy scan))
+        Accounting.
+          [
+            correct;
+            pitfall1;
+            activated_only;
+            { weighting = Unweighted; population = Full_space };
+          ])
+    [ ("hi", scan); ("hi+dft", Lazy.force dft_scan); ("hi+dft skip", skip) ]
 
 let test_failure_probability () =
   let scan = Lazy.force hi_scan in
