@@ -95,6 +95,7 @@ type tally = int array (* indexed by [index] *)
 
 let tally_create () = Array.make count 0
 let tally_add t o = t.(index o) <- t.(index o) + 1
+let tally_add_weight t o w = t.(index o) <- t.(index o) + w
 let tally_total (t : tally) = Array.fold_left ( + ) 0 t
 let tally_copy = Array.copy
 

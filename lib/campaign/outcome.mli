@@ -75,6 +75,9 @@ val tally_create : unit -> tally
 val tally_add : tally -> t -> unit
 (** Count one experiment with the given outcome. *)
 
+val tally_add_weight : tally -> t -> int -> unit
+(** [tally_add_weight t o w] counts [w] experiments with outcome [o]. *)
+
 val tally_total : tally -> int
 
 val tally_failures : tally -> int
