@@ -249,12 +249,12 @@ let run_engine_checkpoint () =
      checkpoint plan whose exit counts are reported below. *)
   let scans model =
     let cell = Faultspace.analyse model program in
-    let golden = cell.Faultspace.golden in
     let replay, t_replay =
-      time (fun () -> Faultspace.scan ~provider:(Injector.replay golden) cell)
+      time (fun () -> Faultspace.scan (Faultspace.with_stride 0 cell))
     in
-    let provider = Injector.plan golden in
-    let plan, t_plan = time (fun () -> Faultspace.scan ~provider cell) in
+    (* build the ladder outside the timed scan *)
+    let provider = cell.Faultspace.provider () in
+    let plan, t_plan = time (fun () -> Faultspace.scan cell) in
     (replay, t_replay, provider, plan, t_plan)
   in
   let replay_mem, t_mr, mem_provider, plan_mem, t_mp =

@@ -529,17 +529,18 @@ let variant_of_program_spec spec =
 (* A campaign's spec and the fault-model cell it conducts, from one
    analysis of the image. *)
 let analysed ~variant ~policy model image =
-  match model with
-  | Faultspace.Bitflip_reg ->
-      let r = Regspace.analyze image in
-      (Spec.of_regspace ~variant ~policy r, Faultspace.of_regspace r)
-  | m ->
-      let g = Golden.run image in
-      (Spec.of_golden ~variant ~policy ~model:m g, Faultspace.of_golden m g)
+  let spec =
+    match model with
+    | Faultspace.Bitflip_reg ->
+        Spec.of_regspace ~variant ~policy (Regspace.analyze image)
+    | m -> Spec.of_golden ~variant ~policy ~model:m (Golden.run image)
+  in
+  (spec, Runcell.analyse spec)
 
 (* The program and its fault space under the chosen model: what every
    count and extrapolation below is relative to. *)
-let print_space model (cell : Faultspace.cell) =
+let print_space (cell : Faultspace.cell) =
+  let model = cell.Faultspace.model in
   let g = cell.Faultspace.golden in
   let name = g.Golden.program.Program.name in
   (match model with
@@ -580,7 +581,7 @@ let campaign_cmd =
       analysed ~variant:(variant_of_program_spec spec) ~policy:(policy_of opts)
         model image
     in
-    print_space model cell;
+    print_space cell;
     let scan = engine_spec ~opts ~quiet campaign_spec in
     let t =
       Table.create
@@ -758,14 +759,14 @@ let sample_cmd =
       analysed ~variant:(variant_of_program_spec spec) ~policy:(policy_of opts)
         model image
     in
-    print_space model cell;
+    print_space cell;
     let rng = Prng.create ~seed:(Int64.of_int seed) in
     let draw =
       if biased then Sampler.biased_per_class rng ~samples cell
       else Sampler.uniform_raw rng ~samples cell
     in
     (* In-process, only the draw's distinct slots are conducted, on the
-       provider the engine maps the policy's --checkpoint-stride to.  With
+       cell's provider at the policy's --checkpoint-stride.  With
        engine options, conduct (or resume) the full pruned campaign once
        and read every sample from it — the estimate is identical
        (deterministic machine, lossless pruning), but the heavy lifting
@@ -777,10 +778,7 @@ let sample_cmd =
     in
     let est =
       if oracle then Sampler.read (engine_spec ~opts ~quiet:false campaign_spec) draw
-      else
-        Sampler.conduct
-          ~provider:((Runcell.analyse campaign_spec).Runcell.provider ())
-          cell draw
+      else Sampler.conduct cell draw
     in
     let interval =
       Confidence.wilson ~fails:est.Sampler.failures ~trials:est.Sampler.samples
@@ -1255,6 +1253,21 @@ let fuzz_corpus_arg =
     & opt string Corpus.default_dir
     & info [ "o"; "corpus" ] ~docv:"DIR" ~doc)
 
+(* A finding's pair: absolute failures, and the coverage [1 − F/w] that
+   misleadingly improves. *)
+let pp_dilution ~(baseline : Delta.tally) ppf (hardened : Delta.tally) =
+  let coverage (t : Delta.tally) =
+    100.0
+    *. (1.0 -. (float_of_int t.Delta.failures /. float_of_int t.Delta.space))
+  in
+  Format.fprintf ppf
+    "F %d/%d -> %d/%d: failures x%.3f while coverage %.4f%% -> %.4f%%"
+    baseline.Delta.failures baseline.Delta.space hardened.Delta.failures
+    hardened.Delta.space
+    (float_of_int hardened.Delta.failures
+    /. float_of_int baseline.Delta.failures)
+    (coverage baseline) (coverage hardened)
+
 let fuzz_cmd =
   let hunt_term =
     let budget =
@@ -1317,13 +1330,8 @@ let fuzz_cmd =
           let path = Corpus.store ~dir (Corpus.of_finding f) in
           Format.printf "%s %s %a%s@." path
             (Delta.variant_to_string f.Delta.variant)
-            Pitfalls.pp_dilution
-            {
-              Pitfalls.baseline_failures = f.Delta.baseline.Delta.failures;
-              hardened_failures = f.Delta.hardened.Delta.failures;
-              baseline_space = f.Delta.baseline.Delta.space;
-              hardened_space = f.Delta.hardened.Delta.space;
-            }
+            (pp_dilution ~baseline:f.Delta.baseline)
+            f.Delta.hardened
             (match f.Delta.sampled_failure_ratio with
             | None -> ""
             | Some r -> Printf.sprintf " (sampled ratio %.3f)" r))

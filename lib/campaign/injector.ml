@@ -399,7 +399,6 @@ let make golden ~reset impl =
     tallies = [];
   }
 
-let provider_golden p = p.p_golden
 let replay golden =
   make golden ~reset:(Machine.create golden.Golden.program) Replay
 

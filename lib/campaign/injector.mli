@@ -67,9 +67,6 @@ val default_stride : int
 (** 128 — around a hundred checkpoints for the bundled kernels; memory
     cost is [cycles/stride] RAM images. *)
 
-val provider_golden : provider -> Golden.t
-(** The golden run the provider was built over. *)
-
 (** {1 Exit accounting}
 
     How each experiment ended, and the simulated cycles it took from

@@ -59,18 +59,6 @@ let outcome_histogram ?(policy = Accounting.correct) (scan : Scan.t) =
   | _ -> ());
   Outcome.tally_to_list counts
 
-let coverage_improves ?(policy = Accounting.correct) ~baseline hardened =
-  let f_b = failure_count ~policy baseline
-  and f_h = failure_count ~policy hardened
-  and n_b = experiment_total ~policy baseline
-  and n_h = experiment_total ~policy hardened in
-  (* coverage = 1 − F/N with the empty space counting as coverage 1. *)
-  match (n_b = 0, n_h = 0) with
-  | true, true -> false (* both perfect: no strict improvement *)
-  | false, true -> failure_count ~policy baseline > 0
-  | true, false -> false
-  | false, false -> f_h * n_b < f_b * n_h
-
 let failure_probability ?(rate = Fit_rate.mean_published)
     ?(ns_per_cycle = 1.0) (scan : Scan.t) =
   let f = float_of_int (failure_count ~policy:Accounting.correct scan) in

@@ -33,17 +33,6 @@ val outcome_histogram :
   ?policy:Accounting.t -> Scan.t -> (Outcome.t * int) list
 (** Per-outcome totals under the policy (zero-count outcomes omitted). *)
 
-val coverage_improves :
-  ?policy:Accounting.t -> baseline:Scan.t -> Scan.t -> bool
-(** [coverage hardened > coverage baseline], decided {e exactly}: with
-    F and N integers under the policy, the float inequality
-    1 − F_h/N_h > 1 − F_b/N_b is evaluated as F_h·N_b < F_b·N_h by
-    integer cross-multiplication, so the verdict is identical on every
-    host and never flips on a rounding boundary.  (The fuzzer's
-    dilution-delusion predicate replays bit-identically because of
-    this.)  Empty denominators count as perfect coverage, matching
-    {!coverage}. *)
-
 val failure_probability :
   ?rate:Fit_rate.t -> ?ns_per_cycle:float -> Scan.t -> float
 (** Equation 5: P(Failure) ≈ F·g·e^{−gw}, the absolute per-run failure

@@ -64,38 +64,6 @@ let analyze_pitfall3 ~baseline ~hardened =
     misleading = coverage_says <> truth_says;
   }
 
-type dilution = {
-  baseline_failures : int;
-  hardened_failures : int;
-  baseline_space : int;
-  hardened_space : int;
-}
-
-let dilution_delusion ~baseline ~hardened =
-  let f_b = Metrics.failure_count baseline
-  and f_h = Metrics.failure_count hardened in
-  if f_h > f_b && Metrics.coverage_improves ~baseline hardened then
-    Some
-      {
-        baseline_failures = f_b;
-        hardened_failures = f_h;
-        baseline_space = Metrics.experiment_total baseline;
-        hardened_space = Metrics.experiment_total hardened;
-      }
-  else None
-
-let pp_dilution ppf d =
-  Format.fprintf ppf
-    "F %d/%d -> %d/%d: failures x%.3f while coverage %.4f%% -> %.4f%%"
-    d.baseline_failures d.baseline_space d.hardened_failures d.hardened_space
-    (float_of_int d.hardened_failures /. float_of_int d.baseline_failures)
-    (100.0
-    *. (1.0
-       -. float_of_int d.baseline_failures /. float_of_int d.baseline_space))
-    (100.0
-    *. (1.0
-       -. float_of_int d.hardened_failures /. float_of_int d.hardened_space))
-
 let pp_pitfall1 ppf p =
   Format.fprintf ppf
     "coverage unweighted %.2f%% vs weighted %.2f%% (Δ %.1f pp); failures \

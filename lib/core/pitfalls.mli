@@ -54,30 +54,5 @@ type pitfall3 = {
 
 val analyze_pitfall3 : baseline:Scan.t -> hardened:Scan.t -> pitfall3
 
-(** {1 The dilution delusion (Section IV, the "Hi" kernel)}
-
-    The sharpest form of Pitfall 3: a hardening variant whose fault
-    coverage {e strictly improves} while its weighted absolute failure
-    count {e strictly rises} — the variant looks better under the
-    coverage metric and is objectively worse.  Unlike {!pitfall3}'s
-    [misleading] flag (float coverage, verdict bands), this predicate is
-    decided on exact integers ({!Metrics.coverage_improves}), so a mined
-    counterexample replays bit-identically across hosts. *)
-
-type dilution = {
-  baseline_failures : int;  (** Weighted F_b. *)
-  hardened_failures : int;  (** Weighted F_h > F_b. *)
-  baseline_space : int;  (** w_b = N under the correct policy. *)
-  hardened_space : int;  (** w_h. *)
-}
-
-val dilution_delusion :
-  baseline:Scan.t -> hardened:Scan.t -> dilution option
-(** [Some] iff coverage strictly improves ([F_h·w_b < F_b·w_h]) {e and}
-    absolute failures strictly rise ([F_h > F_b]), under
-    {!Accounting.correct}. *)
-
-val pp_dilution : Format.formatter -> dilution -> unit
-
 val pp_pitfall1 : Format.formatter -> pitfall1 -> unit
 val pp_pitfall3 : Format.formatter -> pitfall3 -> unit

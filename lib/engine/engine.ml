@@ -10,9 +10,7 @@ let mismatch = Runcell.mismatch
 
 let fingerprint_spec spec =
   let cell = Runcell.analyse spec in
-  let plan =
-    Runcell.plan_of_policy spec.Spec.policy cell.Runcell.classes
-  in
+  let plan = Runcell.plan_of_policy spec.Spec.policy cell.Faultspace.classes in
   Runcell.fingerprint_cell cell ~plan
 
 (* ------------------------------------------------------------------ *)
@@ -49,18 +47,8 @@ let resolve_journal ~fingerprint (policy : Spec.policy) =
         policy.Spec.durability.Spec.catalogue
 
 (* ------------------------------------------------------------------ *)
-(* Shard records: the one parse                                      *)
+(* Shard records                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(* A well-formed record for one of [plan]'s shards whose outcome
-   characters all decode — from a journal, a cache entry or a worker's
-   [Seg] frame alike. *)
-let parse_record plan payload =
-  match Runcell.parse_record plan payload with
-  | Some (_, outs) as r
-    when String.for_all (fun c -> Option.is_some (Outcome.of_char c)) outs ->
-      r
-  | Some _ | None -> None
 
 (* Split a replayed journal into its shard records (each shard at most
    once) and its supervision records.  Anything else raises
@@ -72,7 +60,7 @@ let parse_journal plan payloads =
       match Runcell.parse_supervision payload with
       | Some sup -> Either.Right sup
       | None -> (
-          match parse_record plan payload with
+          match Runcell.parse_record plan payload with
           | Some ((shard : Shard.t), _) when seen.(shard.Shard.id) ->
               mismatch "journal has duplicate record for shard %d"
                 shard.Shard.id
@@ -87,7 +75,8 @@ let parse_journal plan payloads =
 (* ------------------------------------------------------------------ *)
 
 type runtime = {
-  cell : Runcell.cell;
+  spec : Spec.t;
+  cell : Faultspace.cell;
   plan : Shard.plan;
   fp : int;
   outcomes : Outcome.t array;
@@ -181,17 +170,17 @@ let resume_journal ~plan ~header path =
         Journal.close w;
         raise e)
 
-let setup cell =
-  let policy = cell.Runcell.spec.Spec.policy in
-  let plan = Runcell.plan_of_policy policy cell.Runcell.classes in
+let setup spec cell =
+  let policy = spec.Spec.policy in
+  let plan = Runcell.plan_of_policy policy cell.Faultspace.classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
   let header = Runcell.header_payload cell ~plan ~fp in
   let cache_key =
     Option.map
       (fun _ ->
         Worker.cell_key
-          (Worker.cell_of_spec ~program:cell.Runcell.golden.Golden.program
-             cell.Runcell.spec))
+          (Worker.cell_of_spec ~program:cell.Faultspace.golden.Golden.program
+             spec))
       policy.Spec.acceleration.Spec.cache
   in
   let cached =
@@ -214,6 +203,7 @@ let setup cell =
   let shards = Array.length plan.Shard.shards in
   let rt =
     {
+      spec;
       cell;
       plan;
       fp;
@@ -290,17 +280,17 @@ let finish rt =
      Quarantined classes keep the No_effect placeholder — callers must
      consult [quarantined] before treating the scan as complete. *)
   let scan =
-    Scan.of_outcomes ~variant:cell.Runcell.spec.Spec.variant
-      ~ram_bytes:cell.Runcell.ram_bytes
-      ~benign_weight:cell.Runcell.benign_weight ~slots:cell.Runcell.slots
-      cell.Runcell.golden cell.Runcell.classes rt.outcomes
+    Scan.of_outcomes ~variant:rt.spec.Spec.variant
+      ~ram_bytes:cell.Faultspace.ram_bytes
+      ~benign_weight:cell.Faultspace.benign_weight ~slots:cell.Faultspace.slots
+      cell.Faultspace.golden cell.Faultspace.classes rt.outcomes
   in
   let quarantined =
     List.rev_map
       (fun (shard_id, attempts, cause) ->
         let s = rt.plan.Shard.shards.(shard_id) in
         {
-          q_cell = Spec.label cell.Runcell.spec;
+          q_cell = Spec.label rt.spec;
           q_shard = shard_id;
           q_classes = Shard.classes_in s;
           q_class_indices =
@@ -317,7 +307,7 @@ let finish rt =
      journal lacks the quarantined shards' records, and serving it as a
      hit would launder a degraded run into a complete one. *)
   (match
-     ( cell.Runcell.spec.Spec.policy.Spec.acceleration.Spec.cache,
+     ( rt.spec.Spec.policy.Spec.acceleration.Spec.cache,
        rt.cache_key,
        rt.journal_path )
    with
@@ -349,7 +339,7 @@ let conduct_domains ~jobs ~on_event ~emit rts =
     List.fold_left
       (fun acc rt ->
         match
-          (rt.cell.Runcell.spec.Spec.policy.Spec.supervision.Spec.shard_timeout, acc)
+          (rt.spec.Spec.policy.Spec.supervision.Spec.shard_timeout, acc)
         with
         | None, acc -> acc
         | Some t, None -> Some t
@@ -366,7 +356,7 @@ let conduct_domains ~jobs ~on_event ~emit rts =
   Pool.run ?deadline ~on_stall ~jobs ~tasks:(Array.length pending) (fun i ->
       let rt, shard = pending.(i) in
       let buf =
-        Runcell.conduct_shard rt.cell ~classes:rt.cell.Runcell.classes
+        Runcell.conduct_shard rt.cell ~classes:rt.cell.Faultspace.classes
           ~plan:rt.plan shard
       in
       Mutex.protect mu (fun () -> complete ~emit rt shard (Bytes.to_string buf)))
@@ -491,7 +481,7 @@ let merge_line ~emit rt t line =
           | Some _ -> t.corrupt <- Some "sent a header for a different campaign"
           | None -> t.corrupt <- Some "sent a malformed header line"
         else
-          match parse_record rt.plan payload with
+          match Runcell.parse_record rt.plan payload with
           | None -> t.corrupt <- Some "sent a malformed shard record"
           | Some (shard, outs) ->
               if not rt.shard_done.(shard.Shard.id) then
@@ -553,9 +543,9 @@ let requeue queue ids nb = queue := !queue @ List.map (fun id -> (id, nb)) ids
    budget is quarantined or failed per policy. *)
 let settle ~on_event ~emit rt queue failures t =
   t.settled <- true;
-  let policy = rt.cell.Runcell.spec.Spec.policy in
+  let policy = rt.spec.Spec.policy in
   let max_retries = policy.Spec.supervision.Spec.max_retries in
-  let label = Spec.label rt.cell.Runcell.spec in
+  let label = Spec.label rt.spec in
   let unfinished =
     List.filter
       (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
@@ -668,8 +658,8 @@ let settle ~on_event ~emit rt queue failures t =
    merged into the campaign journal as they arrive.  A dead, hung or
    stalled worker settles through {!settle}. *)
 let supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures =
-  let policy = rt.cell.Runcell.spec.Spec.policy in
-  let label = Spec.label rt.cell.Runcell.spec in
+  let policy = rt.spec.Spec.policy in
+  let label = Spec.label rt.spec in
   let capacity = Array.fold_left (fun acc (_, cap) -> acc + cap) 0 seats in
   (* (shard id, earliest dispatch time); dispatch sorts by id. *)
   let queue =
@@ -720,11 +710,11 @@ let supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures =
         }
         :: !tracked
     in
-    let spec = rt.cell.Runcell.spec in
+    let spec = rt.spec in
     let job =
       {
         Worker.cell =
-          Worker.cell_of_spec ~program:rt.cell.Runcell.golden.Golden.program
+          Worker.cell_of_spec ~program:rt.cell.Faultspace.golden.Golden.program
             spec;
         stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
         fingerprint = rt.fp;
@@ -927,13 +917,15 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?observe
       if d.Spec.resume && d.Spec.journal = None && d.Spec.catalogue = None then
         invalid_arg "Engine.run_matrix_results: ~resume requires ~journal")
     specs;
-  let cells = List.map Runcell.analyse specs in
+  let cells = List.map (fun spec -> (spec, Runcell.analyse spec)) specs in
   let opened = ref [] in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun rt -> Option.iter Journal.close rt.writer) !opened)
     (fun () ->
-      List.iter (fun cell -> opened := setup cell :: !opened) cells;
+      List.iter
+        (fun (spec, cell) -> opened := setup spec cell :: !opened)
+        cells;
       let rts = List.rev !opened in
       let t0 = Unix.gettimeofday () in
       let emit =

@@ -6,70 +6,44 @@ let mismatch fmt = Printf.ksprintf (fun s -> raise (Journal_mismatch s)) fmt
 (* Analysed cells                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A spec resolved to everything a conductor needs: the session base
-   (golden run), the fault model's class partition, and the
-   per-experiment conductor of its space. *)
-type cell = {
-  spec : Spec.t;
+(* The engine's cell is the fault space's own.  The re-export lets the
+   repository benchmark (bench/e2e/fibench.ml) keep reading
+   [Runcell]-qualified fields; it goes when the benchmark itself may
+   change. *)
+type cell = Faultspace.cell = {
+  model : Faultspace.model;
   golden : Golden.t;
   classes : Defuse.byte_class array;
-  benign_weight : int;
   ram_bytes : int;
+  benign_weight : int;
+  rows : int;
   slots : int;
+  locate : Faultspace.coord -> int option;
+  inject : Injector.session -> Faultspace.coord -> Outcome.t;
+  conduct :
+    Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
   provider : unit -> Injector.provider;
-  conduct : Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
-
-(* Deferred so that a parent process which only analyses (journals,
-   shards, dispatches) never pays for the checkpoint ladder — only a
-   process that actually conducts experiments builds it, exactly once.
-   A mutex-guarded once-cell rather than [Lazy.t]: the domains backend
-   forces it from several domains at once, which [Lazy] forbids. *)
-let provider_of_policy (policy : Spec.policy) golden =
-  let lock = Mutex.create () in
-  let built = ref None in
-  fun () ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match !built with
-        | Some p -> p
-        | None ->
-            let p =
-              match policy.Spec.acceleration.Spec.checkpoint_stride with
-              | Some stride -> Injector.plan ~stride golden
-              | None -> Injector.plan golden
-            in
-            built := Some p;
-            p)
-
-let cell_of spec (fc : Faultspace.cell) =
-  {
-    spec;
-    golden = fc.Faultspace.golden;
-    classes = fc.Faultspace.classes;
-    benign_weight = fc.Faultspace.benign_weight;
-    ram_bytes = fc.Faultspace.ram_bytes;
-    slots = fc.Faultspace.slots;
-    provider = provider_of_policy spec.Spec.policy fc.Faultspace.golden;
-    conduct = fc.Faultspace.conduct;
-  }
 
 let analyse (spec : Spec.t) =
   let model = spec.Spec.model in
-  match (model, spec.Spec.source) with
-  | Faultspace.Bitflip_reg, Spec.Analysed_registers r ->
-      cell_of spec (Faultspace.of_regspace r)
-  | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
-      Spec.Analysed_memory golden ->
-      cell_of spec (Faultspace.of_golden model golden)
-  | _, Spec.Build build ->
-      cell_of spec (Faultspace.analyse ?limit:spec.Spec.limit model (build ()))
-  | Faultspace.Bitflip_reg, Spec.Analysed_memory _
-  | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
-      Spec.Analysed_registers _ ->
-      invalid_arg "Engine: spec fault model contradicts its analysed source"
+  let cell =
+    match (model, spec.Spec.source) with
+    | Faultspace.Bitflip_reg, Spec.Analysed_registers r ->
+        Faultspace.of_regspace r
+    | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
+        Spec.Analysed_memory golden ->
+        Faultspace.of_golden model golden
+    | _, Spec.Build build ->
+        Faultspace.analyse ?limit:spec.Spec.limit model (build ())
+    | Faultspace.Bitflip_reg, Spec.Analysed_memory _
+    | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
+        Spec.Analysed_registers _ ->
+        invalid_arg "Engine: spec fault model contradicts its analysed source"
+  in
+  match spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride with
+  | Some stride -> Faultspace.with_stride stride cell
+  | None -> cell
 
 (* ------------------------------------------------------------------ *)
 (* Campaign identity and journal payloads                             *)
@@ -89,7 +63,7 @@ let rec add_decimal buf n =
    ever produced stays byte-identical. *)
 let fingerprint_cell cell ~(plan : Shard.plan) =
   let buf = Buffer.create (64 + (Array.length cell.classes * 12)) in
-  Buffer.add_string buf (Faultspace.tag cell.spec.Spec.model);
+  Buffer.add_string buf (Faultspace.tag cell.model);
   Buffer.add_char buf '|';
   Buffer.add_string buf cell.golden.Golden.program.Program.name;
   Buffer.add_string buf
@@ -117,7 +91,7 @@ let plan_of_policy (policy : Spec.policy) classes =
    "v3" for every model added by the Faultspace subsystem.  The field
    layout is identical either way; the [space=] value is the model tag. *)
 let header_payload cell ~(plan : Shard.plan) ~fp =
-  let model = cell.spec.Spec.model in
+  let model = cell.model in
   Printf.sprintf
     "fi-engine %s space=%s sizing=%s cycles=%d ram_bytes=%d classes=%d \
      shard_size=%d shards=%d fingerprint=%s name=%s"
@@ -179,8 +153,11 @@ let parse_record (plan : Shard.plan) payload =
   match split_record payload with
   | Some (id, outs) when id >= 0 && id < Array.length plan.Shard.shards ->
       let shard = plan.Shard.shards.(id) in
-      if String.length outs <> 8 * Shard.classes_in shard then None
-      else Some (shard, outs)
+      if
+        String.length outs = 8 * Shard.classes_in shard
+        && String.for_all (fun c -> Option.is_some (Outcome.of_char c)) outs
+      then Some (shard, outs)
+      else None
   | Some _ | None -> None
 
 (* ------------------------------------------------------------------ *)

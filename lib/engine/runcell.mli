@@ -1,12 +1,15 @@
 (** The cell conductor shared by the engine's backends.
 
-    A {!cell} is a {!Spec.t} resolved to everything a conductor needs:
-    the golden run, the fault-space partition, its RAM footprint and the
-    per-experiment conductor of its space.  Both execution backends use
-    this module — the {!Pool.Domains} scheduler inside {!Engine}, and the
-    fork/exec'd worker processes of {!Worker} — so the campaign identity
-    (fingerprints) and the journal wire format (header and shard-record
-    payloads) are defined here exactly once. *)
+    A {!Spec.t} is analysed into a {!Faultspace.cell} — the golden run,
+    the fault model's class partition, its row footprint, the
+    per-experiment conductor of its space and the session provider at
+    the policy's checkpoint stride — and conducted shard by shard.  Both
+    execution backends use this module — the {!Pool.Domains} scheduler
+    inside {!Engine}, and the fork/exec'd worker processes of {!Worker}
+    — so the campaign identity (fingerprints) and the journal wire
+    format (header and shard-record payloads) are defined here exactly
+    once.  The spec itself stays with its caller: the engine's per-cell
+    runtime and a worker's job keep it beside the cell. *)
 
 exception Journal_mismatch of string
 (** Re-exported as {!Engine.Journal_mismatch}. *)
@@ -15,35 +18,32 @@ val mismatch : ('a, unit, string, 'b) format4 -> 'a
 (** [mismatch fmt ...] raises {!Journal_mismatch} with the formatted
     message. *)
 
-type cell = {
-  spec : Spec.t;
+(** The engine's cell is {!Faultspace.cell}, re-exported with its
+    fields so that the repository benchmark ([bench/e2e/fibench.ml]),
+    which spells [Runcell]-qualified fields, keeps compiling; it changes
+    only together with that benchmark. *)
+type cell = Faultspace.cell = {
+  model : Faultspace.model;
   golden : Golden.t;
   classes : Defuse.byte_class array;
-      (** The fault model's experiment classes ([Faultspace.cell]'s),
-          in its order: [(byte, t_start)] for byte-class models,
-          ascending [t_end] for skip.  Only {!Shard.plan} ranks them by
-          [t_end]. *)
+  ram_bytes : int;
   benign_weight : int;
-      (** A-priori-benign fault-space weight of the model. *)
-  ram_bytes : int;  (** Real, pseudo or synthetic row footprint. *)
+  rows : int;
   slots : int;
-      (** Slots that are real experiments ([Faultspace.cell]'s); the
-          rest are weight-0 padding. *)
+  locate : Faultspace.coord -> int option;
+  inject : Injector.session -> Faultspace.coord -> Outcome.t;
+  conduct :
+    Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
   provider : unit -> Injector.provider;
-      (** The session provider every conductor of this cell draws from —
-          an [Injector.plan] at the policy's
-          [acceleration.checkpoint_stride].  Deferred and memoised
-          (domain-safely), so a parent process that only
-          analyses/schedules never builds the checkpoint ladder; the
-          first conducting caller builds it exactly once. *)
-  conduct : Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
 }
 
 val analyse : Spec.t -> cell
 (** Resolve a spec through its fault model ({!Faultspace.analyse} /
     {!Faultspace.of_golden} / {!Faultspace.of_regspace}), running the
     golden (and, for register cells, the register-trace) analysis if the
-    source is a build thunk.
+    source is a build thunk, and pass the cell through
+    {!Faultspace.with_stride} when the policy sets
+    [acceleration.checkpoint_stride].
     @raise Invalid_argument if the spec's model contradicts its analysed
     source. *)
 
@@ -66,8 +66,10 @@ val record_payload : Shard.t -> Bytes.t -> string
 (** One journal record: [shard=<id> outcomes=<8×classes chars>]. *)
 
 val parse_record : Shard.plan -> string -> (Shard.t * string) option
-(** Parse a {!record_payload} back against [plan]; [None] on any
-    malformation (bad id, wrong outcome-string length). *)
+(** Parse a {!record_payload} back against [plan] — from a journal, a
+    cache entry or a worker's [Seg] frame alike; [None] on any
+    malformation (bad id, wrong outcome-string length, a character that
+    {!Outcome.of_char} does not decode). *)
 
 val journal_model_tag : string -> string option
 (** The [space=<tag>] token of the {!header_payload} of the journal at a

@@ -7,7 +7,7 @@ let torture_var = "FI_ENGINE_TORTURE"
 
 (* Nothing here may capture code: a remote peer is another machine, so
    [Spec.Build] closures cannot cross, and a local child gets the very
-   same bytes.  A wire cell is the Runcell-level cell description — the
+   same bytes.  A wire cell is the spec-level cell description — the
    assembled program image plus the policy fields that shape the shard
    plan — and whoever receives one re-derives everything else (golden
    run, fault-space classes, fingerprint) on its own.  Marshal without
@@ -182,9 +182,10 @@ let conduct_job conn (job : wire_job) =
      worker accelerates the same way) cross the wire: journalling,
      resume and supervision belong to the conducting parent. *)
   let policy = Spec.make_policy ?checkpoint_stride:job.stride () in
-  let cell = Runcell.analyse (spec_of_cell ~policy job.cell) in
-  let classes = cell.Runcell.classes in
-  let plan = Runcell.plan_of_policy cell.Runcell.spec.Spec.policy classes in
+  let spec = spec_of_cell ~policy job.cell in
+  let cell = Runcell.analyse spec in
+  let classes = cell.Faultspace.classes in
+  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
   let fp = Runcell.fingerprint_cell cell ~plan in
   if fp <> job.fingerprint then
     failwith

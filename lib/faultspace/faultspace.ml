@@ -94,6 +94,7 @@ let legacy = function
 type coord = { cycle : int; bit : int }
 
 type cell = {
+  model : model;
   golden : Golden.t;
   classes : Defuse.byte_class array;
   ram_bytes : int;
@@ -104,6 +105,7 @@ type cell = {
   inject : Injector.session -> coord -> Outcome.t;
   conduct :
     Injector.session -> Defuse.byte_class -> bit_in_byte:int -> Outcome.t;
+  provider : unit -> Injector.provider;
 }
 
 let experiments cell = 8 * Array.length cell.classes
@@ -121,13 +123,34 @@ let check_bounds ~cycles ~rows { cycle; bit } =
       (Printf.sprintf "Faultspace: coordinate (%d, %d) outside %d x %d" cycle
          bit cycles rows)
 
+(* Deferred so that a process which only analyses (journals, shards,
+   dispatches) never pays for the checkpoint ladder: the first caller
+   that conducts builds it, exactly once.  A mutex-guarded once-cell
+   rather than [Lazy.t]: the domains backend forces it from several
+   domains at once, which [Lazy] forbids. *)
+let provider_once ~stride golden =
+  let lock = Mutex.create () in
+  let built = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !built with
+        | Some p -> p
+        | None ->
+            let p = Injector.plan ~stride golden in
+            built := Some p;
+            p)
+
+let with_stride stride cell =
+  { cell with provider = provider_once ~stride cell.golden }
+
 (* The one constructor: [locate] and [inject] are given for in-range
    coordinates and checked here, for every model alike.  [conduct]
    injects at canonical coordinates, in range by construction. *)
-let make golden ~classes ~ram_bytes ~benign_weight ~rows ~slots ~locate ~inject
-    ~conduct =
+let make model golden ~classes ~ram_bytes ~benign_weight ~rows ~slots ~locate
+    ~inject ~conduct =
   let check = check_bounds ~cycles:golden.Golden.cycles ~rows in
   {
+    model;
     golden;
     classes;
     ram_bytes;
@@ -143,6 +166,7 @@ let make golden ~classes ~ram_bytes ~benign_weight ~rows ~slots ~locate ~inject
         check coord;
         inject session coord);
     conduct;
+    provider = provider_once ~stride:Injector.default_stride golden;
   }
 
 (* Byte-class models (memory, burst, registers): row [r] is bit [r mod 8]
@@ -171,8 +195,8 @@ let locate_byte_classes (classes : Defuse.byte_class array) { cycle; bit } =
 (* A byte-class slot is conducted as the injection at its canonical
    coordinate: the class's [t_end], directly before the activating read
    (Figure 1b), row [8 × byte + bit_in_byte]. *)
-let byte_cell golden ~classes ~ram_bytes ~benign_weight inject =
-  make golden ~classes ~ram_bytes ~benign_weight ~rows:(8 * ram_bytes)
+let byte_cell model golden ~classes ~ram_bytes ~benign_weight inject =
+  make model golden ~classes ~ram_bytes ~benign_weight ~rows:(8 * ram_bytes)
     ~slots:(8 * Array.length classes)
     ~locate:(locate_byte_classes classes) ~inject
     ~conduct:(fun session (c : Defuse.byte_class) ~bit_in_byte ->
@@ -235,7 +259,7 @@ let skip_cell (golden : Golden.t) =
           kind = Defuse.Experiment;
         })
   in
-  make golden ~classes ~ram_bytes:(Array.length classes) ~benign_weight:0
+  make Skip golden ~classes ~ram_bytes:(Array.length classes) ~benign_weight:0
     ~rows:1 ~slots:cycles
     ~locate:(fun c -> Some (c.cycle - 1))
     ~inject:inject_skip
@@ -249,9 +273,9 @@ let skip_cell (golden : Golden.t) =
 
 (* Memory and burst cells share the def/use partition, the geometry
    and the benign weight; only the injection differs. *)
-let memory_cell (golden : Golden.t) inject =
+let memory_cell model (golden : Golden.t) inject =
   let defuse = golden.Golden.defuse in
-  byte_cell golden
+  byte_cell model golden
     ~classes:(Defuse.experiment_classes defuse)
     ~ram_bytes:golden.Golden.program.Program.ram_size
     ~benign_weight:(Defuse.known_benign_weight defuse)
@@ -261,15 +285,15 @@ let of_golden model (golden : Golden.t) =
   match model with
   | Bitflip_reg ->
       invalid_arg "Faultspace.of_golden: Bitflip_reg needs a Regspace.t"
-  | Bitflip_mem -> memory_cell golden inject_mem
+  | Bitflip_mem -> memory_cell model golden inject_mem
   | Burst { width; pattern } ->
       check_burst ~width ~pattern;
       let step = match pattern with Adjacent -> 1 | Row s -> s in
-      memory_cell golden (inject_burst ~width ~step)
+      memory_cell model golden (inject_burst ~width ~step)
   | Skip -> skip_cell golden
 
 let of_regspace (r : Regspace.t) =
-  byte_cell r.Regspace.golden
+  byte_cell Bitflip_reg r.Regspace.golden
     ~classes:(Regspace.classes r)
     ~ram_bytes:Regspace.pseudo_ram_bytes
     ~benign_weight:(Defuse.known_benign_weight r.Regspace.reg_defuse)
@@ -284,20 +308,13 @@ let analyse ?limit model program =
 (* Serial conduction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let provider_for golden = function
-  | Some p ->
-      if Injector.provider_golden p != golden then
-        invalid_arg "provider was built over a different golden run";
-      p
-  | None -> Injector.plan golden
-
-let conduct_slots ?provider cell slots =
-  let session = Injector.session (provider_for cell.golden provider) in
+let conduct_slots cell slots =
+  let session = Injector.session (cell.provider ()) in
   Array.map
     (fun s -> cell.conduct session cell.classes.(s / 8) ~bit_in_byte:(s mod 8))
     slots
 
-let scan ?(variant = "baseline") ?provider cell =
+let scan ?(variant = "baseline") cell =
   (* Sessions require non-decreasing injection cycles and byte classes
      are sorted by (byte, t_start): visit the classes by t_end. *)
   let order = Array.init (Array.length cell.classes) Fun.id in
@@ -306,7 +323,7 @@ let scan ?(variant = "baseline") ?provider cell =
   let slots =
     Array.init (experiments cell) (fun i -> (8 * order.(i / 8)) + (i mod 8))
   in
-  let conducted = conduct_slots ?provider cell slots in
+  let conducted = conduct_slots cell slots in
   let outcomes = Array.make (experiments cell) Outcome.No_effect in
   Array.iteri (fun i s -> outcomes.(s) <- conducted.(i)) slots;
   Scan.of_outcomes ~variant ~ram_bytes:cell.ram_bytes

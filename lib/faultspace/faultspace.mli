@@ -6,10 +6,13 @@
     memory flips and single-bit register flips.  A {!model} is a
     first-class value describing {e which} faults a campaign injects; a
     {!cell} is that model analysed against one program: the experiment
-    equivalence classes to shard, the a-priori-benign weight, and the
+    equivalence classes to shard, the a-priori-benign weight, the
     model's raw geometry — its axes, the map from a raw coordinate to
     the experiment slot that stands for it, and the per-coordinate
-    injection every slot is conducted with.
+    injection every slot is conducted with — and the session provider
+    every conductor of the cell draws from.  It is the one analysed-cell
+    type: the serial scan, the samplers and every engine backend conduct
+    the same record.
 
     The geometry is what the paper's own checks are stated over: uniform
     sampling from the {e raw} space (Pitfall 2, {!Sampler.uniform_raw})
@@ -95,6 +98,9 @@ type coord = { cycle : int; bit : int }
     stands for it. *)
 
 type cell = {
+  model : model;
+      (** The fault model the cell was analysed under — what the
+          engine's fingerprint and journal header name ({!tag}). *)
   golden : Golden.t;  (** The shared fault-free reference run. *)
   classes : Defuse.byte_class array;
       (** Experiment equivalence classes, 8 experiment slots per class.
@@ -145,7 +151,22 @@ type cell = {
           and {!Outcome.No_effect} for skip's padding slots.  Injection
           cycles are non-decreasing when classes are visited in [t_end]
           order with ascending slots. *)
+  provider : unit -> Injector.provider;
+      (** The session provider every conductor of this cell draws from:
+          an {!Injector.plan} over [golden] at {!Injector.default_stride}
+          for a fresh cell, at another stride after {!with_stride}.
+          Built by the first call and shared by every later one, so a
+          process that only analyses or schedules never builds the
+          checkpoint ladder.  Safe to call from several domains at
+          once. *)
 }
+
+val with_stride : int -> cell -> cell
+(** [with_stride n cell] is [cell] with a fresh {!field-provider}: an
+    {!Injector.plan} at stride [n].  [with_stride 0 cell] conducts on
+    the restart-from-reset replay provider, the reference every
+    shortcut is checked against.  The two cells share everything else
+    and never each other's provider or its {!Injector.counts}. *)
 
 val of_golden : model -> Golden.t -> cell
 (** Analyse a memory-indexed model against an existing golden run.
@@ -181,32 +202,23 @@ val space : cell -> int
     {!Bitflip_reg}, [Δt] cycles for {!Skip}.  A lossless partition's
     experiment weights plus [benign_weight] sum to it. *)
 
-val scan : ?variant:string -> ?provider:Injector.provider -> cell -> Scan.t
+val scan : ?variant:string -> cell -> Scan.t
 (** The serial reference campaign of every model, and the only serial
-    scan: visit the classes in [t_end] order on one session over
-    [provider], conduct their 8 slots each with {!field-conduct}
-    ({!conduct_slots}) and assemble the result with {!Scan.of_outcomes}.
-    The campaign engine is bit-identical to it for any worker count and
-    backend.  [provider] defaults to a fresh checkpoint plan over
-    [cell.golden] at {!Injector.default_stride}; pass
-    [~provider:(Injector.replay cell.golden)] for the restart-from-reset
-    reference the plan is checked against.  [variant] is the scan's
-    label (default ["baseline"]).
+    scan: visit the classes in [t_end] order on one session over the
+    cell's {!field-provider}, conduct their 8 slots each with
+    {!field-conduct} ({!conduct_slots}) and assemble the result with
+    {!Scan.of_outcomes}.  The campaign engine is bit-identical to it for
+    any worker count and backend.  [scan (with_stride 0 cell)] is the
+    restart-from-reset reference the checkpoint plan is checked against.
+    [variant] is the scan's label (default ["baseline"]). *)
 
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
-
-val conduct_slots :
-  ?provider:Injector.provider -> cell -> int array -> Outcome.t array
+val conduct_slots : cell -> int array -> Outcome.t array
 (** [conduct_slots cell slots] conducts each experiment slot [8 × class
-    + bit] of [slots], in array order, on one session over [provider]
-    (default as in {!scan}), and returns their outcomes in the same
-    order.  The slots' canonical injection cycles must be non-decreasing
+    + bit] of [slots], in array order, on one session over the cell's
+    {!field-provider}, and returns their outcomes in the same order.
+    The slots' canonical injection cycles must be non-decreasing
     ({!Injector.session_run_flip}); {!scan} and [Sampler.conduct] order
-    them by [t_end].
-
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
+    them by [t_end]. *)
 
 val outcome_at : cell -> Scan.t -> coord -> Outcome.t
 (** The outcome a finished scan of this cell implies at a raw

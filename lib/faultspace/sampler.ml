@@ -80,7 +80,7 @@ let estimate draw outcome_of =
     distinct = List.length (distinct_slots draw);
   }
 
-let conduct ?provider (cell : Faultspace.cell) draw =
+let conduct (cell : Faultspace.cell) draw =
   let classes = cell.Faultspace.classes in
   (* The distinct slots, in the injection order a session needs. *)
   let injection_order a b =
@@ -91,7 +91,7 @@ let conduct ?provider (cell : Faultspace.cell) draw =
   let slots = Array.of_list (List.sort injection_order (distinct_slots draw)) in
   let outcomes = Hashtbl.create (Array.length slots) in
   Array.iter2 (Hashtbl.replace outcomes) slots
-    (Faultspace.conduct_slots ?provider cell slots);
+    (Faultspace.conduct_slots cell slots);
   estimate draw (Hashtbl.find outcomes)
 
 let read (scan : Scan.t) draw =

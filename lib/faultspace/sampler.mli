@@ -4,8 +4,9 @@
     A sampler {e draws}: it maps N random picks to the experiment slots
     of a {!Faultspace.cell} they fall in ([Faultspace.cell.locate]), or
     to "a-priori benign".  A {e resolver} then turns the draw into an
-    {!estimate}: {!conduct} runs the distinct slots, {!read} looks them
-    up in a finished scan of the same cell.  The machine is
+    {!estimate}: {!conduct} runs the distinct slots on the cell's own
+    session provider, {!read} looks them up in a finished scan of the
+    same cell.  The machine is
     deterministic and pruning is lossless, so both resolvers give the
     same estimate for the same draw, field for field (tested for every
     model).
@@ -64,13 +65,10 @@ val biased_per_class : Prng.t -> samples:int -> Faultspace.cell -> draw
     {!Outcome.No_effect}).  The [population] reported is w (what a naive
     evaluator would assume). *)
 
-val conduct : ?provider:Injector.provider -> Faultspace.cell -> draw -> estimate
+val conduct : Faultspace.cell -> draw -> estimate
 (** Resolve a draw by conducting its distinct slots in [t_end] order
-    with {!Faultspace.conduct_slots}, on one session over [provider]
-    (default: a fresh checkpoint plan, as in {!Faultspace.scan}).
-
-    @raise Invalid_argument if [provider] was built over a different
-    golden run. *)
+    with {!Faultspace.conduct_slots}, on one session over the cell's
+    provider ({!Faultspace.with_stride} picks its stride). *)
 
 val read : Scan.t -> draw -> estimate
 (** Resolve a draw from a finished scan of the same cell, e.g. a

@@ -4,11 +4,11 @@
     hardening {!variant}s (the paper's SUM+DMR and TMR passes, plus the
     Section-IV DFT dilution), full pruned campaigns are conducted per
     cell, and cells where fault coverage {e improves} while the weighted
-    absolute failure count {e rises} — the dilution delusion — are
-    flagged as {!finding}s.  The predicate is decided on exact integers
-    ({!Metrics.coverage_improves} /
-    {!Pitfalls.dilution_delusion}), so a finding replays bit-identically
-    on every backend and host. *)
+    absolute failure count {e rises} — the dilution delusion, the
+    sharpest form of the paper's Pitfall 3 — are flagged as
+    {!finding}s.  The predicate ({!is_dilution}) is decided on exact
+    integers, so a finding replays bit-identically on every backend and
+    host. *)
 
 type variant =
   | Sum_dmr  (** {!Harden.sum_dmr}: replica + additive checksum. *)
@@ -34,9 +34,10 @@ type tally = {
 }
 
 val is_dilution : baseline:tally -> tally -> bool
-(** [F_h > F_b] and [F_h·w_b < F_b·w_h] (integer cross-multiplication —
-    coverage improves).  Same verdict as {!Pitfalls.dilution_delusion}
-    on the underlying scans. *)
+(** [F_h > F_b] and [F_h·w_b < F_b·w_h]: failures strictly rise while
+    coverage [1 − F/w] strictly improves.  The coverage comparison is an
+    integer cross-multiplication, so the verdict is identical on every
+    host and never flips on a rounding boundary. *)
 
 type finding = {
   program : Mir.prog;

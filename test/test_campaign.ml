@@ -175,8 +175,8 @@ let test_hi_brute_force_equivalence () =
 let test_scan_strategies_agree () =
   let g = Lazy.force hi_golden in
   let cell = Faultspace.of_golden Faultspace.Bitflip_mem g in
-  let a = Faultspace.scan ~provider:(Injector.plan g) cell in
-  let b = Faultspace.scan ~provider:(Injector.replay g) cell in
+  let a = Faultspace.scan cell in
+  let b = Faultspace.scan (Faultspace.with_stride 0 cell) in
   let key (e : Scan.experiment) =
     (e.Scan.byte, e.Scan.t_start, e.Scan.bit_in_byte, e.Scan.outcome)
   in

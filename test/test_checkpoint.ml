@@ -43,8 +43,7 @@ let looper_golden = lazy (Golden.run (Codegen.compile (looper ())))
 let looper_replay =
   lazy
     (let golden = Lazy.force looper_golden in
-     Faultspace.(
-       scan ~provider:(Injector.replay golden) (of_golden Bitflip_mem golden)))
+     Faultspace.(scan (with_stride 0 (of_golden Bitflip_mem golden))))
 
 let outcome_count scan o =
   Array.fold_left
@@ -122,16 +121,14 @@ let test_stride_identity_memory () =
       check_scans_identical
         (Printf.sprintf "memory stride %d" stride)
         reference
-        Faultspace.(
-          scan ~provider:(Injector.plan ~stride golden)
-            (of_golden Bitflip_mem golden)))
+        Faultspace.(scan (with_stride stride (of_golden Bitflip_mem golden))))
     (strides golden)
 
 let test_stride_identity_registers () =
   let rt = Regspace.analyze (Codegen.compile (looper ())) in
   let rgolden = rt.Regspace.golden in
   let reference =
-    Faultspace.(scan ~provider:(Injector.replay rgolden) (of_regspace rt))
+    Faultspace.(scan (with_stride 0 (of_regspace rt)))
   in
   Alcotest.(check bool) "register fixture has timeouts" true
     (outcome_count reference Outcome.Timeout > 0);
@@ -140,7 +137,7 @@ let test_stride_identity_registers () =
       check_scans_identical
         (Printf.sprintf "registers stride %d" stride)
         reference
-        Faultspace.(scan ~provider:(Injector.plan ~stride rgolden) (of_regspace rt)))
+        Faultspace.(scan (with_stride stride (of_regspace rt))))
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
@@ -301,8 +298,8 @@ let qcheck_plan_equals_replay =
             | 1 -> 1 + (stride_seed mod golden.Golden.cycles)
             | _ -> golden.Golden.cycles + 1 + stride_seed
           in
-          Faultspace.scan ~provider:(Injector.plan ~stride golden) cell
-          = Faultspace.scan ~provider:(Injector.replay golden) cell)
+          Faultspace.(scan (with_stride stride cell))
+          = Faultspace.(scan (with_stride 0 cell)))
         [
           Faultspace.Bitflip_mem;
           Faultspace.Bitflip_reg;
@@ -376,16 +373,19 @@ let test_memo_history () =
              ])
       in
       let golden = Golden.run program in
-      let provider = Injector.plan ~stride:8 golden in
       let cell = Faultspace.of_golden Faultspace.Bitflip_mem golden in
-      let reference = Faultspace.scan ~provider:(Injector.replay golden) cell in
+      let planned = Faultspace.with_stride 8 cell in
+      let reference = Faultspace.(scan (with_stride 0 cell)) in
       Alcotest.(check bool) (what ^ ": fixture has " ^ Outcome.to_string marker)
         true
         (outcome_count reference marker > 0);
       check_scans_identical (what ^ ": plan = replay") reference
-        (Faultspace.scan ~provider cell);
+        (Faultspace.scan planned);
       Alcotest.(check bool) (what ^ ": memo hits") true
-        (Injector.exits (Injector.counts provider) Injector.Memo_hit > 0))
+        (Injector.exits
+           (Injector.counts (planned.Faultspace.provider ()))
+           Injector.Memo_hit
+        > 0))
     [
       ("output", [ out (g "a") ], Outcome.Sdc);
       (* One event more when [a] is wrong.  The branches take equal
@@ -418,9 +418,7 @@ let flag1_dmr_cells =
        (fun model ->
          let cell = Faultspace.analyse model program in
          let reference =
-           Faultspace.scan ~variant
-             ~provider:(Injector.replay cell.Faultspace.golden)
-             cell
+           Faultspace.(scan ~variant (with_stride 0 cell))
          in
          (model, cell, reference))
        memo_models)
@@ -430,12 +428,12 @@ let flag1_dmr_cells =
 let test_memo_plan_equals_replay () =
   List.iter
     (fun (model, cell, reference) ->
-      let provider = Injector.plan cell.Faultspace.golden in
+      let planned = Faultspace.with_stride Injector.default_stride cell in
       check_scans_identical
         (Faultspace.tag model ^ " plan = replay")
         reference
-        (Faultspace.scan ~variant:reference.Scan.variant ~provider cell);
-      let counts = Injector.counts provider in
+        (Faultspace.scan ~variant:reference.Scan.variant planned);
+      let counts = Injector.counts (planned.Faultspace.provider ()) in
       Alcotest.(check bool)
         (Faultspace.tag model ^ " memo hits")
         true
@@ -459,21 +457,17 @@ let test_stride_reaches_provider () =
   let registers = lazy (Regspace.analyze program) in
   List.iter
     (fun model ->
-      let spec_and_cell ?checkpoint_stride () =
-        let policy = Spec.make_policy ?checkpoint_stride () in
-        match model with
-        | Faultspace.Bitflip_reg ->
-            let r = Lazy.force registers in
-            (Spec.of_regspace ~policy r, Faultspace.of_regspace r)
-        | _ ->
-            ( Spec.of_golden ~policy ~model golden,
-              Faultspace.of_golden model golden )
-      in
       let counts ?checkpoint_stride () =
-        let spec, cell = spec_and_cell ?checkpoint_stride () in
-        let provider = (Runcell.analyse spec).Runcell.provider () in
-        ignore (Faultspace.scan ~provider cell);
-        Injector.counts provider
+        let policy = Spec.make_policy ?checkpoint_stride () in
+        let cell =
+          Runcell.analyse
+            (match model with
+            | Faultspace.Bitflip_reg ->
+                Spec.of_regspace ~policy (Lazy.force registers)
+            | _ -> Spec.of_golden ~policy ~model golden)
+        in
+        ignore (Faultspace.scan cell);
+        Injector.counts (cell.Faultspace.provider ())
       in
       let tag = Faultspace.tag model in
       let replay = counts ~checkpoint_stride:0 () in

@@ -437,8 +437,7 @@ let test_new_models_plan_vs_replay () =
       List.iter
         (fun model ->
           let reference =
-            Faultspace.scan ~provider:(Injector.replay golden)
-              (Faultspace.of_golden model golden)
+            Faultspace.(scan (with_stride 0 (of_golden model golden)))
           in
           let spec =
             Spec.of_golden
@@ -455,6 +454,55 @@ let test_new_models_plan_vs_replay () =
             [ ("domains", Pool.Domains); ("processes", Pool.Processes) ])
         [ Faultspace.burst 3; Faultspace.burst ~row:2 3; Faultspace.Skip ])
     [ ("hi", Lazy.force hi_image); ("loop", loop_image 17) ]
+
+(* ------------------------------------------------------------------ *)
+(* The cell's provider                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The domains backend forces a cell's provider from every domain at
+   once: all of them get the one ladder.  flag1's ladder takes long
+   enough to build that the four calls overlap (a [Lazy.t] provider
+   fails here with [Undefined]).  A [with_stride] cell has a provider of
+   its own, so its experiments count only there. *)
+let test_cell_provider () =
+  let cell =
+    Faultspace.of_golden Faultspace.Bitflip_mem
+      (Golden.run
+         ((Option.get (Suite.find ~benchmark:"flag1" ~variant:Suite.Baseline))
+            .Suite.build ()))
+  in
+  let ready = Atomic.make 0 in
+  let force () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    cell.Faultspace.provider ()
+  in
+  let providers =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn force))
+  in
+  let p = cell.Faultspace.provider () in
+  Alcotest.(check bool) "4 domains, one provider" true
+    (List.for_all (fun q -> q == p) providers);
+  let planned = Faultspace.with_stride 8 cell
+  and replay = Faultspace.with_stride 0 cell in
+  let provider c = c.Faultspace.provider () in
+  Alcotest.(check bool) "with_stride gives providers of their own" true
+    (provider planned != p
+    && provider replay != p
+    && provider planned != provider replay);
+  let conducted c =
+    Array.fold_left ( + ) 0 (Injector.counts (provider c)).Injector.experiments
+  in
+  (* one class's 8 slots: a single injection cycle *)
+  let slots = Array.init 8 Fun.id in
+  ignore (Faultspace.conduct_slots planned slots);
+  Alcotest.(check (list int)) "stride 8 counts only there" [ 8; 0; 0 ]
+    (List.map conducted [ planned; cell; replay ]);
+  ignore (Faultspace.conduct_slots replay slots);
+  Alcotest.(check (list int)) "replay counts only there" [ 8; 0; 8 ]
+    (List.map conducted [ planned; cell; replay ])
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints: the model is part of the campaign identity           *)
@@ -557,6 +605,8 @@ let suite =
         test_new_models_over_sockets;
       Alcotest.test_case "burst/skip plan = replay reference" `Quick
         test_new_models_plan_vs_replay;
+      Alcotest.test_case "cell provider: one per cell, domain-safe" `Quick
+        test_cell_provider;
       Alcotest.test_case "model fingerprints distinct" `Quick
         test_model_fingerprints_distinct;
       Alcotest.test_case "every model's scan sums to its space" `Quick
