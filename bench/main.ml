@@ -355,6 +355,7 @@ let perf_tests () =
   let hi_golden = Golden.run (Hi.program ()) in
   let bin_image = Bin_sem2.baseline () in
   let bin_golden = Golden.run bin_image in
+  let bin_cell = Faultspace.of_golden Faultspace.Bitflip_mem bin_golden in
   let rng = Prng.create ~seed:1L in
   let sample_words =
     Array.init 256 (fun _ -> Int64.to_int32 (Prng.next_int64 rng))
@@ -366,6 +367,14 @@ let perf_tests () =
       (Staged.stage (fun () -> ignore (Poisson.pmf ~lambda:1.66e-14 1)));
     Test.make ~name:"F1-defuse-analysis"
       (Staged.stage (fun () -> ignore (Defuse.analyze bin_golden.Golden.trace)));
+    (* The two other per-cell passes every cache hit pays before it reads
+       its journal: the t_end ranking and the campaign fingerprint. *)
+    Test.make ~name:"F1-shard-plan-bin-sem2"
+      (Staged.stage (fun () -> ignore (Shard.plan bin_cell.Faultspace.classes)));
+    Test.make ~name:"F1-fingerprint-bin-sem2"
+      (Staged.stage
+         (let plan = Shard.plan bin_cell.Faultspace.classes in
+          fun () -> ignore (Runcell.fingerprint_cell bin_cell ~plan)));
     Test.make ~name:"F3-hi-full-scan"
       (Staged.stage (fun () ->
            ignore Faultspace.(scan (of_golden Bitflip_mem hi_golden))));
@@ -375,13 +384,12 @@ let perf_tests () =
            ignore (Machine.run m ~limit:10_000_000)));
     Test.make ~name:"F2-one-experiment"
       (Staged.stage
-         (let cell = Faultspace.of_golden Faultspace.Bitflip_mem bin_golden in
-          let coord =
+         (let coord =
             { Faultspace.cycle = bin_golden.Golden.cycles / 2; bit = 64 }
           in
           fun () ->
             ignore
-              (cell.Faultspace.inject
+              (bin_cell.Faultspace.inject
                  (Injector.session (Injector.replay bin_golden))
                  coord)));
     Test.make ~name:"P2-sampling-256"

@@ -25,6 +25,8 @@ let fault_space_size t =
 let of_outcomes ~variant ~ram_bytes ~benign_weight ?slots golden
     (classes : Defuse.byte_class array) outcomes =
   let slots = Option.value slots ~default:(8 * Array.length classes) in
+  if Bytes.length outcomes <> 8 * Array.length classes then
+    invalid_arg "Scan.of_outcomes: not 8 outcomes per class";
   let experiments =
     Array.init (8 * Array.length classes) (fun idx ->
         let c = classes.(idx / 8) in
@@ -34,7 +36,10 @@ let of_outcomes ~variant ~ram_bytes ~benign_weight ?slots golden
           (* a padding slot covers the empty interval: weight 0 *)
           t_end = (if idx < slots then c.Defuse.t_end else c.Defuse.t_start - 1);
           bit_in_byte = idx mod 8;
-          outcome = outcomes.(idx);
+          outcome =
+            (match Outcome.of_char (Bytes.get outcomes idx) with
+            | Some o -> o
+            | None -> invalid_arg "Scan.of_outcomes: not an outcome character");
         })
   in
   {

@@ -45,13 +45,19 @@ val of_outcomes :
   ?slots:int ->
   Golden.t ->
   Defuse.byte_class array ->
-  Outcome.t array ->
+  Bytes.t ->
   t
-(** Assemble a scan from per-slot outcomes indexed [8 × class + bit]:
-    experiment [i] takes class [i / 8]'s coordinates and slot [i mod 8].
+(** Assemble a scan from per-slot outcomes indexed [8 × class + bit],
+    held as their journal characters ({!Outcome.to_char}): experiment
+    [i] takes class [i / 8]'s coordinates and the outcome of character
+    [i].  One byte per slot is what the engine keeps while a campaign
+    runs: a record's characters are copied in, never decoded twice.
     Slots from index [slots] on (default: none) are padding that stands
     for no fault-space coordinate: their interval is empty
     ([t_end = t_start − 1]), so they weigh 0.
     The serial reference ([Faultspace.scan]) and the parallel engine
     both build their results here, so their scans are structurally
-    equal. *)
+    equal.
+
+    @raise Invalid_argument unless there are [8 × Array.length classes]
+    characters, each an outcome's. *)

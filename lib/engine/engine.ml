@@ -79,7 +79,7 @@ type runtime = {
   cell : Faultspace.cell;
   plan : Shard.plan;
   fp : int;
-  outcomes : Outcome.t array;
+  outcomes : Bytes.t;  (** Per slot, its journal character. *)
   tally : Outcome.tally;
   shard_done : bool array;
   retries : int array;  (** Retry attempts burned, per shard. *)
@@ -97,18 +97,17 @@ type runtime = {
   mutable kills : int;  (** Workers killed on the shard deadline. *)
 }
 
-(* The one apply, for a resumed, cached or conducted shard alike:
-   decode its record into the cell's per-slot outcomes and tally, and
+(* The one apply, for a resumed, cached or conducted shard alike: copy
+   each class's eight record characters into its slots, tally them, and
    mark the shard done. *)
 let apply rt (shard : Shard.t) outs =
   for k = 0 to Shard.classes_in shard - 1 do
     let class_index = rt.plan.Shard.order.(shard.Shard.lo + k) in
-    for bit = 0 to 7 do
-      let o = Option.get (Outcome.of_char outs.[(8 * k) + bit]) in
-      rt.outcomes.((class_index * 8) + bit) <- o;
-      Outcome.tally_add rt.tally o
-    done
+    Bytes.blit_string outs (8 * k) rt.outcomes (8 * class_index) 8
   done;
+  String.iter
+    (fun c -> Outcome.tally_add rt.tally (Option.get (Outcome.of_char c)))
+    outs;
   rt.shard_done.(shard.Shard.id) <- true;
   rt.classes_done <- rt.classes_done + Shard.classes_in shard;
   rt.shards_done <- rt.shards_done + 1
@@ -207,7 +206,9 @@ let setup spec cell =
       cell;
       plan;
       fp;
-      outcomes = Array.make (8 * plan.Shard.classes_total) Outcome.No_effect;
+      outcomes =
+        Bytes.make (8 * plan.Shard.classes_total)
+          (Outcome.to_char Outcome.No_effect);
       tally = Outcome.tally_create ();
       shard_done = Array.make shards false;
       retries = Array.make shards 0;

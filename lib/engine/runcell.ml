@@ -49,37 +49,36 @@ let analyse (spec : Spec.t) =
 (* Campaign identity and journal payloads                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [string_of_int n]'s bytes, written without the intermediate string:
-   the fingerprint text holds three decimals per class. *)
-let rec add_decimal buf n =
-  if n < 0 then Buffer.add_string buf (string_of_int n)
-  else begin
-    if n >= 10 then add_decimal buf (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
-  end
+(* [string_of_int n]'s characters folded into the digest [crc], with no
+   string in between: the fingerprint text holds three decimals per
+   class. *)
+let rec crc_decimal crc n =
+  if n < 0 then
+    let s = string_of_int n in
+    Crc32.update crc s ~pos:0 ~len:(String.length s)
+  else
+    let crc = if n >= 10 then crc_decimal crc (n / 10) else crc in
+    Crc32.add_char crc (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
-(* The legacy models keep their pre-subsystem tags ("mem"/"reg"), so
-   every fingerprint — and therefore every journal and cache key — they
-   ever produced stays byte-identical. *)
+(* The CRC-32 of the text "<tag>|<name>|<cycles>|<ram>|<shard size>|
+   <sizing>|" followed by "<byte>,<t_start>,<t_end>;" per class, streamed
+   into the digest rather than built.  The legacy models keep their
+   pre-subsystem tags ("mem"/"reg"), so every fingerprint — and
+   therefore every journal and cache key — they ever produced stays
+   byte-identical. *)
 let fingerprint_cell cell ~(plan : Shard.plan) =
-  let buf = Buffer.create (64 + (Array.length cell.classes * 12)) in
-  Buffer.add_string buf (Faultspace.tag cell.model);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf cell.golden.Golden.program.Program.name;
-  Buffer.add_string buf
-    (Printf.sprintf "|%d|%d|%d|%s|" cell.golden.Golden.cycles cell.ram_bytes
-       plan.Shard.shard_size
-       (Shard.sizing_tag plan.Shard.sizing));
-  Array.iter
-    (fun (c : Defuse.byte_class) ->
-      add_decimal buf c.Defuse.byte;
-      Buffer.add_char buf ',';
-      add_decimal buf c.Defuse.t_start;
-      Buffer.add_char buf ',';
-      add_decimal buf c.Defuse.t_end;
-      Buffer.add_char buf ';')
-    cell.classes;
-  Crc32.string (Buffer.contents buf)
+  let head =
+    Printf.sprintf "%s|%s|%d|%d|%d|%s|" (Faultspace.tag cell.model)
+      cell.golden.Golden.program.Program.name cell.golden.Golden.cycles
+      cell.ram_bytes plan.Shard.shard_size
+      (Shard.sizing_tag plan.Shard.sizing)
+  in
+  Array.fold_left
+    (fun crc (c : Defuse.byte_class) ->
+      let crc = Crc32.add_char (crc_decimal crc c.Defuse.byte) ',' in
+      let crc = Crc32.add_char (crc_decimal crc c.Defuse.t_start) ',' in
+      Crc32.add_char (crc_decimal crc c.Defuse.t_end) ';')
+    (Crc32.string head) cell.classes
 
 let plan_of_policy (policy : Spec.policy) classes =
   Shard.plan

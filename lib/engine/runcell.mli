@@ -50,9 +50,10 @@ val analyse : Spec.t -> cell
 val fingerprint_cell : cell -> plan:Shard.plan -> int
 (** CRC-32 campaign identity over the fault-model tag
     ({!Faultspace.tag}), program name, golden runtime, row footprint,
-    shard geometry/sizing and full class list.  The legacy models keep
-    their pre-subsystem tags, so their fingerprints are byte-identical
-    to before. *)
+    shard geometry/sizing and full class list.  The class list's
+    decimals are streamed into the digest ({!Crc32.add_char}); no text
+    is built.  The legacy models keep their pre-subsystem tags, so their
+    fingerprints are byte-identical to before. *)
 
 val plan_of_policy : Spec.policy -> Defuse.byte_class array -> Shard.plan
 (** The shard plan a policy prescribes for a class list — the single

@@ -24,14 +24,10 @@ let plan ?shard_size ?(weighted = false) (classes : Defuse.byte_class array) =
     | Some n when n >= 1 -> n
     | Some n -> invalid_arg (Printf.sprintf "Shard.plan: shard_size %d" n)
   in
-  (* Identical ranking to the serial Faultspace.scan: a plain sort by
-     t_end.  The order of ties is stored in every journal (see [plan] in
-     shard.mli), so the algorithm ([Array.sort], not [stable_sort]) and
-     the comparison must stay. *)
-  let order = Array.init total (fun i -> i) in
-  Array.sort
-    (fun a b -> compare classes.(a).Defuse.t_end classes.(b).Defuse.t_end)
-    order;
+  (* The serial Faultspace.scan's ranking, by construction: both call
+     [Defuse.rank_by_t_end].  Its order of ties is stored in every
+     journal (see [plan] in shard.mli). *)
+  let order = Defuse.rank_by_t_end classes in
   let shards =
     if not weighted then
       let shard_count = (total + shard_size - 1) / shard_size in

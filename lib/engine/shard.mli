@@ -63,12 +63,16 @@ val plan : ?shard_size:int -> ?weighted:bool -> Defuse.byte_class array -> plan
     shards — of [shard_size] classes each by default, or by estimated
     conducted cycles with [~weighted:true] ({!By_weight}).
 
-    The rank of classes with equal [t_end] is fixed by the sort's
-    permutation, and it is part of every stored campaign: a journal
-    record holds its outcome characters in rank order, and the campaign
-    fingerprint does not cover that order.  A plan that broke ties
-    differently would replay existing journals and cache entries into
-    the wrong class slots, without any error.  The test "campaign
-    identity is pinned" (test_engine) guards the order.
+    The order is {!Defuse.rank_by_t_end}, the ranking the serial
+    [Faultspace.scan] uses too.  That is the in-repository copy of the
+    OCaml 5.1 stdlib heap sort, so the rank of classes with equal
+    [t_end] is its permutation, and it must never change: it is part of
+    every stored campaign.  A journal record holds its outcome
+    characters in rank order, and the campaign fingerprint does not
+    cover that order, so a plan that broke ties differently would replay
+    existing journals and cache entries into the wrong class slots,
+    without any error.  Keeping the sort in the repository also keeps
+    the order from following a future stdlib's [Array.sort].  The test
+    "campaign identity is pinned" (test_engine) guards the order.
 
     @raise Invalid_argument if [shard_size < 1]. *)

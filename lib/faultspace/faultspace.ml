@@ -317,15 +317,15 @@ let conduct_slots cell slots =
 let scan ?(variant = "baseline") cell =
   (* Sessions require non-decreasing injection cycles and byte classes
      are sorted by (byte, t_start): visit the classes by t_end. *)
-  let order = Array.init (Array.length cell.classes) Fun.id in
-  let t_end i = cell.classes.(i).Defuse.t_end in
-  Array.sort (fun a b -> compare (t_end a) (t_end b)) order;
+  let order = Defuse.rank_by_t_end cell.classes in
   let slots =
     Array.init (experiments cell) (fun i -> (8 * order.(i / 8)) + (i mod 8))
   in
   let conducted = conduct_slots cell slots in
-  let outcomes = Array.make (experiments cell) Outcome.No_effect in
-  Array.iteri (fun i s -> outcomes.(s) <- conducted.(i)) slots;
+  let outcomes = Bytes.create (experiments cell) in
+  Array.iteri
+    (fun i s -> Bytes.set outcomes s (Outcome.to_char conducted.(i)))
+    slots;
   Scan.of_outcomes ~variant ~ram_bytes:cell.ram_bytes
     ~benign_weight:cell.benign_weight ~slots:cell.slots cell.golden cell.classes
     outcomes

@@ -204,7 +204,8 @@ val space : cell -> int
 
 val scan : ?variant:string -> cell -> Scan.t
 (** The serial reference campaign of every model, and the only serial
-    scan: visit the classes in [t_end] order on one session over the
+    scan: visit the classes in [t_end] order ({!Defuse.rank_by_t_end},
+    the engine plan's ranking too) on one session over the
     cell's {!field-provider}, conduct their 8 slots each with
     {!field-conduct} ({!conduct_slots}) and assemble the result with
     {!Scan.of_outcomes}.  The campaign engine is bit-identical to it for

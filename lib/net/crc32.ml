@@ -17,6 +17,13 @@ let update crc s ~pos ~len =
   done;
   !c lxor 0xffffffff
 
+(* One call per character of a streamed text: the index is masked to
+   0..255, so the table lookup needs no bounds check. *)
+let add_char crc ch =
+  let c = crc lxor 0xffffffff in
+  Array.unsafe_get table ((c lxor Char.code ch) land 0xff)
+  lxor (c lsr 8) lxor 0xffffffff
+
 let string s = update 0 s ~pos:0 ~len:(String.length s)
 
 let to_hex crc = Printf.sprintf "%08x" (crc land 0xffffffff)

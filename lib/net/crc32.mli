@@ -11,6 +11,11 @@ val string : string -> int
 val update : int -> string -> pos:int -> len:int -> int
 (** Fold a substring into a running digest (start from [0]). *)
 
+val add_char : int -> char -> int
+(** Fold one character into a running digest: [add_char crc c] is
+    [update crc (String.make 1 c) ~pos:0 ~len:1], without the string.
+    For digests of text that is streamed rather than built. *)
+
 val to_hex : int -> string
 (** Fixed-width lowercase hex, e.g. ["cbf43926"]. *)
 

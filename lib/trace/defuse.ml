@@ -28,58 +28,78 @@ let total_cycles t = t.cycles
 let fault_space_size t = t.cycles * t.ram * 8
 let classes t = t.all
 
+(* Two passes over the trace, with the previous access cycle of each
+   byte in [prev] (0 = initial contents, defined at reset).  A byte gets
+   a class at every access in a cycle after its previous one — ending in
+   a read it is an experiment, in a write overwritten — and a dormant
+   class after its last access, when cycles remain.  Pass 1 counts each
+   byte's classes into [byte_offset]; pass 2 writes every class into its
+   slot of [all], in execution order, so each byte's classes come out
+   contiguous and sorted by t_start. *)
 let analyze trace =
   let ram = Trace.ram_size trace in
   let cycles = Trace.total_cycles trace in
-  (* Gather per-byte access lists (cycle, kind), in execution order. *)
-  let accesses : (int * Trace.kind) list array = Array.make ram [] in
-  Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind ->
-      accesses.(byte) <- (cycle, kind) :: accesses.(byte));
-  let out = ref [] in
-  let out_count = ref 0 in
+  let prev = Array.make ram 0 in
   let byte_offset = Array.make (ram + 1) 0 in
+  Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind:_ ->
+      (* One instruction makes at most one memory access per byte, but
+         the register pseudo-memory reads and writes a register in one
+         cycle: only the cycle's first access ends a class. *)
+      if cycle > prev.(byte) then begin
+        byte_offset.(byte + 1) <- byte_offset.(byte + 1) + 1;
+        prev.(byte) <- cycle
+      end);
   for byte = 0 to ram - 1 do
-    byte_offset.(byte) <- !out_count;
-    let acc = List.rev accesses.(byte) in
-    (* Walk intervals.  prev = cycle of previous access (0 = initial
-       contents, defined at reset). *)
-    let emit c =
-      out := c :: !out;
-      incr out_count
-    in
-    let rec walk prev = function
-      | [] ->
-          if prev < cycles then
-            emit { byte; t_start = prev + 1; t_end = cycles; kind = Dormant }
-      | (cycle, kind) :: rest ->
-          (* Two accesses in the same cycle to the same byte cannot occur
-             (one instruction makes at most one access per byte), but the
-             initial def and a cycle-0 access could never collide since
-             cycles start at 1. *)
-          if cycle > prev then begin
-            let k =
-              match (kind : Trace.kind) with
-              | Read -> Experiment
-              | Write -> Overwritten
-            in
-            emit { byte; t_start = prev + 1; t_end = cycle; kind = k }
-          end;
-          walk cycle rest
-    in
-    walk 0 acc
+    if prev.(byte) < cycles then
+      byte_offset.(byte + 1) <- byte_offset.(byte + 1) + 1;
+    byte_offset.(byte + 1) <- byte_offset.(byte + 1) + byte_offset.(byte)
   done;
-  byte_offset.(ram) <- !out_count;
-  let all = Array.of_list (List.rev !out) in
+  let all =
+    Array.make byte_offset.(ram)
+      { byte = 0; t_start = 1; t_end = cycles; kind = Dormant }
+  in
+  (* [next.(byte)]: the slot of the byte's next class. *)
+  let next = Array.sub byte_offset 0 ram in
+  Array.fill prev 0 ram 0;
+  Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind ->
+      let p = prev.(byte) in
+      if cycle > p then begin
+        let kind =
+          match (kind : Trace.kind) with
+          | Read -> Experiment
+          | Write -> Overwritten
+        in
+        all.(next.(byte)) <- { byte; t_start = p + 1; t_end = cycle; kind };
+        next.(byte) <- next.(byte) + 1;
+        prev.(byte) <- cycle
+      end);
+  for byte = 0 to ram - 1 do
+    if prev.(byte) < cycles then
+      all.(next.(byte)) <-
+        { byte; t_start = prev.(byte) + 1; t_end = cycles; kind = Dormant }
+  done;
   { ram; cycles; all; byte_offset }
 
-let experiment_classes t =
-  Array.of_list
-    (Array.fold_right
-       (fun c acc -> if c.kind = Experiment then c :: acc else acc)
-       t.all [])
+let experiment_count_of all =
+  Array.fold_left (fun n c -> if c.kind = Experiment then n + 1 else n) 0 all
 
-let experiment_count t =
-  8 * Array.fold_left (fun n c -> if c.kind = Experiment then n + 1 else n) 0 t.all
+let experiment_classes t =
+  let n = experiment_count_of t.all in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n t.all.(0) in
+    let k = ref 0 in
+    Array.iter
+      (fun c ->
+        if c.kind = Experiment then begin
+          out.(!k) <- c;
+          incr k
+        end)
+      t.all;
+    out
+  end
+
+let experiment_count t = 8 * experiment_count_of t.all
 
 let known_benign_weight t =
   8
@@ -108,3 +128,80 @@ let pruning_factor t =
   let experiments = experiment_count t in
   if experiments = 0 then infinity
   else float_of_int (fault_space_size t) /. float_of_int experiments
+
+(* The stdlib 5.1 [Array.sort] — a ternary heap sort — step for step,
+   over ints that pack (t_end, index) and compare by t_end alone, so the
+   permutation, ties included, is the one [Array.sort] gives with that
+   comparison over indices.  [maxson] returns -1 where the stdlib raises
+   [Bottom]: no exception, no closure and no boxed pair per step. *)
+let rank_by_t_end (classes : byte_class array) =
+  let n = Array.length classes in
+  let bits = ref 0 in
+  while 1 lsl !bits < n do
+    incr bits
+  done;
+  let bits = !bits in
+  let limit = max_int lsr bits in
+  let a =
+    Array.init n (fun i ->
+        let t = classes.(i).t_end in
+        if t < 0 || t > limit then
+          invalid_arg
+            (Printf.sprintf
+               "Defuse.rank_by_t_end: t_end %d does not pack with %d classes"
+               t n);
+        (t lsl bits) lor i)
+  in
+  let key x = x lsr bits in
+  let maxson l i =
+    let i31 = i + i + i + 1 in
+    if i31 + 2 < l then begin
+      let x = if key a.(i31) < key a.(i31 + 1) then i31 + 1 else i31 in
+      if key a.(x) < key a.(i31 + 2) then i31 + 2 else x
+    end
+    else if i31 + 1 < l && key a.(i31) < key a.(i31 + 1) then i31 + 1
+    else if i31 < l then i31
+    else -1
+  in
+  let rec trickle l i e =
+    let j = maxson l i in
+    if j >= 0 && key a.(j) > key e then begin
+      a.(i) <- a.(j);
+      trickle l j e
+    end
+    else a.(i) <- e
+  in
+  let rec bubble l i =
+    let j = maxson l i in
+    if j < 0 then i
+    else begin
+      a.(i) <- a.(j);
+      bubble l j
+    end
+  in
+  let rec trickleup i e =
+    let father = (i - 1) / 3 in
+    if key a.(father) < key e then begin
+      a.(i) <- a.(father);
+      if father > 0 then trickleup father e else a.(0) <- e
+    end
+    else a.(i) <- e
+  in
+  for i = ((n + 1) / 3) - 1 downto 0 do
+    trickle n i a.(i)
+  done;
+  for i = n - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup (bubble i 0) e
+  done;
+  if n > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end;
+  let mask = (1 lsl bits) - 1 in
+  for i = 0 to n - 1 do
+    a.(i) <- a.(i) land mask
+  done;
+  a

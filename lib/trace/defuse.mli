@@ -20,7 +20,13 @@
     Byte-granularity accesses mean all 8 bits of a byte share interval
     boundaries, so classes are stored per byte; an *experiment* is a
     (byte-class, bit-in-byte) pair because different bits of the same
-    interval may produce different outcomes. *)
+    interval may produce different outcomes.
+
+    {!analyze} builds the partition in two passes over the trace — count
+    each byte's classes, then write each class into its slot — so the
+    only allocations are the class records and a few arrays sized by RAM
+    and class count.  {!rank_by_t_end} is the one ranking of classes by
+    injection cycle, shared by the serial scan and the engine's plan. *)
 
 type class_kind =
   | Experiment  (** Interval ends in a read: outcome unknown, inject. *)
@@ -73,6 +79,21 @@ val find : t -> cycle:int -> byte:int -> byte_class
     [(cycle, byte)] (any bit of the byte), by binary search.
 
     @raise Invalid_argument outside the fault space. *)
+
+val rank_by_t_end : byte_class array -> int array
+(** [rank_by_t_end classes] is the permutation of indices into
+    [classes] that orders them by [t_end]: element [r] is the index of
+    the class of rank [r].  It equals, ties included,
+    [Array.sort (fun a b -> compare classes.(a).t_end classes.(b).t_end)]
+    over [0 .. n-1] as the OCaml 5.1 stdlib implements it (a ternary
+    heap sort, not stable), whose steps it repeats over packed
+    [(t_end, index)] ints, with no allocation per step.  The order of
+    ties is written into every journal and cache entry (see
+    [Shard.plan]), so it is fixed here rather than left to the stdlib.
+
+    @raise Invalid_argument if some [t_end] is negative or does not fit
+    beside the index, i.e. [t_end >= 2{^(62 - ⌈log₂ n⌉)}] — more than
+    2{^34} cycles even with 2{^28} classes. *)
 
 val pruning_factor : t -> float
 (** Raw fault-space size divided by the number of experiments — the

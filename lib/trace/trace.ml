@@ -1,10 +1,11 @@
 type kind = Read | Write
 
-type entry = { cycle : int; addr : int; width : int; kind : kind }
-
+(* One access is two ints: its cycle in [cycles], and in [packed]
+   [addr lsl 4 lor width lsl 1 lor kind] (kind bit 1 = write). *)
 type t = {
   ram : int;
-  mutable items : entry array;
+  mutable cycles_of : int array;
+  mutable packed : int array;
   mutable len : int;
   mutable last_cycle : int;
   mutable cycles : int option; (* Some after seal *)
@@ -12,8 +13,13 @@ type t = {
 
 let create ~ram_size =
   if ram_size <= 0 then invalid_arg "Trace.create: ram_size must be positive";
-  { ram = ram_size; items = Array.make 1024 { cycle = 0; addr = 0; width = 0; kind = Read };
+  { ram = ram_size; cycles_of = Array.make 1024 0; packed = Array.make 1024 0;
     len = 0; last_cycle = 0; cycles = None }
+
+let grow a len =
+  let bigger = Array.make (2 * len) 0 in
+  Array.blit a 0 bigger 0 len;
+  bigger
 
 let add t ~cycle ~addr ~width ~kind =
   if t.cycles <> None then invalid_arg "Trace.add: trace already sealed";
@@ -22,12 +28,13 @@ let add t ~cycle ~addr ~width ~kind =
   if addr < 0 || addr + width > t.ram then
     invalid_arg "Trace.add: access outside RAM";
   if width <> 1 && width <> 4 then invalid_arg "Trace.add: width must be 1 or 4";
-  if t.len = Array.length t.items then begin
-    let bigger = Array.make (2 * t.len) t.items.(0) in
-    Array.blit t.items 0 bigger 0 t.len;
-    t.items <- bigger
+  if t.len = Array.length t.cycles_of then begin
+    t.cycles_of <- grow t.cycles_of t.len;
+    t.packed <- grow t.packed t.len
   end;
-  t.items.(t.len) <- { cycle; addr; width; kind };
+  t.cycles_of.(t.len) <- cycle;
+  t.packed.(t.len) <-
+    (addr lsl 4) lor (width lsl 1) lor (match kind with Read -> 0 | Write -> 1);
   t.len <- t.len + 1;
   t.last_cycle <- cycle
 
@@ -47,8 +54,9 @@ let length t = t.len
 
 let iter_byte_accesses t f =
   for i = 0 to t.len - 1 do
-    let e = t.items.(i) in
-    for b = e.addr to e.addr + e.width - 1 do
-      f ~byte:b ~cycle:e.cycle ~kind:e.kind
+    let cycle = t.cycles_of.(i) and p = t.packed.(i) in
+    let addr = p lsr 4 and kind = if p land 1 = 0 then Read else Write in
+    for byte = addr to addr + ((p lsr 1) land 7) - 1 do
+      f ~byte ~cycle ~kind
     done
   done

@@ -3,13 +3,13 @@
     A golden (fault-free) run of a benchmark is observed through the
     machine's tracer hook; the recorded sequence of RAM accesses is the
     input to def/use pruning (Section III-C of the paper).  ROM and MMIO
-    accesses are not recorded — they are outside the fault space. *)
+    accesses are not recorded — they are outside the fault space.
+
+    The trace is flat: each access is two ints in two growable arrays
+    (its cycle, and its address, width and kind packed together), so a
+    golden run of N accesses allocates a few arrays, not N records. *)
 
 type kind = Read | Write
-
-type entry = { cycle : int; addr : int; width : int; kind : kind }
-(** One access: instruction at [cycle] touched [width] bytes starting at
-    RAM offset [addr]. *)
 
 type t
 (** A trace under construction or sealed. *)
@@ -18,7 +18,8 @@ val create : ram_size:int -> t
 (** Empty trace for a machine with [ram_size] bytes of RAM. *)
 
 val add : t -> cycle:int -> addr:int -> width:int -> kind:kind -> unit
-(** Append one access.  Cycles must be non-decreasing.
+(** Append one access: the instruction at [cycle] touched [width] bytes
+    starting at RAM offset [addr].  Cycles must be non-decreasing.
 
     @raise Invalid_argument on out-of-range or out-of-order accesses. *)
 

@@ -413,6 +413,43 @@ let test_foreign_outcome_character_is_a_miss () =
         again.Engine.cached;
       check_scans_identical "hit after the miss" serial again.Engine.scan)
 
+(* What a hit allocates, as a deterministic counter: minor-heap words of
+   one hit of bin_sem2/baseline, from analysis through the finished
+   scan.  Direct major allocations (arrays past the minor-heap size
+   limit) are not minor words, so they do not show here; the budget
+   catches the per-access, per-class and per-slot garbage of the
+   analysis and replay passes.  Measured on OCaml 5.1.1: 892,407 words
+   before the flat trace, two-pass def/use, packed ranking and streamed
+   fingerprint, 592,188 after.  [Gc.minor_words] counts the calling
+   domain only, so the count is exact only if the hit starts no domain:
+   domain ids are handed out in increasing order, so a domain started
+   just after the hit must take the next id after one started just
+   before it. *)
+let hit_minor_words_budget = 650_000
+
+let test_hit_allocation_budget () =
+  with_temp_dir (fun dir ->
+      let spec =
+        match Suite.find ~benchmark:"bin_sem2" ~variant:Suite.Baseline with
+        | Some e -> Suite.spec_of ~policy:(Spec.make_policy ~catalogue:dir ~cache:dir ()) e
+        | None -> Alcotest.fail "no bin_sem2/baseline in the suite"
+      in
+      let cold = Engine.run_matrix_results [ spec ] in
+      Alcotest.(check (list bool)) "cold run conducts" [ false ]
+        (List.map (fun r -> r.Engine.cached) cold);
+      let next_domain () = (Domain.join (Domain.spawn Domain.self) :> int) in
+      let before = next_domain () in
+      let w0 = Gc.minor_words () in
+      let warm = Engine.run_matrix_results [ spec ] in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "the hit starts no domain" (before + 1)
+        (next_domain ());
+      Alcotest.(check (list bool)) "second run is a hit" [ true ]
+        (List.map (fun r -> r.Engine.cached) warm);
+      if words > float_of_int hit_minor_words_budget then
+        Alcotest.failf "a hit allocated %.0f minor words (budget %d)" words
+          hit_minor_words_budget)
+
 let suite =
   ( "cache",
     [
@@ -440,4 +477,6 @@ let suite =
         test_corrupt_cached_journal_degrades_to_miss;
       Alcotest.test_case "foreign outcome character is a miss" `Quick
         test_foreign_outcome_character_is_a_miss;
+      Alcotest.test_case "a hit stays within its allocation budget" `Quick
+        test_hit_allocation_budget;
     ] )

@@ -189,6 +189,196 @@ let qcheck_partition_exact =
                0 (Defuse.classes d))
          = Defuse.fault_space_size d)
 
+(* The list-based def/use analysis this module replaced, kept as the
+   oracle for the two-pass one: per-byte cons lists of accesses, each
+   reversed and walked into a list of classes.  It reads the accesses
+   from a plain list in execution order, not from a [Trace.t], so it
+   checks the flat trace's byte expansion as well. *)
+let list_analyze ~ram ~cycles accesses =
+  let per_byte : (int * Trace.kind) list array = Array.make ram [] in
+  List.iter
+    (fun (cycle, addr, width, kind) ->
+      for byte = addr to addr + width - 1 do
+        per_byte.(byte) <- (cycle, kind) :: per_byte.(byte)
+      done)
+    accesses;
+  let out = ref [] in
+  for byte = 0 to ram - 1 do
+    let emit c = out := c :: !out in
+    let rec walk prev = function
+      | [] ->
+          if prev < cycles then
+            emit { Defuse.byte; t_start = prev + 1; t_end = cycles; kind = Defuse.Dormant }
+      | (cycle, kind) :: rest ->
+          if cycle > prev then begin
+            let kind =
+              match (kind : Trace.kind) with
+              | Trace.Read -> Defuse.Experiment
+              | Trace.Write -> Defuse.Overwritten
+            in
+            emit { Defuse.byte; t_start = prev + 1; t_end = cycle; kind }
+          end;
+          walk cycle rest
+    in
+    walk 0 (List.rev per_byte.(byte))
+  done;
+  Array.of_list (List.rev !out)
+
+(* [classes], [experiment_classes], [known_benign_weight] and [find]
+   (at every class's first and last cycle) of [d] against the oracle's
+   classes; [None] when they agree. *)
+let defuse_disagreement d oracle =
+  let experiments =
+    Array.of_list
+      (List.filter
+         (fun c -> c.Defuse.kind = Defuse.Experiment)
+         (Array.to_list oracle))
+  in
+  let benign =
+    8
+    * Array.fold_left
+        (fun n c -> if c.Defuse.kind = Defuse.Experiment then n else n + Defuse.weight c)
+        0 oracle
+  in
+  if Defuse.classes d <> oracle then Some "classes"
+  else if Defuse.experiment_classes d <> experiments then Some "experiment_classes"
+  else if Defuse.known_benign_weight d <> benign then Some "known_benign_weight"
+  else
+    Array.fold_left
+      (fun acc c ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+            let at cycle = Defuse.find d ~cycle ~byte:c.Defuse.byte = c in
+            if at c.Defuse.t_start && at c.Defuse.t_end then None
+            else Some (Printf.sprintf "find in byte %d at [%d, %d]" c.Defuse.byte
+                         c.Defuse.t_start c.Defuse.t_end))
+      None oracle
+
+(* Sealed random traces: byte and word accesses (the last RAM word
+   among them), several per cycle — one byte may be read and written in
+   the same cycle, as the register pseudo-memory does — and bytes that
+   are never touched. *)
+let gen_mixed_accesses =
+  let open QCheck.Gen in
+  let* words = int_range 1 4 in
+  let ram = 4 * words in
+  let* cycles = int_range 1 40 in
+  let* n = int_range 0 40 in
+  let access =
+    let* cycle = int_range 1 cycles in
+    let* word = bool in
+    let* addr =
+      if word then oneof [ return (ram - 4); int_range 0 (ram - 4) ]
+      else int_range 0 (ram - 1)
+    in
+    let* read = bool in
+    return (cycle, addr, (if word then 4 else 1), if read then Trace.Read else Trace.Write)
+  in
+  let* accesses = list_repeat n access in
+  let accesses =
+    List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) accesses
+  in
+  return (ram, cycles, accesses)
+
+let qcheck_flat_defuse_matches_lists =
+  QCheck.Test.make ~name:"def/use two-pass analysis equals the list algorithm"
+    ~count:500
+    (QCheck.make gen_mixed_accesses)
+    (fun (ram, cycles, accesses) ->
+      let t = Trace.create ~ram_size:ram in
+      List.iter
+        (fun (cycle, addr, width, kind) -> Trace.add t ~cycle ~addr ~width ~kind)
+        accesses;
+      Trace.seal t ~total_cycles:cycles;
+      match defuse_disagreement (Defuse.analyze t) (list_analyze ~ram ~cycles accesses) with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s differ" what)
+
+(* The same on every suite program's golden run, its accesses recorded
+   a second time by a tracer of the test's own. *)
+let test_suite_defuse_matches_lists () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let program = e.Suite.build () in
+      let accesses = ref [] in
+      let tracer ~cycle ~addr ~width ~kind =
+        let kind =
+          match (kind : Machine.access_kind) with
+          | Machine.Read -> Trace.Read
+          | Machine.Write -> Trace.Write
+        in
+        accesses := (cycle, addr, width, kind) :: !accesses
+      in
+      let golden = Golden.run program in
+      let m = Machine.create ~tracer program in
+      ignore (Machine.run m ~limit:(golden.Golden.cycles + 1));
+      let oracle =
+        list_analyze ~ram:program.Program.ram_size ~cycles:golden.Golden.cycles
+          (List.rev !accesses)
+      in
+      match defuse_disagreement golden.Golden.defuse oracle with
+      | None -> ()
+      | Some what ->
+          Alcotest.failf "%s/%s: %s differ" e.Suite.benchmark
+            (Suite.variant_name e.Suite.variant) what)
+    Suite.all
+
+(* ------------------------------------------------------------------ *)
+(* Ranking by injection cycle                                         *)
+(* ------------------------------------------------------------------ *)
+
+let classes_of_t_ends =
+  Array.map (fun t_end ->
+      { Defuse.byte = 0; t_start = 1; t_end; kind = Defuse.Experiment })
+
+(* The index bits [Defuse.rank_by_t_end] packs beside each t_end. *)
+let index_bits n =
+  let b = ref 0 in
+  while 1 lsl !b < n do incr b done;
+  !b
+
+(* Two kinds of t_end arrays: tie-heavy (keys in 0..k for a small k)
+   and wide (keys within a few units of the packing bound). *)
+let gen_t_ends =
+  let open QCheck.Gen in
+  let* n = int_range 0 3000 in
+  let* wide = bool in
+  if wide then
+    let bound = max_int lsr index_bits n in
+    let* spread = int_range 0 64 in
+    array_repeat n (map (fun d -> bound - d) (int_range 0 spread))
+  else
+    let* k = int_range 0 8 in
+    array_repeat n (int_range 0 k)
+
+let qcheck_rank_is_stdlib_sort =
+  QCheck.Test.make ~name:"rank_by_t_end is the stdlib heap sort over indices"
+    ~count:300
+    (QCheck.make
+       ~print:(fun a -> Printf.sprintf "%d t_ends" (Array.length a))
+       gen_t_ends)
+    (fun t_end ->
+      let expected = Array.init (Array.length t_end) Fun.id in
+      Array.sort (fun a b -> compare t_end.(a) t_end.(b)) expected;
+      Defuse.rank_by_t_end (classes_of_t_ends t_end) = expected)
+
+let test_rank_packing_bound () =
+  let raises t_ends =
+    match Defuse.rank_by_t_end (classes_of_t_ends t_ends) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  (* two classes pack one index bit *)
+  let bound = max_int lsr 1 in
+  Alcotest.(check (array int)) "at the bound" [| 1; 0 |]
+    (Defuse.rank_by_t_end (classes_of_t_ends [| bound; 0 |]));
+  Alcotest.(check bool) "oversize t_end raises" true (raises [| 0; bound + 1 |]);
+  Alcotest.(check bool) "negative t_end raises" true (raises [| -1; 0 |]);
+  Alcotest.(check (array int)) "empty" [||] (Defuse.rank_by_t_end [||]);
+  Alcotest.(check (array int)) "one class" [| 0 |]
+    (Defuse.rank_by_t_end (classes_of_t_ends [| max_int |]))
+
 (* ------------------------------------------------------------------ *)
 (* Fault-space geometry                                               *)
 (* ------------------------------------------------------------------ *)
@@ -272,6 +462,11 @@ let suite =
       Alcotest.test_case "back-to-back reads" `Quick test_defuse_back_to_back;
       Alcotest.test_case "find errors" `Quick test_defuse_find_errors;
       QCheck_alcotest.to_alcotest qcheck_partition_exact;
+      QCheck_alcotest.to_alcotest qcheck_flat_defuse_matches_lists;
+      Alcotest.test_case "suite def/use equals the list algorithm" `Quick
+        test_suite_defuse_matches_lists;
+      QCheck_alcotest.to_alcotest qcheck_rank_is_stdlib_sort;
+      Alcotest.test_case "rank packing bound" `Quick test_rank_packing_bound;
       Alcotest.test_case "fault-space size" `Quick test_faultspace_size;
       Alcotest.test_case "contains" `Quick test_faultspace_contains;
       Alcotest.test_case "canonical injection" `Quick test_canonical_injection;
