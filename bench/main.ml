@@ -375,6 +375,13 @@ let perf_tests () =
       (Staged.stage
          (let plan = Shard.plan bin_cell.Faultspace.classes in
           fun () -> ignore (Runcell.fingerprint_cell bin_cell ~plan)));
+    (* A cell's set-up past its analysis, from the image, so that each
+       run records a fresh register trace: a memory cell's golden run
+       and checkpoint ladder, and a register cell's analysis. *)
+    Test.make ~name:"F1-ladder-build-bin-sem2"
+      (Staged.stage (fun () -> ignore (Injector.plan (Golden.run bin_image))));
+    Test.make ~name:"F1-regspace-bin-sem2"
+      (Staged.stage (fun () -> ignore (Regspace.analyze bin_image)));
     Test.make ~name:"F3-hi-full-scan"
       (Staged.stage (fun () ->
            ignore Faultspace.(scan (of_golden Bitflip_mem hi_golden))));

@@ -27,45 +27,48 @@ type plan = {
   reg_mask : int array; (* per ladder entry: live-in register bitmask *)
 }
 
-(* Walk one location's chronological access list ([(cycle, is_read)],
-   reads before writes within a cycle) against the ascending ladder
-   cycles: the location is live-in at checkpoint [c] iff its first
-   access after [c] is a read. *)
-let fold_live_in ~ladder_cycles accesses ~live =
-  let nl = Array.length ladder_cycles in
-  let rec fill i accesses =
-    if i < nl then
-      match accesses with
-      | [] -> () (* never accessed again: dead for every later entry *)
-      | (a, is_read) :: rest ->
-          if a <= ladder_cycles.(i) then fill i rest
-          else begin
-            if is_read then live i;
-            fill (i + 1) accesses
-          end
+(* Live-in sets by one backward sweep per location kind.  Walking the
+   golden run from its last cycle down, [live] holds the locations whose
+   first access after the cycles walked so far is a read; once every
+   cycle after rung [i] is walked, it is rung [i]'s live-in set.  Within
+   a cycle the reads come before the writes, so the sweep applies a
+   cycle's writes (dead) before its reads (live). *)
+let live_in trace ~registers rungs =
+  let nl = Array.length rungs in
+  let ram = Array.make nl Bytes.empty and regs = Array.make nl 0 in
+  let live = Bytes.make (Trace.ram_size trace) '\000' in
+  let mark j k kind c =
+    for a = j to k - 1 do
+      if Trace.kind trace a = kind then
+        Bytes.fill live (Trace.addr trace a) (Trace.width trace a) c
+    done
   in
-  fill 0 accesses
+  (* the accesses from [j] on and the cycles after [c] are walked *)
+  let j = ref (Trace.length trace) and c = ref (Bytes.length registers / 4) in
+  let live_regs = ref 0 in
+  for i = nl - 1 downto 0 do
+    while !j > 0 && Trace.cycle trace (!j - 1) > rungs.(i) do
+      let k = !j and cycle = Trace.cycle trace (!j - 1) in
+      while !j > 0 && Trace.cycle trace (!j - 1) = cycle do
+        decr j
+      done;
+      mark !j k Trace.Write '\000';
+      mark !j k Trace.Read '\xff'
+    done;
+    ram.(i) <- Bytes.copy live;
+    while !c > rungs.(i) do
+      let m = Golden.uses_defs registers !c in
+      live_regs := (!live_regs land lnot (m lsr 16)) lor (m land 0xFFFF);
+      decr c
+    done;
+    regs.(i) <- !live_regs
+  done;
+  (ram, regs)
 
 (* The plan, and a fork of its machine taken before the replay: the
    provider's reset machine, sharing the ladder's compiled code. *)
 let build_plan golden ~stride =
-  (* Replay the golden execution once, tracing register accesses for
-     the register live-in masks and capturing the checkpoint ladder. *)
-  let reg_acc = Array.make 16 [] in
-  let exec_tracer ~cycle instr =
-    let writes, reads = Isa.defs_uses instr in
-    List.iter
-      (fun r ->
-        let i = Isa.reg_index r in
-        reg_acc.(i) <- (cycle, true) :: reg_acc.(i))
-      reads;
-    List.iter
-      (fun r ->
-        let i = Isa.reg_index r in
-        reg_acc.(i) <- (cycle, false) :: reg_acc.(i))
-      writes
-  in
-  let machine = Machine.create ~exec_tracer golden.Golden.program in
+  let machine = Machine.create golden.Golden.program in
   let reset = Machine.fork machine in
   let stop, ladder =
     Machine.run_checkpointed machine ~stride
@@ -79,34 +82,13 @@ let build_plan golden ~stride =
         (Format.asprintf "Injector: checkpoint replay stopped with %a"
            Machine.pp_stop_reason reason));
   let ladder_cycles = Array.map Machine.Snapshot.cycle ladder in
-  let nl = Array.length ladder_cycles in
-  let ram_size = golden.Golden.program.Program.ram_size in
-  let ram_acc = Array.make ram_size [] in
-  Trace.iter_byte_accesses golden.Golden.trace (fun ~byte ~cycle ~kind ->
-      ram_acc.(byte) <- (cycle, kind = Trace.Read) :: ram_acc.(byte));
-  let masks = Array.init nl (fun _ -> Bytes.make ram_size '\000') in
-  for b = ram_size - 1 downto 0 do
-    let accesses =
-      List.sort
-        (fun (c1, r1) (c2, r2) ->
-          if c1 <> c2 then compare c1 c2 else compare r2 r1 (* reads first *))
-        (List.rev ram_acc.(b))
-    in
-    fold_live_in ~ladder_cycles accesses ~live:(fun i ->
-        Bytes.set masks.(i) b '\xff')
-  done;
-  let reg_mask = Array.make nl 0 in
-  for r = 1 to 15 do
-    fold_live_in ~ladder_cycles (List.rev reg_acc.(r)) ~live:(fun i ->
-        reg_mask.(i) <- reg_mask.(i) lor (1 lsl r))
-  done;
+  let ram, reg_mask =
+    live_in golden.Golden.trace ~registers:(Golden.registers golden)
+      ladder_cycles
+  in
   ( reset,
-    {
-      ladder;
-      ladder_cycles;
-      ram_live = Array.map Machine.live_ram masks;
-      reg_mask;
-    } )
+    { ladder; ladder_cycles; ram_live = Array.map Machine.live_ram ram; reg_mask }
+  )
 
 (* How many ladder entries lie at or below [cycle]: the index of the
    first one strictly ahead of it. *)
@@ -407,6 +389,9 @@ let plan ?(stride = default_stride) golden =
   else
     let reset, plan = build_plan golden ~stride in
     make golden ~reset (Planned plan)
+
+let ladder_cycles p =
+  match p.impl with Replay -> [||] | Planned plan -> plan.ladder_cycles
 
 type counts = {
   experiments : int array;

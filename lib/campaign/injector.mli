@@ -15,16 +15,17 @@
 
     Two providers exist.  {!replay} re-executes from reset for every
     session (the textbook procedure; the reference semantics).  {!plan}
-    replays the golden execution once, capturing a {!Machine.Snapshot}
-    ladder every [stride] cycles, and then
+    replays the golden execution once on the compiled interpreter,
+    capturing a {!Machine.Snapshot} ladder every [stride] cycles, and
+    then
 
     - starts each session's pristine machine from the nearest checkpoint
       at or below its first injection cycle instead of from reset, and
     - classifies a faulty run as soon as it provably re-converges with
       the golden execution at a checkpoint (pc, cycle and every
-      still-live RAM byte and register agree — liveness comes from the
-      golden def/use trace) instead of simulating the remaining cycles,
-      and
+      still-live RAM byte and register agree — liveness is {!live_in}
+      over the golden run's RAM and register traces) instead of
+      simulating the remaining cycles, and
     - classifies a faulty run as soon as it reaches, at a checkpoint, a
       machine state that an earlier run of the same provider reached
       there: the memo of faulty states, keyed by the exact sparse
@@ -50,9 +51,11 @@ val replay : Golden.t -> provider
 
 val plan : ?stride:int -> Golden.t -> provider
 (** Checkpoint-plan provider with a ladder every [stride] cycles
-    (default {!default_stride}).  Costs one traced replay of the golden
-    run plus [cycles/stride] machine snapshots up front.  [stride <= 0]
-    degrades to {!replay}, with no memo.
+    (default {!default_stride}).  Costs one compiled replay of the
+    golden run, [cycles/stride] machine snapshots, the golden run's
+    register trace ({!Golden.registers}, recorded once per golden run
+    and shared with {!Regspace.of_golden}) and one {!live_in} sweep up
+    front.  [stride <= 0] degrades to {!replay}, with no memo.
 
     A run that misses the splice at every 8th rung looks its state up
     in the memo; a hit ends the run with the stored outcome, and a
@@ -62,6 +65,22 @@ val plan : ?stride:int -> Golden.t -> provider
     insert.  It holds at most 5 MiB, outside the OCaml heap, whatever
     the number of providers: when its young half fills, the older half
     is dropped. *)
+
+val ladder_cycles : provider -> int array
+(** The cycles of the plan's checkpoint rungs, ascending; empty for
+    {!replay}.  Read-only. *)
+
+val live_in :
+  Trace.t -> registers:Bytes.t -> int array -> Bytes.t array * int array
+(** [live_in trace ~registers rungs]: for each cycle [c] of the
+    ascending [rungs], the RAM bytes and the registers whose first
+    access after cycle [c] is a read — the live-in sets {!plan} compares
+    a faulty run on at a rung.  [registers] is a register trace
+    ({!Golden.registers}).  A RAM mask has one byte per RAM byte,
+    ['\xff'] when live; a register mask sets bit [r] when register [r]
+    is live.  Within a cycle the reads come before the writes, and a
+    location not accessed after [c] is dead.  One backward sweep over
+    each trace: linear in their lengths plus the masks it returns. *)
 
 val default_stride : int
 (** 128 — around a hundred checkpoints for the bundled kernels; memory

@@ -3,37 +3,32 @@ let pseudo_ram_bytes = 4 * register_count
 
 type t = { golden : Golden.t; reg_defuse : Defuse.t }
 
-let pseudo_addr r = 4 * (Isa.reg_index r - 1)
-
 let coord_of_bit bit =
   let reg = 1 + (bit / 32) in
   (reg, bit mod 32)
 
-let analyze ?limit program =
-  let golden = Golden.run ?limit program in
+(* Register [r] is the pseudo-memory word at byte [4 (r - 1)].  Each
+   cycle's reads go in before its write: Defuse lets only a cycle's
+   first access to a byte end a class, so a register read and written
+   in one cycle ends an experiment class. *)
+let of_golden golden =
   let trace = Trace.create ~ram_size:pseudo_ram_bytes in
-  let exec_tracer ~cycle instr =
-    let writes, reads = Isa.defs_uses instr in
-    (* Reads happen before the write within the cycle; Defuse relies on
-       that ordering for same-cycle read+write of one register. *)
-    List.iter
-      (fun r ->
-        Trace.add trace ~cycle ~addr:(pseudo_addr r) ~width:4 ~kind:Trace.Read)
-      reads;
-    List.iter
-      (fun r ->
-        Trace.add trace ~cycle ~addr:(pseudo_addr r) ~width:4 ~kind:Trace.Write)
-      writes
+  (* [bits]: bit 0 stands for register [r] *)
+  let rec add ~cycle bits r kind =
+    if bits <> 0 then begin
+      if bits land 1 <> 0 then
+        Trace.add trace ~cycle ~addr:(4 * (r - 1)) ~width:4 ~kind;
+      add ~cycle (bits lsr 1) (r + 1) kind
+    end
   in
-  let machine = Machine.create ~exec_tracer program in
-  (match Machine.run machine ~limit:(golden.Golden.cycles + 1) with
-  | Machine.Halted -> ()
-  | reason ->
-      (* The machine is deterministic; a divergence here is a bug. *)
-      invalid_arg
-        (Format.asprintf "Regspace.analyze: register trace run stopped with %a"
-           Machine.pp_stop_reason reason));
+  let registers = Golden.registers golden in
+  for cycle = 1 to golden.Golden.cycles do
+    let mask = Golden.uses_defs registers cycle in
+    add ~cycle ((mask land 0xFFFF) lsr 1) 1 Trace.Read;
+    add ~cycle (mask lsr 17) 1 Trace.Write
+  done;
   Trace.seal trace ~total_cycles:golden.Golden.cycles;
   { golden; reg_defuse = Defuse.analyze trace }
 
+let analyze ?limit program = of_golden (Golden.run ?limit program)
 let classes t = Defuse.experiment_classes t.reg_defuse

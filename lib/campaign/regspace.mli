@@ -2,11 +2,12 @@
 
     "Every bit in […] the CPU registers […] could be part of the fault
     space — requiring to also record read and write accesses to these
-    bits for def/use pruning."  This module does exactly that: it derives
-    per-cycle register def/use sets from the executed instruction stream,
-    reuses the def/use machinery by mapping register [i] (1–15; [r0] is
-    hardwired and immune) onto a 60-byte pseudo-memory at bytes
-    [4·(i−1) … 4·i) ({!coord_of_bit} inverts the layout).  The register
+    bits for def/use pruning."  This module does exactly that: it reads
+    the per-cycle register reads and writes of the golden run's register
+    trace ({!Golden.registers}) and reuses the def/use machinery by
+    mapping register [i] (1–15; [r0] is hardwired and immune) onto a
+    60-byte pseudo-memory at bytes [4·(i−1) … 4·i) ({!coord_of_bit}
+    inverts the layout).  The register
     cell of [Faultspace.of_regspace] owns the space's geometry and
     injects its register-bit flips; campaigns run through it.
 
@@ -27,9 +28,14 @@ type t = {
       (** Register def/use partition over the pseudo-memory. *)
 }
 
+val of_golden : Golden.t -> t
+(** The register partition of a golden run, from its shared register
+    trace ({!Golden.registers}): the program does not run again when
+    that trace is already recorded, and a checkpoint ladder over the
+    same golden run reuses it. *)
+
 val analyze : ?limit:int -> Program.t -> t
-(** Run the program twice (deterministically identical): once for the
-    memory-space golden, once tracing register accesses. *)
+(** [of_golden (Golden.run ?limit program)]. *)
 
 val classes : t -> Defuse.byte_class array
 (** The register-space experiment classes over the pseudo-memory —

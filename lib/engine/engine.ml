@@ -36,15 +36,19 @@ type result = {
 (* Journal resolution (explicit path or fingerprint path)             *)
 (* ------------------------------------------------------------------ *)
 
+(* Without a journal directory, a cell with a result cache journals
+   into the store's own layout: publishing needs a journal on disk. *)
 let resolve_journal ~fingerprint (policy : Spec.policy) =
-  match policy.Spec.durability.Spec.journal with
-  | Some path -> Some path
-  | None ->
+  match policy.Spec.durability with
+  | { Spec.journal = Some path; _ } -> Some path
+  | { Spec.catalogue; _ } ->
       Option.map
         (fun dir ->
           Cache.ensure_dir dir;
           Cache.journal_path ~dir ~fingerprint)
-        policy.Spec.durability.Spec.catalogue
+        (match catalogue with
+        | Some _ -> catalogue
+        | None -> policy.Spec.acceleration.Spec.cache)
 
 (* ------------------------------------------------------------------ *)
 (* Shard records                                                      *)

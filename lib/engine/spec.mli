@@ -86,7 +86,9 @@ type acceleration = {
           consults the content-addressed store before scheduling any
           shards — a hit replays the cached journal to bit-identical
           results with zero shard executions — and publishes this
-          cell's journal on clean completion.  [None] disables both
+          cell's journal on clean completion.  With neither [journal]
+          nor [catalogue] set, that journal is written in this
+          directory, at [Cache.journal_path].  [None] disables both
           directions.  Not part of the campaign fingerprint. *)
   checkpoint_stride : int option;
       (** Checkpoint ladder stride, in cycles, for the snapshot-

@@ -190,8 +190,13 @@ val of_regspace : Regspace.t -> cell
 (** The {!Bitflip_reg} cell of an existing register analysis. *)
 
 val analyse : ?limit:int -> model -> Program.t -> cell
-(** Analyse from scratch: {!Golden.run} (plus {!Regspace.analyze} for
-    {!Bitflip_reg}) and dispatch to {!of_golden}/{!of_regspace}. *)
+(** Analyse from scratch: one {!Golden.run}, then {!of_golden}, or
+    {!of_regspace} of {!Regspace.of_golden} for {!Bitflip_reg}.  The
+    program runs once more, on the reference interpreter, to record the
+    golden run's register trace ({!Golden.registers}) — at analysis for
+    {!Bitflip_reg}, at the first ladder build otherwise — and never
+    again for this cell: its analysis and its ladder share that
+    trace. *)
 
 val experiments : cell -> int
 (** [8 × Array.length classes] — the campaign's experiment count. *)

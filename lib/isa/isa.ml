@@ -106,19 +106,17 @@ let branch_targets = function
   | Jmp t | Jal (_, t) -> [ t ]
   | Nop | Halt | Li _ | Alu _ | Alui _ | Lb _ | Lw _ | Sb _ | Sw _ | Jr _ -> []
 
-let defs_uses instr =
-  let writes, reads =
-    match instr with
-    | Nop | Halt -> ([], [])
-    | Li (rd, _) -> ([ rd ], [])
-    | Alu (_, rd, rs1, rs2) -> ([ rd ], [ rs1; rs2 ])
-    | Alui (_, rd, rs1, _) -> ([ rd ], [ rs1 ])
-    | Lb (rd, rs, _) | Lw (rd, rs, _) -> ([ rd ], [ rs ])
-    | Sb (rv, rs, _) | Sw (rv, rs, _) -> ([], [ rv; rs ])
-    | Beq (rs1, rs2, _, _) -> ([], [ rs1; rs2 ])
-    | Jmp _ -> ([], [])
-    | Jal (rd, _) -> ([ rd ], [])
-    | Jr rs -> ([], [ rs ])
-  in
-  let non_zero r = reg_index r <> 0 in
-  (List.filter non_zero writes, List.filter non_zero reads)
+(* Bit [r] for a read of register [r], bit [16 + r] for a write; [r0]
+   is hardwired to zero, so it sets neither. *)
+let use (R i) = (1 lsl i) land 0xFFFE
+let def (R i) = (1 lsl (16 + i)) land 0xFFFE_0000
+
+let reg_uses_defs = function
+  | Nop | Halt | Jmp _ -> 0
+  | Li (rd, _) | Jal (rd, _) -> def rd
+  | Alu (_, rd, rs1, rs2) -> def rd lor use rs1 lor use rs2
+  | Alui (_, rd, rs1, _) | Lb (rd, rs1, _) | Lw (rd, rs1, _) ->
+      def rd lor use rs1
+  | Sb (rv, rs, _) | Sw (rv, rs, _) -> use rv lor use rs
+  | Beq (rs1, rs2, _, _) -> use rs1 lor use rs2
+  | Jr rs -> use rs

@@ -97,9 +97,12 @@ val branch_targets : instr -> int list
 (** Instruction indices this instruction can jump to (empty for
     fall-through-only instructions). *)
 
-val defs_uses : instr -> reg list * reg list
-(** [(writes, reads)] of one instruction — the registers it defines and
-    uses, [r0] excluded from both (it is hardwired to zero).  Within one
-    cycle, reads happen before the write.  Shared by the register
-    fault-space extension ({!Fi_campaign.Regspace}) and the checkpoint
-    plan's register-liveness masks ({!Fi_campaign.Injector}). *)
+val reg_uses_defs : instr -> int
+(** The registers one instruction reads and writes, as one bitmask:
+    bit [r] is set iff it reads register [r], bit [16 + r] iff it
+    writes it; [r0] sets neither (it is hardwired to zero).  Within one
+    cycle the reads happen before the write.  Allocation-free.  The
+    golden run's register trace ({!Fi_campaign.Golden.registers}) is
+    this mask per executed cycle; the register fault space
+    ({!Fi_campaign.Regspace}) and the checkpoint plan's register
+    live-in masks ({!Fi_campaign.Injector}) both read it. *)

@@ -22,7 +22,7 @@ let grow a len =
   bigger
 
 let add t ~cycle ~addr ~width ~kind =
-  if t.cycles <> None then invalid_arg "Trace.add: trace already sealed";
+  if Option.is_some t.cycles then invalid_arg "Trace.add: trace already sealed";
   if cycle < t.last_cycle then invalid_arg "Trace.add: cycles must be non-decreasing";
   if cycle < 1 then invalid_arg "Trace.add: cycle must be >= 1";
   if addr < 0 || addr + width > t.ram then
@@ -51,6 +51,18 @@ let total_cycles t =
   | None -> invalid_arg "Trace.total_cycles: trace not sealed"
 
 let length t = t.len
+
+let packed t i =
+  if i < 0 || i >= t.len then invalid_arg "Trace: access index out of range";
+  t.packed.(i)
+
+let cycle t i =
+  ignore (packed t i);
+  t.cycles_of.(i)
+
+let addr t i = packed t i lsr 4
+let width t i = (packed t i lsr 1) land 7
+let kind t i = if packed t i land 1 = 0 then Read else Write
 
 let iter_byte_accesses t f =
   for i = 0 to t.len - 1 do

@@ -37,6 +37,17 @@ val total_cycles : t -> int
 val length : t -> int
 (** Number of recorded accesses. *)
 
+(** The [i]-th recorded access, [0 <= i < length t], in recording
+    order: its cycle, first RAM byte, width and kind.  Allocation-free,
+    for passes that walk the trace in either direction.
+
+    @raise Invalid_argument outside [\[0, length t)]. *)
+
+val cycle : t -> int -> int
+val addr : t -> int -> int
+val width : t -> int -> int
+val kind : t -> int -> kind
+
 val iter_byte_accesses : t -> (byte:int -> cycle:int -> kind:kind -> unit) -> unit
 (** Visit every (byte, access) pair: a [width]-byte access yields [width]
     visits.  Order: execution order. *)

@@ -439,9 +439,12 @@ let test_hit_allocation_budget () =
         (List.map (fun r -> r.Engine.cached) cold);
       let next_domain () = (Domain.join (Domain.spawn Domain.self) :> int) in
       let before = next_domain () in
+      let replays = Golden.register_replays () in
       let w0 = Gc.minor_words () in
       let warm = Engine.run_matrix_results [ spec ] in
       let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "the hit records no register trace" replays
+        (Golden.register_replays ());
       Alcotest.(check int) "the hit starts no domain" (before + 1)
         (next_domain ());
       Alcotest.(check (list bool)) "second run is a hit" [ true ]
@@ -449,6 +452,36 @@ let test_hit_allocation_budget () =
       if words > float_of_int hit_minor_words_budget then
         Alcotest.failf "a hit allocated %.0f minor words (budget %d)" words
           hit_minor_words_budget)
+
+(* A cache alone, with no journal and no journal directory, still
+   publishes: the cell journals into the store, and a repeat call is a
+   hit that starts no shard. *)
+let test_cache_alone_publishes () =
+  with_temp_dir (fun dir ->
+      let spec =
+        Spec.memory ~policy:(Spec.make_policy ~cache:dir ()) ~benchmark:"hi"
+          Hi.program
+      in
+      let cold = Drive.cell spec in
+      Alcotest.(check bool) "cold run conducts" false cold.Engine.cached;
+      (* Any worker the hit started would exit at once and be
+         reported. *)
+      let events = ref [] in
+      let warm =
+        with_torture "exit:0" (fun () ->
+            Drive.cell ~backend:Pool.Processes ~jobs:2
+              ~on_event:(fun msg -> events := msg :: !events)
+              spec)
+      in
+      Alcotest.(check bool) "second run is a hit" true warm.Engine.cached;
+      Alcotest.(check int) "no supervision events — nothing ran" 0
+        (List.length !events);
+      Alcotest.(check bool) "journal in the store" true
+        (Array.exists
+           (fun f -> Filename.check_suffix f ".journal")
+           (Sys.readdir dir));
+      check_scans_identical "hit = cold" (Engine.scan_exn cold)
+        (Engine.scan_exn warm))
 
 let suite =
   ( "cache",
@@ -479,4 +512,6 @@ let suite =
         test_foreign_outcome_character_is_a_miss;
       Alcotest.test_case "a hit stays within its allocation budget" `Quick
         test_hit_allocation_budget;
+      Alcotest.test_case "a cache without a journal directory publishes"
+        `Quick test_cache_alone_publishes;
     ] )

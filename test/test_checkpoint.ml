@@ -309,6 +309,199 @@ let qcheck_plan_equals_replay =
         ])
 
 (* ------------------------------------------------------------------ *)
+(* Ladders and live-in masks against the list algorithm               *)
+(* ------------------------------------------------------------------ *)
+
+(* The first rung of [rungs] whose RAM or register mask from the sweep
+   differs from the list oracle's, described; [None] when all agree. *)
+let live_in_disagreement trace ~registers rungs acc =
+  let ram, regs = Injector.live_in trace ~registers rungs in
+  let ram', regs' = Oracle.live_in acc ~rungs in
+  let bad = ref None in
+  Array.iteri
+    (fun i c ->
+      if !bad = None then
+        if not (Bytes.equal ram.(i) ram'.(i)) then
+          bad := Some (Printf.sprintf "RAM mask at rung cycle %d" c)
+        else if regs.(i) <> regs'.(i) then
+          bad :=
+            Some
+              (Printf.sprintf "register mask at rung cycle %d: %x, list %x" c
+                 regs.(i) regs'.(i)))
+    rungs;
+  !bad
+
+(* The golden run's accesses, recorded again by the oracle's own traced
+   replay; it fails the test if its RAM accesses are not the golden
+   trace's. *)
+let oracle_accesses (golden : Golden.t) =
+  let program = golden.Golden.program in
+  let ram, regs = Oracle.traced_run golden in
+  let t = golden.Golden.trace in
+  if
+    List.length ram <> Trace.length t
+    || not
+         (List.for_all2
+            (fun (c, a, w, r) i ->
+              (c, a, w, r)
+              = (Trace.cycle t i, Trace.addr t i, Trace.width t i,
+                 Trace.kind t i = Trace.Read))
+            ram
+            (List.init (Trace.length t) Fun.id))
+  then Alcotest.failf "%s: golden RAM trace differs" program.Program.name;
+  Oracle.accesses ~ram_size:program.Program.ram_size ram regs
+
+(* [plan ~stride]'s ladder cycles and live-in masks against a ladder
+   the reference interpreter captured and the list algorithm's masks;
+   [None] when they agree. *)
+let ladder_disagreement (golden : Golden.t) acc ~stride =
+  let rungs = Injector.ladder_cycles (Injector.plan ~stride golden) in
+  if rungs <> Oracle.rungs golden ~stride then Some "ladder cycles"
+  else
+    live_in_disagreement golden.Golden.trace
+      ~registers:(Golden.registers golden) rungs acc
+
+(* Every suite program at strides 1, 7, 128 and 1000.  A stride-1
+   ladder of a long program would hold a snapshot and two masks per
+   cycle, so past 6,000 cycles stride 1 compares only the masks, at
+   each of the first and last 1,024 cycles. *)
+let test_suite_ladders_match_lists () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let golden = Golden.run (e.Suite.build ()) in
+      let acc = oracle_accesses golden in
+      let cycles = golden.Golden.cycles in
+      let name = e.Suite.benchmark ^ "/" ^ Suite.variant_name e.Suite.variant in
+      let short = cycles <= 6000 in
+      List.iter
+        (fun stride ->
+          Option.iter
+            (Alcotest.failf "%s stride %d: %s differ" name stride)
+            (ladder_disagreement golden acc ~stride))
+        (if short then [ 1; 7; 128; 1000 ] else [ 7; 128; 1000 ]);
+      if not short then
+        List.iter
+          (fun from ->
+            Option.iter
+              (Alcotest.failf "%s stride 1: %s" name)
+              (live_in_disagreement golden.Golden.trace
+                 ~registers:(Golden.registers golden)
+                 (Array.init 1024 (fun k -> from + k))
+                 acc))
+          [ 1; cycles - 1024 ])
+    Suite.all
+
+let qcheck_gen_ladders_match_lists =
+  QCheck.Test.make ~name:"generated-program ladders equal the list algorithm"
+    ~count:40
+    QCheck.(pair int64 (int_bound 300))
+    (fun (seed, stride) ->
+      let prog = Gen.program (Prng.create ~seed) in
+      match Golden.run ~limit:20_000 (Delta.compile_baseline prog) with
+      | exception Golden.Golden_failed _ -> QCheck.assume_fail ()
+      | golden -> (
+          match ladder_disagreement golden (oracle_accesses golden) ~stride:(1 + stride) with
+          | None -> true
+          | Some what -> QCheck.Test.fail_reportf "%s differ" what))
+
+(* Random traces: byte and word accesses (the last RAM word among
+   them), several per cycle in any order, one byte read and written in
+   the same cycle; registers read and written in the same cycle; rungs
+   past every access, so some locations are never touched after a
+   rung. *)
+let gen_live_in_case =
+  let open QCheck.Gen in
+  let* words = int_range 1 4 in
+  let ram = 4 * words in
+  let* cycles = int_range 1 40 in
+  let* n = int_range 0 40 in
+  let access =
+    let* cycle = int_range 1 cycles in
+    let* word = bool in
+    let* addr =
+      if word then oneof [ return (ram - 4); int_range 0 (ram - 4) ]
+      else int_range 0 (ram - 1)
+    in
+    let* read = bool in
+    return (cycle, addr, (if word then 4 else 1), read)
+  in
+  let* accesses = list_repeat n access in
+  let accesses =
+    List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) accesses
+  in
+  let* registers =
+    array_repeat cycles (map2 (fun r w -> (r lsl 1) lor ((w lsl 1) lsl 16)) (int_bound 0x7FFF) (int_bound 0x7FFF))
+  in
+  let* rungs = list_repeat 6 (int_range 0 (cycles + 2)) in
+  return (ram, cycles, accesses, registers, List.sort_uniq compare rungs)
+
+let qcheck_live_in_matches_lists =
+  QCheck.Test.make ~name:"live-in sweep equals the list algorithm"
+    ~count:500
+    (QCheck.make gen_live_in_case)
+    (fun (ram, cycles, accesses, registers, rungs) ->
+      let t = Trace.create ~ram_size:ram in
+      List.iter
+        (fun (cycle, addr, width, read) ->
+          Trace.add t ~cycle ~addr ~width
+            ~kind:(if read then Trace.Read else Trace.Write))
+        accesses;
+      Trace.seal t ~total_cycles:cycles;
+      let packed = Bytes.create (4 * cycles) in
+      Array.iteri
+        (fun i m ->
+          Bytes.set_uint16_le packed (4 * i) (m land 0xFFFF);
+          Bytes.set_uint16_le packed ((4 * i) + 2) (m lsr 16))
+        registers;
+      let reg_acc =
+        List.concat
+          (List.init cycles (fun i ->
+               List.concat_map
+                 (fun r ->
+                   let m = registers.(i) in
+                   (if m land (1 lsl r) <> 0 then [ (i + 1, r, true) ] else [])
+                   @ if m land (1 lsl (16 + r)) <> 0 then [ (i + 1, r, false) ] else [])
+                 (List.init 15 succ)))
+      in
+      match
+        live_in_disagreement t ~registers:packed (Array.of_list rungs)
+          (Oracle.accesses ~ram_size:ram accesses reg_acc)
+      with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s differs" what)
+
+(* A register cell records its golden run's register trace once, for
+   the analysis and the ladder together: serially, and on the domains
+   backend, where both domains ask for the ladder. *)
+let test_one_register_trace_per_golden_run () =
+  let program = Codegen.compile (looper ()) in
+  let n0 = Golden.register_replays () in
+  let cell = Faultspace.analyse Faultspace.Bitflip_reg program in
+  ignore (Faultspace.scan cell);
+  Alcotest.(check int) "serial scan" 1 (Golden.register_replays () - n0);
+  let n1 = Golden.register_replays () in
+  ignore
+    (Drive.scan ~backend:Pool.Domains ~jobs:2
+       (Spec.build ~model:Faultspace.Bitflip_reg ~benchmark:"looper" (fun () ->
+            program)));
+  Alcotest.(check int) "domains -j 2" 1 (Golden.register_replays () - n1)
+
+(* A bin_sem2/baseline ladder build (register trace, compiled replay,
+   live-in sweep) from a golden run allocates at most this many minor
+   words: the list-based build took 1,085,136 words and the sweep
+   56,909, on OCaml 5.1.1. *)
+let ladder_minor_words_budget = 120_000
+
+let test_ladder_allocation_budget () =
+  let golden = Golden.run (Bin_sem2.baseline ()) in
+  let w0 = Gc.minor_words () in
+  ignore (Injector.plan golden);
+  let words = Gc.minor_words () -. w0 in
+  if words > float_of_int ladder_minor_words_budget then
+    Alcotest.failf "a ladder build allocated %.0f minor words (budget %d)" words
+      ladder_minor_words_budget
+
+(* ------------------------------------------------------------------ *)
 (* The faulty-state memo                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -518,4 +711,12 @@ let suite =
         test_stride_reaches_provider;
       Alcotest.test_case "memo shared across domains" `Quick
         test_memo_across_domains;
+      Alcotest.test_case "suite ladders equal the list algorithm" `Quick
+        test_suite_ladders_match_lists;
+      QCheck_alcotest.to_alcotest qcheck_gen_ladders_match_lists;
+      QCheck_alcotest.to_alcotest qcheck_live_in_matches_lists;
+      Alcotest.test_case "one register trace per golden run" `Quick
+        test_one_register_trace_per_golden_run;
+      Alcotest.test_case "a ladder build stays within its allocation budget"
+        `Quick test_ladder_allocation_budget;
     ] )

@@ -3,14 +3,17 @@
 
 let hi = lazy (Regspace.analyze (Hi.program ()))
 
+(* The registers a {!Isa.reg_uses_defs} mask names from bit [shift]
+   on, ascending. *)
+let regs_of mask shift =
+  List.filter (fun r -> mask land (1 lsl (shift + r)) <> 0) (List.init 16 Fun.id)
+
 let test_defs_uses () =
   let r = Isa.reg in
   let check instr expected_writes expected_reads =
-    let writes, reads = Isa.defs_uses instr in
-    Alcotest.(check (list int)) "writes" expected_writes
-      (List.map Isa.reg_index writes);
-    Alcotest.(check (list int)) "reads" expected_reads
-      (List.map Isa.reg_index reads)
+    let mask = Isa.reg_uses_defs instr in
+    Alcotest.(check (list int)) "writes" expected_writes (regs_of mask 16);
+    Alcotest.(check (list int)) "reads" expected_reads (regs_of mask 0)
   in
   check (Isa.Alu (Isa.Add, r 1, r 2, r 3)) [ 1 ] [ 2; 3 ];
   check (Isa.Alui (Isa.Sub, r 4, r 5, 1l)) [ 4 ] [ 5 ];
@@ -24,6 +27,62 @@ let test_defs_uses () =
   (* r0 is excluded on both sides. *)
   check (Isa.Alu (Isa.Add, r 0, r 0, r 1)) [] [ 1 ];
   check (Isa.Sb (r 1, r 0, 0l)) [] [ 1 ]
+
+(* The mask names exactly the registers of the list definition kept
+   in [Oracle], on every instruction of every suite program. *)
+let test_masks_match_lists () =
+  let set regs =
+    List.sort_uniq compare (List.map Isa.reg_index regs)
+  in
+  List.iter
+    (fun (e : Suite.entry) ->
+      Array.iter
+        (fun instr ->
+          let mask = Isa.reg_uses_defs instr in
+          let writes, reads = Oracle.defs_uses instr in
+          if
+            regs_of mask 16 <> set writes
+            || regs_of mask 0 <> set reads
+            || mask land lnot 0xFFFE_FFFE <> 0
+          then
+            Alcotest.failf "%s: mask %x" (Format.asprintf "%a" Isa.pp_instr instr)
+              mask)
+        (e.Suite.build ()).Program.code)
+    Suite.all
+
+(* [of_golden]'s partition against the one the oracle derives from a
+   second, traced run of the program: classes, experiment classes and
+   the benign weight. *)
+let partition_disagreement (golden : Golden.t) =
+  let d = (Regspace.of_golden golden).Regspace.reg_defuse in
+  let d' = Oracle.reg_defuse golden in
+  if Defuse.classes d <> Defuse.classes d' then Some "classes"
+  else if Defuse.experiment_classes d <> Defuse.experiment_classes d' then
+    Some "experiment classes"
+  else if Defuse.known_benign_weight d <> Defuse.known_benign_weight d' then
+    Some "benign weight"
+  else None
+
+let test_suite_partition_matches_two_runs () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      Option.iter
+        (Alcotest.failf "%s/%s: %s differ" e.Suite.benchmark
+           (Suite.variant_name e.Suite.variant))
+        (partition_disagreement (Golden.run (e.Suite.build ()))))
+    Suite.all
+
+let qcheck_gen_partition_matches_two_runs =
+  QCheck.Test.make
+    ~name:"generated-program register classes equal the two-run analysis"
+    ~count:40 QCheck.int64 (fun seed ->
+      let prog = Gen.program (Prng.create ~seed) in
+      match Golden.run ~limit:20_000 (Delta.compile_baseline prog) with
+      | exception Golden.Golden_failed _ -> QCheck.assume_fail ()
+      | golden -> (
+          match partition_disagreement golden with
+          | None -> true
+          | Some what -> QCheck.Test.fail_reportf "%s differ" what))
 
 let test_hi_register_space_size () =
   let t = Lazy.force hi in
@@ -124,6 +183,11 @@ let suite =
   ( "regspace",
     [
       Alcotest.test_case "defs/uses per instruction" `Quick test_defs_uses;
+      Alcotest.test_case "suite masks equal the list definition" `Quick
+        test_masks_match_lists;
+      Alcotest.test_case "suite register classes equal the two-run analysis"
+        `Quick test_suite_partition_matches_two_runs;
+      QCheck_alcotest.to_alcotest qcheck_gen_partition_matches_two_runs;
       Alcotest.test_case "hi register space size" `Quick
         test_hi_register_space_size;
       Alcotest.test_case "hi register classes" `Quick test_hi_register_classes;
