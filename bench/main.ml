@@ -225,9 +225,9 @@ let run_registers () =
   print_string
     (Figures.cross_layer
        [
-         ("hi", Regspace.analyze (Hi.program ()));
-         ("mbox1", Regspace.analyze (Mbox1.baseline ()));
-         ("mutex1", Regspace.analyze (Mutex1.baseline ()));
+         ("hi", Golden.run (Hi.program ()));
+         ("mbox1", Golden.run (Mbox1.baseline ()));
+         ("mutex1", Golden.run (Mutex1.baseline ()));
        ])
 
 let run_engine_checkpoint () =
@@ -246,9 +246,11 @@ let run_engine_checkpoint () =
     if smoke then Mbox1.baseline () else Bin_sem2.baseline ()
   in
   (* Each space's scan through the replay provider, then through a
-     checkpoint plan whose exit counts are reported below. *)
+     checkpoint plan whose exit counts are reported below.  Both spaces
+     are cells of one golden run. *)
+  let golden = Golden.run program in
   let scans model =
-    let cell = Faultspace.analyse model program in
+    let cell = Faultspace.of_golden model golden in
     let replay, t_replay =
       time (fun () -> Faultspace.scan (Faultspace.with_stride 0 cell))
     in
@@ -377,11 +379,13 @@ let perf_tests () =
           fun () -> ignore (Runcell.fingerprint_cell bin_cell ~plan)));
     (* A cell's set-up past its analysis, from the image, so that each
        run records a fresh register trace: a memory cell's golden run
-       and checkpoint ladder, and a register cell's analysis. *)
+       and checkpoint ladder, and a register cell's partition of a
+       fresh golden run. *)
     Test.make ~name:"F1-ladder-build-bin-sem2"
       (Staged.stage (fun () -> ignore (Injector.plan (Golden.run bin_image))));
     Test.make ~name:"F1-regspace-bin-sem2"
-      (Staged.stage (fun () -> ignore (Regspace.analyze bin_image)));
+      (Staged.stage (fun () ->
+           ignore (Regspace.of_golden (Golden.run bin_image))));
     Test.make ~name:"F3-hi-full-scan"
       (Staged.stage (fun () ->
            ignore Faultspace.(scan (of_golden Bitflip_mem hi_golden))));

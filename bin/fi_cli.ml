@@ -527,14 +527,9 @@ let variant_of_program_spec spec =
   else "baseline"
 
 (* A campaign's spec and the fault-model cell it conducts, from one
-   analysis of the image. *)
+   golden run of the image. *)
 let analysed ~variant ~policy model image =
-  let spec =
-    match model with
-    | Faultspace.Bitflip_reg ->
-        Spec.of_regspace ~variant ~policy (Regspace.analyze image)
-    | m -> Spec.of_golden ~variant ~policy ~model:m (Golden.run image)
-  in
+  let spec = Spec.of_golden ~variant ~policy ~model (Golden.run image) in
   (spec, Runcell.analyse spec)
 
 (* The program and its fault space under the chosen model: what every

@@ -31,4 +31,3 @@ let of_golden golden =
   { golden; reg_defuse = Defuse.analyze trace }
 
 let analyze ?limit program = of_golden (Golden.run ?limit program)
-let classes t = Defuse.experiment_classes t.reg_defuse

@@ -8,8 +8,8 @@
     mapping register [i] (1–15; [r0] is hardwired and immune) onto a
     60-byte pseudo-memory at bytes [4·(i−1) … 4·i) ({!coord_of_bit}
     inverts the layout).  The register
-    cell of [Faultspace.of_regspace] owns the space's geometry and
-    injects its register-bit flips; campaigns run through it.
+    cell of [Faultspace.of_golden Bitflip_reg] owns the space's geometry
+    and injects its register-bit flips; campaigns run through it.
 
     The resulting {!Scan.t} is fully compatible with the metrics layer,
     so fault coverage, weighted failure counts and the pitfall analyses
@@ -35,12 +35,9 @@ val of_golden : Golden.t -> t
     same golden run reuses it. *)
 
 val analyze : ?limit:int -> Program.t -> t
-(** [of_golden (Golden.run ?limit program)]. *)
-
-val classes : t -> Defuse.byte_class array
-(** The register-space experiment classes over the pseudo-memory —
-    the class provider the campaign engine shards exactly like a memory
-    campaign's (same [t_end]-contiguity invariant). *)
+(** [of_golden (Golden.run ?limit program)].  Kept for the repository
+    benchmark, which builds its register sources with it; campaigns
+    analyse through [Faultspace.analyse Bitflip_reg]. *)
 
 val coord_of_bit : int -> int * int
 (** Map a pseudo-memory bit index [0 <= bit < 480] to [(register,

@@ -28,18 +28,12 @@ type cell = Faultspace.cell = {
 let analyse (spec : Spec.t) =
   let model = spec.Spec.model in
   let cell =
-    match (model, spec.Spec.source) with
-    | Faultspace.Bitflip_reg, Spec.Analysed_registers r ->
-        Faultspace.of_regspace r
-    | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
-        Spec.Analysed_memory golden ->
-        Faultspace.of_golden model golden
-    | _, Spec.Build build ->
+    match spec.Spec.source with
+    | Spec.Build build ->
         Faultspace.analyse ?limit:spec.Spec.limit model (build ())
-    | Faultspace.Bitflip_reg, Spec.Analysed_memory _
-    | (Faultspace.Bitflip_mem | Faultspace.Burst _ | Faultspace.Skip),
-        Spec.Analysed_registers _ ->
-        invalid_arg "Engine: spec fault model contradicts its analysed source"
+    | Spec.Analysed_memory golden
+    | Spec.Analysed_registers { Regspace.golden; _ } ->
+        Faultspace.of_golden model golden
   in
   match spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride with
   | Some stride -> Faultspace.with_stride stride cell

@@ -38,14 +38,10 @@ type cell = Faultspace.cell = {
 }
 
 val analyse : Spec.t -> cell
-(** Resolve a spec through its fault model ({!Faultspace.analyse} /
-    {!Faultspace.of_golden} / {!Faultspace.of_regspace}), running the
-    golden (and, for register cells, the register-trace) analysis if the
-    source is a build thunk, and pass the cell through
-    {!Faultspace.with_stride} when the policy sets
-    [acceleration.checkpoint_stride].
-    @raise Invalid_argument if the spec's model contradicts its analysed
-    source. *)
+(** Resolve a spec through its fault model: {!Faultspace.analyse} of a
+    build thunk's program, or {!Faultspace.of_golden} of an analysed
+    golden run, and pass the cell through {!Faultspace.with_stride}
+    when the policy sets [acceleration.checkpoint_stride]. *)
 
 val fingerprint_cell : cell -> plan:Shard.plan -> int
 (** CRC-32 campaign identity over the fault-model tag

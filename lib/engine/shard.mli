@@ -3,7 +3,8 @@
 
     A pruned campaign conducts one experiment per (experiment-class, bit)
     — whether the classes partition main memory (def/use pruning of
-    {!Golden.t}) or the register file's pseudo-memory ({!Regspace.t}).
+    {!Golden.t}) or the register file's pseudo-memory of the same golden
+    run ({!Regspace.of_golden}).
     The fast {!Injector.Checkpoint} strategy requires injection cycles to
     be non-decreasing {e within one session}, so the class list is first
     ranked by canonical injection cycle ([t_end]) — exactly as the serial

@@ -75,30 +75,13 @@ let build ?(variant = "baseline") ?limit ?(policy = default_policy) ~model
 let memory ?variant ?limit ?policy ~benchmark b =
   build ?variant ?limit ?policy ~model:Faultspace.Bitflip_mem ~benchmark b
 
-let registers ?variant ?limit ?policy ~benchmark b =
-  build ?variant ?limit ?policy ~model:Faultspace.Bitflip_reg ~benchmark b
-
 let of_golden ?(variant = "baseline") ?(policy = default_policy)
     ?(model = Faultspace.Bitflip_mem) golden =
-  (match model with
-  | Faultspace.Bitflip_reg ->
-      invalid_arg "Spec.of_golden: Bitflip_reg needs of_regspace"
-  | _ -> ());
   {
     benchmark = golden.Golden.program.Program.name;
     variant;
     model;
     source = Analysed_memory golden;
-    limit = None;
-    policy;
-  }
-
-let of_regspace ?(variant = "baseline") ?(policy = default_policy) r =
-  {
-    benchmark = r.Regspace.golden.Golden.program.Program.name;
-    variant;
-    model = Faultspace.Bitflip_reg;
-    source = Analysed_registers r;
     limit = None;
     policy;
   }

@@ -10,7 +10,8 @@
       ({!Faultspace.Skip});
     - a {b program cell} — benchmark name, variant name, and either a
       build thunk (compiled and analysed lazily by the engine) or an
-      already-analysed {!Golden.t} / {!Regspace.t};
+      already-analysed {!Golden.t}, the one analysed source of every
+      fault model;
     - an {b execution policy} — four orthogonal concern groups:
       {!sharding} (shard geometry and sizing — the only group that is
       part of the campaign fingerprint), {!durability} (journal, resume,
@@ -29,12 +30,13 @@ type source =
       (** Compile on demand; the engine runs the model's analysis
           itself. *)
   | Analysed_memory of Golden.t
-      (** Pre-analysed golden run, for the memory-indexed models
-          ({!Faultspace.Bitflip_mem}, {!Faultspace.Burst},
-          {!Faultspace.Skip}). *)
+      (** Pre-analysed golden run, for every model: the engine derives
+          the model's cell from it ({!Faultspace.of_golden}). *)
   | Analysed_registers of Regspace.t
-      (** Pre-analysed register-space cell
-          ({!Faultspace.Bitflip_reg}). *)
+      (** The same as [Analysed_memory r.golden]: the register
+          partition is derived again from the golden run.  Kept only
+          for the repository benchmark, which builds it, until that
+          benchmark may change. *)
 
 type sharding = {
   shard_size : int option;  (** Classes per shard; [None] = default. *)
@@ -172,30 +174,11 @@ val memory :
   t
 (** [build ~model:Faultspace.Bitflip_mem]. *)
 
-val registers :
-  ?variant:string ->
-  ?limit:int ->
-  ?policy:policy ->
-  benchmark:string ->
-  (unit -> Program.t) ->
-  t
-(** [build ~model:Faultspace.Bitflip_reg].  The default variant is
-    ["baseline"], like every other constructor: the register-ness is the
-    {e model}'s business and shows up in {!label}'s ["@registers"]
-    suffix — callers pass the actual hardening variant so matrix
-    reports never mislabel register cells. *)
-
 val of_golden :
   ?variant:string -> ?policy:policy -> ?model:Faultspace.model -> Golden.t -> t
-(** Cell from an existing golden run; [benchmark] is the program name.
-    [model] (default {!Faultspace.Bitflip_mem}) may be any
-    memory-indexed model.
-    @raise Invalid_argument for {!Faultspace.Bitflip_reg} — a register
-    cell needs the register analysis, use {!of_regspace}. *)
-
-val of_regspace : ?variant:string -> ?policy:policy -> Regspace.t -> t
-(** Register-space cell from an existing register analysis.  The
+(** Cell from an existing golden run, under any [model] (default
+    {!Faultspace.Bitflip_mem}); [benchmark] is the program name.  The
     default variant is ["baseline"] — pass the actual hardening variant
-    (the analysis itself cannot know it). *)
+    (the golden run itself cannot know it). *)
 
 val with_policy : policy -> t -> t

@@ -54,8 +54,9 @@ let cell_of_spec ?program (spec : Spec.t) =
   let program =
     match (program, spec.Spec.source) with
     | Some p, _ -> p
-    | None, Spec.Analysed_memory g -> g.Golden.program
-    | None, Spec.Analysed_registers r -> r.Regspace.golden.Golden.program
+    | None, Spec.Analysed_memory g
+    | None, Spec.Analysed_registers { Regspace.golden = g; _ } ->
+        g.Golden.program
     | None, Spec.Build build -> build ()
   in
   {

@@ -281,28 +281,28 @@ let memory_cell model (golden : Golden.t) inject =
     ~benign_weight:(Defuse.known_benign_weight defuse)
     inject
 
+(* The register cell shares the golden run and its register trace: its
+   classes are the def/use partition of the register file's
+   pseudo-memory ([Regspace.of_golden]). *)
+let register_cell (golden : Golden.t) =
+  let defuse = (Regspace.of_golden golden).Regspace.reg_defuse in
+  byte_cell Bitflip_reg golden
+    ~classes:(Defuse.experiment_classes defuse)
+    ~ram_bytes:Regspace.pseudo_ram_bytes
+    ~benign_weight:(Defuse.known_benign_weight defuse)
+    inject_reg
+
 let of_golden model (golden : Golden.t) =
   match model with
-  | Bitflip_reg ->
-      invalid_arg "Faultspace.of_golden: Bitflip_reg needs a Regspace.t"
   | Bitflip_mem -> memory_cell model golden inject_mem
+  | Bitflip_reg -> register_cell golden
   | Burst { width; pattern } ->
       check_burst ~width ~pattern;
       let step = match pattern with Adjacent -> 1 | Row s -> s in
       memory_cell model golden (inject_burst ~width ~step)
   | Skip -> skip_cell golden
 
-let of_regspace (r : Regspace.t) =
-  byte_cell Bitflip_reg r.Regspace.golden
-    ~classes:(Regspace.classes r)
-    ~ram_bytes:Regspace.pseudo_ram_bytes
-    ~benign_weight:(Defuse.known_benign_weight r.Regspace.reg_defuse)
-    inject_reg
-
-let analyse ?limit model program =
-  match model with
-  | Bitflip_reg -> of_regspace (Regspace.analyze ?limit program)
-  | _ -> of_golden model (Golden.run ?limit program)
+let analyse ?limit model program = of_golden model (Golden.run ?limit program)
 
 (* ------------------------------------------------------------------ *)
 (* Serial conduction                                                  *)

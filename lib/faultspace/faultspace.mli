@@ -32,7 +32,7 @@
     - {!Bitflip_mem} — the paper's model: one bit of data memory, def/use
       pruned.
     - {!Bitflip_reg} — the Section VI-B register file space
-      ({!Regspace}).
+      ({!Regspace}), from the same golden run.
     - {!Burst} — [width] bits of one data byte flip together, adjacent or
       interleaved by a row stride, modelling the spatially-correlated
       multi-bit upsets observed in undervolted SRAMs (Soyturk et al.).
@@ -169,34 +169,34 @@ val with_stride : int -> cell -> cell
     and never each other's provider or its {!Injector.counts}. *)
 
 val of_golden : model -> Golden.t -> cell
-(** Analyse a memory-indexed model against an existing golden run.
+(** Analyse a model against an existing golden run — the one analysed
+    source of every model.
 
     {!Bitflip_mem} and {!Burst} share the def/use partition (classes,
     weights and benign weight are identical — a burst only widens what
-    flips {e inside} the addressed byte).  {!Skip} builds a synthetic
-    partition over the cycle axis: class [i] covers cycles
-    [8i+1 … 8i+8], encoded as [{byte = i; t_start = t_end = 8i+1}] so
-    each slot's {!Defuse.weight}-derived experiment weight is 1 (every
-    cycle is its own equivalence class — no pruning), and slot [s]
-    injects at cycle [s + 1].  Trailing slots of the last class that
-    fall beyond the golden runtime are conducted as {!Outcome.No_effect}
-    without running the machine, and weigh 0 ([slots = Δt]), so the
-    space is exactly [Δt] cycles.
+    flips {e inside} the addressed byte).  {!Bitflip_reg} partitions the
+    register file's pseudo-memory ({!Regspace.of_golden}) from the
+    golden run's register trace ({!Golden.registers}), which the program
+    records on first use and every later cell and checkpoint ladder over
+    the same golden run shares.  {!Skip} builds a synthetic partition
+    over the cycle axis: class [i] covers cycles [8i+1 … 8i+8], encoded
+    as [{byte = i; t_start = t_end = 8i+1}] so each slot's
+    {!Defuse.weight}-derived experiment weight is 1 (every cycle is its
+    own equivalence class — no pruning), and slot [s] injects at cycle
+    [s + 1].  Trailing slots of the last class that fall beyond the
+    golden runtime are conducted as {!Outcome.No_effect} without running
+    the machine, and weigh 0 ([slots = Δt]), so the space is exactly
+    [Δt] cycles.
 
-    @raise Invalid_argument for {!Bitflip_reg} (use {!of_regspace}) or a
-    malformed {!Burst}. *)
-
-val of_regspace : Regspace.t -> cell
-(** The {!Bitflip_reg} cell of an existing register analysis. *)
+    @raise Invalid_argument for a malformed {!Burst}. *)
 
 val analyse : ?limit:int -> model -> Program.t -> cell
-(** Analyse from scratch: one {!Golden.run}, then {!of_golden}, or
-    {!of_regspace} of {!Regspace.of_golden} for {!Bitflip_reg}.  The
-    program runs once more, on the reference interpreter, to record the
-    golden run's register trace ({!Golden.registers}) — at analysis for
-    {!Bitflip_reg}, at the first ladder build otherwise — and never
-    again for this cell: its analysis and its ladder share that
-    trace. *)
+(** [of_golden model (Golden.run ?limit program)]: analyse from
+    scratch.  The program runs once more, on the reference interpreter,
+    to record the golden run's register trace ({!Golden.registers}) — at
+    analysis for {!Bitflip_reg}, at the first ladder build otherwise —
+    and never again for this cell: its analysis and its ladder share
+    that trace. *)
 
 val experiments : cell -> int
 (** [8 × Array.length classes] — the campaign's experiment count. *)

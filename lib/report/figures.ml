@@ -369,12 +369,11 @@ let cross_layer entries =
           ("F (weighted)", Table.Right) ]
   in
   List.iter
-    (fun (name, rs) ->
+    (fun (name, golden) ->
       let mem_scan =
-        Faultspace.(
-          scan ~variant:"memory" (of_golden Bitflip_mem rs.Regspace.golden))
+        Faultspace.(scan ~variant:"memory" (of_golden Bitflip_mem golden))
       in
-      let reg_scan = Faultspace.(scan (of_regspace rs)) in
+      let reg_scan = Faultspace.(scan (of_golden Bitflip_reg golden)) in
       List.iter
         (fun (layer, scan) ->
           Table.row t

@@ -73,9 +73,9 @@ val breakdown : Scan.t -> Program.t -> string
 (** Table rendering of {!Breakdown.by_region}: where the failure mass
     lives (per global, plus the stack). *)
 
-val cross_layer : (string * Regspace.t) list -> string
-(** Section VI-B/VI-C extension: for each benchmark, full campaigns over
-    {e both} fault spaces — main memory and the register file — showing
-    that coverage percentages across layers (different w!) are
-    incomparable while per-layer absolute failure counts remain
-    meaningful. *)
+val cross_layer : (string * Golden.t) list -> string
+(** Section VI-B/VI-C extension: for each benchmark's golden run, full
+    campaigns over {e both} of its fault spaces — main memory and the
+    register file — showing that coverage percentages across layers
+    (different w!) are incomparable while per-layer absolute failure
+    counts remain meaningful. *)

@@ -66,10 +66,7 @@ let truncate_journal_to path ~records =
   close_out oc
 
 let spec_of model policy =
-  match model with
-  | Faultspace.Bitflip_reg ->
-      Spec.of_regspace ~policy (Regspace.analyze (Lazy.force image))
-  | m -> Spec.of_golden ~policy ~model:m (Golden.run (Lazy.force image))
+  Spec.of_golden ~policy ~model (Golden.run (Lazy.force image))
 
 let smoke_journal_resume model =
   let tag = Faultspace.tag model in

@@ -216,8 +216,8 @@ let test_memory_hit_bit_identical () =
 let test_register_hit_bit_identical () =
   with_temp_dir (fun dir ->
       let spec builddir =
-        Spec.registers ~benchmark:"hi" ~policy:(cache_policy builddir)
-          (fun () -> Hi.program ())
+        Spec.build ~model:Faultspace.Bitflip_reg ~benchmark:"hi"
+          ~policy:(cache_policy builddir) (fun () -> Hi.program ())
       in
       let serial = Faultspace.(scan (analyse Bitflip_reg (Hi.program ()))) in
       let cold = Drive.cell (spec dir) in

@@ -227,11 +227,7 @@ let qcheck_pruning_lossless =
       QCheck.assume (golden.Golden.cycles * golden.Golden.program.Program.ram_size < 40_000);
       List.for_all
         (fun model ->
-          let cell =
-            match model with
-            | Faultspace.Bitflip_reg -> Faultspace.of_regspace (Regspace.analyze image)
-            | m -> Faultspace.of_golden m golden
-          in
+          let cell = Faultspace.of_golden model golden in
           let scan = Faultspace.scan cell in
           Array.for_all
             (fun (coord, o) -> Faultspace.outcome_at cell scan coord = o)

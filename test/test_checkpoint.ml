@@ -125,10 +125,9 @@ let test_stride_identity_memory () =
     (strides golden)
 
 let test_stride_identity_registers () =
-  let rt = Regspace.analyze (Codegen.compile (looper ())) in
-  let rgolden = rt.Regspace.golden in
+  let rgolden = Golden.run (Codegen.compile (looper ())) in
   let reference =
-    Faultspace.(scan (with_stride 0 (of_regspace rt)))
+    Faultspace.(scan (with_stride 0 (of_golden Bitflip_reg rgolden)))
   in
   Alcotest.(check bool) "register fixture has timeouts" true
     (outcome_count reference Outcome.Timeout > 0);
@@ -137,7 +136,7 @@ let test_stride_identity_registers () =
       check_scans_identical
         (Printf.sprintf "registers stride %d" stride)
         reference
-        Faultspace.(scan (with_stride stride (of_regspace rt))))
+        Faultspace.(scan (with_stride stride (of_golden Bitflip_reg rgolden))))
     (strides rgolden)
 
 (* ------------------------------------------------------------------ *)
@@ -647,18 +646,11 @@ let test_memo_plan_equals_replay () =
 let test_stride_reaches_provider () =
   let program = (Lazy.force flag1_dmr).Suite.build () in
   let golden = Golden.run program in
-  let registers = lazy (Regspace.analyze program) in
   List.iter
     (fun model ->
       let counts ?checkpoint_stride () =
         let policy = Spec.make_policy ?checkpoint_stride () in
-        let cell =
-          Runcell.analyse
-            (match model with
-            | Faultspace.Bitflip_reg ->
-                Spec.of_regspace ~policy (Lazy.force registers)
-            | _ -> Spec.of_golden ~policy ~model golden)
-        in
+        let cell = Runcell.analyse (Spec.of_golden ~policy ~model golden) in
         ignore (Faultspace.scan cell);
         Injector.counts (cell.Faultspace.provider ())
       in

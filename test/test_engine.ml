@@ -635,15 +635,9 @@ let test_oracle_samplers_agree () =
       List.iter
         (fun model ->
           let label = name ^ "@" ^ Faultspace.tag model in
-          let spec, cell =
-            match model with
-            | Faultspace.Bitflip_reg ->
-                let r = Regspace.analyze image in
-                (Spec.of_regspace r, Faultspace.of_regspace r)
-            | m ->
-                let g = Golden.run image in
-                (Spec.of_golden ~model:m g, Faultspace.of_golden m g)
-          in
+          let g = Golden.run image in
+          let spec = Spec.of_golden ~model g
+          and cell = Faultspace.of_golden model g in
           let scan = Drive.scan ~jobs:1 spec in
           let both msg draw =
             let conducted = Sampler.conduct cell (draw ())

@@ -63,7 +63,7 @@ let test_optimize_then_harden () =
 (* ------------------------------------------------------------------ *)
 
 let test_cross_layer_report () =
-  let text = Figures.cross_layer [ ("hi", Regspace.analyze (Hi.program ())) ] in
+  let text = Figures.cross_layer [ ("hi", Golden.run (Hi.program ())) ] in
   Alcotest.(check bool) "memory row" true
     (Astring_contains.contains text "memory");
   Alcotest.(check bool) "register row" true

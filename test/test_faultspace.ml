@@ -285,17 +285,17 @@ let qcheck_legacy_models_differential =
     (fun (seed, jobs, shard_size) ->
       let image = loop_image seed in
       let golden = Golden.run image in
-      let r = Regspace.analyze image in
       let policy = Spec.make_policy ~shard_size () in
       let mem_serial = Faultspace.(scan (of_golden Bitflip_mem golden)) in
-      let reg_serial = Faultspace.(scan (of_regspace r)) in
+      let reg_serial = Faultspace.(scan (of_golden Bitflip_reg golden)) in
       List.for_all
         (fun backend ->
           mem_serial
           = Drive.scan ~backend ~jobs
               (Spec.of_golden ~policy ~model:Faultspace.Bitflip_mem golden)
           && reg_serial
-             = Drive.scan ~backend ~jobs (Spec.of_regspace ~policy r))
+             = Drive.scan ~backend ~jobs
+                 (Spec.of_golden ~policy ~model:Faultspace.Bitflip_reg golden))
         [ Pool.Domains; Pool.Processes ])
 
 (* ------------------------------------------------------------------ *)
@@ -513,8 +513,8 @@ let test_model_fingerprints_distinct () =
   let fp model = Engine.fingerprint_spec (Spec.of_golden ~model golden) in
   let fps =
     List.map fp
-      [ Faultspace.Bitflip_mem; Faultspace.burst 2; Faultspace.burst 3;
-        Faultspace.burst ~row:2 3; Faultspace.Skip ]
+      [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 2;
+        Faultspace.burst 3; Faultspace.burst ~row:2 3; Faultspace.Skip ]
   in
   let distinct = List.sort_uniq compare fps in
   Alcotest.(check int) "all models fingerprint apart" (List.length fps)
@@ -529,10 +529,6 @@ let test_model_fingerprints_distinct () =
    bit-cycles for the memory models, Δt × 480 for registers, Δt cycles
    for skip.  hi+dft runs 12 cycles, so its skip cell pads 4 slots. *)
 let test_accounting_invariant () =
-  let models =
-    [ Faultspace.Bitflip_mem; Faultspace.Bitflip_reg; Faultspace.burst 3;
-      Faultspace.burst ~row:2 3; Faultspace.Skip ]
-  in
   List.iter
     (fun (name, image) ->
       let golden = Golden.run image in
@@ -550,11 +546,7 @@ let test_accounting_invariant () =
                 (cycles * 8 * image.Program.ram_size, Faultspace.experiments cell)
           in
           Alcotest.(check int) (label ^ ": cell space") space (Faultspace.space cell);
-          let spec =
-            match model with
-            | Faultspace.Bitflip_reg -> Spec.of_regspace (Regspace.analyze image)
-            | _ -> Spec.of_golden ~model golden
-          in
+          let spec = Spec.of_golden ~model golden in
           List.iter
             (fun (path, scan) ->
               let label = label ^ " " ^ path in
@@ -572,9 +564,37 @@ let test_accounting_invariant () =
               Alcotest.(check int) (label ^ ": unweighted histogram")
                 experiments (sum Accounting.pitfall1))
             [ ("serial", Faultspace.scan cell); ("engine", Drive.scan ~jobs:1 spec) ])
-        models)
+        all_models)
     [ ("hi", Hi.program ()); ("hi+dft", Hi.dft ());
       ("flag1", Flag1.baseline ()) ]
+
+(* ------------------------------------------------------------------ *)
+(* One golden run is the analysed source of every model               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every model's cell of one golden run scans as the cell analysed from
+   the image, and the whole sweep records at most one register trace:
+   the register partition and every checkpoint ladder share it. *)
+let test_one_golden_every_model () =
+  List.iter
+    (fun (name, image) ->
+      let golden = Golden.run image in
+      let n0 = Golden.register_replays () in
+      let shared =
+        List.map (fun m -> Faultspace.(scan (of_golden m golden))) all_models
+      in
+      Alcotest.(check bool)
+        (name ^ ": one register trace for every model")
+        true
+        (Golden.register_replays () - n0 <= 1);
+      List.iter2
+        (fun m scan ->
+          check_scans_identical
+            (name ^ "@" ^ Faultspace.tag m ^ ": of_golden = analyse")
+            (Faultspace.scan (Faultspace.analyse m image))
+            scan)
+        all_models shared)
+    [ ("hi", Hi.program ()); ("flag1", Flag1.baseline ()) ]
 
 let suite =
   ( "faultspace",
@@ -611,4 +631,6 @@ let suite =
         test_model_fingerprints_distinct;
       Alcotest.test_case "every model's scan sums to its space" `Quick
         test_accounting_invariant;
+      Alcotest.test_case "one golden run gives every model's cell" `Quick
+        test_one_golden_every_model;
     ] )

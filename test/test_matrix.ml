@@ -12,9 +12,10 @@
 let hi_golden = lazy (Golden.run (Hi.program ()))
 let hi_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
-let hi_regspace = lazy (Regspace.analyze (Hi.program ()))
 let hi_reg_serial =
-  lazy Faultspace.(scan (of_regspace (Lazy.force hi_regspace)))
+  lazy Faultspace.(scan (of_golden Bitflip_reg (Lazy.force hi_golden)))
+let hi_reg ?policy () =
+  Spec.of_golden ?policy ~model:Faultspace.Bitflip_reg (Lazy.force hi_golden)
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
 let flag1_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
@@ -110,7 +111,7 @@ let test_weighted_engine_equals_serial () =
 let test_fingerprints_distinguish () =
   let golden = Lazy.force hi_golden in
   let mem = Spec.of_golden golden in
-  let reg = Spec.of_regspace (Lazy.force hi_regspace) in
+  let reg = hi_reg () in
   let weighted =
     Spec.of_golden ~policy:(Spec.make_policy ~weighted:true ()) golden
   in
@@ -126,14 +127,13 @@ let test_fingerprints_distinguish () =
 (* ------------------------------------------------------------------ *)
 
 let test_register_engine_equals_scan () =
-  let r = Lazy.force hi_regspace in
   let serial = Lazy.force hi_reg_serial in
   List.iter
     (fun jobs ->
       check_scans_identical
         (Printf.sprintf "hi registers -j %d" jobs)
         serial
-        (Drive.scan ~jobs (Spec.of_regspace r)))
+        (Drive.scan ~jobs (hi_reg ())))
     [ 1; 2; 4 ]
 
 (* Register engine == serial Faultspace.scan on random compiled MIR programs with
@@ -159,17 +159,17 @@ let qcheck_register_engine_equals_scan =
               @ [ out (g "acc" &: i 255); ret_unit ]);
           ]
       in
-      let r = Regspace.analyze (Codegen.compile source) in
+      let golden = Golden.run (Codegen.compile source) in
       let policy = Spec.make_policy ~shard_size () in
-      Faultspace.(scan (of_regspace r))
-      = Drive.scan ~jobs (Spec.of_regspace ~policy r))
+      Faultspace.(scan (of_golden Bitflip_reg golden))
+      = Drive.scan ~jobs
+          (Spec.of_golden ~policy ~model:Faultspace.Bitflip_reg golden))
 
 let test_register_journal_resume () =
-  let r = Lazy.force hi_regspace in
   let serial = Lazy.force hi_reg_serial in
   with_temp_file (fun path ->
       let policy = Spec.make_policy ~shard_size:4 ~journal:path () in
-      let full = Drive.scan ~jobs:2 (Spec.of_regspace ~policy r) in
+      let full = Drive.scan ~jobs:2 (hi_reg ~policy ()) in
       check_scans_identical "journaled register run" serial full;
       let total_shards =
         match Journal.load path with
@@ -182,13 +182,13 @@ let test_register_journal_resume () =
       let resumed =
         Drive.scan ~jobs:2
           ~observe:(fun s -> snap := Some s)
-          (Spec.of_regspace
+          (hi_reg
              ~policy:
                { policy with
                  Spec.durability =
                    { policy.Spec.durability with Spec.resume = true };
                }
-             r)
+             ())
       in
       check_scans_identical "resumed = uninterrupted" serial resumed;
       match !snap with
@@ -201,16 +201,13 @@ let test_register_journal_resume () =
 
 let test_cross_space_resume_rejected () =
   let golden = Lazy.force hi_golden in
-  let r = Lazy.force hi_regspace in
   with_temp_file (fun path ->
       (* Memory journal, register resume. *)
       ignore
         (Drive.scan ~jobs:1
            (Spec.of_golden ~policy:(Spec.make_policy ~journal:path ()) golden));
       let reg_resume =
-        Spec.of_regspace
-          ~policy:(Spec.make_policy ~journal:path ~resume:true ())
-          r
+        hi_reg ~policy:(Spec.make_policy ~journal:path ~resume:true ()) ()
       in
       (match Drive.scan ~jobs:1 reg_resume with
       | _ -> Alcotest.fail "register resume accepted a memory journal"
@@ -218,9 +215,7 @@ let test_cross_space_resume_rejected () =
       (* Register journal, memory resume. *)
       ignore
         (Drive.scan ~jobs:1
-           (Spec.of_regspace
-              ~policy:(Spec.make_policy ~journal:path ())
-              r));
+           (hi_reg ~policy:(Spec.make_policy ~journal:path ()) ()));
       let mem_resume =
         Spec.of_golden
           ~policy:(Spec.make_policy ~journal:path ~resume:true ())
@@ -240,7 +235,7 @@ let test_matrix_small_cells () =
      conductor, results in spec order. *)
   let specs () =
     [ Spec.of_golden (Lazy.force flag1_golden);
-      Spec.of_regspace (Lazy.force hi_regspace);
+      hi_reg ();
       Spec.of_golden (Lazy.force hi_golden) ]
   in
   List.iter
@@ -262,7 +257,7 @@ let test_matrix_small_cells () =
 let test_matrix_aggregate_progress () =
   let specs =
     [ Spec.of_golden (Lazy.force hi_golden);
-      Spec.of_regspace (Lazy.force hi_regspace) ]
+      hi_reg () ]
   in
   let final = ref None in
   let scans = Drive.scans ~jobs:2 ~observe:(fun s -> final := Some s) specs in

@@ -12,7 +12,10 @@ let contains = Astring_contains.contains
 let hi_golden = lazy (Golden.run (Hi.program ()))
 let hi_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
-let hi_regs = lazy (Regspace.analyze (Hi.program ()))
+let hi_reg_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_reg (Lazy.force hi_golden)))
+let hi_reg () =
+  Spec.of_golden ~model:Faultspace.Bitflip_reg (Lazy.force hi_golden)
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
 let flag1_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
@@ -636,25 +639,23 @@ let test_sockets_equal_serial_memory () =
                 warm.Engine.scan)))
 
 let test_sockets_equal_serial_registers () =
-  let rs = Lazy.force hi_regs in
-  let serial = Faultspace.(scan (of_regspace rs)) in
+  let serial = Lazy.force hi_reg_serial in
   with_daemon (fun addr ->
       check_scans_identical "hi registers sockets = serial" serial
-        (Drive.scan ~backend:(sockets_of addr) ~jobs:2
-           (Spec.of_regspace rs)))
+        (Drive.scan ~backend:(sockets_of addr) ~jobs:2 (hi_reg ())))
 
 let test_sockets_matrix () =
   let specs =
     [
       Spec.of_golden (Lazy.force hi_golden);
-      Spec.of_regspace (Lazy.force hi_regs);
+      hi_reg ();
       Spec.of_golden (Lazy.force flag1_golden);
     ]
   in
   let serials =
     [
       Lazy.force hi_serial;
-      Faultspace.(scan (of_regspace (Lazy.force hi_regs)));
+      Lazy.force hi_reg_serial;
       Lazy.force flag1_serial;
     ]
   in

@@ -9,7 +9,10 @@
 let hi_golden = lazy (Golden.run (Hi.program ()))
 let hi_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force hi_golden)))
-let hi_regs = lazy (Regspace.analyze (Hi.program ()))
+let hi_reg_serial =
+  lazy Faultspace.(scan (of_golden Bitflip_reg (Lazy.force hi_golden)))
+let hi_reg () =
+  Spec.of_golden ~model:Faultspace.Bitflip_reg (Lazy.force hi_golden)
 let flag1_golden = lazy (Golden.run (Flag1.baseline ()))
 let flag1_serial =
   lazy Faultspace.(scan (of_golden Bitflip_mem (Lazy.force flag1_golden)))
@@ -81,28 +84,27 @@ let test_processes_equal_serial_memory () =
     [ 1; 2; 4 ]
 
 let test_processes_equal_serial_registers () =
-  let rs = Lazy.force hi_regs in
-  let serial = Faultspace.(scan (of_regspace rs)) in
+  let serial = Lazy.force hi_reg_serial in
   List.iter
     (fun jobs ->
       check_scans_identical
         (Printf.sprintf "hi registers processes -j %d" jobs)
         serial
-        (Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_regspace rs)))
+        (Drive.scan ~backend:Pool.Processes ~jobs (hi_reg ())))
     [ 1; 2 ]
 
 let test_processes_matrix () =
   let specs =
     [
       Spec.of_golden (Lazy.force hi_golden);
-      Spec.of_regspace (Lazy.force hi_regs);
+      hi_reg ();
       Spec.of_golden (Lazy.force flag1_golden);
     ]
   in
   let serials =
     [
       Lazy.force hi_serial;
-      Faultspace.(scan (of_regspace (Lazy.force hi_regs)));
+      Lazy.force hi_reg_serial;
       Lazy.force flag1_serial;
     ]
   in

@@ -1,7 +1,10 @@
 (* Tests for the register fault-space extension (Section VI-B), pinned to
    hand-derived register def/use facts of the Hi program. *)
 
-let hi = lazy (Regspace.analyze (Hi.program ()))
+let hi_golden = lazy (Golden.run (Hi.program ()))
+let hi = lazy (Regspace.of_golden (Lazy.force hi_golden))
+let hi_cell =
+  lazy Faultspace.(of_golden Bitflip_reg (Lazy.force hi_golden))
 
 (* The registers a {!Isa.reg_uses_defs} mask names from bit [shift]
    on, ascending. *)
@@ -85,9 +88,8 @@ let qcheck_gen_partition_matches_two_runs =
           | Some what -> QCheck.Test.fail_reportf "%s differ" what))
 
 let test_hi_register_space_size () =
-  let t = Lazy.force hi in
   Alcotest.(check int) "w = 8 cycles x 480 bits" (8 * 480)
-    (Faultspace.space (Faultspace.of_regspace t))
+    (Faultspace.space (Lazy.force hi_cell))
 
 let test_hi_register_classes () =
   let t = Lazy.force hi in
@@ -113,8 +115,7 @@ let test_coord_of_bit () =
   Alcotest.(check (pair int int)) "last" (15, 31) (Regspace.coord_of_bit 479)
 
 let test_hi_register_scan () =
-  let t = Lazy.force hi in
-  let scan = Faultspace.(scan (of_regspace t)) in
+  let scan = Faultspace.scan (Lazy.force hi_cell) in
   Alcotest.(check int) "pseudo ram" 60 scan.Scan.ram_bytes;
   Alcotest.(check int) "w consistent" (8 * 480) (Scan.fault_space_size scan);
   (* Low byte of r1 (the 'H' about to be stored): all 8 bits corrupt the
@@ -163,21 +164,20 @@ let test_register_flip_primitive () =
 let test_register_partition_invariant () =
   (* Register def/use classes partition the register fault space for a
      real compiled program. *)
-  let t = Regspace.analyze (Mbox1.baseline ()) in
-  let d = t.Regspace.reg_defuse in
+  let golden = Golden.run (Mbox1.baseline ()) in
+  let d = (Regspace.of_golden golden).Regspace.reg_defuse in
   let total =
     8 * Array.fold_left (fun acc c -> acc + Defuse.weight c) 0 (Defuse.classes d)
   in
   Alcotest.(check int) "weights partition w"
-    (Faultspace.space (Faultspace.of_regspace t))
+    (Faultspace.space (Faultspace.of_golden Faultspace.Bitflip_reg golden))
     total
 
 let test_cross_layer_sizes_differ () =
   (* The Section VI-C setup: same program, two layers, different w. *)
-  let t = Lazy.force hi in
   Alcotest.(check bool) "register w != memory w" true
-    (Faultspace.space (Faultspace.of_regspace t)
-    <> Golden.fault_space_size t.Regspace.golden)
+    (Faultspace.space (Lazy.force hi_cell)
+    <> Golden.fault_space_size (Lazy.force hi_golden))
 
 let suite =
   ( "regspace",

@@ -234,9 +234,10 @@ let qcheck_differential_registers =
                 out (g "x" &: i 255); ret_unit ];
           ]
       in
-      let rs = Regspace.analyze (Codegen.compile source) in
-      Faultspace.(scan (of_regspace rs))
-      = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_regspace rs))
+      let golden = Golden.run (Codegen.compile source) in
+      Faultspace.(scan (of_golden Bitflip_reg golden))
+      = Drive.scan ~backend:Pool.Processes ~jobs
+          (Spec.of_golden ~model:Faultspace.Bitflip_reg golden))
 
 (* ------------------------------------------------------------------ *)
 (* Supervision: heal, exhaust, quarantine — and compose with resume   *)
