@@ -367,8 +367,12 @@ let perf_tests () =
        substrate primitives. *)
     Test.make ~name:"T1-poisson-pmf"
       (Staged.stage (fun () -> ignore (Poisson.pmf ~lambda:1.66e-14 1)));
+    (* What a memory cell reads of its golden run's def/use analysis,
+       which builds its classes when first read. *)
     Test.make ~name:"F1-defuse-analysis"
-      (Staged.stage (fun () -> ignore (Defuse.analyze bin_golden.Golden.trace)));
+      (Staged.stage (fun () ->
+           ignore
+             (Defuse.experiment_classes (Defuse.analyze bin_golden.Golden.trace))));
     (* The two other per-cell passes every cache hit pays before it reads
        its journal: the t_end ranking and the campaign fingerprint. *)
     Test.make ~name:"F1-shard-plan-bin-sem2"

@@ -2,14 +2,16 @@
 
     "Every bit in […] the CPU registers […] could be part of the fault
     space — requiring to also record read and write accesses to these
-    bits for def/use pruning."  This module does exactly that: it reads
-    the per-cycle register reads and writes of the golden run's register
-    trace ({!Golden.registers}) and reuses the def/use machinery by
-    mapping register [i] (1–15; [r0] is hardwired and immune) onto a
-    60-byte pseudo-memory at bytes [4·(i−1) … 4·i) ({!coord_of_bit}
-    inverts the layout).  The register
-    cell of [Faultspace.of_golden Bitflip_reg] owns the space's geometry
-    and injects its register-bit flips; campaigns run through it.
+    bits for def/use pruning."  This module does exactly that, from the
+    per-cycle register reads and writes of the golden run's register
+    trace ({!Golden.registers}).  Register [i] (1–15; [r0] is hardwired
+    and immune) is laid out as a 60-byte pseudo-memory at bytes
+    [4·(i−1) … 4·i) ({!coord_of_bit} inverts the layout), and its
+    def/use intervals are given in {!Defuse}'s terms: byte classes, 8
+    experiment slots each, as journals and fingerprints record them.
+    The register cell of [Faultspace.of_golden Bitflip_reg] owns the
+    space's geometry and injects its register-bit flips; campaigns run
+    through it.
 
     The resulting {!Scan.t} is fully compatible with the metrics layer,
     so fault coverage, weighted failure counts and the pitfall analyses
@@ -24,9 +26,25 @@ type t = {
   golden : Golden.t;
       (** The memory-space golden run of the same program (output,
           runtime, RAM def/use) — shared by both layers. *)
-  reg_defuse : Defuse.t;
-      (** Register def/use partition over the pseudo-memory. *)
+  classes : Defuse.byte_class array;
+      (** The experiment classes of the register def/use partition, in
+          (byte, t_start) order: an interval of register [r] that ends
+          in a read is the four byte classes [4 (r−1) … 4 (r−1) + 3]. *)
+  benign_weight : int;
+      (** Bit·cycles of the a-priori benign intervals: those ending in
+          a write, the dormant tails and the registers never touched. *)
 }
+
+val partition : cycles:int -> Bytes.t -> Defuse.byte_class array * int
+(** [partition ~cycles registers] is the experiment classes and benign
+    weight of a [cycles]-cycle register trace in the format of
+    {!Golden.registers}, in two passes over it: one counts each
+    register's experiments, one writes them.  No pseudo-memory trace
+    is built.  It equals {!Defuse.analyze} over the pseudo-memory trace
+    that makes each register read and write a 4-byte access (a cycle's
+    reads before its write, so a register read and written in one
+    cycle ends an experiment): the same classes in the same order,
+    and the same benign weight.  Bits for [r0] are ignored. *)
 
 val of_golden : Golden.t -> t
 (** The register partition of a golden run, from its shared register

@@ -282,15 +282,13 @@ let memory_cell model (golden : Golden.t) inject =
     inject
 
 (* The register cell shares the golden run and its register trace: its
-   classes are the def/use partition of the register file's
-   pseudo-memory ([Regspace.of_golden]). *)
+   classes are the register def/use partition ([Regspace.of_golden]),
+   four byte classes of the pseudo-memory per register interval. *)
 let register_cell (golden : Golden.t) =
-  let defuse = (Regspace.of_golden golden).Regspace.reg_defuse in
-  byte_cell Bitflip_reg golden
-    ~classes:(Defuse.experiment_classes defuse)
+  let r = Regspace.of_golden golden in
+  byte_cell Bitflip_reg golden ~classes:r.Regspace.classes
     ~ram_bytes:Regspace.pseudo_ram_bytes
-    ~benign_weight:(Defuse.known_benign_weight defuse)
-    inject_reg
+    ~benign_weight:r.Regspace.benign_weight inject_reg
 
 let of_golden model (golden : Golden.t) =
   match model with

@@ -174,11 +174,15 @@ val of_golden : model -> Golden.t -> cell
 
     {!Bitflip_mem} and {!Burst} share the def/use partition (classes,
     weights and benign weight are identical — a burst only widens what
-    flips {e inside} the addressed byte).  {!Bitflip_reg} partitions the
-    register file's pseudo-memory ({!Regspace.of_golden}) from the
-    golden run's register trace ({!Golden.registers}), which the program
-    records on first use and every later cell and checkpoint ladder over
-    the same golden run shares.  {!Skip} builds a synthetic partition
+    flips {e inside} the addressed byte); both read it from the golden
+    run's {!Defuse.t}, whose analysis already separated the experiment
+    classes and summed the benign weight.  {!Bitflip_reg} partitions
+    the register file directly from the golden run's register trace
+    ({!Regspace.of_golden}, two passes over {!Golden.registers}, which
+    the program records on first use and every later cell and
+    checkpoint ladder over the same golden run shares): each register
+    interval that ends in a read is four byte classes of the 60-byte
+    pseudo-memory.  {!Skip} builds a synthetic partition
     over the cycle axis: class [i] covers cycles [8i+1 … 8i+8], encoded
     as [{byte = i; t_start = t_end = 8i+1}] so each slot's
     {!Defuse.weight}-derived experiment weight is 1 (every cycle is its

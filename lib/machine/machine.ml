@@ -33,8 +33,7 @@ type exec_tracer = cycle:int -> Isa.instr -> unit
 type t = {
   prog : Program.t;
   code : Isa.instr array;
-  xcode : (t -> unit) array; (* block-compiled code, shared by forks *)
-  blen : int array; (* per pc: instructions left in its block *)
+  blocks : blocks; (* block-compiled code, shared by forks *)
   rom : bytes;
   ram : Bytes.t;
   regs : int array;
@@ -49,6 +48,17 @@ type t = {
   mutable stop : stop_reason option;
   tracer : tracer option;
   exec_tracer : exec_tracer option;
+}
+
+(* Compiled on the first run that uses it, then shared by every machine
+   forked or restored from the same creation.  An atomic once-cell
+   rather than [Lazy.t]: sessions on several domains restore snapshots
+   of one machine, and [Lazy] forbids forcing from two at once. *)
+and blocks = compiled option Atomic.t
+
+and compiled = {
+  xcode : (t -> unit) array;
+  blen : int array; (* per pc: instructions left in its block *)
 }
 
 let program m = m.prog
@@ -726,7 +736,23 @@ let compile_program (prog : Program.t) =
       | None ->
           compile_instr ~ram_size ~code_len ~pc ~k ~next:(after pc) code.(pc))
   done;
-  (xcode, blen)
+  { xcode; blen }
+
+(* One compilation per creation: the lock makes a second domain that
+   finds the cell empty wait for the first one's result. *)
+let compile_lock = Mutex.create ()
+
+let compiled m =
+  match Atomic.get m.blocks with
+  | Some c -> c
+  | None ->
+      Mutex.protect compile_lock (fun () ->
+          match Atomic.get m.blocks with
+          | Some c -> c
+          | None ->
+              let c = compile_program m.prog in
+              Atomic.set m.blocks (Some c);
+              c)
 
 let create ?tracer ?exec_tracer prog =
   let regs = Array.make 17 0 in
@@ -735,12 +761,10 @@ let create ?tracer ?exec_tracer prog =
       let i = Isa.reg_index r in
       if i <> 0 then regs.(i) <- Int32.to_int v land 0xFFFFFFFF)
     prog.Program.reg_init;
-  let xcode, blen = compile_program prog in
   {
     prog;
     code = prog.Program.code;
-    xcode;
-    blen;
+    blocks = Atomic.make None;
     rom = prog.Program.rom;
     ram = Program.initial_ram prog;
     regs;
@@ -784,7 +808,8 @@ let rec step_to m stop_at =
    every instruction; they run once per campaign, off the hot path. *)
 let run_to m stop_at =
   if m.stop == None && m.exec_tracer == None then (
-    try run_blocks m m.xcode m.blen stop_at
+    let { xcode; blen } = compiled m in
+    try run_blocks m xcode blen stop_at
     with Stop reason -> m.stop <- Some reason);
   step_to m stop_at
 
@@ -816,8 +841,7 @@ module Snapshot = struct
 
   type t = {
     s_prog : Program.t;
-    s_xcode : (machine -> unit) array; (* shared, compiled once per program *)
-    s_blen : int array;
+    s_blocks : blocks; (* shared with the captured machine *)
     s_ram : bytes;
     s_regs : int array;
     s_pc : int;
@@ -836,8 +860,7 @@ module Snapshot = struct
   let capture (m : machine) =
     {
       s_prog = m.prog;
-      s_xcode = m.xcode;
-      s_blen = m.blen;
+      s_blocks = m.blocks;
       s_ram = Bytes.copy m.ram;
       s_regs = Array.copy m.regs;
       s_pc = m.pc;
@@ -857,8 +880,7 @@ module Snapshot = struct
     {
       prog = s.s_prog;
       code = s.s_prog.Program.code;
-      xcode = s.s_xcode;
-      blen = s.s_blen;
+      blocks = s.s_blocks;
       rom = s.s_prog.Program.rom;
       ram = Bytes.copy s.s_ram;
       regs = Array.copy s.s_regs;
@@ -913,8 +935,7 @@ let run_checkpointed m ~stride ~limit =
       (fun (ram, regs, pc, cyc, mark, events, evn) ->
         {
           Snapshot.s_prog = m.prog;
-          s_xcode = m.xcode;
-          s_blen = m.blen;
+          s_blocks = m.blocks;
           s_ram = ram;
           s_regs = regs;
           s_pc = pc;

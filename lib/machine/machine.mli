@@ -21,9 +21,11 @@
 
     Two interpreters execute the same semantics.  {!step} is the
     reference: it decodes and executes one instruction per call.
-    {!run} and {!run_until} use code compiled once per {!create}
-    (and shared by every {!fork} and {!Snapshot.restore} of it) into
-    basic blocks.  A block ends at a control transfer ([Beq], [Jmp],
+    {!run} and {!run_until} use code compiled into basic blocks once
+    per {!create}, on the first run that uses it, and shared by every
+    {!fork} and {!Snapshot.restore} of it, on any domain; a machine
+    with an exec tracer only {!step}s, so it compiles only if a fork or
+    snapshot of it runs.  A block ends at a control transfer ([Beq], [Jmp],
     [Jal], [Jr], [Halt]) or at every 16th pc.  Each instruction is a
     closure specialised on its operands that tail-calls its
     successor's, so the run loop checks the cycle budget and charges

@@ -14,110 +14,146 @@ type byte_class = {
 
 let weight c = c.t_end - c.t_start + 1
 
+(* Both parts are built on first use: a campaign under a memory model
+   reads only [experiments], one under another model neither, and
+   [full] is for reports and lookups. *)
 type t = {
-  ram : int;
-  cycles : int;
+  trace : Trace.t;
+  experiments : experiments option Atomic.t;
+  full : full option Atomic.t;
+}
+
+and experiments = {
+  exp : byte_class array;
+  benign : int; (* bit·cycles of the [Overwritten] and [Dormant] classes *)
+}
+
+and full = {
   all : byte_class array;
   (* Per byte: offset into [all] of this byte's first class, classes of one
      byte being contiguous and sorted by t_start.  Length ram+1 (fencepost). *)
   byte_offset : int array;
 }
 
-let ram_size t = t.ram
-let total_cycles t = t.cycles
-let fault_space_size t = t.cycles * t.ram * 8
-let classes t = t.all
+let ram_size t = Trace.ram_size t.trace
+let total_cycles t = Trace.total_cycles t.trace
+let fault_space_size t = total_cycles t * ram_size t * 8
 
 (* Two passes over the trace, with the previous access cycle of each
    byte in [prev] (0 = initial contents, defined at reset).  A byte gets
    a class at every access in a cycle after its previous one — ending in
    a read it is an experiment, in a write overwritten — and a dormant
    class after its last access, when cycles remain.  Pass 1 counts each
-   byte's classes into [byte_offset]; pass 2 writes every class into its
-   slot of [all], in execution order, so each byte's classes come out
+   byte's classes into [offset] (the benign ones only if [benign_too])
+   and sums the benign weight; pass 2 writes every class counted into
+   its slot, in execution order, so each byte's classes come out
    contiguous and sorted by t_start. *)
-let analyze trace =
+let partition trace ~benign_too =
   let ram = Trace.ram_size trace in
   let cycles = Trace.total_cycles trace in
   let prev = Array.make ram 0 in
-  let byte_offset = Array.make (ram + 1) 0 in
-  Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind:_ ->
+  let offset = Array.make (ram + 1) 0 in
+  let benign = ref 0 in
+  Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind ->
       (* One instruction makes at most one memory access per byte, but
-         the register pseudo-memory reads and writes a register in one
-         cycle: only the cycle's first access ends a class. *)
-      if cycle > prev.(byte) then begin
-        byte_offset.(byte + 1) <- byte_offset.(byte + 1) + 1;
+         a pseudo-memory may read and write a byte in one cycle: only
+         the cycle's first access ends a class. *)
+      let p = prev.(byte) in
+      if cycle > p then begin
+        (match (kind : Trace.kind) with
+        | Read -> offset.(byte + 1) <- offset.(byte + 1) + 1
+        | Write ->
+            benign := !benign + cycle - p;
+            if benign_too then offset.(byte + 1) <- offset.(byte + 1) + 1);
         prev.(byte) <- cycle
       end);
   for byte = 0 to ram - 1 do
-    if prev.(byte) < cycles then
-      byte_offset.(byte + 1) <- byte_offset.(byte + 1) + 1;
-    byte_offset.(byte + 1) <- byte_offset.(byte + 1) + byte_offset.(byte)
+    if prev.(byte) < cycles then begin
+      benign := !benign + cycles - prev.(byte);
+      if benign_too then offset.(byte + 1) <- offset.(byte + 1) + 1
+    end;
+    offset.(byte + 1) <- offset.(byte + 1) + offset.(byte)
   done;
-  let all =
-    Array.make byte_offset.(ram)
+  let classes =
+    Array.make offset.(ram)
       { byte = 0; t_start = 1; t_end = cycles; kind = Dormant }
   in
   (* [next.(byte)]: the slot of the byte's next class. *)
-  let next = Array.sub byte_offset 0 ram in
+  let next = Array.sub offset 0 ram in
+  let emit byte c =
+    classes.(next.(byte)) <- c;
+    next.(byte) <- next.(byte) + 1
+  in
   Array.fill prev 0 ram 0;
   Trace.iter_byte_accesses trace (fun ~byte ~cycle ~kind ->
       let p = prev.(byte) in
       if cycle > p then begin
-        let kind =
-          match (kind : Trace.kind) with
-          | Read -> Experiment
-          | Write -> Overwritten
-        in
-        all.(next.(byte)) <- { byte; t_start = p + 1; t_end = cycle; kind };
-        next.(byte) <- next.(byte) + 1;
+        (match (kind : Trace.kind) with
+        | Read -> emit byte { byte; t_start = p + 1; t_end = cycle; kind = Experiment }
+        | Write ->
+            if benign_too then
+              emit byte { byte; t_start = p + 1; t_end = cycle; kind = Overwritten });
         prev.(byte) <- cycle
       end);
-  for byte = 0 to ram - 1 do
-    if prev.(byte) < cycles then
-      all.(next.(byte)) <-
-        { byte; t_start = prev.(byte) + 1; t_end = cycles; kind = Dormant }
-  done;
-  { ram; cycles; all; byte_offset }
+  if benign_too then
+    for byte = 0 to ram - 1 do
+      if prev.(byte) < cycles then
+        emit byte { byte; t_start = prev.(byte) + 1; t_end = cycles; kind = Dormant }
+    done;
+  (classes, offset, 8 * !benign)
 
-let experiment_count_of all =
-  Array.fold_left (fun n c -> if c.kind = Experiment then n + 1 else n) 0 all
+let analyze trace =
+  ignore (Trace.total_cycles trace : int);
+  { trace; experiments = Atomic.make None; full = Atomic.make None }
 
-let experiment_classes t =
-  let n = experiment_count_of t.all in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n t.all.(0) in
-    let k = ref 0 in
-    Array.iter
-      (fun c ->
-        if c.kind = Experiment then begin
-          out.(!k) <- c;
-          incr k
-        end)
-      t.all;
-    out
-  end
+(* Built once per analysis: the lock makes a second domain that finds
+   the cell empty wait for the first one's result. *)
+let lock = Mutex.create ()
 
-let experiment_count t = 8 * experiment_count_of t.all
+let once cell build t =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      Mutex.protect lock (fun () ->
+          match Atomic.get cell with
+          | Some v -> v
+          | None ->
+              let v = build t in
+              Atomic.set cell (Some v);
+              v)
 
-let known_benign_weight t =
-  8
-  * Array.fold_left
-      (fun n c -> if c.kind = Experiment then n else n + weight c)
-      0 t.all
+let experiments t =
+  once t.experiments
+    (fun t ->
+      let exp, _, benign = partition t.trace ~benign_too:false in
+      { exp; benign })
+    t
+
+let full t =
+  once t.full
+    (fun t ->
+      let all, byte_offset, _ = partition t.trace ~benign_too:true in
+      { all; byte_offset })
+    t
+
+let classes t = (full t).all
+let experiment_classes t = (experiments t).exp
+let experiment_count t = 8 * Array.length (experiment_classes t)
+let known_benign_weight t = (experiments t).benign
 
 let find t ~cycle ~byte =
-  if byte < 0 || byte >= t.ram then invalid_arg "Defuse.find: byte outside RAM";
-  if cycle < 1 || cycle > t.cycles then
+  if byte < 0 || byte >= ram_size t then
+    invalid_arg "Defuse.find: byte outside RAM";
+  if cycle < 1 || cycle > total_cycles t then
     invalid_arg "Defuse.find: cycle outside run";
-  let lo = t.byte_offset.(byte) and hi = t.byte_offset.(byte + 1) in
+  let { all; byte_offset } = full t in
+  let lo = byte_offset.(byte) and hi = byte_offset.(byte + 1) in
   (* Binary search for the class with t_start <= cycle <= t_end. *)
   let rec search lo hi =
     if lo >= hi then invalid_arg "Defuse.find: coordinate not covered"
     else
       let mid = (lo + hi) / 2 in
-      let c = t.all.(mid) in
+      let c = all.(mid) in
       if cycle < c.t_start then search lo mid
       else if cycle > c.t_end then search (mid + 1) hi
       else c

@@ -22,10 +22,17 @@
     (byte-class, bit-in-byte) pair because different bits of the same
     interval may produce different outcomes.
 
-    {!analyze} builds the partition in two passes over the trace — count
-    each byte's classes, then write each class into its slot — so the
-    only allocations are the class records and a few arrays sized by RAM
-    and class count.  {!rank_by_t_end} is the one ranking of classes by
+    An analysis builds each of its two parts on first use, once
+    (domain-safe), and keeps it.  What a campaign reads
+    ({!experiment_classes}, {!experiment_count}, {!known_benign_weight})
+    takes two passes over the trace — count each byte's experiment
+    classes and sum the benign weight, then write each experiment class
+    into its slot — so the only allocations are the experiment class
+    records and a few arrays sized by RAM and class count.  The
+    complete partition ({!classes}, {!find}), benign classes included,
+    takes the same two passes; only reports and lookups ask for it.  A
+    campaign under a model that does not read memory def/use builds
+    neither.  {!rank_by_t_end} is the one ranking of classes by
     injection cycle, shared by the serial scan and the engine's plan. *)
 
 type class_kind =
@@ -50,7 +57,8 @@ type t
 (** The complete partition for one golden run. *)
 
 val analyze : Trace.t -> t
-(** Partition the fault space of a sealed trace.
+(** The def/use analysis of a sealed trace; its classes are built when
+    first read.
 
     @raise Invalid_argument if the trace is not sealed. *)
 
@@ -64,8 +72,10 @@ val classes : t -> byte_class array
 (** All classes, sorted by [(byte, t_start)]. *)
 
 val experiment_classes : t -> byte_class array
-(** Only the [Experiment] classes.  The number of FI experiments needed
-    for a full fault-space scan is [8 × Array.length] of this. *)
+(** Only the [Experiment] classes, in the order of {!classes}.  The
+    number of FI experiments needed for a full fault-space scan is
+    [8 × Array.length] of this.  The array is the analysis's own: do
+    not mutate it. *)
 
 val experiment_count : t -> int
 (** [8 ×] number of experiment byte-classes — what FAIL* would run. *)

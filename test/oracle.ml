@@ -1,8 +1,9 @@
 (* The list-based register and live-in analyses the linear sweeps
    replaced, kept as oracles for them: per-instruction register lists,
    per-location cons lists of accesses sorted with reads first within a
-   cycle, and the register fault space recorded by a second, traced run
-   of the program. *)
+   cycle, and the register fault space as the byte-granular def/use
+   partition of a pseudo-memory, from a second, traced run of the
+   program or from a register trace. *)
 
 (* [(writes, reads)] of one instruction, [r0] excluded from both. *)
 let defs_uses instr =
@@ -114,15 +115,37 @@ let rungs (golden : Golden.t) ~stride =
   in
   Array.map Machine.Snapshot.cycle snaps
 
-(* The register def/use partition from a second run of the program,
-   each register access a 4-byte pseudo-memory access. *)
-let reg_defuse (golden : Golden.t) =
-  let _, regs = traced_run golden in
+(* The register def/use partition as a pseudo-memory: each register
+   access [(cycle, r, is_read)] (reads before writes within a cycle) a
+   4-byte access to bytes [4 (r - 1) …] of a 60-byte trace, analysed
+   byte by byte by [Defuse]. *)
+let pseudo_memory_defuse ~cycles reg_accesses =
   let trace = Trace.create ~ram_size:Regspace.pseudo_ram_bytes in
   List.iter
     (fun (cycle, r, is_read) ->
       Trace.add trace ~cycle ~addr:(4 * (r - 1)) ~width:4
         ~kind:(if is_read then Trace.Read else Trace.Write))
-    regs;
-  Trace.seal trace ~total_cycles:golden.Golden.cycles;
+    reg_accesses;
+  Trace.seal trace ~total_cycles:cycles;
   Defuse.analyze trace
+
+(* The register def/use partition from a second run of the program. *)
+let reg_defuse (golden : Golden.t) =
+  let _, regs = traced_run golden in
+  pseudo_memory_defuse ~cycles:golden.Golden.cycles regs
+
+(* The same partition of a register trace in the [Golden.registers]
+   format: each cycle's reads of r1–r15, then its writes. *)
+let reg_defuse_of_masks ~cycles masks =
+  let accesses = ref [] in
+  for cycle = 1 to cycles do
+    let m = Golden.uses_defs masks cycle in
+    for r = 1 to 15 do
+      if m land (1 lsl r) <> 0 then accesses := (cycle, r, true) :: !accesses
+    done;
+    for r = 1 to 15 do
+      if m land (1 lsl (16 + r)) <> 0 then
+        accesses := (cycle, r, false) :: !accesses
+    done
+  done;
+  pseudo_memory_defuse ~cycles (List.rev !accesses)

@@ -654,6 +654,48 @@ let summary m =
     (String.init ram_size (fun i -> Char.chr (Machine.read_ram_byte m i)))
     (Machine.serial_output m) (String.concat "," events)
 
+(* A machine with an exec tracer only steps, so it compiles no blocks:
+   [Machine.create ~exec_tracer] on bin_sem2/baseline allocates a few
+   dozen minor words (its RAM image is a direct major allocation).  It
+   took 9,207 more while it compiled eagerly, on OCaml 5.1.1. *)
+let traced_create_minor_words_budget = 200
+
+let test_traced_create_compiles_nothing () =
+  let p = Bin_sem2.baseline () in
+  let exec_tracer ~cycle:_ _ = () in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Machine.create ~exec_tracer p));
+  let words = Gc.minor_words () -. w0 in
+  if words > float_of_int traced_create_minor_words_budget then
+    Alcotest.failf "an exec-traced create allocated %.0f minor words (budget %d)"
+      words traced_create_minor_words_budget
+
+(* Snapshots and forks of an exec-traced machine run compiled, on the
+   blocks their first run compiles: they end as the reference
+   interpreter does, stepped from reset. *)
+let test_traced_snapshot_runs_compiled () =
+  let p = Bin_sem2.baseline () in
+  let limit = 1_000_000 in
+  let reference = Machine.create p in
+  while Machine.stopped reference = None && Machine.cycle reference < limit do
+    Machine.step reference
+  done;
+  let expected = summary reference in
+  let traced = Machine.create ~exec_tracer:(fun ~cycle:_ _ -> ()) p in
+  Machine.run_until traced ~cycle:(Machine.cycle reference / 3);
+  let snap = Machine.Snapshot.capture traced in
+  let fork = Machine.fork traced in
+  List.iter
+    (fun (what, m) ->
+      ignore (Machine.run m ~limit);
+      Alcotest.(check string) what expected (summary m))
+    [
+      ("restored snapshot", Machine.Snapshot.restore snap);
+      ("second restore, blocks compiled", Machine.Snapshot.restore snap);
+      ("fork", fork);
+      ("the traced machine itself", traced);
+    ]
+
 let test_fused_idioms () =
   let rng = Prng.create ~seed:23L in
   List.iter
@@ -915,6 +957,10 @@ let suite =
         test_fused_idioms;
       Alcotest.test_case "compiled = reference: generated programs" `Quick
         test_differential_generated;
+      Alcotest.test_case "an exec-traced create compiles nothing" `Quick
+        test_traced_create_compiles_nothing;
+      Alcotest.test_case "exec-traced snapshots run compiled = reference"
+        `Quick test_traced_snapshot_runs_compiled;
       QCheck_alcotest.to_alcotest qcheck_splice_bytewise;
       QCheck_alcotest.to_alcotest qcheck_memo_key_bytewise;
     ] )

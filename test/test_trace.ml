@@ -324,6 +324,22 @@ let test_suite_defuse_matches_lists () =
             (Suite.variant_name e.Suite.variant) what)
     Suite.all
 
+(* [analyze] leaves the complete partition to its first reader; two
+   domains asking at once get the one array, whose experiment classes
+   are the ones [analyze] built. *)
+let test_full_partition_built_once () =
+  let golden = Golden.run (Bin_sem2.baseline ()) in
+  let d = Defuse.analyze golden.Golden.trace in
+  let readers = List.init 2 (fun _ -> Domain.spawn (fun () -> Defuse.classes d)) in
+  let all = List.map Domain.join readers in
+  Alcotest.(check bool) "one array" true
+    (List.for_all (fun a -> a == Defuse.classes d) all);
+  Alcotest.(check bool) "its experiments are analyze's" true
+    (List.filter
+       (fun c -> c.Defuse.kind = Defuse.Experiment)
+       (Array.to_list (Defuse.classes d))
+    = Array.to_list (Defuse.experiment_classes d))
+
 (* ------------------------------------------------------------------ *)
 (* Ranking by injection cycle                                         *)
 (* ------------------------------------------------------------------ *)
@@ -465,6 +481,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_flat_defuse_matches_lists;
       Alcotest.test_case "suite def/use equals the list algorithm" `Quick
         test_suite_defuse_matches_lists;
+      Alcotest.test_case "full partition built once across domains" `Quick
+        test_full_partition_built_once;
       QCheck_alcotest.to_alcotest qcheck_rank_is_stdlib_sort;
       Alcotest.test_case "rank packing bound" `Quick test_rank_packing_bound;
       Alcotest.test_case "fault-space size" `Quick test_faultspace_size;
