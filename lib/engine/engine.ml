@@ -98,8 +98,11 @@ type runtime = {
   mutable classes_done : int;
   mutable shards_done : int;
   mutable requeues : int;  (** Supervision re-dispatches. *)
-  mutable kills : int;  (** Workers killed on the shard deadline. *)
 }
+
+(* Workers started (spawned or dialled) and killed on the shard deadline:
+   per call, since workers outlive cells. *)
+type counters = { mutable starts : int; mutable kills : int }
 
 (* The one apply, for a resumed, cached or conducted shard alike: copy
    each class's eight record characters into its slots, tally them, and
@@ -227,7 +230,6 @@ let setup spec cell =
       classes_done = 0;
       shards_done = 0;
       requeues = 0;
-      kills = 0;
     }
   in
   List.iter (fun (shard, outs) -> apply rt shard outs) records;
@@ -246,8 +248,8 @@ let setup spec cell =
   { rt with resumed_classes = rt.classes_done; resumed_shards = rt.shards_done }
 
 (* The matrix-wide progress snapshot: a fold over the cells' own
-   counters. *)
-let snapshot ~t0 rts =
+   counters, plus the call's worker counters. *)
+let snapshot ~t0 ~counters rts =
   let sum f = List.fold_left (fun acc rt -> acc + f rt) 0 rts in
   let tally = Outcome.tally_create () in
   List.iter (fun rt -> Outcome.tally_merge ~into:tally rt.tally) rts;
@@ -258,7 +260,7 @@ let snapshot ~t0 rts =
     ~shards_total:(sum (fun rt -> Array.length rt.plan.Shard.shards))
     ~resumed_classes:(sum (fun rt -> rt.resumed_classes))
     ~retries:(sum (fun rt -> rt.requeues))
-    ~kills:(sum (fun rt -> rt.kills))
+    ~kills:counters.kills ~starts:counters.starts
     ~quarantined_shards:(sum (fun rt -> List.length rt.q_info))
     ~quarantined_classes:
       (sum (fun rt ->
@@ -371,59 +373,55 @@ let conduct_domains ~jobs ~on_event ~emit rts =
 (* ------------------------------------------------------------------ *)
 
 (* Where a worker seat lives: this machine (a fork/exec'd child) or a
-   {!Remote} daemon.  The supervisor works over one seat table
-   [(host * seats) array] — the processes backend is one [Local] host
-   with [jobs] seats, the sockets backend one [Remote] host per probed
-   daemon. *)
+   {!Remote} daemon.  The processes backend has [jobs] [Local] seats,
+   the sockets backend each probed daemon's slots. *)
 type host = Local | Remote of Addr.t
 
-(* How the supervisor stops one spawned worker.  Every live worker is a
-   {!Transport.conn} speaking the {!Worker} frame protocol; only the
-   stop differs.  A local child is SIGKILLed and reaped, which leaves
-   its exit status to explain it; a remote daemon's worker is stopped
-   by tearing its connection down, and its address holds one of that
-   host's seats while it lives.  [Stillborn] is a dispatch that never
-   produced a worker (connect or handshake failure): it settles through
-   the ordinary supervision path, so refusals and dead hosts earn
-   retries, backoff and quarantine exactly like any other worker
-   death. *)
-type stop = Sigkill of int | Teardown of Addr.t | Stillborn of string
+(* How the supervisor stops a worker, a {!Transport.conn} speaking the
+   {!Worker} frame protocol: a local child is SIGKILLed and reaped, its
+   exit status explaining it; a remote one loses its connection.  A
+   failed dial is a connectionless [Teardown] worker, born ended, so
+   refusals and dead hosts earn retries, backoff and quarantine like
+   any other worker death. *)
+type stop = Sigkill of int | Teardown of Addr.t
 
-(* One record per spawned worker: its frame stream, heartbeat clocks,
-   and what became of it. *)
+(* One record per started worker: its frame stream, its job in flight,
+   heartbeat clocks, and what became of it.  A worker outlives its
+   jobs. *)
 type tracked = {
-  conn : Transport.conn option;  (** [None] only when stillborn. *)
+  conn : Transport.conn option;  (** [None] only when a dial failed. *)
   stop : stop;
-  index : int;
-  assigned : int array;
+  index : int;  (** Start ordinal within the call. *)
+  mutable cell : int;  (** Its latest job's cell. *)
+  mutable shards : int list;
+      (** The job's shards not yet recorded, in order; [[]] when idle. *)
+  mutable completed : int;  (** Shards completed over its lifetime. *)
+  mutable closing : bool;  (** Half-closed: no more jobs will come. *)
   mutable last_beat : float;  (** Last doorbell activity seen. *)
-  mutable last_progress : float;  (** Last [s]/[end] doorbell line. *)
+  mutable last_progress : float;
+      (** Last [s]/[end] doorbell line, or its dispatch or close since. *)
   mutable header_ok : bool;
   mutable corrupt : string option;
   mutable killed : string option;  (** Supervisor teardown reason. *)
   mutable wire_err : string option;
-      (** [Err] frame, frame corruption or failed dispatch. *)
+      (** [Err] frame, frame corruption or failed dial. *)
   mutable eof : bool;
   mutable status : Unix.process_status option;  (** A local child's. *)
-  mutable settled : bool;
 }
 
-(* A live worker occupying one of [host]'s seats; stillborn dispatches
-   never do. *)
-let seated host t =
-  (not t.eof)
-  &&
-  match (host, t.stop) with
-  | Local, Sigkill _ -> true
-  | Remote a, Teardown b -> a = b
-  | _ -> false
+(* A seat's worker starts on its first dispatch and is replaced only
+   when it dies; a death without supervision retires the seat. *)
+type seat = {
+  host : host;
+  mutable worker : tracked option;
+  mutable retired : bool;
+}
 
 let who t =
   match t.stop with
   | Sigkill pid -> Printf.sprintf "worker %d (pid %d)" t.index pid
   | Teardown addr ->
       Printf.sprintf "remote worker %d (%s)" t.index (Addr.to_string addr)
-  | Stillborn peer -> Printf.sprintf "remote worker %d (%s)" t.index peer
 
 (* End a worker's stream: close the connection and reap a local child,
    SIGKILLing it first when it may still be running. *)
@@ -434,7 +432,7 @@ let end_stream ?(kill = false) t =
       if kill then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
       Option.iter Transport.close t.conn;
       t.status <- Some (snd (Unix.waitpid [] pid))
-  | Teardown _ | Stillborn _ -> Option.iter Transport.close t.conn
+  | Teardown _ -> Option.iter Transport.close t.conn
 
 let signal_name s =
   if s = Sys.sigkill then "SIGKILL"
@@ -472,9 +470,10 @@ let note_door_line t line now =
   end
   else if line = "h" then t.last_beat <- now
 
-(* The one merge path: [Seg] lines are CRC-guarded journal lines (header
-   first, then one record per shard), so the dedup / fingerprint /
-   corruption verdicts are the same for every worker. *)
+(* The one merge path: [Seg] lines are CRC-guarded journal lines (every
+   job's header, then its record), so the dedup / fingerprint /
+   corruption verdicts are the same for every worker.  A job's record
+   ends it: the next [Seg] is the next job's header. *)
 let merge_line ~emit rt t line =
   if t.corrupt = None then
     match Journal.decode_line line with
@@ -486,11 +485,14 @@ let merge_line ~emit rt t line =
           | Some _ -> t.corrupt <- Some "sent a header for a different campaign"
           | None -> t.corrupt <- Some "sent a malformed header line"
         else
-          match Runcell.parse_record rt.plan payload with
-          | None -> t.corrupt <- Some "sent a malformed shard record"
-          | Some (shard, outs) ->
-              if not rt.shard_done.(shard.Shard.id) then
-                complete ~emit rt shard outs)
+          match (Runcell.parse_record rt.plan payload, t.shards) with
+          | None, _ -> t.corrupt <- Some "sent a malformed shard record"
+          | Some (shard, outs), id :: rest when id = shard.Shard.id ->
+              t.shards <- rest;
+              t.completed <- t.completed + 1;
+              if not rt.shard_done.(id) then complete ~emit rt shard outs
+          | Some _, _ ->
+              t.corrupt <- Some "sent a record for a shard it was not given")
 
 let handle_frame ~emit rt t (kind, payload) =
   match kind with
@@ -538,23 +540,38 @@ let shard_deadline ~t0 ~capacity rts policy =
                /. float_of_int completions))
         else Some bootstrap_deadline
 
-let requeue queue ids nb = queue := !queue @ List.map (fun id -> (id, nb)) ids
+(* The dispatch queue holds [(cell, shard id, not-before)] over every
+   cell's pending shards, in cell then shard order.  The next job is its
+   first eligible shard and up to [size - 1] eligible shards of the same
+   cell behind it. *)
+let pop_job queue ~size now =
+  let rec go cell n taken kept = function
+    | ((c, id, nb) as item) :: rest
+      when n < size && Option.fold ~none:true ~some:(( = ) c) cell ->
+        if nb <= now then go (Some c) (n + 1) (id :: taken) kept rest
+        else go cell n taken (item :: kept) rest
+    | rest ->
+        queue := List.rev_append kept rest;
+        Option.map (fun c -> (c, List.rev taken)) cell
+  in
+  go None 0 [] [] !queue
 
-(* Settle a worker whose stream has ended.  With supervision off (the
-   library default policy), a dead or corrupt worker is recorded in
-   [failures] and reported after every cell has been driven as far as
-   it will go.  With supervision on, its unfinished shards are
-   re-dispatched (bounded, with backoff), and a shard that exhausts its
-   budget is quarantined or failed per policy. *)
-let settle ~on_event ~emit rt queue failures t =
-  t.settled <- true;
+(* Settle a worker whose stream has ended, and free its seat.  With
+   supervision off (the library default policy), a dead or corrupt
+   worker is recorded in [failures] and reported once the queue has been
+   driven as far as it will go.  With supervision on, its unfinished
+   shards are re-dispatched (bounded, with backoff), and a shard that
+   exhausts its budget is quarantined or failed per policy. *)
+let settle ~on_event ~emit cells queue failures seat t =
+  seat.worker <- None;
+  let rt = cells.(t.cell) in
   let policy = rt.spec.Spec.policy in
   let max_retries = policy.Spec.supervision.Spec.max_retries in
   let label = Spec.label rt.spec in
-  let unfinished =
-    List.filter
-      (fun id -> not (rt.shard_done.(id) || rt.quarantined.(id)))
-      (Array.to_list t.assigned)
+  let unfinished = t.shards in
+  let requeue ids nb =
+    queue :=
+      List.merge compare (List.map (fun id -> (t.cell, id, nb)) ids) !queue
   in
   let clean =
     t.killed = None && t.corrupt = None && t.wire_err = None && unfinished = []
@@ -563,41 +580,46 @@ let settle ~on_event ~emit rt queue failures t =
   if not clean then begin
     let cause = status_cause t in
     let who = who t in
-    if not (Spec.supervised policy) then
+    if not (Spec.supervised policy) then begin
+      (* Nothing retries, so the seat retires rather than repeat the
+         death; the other seats still drain the queue, and the shards
+         behind the one it died on, for maximal journal progress for
+         --resume. *)
+      seat.retired <- true;
+      (match unfinished with _ :: rest -> requeue rest 0. | [] -> ());
       failures :=
         Printf.sprintf "%s: %s %s%s" label who cause
           (match unfinished with
           | [] -> ""
-          | ids ->
+          | id :: _ ->
               Printf.sprintf
-                "; shard%s %s unfinished — run again with --resume to replay"
-                (if List.length ids > 1 then "s" else "")
-                (String.concat "," (List.map string_of_int ids)))
+                "; shard %d unfinished — run again with --resume to replay" id)
         :: !failures
+    end
     else
       match unfinished with
       | [] ->
-          (* Died after finishing everything it was assigned: nothing to
+          (* Died idle, closing, or after its job's record: nothing to
              recover. *)
           on_event
             (Printf.sprintf
                "%s: %s %s (all assigned shards complete; nothing to retry)"
                label who cause)
       | first :: rest ->
-          (* Charge a retry attempt only when the worker made NO
-             progress: then [first] — the shard being conducted at death
-             — is the prime suspect.  A worker that completed shards
-             before dying is evidence of a transient or positional
-             fault, not of [first] being poisonous, and charging it
-             would let sustained churn quarantine healthy shards (every
-             death would bill whichever shard happened to be next in
-             line).  Termination is preserved: an uncharged requeue
-             always comes with at least one newly completed shard, so
-             there can be at most [shards_total] of them — and a
-             genuinely poisoned shard still converges to quarantine,
-             because once its neighbours drain it is dispatched at the
-             head of a queue and every death then charges it. *)
-          let progressed = List.length unfinished < Array.length t.assigned in
+          (* Retry charging: a death charges [first] — the shard being
+             conducted — only when the worker completed NO shard in its
+             whole lifetime; then [first] is the prime suspect.  A worker
+             that completed shards before dying is evidence of a
+             transient or positional fault, and with jobs as small as one
+             shard a per-job rule would let sustained churn quarantine
+             healthy shards (every death would bill whichever shard
+             happened to be in flight).  Termination is preserved: a
+             worker dies once, so every uncharged requeue comes with at
+             least one newly completed shard — at most [shards_total] of
+             them — and a genuinely poisoned shard still converges to
+             quarantine, because every fresh worker it kills is
+             charged. *)
+          let progressed = t.completed > 0 in
           if not progressed then rt.retries.(first) <- rt.retries.(first) + 1;
           let attempt = rt.retries.(first) in
           if (not progressed) && attempt > max_retries then
@@ -615,7 +637,7 @@ let settle ~on_event ~emit rt queue failures t =
                    label first attempt
                    (if attempt > 1 then "s" else "")
                    who cause);
-              if rest <> [] then requeue queue rest (Unix.gettimeofday ());
+              requeue rest (Unix.gettimeofday ());
               emit ()
             end
             else begin
@@ -629,7 +651,7 @@ let settle ~on_event ~emit rt queue failures t =
                 :: !failures;
               (* Still drive the untouched shards to completion: maximal
                  journal progress for --resume. *)
-              if rest <> [] then requeue queue rest (Unix.gettimeofday ())
+              requeue rest (Unix.gettimeofday ())
             end
           else begin
             (* Journal the budget change only when there is one:
@@ -643,7 +665,7 @@ let settle ~on_event ~emit rt queue failures t =
             let delay =
               retry_backoff *. (2. ** float_of_int (max 0 (attempt - 1)))
             in
-            requeue queue unfinished (Unix.gettimeofday () +. delay);
+            requeue unfinished (Unix.gettimeofday () +. delay);
             on_event
               (Printf.sprintf "%s: %s %s; retrying shard%s %s (%s, backoff %.2fs)"
                  label who cause
@@ -658,245 +680,282 @@ let settle ~on_event ~emit rt queue failures t =
           end
   end
 
-(* Drive one cell's pending shards over the seat table: every worker,
-   local or remote, is a connection carrying [Seg]/[Door] frames,
-   merged into the campaign journal as they arrive.  A dead, hung or
-   stalled worker settles through {!settle}. *)
-let supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures =
-  let policy = rt.spec.Spec.policy in
-  let label = Spec.label rt.spec in
-  let capacity = Array.fold_left (fun acc (_, cap) -> acc + cap) 0 seats in
-  (* (shard id, earliest dispatch time); dispatch sorts by id. *)
+(* Drive every cell's pending shards over one fixed seat table: one
+   dispatch queue, and an idle seat pulls its next job from it.  Every
+   worker, local or remote, is a connection carrying [Seg]/[Door]
+   frames, merged into its job's campaign journal as they arrive; it
+   keeps its seat across jobs and cells, and is half-closed once the
+   queue holds nothing more.  A dead, hung or stalled worker settles
+   through {!settle}.  Returns the failures to raise. *)
+let supervise ?secret ~on_event ~emit ~t0 ~counters seats rts =
+  let cells = Array.of_list rts in
+  let capacity = Array.length seats in
   let queue =
-    ref (List.map (fun (s : Shard.t) -> (s.Shard.id, 0.)) (pending rt))
+    ref
+      (List.concat
+         (List.mapi
+            (fun c rt ->
+              List.map (fun (s : Shard.t) -> (c, s.Shard.id, 0.)) (pending rt))
+            rts))
   in
-  let tracked = ref [] in
-  let spawned = ref 0 in
-  (* Hosts whose last dispatch failed: re-dials get a short patience so
-     a dead host stalls the (blocking, serial) dispatch path for a
-     couple of seconds, not the full connect+handshake timeouts on every
+  let failures = ref [] in
+  (* Hosts whose last dial failed: re-dials get a short patience so a
+     dead host stalls the (blocking, serial) dispatch path for a couple
+     of seconds, not the full connect+handshake timeouts on every
      backoff round. *)
   let suspect_hosts : (Addr.t, unit) Hashtbl.t = Hashtbl.create 4 in
   let redial_patience = 2.0 in
-  let live () = List.filter (fun t -> not t.eof) !tracked in
-  let free_at (host, cap) =
-    max 0 (cap - List.length (List.filter (seated host) !tracked))
+  let live () =
+    Array.fold_right
+      (fun seat acc ->
+        match seat.worker with Some t when not t.eof -> t :: acc | _ -> acc)
+      seats []
   in
-  (* The host with the most free seats. *)
-  let pick_host () =
-    Array.fold_left
-      (fun acc seat ->
-        let n = free_at seat in
-        match acc with
-        | Some (_, best) when best >= n -> acc
-        | _ -> if n > 0 then Some (fst seat, n) else acc)
-      None seats
+  let idle seat =
+    match seat.worker with
+    | None -> not seat.retired
+    | Some t -> t.shards = [] && not (t.closing || t.eof)
   in
-  let spawn_one shard_ids =
-    let index = !spawned in
-    incr spawned;
+  let start host =
+    let index = counters.starts in
+    counters.starts <- index + 1;
     let now = Unix.gettimeofday () in
     let track ?err conn stop =
-      tracked :=
-        {
-          conn;
-          stop;
-          index;
-          assigned = shard_ids;
-          last_beat = now;
-          last_progress = now;
-          header_ok = false;
-          corrupt = None;
-          killed = None;
-          wire_err = err;
-          eof = Option.is_none conn;
-          status = None;
-          settled = false;
-        }
-        :: !tracked
-    in
-    let spec = rt.spec in
-    let job =
       {
-        Worker.cell =
-          Worker.cell_of_spec ~program:rt.cell.Faultspace.golden.Golden.program
-            spec;
-        stride = spec.Spec.policy.Spec.acceleration.Spec.checkpoint_stride;
-        fingerprint = rt.fp;
-        shard_ids;
+        conn;
+        stop;
         index;
+        cell = 0;
+        shards = [];
+        completed = 0;
+        closing = false;
+        last_beat = now;
+        last_progress = now;
+        header_ok = false;
+        corrupt = None;
+        killed = None;
+        wire_err = err;
+        eof = Option.is_none conn;
+        status = None;
       }
     in
-    match pick_host () with
-    | None -> track ~err:"had no free worker seat" None (Stillborn "no host")
-    | Some (Local, _) ->
-        let pid, conn = Worker.spawn job in
+    match host with
+    | Local ->
+        let pid, conn = Worker.spawn () in
         track (Some conn) (Sigkill pid)
-    | Some (Remote addr, _) -> (
+    | Remote addr -> (
         let patience =
           if Hashtbl.mem suspect_hosts addr then Some redial_patience else None
         in
-        match Remote.dispatch ?patience ?secret ~addr job with
+        match Remote.dial ?patience ?secret addr with
         | Ok conn ->
             Hashtbl.remove suspect_hosts addr;
             track (Some conn) (Teardown addr)
         | Error msg ->
             Hashtbl.replace suspect_hosts addr ();
-            track ~err:msg None (Stillborn (Addr.to_string addr)))
+            track ~err:msg None (Teardown addr))
   in
+  (* Fill the idle seats, starting a worker where a seat has none.  A
+     job takes a [1 / (2 × seats)] share of the queue (guided
+     self-scheduling: long jobs while the queue is long, single shards
+     at its tail).  Once the queue is empty, half-close the idle workers
+     so each reads EOF and exits, held to the deadline until it does. *)
   let dispatch () =
-    let free = Array.fold_left (fun acc seat -> acc + free_at seat) 0 seats in
     let now = Unix.gettimeofday () in
-    let eligible, later = List.partition (fun (_, nb) -> nb <= now) !queue in
-    if free > 0 && eligible <> [] then begin
-      queue := later;
-      let ids = Array.of_list (List.map fst eligible) in
-      Array.sort compare ids;
-      let n = Array.length ids in
-      let k = min free n in
-      for i = 0 to k - 1 do
-        let lo = i * n / k and hi = (i + 1) * n / k in
-        spawn_one (Array.sub ids lo (hi - lo))
-      done
-    end
+    Array.iter
+      (fun seat ->
+        if idle seat then
+          let size = max 1 (List.length !queue / (2 * capacity)) in
+          match (pop_job queue ~size now, seat.worker) with
+          | Some (c, ids), worker ->
+              let rt = cells.(c) in
+              let t =
+                match worker with Some t -> t | None -> start seat.host
+              in
+              seat.worker <- Some t;
+              t.cell <- c;
+              t.shards <- ids;
+              t.header_ok <- false;
+              (* Idle seats: the deadline clock starts at the dispatch,
+                 so time spent idle is never held against a worker. *)
+              t.last_progress <- now;
+              let job =
+                {
+                  Worker.cell =
+                    Worker.cell_of_spec
+                      ~program:rt.cell.Faultspace.golden.Golden.program rt.spec;
+                  stride =
+                    rt.spec.Spec.policy.Spec.acceleration.Spec
+                      .checkpoint_stride;
+                  fingerprint = rt.fp;
+                  shard_ids = Array.of_list ids;
+                  index = t.index;
+                }
+              in
+              (* A worker already dead surfaces as EOF, a supervision
+                 event: SIGPIPE is ignored, so its broken pipe is EPIPE. *)
+              Option.iter
+                (fun conn ->
+                  try
+                    Transport.send conn Frame.Job
+                      (Worker.encode Worker.job_codec job)
+                  with
+                  | Unix.Unix_error
+                      ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+                  ->
+                    ())
+                t.conn
+          | None, Some t when !queue = [] ->
+              t.closing <- true;
+              t.last_progress <- now;
+              Option.iter
+                (fun conn ->
+                  try Unix.shutdown (Transport.fd conn) Unix.SHUTDOWN_SEND
+                  with Unix.Unix_error _ -> ())
+                t.conn
+          | None, _ -> ())
+      seats
   in
   let settle_ended () =
-    List.iter
-      (fun t ->
-        if t.eof && not t.settled then
-          settle ~on_event ~emit rt queue failures t)
-      !tracked
+    Array.iter
+      (fun seat ->
+        match seat.worker with
+        | Some t when t.eof ->
+            settle ~on_event ~emit cells queue failures seat t
+        | Some _ | None -> ())
+      seats
   in
-  let deadline () = shard_deadline ~t0 ~capacity rts policy in
+  (* Idle seats: only a worker with a shard in flight, or closing, is
+     held to the shard deadline. *)
+  let deadline t =
+    if t.shards = [] && not t.closing then None
+    else shard_deadline ~t0 ~capacity rts cells.(t.cell).spec.Spec.policy
+  in
   let rec loop () =
     dispatch ();
-    (* Stillborn dispatches are born settled-pending: push them through
-       supervision now so their shards requeue (with retries and
-       backoff) even when nothing else is alive. *)
+    (* Failed dials are born ended: push them through supervision now
+       so their shards requeue (with retries and backoff) even when
+       nothing else is alive. *)
     settle_ended ();
-    match (live (), !queue) with
-    | [], [] -> ()
-    | [], q ->
-        (* Everything is backing off; sleep to the earliest dispatch
-           time. *)
-        let now = Unix.gettimeofday () in
-        let earliest =
-          List.fold_left (fun a (_, nb) -> Float.min a nb) infinity q
-        in
-        if earliest > now then Unix.sleepf (Float.min 0.5 (earliest -. now));
-        loop ()
-    | alive, _ ->
-        let now = Unix.gettimeofday () in
-        let timeout =
-          let t_dl =
-            match deadline () with
-            | None -> 0.5
-            | Some dl ->
-                List.fold_left
-                  (fun acc t -> Float.min acc (dl -. (now -. t.last_progress)))
-                  0.5 alive
-          in
-          let t_nb =
-            List.fold_left
-              (fun acc (_, nb) -> Float.min acc (nb -. now))
-              t_dl !queue
-          in
-          Float.max 0.01 (Float.min 0.5 t_nb)
-        in
-        let fds =
-          List.filter_map (fun t -> Option.map Transport.fd t.conn) alive
-        in
-        let readable = Sysio.select_read fds timeout in
-        List.iter
-          (fun t ->
-            match t.conn with
-            | Some conn when List.mem (Transport.fd conn) readable -> (
-                match Transport.pump conn with
-                | `Frames frames -> List.iter (handle_frame ~emit rt t) frames
-                | `Eof -> end_stream t
-                | `Corrupt msg ->
-                    if t.wire_err = None then
-                      t.wire_err <-
-                        Some (Printf.sprintf "sent a corrupt frame (%s)" msg);
-                    end_stream ~kill:true t)
-            | Some _ | None -> ())
-          alive;
-        settle_ended ();
-        (* Deadline pass: kill what stopped progressing. *)
-        (match deadline () with
-        | None -> ()
-        | Some dl ->
-            let now = Unix.gettimeofday () in
-            List.iter
-              (fun t ->
-                let stuck = now -. t.last_progress in
-                if t.killed = None && stuck > dl then begin
-                  let reason =
-                    if now -. t.last_beat > dl then
-                      Printf.sprintf
-                        "hung (no heartbeat for %.1fs, deadline %.1fs)"
-                        (now -. t.last_beat) dl
-                    else
-                      Printf.sprintf
-                        "stalled (heartbeats flowing but no shard completed \
-                         for %.1fs, deadline %.1fs)"
-                        stuck dl
-                  in
-                  t.killed <- Some reason;
-                  rt.kills <- rt.kills + 1;
-                  end_stream ~kill:true t;
-                  on_event
-                    (Printf.sprintf "%s: %s %s — %s" label (who t) reason
-                       (match t.stop with
-                       | Sigkill _ -> "SIGKILLed"
-                       | Teardown _ | Stillborn _ -> "connection torn down"));
-                  emit ()
-                end)
-              (live ()));
-        loop ()
-  in
-  if !queue <> [] then begin
-    loop ();
-    (* Belt and braces: every worker is dead and settled here. *)
-    settle_ended ()
-  end
-
-(* The sockets backend's seat table.  Every host is probed (connect +
-   hello) before anything is conducted: unreachable hosts, protocol
-   mismatches and foreign binaries fail fast, before a single shard is
-   dispatched. *)
-let probe_seats ?secret ~jobs addrs =
-  Array.of_list
-    (List.map
-       (fun addr ->
-         match Remote.probe ?secret addr with
-         | Ok h ->
-             (* -j bounds per-host concurrency; 0 defers to the capacity
-                the daemon advertised in its hello. *)
-             (Remote addr, if jobs = 0 then max 1 h.Handshake.capacity else jobs)
-         | Error msg ->
-             raise
-               (Worker_failed
-                  (Printf.sprintf "worker host %s: %s" (Addr.to_string addr)
-                     msg)))
-       addrs)
-
-(* Cells run one after another, each with every seat.  Both worker
-   backends run under SIGPIPE-ignore: a worker (or daemon) that dies
-   mid-write must surface as a supervision event, never as a parent
-   crash.  [seats] runs inside the protected region because the sockets
-   backend probes its hosts there. *)
-let conduct_workers ?secret ~on_event ~emit ~t0 ~seats rts =
-  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let failures = ref [] in
-  Fun.protect
-    ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
-    (fun () ->
-      let seats = seats () in
+    let alive = live () in
+    let seated = Array.exists (fun s -> not s.retired) seats in
+    if alive <> [] || (!queue <> [] && seated) then begin
+      let now = Unix.gettimeofday () in
+      (* Wake for the nearest deadline, or the earliest backed-off shard
+         an idle seat could take. *)
+      let timeout =
+        List.fold_left
+          (fun acc t ->
+            match deadline t with
+            | None -> acc
+            | Some dl -> Float.min acc (dl -. (now -. t.last_progress)))
+          (if Array.exists idle seats then
+             List.fold_left
+               (fun acc (_, _, nb) ->
+                 if nb > now then Float.min acc (nb -. now) else acc)
+               0.5 !queue
+           else 0.5)
+          alive
+      in
+      let fds =
+        List.filter_map (fun t -> Option.map Transport.fd t.conn) alive
+      in
+      let readable = Sysio.select_read fds (Float.max 0.01 timeout) in
       List.iter
-        (fun rt -> supervise ?secret ~on_event ~emit ~t0 ~rts seats rt failures)
-        rts);
-  match List.rev !failures with
+        (fun t ->
+          match t.conn with
+          | Some conn when List.mem (Transport.fd conn) readable -> (
+              match Transport.pump conn with
+              | `Frames frames ->
+                  List.iter (handle_frame ~emit cells.(t.cell) t) frames;
+                  (* A worker whose stream failed a check is trusted with
+                     nothing more; left alive, it would idle forever. *)
+                  if t.corrupt <> None then end_stream ~kill:true t
+              | `Eof -> end_stream t
+              | `Corrupt msg ->
+                  if t.wire_err = None then
+                    t.wire_err <-
+                      Some (Printf.sprintf "sent a corrupt frame (%s)" msg);
+                  end_stream ~kill:true t)
+          | Some _ | None -> ())
+        alive;
+      (* Deadline pass: kill what stopped progressing. *)
+      let now = Unix.gettimeofday () in
+      List.iter
+        (fun t ->
+          match deadline t with
+          | Some dl when (not t.eof) && now -. t.last_progress > dl ->
+              let reason =
+                if now -. t.last_beat > dl then
+                  Printf.sprintf "hung (no heartbeat for %.1fs, deadline %.1fs)"
+                    (now -. t.last_beat) dl
+                else
+                  Printf.sprintf
+                    "stalled (heartbeats flowing but no shard completed for \
+                     %.1fs, deadline %.1fs)"
+                    (now -. t.last_progress) dl
+              in
+              t.killed <- Some reason;
+              counters.kills <- counters.kills + 1;
+              end_stream ~kill:true t;
+              on_event
+                (Printf.sprintf "%s: %s %s — %s"
+                   (Spec.label cells.(t.cell).spec)
+                   (who t) reason
+                   (match t.stop with
+                   | Sigkill _ -> "SIGKILLed"
+                   | Teardown _ -> "connection torn down"));
+              emit ()
+          | Some _ | None -> ())
+        alive;
+      settle_ended ();
+      loop ()
+    end
+  in
+  (* Nothing left running: the loop returns once every worker is reaped
+     and closed, and an exception out of it (a raising [observe] hook, a
+     failed journal append) kills and reaps the live ones first. *)
+  Fun.protect
+    ~finally:(fun () -> List.iter (end_stream ~kill:true) (live ()))
+    loop;
+  List.rev !failures
+
+(* The sockets backend's hosts.  Every host is probed (connect + hello)
+   before anything is conducted: unreachable hosts, protocol mismatches
+   and foreign binaries fail fast, before a single shard is
+   dispatched. *)
+let probe_hosts ?secret ~jobs addrs =
+  List.map
+    (fun addr ->
+      match Remote.probe ?secret addr with
+      | Ok h ->
+          (* -j bounds per-host concurrency; 0 defers to the capacity
+             the daemon advertised in its hello. *)
+          (Remote addr, if jobs = 0 then max 1 h.Handshake.capacity else jobs)
+      | Error msg ->
+          raise
+            (Worker_failed
+               (Printf.sprintf "worker host %s: %s" (Addr.to_string addr) msg)))
+    addrs
+
+(* Both worker backends run under SIGPIPE-ignore: a worker (or daemon)
+   that dies mid-write must surface as a supervision event, never as a
+   parent crash.  [hosts] runs inside the protected region because the
+   sockets backend probes its hosts there. *)
+let conduct_workers ?secret ~on_event ~emit ~t0 ~counters ~hosts rts =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let failures =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+      (fun () ->
+        let seat host = { host; worker = None; retired = false } in
+        supervise ?secret ~on_event ~emit ~t0 ~counters
+          (Array.of_list
+             (List.concat_map (fun (h, n) -> List.init n (fun _ -> seat h))
+                (hosts ())))
+          rts)
+  in
+  match failures with
   | [] -> ()
   | fs -> raise (Worker_failed (String.concat "\n" fs))
 
@@ -933,21 +992,22 @@ let run_matrix_results ?(backend = Pool.Domains) ?jobs ?observe
         cells;
       let rts = List.rev !opened in
       let t0 = Unix.gettimeofday () in
+      let counters = { starts = 0; kills = 0 } in
       let emit =
         match observe with
         | None -> ignore
-        | Some hook -> fun () -> hook (snapshot ~t0 rts)
+        | Some hook -> fun () -> hook (snapshot ~t0 ~counters rts)
       in
       emit ();
       (match backend with
       | Pool.Domains -> conduct_domains ~jobs ~on_event ~emit rts
       | Pool.Processes ->
-          conduct_workers ?secret ~on_event ~emit ~t0
-            ~seats:(fun () -> [| (Local, jobs) |])
+          conduct_workers ?secret ~on_event ~emit ~t0 ~counters
+            ~hosts:(fun () -> [ (Local, jobs) ])
             rts
       | Pool.Sockets _ ->
-          conduct_workers ?secret ~on_event ~emit ~t0
-            ~seats:(fun () -> probe_seats ?secret ~jobs hosts)
+          conduct_workers ?secret ~on_event ~emit ~t0 ~counters
+            ~hosts:(fun () -> probe_hosts ?secret ~jobs hosts)
             rts);
       List.map finish rts)
 

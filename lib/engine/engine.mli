@@ -16,17 +16,19 @@
     - {!Pool.Domains} (default) — shared-memory OCaml 5 domains inside
       this process, one pool across the whole matrix.
     - {!Pool.Processes} — fork/exec'd {!Worker} processes, each on one
-      end of a socketpair.  A worker receives a {!Worker.wire_job} (a
-      {!Worker.wire_cell} plus a shard-id range) and streams back one
-      CRC-guarded journal-format record per shard in [Seg] frames, with
-      [Door] frames for heartbeats and progress; the parent merges the
-      records into the campaign journal as they arrive, so its journal
-      is the only durable state.  A worker that exits nonzero, dies on
-      a signal or sends a corrupt record leaves its unfinished shards
-      unmerged; the parent drives every other worker and cell to
-      completion first (maximal journal progress), then raises
-      {!Worker_failed} — and a [resume] run replays exactly the missing
-      shards.
+      end of a socketpair and each holding one of [jobs] seats for the
+      whole call.  One queue runs over every cell's pending shards; an
+      idle seat's worker receives the next few of one cell as a
+      {!Worker.wire_job} (a {!Worker.wire_cell} plus shard ids) and
+      streams back one CRC-guarded journal-format record per shard in
+      [Seg] frames, with [Door] frames for heartbeats and progress; the
+      parent merges the records into the campaign journal as they
+      arrive, so its journal is the only durable state.  A worker that
+      exits nonzero, dies on a signal or sends a corrupt record leaves
+      the shard it was conducting unmerged; without supervision it
+      retires its seat, the other seats drain the queue first (maximal
+      journal progress), then {!Worker_failed} is raised — and a
+      [resume] run replays exactly the missing shards.
     - {!Pool.Sockets} — {!Remote} worker daemons reached over TCP
       ([fi-cli worker serve] on each host).  Every connection opens
       with a protocol-version + binary-digest handshake; after it, the
@@ -44,22 +46,21 @@
     [shard_timeout], [max_retries > 0] or [quarantine]), the processes
     and sockets backends are {e self-healing} — campaigns complete,
     bit-identical to the serial scan, despite crashing, hanging or
-    stalling workers.  One supervisor drives both over a table of
-    worker seats — the processes backend is one local host with [jobs]
-    seats, the sockets backend one host per daemon — and for remote
-    workers SIGKILL becomes connection teardown:
+    stalling workers.  One supervisor per call drives both over a table
+    of worker seats — [jobs] local ones, or each daemon's slots — and
+    for remote workers SIGKILL becomes connection teardown:
 
     - {b Deadlines.}  Workers heartbeat with [Door] frames (one per
       conducted class, throttled).  A worker that completes no shard
       within the deadline — [shard_timeout], or 8× the observed mean
       per-worker shard time when unset — is declared hung (silent) or
       stalled (heartbeats without progress) and SIGKILLed; whatever it
-      had not sent in full is discarded.
+      had not sent in full is discarded.  An idle worker, waiting for
+      its next job, is not held to the deadline.
     - {b Bounded retry.}  A dead worker's unfinished shards return to
-      the dispatch queue; the shard being conducted at death is
-      charged a retry attempt only when the worker completed no shard
-      of its assignment (a death after progress requeues without
-      burning budget).  Re-dispatch backs off exponentially from a
+      the dispatch queue; the one it was conducting is charged a retry
+      attempt only when the worker completed no shard in its lifetime
+      (a death after progress requeues without burning budget).  Re-dispatch backs off exponentially from a
       fixed 0.05 s base (0.05 × 2ⁿ⁻¹ s before the [n]-th retry) and
       each shard's budget is [max_retries].  Every retry is journaled as a supervision record,
       so retry accounting survives [resume].
@@ -174,16 +175,16 @@ val run_matrix_results :
     module preamble); hits skip scheduling entirely and return with
     [cached = true].
 
-    - [backend] — {!Pool.Domains} (default): one shared domain pool over
-      the whole matrix, workers drain the first cell's shards and spill
-      into the next as slots free up.  {!Pool.Processes}: cells run in
-      sequence, each fanned out over up to [jobs] fork/exec'd worker
-      processes ({!Worker}).  {!Pool.Sockets}: like [Processes], but
-      the workers are {!Remote} daemons on the named [HOST:PORT]s and
-      [jobs] bounds per-host concurrency.  Both worker backends speak
-      one protocol ({!Worker.serve_job}) and every backend applies
-      a finished shard through the same record path as [resume] and a
-      cache hit.
+    - [backend] — every backend runs one queue over the whole matrix:
+      workers drain the first cell's shards and spill into the next as
+      slots free up.  {!Pool.Domains} (default) is a shared domain
+      pool; {!Pool.Processes} has [jobs] seats, each with one fork/exec'd
+      worker process ({!Worker}) that lives across cells; {!Pool.Sockets}
+      is like [Processes], but the seats are connections to {!Remote}
+      daemons on the named [HOST:PORT]s and [jobs] bounds per-host
+      seats.  Both worker backends speak one protocol
+      ({!Worker.serve_jobs}) and every backend applies a finished shard
+      through the same record path as [resume] and a cache hit.
     - [jobs] — worker count, resolved by {!Pool.resolve_jobs}: [0] (or
       omitted) means {!Pool.default_jobs}[ ()]; [1] runs inline, still
       sharded and journal-compatible with any other worker count.
@@ -192,7 +193,7 @@ val run_matrix_results :
       every completed shard, and after every supervision retry, kill or
       quarantine.  Each snapshot sums the cells' own counters across the
       whole matrix (classes, shards, resumed classes, retries, kills,
-      quarantined shards and classes, outcome tally).  An exception it
+      worker starts, quarantined shards and classes, outcome tally).  An exception it
       raises aborts the run like a crash: journals are closed with
       every shard completed so far, ready for [resume].
     - [on_event] — one human-readable line per supervision event (worker

@@ -7,6 +7,7 @@ type snapshot = {
   resumed_classes : int;
   retries : int;
   kills : int;
+  starts : int;
   quarantined_shards : int;
   quarantined_classes : int;
   elapsed : float;
@@ -22,8 +23,8 @@ type hook = snapshot -> unit
 let finished s = s.classes_done + s.quarantined_classes >= s.classes_total
 
 let make ~classes_done ~classes_total ~shards_done ~shards_total
-    ~resumed_classes ?(retries = 0) ?(kills = 0) ?(quarantined_shards = 0)
-    ?(quarantined_classes = 0) ~elapsed ~tally () =
+    ~resumed_classes ?(retries = 0) ?(kills = 0) ?(starts = 0)
+    ?(quarantined_shards = 0) ?(quarantined_classes = 0) ~elapsed ~tally () =
   let conducted = 8 * (classes_done - resumed_classes) in
   let rate =
     if conducted > 0 && elapsed > 0. then float_of_int conducted /. elapsed
@@ -43,6 +44,7 @@ let make ~classes_done ~classes_total ~shards_done ~shards_total
     resumed_classes;
     retries;
     kills;
+    starts;
     quarantined_shards;
     quarantined_classes;
     elapsed;

@@ -22,6 +22,10 @@ type snapshot = {
   kills : int;
       (** Workers SIGKILLed by the supervisor for blowing the shard
           deadline (hung or stalled). *)
+  starts : int;
+      (** Workers started in the call: local spawns and remote dials,
+          failed ones included.  [0] on the domains backend and on a
+          call the result store served whole. *)
   quarantined_shards : int;  (** Shards isolated after budget exhaustion. *)
   quarantined_classes : int;
       (** Classes those shards carry — never conducted this run. *)
@@ -49,6 +53,7 @@ val make :
   resumed_classes:int ->
   ?retries:int ->
   ?kills:int ->
+  ?starts:int ->
   ?quarantined_shards:int ->
   ?quarantined_classes:int ->
   elapsed:float ->

@@ -8,9 +8,9 @@ let handshake_timeout = ref 10.
 (* Client side (the conducting engine)                                *)
 (* ------------------------------------------------------------------ *)
 
-let shake ?timeout ?secret conn ~fingerprint =
+let shake ?timeout ?secret conn =
   let timeout = Option.value timeout ~default:!handshake_timeout in
-  let mine = Handshake.hello ~fingerprint ?secret () in
+  let mine = Handshake.hello ?secret () in
   Transport.send conn Frame.Hello (Handshake.encode mine);
   match Transport.recv ~timeout conn with
   | None -> Error "connection closed during handshake"
@@ -45,7 +45,7 @@ let with_peer ?secret addr f =
   with_conn addr (fun conn ->
       Fun.protect
         ~finally:(fun () -> Transport.close conn)
-        (fun () -> Result.bind (shake ?secret conn ~fingerprint:"") (f conn)))
+        (fun () -> Result.bind (shake ?secret conn) (f conn)))
 
 let probe ?secret addr = with_peer ?secret addr (fun _ theirs -> Ok theirs)
 
@@ -53,23 +53,16 @@ let probe ?secret addr = with_peer ?secret addr (fun _ theirs -> Ok theirs)
    shortens it when re-dialling a host that already failed once, so a
    dead host costs the supervision loop seconds, not two full default
    timeouts on every backoff round. *)
-let dispatch ?patience ?secret ~addr (job : Worker.wire_job) =
+let dial ?patience ?secret addr =
   let cap dflt =
     match patience with Some p -> Float.min p dflt | None -> dflt
   in
   with_conn ~timeout:(cap !connect_timeout) addr (fun conn ->
-      match
-        shake conn
-          ~timeout:(cap !handshake_timeout)
-          ?secret
-          ~fingerprint:(Crc32.to_hex job.Worker.fingerprint)
-      with
+      match shake conn ~timeout:(cap !handshake_timeout) ?secret with
       | Error _ as e ->
           Transport.close conn;
           e
-      | Ok _ ->
-          Transport.send conn Frame.Job (Worker.encode Worker.job_codec job);
-          Ok conn)
+      | Ok _ -> Ok conn)
 
 (* ------------------------------------------------------------------ *)
 (* Server side: the hello answer and one conducted connection         *)
@@ -93,7 +86,7 @@ let serve_connection ~capacity ?secret conn =
   | Some (Frame.Hello, payload) -> (
       match answer_hello ~capacity ?secret conn payload with
       | Error msg -> failwith msg
-      | Ok () -> Worker.serve_job ~timeout:!handshake_timeout conn)
+      | Ok () -> Worker.serve_jobs ~timeout:!handshake_timeout conn)
   | Some (kind, _) ->
       failwith
         (Printf.sprintf "expected a hello frame, got %s" (Frame.kind_tag kind))

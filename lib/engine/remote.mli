@@ -3,11 +3,11 @@
     other half.
 
     A remote worker speaks the same protocol as a local one
-    ({!Worker}): one [Job] frame carrying a {!Worker.wire_job} in, [Seg]
-    and [Door] frames out.  The only addition is the handshake in
-    front.  Client → worker: [Hello] (version + binary digest +
-    campaign fingerprint); the worker answers [Hello] (version + digest
-    + advertised capacity) or [Err]; then the job.  Because a remote
+    ({!Worker}): [Job] frames carrying {!Worker.wire_job}s in until EOF,
+    [Seg] and [Door] frames out.  The only addition is the handshake in
+    front.  Client → worker: [Hello] (version + binary digest); the
+    worker answers [Hello] (version + digest + advertised capacity) or
+    [Err]; then the jobs.  Because a remote
     peer is another machine, the handshake's digest check is what pins
     it to the same binary a local child is by construction.  The worker
     re-analyses the cell and refuses (an [Err] frame, then close) if
@@ -19,7 +19,8 @@
 
     The daemon ([fi-cli worker serve], or any binary whose main calls
     {!guard}) forks one child per accepted connection, at most [workers]
-    conducting at once.  The server-side hello ({!answer_hello}), the
+    at once; an engine holds one connection per seat for its whole
+    call.  The server-side hello ({!answer_hello}), the
     handshake timeout and the re-exec harness ({!daemon_guard},
     {!spawn_daemon}, {!kill_daemon}) are shared with the campaign
     service. *)
@@ -47,16 +48,13 @@ val probe : ?secret:string -> Addr.t -> (Handshake.hello, string) result
     [--workers] host up front (unreachable, wrong version, wrong
     binary, wrong shared secret) and learns its advertised capacity. *)
 
-val dispatch :
-  ?patience:float ->
-  ?secret:string ->
-  addr:Addr.t ->
-  Worker.wire_job ->
-  (Transport.conn, string) result
-(** Connect, handshake, ship the job, and return the
-    connection the worker's frames will arrive on.  [Error] covers
-    refusal, timeout and connection failure — the engine turns it into
-    a stillborn worker and lets supervision retry.  [patience] caps the connect and
+val dial :
+  ?patience:float -> ?secret:string -> Addr.t -> (Transport.conn, string) result
+(** Connect and handshake, and return the connection: a worker seat's,
+    which carries every job the engine sends it until the engine
+    half-closes it.  [Error] covers refusal, timeout and connection
+    failure — the engine turns it into a worker born dead and lets
+    supervision retry.  [patience] caps the connect and
     handshake timeouts (whichever is smaller wins): the engine shortens
     re-dials to hosts that already failed once so a dead host cannot
     stall the supervision loop for the full default timeouts on every
@@ -86,9 +84,11 @@ val serve :
 (** The daemon: bind (port [0] lets the kernel pick), call [announce]
     with the [fi-net listening HOST:PORT workers=N digest=…] line
     (actual port), then accept forever, forking one child per
-    connection with at most [workers] conducting at once.  Each child
-    {!answer_hello}s the first frame (within {!handshake_timeout}), then
-    serves at most one job ({!Worker.serve_job}); a refusal, protocol
+    connection with at most [workers] connections served at once.  Each
+    child {!answer_hello}s the first frame (within {!handshake_timeout}),
+    then serves jobs until EOF ({!Worker.serve_jobs}; only the first job
+    is awaited within {!handshake_timeout}, an idle seat waits for its
+    next one as long as its engine keeps it open); a refusal, protocol
     violation or fingerprint disagreement becomes an [Err] frame and
     exit code 3.  Never returns normally. *)
 

@@ -230,7 +230,7 @@ let journal_finished path =
 (* The single-shard conductor                                         *)
 (* ------------------------------------------------------------------ *)
 
-let conduct_shard ?(on_class = fun ~class_index:_ _ -> ()) cell
+let conduct_shard ?(heartbeat = ignore) cell
     ~(classes : Defuse.byte_class array) ~(plan : Shard.plan)
     (shard : Shard.t) =
   let session = Injector.session (cell.provider ()) in
@@ -243,6 +243,6 @@ let conduct_shard ?(on_class = fun ~class_index:_ _ -> ()) cell
       let o = cell.conduct session c ~bit_in_byte in
       Bytes.set buf ((8 * k) + bit_in_byte) (Outcome.to_char o)
     done;
-    on_class ~class_index (Bytes.sub_string buf (8 * k) 8)
+    heartbeat ()
   done;
   buf

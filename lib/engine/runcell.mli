@@ -101,7 +101,7 @@ val journal_finished : string -> bool
     or foreign files are all [false]. *)
 
 val conduct_shard :
-  ?on_class:(class_index:int -> string -> unit) ->
+  ?heartbeat:(unit -> unit) ->
   cell ->
   classes:Defuse.byte_class array ->
   plan:Shard.plan ->
@@ -110,6 +110,5 @@ val conduct_shard :
 (** Conduct every experiment of one shard on a fresh session from the
     cell's provider (valid because injection cycles are non-decreasing
     within a shard) and return the packed outcome characters.
-    [on_class] is called once per completed class with its index and its
-    8 outcome characters — the hook the in-process backend uses for live
-    tallies/progress. *)
+    [heartbeat] is called once per completed class — the hook a process
+    or remote worker throttles into [h] doorbells. *)

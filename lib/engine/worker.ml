@@ -139,11 +139,11 @@ let parse_torture = function
       | _ -> None)
 
 (* The torture hook, checked before each shard ([shard_id] set) and
-   once after the last.  Poison is keyed by {e plan shard id}, not
-   completed-shard count, so the fault deterministically follows one
-   coordinate range through any re-dispatch — the shard kills every
-   worker it is ever assigned to, which is exactly what quarantine
-   exists for. *)
+   once at EOF, after the worker's last.  Poison is keyed by {e plan
+   shard id}, not completed-shard count, so the fault deterministically
+   follows one coordinate range through any re-dispatch — the shard
+   kills every worker it is ever assigned to, which is exactly what
+   quarantine exists for. *)
 let torture_point torture conn ~index ~completed ~shard_id =
   match torture with
   | Some t when t.only = None || t.only = Some index -> (
@@ -178,16 +178,30 @@ let torture_point torture conn ~index ~completed ~shard_id =
 (* The worker side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let conduct_job conn (job : wire_job) =
-  (* Only the plan-shaping fields (plus the checkpoint stride, so the
-     worker accelerates the same way) cross the wire: journalling,
-     resume and supervision belong to the conducting parent. *)
-  let policy = Spec.make_policy ?checkpoint_stride:job.stride () in
-  let spec = spec_of_cell ~policy job.cell in
-  let cell = Runcell.analyse spec in
-  let classes = cell.Faultspace.classes in
-  let plan = Runcell.plan_of_policy spec.Spec.policy classes in
-  let fp = Runcell.fingerprint_cell cell ~plan in
+(* [last] is the one analysed cell a worker keeps between jobs, keyed by
+   its result-store key and the stride: a worker is handed a cell's
+   shards in turn, and must not redo its golden run per job.  Torture's
+   [N] is [completed], the shards of the worker's whole lifetime. *)
+let conduct_job conn ~torture ~completed ~last (job : wire_job) =
+  let key = (cell_key job.cell, job.stride) in
+  let cell, plan, fp =
+    match !last with
+    | Some (k, analysed) when k = key -> analysed
+    | Some _ | None ->
+        (* Only the plan-shaping fields (plus the checkpoint stride, so
+           the worker accelerates the same way) cross the wire:
+           journalling, resume and supervision belong to the conducting
+           parent. *)
+        let policy = Spec.make_policy ?checkpoint_stride:job.stride () in
+        let spec = spec_of_cell ~policy job.cell in
+        let cell = Runcell.analyse spec in
+        let plan =
+          Runcell.plan_of_policy spec.Spec.policy cell.Faultspace.classes
+        in
+        let analysed = (cell, plan, Runcell.fingerprint_cell cell ~plan) in
+        last := Some (key, analysed);
+        analysed
+  in
   if fp <> job.fingerprint then
     failwith
       (Printf.sprintf
@@ -200,49 +214,64 @@ let conduct_job conn (job : wire_job) =
       if id < 0 || id >= shards_total then
         failwith (Printf.sprintf "shard id %d out of range" id))
     job.shard_ids;
-  let torture = parse_torture (Sys.getenv_opt torture_var) in
   let seg payload = Transport.send conn Frame.Seg (Journal.encode_line payload) in
   let door = Transport.send conn Frame.Door in
   seg (segment_header ~fingerprint:fp ~pid:(Unix.getpid ()));
   (* Heartbeats: one [h] frame per conducted class, throttled, so the
      parent can tell a slow shard from a hung worker. *)
   let last_beat = ref 0. in
-  let heartbeat ~class_index:_ _ =
+  let heartbeat () =
     let now = Unix.gettimeofday () in
     if now -. !last_beat >= 0.01 then begin
       last_beat := now;
       door "h"
     end
   in
-  Array.iteri
-    (fun completed id ->
-      torture_point torture conn ~index:job.index ~completed ~shard_id:(Some id);
+  Array.iter
+    (fun id ->
+      torture_point torture conn ~index:job.index ~completed:!completed
+        ~shard_id:(Some id);
       let shard = plan.Shard.shards.(id) in
       let buf =
-        Runcell.conduct_shard ~on_class:heartbeat cell ~classes ~plan shard
+        Runcell.conduct_shard ~heartbeat cell ~classes:cell.Faultspace.classes
+          ~plan shard
       in
       seg (Runcell.record_payload shard buf);
-      door (Printf.sprintf "s %d" id))
+      door (Printf.sprintf "s %d" id);
+      incr completed)
     job.shard_ids;
-  torture_point torture conn ~index:job.index
-    ~completed:(Array.length job.shard_ids) ~shard_id:None;
   door "end"
 
-let serve_job ?timeout conn =
-  match Transport.recv ?timeout conn with
-  | None -> () (* the peer left without a job — a probe *)
-  | Some (Frame.Job, payload) -> (
-      match decode job_codec payload with
-      | None -> failwith "undecodable job payload"
-      | Some job -> conduct_job conn job)
-  | Some (kind, _) ->
-      failwith
-        (Printf.sprintf "expected a job frame, got %s" (Frame.kind_tag kind))
+let serve_jobs ?timeout conn =
+  let torture = parse_torture (Sys.getenv_opt torture_var) in
+  let completed = ref 0 and last = ref None in
+  (* Only the first job is awaited under [timeout]: an idle worker waits
+     for its next job for as long as its parent keeps it. *)
+  let rec serve ?timeout index =
+    match Transport.recv ?timeout conn with
+    | None ->
+        (* EOF: no more jobs, or a probe that never sent one. *)
+        Option.iter
+          (fun index ->
+            torture_point torture conn ~index ~completed:!completed
+              ~shard_id:None)
+          index
+    | Some (Frame.Job, payload) -> (
+        match decode job_codec payload with
+        | None -> failwith "undecodable job payload"
+        | Some job ->
+            conduct_job conn ~torture ~completed ~last job;
+            serve (Some job.index))
+    | Some (kind, _) ->
+        failwith
+          (Printf.sprintf "expected a job frame, got %s" (Frame.kind_tag kind))
+  in
+  serve ?timeout None
 
 let guard () =
   match Sys.getenv_opt env_var with
   | Some "1" ->
-      (try serve_job (Transport.of_fd ~peer:"parent" Unix.stdin)
+      (try serve_jobs (Transport.of_fd ~peer:"parent" Unix.stdin)
        with exn ->
          Printf.eprintf "fi worker (pid %d): %s\n%!" (Unix.getpid ())
            (Printexc.to_string exn);
@@ -254,7 +283,7 @@ let guard () =
 (* The parent side                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let spawn (job : wire_job) =
+let spawn () =
   let mine, theirs =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
@@ -269,12 +298,4 @@ let spawn (job : wire_job) =
       env theirs Unix.stderr Unix.stderr
   in
   Unix.close theirs;
-  let conn = Transport.of_fd ~peer:(Printf.sprintf "pid %d" pid) mine in
-  (* Ship the job.  The child may already be dead (torture, OOM): a
-     broken connection here is a supervision event, not a parent crash
-     — the caller must have SIGPIPE ignored, which turns it into
-     EPIPE. *)
-  (try Transport.send conn Frame.Job (encode job_codec job)
-   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-     ());
-  (pid, conn)
+  (pid, Transport.of_fd ~peer:(Printf.sprintf "pid %d" pid) mine)

@@ -1,11 +1,12 @@
 (** The campaign worker: the one protocol every worker speaks, local or
     remote, and the local (fork/exec) way to start one.
 
-    A worker reads one {!wire_job} in a [Job] frame — a {!wire_cell}
-    (program image and plan-shaping policy fields) plus the dispatch
-    fields (campaign fingerprint, shard ids), marshalled {e without}
-    [Closures] — re-analyses the cell, refuses if its own fingerprint disagrees
-    with the conductor's, and conducts its shards in order.  Everything
+    A worker reads {!wire_job}s in [Job] frames until EOF — each a
+    {!wire_cell} (program image and plan-shaping policy fields) plus the
+    dispatch fields (campaign fingerprint, shard ids), marshalled
+    {e without} [Closures] — re-analyses a cell when it differs from the
+    previous job's, refuses if its own fingerprint disagrees with the
+    conductor's, and conducts each job's shards in order.  Everything
     it says goes back as frames on the same {!Transport.conn}: [Seg]
     frames carry journal-format lines (the [fi-segment v1] header first,
     then one CRC-guarded shard record per shard) and [Door] frames carry
@@ -16,8 +17,8 @@
     A local worker ({!Pool.Processes}) is this very executable re-exec'd
     with {!env_var} set and one end of a Unix socketpair as its stdin:
     the first thing every engine-hosting binary does is call {!guard},
-    which diverts such a process into {!serve_job} before any other code
-    runs.  A remote worker ({!Remote}) runs the same {!serve_job} after
+    which diverts such a process into {!serve_jobs} before any other code
+    runs.  A remote worker ({!Remote}) runs the same {!serve_jobs} after
     the handshake.  Nothing is written to disk: the parent's campaign
     journal is the only durable state, and a worker killed mid-shard
     costs exactly its unfinished shards. *)
@@ -30,18 +31,19 @@ val torture_var : string
 (** ["FI_ENGINE_TORTURE"] — fault-injection hook for the engine's own
     torture tests: ["MODE:N"] or ["MODE:N:WORKER"] makes a worker (the
     [WORKER]-indexed one, or all) misbehave once it has completed [N]
-    shards.  [MODE] is [exit] (exit code 7), [raise] (uncaught
-    exception, exit 3), [sigkill] (SIGKILL itself between shards),
-    [torn] (send a CRC-invalid [Seg] line, then SIGKILL — a crash
-    mid-record), [hang] (sleep forever: no heartbeat, no progress — only
-    a supervision deadline ends it) or [stall] (livelock: heartbeats
-    keep flowing but shard progress stops).  [poison:S[:W]] is
+    shards in its lifetime (checked before each shard and at EOF).
+    [MODE] is [exit] (exit code 7), [raise] (uncaught exception, exit
+    3), [sigkill] (SIGKILL itself between shards), [torn] (send a
+    CRC-invalid [Seg] line, then SIGKILL — a crash mid-record), [hang]
+    (sleep forever: no heartbeat, no progress — only a supervision
+    deadline ends it) or [stall] (livelock: heartbeats keep flowing but
+    shard progress stops).  [poison:S[:W]] is
     different: [S] is a {e plan shard id}, and the worker SIGKILLs
     itself immediately before conducting that shard — the deterministic
     poison coordinate that exercises shard quarantine, since it follows
     the shard through every retry.  Unset, empty or unparseable values
     inject nothing.  Local and remote workers honour it alike in
-    {!serve_job}; a remote daemon reads its own environment. *)
+    {!serve_jobs}; a remote daemon reads its own environment. *)
 
 (** {1 Wire cell and wire job} *)
 
@@ -70,8 +72,9 @@ type wire_job = {
   fingerprint : int;  (** Conductor's campaign fingerprint; verified. *)
   shard_ids : int array;  (** Plan shard ids to conduct, in order. *)
   index : int;
-      (** Spawn ordinal within the cell (retry workers get fresh
-          indices), for diagnostics and [torture] targeting. *)
+      (** The worker's start ordinal within the engine call (a
+          replacement gets a fresh one), for diagnostics and [torture]
+          targeting. *)
 }
 (** One dispatch: a wire cell plus the fields that say which of its
     shards to conduct, and how. *)
@@ -114,30 +117,28 @@ val segment_fingerprint : string -> int option
 
 (** {1 The worker side} *)
 
-val serve_job : ?timeout:float -> Transport.conn -> unit
-(** Receive one [Job] frame (within [timeout], if given) and conduct
-    it: re-analyse the cell and verify the job's fingerprint, range-check
-    the shard ids, send the [fi-segment v1] header, then conduct each
-    shard in order — throttled [h] heartbeats while conducting, one
-    record [Seg] plus an [s <id>] [Door] per shard — and finish with
-    [end].  Writes nothing but frames; honours {!torture_var}.  Returns
-    at once if the peer closes without a job (a probe); raises on any
-    other frame, an undecodable job, fingerprint disagreement or a bad
-    shard id. *)
+val serve_jobs : ?timeout:float -> Transport.conn -> unit
+(** Conduct [Job] frames until EOF ([timeout] bounds the wait for the
+    first only): re-analyse the job's cell unless the previous job's
+    has the same {!cell_key} and stride, verify the fingerprint,
+    range-check the shard ids, send the [fi-segment v1] header, then
+    conduct each shard in order — throttled [h] heartbeats while
+    conducting, one record [Seg] plus an [s <id>] [Door] per shard —
+    and finish with [end].  Writes nothing but frames; honours
+    {!torture_var}.  Returns at once if the peer closes without a job
+    (a probe); raises on any other frame, an undecodable job,
+    fingerprint disagreement or a bad shard id. *)
 
 val guard : unit -> unit
 (** Call first in every [main] of a binary that runs campaigns (the CLI,
-    the test runners).  If {!env_var} is set, runs {!serve_job} on the
+    the test runners).  If {!env_var} is set, runs {!serve_jobs} on the
     connection at stdin and exits (0 on success, 3 on failure) —
     otherwise returns immediately. *)
 
 (** {1 The parent side} *)
 
-val spawn : wire_job -> int * Transport.conn
+val spawn : unit -> int * Transport.conn
 (** Fork/exec [Sys.executable_name] with {!env_var} set and one end of a
     fresh socketpair as its stdin (its stdout goes to our stderr, so
-    stray prints never reach the frame stream), send it [job], and
-    return its pid and our end.  The caller must be ignoring [SIGPIPE]
-    (the engine's scheduler is): a child that dies before reading its
-    job surfaces as a supervision event, not a parent crash.  The caller
-    reaps the pid. *)
+    stray prints never reach the frame stream), and return its pid and
+    our end.  The caller sends the jobs and reaps the pid. *)

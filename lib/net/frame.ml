@@ -142,8 +142,7 @@ let next d =
 (* Blocking receive (the worker side's simple loop)                   *)
 (* ------------------------------------------------------------------ *)
 
-let recv ?timeout fd d =
-  let chunk = Bytes.create 65536 in
+let recv ?timeout ~chunk fd d =
   (* The timeout is a budget for the WHOLE frame, not per read: an
      absolute deadline shrinks the wait each round, so a peer dribbling
      one byte per near-timeout interval (a slow loris) cannot keep the

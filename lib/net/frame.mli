@@ -52,8 +52,15 @@ val next : decoder -> (kind * string) option
     @raise Corrupt on a framing violation (the decoder is then stuck —
     discard the connection). *)
 
-val recv : ?timeout:float -> Unix.file_descr -> decoder -> (kind * string) option
-(** Blocking receive: read and {!feed} until one frame completes.
+val recv :
+  ?timeout:float ->
+  chunk:Bytes.t ->
+  Unix.file_descr ->
+  decoder ->
+  (kind * string) option
+(** Blocking receive: read (through the caller's [chunk], so a worker
+    serving job after job allocates no read buffer) and {!feed} until
+    one frame completes.
     [None] on clean EOF between frames.  [timeout] is a budget for the
     whole frame (an absolute deadline), not per read — dribbling bytes
     cannot stretch it.

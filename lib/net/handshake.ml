@@ -16,7 +16,6 @@ let self_digest () =
 type hello = {
   version : int;
   digest : string;
-  fingerprint : string;  (** Campaign CRC hex (client), [""] otherwise. *)
   capacity : int;  (** Worker slots advertised (server), [0] otherwise. *)
   mac : string;  (** HMAC tag over the rest of the hello, [""] if unkeyed. *)
 }
@@ -24,18 +23,12 @@ type hello = {
 (* The MAC covers everything else in the hello, so a keyed peer cannot
    have its advertised digest or capacity tampered with in transit. *)
 let encode_base h =
-  Printf.sprintf "fi-net hello version=%d digest=%s cap=%d fp=%s" h.version
-    h.digest h.capacity h.fingerprint
+  Printf.sprintf "fi-net hello version=%d digest=%s cap=%d" h.version h.digest
+    h.capacity
 
-let hello ?(fingerprint = "") ?(capacity = 0) ?secret () =
+let hello ?(capacity = 0) ?secret () =
   let h =
-    {
-      version = protocol_version;
-      digest = self_digest ();
-      fingerprint;
-      capacity;
-      mac = "";
-    }
+    { version = protocol_version; digest = self_digest (); capacity; mac = "" }
   in
   match secret with
   | None -> h
@@ -67,7 +60,6 @@ let decode s =
             {
               version;
               digest;
-              fingerprint = str_field "fp";
               capacity = Option.value ~default:0 (int_field "cap");
               mac = str_field "mac";
             }

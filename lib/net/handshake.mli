@@ -1,14 +1,12 @@
-(** The connection preamble: protocol version + binary digest +
-    campaign fingerprint.
+(** The connection preamble: protocol version + binary digest.
 
     Both ends exchange a {!hello} frame first.  {!check} refuses a peer
     whose protocol version or executable digest differs — the wire job
     format is marshalled plain data, sound only between byte-identical
     binaries, and byte-identical binaries are also what makes remote
-    analysis (and therefore campaign results) bit-identical.  The
-    campaign fingerprint travels in the client's hello as an advisory
-    label; the authoritative check is the worker's own re-analysis
-    (see {!Remote}). *)
+    analysis (and therefore campaign results) bit-identical.  A
+    campaign's fingerprint is checked per job, by the worker's own
+    re-analysis (see {!Remote}): one connection carries many cells. *)
 
 val self_digest : unit -> string
 (** Hex MD5 of [Sys.executable_name], memoized ("unknown" if the
@@ -18,14 +16,13 @@ val self_digest : unit -> string
 type hello = {
   version : int;
   digest : string;
-  fingerprint : string;  (** Campaign CRC hex (client side), else [""]. *)
   capacity : int;  (** Advertised worker slots (server side), else [0]. *)
   mac : string;
       (** {!Hmac} tag over the rest of the hello when a shared secret is
           in force, [""] otherwise. *)
 }
 
-val hello : ?fingerprint:string -> ?capacity:int -> ?secret:string -> unit -> hello
+val hello : ?capacity:int -> ?secret:string -> unit -> hello
 (** This process's hello: the protocol version (1) + {!self_digest}.  With
     [?secret], the hello carries an HMAC tag over its other fields. *)
 

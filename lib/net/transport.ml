@@ -104,7 +104,7 @@ let rec accept listen_fd =
 
 let send c kind payload = Frame.send c.fd kind payload
 
-let recv ?timeout c = Frame.recv ?timeout c.fd c.decoder
+let recv ?timeout c = Frame.recv ?timeout ~chunk:c.chunk c.fd c.decoder
 
 (* One non-blocking-ish pump for a select loop: a single read of
    whatever is available, then every frame it completed. *)

@@ -241,7 +241,7 @@ let qcheck_frame_mutation_never_misparses =
 (* ------------------------------------------------------------------ *)
 
 let test_handshake () =
-  let mine = Handshake.hello ~fingerprint:"cafe1234" ~capacity:3 () in
+  let mine = Handshake.hello ~capacity:3 () in
   (match Handshake.decode (Handshake.encode mine) with
   | Some h -> Alcotest.(check bool) "roundtrip" true (h = mine)
   | None -> Alcotest.fail "decode");
@@ -330,8 +330,10 @@ let test_handshake_auth () =
         (contains msg "mismatch")
   | Ok () -> Alcotest.fail "wrong secret accepted");
   (* A tag computed over a TAMPERED hello must not verify: the mac
-     covers the whole identity (version, digest, fingerprint). *)
-  let forged = { armed with Handshake.fingerprint = "beefbeef" } in
+     covers the whole identity (version, digest, capacity). *)
+  let forged =
+    { armed with Handshake.capacity = armed.Handshake.capacity + 1 }
+  in
   match Handshake.check ~secret ~mine:armed ~theirs:forged () with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "tampered armed hello accepted"
@@ -696,10 +698,11 @@ let test_remote_crash_and_resume () =
           ~policy:(Spec.make_policy ~journal:path ~resume ~shard_size:1 ())
           golden
       in
-      (* The daemon inherits the torture env: remote worker 0 dies
-         before conducting anything, worker 1 finishes its share.  The
-         unsupervised default policy reports the death and keeps the
-         journal valid. *)
+      (* The daemon inherits the torture env: remote worker 0 (the
+         call's first dial) dies before conducting anything, which
+         retires its seat; worker 1 drains the queue.  The unsupervised
+         default policy reports the death and keeps the journal
+         valid. *)
       with_torture "exit:0:0" (fun () ->
           with_daemon (fun addr ->
               match

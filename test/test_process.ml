@@ -153,6 +153,31 @@ let qcheck_processes_equal_serial =
       Faultspace.(scan (of_golden Bitflip_mem golden))
       = Drive.scan ~backend:Pool.Processes ~jobs (Spec.of_golden golden))
 
+(* Seats persist across jobs and cells: a call starts one worker per
+   seat, not one per cell and seat.  The 4-cell paper-pairs matrix at
+   -j 2 starts exactly 2 (one per cell and seat would be 8), a one-cell
+   call at most 2, and a call the result store serves whole none.  The
+   healthy call leaves no child behind. *)
+let test_worker_starts () =
+  with_temp_file (fun path ->
+      let dir = Filename.dirname path in
+      let starts specs =
+        let snap = ref None in
+        ignore
+          (Engine.run_matrix_results ~backend:Pool.Processes ~jobs:2
+             ~observe:(fun s -> snap := Some s)
+             specs);
+        (Option.get !snap).Progress.starts
+      in
+      let policy = Spec.make_policy ~catalogue:dir ~cache:dir () in
+      let pairs = Suite.paper_specs ~policy () in
+      Alcotest.(check int) "paper pairs at -j 2" 2 (starts pairs);
+      Alcotest.(check (option string)) "no child left" None
+        (Drive.leftover_child ());
+      Alcotest.(check int) "cache hit" 0 (starts pairs);
+      Alcotest.(check bool) "one cell: at most one start per seat" true
+        (starts [ Spec.of_golden (Lazy.force flag1_golden) ] <= 2))
+
 (* ------------------------------------------------------------------ *)
 (* Journaled resume under the process backend                         *)
 (* ------------------------------------------------------------------ *)
@@ -292,9 +317,10 @@ let test_worker_crash_and_resume () =
           ~policy:(policy ~journal:path ~resume ~shard_size:1 ())
           golden
       in
-      (* Worker 0 exits (code 7) before conducting anything; worker 1
-         finishes its share.  The parent must report the death, keep the
-         journal valid, and resume to the bit-identical result. *)
+      (* Worker 0 (the call's first start) exits (code 7) before
+         conducting anything, which retires its seat; worker 1 drains
+         the queue.  The parent must report the death, keep the journal
+         valid, and resume to the bit-identical result. *)
       (match
          with_torture "exit:0:0" (fun () ->
              Drive.scan ~backend:Pool.Processes ~jobs:2 (spec false))
@@ -371,6 +397,7 @@ let suite =
       Alcotest.test_case "processes = serial (registers)" `Quick
         test_processes_equal_serial_registers;
       Alcotest.test_case "processes matrix" `Slow test_processes_matrix;
+      Alcotest.test_case "worker starts per call" `Slow test_worker_starts;
       QCheck_alcotest.to_alcotest qcheck_processes_equal_serial;
       Alcotest.test_case "processes journaled resume" `Slow
         test_processes_resume;

@@ -83,11 +83,11 @@ let test_supervision_payload_roundtrip () =
 (* Deadline kills: hung and stalled workers                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Worker spawn index 0 wedges silently before conducting anything; the
-   supervisor must detect the missing heartbeat inside [shard_timeout],
-   SIGKILL it, and a retry worker (fresh spawn index, so the torture no
-   longer matches) completes the campaign bit-identically — with no
-   manual --resume. *)
+(* Worker 0 — the call's first start — wedges silently before
+   conducting anything; the supervisor must detect the missing heartbeat
+   inside [shard_timeout], SIGKILL it, and a replacement worker (a fresh
+   index within the call, so the torture no longer matches) completes
+   the campaign bit-identically — with no manual --resume. *)
 let heal_round_trip ~torture ~expect_reason () =
   let serial = Lazy.force hi_serial in
   let golden = Lazy.force hi_golden in

@@ -71,9 +71,10 @@ let test_differential_fixtures () =
 (* The crash matrix                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Inject [mode] into every worker after one completed shard, over a
-   journaled 2-worker flag1 campaign with one class per shard; then
-   resume with the hook cleared. *)
+(* Inject [mode] into every worker once it has completed one shard in
+   its lifetime, over a journaled 2-seat flag1 campaign with one class
+   per shard: both seats die and retire; then resume with the hook
+   cleared. *)
 let crash_round_trip mode =
   let serial = Lazy.force flag1_serial in
   let golden = Lazy.force flag1_golden in
@@ -248,8 +249,11 @@ let sup_policy ?journal ?(resume = false) ?shard_size ?shard_timeout
   Spec.make_policy ?journal ~resume ?shard_size ?shard_timeout ~max_retries
     ~quarantine ()
 
-(* Every worker wedges (silently, or chattily for [stall]) after its
-   first completed shard — including retry workers.  Supervision must
+(* Every worker wedges (silently, or chattily for [stall]) once it has
+   completed one shard — including replacement workers.  On [hi]'s two
+   shards each of the two seats completes one, so the wedge comes at
+   EOF, after the supervisor half-closes the seat: a closing worker is
+   held to the deadline like a busy one.  Supervision must
    kill each one on deadline and keep re-dispatching until the campaign
    completes bit-identically, with no manual --resume and nothing
    quarantined: the fault is transient per worker, not tied to a
@@ -402,28 +406,40 @@ let test_sustained_churn_heals () =
     result.Engine.scan;
   Alcotest.(check int) "nothing quarantined under churn" 0
     (List.length result.Engine.quarantined);
+  Alcotest.(check (option string)) "every dead worker reaped" None
+    (Drive.leftover_child ());
   match !snap with
   | None -> Alcotest.fail "observe never called"
   | Some s ->
       Alcotest.(check bool) "churn forced retries" true
         (s.Progress.retries >= 1)
 
-(* Supervision on an UNDISTURBED campaign must be invisible: same scan,
-   no kills, no retries, nothing quarantined. *)
+(* Supervision on an UNDISTURBED two-cell matrix must be invisible: same
+   scans, no kills, no retries, nothing quarantined.  Seats outlive the
+   cell boundary and idle at the tail before they are closed; an idle
+   seat is not held to the shard deadline, so neither may cost a kill
+   under an explicit timeout. *)
 let test_supervision_invisible_when_healthy () =
-  let serial = Lazy.force flag1_serial in
   let snap = ref None in
-  let result =
-    Drive.cell ~backend:Pool.Processes ~jobs:3
-      ~observe:(fun s -> snap := Some s)
-      (Spec.of_golden
-         ~policy:(sup_policy ~shard_timeout:30. ~quarantine:true ())
-         (Lazy.force flag1_golden))
+  let spec golden =
+    Spec.of_golden
+      ~policy:(sup_policy ~shard_timeout:5. ~quarantine:true ())
+      (Lazy.force golden)
   in
-  check_scans_identical "supervised healthy run = serial" serial
-    result.Engine.scan;
-  Alcotest.(check int) "nothing quarantined" 0
-    (List.length result.Engine.quarantined);
+  let results =
+    Engine.run_matrix_results ~backend:Pool.Processes ~jobs:3
+      ~observe:(fun s -> snap := Some s)
+      [ spec flag1_golden; spec hi_golden ]
+  in
+  List.iter2
+    (fun (name, serial) (result : Engine.result) ->
+      check_scans_identical
+        (name ^ ": supervised healthy run = serial")
+        (Lazy.force serial) result.Engine.scan;
+      Alcotest.(check int) (name ^ ": nothing quarantined") 0
+        (List.length result.Engine.quarantined))
+    [ ("flag1", flag1_serial); ("hi", hi_serial) ]
+    results;
   match !snap with
   | None -> Alcotest.fail "observe never called"
   | Some s ->
