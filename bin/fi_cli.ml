@@ -256,11 +256,11 @@ let engine_opts_term =
   let no_cache =
     let doc =
       "Skip the content-addressed result cache \
-       ($(b,_artifacts/results.idx)): always conduct every shard, and \
-       do not publish this run's journals for future reuse.  Without \
-       this flag a cell whose (program image × fault space × policy) \
-       key is already cached replays the finished journal — \
-       bit-identical results, zero shard executions."
+       ($(b,_artifacts/<key>.result) entries): always conduct every \
+       shard, and do not publish this run's journals for future \
+       reuse.  Without this flag a cell whose (program image × fault \
+       space × policy) key is already cached replays the finished \
+       journal — bit-identical results, zero shard executions."
     in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
@@ -952,7 +952,7 @@ let journal_cmd =
       & info [ "dir" ] ~docv:"DIR"
           ~doc:
             "Artifact-store directory: the campaigns' fingerprint-named \
-             journals and $(b,results.idx).")
+             journals and the $(b,<key>.result) entry files.")
   in
   let dry_run =
     Arg.(
@@ -976,7 +976,7 @@ let journal_cmd =
       (Cmd.info "compact"
          ~doc:
            "Delete the store's finished campaign journals \
-            ($(b,fi-*.journal) in $(b,--dir)) that no $(b,results.idx) \
+            ($(b,fi-*.journal) in $(b,--dir)) that no $(b,<key>.result) \
             entry references.  A journal is finished when it replays \
             cleanly and every plan shard has a record; unfinished ones \
             — a killed run, or a quarantine-degraded one that \
@@ -1109,8 +1109,8 @@ let serve_cmd =
       & info [ "dir" ] ~docv:"DIR"
           ~doc:
             "Artifact store: the campaigns' fingerprint-named journals \
-             and the content-addressed result index $(b,results.idx) \
-             live here.")
+             and the content-addressed result entries, one \
+             $(b,<key>.result) file per cell, live here.")
   in
   let action listen workers local_backend jobs window dir secret_file =
     let workers = Option.fold ~none:[] ~some:fleet_hosts workers in

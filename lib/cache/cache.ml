@@ -1,5 +1,5 @@
 (* The artifact store: campaign journals at fingerprint-derived paths,
-   and the content-addressed result index.
+   and the content-addressed result entries.
 
    A campaign cell that has finished anywhere need never run again: its
    key is a stable fingerprint of everything that determines its results
@@ -9,8 +9,9 @@
    merge path to bit-identical results.
 
    "Where is MY campaign's journal" (for --resume) needs no index: the
-   path is derived from the campaign CRC.  The index answers "has ANYONE
-   finished this cell" (keyed by content, for free re-runs). *)
+   path is derived from the campaign CRC.  An entry file, named by the
+   cell key, answers "has ANYONE finished this cell" (keyed by content,
+   for free re-runs). *)
 
 let default_dir = "_artifacts"
 
@@ -20,8 +21,6 @@ let ensure_dir dir =
 
 let journal_path ~dir ~fingerprint =
   Filename.concat dir (Printf.sprintf "fi-%08x.journal" fingerprint)
-
-let index_path ~dir = Filename.concat dir "results.idx"
 
 (* ------------------------------------------------------------------ *)
 (* Keying                                                             *)
@@ -43,7 +42,7 @@ let cell_key ~image ~space ~limit ~shard_size ~weighted =
 let key_length = 32 (* hex MD5 *)
 
 (* ------------------------------------------------------------------ *)
-(* The index                                                          *)
+(* Entries                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type entry = {
@@ -56,60 +55,70 @@ let is_hex s = String.for_all (function
   | '0' .. '9' | 'a' .. 'f' -> true
   | _ -> false) s
 
-(* One line per entry: 32-hex key, space, 8-hex campaign fingerprint,
-   space, journal path (which may itself contain spaces). *)
-let parse_line line =
-  if
-    String.length line >= key_length + 11
-    && line.[key_length] = ' '
-    && line.[key_length + 9] = ' '
-  then
-    let key = String.sub line 0 key_length in
-    let fp_hex = String.sub line (key_length + 1) 8 in
-    let path =
-      String.sub line (key_length + 10) (String.length line - key_length - 10)
-    in
-    if is_hex key then
-      match int_of_string_opt ("0x" ^ fp_hex) with
-      | Some fingerprint when is_hex fp_hex -> Some { key; fingerprint; path }
-      | _ -> None
+let entry_suffix = ".result"
+let entry_path ~dir key = Filename.concat dir (key ^ entry_suffix)
+
+(* An entry file holds one line: 8-hex campaign fingerprint, space,
+   journal path (which may itself contain spaces), newline. *)
+let parse_entry key text =
+  let n = String.length text in
+  if n >= 11 && text.[8] = ' ' && text.[n - 1] = '\n' then
+    let fp_hex = String.sub text 0 8 in
+    if is_hex fp_hex then
+      Some
+        {
+          key;
+          fingerprint = int_of_string ("0x" ^ fp_hex);
+          path = String.sub text 9 (n - 10);
+        }
     else None
   else None
 
-let encode_line e = Printf.sprintf "%s %08x %s" e.key e.fingerprint e.path
-
-let entries ~dir =
-  match open_in_bin (index_path ~dir) with
-  | exception Sys_error _ -> []
+let lookup ~dir key =
+  match open_in_bin (entry_path ~dir key) with
+  | exception Sys_error _ -> None
   | ic ->
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      List.filter_map parse_line (String.split_on_char '\n' text)
+      parse_entry key text
 
-let lookup ~dir key =
-  List.fold_left
-    (fun acc e -> if e.key = key then Some e else acc)
-    None (entries ~dir)
+let entries ~dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | names ->
+      let keys =
+        List.filter_map
+          (fun name ->
+            if Filename.check_suffix name entry_suffix then
+              let key = Filename.chop_suffix name entry_suffix in
+              if String.length key = key_length && is_hex key then Some key
+              else None
+            else None)
+          (Array.to_list names)
+      in
+      List.filter_map (lookup ~dir) (List.sort compare keys)
 
+(* Written whole to a fresh file beside the entry, then renamed over it:
+   rename is atomic, so concurrent publishers need no lock — the last
+   rename wins, and a reader opens either a complete entry or none. *)
 let publish ~dir ~key ~fingerprint ~path =
   ensure_dir dir;
-  Lockfile.with_lock (index_path ~dir) (fun () ->
-      (* Re-check under the lock: a concurrent campaign may have
-         published the same cell while we were finishing ours. *)
-      match lookup ~dir key with
-      | Some e when e.fingerprint = fingerprint && e.path = path -> ()
-      | _ ->
-          let oc =
-            open_out_gen
-              [ Open_append; Open_creat; Open_binary ]
-              0o644 (index_path ~dir)
-          in
-          output_string oc (encode_line { key; fingerprint; path } ^ "\n");
-          close_out oc)
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644 ~temp_dir:dir
+      (key ^ ".") ".tmp"
+  in
+  try
+    Printf.fprintf oc "%08x %s\n" fingerprint path;
+    close_out oc;
+    Sys.rename tmp (entry_path ~dir key)
+  with exn ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise exn
 
-(* Paths as published, and the files they name: the index records paths
-   as the publishing campaign spelled its directory, which need not be
-   how the caller spells it. *)
+(* Paths as published, and the files they name: an entry records the
+   path as the publishing campaign spelled its directory, which need
+   not be how the caller spells it. *)
 let referenced ~dir =
   let file path =
     match Unix.stat path with

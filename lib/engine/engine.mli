@@ -238,10 +238,11 @@ type compaction = {
 val compact : ?dry_run:bool -> dir:string -> unit -> compaction
 (** Sweep the artifact store [dir]: delete every [fi-*.journal] file
     (the names {!Cache.journal_path} gives) that
-    {!Runcell.journal_finished} judges complete and that no
-    [results.idx] entry references ({!Cache.referenced} — a cache-backed
-    journal IS the cached result).  Unfinished journals — a run still
-    going, a killed run, a quarantine-degraded run that [--resume] can
-    still heal — are kept, as is every other file, and journals at
-    explicit paths are never looked at.  With [dry_run] nothing is
-    deleted; the summary reports what {e would} be. *)
+    {!Runcell.journal_finished} judges complete and that no result
+    entry references ({!Cache.referenced} — a cache-backed journal IS
+    the cached result; a journal whose key was published again to
+    another path is no longer referenced).  Unfinished journals — a
+    run still going, a killed run, a quarantine-degraded run that
+    [--resume] can still heal — are kept, as is every other file, and
+    journals at explicit paths are never looked at.  With [dry_run]
+    nothing is deleted; the summary reports what {e would} be. *)

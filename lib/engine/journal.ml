@@ -18,8 +18,18 @@ let close w =
     Unix.close w.fd
   end
 
+(* Always a fresh file: an old journal at [path] is unlinked, not
+   truncated, so a reader that still holds it open reads it whole, and
+   the new journal never shares an inode with the old one. *)
 let create path ~header =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let fresh () = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_EXCL ] 0o644 in
+  let fd =
+    try fresh ()
+    with Unix.Unix_error (Unix.EEXIST, _, _)
+      when (Unix.lstat path).Unix.st_kind = Unix.S_REG ->
+      Unix.unlink path;
+      fresh ()
+  in
   let w = { fd; closed = false } in
   append w header;
   w
@@ -76,14 +86,6 @@ let read_file path =
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Some text
-
-let load path =
-  match read_file path with
-  | None -> None
-  | Some text -> (
-      match scan_prefix text with
-      | header :: records, _, _ -> Some (header, records)
-      | [], _, _ -> None)
 
 let replay path =
   match read_file path with

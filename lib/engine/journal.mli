@@ -6,10 +6,10 @@
     [write(2)] followed by [fsync(2)], so after a crash the file is a
     valid record sequence plus at most one torn tail line.
 
-    {!load} accepts exactly that: it returns the longest valid prefix of
-    records and ignores anything after the first malformed or
-    CRC-mismatching line.  {!replay} additionally classifies {e why} the
-    prefix ended ({!recovery}), which is what lets the engine tell a
+    {!replay} accepts exactly that: it returns the longest valid prefix
+    of records, ignores anything after the first malformed or
+    CRC-mismatching line, and classifies {e why} the prefix ended
+    ({!recovery}), which is what lets the engine tell a
     crash artifact (torn tail — resumable) from storage corruption
     (a complete line with a bad CRC — rejected loudly rather than
     silently skewing weighted tallies).  {!open_resume} is the resume
@@ -25,8 +25,10 @@
 type writer
 
 val create : string -> header:string -> writer
-(** [create path ~header] truncates/creates [path] and appends the
-    [header] payload as the first record (fsync'd, like every record). *)
+(** [create path ~header] creates [path] as a new file and appends the
+    [header] payload as the first record (fsync'd, like every record).
+    A regular file already at [path] is unlinked first, never truncated:
+    a reader holding the old journal open keeps reading it whole. *)
 
 val append : writer -> string -> unit
 (** Append one record and fsync.
@@ -55,18 +57,16 @@ type recovery =
           sequential writer cannot produce this by crashing — the
           storage lied.  The engine refuses to resume such a journal. *)
 
-val load : string -> (string * string list) option
-(** [load path] is [Some (header, records)] — the first record and the
-    remaining valid prefix — or [None] if the file is missing, empty or
-    its header record is torn. *)
-
 val replay : string -> (string * string list * recovery) option
-(** Like {!load}, read-only, but also reports how the valid prefix
-    ended.  The result-store consult accepts only a [Clean] journal. *)
+(** [replay path] is [Some (header, records, recovery)] — the first
+    record, the remaining valid prefix, and how that prefix ended — or
+    [None] if the file is missing, empty or its header record is torn.
+    Read-only.  The result-store consult accepts only a [Clean]
+    journal. *)
 
 val open_resume : string -> ((writer * string * string list) option, int) result
 (** The resume gate, in one read of the file.  [Ok (Some (w, header,
-    records))] is {!load}'s result plus a writer positioned at the end
+    records))] is {!replay}'s result plus a writer positioned at the end
     of the valid prefix — the file is truncated there first, so a torn
     tail never merges into the next append.  [Ok None] means no journal:
     the file is missing, empty or its header record is torn or fails its

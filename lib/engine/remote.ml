@@ -145,32 +145,37 @@ let serve ~listen ~workers ?secret ?(announce = fun _ -> ()) () =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done
   in
+  (* Reap on every wake, not only before an accept: an idle daemon
+     would otherwise keep its finished children as zombies until the
+     next connection. *)
   while true do
     reap ~block:false;
     while !live >= workers do
       reap ~block:true
     done;
-    let conn = Transport.accept lfd in
-    match Unix.fork () with
-    | 0 ->
-        Sysio.close_quietly lfd;
-        (try
-           serve_connection ~capacity:workers ?secret conn;
-           Transport.close conn;
-           exit 0
-         with exn ->
-           (try
-              Transport.send conn Frame.Err (Printexc.to_string exn);
-              Transport.close conn
-            with _ -> ());
-           Printf.eprintf "fi-net worker (pid %d): %s\n%!"
-             (Unix.getpid ()) (Printexc.to_string exn);
-           exit 3)
-    | _pid ->
-        incr live;
-        (* Close the parent's copy only — no shutdown, the child owns
-           the connection. *)
-        Sysio.close_quietly (Transport.fd conn)
+    if Sysio.select_read [ lfd ] 1.0 <> [] then begin
+      let conn = Transport.accept lfd in
+      match Unix.fork () with
+      | 0 ->
+          Sysio.close_quietly lfd;
+          (try
+             serve_connection ~capacity:workers ?secret conn;
+             Transport.close conn;
+             exit 0
+           with exn ->
+             (try
+                Transport.send conn Frame.Err (Printexc.to_string exn);
+                Transport.close conn
+              with _ -> ());
+             Printf.eprintf "fi-net worker (pid %d): %s\n%!"
+               (Unix.getpid ()) (Printexc.to_string exn);
+             exit 3)
+      | _pid ->
+          incr live;
+          (* Close the parent's copy only — no shutdown, the child owns
+             the connection. *)
+          Sysio.close_quietly (Transport.fd conn)
+    end
   done
 
 (* ------------------------------------------------------------------ *)

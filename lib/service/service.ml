@@ -22,7 +22,9 @@ type config = {
   local_backend : Pool.backend;
   jobs : int;
   window : int;  (** {!Fairq} admission window, per client host. *)
-  artifacts : string;  (** Artifact store: journals and [results.idx]. *)
+  artifacts : string;
+      (** Artifact store: journals and one [<key>.result] entry file
+          per cached cell. *)
   secret_file : string option;
 }
 

@@ -56,7 +56,9 @@ type config = {
           empty. *)
   jobs : int;  (** 0 = {!Pool.default_jobs}. *)
   window : int;  (** {!Fairq} admission window, per client host. *)
-  artifacts : string;  (** Artifact store: journals and [results.idx]. *)
+  artifacts : string;
+      (** Artifact store: journals and one [<key>.result] entry file
+          per cached cell. *)
   secret_file : string option;
       (** Arms shared-secret handshake auth for clients {e and} towards
           fleet workers. *)

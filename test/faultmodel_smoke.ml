@@ -78,8 +78,8 @@ let smoke_journal_resume model =
       check tag "journal records the model tag"
         (Runcell.journal_model_tag path = Some tag);
       let records =
-        match Journal.load path with
-        | Some (_, rs) -> List.length rs
+        match Journal.replay path with
+        | Some (_, rs, _) -> List.length rs
         | None -> 0
       in
       check tag "journal has shards" (records > 2);

@@ -1,9 +1,9 @@
 (* Tests for the content-addressed result store (lib/cache) and its
-   engine integration: cell keying, the sidecar index lock, publish /
-   lookup semantics, bit-identical cache hits in both fault spaces,
-   zero shard executions on a warm cell, quarantine never published,
-   policy-distinct cells never colliding, and compaction protecting
-   cache-referenced journals. *)
+   engine integration: cell keying, entry-file publish / lookup
+   semantics, concurrent publishers, bit-identical cache hits in both
+   fault spaces, zero shard executions on a warm cell, quarantine never
+   published, policy-distinct cells never colliding, and compaction
+   protecting cache-referenced journals (and only those). *)
 
 let contains = Astring_contains.contains
 let hi_golden = lazy (Golden.run (Hi.program ()))
@@ -35,25 +35,41 @@ let with_torture value f =
   Unix.putenv Worker.torture_var value;
   Fun.protect ~finally:(fun () -> Unix.putenv Worker.torture_var "") f
 
-(* Re-exec guard for the cross-process lock test below.  [Unix.fork]
+(* Re-exec guard for the concurrent-publisher test below.  [Unix.fork]
    is unavailable once this binary has spawned domains, so the
-   contending process is a fresh copy of the test executable: it
-   announces readiness, blocks on the lock named in the environment,
-   then leaves a witness file next to it. *)
-let lock_helper_var = "FI_TEST_LOCK_HELPER"
+   contending publisher is a fresh copy of the test executable: it
+   announces readiness, then publishes entry B of the store's one key
+   [publish_rounds] times.  Each side also stops after
+   [publish_seconds]: where replacing a file that holds data is slow
+   (tens of milliseconds on an ext4 mounted with [discard]), a thousand
+   renames over the entry would take most of a minute. *)
+let publish_helper_var = "FI_TEST_PUBLISH_HELPER"
+let publish_rounds = 500
+let publish_seconds = 3.
+
+let publishing f =
+  let deadline = Unix.gettimeofday () +. publish_seconds in
+  let rec go n =
+    if n > 0 && Unix.gettimeofday () < deadline then begin
+      f ();
+      go (n - 1)
+    end
+  in
+  go publish_rounds
+
+let contended_key = String.make Cache.key_length 'c'
+let entry_a = (0xaaaaaaaa, "/store/a-journal-with-a-longer-path.journal")
+let entry_b = (0xbbbbbbbb, "/store/b.journal")
+
+let publish_entry dir (fingerprint, path) =
+  Cache.publish ~dir ~key:contended_key ~fingerprint ~path
 
 let helper_guard () =
-  match Sys.getenv_opt lock_helper_var with
+  match Sys.getenv_opt publish_helper_var with
   | None | Some "" -> ()
-  | Some target ->
-      let mark name =
-        let path = Filename.concat (Filename.dirname target) name in
-        let oc = open_out path in
-        output_string oc "locked";
-        close_out oc
-      in
-      mark "ready";
-      Lockfile.with_lock target (fun () -> mark "witness");
+  | Some dir ->
+      close_out (open_out (Filename.concat dir "ready"));
+      publishing (fun () -> publish_entry dir entry_b);
       exit 0
 
 let spawn_helper var value =
@@ -105,58 +121,15 @@ let test_cell_key_distinct () =
   Alcotest.(check int) "all six keys distinct" 6 (List.length uniq)
 
 (* ------------------------------------------------------------------ *)
-(* Sidecar index lock                                                 *)
+(* Entry files                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_lockfile_roundtrip () =
-  with_temp_dir (fun dir ->
-      let target = Filename.concat dir "results.idx" in
-      let v = Lockfile.with_lock target (fun () -> 41 + 1) in
-      Alcotest.(check int) "body result returned" 42 v;
-      Alcotest.(check bool) "sidecar created" true
-        (Sys.file_exists (Lockfile.lock_path target));
-      (* Released on return: a second acquisition doesn't deadlock. *)
-      Alcotest.(check int) "re-acquirable" 7
-        (Lockfile.with_lock target (fun () -> 7));
-      (* Released on exception too. *)
-      (match Lockfile.with_lock target (fun () -> failwith "boom") with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "exception swallowed");
-      Alcotest.(check int) "re-acquirable after raise" 9
-        (Lockfile.with_lock target (fun () -> 9)))
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
 
-let test_lockfile_excludes_across_processes () =
-  with_temp_dir (fun dir ->
-      let target = Filename.concat dir "results.idx" in
-      let ready = Filename.concat dir "ready" in
-      let witness = Filename.concat dir "witness" in
-      let await path =
-        let deadline = Unix.gettimeofday () +. 10. in
-        while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline
-        do
-          Unix.sleepf 0.02
-        done;
-        Sys.file_exists path
-      in
-      let pid = ref 0 in
-      Lockfile.with_lock target (fun () ->
-          (* A fresh process contending for the same lock must block
-             until we release: wait for it to start, give it a moment
-             to reach the lock, then verify it hasn't run. *)
-          pid := spawn_helper lock_helper_var target;
-          Alcotest.(check bool) "contender started" true (await ready);
-          Unix.sleepf 0.3;
-          Alcotest.(check bool) "child blocked while we hold the lock"
-            false (Sys.file_exists witness));
-      (* Release by returning: the contender acquires and runs. *)
-      Alcotest.(check bool) "child ran after release" true (await witness);
-      ignore (Unix.waitpid [] !pid))
-
-(* ------------------------------------------------------------------ *)
-(* Index semantics                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_publish_lookup_roundtrip () =
+let test_entry_files () =
   with_temp_dir (fun dir ->
       let key =
         Cache.cell_key ~image:"x" ~space:"memory" ~limit:None ~shard_size:None
@@ -173,25 +146,75 @@ let test_publish_lookup_roundtrip () =
             e.Cache.path;
           Alcotest.(check bool) "fingerprint survives" true
             (e.Cache.fingerprint = 0xdeadbeef));
-      (* Re-publishing the same key is idempotent-ish: last wins. *)
       Cache.publish ~dir ~key ~fingerprint:0x1234 ~path:"/elsewhere/a.j";
       (match Cache.lookup ~dir key with
       | Some e ->
-          Alcotest.(check bool) "last publication wins" true
-            (e.Cache.fingerprint = 0x1234)
+          Alcotest.(check bool) "second publication wins" true
+            (e.Cache.fingerprint = 0x1234 && e.Cache.path = "/elsewhere/a.j")
       | None -> Alcotest.fail "entry vanished");
-      (* Corrupt lines are tolerated, not fatal. *)
-      let oc =
-        open_out_gen [ Open_append ] 0o644 (Cache.index_path ~dir)
-      in
-      output_string oc "not a valid line\nzz short\n";
-      close_out oc;
-      Alcotest.(check bool) "lookup survives garbage lines" true
-        (Cache.lookup ~dir key <> None);
-      Alcotest.(check bool) "referenced tracks published paths" true
+      Alcotest.(check int) "one entry per key" 1
+        (List.length (Cache.entries ~dir));
+      (* An unparseable entry and a crashed publisher's temporary file
+         are skipped, not fatal. *)
+      let garbage = String.make Cache.key_length '0' in
+      write_file (Cache.entry_path ~dir garbage) "not a valid entry\n";
+      write_file (Filename.concat dir (key ^ ".1a2b3c.tmp"))
+        "00000001 /stray.journal\n";
+      Alcotest.(check bool) "unparseable entry misses" true
+        (Cache.lookup ~dir garbage = None);
+      write_file (Cache.entry_path ~dir garbage) "";
+      Alcotest.(check bool) "empty entry misses" true
+        (Cache.lookup ~dir garbage = None);
+      Alcotest.(check (list string)) "entries skips the garbage"
+        [ "/elsewhere/a.j" ]
+        (List.map (fun e -> e.Cache.path) (Cache.entries ~dir));
+      Alcotest.(check bool) "referenced follows the latest publication" true
         (Cache.referenced ~dir "/elsewhere/a.j");
+      Alcotest.(check bool) "a superseded path is not referenced" false
+        (Cache.referenced ~dir path);
+      Alcotest.(check bool) "a stray temporary file's path is not referenced"
+        false
+        (Cache.referenced ~dir "/stray.journal");
       Alcotest.(check bool) "unpublished path not referenced" false
         (Cache.referenced ~dir "/elsewhere/b.j"))
+
+(* This process and the helper publish one key as fast as they can,
+   and this one reads the key back 100 times after each of its own
+   publications: every read must be one whole entry or the other, and
+   no temporary file may outlive its publisher.  Writing the entry file
+   in place fails this test. *)
+let test_concurrent_publishers () =
+  with_temp_dir (fun dir ->
+      let pid = spawn_helper publish_helper_var dir in
+      let ready = Filename.concat dir "ready" in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Sys.file_exists ready)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check bool) "contending publisher started" true
+        (Sys.file_exists ready);
+      let torn = ref 0 in
+      let check () =
+        match Cache.lookup ~dir contended_key with
+        | Some e
+          when List.mem (e.Cache.fingerprint, e.Cache.path) [ entry_a; entry_b ]
+          ->
+            ()
+        | Some _ | None -> incr torn
+      in
+      publishing (fun () ->
+          publish_entry dir entry_a;
+          for _ = 1 to 100 do
+            check ()
+          done);
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "contending publisher failed");
+      check ();
+      Alcotest.(check int) "lookups that saw a torn or missing entry" 0 !torn;
+      Alcotest.(check (list string)) "no temporary file left behind"
+        [ contended_key ^ ".result"; "ready" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
 
 (* ------------------------------------------------------------------ *)
 (* Engine integration: warm hits                                      *)
@@ -374,6 +397,36 @@ let test_compact_protects_cache_referenced_journals () =
       Alcotest.(check bool) "post-compaction warm run still hits" true
         warm.Engine.cached)
 
+(* A key published again to another journal no longer references the
+   first one, so compaction deletes it once it is finished. *)
+let test_compact_deletes_superseded_journals () =
+  with_temp_dir (fun dir ->
+      let golden = Lazy.force hi_golden in
+      ignore (run_cached ~dir golden);
+      let e =
+        match Cache.entries ~dir with
+        | [ e ] -> e
+        | es ->
+            Alcotest.failf "expected one store entry, found %d"
+              (List.length es)
+      in
+      Alcotest.(check bool) "journal finished" true
+        (Runcell.journal_finished e.Cache.path);
+      let elsewhere = Filename.concat dir "elsewhere.journal" in
+      let ic = open_in_bin e.Cache.path in
+      write_file elsewhere (really_input_string ic (in_channel_length ic));
+      close_in ic;
+      Cache.publish ~dir ~key:e.Cache.key ~fingerprint:e.Cache.fingerprint
+        ~path:elsewhere;
+      let c = Engine.compact ~dir () in
+      Alcotest.(check int) "the superseded journal is deleted" 1
+        c.Engine.deleted;
+      Alcotest.(check bool) "superseded journal gone" false
+        (Sys.file_exists e.Cache.path);
+      let warm = run_cached ~dir golden in
+      Alcotest.(check bool) "the later publication still serves hits" true
+        warm.Engine.cached)
+
 (* A cached journal that rots on disk (truncation, corruption) must
    degrade to a miss — never to a wrong scan. *)
 let test_corrupt_cached_journal_degrades_to_miss () =
@@ -489,12 +542,10 @@ let suite =
     [
       Alcotest.test_case "cell keys: deterministic and collision-free" `Quick
         test_cell_key_distinct;
-      Alcotest.test_case "lockfile: acquire, release, re-acquire" `Quick
-        test_lockfile_roundtrip;
-      Alcotest.test_case "lockfile: excludes a contending process" `Quick
-        test_lockfile_excludes_across_processes;
-      Alcotest.test_case "index: publish/lookup/garbage/referenced" `Quick
-        test_publish_lookup_roundtrip;
+      Alcotest.test_case "entry files: publish/lookup/garbage/referenced"
+        `Quick test_entry_files;
+      Alcotest.test_case "concurrent publishers never leave a torn entry"
+        `Quick test_concurrent_publishers;
       Alcotest.test_case "memory-space hit is bit-identical" `Quick
         test_memory_hit_bit_identical;
       Alcotest.test_case "register-space hit is bit-identical" `Quick
@@ -507,6 +558,8 @@ let suite =
         test_policy_keys_do_not_collide;
       Alcotest.test_case "compaction protects cache-referenced journals"
         `Quick test_compact_protects_cache_referenced_journals;
+      Alcotest.test_case "compaction deletes a superseded journal" `Quick
+        test_compact_deletes_superseded_journals;
       Alcotest.test_case "corrupt cached journal degrades to a miss" `Quick
         test_corrupt_cached_journal_degrades_to_miss;
       Alcotest.test_case "foreign outcome character is a miss" `Quick

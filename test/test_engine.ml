@@ -264,9 +264,9 @@ let test_journal_roundtrip () =
       Journal.append w "alpha";
       Journal.append w "beta gamma";
       Journal.close w;
-      match Journal.load path with
-      | None -> Alcotest.fail "load failed"
-      | Some (header, records) ->
+      match Journal.replay path with
+      | None -> Alcotest.fail "replay failed"
+      | Some (header, records, _) ->
           Alcotest.(check string) "header" "header v1" header;
           Alcotest.(check (list string)) "records" [ "alpha"; "beta gamma" ]
             records)
@@ -293,12 +293,12 @@ let test_journal_tolerates_torn_tail () =
       Journal.close w;
       (* A crash mid-write leaves a partial line. *)
       append_raw path "deadbeef par";
-      (match Journal.load path with
-      | Some (h, records) ->
+      (match Journal.replay path with
+      | Some (h, records, _) ->
           Alcotest.(check string) "header" "h" h;
           Alcotest.(check (list string)) "torn tail dropped" [ "complete" ]
             records
-      | None -> Alcotest.fail "load failed");
+      | None -> Alcotest.fail "replay failed");
       (* open_resume truncates the torn tail and appends cleanly. *)
       (match Journal.open_resume path with
       | Ok (Some (w, _, records)) ->
@@ -306,8 +306,8 @@ let test_journal_tolerates_torn_tail () =
           Journal.append w "after-resume";
           Journal.close w
       | Ok None | Error _ -> Alcotest.fail "open_resume failed");
-      match Journal.load path with
-      | Some (_, records) ->
+      match Journal.replay path with
+      | Some (_, records, _) ->
           Alcotest.(check (list string)) "clean append after truncation"
             [ "complete"; "after-resume" ] records
       | None -> Alcotest.fail "reload failed")
@@ -332,15 +332,41 @@ let test_journal_detects_corruption () =
       let oc = open_out_bin path in
       output_string oc corrupted;
       close_out oc;
-      match Journal.load path with
-      | Some (_, records) ->
+      match Journal.replay path with
+      | Some (_, records, _) ->
           Alcotest.(check (list string)) "suffix dropped at corruption"
             [ "first" ] records
-      | None -> Alcotest.fail "load failed")
+      | None -> Alcotest.fail "replay failed")
+
+(* Creating a journal over a finished one makes a new file: a reader
+   that opened the old journal still reads it whole, where truncating
+   the same inode in place would cut it under that reader. *)
+let test_journal_create_is_fresh () =
+  with_temp_file (fun path ->
+      let w = Journal.create path ~header:"old" in
+      Journal.append w "finished";
+      Journal.close w;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let w = Journal.create path ~header:"new" in
+          Journal.close w;
+          let old = really_input_string ic (in_channel_length ic) in
+          Alcotest.(check string) "the open descriptor reads the old journal"
+            (Journal.encode_line "old" ^ "\n"
+            ^ Journal.encode_line "finished" ^ "\n")
+            old);
+      match Journal.replay path with
+      | Some (header, records, _) ->
+          Alcotest.(check string) "the path holds the new journal" "new"
+            header;
+          Alcotest.(check (list string)) "with no old records" [] records
+      | None -> Alcotest.fail "replay failed")
 
 let test_journal_missing_file () =
   Alcotest.(check bool) "missing file" true
-    (Journal.load "/nonexistent/fi.journal" = None)
+    (Journal.replay "/nonexistent/fi.journal" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Engine: parallel == serial                                         *)
@@ -478,8 +504,8 @@ let test_resume_truncated_journal () =
       let full = Drive.scan ~jobs:2 (spec ~journal:path golden) in
       check_scans_identical "journaled run" serial full;
       let total_shards =
-        match Journal.load path with
-        | Some (_, records) -> List.length records
+        match Journal.replay path with
+        | Some (_, records, _) -> List.length records
         | None -> Alcotest.fail "journal unreadable"
       in
       Alcotest.(check bool) "has shards" true (total_shards > 2);
@@ -540,8 +566,8 @@ let test_resume_after_crash () =
       Alcotest.(check bool) "killed partway" true (!classes_at_kill > 0);
       (* The journal survived the crash with a valid prefix. *)
       let shards_before =
-        match Journal.load path with
-        | Some (_, records) -> List.length records
+        match Journal.replay path with
+        | Some (_, records, _) -> List.length records
         | None -> Alcotest.fail "journal lost after crash"
       in
       let snap = ref None in
@@ -678,6 +704,8 @@ let suite =
       Alcotest.test_case "journal detects corruption" `Quick
         test_journal_detects_corruption;
       Alcotest.test_case "journal missing file" `Quick test_journal_missing_file;
+      Alcotest.test_case "journal create leaves an open reader its file"
+        `Quick test_journal_create_is_fresh;
       Alcotest.test_case "parallel = serial (hi, j 1/2/4)" `Quick
         test_parallel_equals_serial_hi;
       Alcotest.test_case "parallel = serial (flag1, j 1/2/4)" `Slow

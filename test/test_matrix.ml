@@ -172,8 +172,8 @@ let test_register_journal_resume () =
       let full = Drive.scan ~jobs:2 (hi_reg ~policy ()) in
       check_scans_identical "journaled register run" serial full;
       let total_shards =
-        match Journal.load path with
-        | Some (_, records) -> List.length records
+        match Journal.replay path with
+        | Some (_, records, _) -> List.length records
         | None -> Alcotest.fail "journal unreadable"
       in
       Alcotest.(check bool) "has shards" true (total_shards > 2);
@@ -288,8 +288,8 @@ let test_matrix_partial_journals () =
           check_scans_identical "bare cell" (Lazy.force hi_serial) hi
       | _ -> Alcotest.fail "wrong cell count");
       let total_shards =
-        match Journal.load path with
-        | Some (_, records) -> List.length records
+        match Journal.replay path with
+        | Some (_, records, _) -> List.length records
         | None -> Alcotest.fail "journal unreadable"
       in
       truncate_journal_to path ~records:(total_shards / 2);

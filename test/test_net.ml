@@ -723,6 +723,57 @@ let test_remote_crash_and_resume () =
           check_scans_identical "remote crash + resume = serial" serial
             resumed))
 
+(* A worker daemon reaps its finished children while it waits for the
+   next connection, so none lingers as a zombie after a call.  The
+   children are read from /proc; where that file does not exist the
+   check is skipped. *)
+let test_daemon_reaps_while_idle () =
+  let read path =
+    match open_in_bin path with
+    | exception Sys_error _ -> None
+    | ic ->
+        let text = In_channel.input_all ic in
+        close_in ic;
+        Some text
+  in
+  let zombies children =
+    match read children with
+    | None -> []
+    | Some text ->
+        List.filter
+          (fun child ->
+            (* The state follows the parenthesised command name. *)
+            match read (Printf.sprintf "/proc/%s/stat" child) with
+            | Some stat -> (
+                match String.rindex_opt stat ')' with
+                | Some i when i + 2 < String.length stat -> stat.[i + 2] = 'Z'
+                | _ -> false)
+            | None -> false)
+          (String.split_on_char ' ' (String.trim text)
+          |> List.filter (( <> ) ""))
+  in
+  match
+    Remote.spawn_daemon Remote.daemon
+      { Remote.default_config with workers = 2 }
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (pid, addr) ->
+      let children = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+      Fun.protect
+        ~finally:(fun () -> Remote.kill_daemon pid)
+        (fun () ->
+          if Sys.file_exists children then begin
+            check_scans_identical "sockets = serial" (Lazy.force hi_serial)
+              (Drive.scan ~backend:(sockets_of addr) ~jobs:2
+                 (Spec.of_golden (Lazy.force hi_golden)));
+            let deadline = Unix.gettimeofday () +. 3. in
+            while zombies children <> [] && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.05
+            done;
+            Alcotest.(check (list string)) "zombie children 3 s after the call"
+              [] (zombies children)
+          end)
+
 let suite =
   ( "net-backend",
     [
@@ -750,6 +801,8 @@ let suite =
         test_probe_rejects_bad_peers;
       Alcotest.test_case "recv deadline spans the whole frame" `Quick
         test_recv_whole_frame_deadline;
+      Alcotest.test_case "an idle worker daemon reaps its children" `Quick
+        test_daemon_reaps_while_idle;
       Alcotest.test_case "sockets = processes = domains = serial (memory)"
         `Slow test_sockets_equal_serial_memory;
       Alcotest.test_case "sockets = serial (registers)" `Slow

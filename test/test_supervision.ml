@@ -304,7 +304,7 @@ let test_journal_finished () =
         (Runcell.journal_finished (path ^ ".does-not-exist")))
 
 (* Compaction over real journals in a store directory: it deletes the
-   finished journals no results.idx entry references — also one whose
+   finished journals no result entry references — also one whose
    writer never reached close, as after a SIGKILL — and keeps
    everything else. *)
 let test_catalog_compact () =
@@ -344,8 +344,8 @@ let test_catalog_compact () =
              its first: [closed]'s records, the writers left open as a
              killed process leaves them. *)
           let header, records =
-            match Journal.load closed with
-            | Some (h, rs) -> (h, rs)
+            match Journal.replay closed with
+            | Some (h, rs, _) -> (h, rs)
             | None -> Alcotest.fail "closed journal unreadable"
           in
           let unclosed ~fingerprint records =
